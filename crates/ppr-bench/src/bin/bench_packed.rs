@@ -4,16 +4,17 @@
 //! ladder (`plan_chunks_{interval,quadratic,monotone}_L*`), the CRC-32
 //! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
 //! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v5) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v6) so CI can
 //! archive the perf trajectory from PR 2 onward.
 //!
-//! Schema v5 adds the event-core rows: the reception loop timed under
-//! both drivers (`recv_{event,timestep}_w{N}_ms`, workers ∈ {1,2,4,8}),
-//! the dispatch batch-size tuning ladder (`recv_event_b{B}_ms`), and
-//! the 10k-node mesh flood (`mesh10k_*`: wall ms, measured events/sec
-//! and simulated packets/sec, per worker count). Wall-clock reads live
-//! here, not in `ppr-sim` — simulation code is banned from timing
-//! itself (the ppr-lint `determinism` rule).
+//! The event-core rows time the reception loop under both drivers
+//! (`process_receptions_2s_ppr_ms`, `recv_timestep_ms`) and the 10k-node
+//! mesh flood
+//! (`mesh10k_*`: wall ms, measured events/sec and simulated
+//! packets/sec). Schema v6 dropped v5's per-worker and batch-size
+//! ladders along with the reception worker threads they measured.
+//! Wall-clock reads live here, not in `ppr-sim` — simulation code is
+//! banned from timing itself (the ppr-lint `determinism` rule).
 //!
 //! Timings are coarse (tens of milliseconds per entry) on purpose — this
 //! is a smoke-level trend tracker, not a statistics engine; use
@@ -36,8 +37,7 @@ use ppr_phy::simd::{DespreadKernel, DspKernel};
 use ppr_phy::sova;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::network::{
-    generate_timeline, process_receptions, process_receptions_timestep, process_receptions_tuned,
-    RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions, process_receptions_timestep, RadioEnv, RxArm, SimConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -270,7 +270,7 @@ fn main() {
         }
     }
 
-    // Small end-to-end run through the parallel packed reception loop.
+    // Small end-to-end run through the packed reception loop.
     let env = RadioEnv::new(1);
     let cfg = SimConfig {
         load_kbps: 13.8,
@@ -293,67 +293,38 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
-    // Driver × worker-count scaling: the event core against the pinned
-    // time-stepped reference on the same timeline. On a 1-core
-    // container the rows are flat — they exist so multi-core hosts
-    // record the scaling trajectory under the same schema.
-    for workers in [1usize, 2, 4, 8] {
-        let t = Instant::now();
-        let e = process_receptions_tuned(&env, &cfg, &timeline, &arm, Some(workers), 8);
-        entries.push((
-            format!("recv_event_w{workers}_ms"),
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-        let t = Instant::now();
-        let s = process_receptions_timestep(&env, &cfg, &timeline, &arm, Some(workers));
-        entries.push((
-            format!("recv_timestep_w{workers}_ms"),
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-        assert_eq!(e, s, "drivers diverged at {workers} workers");
-    }
-
-    // Dispatch batch tuning at the default worker count: how many
-    // receptions each flush hands the fan-out.
-    for batch in [4usize, 8, 16, 32] {
-        let t = Instant::now();
-        let r = process_receptions_tuned(&env, &cfg, &timeline, &arm, None, batch);
-        entries.push((
-            format!("recv_event_b{batch}_ms"),
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-        assert_eq!(r.len(), recs.len());
-    }
+    // The event core against the pinned time-stepped reference on the
+    // same timeline.
+    let t = Instant::now();
+    let s = process_receptions_timestep(&env, &cfg, &timeline, &arm);
+    entries.push(("recv_timestep_ms".into(), t.elapsed().as_secs_f64() * 1e3));
+    assert_eq!(recs, s, "drivers diverged");
 
     // The event core at scale: the 10k-node mesh flood, measured.
     // events/sec here is the wall-clock figure the mesh10k experiment
     // deliberately does not compute for itself.
     {
         let params = MeshParams::benign(10_000, 12.0, 42, 6, MESH_BODY_BYTES);
-        for workers in [1usize, 2, 4, 8] {
-            let t = Instant::now();
-            let s = run_mesh(&params, Some(workers));
-            let wall = t.elapsed().as_secs_f64();
-            entries.push((format!("mesh10k_w{workers}_ms"), wall * 1e3));
-            entries.push((
-                format!("mesh10k_w{workers}_events_per_sec"),
-                s.events_dispatched as f64 / wall,
-            ));
-            if workers == 1 {
-                entries.push(("mesh10k_events".into(), s.events_dispatched as f64));
-                entries.push(("mesh10k_transmissions".into(), s.transmissions as f64));
-                entries.push(("mesh10k_coverage".into(), s.coverage()));
-                entries.push((
-                    "mesh10k_sim_packets_per_sec".into(),
-                    s.transmissions as f64 / s.sim_seconds().max(1e-9),
-                ));
-            }
-        }
+        let t = Instant::now();
+        let s = run_mesh(&params, None);
+        let wall = t.elapsed().as_secs_f64();
+        entries.push(("mesh10k_ms".into(), wall * 1e3));
+        entries.push((
+            "mesh10k_events_per_sec".into(),
+            s.events_dispatched as f64 / wall,
+        ));
+        entries.push(("mesh10k_events".into(), s.events_dispatched as f64));
+        entries.push(("mesh10k_transmissions".into(), s.transmissions as f64));
+        entries.push(("mesh10k_coverage".into(), s.coverage()));
+        entries.push((
+            "mesh10k_sim_packets_per_sec".into(),
+            s.transmissions as f64 / s.sim_seconds().max(1e-9),
+        ));
     }
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v5\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v6\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

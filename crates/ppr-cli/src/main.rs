@@ -15,6 +15,11 @@
 //! [`Scenario`]. `--json DIR` writes one self-describing JSON document
 //! per (experiment, point) next to the text output.
 //!
+//! `run` executes the (point × experiment) jobs concurrently on a pool
+//! of `threads` threads (`--set threads=N`, else `PPR_THREADS`, else the
+//! machine's available parallelism) and prints results in sweep and
+//! registry order, so the output does not depend on the pool size.
+//!
 //! `ppr-cli diff` is the differential harness: each selected experiment
 //! runs under every driver × checkpoint combination and the rendered
 //! reports are compared byte for byte; one reception checkpoint is then
@@ -25,8 +30,11 @@
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
 //! (unknown id, malformed `--set`, unknown flag).
 
+mod pool;
+
 use ppr_sim::adversary::JammerSpec;
 use ppr_sim::diff::{active_kernel_signature, cross_validate, standard_backends};
+use ppr_sim::env::threads_from_env;
 use ppr_sim::experiments::common::CapacityRun;
 use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
 use ppr_sim::experiments::{find, registry, Experiment};
@@ -34,6 +42,8 @@ use ppr_sim::network::{snapshot_after_events, RxArm};
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
 use ppr_sim::scenario::{Driver, Scenario, ScenarioBuilder, SCENARIO_KEYS};
 use ppr_sim::snapshot::{MeshSnapshot, RxSnapshot};
+use std::io::Write;
+use std::sync::Arc;
 
 /// Usage text printed by `--help` and on argument errors.
 const USAGE: &str = "\
@@ -61,12 +71,11 @@ fn print_usage(mut to: impl std::io::Write) {
     }
 }
 
-/// Prints the standard experiment banner (the format the historical
+/// The standard experiment banner (the format the historical
 /// per-figure binaries used).
-fn banner(title: &str) {
-    println!("{}", "=".repeat(72));
-    println!("PPR reproduction — {title}");
-    println!("{}", "=".repeat(72));
+fn banner(title: &str) -> String {
+    let rule = "=".repeat(72);
+    format!("{rule}\nPPR reproduction — {title}\n{rule}\n")
 }
 
 struct RunArgs {
@@ -234,6 +243,64 @@ fn point_label(point: &[(String, String)], sets: &[(String, Vec<String>)]) -> St
         .join("__")
 }
 
+/// Why a `run` stopped early.
+enum Stop {
+    /// Standard output was closed (`ppr-cli run ... | head`): a clean
+    /// stop, not an error.
+    BrokenPipe,
+    /// Anything else, with its message.
+    Failed(String),
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Stop::BrokenPipe,
+            _ => Stop::Failed(format!("cannot write to standard output: {e}")),
+        }
+    }
+}
+
+/// Rough run time of each experiment in milliseconds, measured one at a
+/// time at the default scenario on a 2-vCPU Xeon. The pool only uses
+/// these to start long experiments first; they never change a result.
+/// Figs. 14 and 15 render the hint pass that `fig03`, ahead of them in
+/// the registry, computes, and Table 1 reuses its dependencies' results.
+const RUN_COST_MS: [(&str, u64); 17] = [
+    ("fig03", 450),
+    ("table2", 600),
+    ("fig08", 150),
+    ("fig09", 150),
+    ("fig10", 650),
+    ("fig11", 350),
+    ("fig12", 600),
+    ("fig13", 20),
+    ("fig14", 5),
+    ("fig15", 5),
+    ("fig16", 90),
+    ("jam", 260),
+    ("mrd", 600),
+    ("relay", 90),
+    ("mesh10k", 500),
+    ("meshjam", 550),
+    ("table1", 5),
+];
+
+fn run_cost_ms(id: &str) -> u64 {
+    RUN_COST_MS
+        .iter()
+        .find(|(i, _)| *i == id)
+        .map(|&(_, ms)| ms)
+        .expect("RUN_COST_MS lists every registered experiment")
+}
+
+/// Runs every (sweep point × experiment) job on the experiment pool
+/// ([`pool::run_ordered`]) and prints and writes the results in sweep
+/// and registry order, so the output is byte-identical to a serial run
+/// whatever the pool size. An experiment with
+/// [`Experiment::dependencies`] (Table 1) starts only after those
+/// experiments at its sweep point have finished, and reuses their
+/// results.
 fn run(args: &RunArgs) -> i32 {
     let selected: Vec<&'static dyn Experiment> = if args.all {
         registry().to_vec()
@@ -252,58 +319,95 @@ fn run(args: &RunArgs) -> i32 {
     }
 
     let points = sweep_points(&args.sets);
-    let multi_point = points.len() > 1;
-    for (p, point) in points.iter().enumerate() {
-        let scenario = match scenario_for(point) {
-            Ok(s) => s,
-            Err(e) => {
-                // Unreachable in practice: values were validated during
-                // argument parsing.
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        let label = point_label(point, &args.sets);
-        if multi_point {
-            if p > 0 {
-                println!();
-            }
-            println!("### sweep point {}/{}: {label}", p + 1, points.len());
-            println!();
+    let scenarios = match points
+        .iter()
+        .map(|p| scenario_for(p))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(s) => s,
+        Err(e) => {
+            // Unreachable in practice: values were validated during
+            // argument parsing.
+            eprintln!("error: {e}");
+            return 2;
         }
-        if args.all {
-            banner("ALL EXPERIMENTS");
-            println!(
-                "simulated duration per run: {} s (override with PPR_DURATION)\n",
-                scenario.duration_s
-            );
-        }
-        let mut results: Vec<ExperimentResult> = Vec::with_capacity(selected.len());
-        for (i, exp) in selected.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            if !args.all {
-                banner(exp.title());
-            }
-            let result = exp.run_with(&scenario, &results);
-            print!("{}", result.render_text());
-            if let Some(dir) = &args.json_dir {
-                let file = if label.is_empty() {
-                    format!("{}.json", result.id)
-                } else {
-                    format!("{}__{label}.json", result.id)
-                };
-                let path = std::path::Path::new(dir).join(file);
-                if let Err(e) = std::fs::write(&path, result.to_json().render()) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    return 1;
+    };
+    let labels: Vec<String> = points.iter().map(|p| point_label(p, &args.sets)).collect();
+    let workers = scenarios
+        .iter()
+        .map(|s| s.threads.unwrap_or_else(threads_from_env))
+        .max()
+        .unwrap_or(1);
+
+    // Job k is experiment k % n at sweep point k / n.
+    let n = selected.len();
+    let deps = |k: usize| -> Vec<usize> {
+        let (p, i) = (k / n, k % n);
+        selected[i]
+            .dependencies()
+            .iter()
+            .filter_map(|id| selected[..i].iter().position(|e| e.id() == *id))
+            .map(|j| p * n + j)
+            .collect()
+    };
+    let cost = |k: usize| run_cost_ms(selected[k % n].id());
+    let work = |k: usize, prior: Vec<Arc<ExperimentResult>>| {
+        let prior: Vec<ExperimentResult> = prior.iter().map(|r| (**r).clone()).collect();
+        selected[k % n].run_with(&scenarios[k / n], &prior)
+    };
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    let emit = |k: usize, result: &ExperimentResult| -> Result<(), Stop> {
+        let (p, i) = (k / n, k % n);
+        let mut text = String::new();
+        if i == 0 {
+            if points.len() > 1 {
+                if p > 0 {
+                    text.push('\n');
                 }
+                text += &format!(
+                    "### sweep point {}/{}: {}\n\n",
+                    p + 1,
+                    points.len(),
+                    labels[p]
+                );
             }
-            results.push(result);
+            if args.all {
+                text += &banner("ALL EXPERIMENTS");
+                text += &format!(
+                    "simulated duration per run: {} s (override with PPR_DURATION)\n\n",
+                    scenarios[p].duration_s
+                );
+            }
+        } else {
+            text.push('\n');
+        }
+        if !args.all {
+            text += &banner(selected[i].title());
+        }
+        text += &result.render_text();
+        out.write_all(text.as_bytes())?;
+        if let Some(dir) = &args.json_dir {
+            let file = if labels[p].is_empty() {
+                format!("{}.json", result.id)
+            } else {
+                format!("{}__{}.json", result.id, labels[p])
+            };
+            let path = std::path::Path::new(dir).join(file);
+            std::fs::write(&path, result.to_json().render())
+                .map_err(|e| Stop::Failed(format!("cannot write {}: {e}", path.display())))?;
+        }
+        Ok(())
+    };
+    let outcome = pool::run_ordered(points.len() * n, workers, deps, cost, work, emit)
+        .and_then(|()| out.flush().map_err(Stop::from));
+    match outcome {
+        Ok(()) | Err(Stop::BrokenPipe) => 0,
+        Err(Stop::Failed(e)) => {
+            eprintln!("error: {e}");
+            1
         }
     }
-    0
 }
 
 /// Default checkpoint epoch for `diff` when the scenario does not pin
@@ -423,14 +527,7 @@ fn diff(args: &RunArgs) -> i32 {
             postamble: true,
             collect_symbols: false,
         };
-        let bytes = snapshot_after_events(
-            &run.env,
-            &run.cfg,
-            &run.timeline,
-            &arm,
-            base.threads,
-            checkpoint,
-        );
+        let bytes = snapshot_after_events(&run.env, &run.cfg, &run.timeline, &arm, checkpoint);
         let snap = match RxSnapshot::from_bytes(&bytes) {
             Ok(s) => s,
             Err(e) => {
@@ -497,50 +594,44 @@ fn diff(args: &RunArgs) -> i32 {
         println!();
 
         // Jammed-mesh pass: one frozen adversarial mesh checkpoint
-        // (reactive jammer + churn + exponential backoff), restored
-        // across the worker fleet and an extra serialize/parse leg.
-        // Small on purpose — the point is fleet agreement, not scale.
+        // (reactive jammer + churn + exponential backoff), serialized,
+        // parsed back and resumed; the resumed stats must equal an
+        // uninterrupted run's. Small on purpose — the point is
+        // agreement, not scale.
         let mesh_params = jammed_mesh_params(&base);
-        let reference = run_mesh(&mesh_params, Some(1));
+        let reference = run_mesh(&mesh_params, None);
         let reference_fp = fingerprint(format!("{reference:?}").as_bytes());
-        let mut driver = MeshDriver::new(&mesh_params, Some(1));
+        let mut driver = MeshDriver::new(&mesh_params, None);
         driver.run_events(checkpoint);
         let snap_bytes = driver.save().to_bytes();
-        let snap = match MeshSnapshot::from_bytes(&snap_bytes) {
-            Ok(s) => s,
+        let resumed = match MeshSnapshot::from_bytes(&snap_bytes)
+            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap))
+        {
+            Ok(d) => d.run_to_end(),
             Err(e) => {
-                eprintln!("error: jammed mesh snapshot does not round-trip: {e}");
+                eprintln!("error: jammed mesh checkpoint does not resume: {e}");
                 return 1;
             }
         };
+        let fp = fingerprint(format!("{resumed:?}").as_bytes());
+        let agree = resumed == reference;
         let mut t =
             ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);
         t.row(&[
-            "baseline w1".to_string(),
+            "baseline".to_string(),
             format!("{reference_fp:016x}"),
             "ok".to_string(),
         ]);
-        for workers in [1usize, 2, 4, 8] {
-            let resumed = match MeshDriver::restore(&mesh_params, Some(workers), &snap) {
-                Ok(d) => d.run_to_end(),
-                Err(e) => {
-                    eprintln!("error: jammed mesh checkpoint restore failed: {e}");
-                    return 1;
-                }
-            };
-            let fp = fingerprint(format!("{resumed:?}").as_bytes());
-            let agree = resumed == reference;
-            t.row(&[
-                format!("resume w{workers}"),
-                format!("{fp:016x}"),
-                if agree { "ok" } else { "DIVERGED" }.to_string(),
-            ]);
-            if !agree {
-                failures.push(Json::Obj(vec![
-                    ("jammed_mesh_workers".into(), Json::int(workers as u64)),
-                    ("point".into(), Json::str(&label)),
-                ]));
-            }
+        t.row(&[
+            "resume".to_string(),
+            format!("{fp:016x}"),
+            if agree { "ok" } else { "DIVERGED" }.to_string(),
+        ]);
+        if !agree {
+            failures.push(Json::Obj(vec![
+                ("jammed_mesh".into(), Json::str("resume")),
+                ("point".into(), Json::str(&label)),
+            ]));
         }
         print!("{}", t.render());
     }
@@ -571,6 +662,13 @@ fn diff(args: &RunArgs) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_registered_experiment_has_a_run_cost() {
+        let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
+        let costed: Vec<&str> = RUN_COST_MS.iter().map(|&(id, _)| id).collect();
+        assert_eq!(costed, ids, "RUN_COST_MS must list the registry in order");
+    }
 
     #[test]
     fn sweep_points_build_the_cartesian_product() {

@@ -1,7 +1,9 @@
 //! Behavior tests for the `ppr-cli` driver binary, exercised through
 //! the real executable (`CARGO_BIN_EXE_ppr-cli`).
 
-use std::process::{Command, Output};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn ppr_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ppr-cli"))
@@ -153,4 +155,110 @@ fn help_exits_zero_and_documents_scenario_keys() {
     for key in ["duration", "seed", "load", "eta", "backend"] {
         assert!(text.contains(key), "--help missing {key}:\n{text}");
     }
+}
+
+#[test]
+fn closing_the_reader_early_is_a_clean_stop() {
+    // `ppr-cli run ... | head -1` closes the pipe while results are
+    // still coming; the run must stop quietly with status 0.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ppr-cli"))
+        .args(["run", "fig13", "fig08", "--set", "duration=2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ppr-cli");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for ppr-cli");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
+/// Every `*.json` file in `dir`, by name.
+fn json_files(dir: &Path) -> BTreeMap<String, String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(e.path()).unwrap())
+        })
+        .collect()
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ppr_cli_{tag}_{}", std::process::id()))
+}
+
+#[test]
+fn the_pool_is_invisible_in_the_output() {
+    // One process running five experiments concurrently prints and
+    // writes exactly what five single-id processes do, joined by the
+    // blank line the CLI prints between experiments. fig14 and fig15
+    // share fig03's hint pass; table1 reuses fig03 and fig10.
+    let ids = ["fig03", "fig10", "fig14", "fig15", "table1"];
+    let pooled_dir = temp_dir("pooled");
+    let mut args = vec!["run"];
+    args.extend(ids);
+    args.extend(["--set", "duration=2", "--set", "threads=2", "--json"]);
+    args.push(pooled_dir.to_str().unwrap());
+    let pooled = ppr_cli(&args);
+    assert!(pooled.status.success(), "{}", stderr(&pooled));
+
+    let single_dir = temp_dir("single");
+    let mut texts = Vec::new();
+    for id in ids {
+        let out = ppr_cli(&[
+            "run",
+            id,
+            "--set",
+            "duration=2",
+            "--set",
+            "threads=2",
+            "--json",
+            single_dir.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{id}: {}", stderr(&out));
+        texts.push(stdout(&out));
+    }
+    assert_eq!(stdout(&pooled), texts.join("\n"));
+    assert_eq!(json_files(&pooled_dir), json_files(&single_dir));
+    std::fs::remove_dir_all(&pooled_dir).ok();
+    std::fs::remove_dir_all(&single_dir).ok();
+}
+
+#[test]
+fn a_sweep_prints_the_same_on_one_thread_and_four() {
+    let run = |threads: &str| {
+        let dir = temp_dir(&format!("threads{threads}"));
+        let out = ppr_cli(&[
+            "run",
+            "fig10",
+            "fig03",
+            "table1",
+            "--set",
+            "load=3.5,13.8",
+            "--set",
+            "duration=2",
+            "--set",
+            "arq_packets=20",
+            "--set",
+            &format!("threads={threads}"),
+            "--json",
+            dir.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let json = json_files(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        (stdout(&out), json)
+    };
+    let (text1, json1) = run("1");
+    let (text4, json4) = run("4");
+    assert_eq!(text1, text4);
+    assert_eq!(json1.len(), 6, "{:?}", json1.keys());
+    // The JSON records the scenario, so only its `threads` value differs.
+    let json4: BTreeMap<String, String> = json4
+        .into_iter()
+        .map(|(k, v)| (k, v.replace(r#""threads":4"#, r#""threads":1"#)))
+        .collect();
+    assert_eq!(json1, json4);
 }

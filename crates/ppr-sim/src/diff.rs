@@ -8,7 +8,7 @@
 //! ([`crate::network::snapshot_after_events`]), and the identical
 //! serialized state is completed under
 //!
-//! * the event-driven packed driver at several worker × batch shapes,
+//! * the event-driven packed driver,
 //! * the time-stepped packed driver, and
 //! * the sequential `&[bool]` reference (the executable specification),
 //!
@@ -33,19 +33,11 @@ pub use ppr_phy::simd::active_kernel_signature;
 /// One way to complete a restored checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffBackend {
-    /// The event-driven packed driver with explicit tuning knobs.
-    Event {
-        /// Worker-thread count.
-        workers: usize,
-        /// Per-worker batch length.
-        batch_per_worker: usize,
-    },
-    /// The time-stepped packed driver (receiver-major batch walk, no
-    /// event queue).
-    Timestep {
-        /// Worker-thread count.
-        workers: usize,
-    },
+    /// The event-driven packed driver.
+    Event,
+    /// The time-stepped packed driver (receiver-major walk, no event
+    /// queue).
+    Timestep,
     /// The sequential `&[bool]` reference implementation.
     Reference,
 }
@@ -53,35 +45,21 @@ pub enum DiffBackend {
 impl DiffBackend {
     /// Stable human-readable label, used in reports and CI output.
     pub fn label(&self) -> String {
-        match *self {
-            DiffBackend::Event {
-                workers,
-                batch_per_worker,
-            } => format!("event/w{workers}b{batch_per_worker}"),
-            DiffBackend::Timestep { workers } => format!("timestep/w{workers}"),
-            DiffBackend::Reference => "reference/bool".to_string(),
+        match self {
+            DiffBackend::Event => "event",
+            DiffBackend::Timestep => "timestep",
+            DiffBackend::Reference => "reference/bool",
         }
+        .to_string()
     }
 }
 
-/// The default cross-validation matrix: the single-threaded event
-/// driver as baseline, wider event shapes, the time-stepped driver,
-/// and the bool reference.
+/// The default cross-validation matrix: the event driver as baseline,
+/// the time-stepped driver, and the bool reference.
 pub fn standard_backends() -> Vec<DiffBackend> {
     vec![
-        DiffBackend::Event {
-            workers: 1,
-            batch_per_worker: 1,
-        },
-        DiffBackend::Event {
-            workers: 2,
-            batch_per_worker: 8,
-        },
-        DiffBackend::Event {
-            workers: 4,
-            batch_per_worker: 32,
-        },
-        DiffBackend::Timestep { workers: 2 },
+        DiffBackend::Event,
+        DiffBackend::Timestep,
         DiffBackend::Reference,
     ]
 }
@@ -97,22 +75,10 @@ pub fn resume_receptions(
     backend: DiffBackend,
 ) -> Result<Vec<Reception>, SnapError> {
     match backend {
-        DiffBackend::Event {
-            workers,
-            batch_per_worker,
-        } => ReceptionDriver::restore(
-            env,
-            cfg,
-            timeline,
-            arm,
-            Some(workers),
-            batch_per_worker,
-            snap,
-        )
-        .map(|d| d.run_to_end()),
-        DiffBackend::Timestep { workers } => {
-            resume_receptions_timestep(env, cfg, timeline, arm, snap, Some(workers))
+        DiffBackend::Event => {
+            ReceptionDriver::restore(env, cfg, timeline, arm, snap).map(|d| d.run_to_end())
         }
+        DiffBackend::Timestep => resume_receptions_timestep(env, cfg, timeline, arm, snap),
         DiffBackend::Reference => resume_receptions_reference(env, cfg, timeline, arm, snap),
     }
 }
@@ -383,15 +349,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         let labels: Vec<String> = standard_backends().iter().map(|b| b.label()).collect();
-        assert_eq!(
-            labels,
-            [
-                "event/w1b1",
-                "event/w2b8",
-                "event/w4b32",
-                "timestep/w2",
-                "reference/bool"
-            ]
-        );
+        assert_eq!(labels, ["event", "timestep", "reference/bool"]);
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! * `PPR_DURATION` — simulated seconds per experiment run (default
 //!   [`DEFAULT_DURATION_S`]).
-//! * `PPR_THREADS` — worker-thread count for the reception loop
-//!   (default: the machine's available parallelism).
+//! * `PPR_THREADS` — how many experiments `ppr-cli` runs concurrently
+//!   (default: the machine's available parallelism). Simulation code
+//!   itself is single-threaded.
 //!
 //! Everything else folds these in through [`crate::scenario::Scenario`]
 //! (the builder > env > default precedence), so no other module reads
@@ -48,12 +49,11 @@ pub fn parse_duration(raw: Option<&str>) -> Result<f64, String> {
     }
 }
 
-/// Worker-thread ceiling for the reception loop: the `PPR_THREADS`
+/// Default size of `ppr-cli`'s experiment pool: the `PPR_THREADS`
 /// override, else the machine's available parallelism. An invalid
 /// override is rejected with a warning on stderr — a typo'd thread
 /// count must not silently run on all cores. The environment is
-/// resolved once per process so the warning prints a single time, not
-/// once per reception-loop call.
+/// resolved once per process so the warning prints a single time.
 pub fn threads_from_env() -> usize {
     threads_override_from_env().unwrap_or_else(available_parallelism)
 }

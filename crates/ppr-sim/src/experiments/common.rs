@@ -8,8 +8,8 @@
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions_checkpointed, process_receptions_timestep,
-    process_receptions_with_workers, resume_receptions_timestep, snapshot_after_events, RadioEnv,
+    generate_timeline, office_model, process_receptions, process_receptions_checkpointed,
+    process_receptions_timestep, resume_receptions_timestep, snapshot_after_events, RadioEnv,
     Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
 use crate::rxpath::Acquisition;
@@ -26,8 +26,6 @@ pub struct CapacityRun {
     pub cfg: SimConfig,
     /// The generated transmission timeline.
     pub timeline: Vec<Transmission>,
-    /// Reception-loop worker override (`None` = environment default).
-    pub threads: Option<usize>,
     /// Which reception driver evaluates the arms.
     pub driver: Driver,
     /// Snapshot/restore exercise point (`None` = run uninterrupted).
@@ -45,7 +43,7 @@ impl CapacityRun {
             duration_s,
             seed: DEFAULT_SEED,
         };
-        Self::from_config(cfg, None, Testbed::fig7(), Driver::Event, None)
+        Self::from_config(cfg, Testbed::fig7(), Driver::Event, None)
     }
 
     /// Builds a run for a scenario at the experiment's canonical load
@@ -58,7 +56,6 @@ impl CapacityRun {
         let comm_radius_m = office_model().range_at_snr_m(SQUELCH_SNR);
         Self::from_config(
             scenario.sim_config(load_kbps, carrier_sense),
-            scenario.threads,
             scenario.topology.testbed(comm_radius_m),
             scenario.driver,
             scenario.checkpoint,
@@ -67,7 +64,6 @@ impl CapacityRun {
 
     fn from_config(
         cfg: SimConfig,
-        threads: Option<usize>,
         testbed: Testbed,
         driver: Driver,
         checkpoint: Option<u64>,
@@ -78,7 +74,6 @@ impl CapacityRun {
             env,
             cfg,
             timeline,
-            threads,
             driver,
             checkpoint,
         }
@@ -95,49 +90,23 @@ impl CapacityRun {
     /// bit-identical, which `tests/snapshot_roundtrip.rs` pins for the
     /// whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
+        let (env, cfg, timeline) = (&self.env, &self.cfg, &self.timeline);
         match (self.driver, self.checkpoint) {
-            (Driver::Event, None) => process_receptions_with_workers(
-                &self.env,
-                &self.cfg,
-                &self.timeline,
-                arm,
-                self.threads,
-            ),
-            (Driver::Event, Some(events)) => process_receptions_checkpointed(
-                &self.env,
-                &self.cfg,
-                &self.timeline,
-                arm,
-                self.threads,
-                events,
-            ),
-            (Driver::Timestep, None) => {
-                process_receptions_timestep(&self.env, &self.cfg, &self.timeline, arm, self.threads)
+            (Driver::Event, None) => process_receptions(env, cfg, timeline, arm),
+            (Driver::Event, Some(events)) => {
+                process_receptions_checkpointed(env, cfg, timeline, arm, events)
             }
+            (Driver::Timestep, None) => process_receptions_timestep(env, cfg, timeline, arm),
             (Driver::Timestep, Some(events)) => {
                 // The checkpoint is always taken by the event core (the
                 // timestep loop has no event counter); the *resume*
                 // runs the time-stepped reference — cross-driver resume
                 // in one run.
-                let bytes = snapshot_after_events(
-                    &self.env,
-                    &self.cfg,
-                    &self.timeline,
-                    arm,
-                    self.threads,
-                    events,
-                );
+                let bytes = snapshot_after_events(env, cfg, timeline, arm, events);
                 let snap =
                     RxSnapshot::from_bytes(&bytes).expect("reception snapshot bytes round-trip");
-                resume_receptions_timestep(
-                    &self.env,
-                    &self.cfg,
-                    &self.timeline,
-                    arm,
-                    &snap,
-                    self.threads,
-                )
-                .expect("reception snapshot resumes against its own run")
+                resume_receptions_timestep(env, cfg, timeline, arm, &snap)
+                    .expect("reception snapshot resumes against its own run")
             }
         }
     }

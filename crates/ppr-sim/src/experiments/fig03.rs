@@ -3,54 +3,15 @@
 //!
 //! The paper's headline SoftPHY statistic: conditioned on a correct
 //! decode, 96 % of codewords sit at distance ≤ 1; barely 10 % of
-//! incorrect codewords sit at distance ≤ 6. This experiment collects the
-//! per-codeword (hint, correctness) pairs from every acquired packet in
-//! the standard capacity run and prints the six CDF curves.
+//! incorrect codewords sit at distance ≤ 6. This experiment renders the
+//! per-codeword (hint, correctness) histograms of every acquired packet
+//! in the standard capacity runs ([`super::hints`]) as the six CDF
+//! curves.
 
-use super::common::CapacityRun;
+use super::hints;
 use super::Experiment;
-use crate::metrics::HintHistogram;
-use crate::network::RxArm;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::scenario::{Scenario, LOADS};
-
-/// The collected statistics for one load.
-#[derive(Debug, Clone)]
-pub struct LoadHints {
-    /// Offered load, kbit/s/node.
-    pub load_kbps: f64,
-    /// The hint histogram split by correctness.
-    pub hist: HintHistogram,
-}
-
-/// Runs the experiment at every load (or the scenario's pinned load).
-pub fn collect(scenario: &Scenario) -> Vec<LoadHints> {
-    scenario
-        .loads(&LOADS)
-        .into_iter()
-        .map(|load| {
-            // Carrier sense on: the CC2420 default, and the §3.2/§7.4
-            // hint-statistics environment (the paper disables CS only in
-            // the experiments that say so, Figs. 9-12).
-            let run = CapacityRun::from_scenario(scenario, load, true);
-            let arm = RxArm {
-                scheme: scenario.ppr_scheme(),
-                postamble: true,
-                collect_symbols: true,
-            };
-            let mut hist = HintHistogram::new();
-            for rec in run.receptions(&arm) {
-                for (&h, &c) in rec.symbol_hints.iter().zip(&rec.symbol_correct) {
-                    hist.record(h, c);
-                }
-            }
-            LoadHints {
-                load_kbps: load,
-                hist,
-            }
-        })
-        .collect()
-}
+use crate::scenario::Scenario;
 
 /// The Fig. 3 experiment.
 pub struct Fig03;
@@ -73,7 +34,8 @@ impl Experiment for Fig03 {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let data = collect(scenario);
+        let stats = hints::shared(scenario);
+        let data = &stats.per_load;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(
             "Figure 3: CDF of Hamming distance per received codeword,\n\
@@ -89,21 +51,16 @@ impl Experiment for Fig03 {
             "d<=9",
             "d<=12",
         ]);
-        for lh in &data {
+        for (load, hist) in data {
             for correct in [true, false] {
-                let cdf = lh.hist.cdf(correct);
+                let cdf = hist.cdf(correct);
                 let n = if correct {
-                    lh.hist.total_correct()
+                    hist.total_correct()
                 } else {
-                    lh.hist.total_incorrect()
+                    hist.total_incorrect()
                 };
                 t.row(vec![
-                    format!(
-                        "{} {}",
-                        lh.load_kbps,
-                        if correct { "correct" } else { "incorrect" }
-                    )
-                    .into(),
+                    format!("{} {}", load, if correct { "correct" } else { "incorrect" }).into(),
                     n.into(),
                     cdf[0].into(),
                     cdf[1].into(),
@@ -120,20 +77,19 @@ impl Experiment for Fig03 {
              the paper); incorrect codewords mostly d>6 (<=0.10 below).\n",
         );
         let eta = scenario.eta;
-        for lh in &data {
-            let load = lh.load_kbps;
-            res.metric(format!("p_d_le1_correct@{load}"), lh.hist.cdf(true)[1]);
-            res.metric(format!("miss_rate_at_eta@{load}"), lh.hist.miss_rate(eta));
+        for (load, hist) in data {
+            res.metric(format!("p_d_le1_correct@{load}"), hist.cdf(true)[1]);
+            res.metric(format!("miss_rate_at_eta@{load}"), hist.miss_rate(eta));
             res.metric(
                 format!("false_alarm_rate_at_eta@{load}"),
-                lh.hist.false_alarm_rate(eta),
+                hist.false_alarm_rate(eta),
             );
         }
         // Headline values at the highest load (Table 1's inputs).
-        if let Some(hi) = data.last() {
-            res.metric("p_d_le1_correct", hi.hist.cdf(true)[1]);
-            res.metric("miss_rate_at_eta", hi.hist.miss_rate(eta));
-            res.metric("false_alarm_rate_at_eta", hi.hist.false_alarm_rate(eta));
+        if let Some((_, hi)) = data.last() {
+            res.metric("p_d_le1_correct", hi.cdf(true)[1]);
+            res.metric("miss_rate_at_eta", hi.miss_rate(eta));
+            res.metric("false_alarm_rate_at_eta", hi.false_alarm_rate(eta));
         }
         res
     }
@@ -146,12 +102,15 @@ mod tests {
 
     #[test]
     fn correct_and_incorrect_distributions_separate() {
-        let sc = ScenarioBuilder::new().duration_s(4.0).build();
-        let data = collect(&sc);
+        // The same scenario as the Fig. 14/15 shape tests, so the three
+        // share one memoised hint pass.
+        let sc = ScenarioBuilder::new().duration_s(6.0).build();
+        let stats = hints::shared(&sc);
+        let data = &stats.per_load;
         assert_eq!(data.len(), 3);
         // Use the highest load (most collisions → most incorrect
         // codewords) for the shape assertions.
-        let hi = &data[2].hist;
+        let hi = &data[2].1;
         assert!(hi.total_correct() > 1000, "too few correct samples");
         assert!(hi.total_incorrect() > 100, "too few incorrect samples");
         let c = hi.cdf(true);

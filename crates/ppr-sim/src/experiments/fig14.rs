@@ -7,36 +7,18 @@
 //! missed codeword is almost always adjacent to correctly-labeled bad
 //! codewords that PP-ARQ retransmits anyway (and the run-checksum pass
 //! catches the rest).
+//!
+//! The histogram comes from the high-load run of the shared hint pass
+//! ([`super::hints`]): high load maximizes the collision (and therefore
+//! miss) count.
 
-use super::common::CapacityRun;
+use super::hints;
 use super::Experiment;
-use crate::metrics::MissRunHistogram;
-use crate::network::RxArm;
 use crate::results::ExperimentResult;
 use crate::scenario::Scenario;
 
 /// Thresholds evaluated, as in the paper.
 pub const ETAS: [u8; 4] = [1, 2, 3, 4];
-
-/// Collects the miss-run histogram from the high-load run (most
-/// collisions → most misses).
-pub fn collect(scenario: &Scenario) -> MissRunHistogram {
-    // Carrier sense on, as in the Fig. 3 hint-statistics runs; high
-    // load maximizes the collision (and therefore miss) count.
-    let run = CapacityRun::from_scenario(scenario, 13.8, true);
-    let arm = RxArm {
-        scheme: scenario.ppr_scheme(),
-        postamble: true,
-        collect_symbols: true,
-    };
-    let mut hist = MissRunHistogram::new(ETAS.to_vec(), 100);
-    for rec in run.receptions(&arm) {
-        if !rec.symbol_hints.is_empty() {
-            hist.record_packet(&rec.symbol_hints, &rec.symbol_correct);
-        }
-    }
-    hist
-}
 
 /// The Fig. 14 experiment.
 pub struct Fig14;
@@ -59,7 +41,8 @@ impl Experiment for Fig14 {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let hist = collect(scenario);
+        let stats = hints::shared(scenario);
+        let hist = &stats.miss_runs;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(format!(
             "Figure 14: CCDF of contiguous miss lengths at thresholds eta\n\
@@ -97,7 +80,8 @@ mod tests {
     #[test]
     fn miss_lengths_are_short_and_decaying() {
         let sc = ScenarioBuilder::new().duration_s(6.0).build();
-        let hist = collect(&sc);
+        let stats = hints::shared(&sc);
+        let hist = &stats.miss_runs;
         // Use eta = 4 (most permissive -> most misses).
         let e = 3;
         let ccdf = hist.ccdf(e);

@@ -4,38 +4,14 @@
 //! A false alarm is a *correct* codeword labeled bad (`hint > η`),
 //! causing a needless retransmission of one codeword. The paper finds
 //! the rate tiny (~5 × 10⁻³ at η = 6) and only weakly load-dependent —
-//! which is why PPR's overhead from conservatism is negligible.
+//! which is why PPR's overhead from conservatism is negligible. The
+//! histograms are Fig. 3's, from the shared hint pass
+//! ([`super::hints`]).
 
-use super::common::CapacityRun;
+use super::hints;
 use super::Experiment;
-use crate::metrics::HintHistogram;
-use crate::network::RxArm;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::scenario::{Scenario, LOADS};
-
-/// Collected histograms per load.
-pub fn collect(scenario: &Scenario) -> Vec<(f64, HintHistogram)> {
-    scenario
-        .loads(&LOADS)
-        .into_iter()
-        .map(|load| {
-            // Carrier sense on, as in the Fig. 3 hint-statistics runs.
-            let run = CapacityRun::from_scenario(scenario, load, true);
-            let arm = RxArm {
-                scheme: scenario.ppr_scheme(),
-                postamble: true,
-                collect_symbols: true,
-            };
-            let mut hist = HintHistogram::new();
-            for rec in run.receptions(&arm) {
-                for (&h, &c) in rec.symbol_hints.iter().zip(&rec.symbol_correct) {
-                    hist.record(h, c);
-                }
-            }
-            (load, hist)
-        })
-        .collect()
-}
+use crate::scenario::Scenario;
 
 /// The Fig. 15 experiment.
 pub struct Fig15;
@@ -58,7 +34,8 @@ impl Experiment for Fig15 {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let data = collect(scenario);
+        let stats = hints::shared(scenario);
+        let data = &stats.per_load;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(
             "Figure 15: false-alarm rate (CCDF of correct codewords' Hamming\n\
@@ -69,7 +46,7 @@ impl Experiment for Fig15 {
         let mut t = TableBlock::new(&headers.iter().map(|s| s.as_str()).collect::<Vec<_>>());
         for eta in 0..=12u8 {
             let mut row = vec![crate::results::Cell::Str(eta.to_string())];
-            for (_, hist) in &data {
+            for (_, hist) in data {
                 row.push(hist.false_alarm_rate(eta).into());
             }
             t.row(row);
@@ -79,7 +56,7 @@ impl Experiment for Fig15 {
             "\nShape targets: ~5e-3 at eta = 6, weak load dependence,\n\
              monotone decreasing in eta.\n",
         );
-        for (load, hist) in &data {
+        for (load, hist) in data {
             res.metric(
                 format!("false_alarm_at_eta@{load}"),
                 hist.false_alarm_rate(scenario.eta),
@@ -96,9 +73,11 @@ mod tests {
 
     #[test]
     fn false_alarm_rate_is_small_and_monotone() {
-        let sc = ScenarioBuilder::new().duration_s(5.0).build();
-        let data = collect(&sc);
-        for (load, hist) in &data {
+        // The same scenario as the Fig. 3/14 shape tests, so the three
+        // share one memoised hint pass.
+        let sc = ScenarioBuilder::new().duration_s(6.0).build();
+        let stats = hints::shared(&sc);
+        for (load, hist) in &stats.per_load {
             assert!(hist.total_correct() > 1000, "load {load}: too few samples");
             let fa6 = hist.false_alarm_rate(6);
             assert!(fa6 < 0.05, "load {load}: false alarm at eta=6 is {fa6}");

@@ -29,8 +29,8 @@
 //!
 //! ## Determinism and the flush window
 //!
-//! Reception outcomes are decoded in parallel batches without ever
-//! becoming order-dependent:
+//! Reception outcomes are decoded in batches without ever becoming
+//! order-dependent:
 //!
 //! * completed receptions accumulate in a pending batch, flushed when
 //!   the clock reaches `earliest pending completion + `[`SAFE_WINDOW`]
@@ -43,10 +43,10 @@
 //!   transmission that could overlap a pending reception has already
 //!   popped (any overlapper starts strictly before the reception ends,
 //!   and the flush trigger time is later still);
-//! * the parallel decode (`fan_out`) preserves batch order and each
-//!   reception draws from its own `reception_rng_seed` stream, so the
-//!   result is bit-identical for any worker count — pinned by
-//!   `mesh_is_invariant_to_worker_count` below.
+//! * work selection at a flush reads only pre-flush state, and each
+//!   reception draws from its own `reception_rng_seed` stream, so a
+//!   batch decodes to the same outcomes in any order; they are applied
+//!   in batch (pop) order.
 //!
 //! Wall-clock events/sec is *measured* in `ppr-bench` (`bench_packed`,
 //! the `BENCH_packed.json` mesh rows); this experiment reports only
@@ -57,7 +57,7 @@ use super::Experiment;
 use crate::adversary::{AdversaryState, FaultPlan, JammerSpec};
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::{Point, Testbed};
-use crate::network::{fan_out, office_model, payload_pattern, reception_rng_seed, SQUELCH_SNR};
+use crate::network::{office_model, payload_pattern, reception_rng_seed, SQUELCH_SNR};
 use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
@@ -175,7 +175,7 @@ impl MeshParams {
 }
 
 /// Deterministic counters of one mesh flood run — everything the
-/// experiment reports, and what the worker-count invariance test pins.
+/// experiment reports, and what the checkpoint round-trip tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MeshStats {
     /// Node count.
@@ -331,10 +331,8 @@ fn map_repair_offset(spans: &[UnitRange], off: usize) -> Option<usize> {
     None
 }
 
-/// Runs one mesh flood. `threads` caps the decode fan-out (`None` =
-/// the `PPR_THREADS` / available-parallelism default); the returned
-/// stats are bit-identical for every value — the flush-window rule above
-/// is what guarantees it.
+/// Runs one mesh flood on the calling thread. `threads` is ignored; it
+/// stays only so existing callers keep compiling.
 pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
     MeshDriver::new(params, threads).run_to_end()
 }
@@ -345,17 +343,13 @@ pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
 /// the rendered report prints) are bit-identical to an uninterrupted
 /// run: a checkpoint serializes the pending decode batch *as is* rather
 /// than forcing an early flush, so batch boundaries never move.
-pub fn run_mesh_checkpointed(
-    params: &MeshParams,
-    threads: Option<usize>,
-    checkpoint_events: u64,
-) -> MeshStats {
-    let mut driver = MeshDriver::new(params, threads);
+pub fn run_mesh_checkpointed(params: &MeshParams, checkpoint_events: u64) -> MeshStats {
+    let mut driver = MeshDriver::new(params, None);
     driver.run_events(checkpoint_events);
     let bytes = driver.save().to_bytes();
     drop(driver);
     let snap = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot bytes round-trip");
-    MeshDriver::restore(params, threads, &snap)
+    MeshDriver::restore(params, &snap)
         .expect("mesh snapshot restores against its own params")
         .run_to_end()
 }
@@ -388,9 +382,6 @@ pub struct MeshDriver {
     truth: Vec<u8>,
     /// snapshot: rebuilt — stateless per-packet receiver.
     fast: FastRx,
-    /// snapshot: rebuilt — execution knob (thread count), never
-    /// simulation state; results are invariant to it.
-    workers: usize,
     /// snapshot: serialized — per-node PP-ARQ session state
     /// (`ChunkScratch` contents excluded: the DP reconstructs its
     /// working state from the mask on demand).
@@ -434,7 +425,9 @@ pub struct MeshDriver {
 impl MeshDriver {
     /// Builds a driver at event zero: placement, spatial index and
     /// source selection done, the source's flood frame scheduled.
-    pub fn new(params: &MeshParams, threads: Option<usize>) -> Self {
+    /// `_threads` is ignored: the driver runs on the calling thread, and
+    /// the argument stays only so existing callers keep compiling.
+    pub fn new(params: &MeshParams, _threads: Option<usize>) -> Self {
         let model = mesh_model();
         let noise = model.noise_mw();
         let comm_radius = model.range_at_snr_m(SQUELCH_SNR);
@@ -459,7 +452,6 @@ impl MeshDriver {
             .expect("mesh has nodes");
 
         let truth = payload_pattern(source, 0, payload_len);
-        let workers = threads.unwrap_or_else(crate::env::threads_from_env).max(1);
 
         let mut states: Vec<NodeState> = vec![NodeState::new(payload_len); n];
         states[source].mask.fill(u64::MAX);
@@ -490,7 +482,6 @@ impl MeshDriver {
             payload_len,
             truth: truth.clone(),
             fast: FastRx::new(true),
-            workers,
             states,
             txs: Vec::new(),
             own_tx: vec![Vec::new(); n], // (start, end, tx id)
@@ -568,10 +559,75 @@ impl MeshDriver {
         );
     }
 
+    /// Runs reception `(ti, r)` through the chip pipeline and returns
+    /// what the PPR scheme delivers (`None` when nothing is acquired).
+    /// Reads only state a flush never changes: the transmissions that
+    /// were on the air, positions and the adversary's recorded bursts.
+    fn decode(&self, ti: usize, r: usize) -> Option<Vec<Delivered>> {
+        let t = &self.txs[ti];
+        let signal = self.gain(t.sender, r);
+        let me = HeardTx {
+            id: ti as u64,
+            start_chip: t.start,
+            len_chips: t.len,
+            power_mw: signal,
+        };
+        // Interferers: every overlapping transmission from a sender
+        // inside the receiver's 3×3 cell neighborhood. Beyond that
+        // radius a sender's mean power is below the noise floor.
+        let mut heard = vec![me];
+        let mut cands = Vec::new();
+        self.index.candidates_into(&self.tb.senders[r], &mut cands);
+        for &s in &cands {
+            let s = s as usize;
+            if s == r {
+                continue;
+            }
+            for &(os, oe, oid) in &self.own_tx[s] {
+                if oid != ti as u64 && os < t.end() && t.start < oe {
+                    heard.push(HeardTx {
+                        id: oid,
+                        start_chip: os,
+                        len_chips: oe - os,
+                        power_mw: self.gain(s, r),
+                    });
+                }
+            }
+        }
+        // Jamming bursts are just more interferers: each overlapping
+        // burst contributes its path-loss power at the receiver through
+        // the same profile math as a colliding frame. Ids count down
+        // from u64::MAX so they can never collide with transmission ids.
+        for (k, b) in self
+            .adversary
+            .bursts_overlapping(t.start, t.end())
+            .enumerate()
+        {
+            heard.push(HeardTx {
+                id: u64::MAX - k as u64,
+                start_chip: b.start,
+                len_chips: b.end - b.start,
+                power_mw: self
+                    .model
+                    .rx_power_mw(b.pos().distance(&self.tb.senders[r]), 0.0),
+            });
+        }
+        let spans = interference_profile(&me, &heard);
+        // Link degradation raises this receiver's noise floor for the
+        // window (×1.0 — bit-exact — outside one).
+        let noise = self.noise * self.fault_plan.noise_factor(r, t.start, t.end());
+        let profile = ErrorProfile::from_interference(signal, noise, &spans);
+        let mut corrupted = t.frame.chip_words();
+        let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
+        corrupt_chip_words_in_place(&mut corrupted, &profile, &mut rng);
+        let (_acq, rx) = self.fast.receive_words(&t.frame, &corrupted, true);
+        rx.map(|rx| self.scheme.deliver(&rx))
+    }
+
     /// Decodes the pending batch and applies outcomes in batch order.
     /// Outcomes: mask updates, first-recovery rebroadcast scheduling,
-    /// ARQ timer arming. Everything the parallel phase reads (`txs`,
-    /// `own_tx`, positions) is frozen for the duration of the flush.
+    /// ARQ timer arming. Applying an outcome never changes what a later
+    /// decode in the batch reads (see [`MeshDriver::decode`]).
     fn flush(&mut self) {
         if !self.pending.is_empty() {
             // Work selection is sequential and reads only pre-flush
@@ -608,74 +664,10 @@ impl MeshDriver {
             self.stats.flush_batches += 1;
             self.stats.max_batch = self.stats.max_batch.max(work.len());
 
-            let outcomes: Vec<Option<Vec<Delivered>>> = fan_out(self.workers, &work, |&(ti, r)| {
-                let t = &self.txs[ti];
-                let signal = self.gain(t.sender, r);
-                let me = HeardTx {
-                    id: ti as u64,
-                    start_chip: t.start,
-                    len_chips: t.len,
-                    power_mw: signal,
-                };
-                // Interferers: every overlapping transmission
-                // from a sender inside the receiver's 3×3 cell
-                // neighborhood. Beyond that radius a sender's
-                // mean power is below the noise floor.
-                let mut heard = vec![me];
-                let mut cands = Vec::new();
-                self.index.candidates_into(&self.tb.senders[r], &mut cands);
-                for &s in &cands {
-                    let s = s as usize;
-                    if s == r {
-                        continue;
-                    }
-                    for &(os, oe, oid) in &self.own_tx[s] {
-                        if oid != ti as u64 && os < t.end() && t.start < oe {
-                            heard.push(HeardTx {
-                                id: oid,
-                                start_chip: os,
-                                len_chips: oe - os,
-                                power_mw: self.gain(s, r),
-                            });
-                        }
-                    }
-                }
-                // Jamming bursts are just more interferers: each
-                // overlapping burst contributes its path-loss power at
-                // the receiver through the same profile math as a
-                // colliding frame. Ids count down from u64::MAX so they
-                // can never collide with transmission ids.
-                for (k, b) in self
-                    .adversary
-                    .bursts_overlapping(t.start, t.end())
-                    .enumerate()
-                {
-                    heard.push(HeardTx {
-                        id: u64::MAX - k as u64,
-                        start_chip: b.start,
-                        len_chips: b.end - b.start,
-                        power_mw: self
-                            .model
-                            .rx_power_mw(b.pos().distance(&self.tb.senders[r]), 0.0),
-                    });
-                }
-                let spans = interference_profile(&me, &heard);
-                // Link degradation raises this receiver's noise floor
-                // for the window (×1.0 — bit-exact — outside one).
-                let noise = self.noise * self.fault_plan.noise_factor(r, t.start, t.end());
-                let profile = ErrorProfile::from_interference(signal, noise, &spans);
-                let mut corrupted = t.frame.chip_words();
-                let mut rng =
-                    StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
-                corrupt_chip_words_in_place(&mut corrupted, &profile, &mut rng);
-                let (_acq, rx) = self.fast.receive_words(&t.frame, &corrupted, true);
-                rx.map(|rx| self.scheme.deliver(&rx))
-            });
-
-            for ((ti, r), outcome) in work.into_iter().zip(outcomes) {
+            for (ti, r) in work {
                 let end = self.txs[ti].end();
                 let mut rebroadcast = false;
-                if let Some(delivered) = outcome {
+                if let Some(delivered) = self.decode(ti, r) {
                     let st = &mut self.states[r];
                     for d in &delivered {
                         for (i, &b) in d.bytes.iter().enumerate() {
@@ -918,9 +910,8 @@ impl MeshDriver {
         self.q.dispatched()
     }
 
-    /// Drives the flood until `events` total dispatches (a stable epoch
-    /// boundary: the count is invariant to the worker count) or until
-    /// the run completes, whichever is first.
+    /// Drives the flood until `events` total dispatches or until the run
+    /// completes, whichever is first.
     pub fn run_events(&mut self, events: u64) {
         while self.q.dispatched() < events {
             if !self.step() {
@@ -1004,11 +995,7 @@ impl MeshDriver {
     /// identity against `params` and every index against the
     /// reconstructed run. Frames are rebuilt from the ground-truth
     /// payload (flood) or their repair spans.
-    pub fn restore(
-        params: &MeshParams,
-        threads: Option<usize>,
-        snap: &MeshSnapshot,
-    ) -> Result<Self, SnapError> {
+    pub fn restore(params: &MeshParams, snap: &MeshSnapshot) -> Result<Self, SnapError> {
         if params.nodes != snap.nodes
             || params.density.to_bits() != snap.density.to_bits()
             || params.seed != snap.seed
@@ -1023,7 +1010,7 @@ impl MeshDriver {
                 "MeshParams differ from the snapshot's".into(),
             ));
         }
-        let mut driver = MeshDriver::new(params, threads);
+        let mut driver = MeshDriver::new(params, None);
         let n = driver.states.len();
         let payload_len = driver.payload_len;
         let mask_words = payload_len.div_ceil(64);
@@ -1217,8 +1204,8 @@ impl Experiment for Mesh10k {
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
         let params = MeshParams::from_scenario(scenario);
         let s = match scenario.checkpoint {
-            None => run_mesh(&params, scenario.threads),
-            Some(events) => run_mesh_checkpointed(&params, scenario.threads, events),
+            None => run_mesh(&params, None),
+            Some(events) => run_mesh_checkpointed(&params, events),
         };
         let sim_s = s.sim_seconds();
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
@@ -1293,7 +1280,7 @@ mod tests {
 
     #[test]
     fn flood_covers_most_of_a_small_mesh() {
-        let s = run_mesh(&small(), Some(1));
+        let s = run_mesh(&small(), None);
         assert_eq!(s.nodes, 300);
         assert!(s.coverage() > 0.8, "coverage {}", s.coverage());
         assert!(s.transmissions >= s.nodes / 2, "tx {}", s.transmissions);
@@ -1307,23 +1294,10 @@ mod tests {
     }
 
     #[test]
-    fn mesh_is_invariant_to_worker_count() {
-        // The whole determinism argument in one assertion: parallel
-        // decode fan-out must never change an outcome.
-        let a = run_mesh(&small(), Some(1));
-        let b = run_mesh(&small(), Some(4));
-        let c = run_mesh(&small(), Some(7));
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-    }
-
-    #[test]
     fn mesh_checkpoint_roundtrip_is_bit_identical() {
-        let a = run_mesh(&small(), Some(2));
+        let a = run_mesh(&small(), None);
         for events in [1, 57, 913] {
-            // Different worker count on resume on purpose: a snapshot
-            // carries no execution knobs.
-            let b = run_mesh_checkpointed(&small(), Some(3), events);
+            let b = run_mesh_checkpointed(&small(), events);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1340,19 +1314,18 @@ mod tests {
     }
 
     #[test]
-    fn jammed_mesh_is_invariant_to_worker_count() {
-        let a = run_mesh(&small_jammed(), Some(1));
-        let b = run_mesh(&small_jammed(), Some(4));
-        assert_eq!(a, b);
+    fn jammed_mesh_exercises_the_adversary() {
+        let a = run_mesh(&small_jammed(), None);
+        assert_eq!(a, run_mesh(&small_jammed(), None));
         assert!(a.jam_bursts > 0, "reactive jammer never fired");
         assert!(a.crashes > 0, "churn produced no crashes");
     }
 
     #[test]
     fn jammed_mesh_checkpoint_roundtrip_is_bit_identical() {
-        let a = run_mesh(&small_jammed(), Some(2));
+        let a = run_mesh(&small_jammed(), None);
         for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small_jammed(), Some(3), events);
+            let b = run_mesh_checkpointed(&small_jammed(), events);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1361,7 +1334,7 @@ mod tests {
     fn benign_params_change_nothing() {
         // The adversarial fields at their defaults must leave the
         // benign flood bit-identical to the pre-adversary driver.
-        let s = run_mesh(&small(), Some(1));
+        let s = run_mesh(&small(), None);
         assert_eq!(s.jam_bursts, 0);
         assert_eq!(s.jam_chips, 0);
         assert_eq!(s.crashes + s.restarts, 0);

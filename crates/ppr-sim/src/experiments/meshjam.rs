@@ -62,8 +62,8 @@ impl Experiment for MeshJam {
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
         let params = meshjam_params(scenario);
         let s = match scenario.checkpoint {
-            None => run_mesh(&params, scenario.threads),
-            Some(events) => run_mesh_checkpointed(&params, scenario.threads, events),
+            None => run_mesh(&params, None),
+            Some(events) => run_mesh_checkpointed(&params, events),
         };
         let offered = s.nodes * params.body_bytes;
         let partial_delivery = s.correct_bytes as f64 / offered.max(1) as f64;

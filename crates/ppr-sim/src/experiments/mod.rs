@@ -20,6 +20,8 @@
 //! Every experiment implements [`Experiment`] and registers itself in
 //! [`registry`], so drivers (the `ppr-cli` binary, the golden
 //! regression test) enumerate them instead of hard-wiring binaries.
+//! Figs. 3, 14 and 15 render one shared, memoised hint pass
+//! ([`hints`]).
 
 pub mod common;
 pub mod fdr;
@@ -28,6 +30,7 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+pub mod hints;
 pub mod jam;
 pub mod mesh;
 pub mod meshjam;
@@ -66,6 +69,13 @@ pub trait Experiment: Sync {
     /// results instead of re-running their dependencies.
     fn run_with(&self, scenario: &Scenario, _prior: &[ExperimentResult]) -> ExperimentResult {
         self.run(scenario)
+    }
+
+    /// Ids whose results [`Experiment::run_with`] reuses when they ran
+    /// earlier under the same scenario. A driver running experiments
+    /// concurrently starts this one only after those have finished.
+    fn dependencies(&self) -> &'static [&'static str] {
+        &[]
     }
 }
 

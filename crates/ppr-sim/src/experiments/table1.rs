@@ -135,6 +135,10 @@ impl Experiment for Table1 {
         };
         from_results(scenario, get("fig10"), get("fig03"), get("fig16"))
     }
+
+    fn dependencies(&self) -> &'static [&'static str] {
+        &DEPENDENCIES
+    }
 }
 
 #[cfg(test)]

@@ -28,31 +28,29 @@
 //! events through a [`crate::event::BinaryHeapQueue`]. The legacy
 //! implementations are kept verbatim as pinned references —
 //! [`generate_timeline_reference`] (the inline heap) and
-//! [`process_receptions_timestep`] (the time-stepped batch loop) — and
+//! [`process_receptions_timestep`] (the time-stepped loop) — and
 //! `tests/event_parity.rs` holds all of them bit-identical.
 //!
-//! ## Determinism contract of the parallel reception loop
+//! ## Why the drivers agree
 //!
-//! [`process_receptions`] fans per-(transmission, receiver) work across
-//! `std::thread::scope` workers. Results are bit-identical to the
-//! sequential reference ([`process_receptions_reference`]) regardless of
-//! worker count or scheduling because:
+//! Every driver runs on the calling thread (parallelism lives one level
+//! up, in `ppr-cli`'s experiment pool). They produce the same stream as
+//! the sequential reference ([`process_receptions_reference`]) however
+//! they batch or order the work, because:
 //!
 //! 1. every reception draws its channel noise from its own RNG stream
 //!    seeded by `(seed, tx id, receiver)` — no RNG is shared between
-//!    work items;
+//!    receptions;
 //! 2. the only cross-reception state — a receiver's busy/idle window —
-//!    depends solely on earlier preamble hits at that receiver, which is
-//!    resolved in a cheap sequential pass between the parallel
-//!    prepare/decode phases, in event-pop order (= timeline order per
-//!    receiver);
+//!    depends solely on earlier preamble hits at that receiver, folded
+//!    in event-pop order (= timeline order per receiver);
 //! 3. outputs are collected in (receiver, timeline-order) slots, not in
 //!    completion order;
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
-//! `PPR_THREADS=1` forces the parallel structure onto one worker (still
-//! the packed path); `tests/packed_parity.rs` pins both equalities.
+//! `tests/packed_parity.rs` and `tests/event_parity.rs` pin the
+//! equalities.
 
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
@@ -546,7 +544,7 @@ struct RxJob {
     slot: usize,
 }
 
-/// Phase-A output for one job: everything a reception needs that does
+/// Prepared capture for one job: everything a reception needs that does
 /// not depend on the receiver's busy/idle state.
 struct PreparedRx {
     frame: Frame,
@@ -555,97 +553,28 @@ struct PreparedRx {
     pre_hit: bool,
 }
 
-/// Worker-thread count for the reception loop: the process-wide
-/// [`crate::env::threads_from_env`] ceiling (the `PPR_THREADS`
-/// override, else available parallelism), capped by the job count.
-fn worker_threads(jobs: usize) -> usize {
-    crate::env::threads_from_env().min(jobs).max(1)
-}
-
-/// Maps `jobs` through `f` on `workers` scoped threads, preserving input
-/// order in the output. Falls back to an inline loop when one worker (or
-/// one job) makes spawning pointless.
-pub(crate) fn fan_out<J: Sync, T: Send>(
-    workers: usize,
-    jobs: &[J],
-    f: impl Fn(&J) -> T + Sync,
-) -> Vec<T> {
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(&f).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(jobs.len(), || None);
-    let chunk = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (job, slot) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(job));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|t| t.expect("every slot filled by its worker"))
-        .collect()
-}
-
-/// Default prepare/decode batch size per worker: each in-flight batch
-/// holds `workers × BATCH_PER_WORKER` prepared captures. Swept in
-/// `bench_packed` (schema v5 `..._b{4,8,16,32}` rows); 8 stays the
-/// default — the sweep is flat within noise on the measured hardware,
-/// and 8 keeps peak memory lowest (see docs/PERF.md).
+/// Default prepare/decode batch length of [`ReceptionDriver`]: how many
+/// receptions it prepares (or decodes) before folding them in. The
+/// length never changes a result; it only moves which work a checkpoint
+/// epoch has already done. The name predates the removal of the
+/// reception worker threads and is kept for existing callers.
 pub const BATCH_PER_WORKER: usize = 8;
 
 /// Evaluates every transmission at every receiver under one arm.
 ///
 /// This is the event-driven fast path: transmission starts and
 /// reception completions flow through a [`BinaryHeapQueue`] (total
-/// `(time, priority, seq)` order), chip streams are bit-packed
-/// [`ChipWords`] end to end, and per-(transmission, receiver) work runs
-/// on scoped worker threads (see the module docs for the determinism
-/// contract). Output is bit-identical to both the time-stepped batch
-/// loop ([`process_receptions_timestep`]) and the sequential reference
-/// ([`process_receptions_reference`]).
+/// `(time, priority, seq)` order) and chip streams are bit-packed
+/// [`ChipWords`] end to end. Output is bit-identical to both the
+/// time-stepped loop ([`process_receptions_timestep`]) and the
+/// sequential reference ([`process_receptions_reference`]).
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
-    process_receptions_with_workers(env, cfg, timeline, arm, None)
-}
-
-/// [`process_receptions`] with an explicit worker count (`None` = the
-/// `PPR_THREADS`/available-parallelism default). Public so the parity
-/// harness can exercise the threaded fan-out deterministically even on
-/// single-core machines, where the default would fall back to the
-/// inline path.
-pub fn process_receptions_with_workers(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    workers: Option<usize>,
-) -> Vec<Reception> {
-    process_receptions_tuned(env, cfg, timeline, arm, workers, BATCH_PER_WORKER)
-}
-
-/// The event-driven reception driver with every knob exposed: worker
-/// count and per-worker batch length (the `bench_packed` tuning
-/// surface). Results are invariant to both knobs — they only move work
-/// between batches, never reorder the sequential busy/idle fold or the
-/// output slots.
-pub fn process_receptions_tuned(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    workers: Option<usize>,
-    batch_per_worker: usize,
-) -> Vec<Reception> {
-    ReceptionDriver::new(env, cfg, timeline, arm, workers, batch_per_worker).run_to_end()
+    ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).run_to_end()
 }
 
 /// [`process_receptions`] with a checkpoint in the middle: the run is
@@ -659,12 +588,11 @@ pub fn process_receptions_checkpointed(
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    workers: Option<usize>,
     checkpoint_events: u64,
 ) -> Vec<Reception> {
-    let bytes = snapshot_after_events(env, cfg, timeline, arm, workers, checkpoint_events);
+    let bytes = snapshot_after_events(env, cfg, timeline, arm, checkpoint_events);
     let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot bytes round-trip");
-    ReceptionDriver::restore(env, cfg, timeline, arm, workers, BATCH_PER_WORKER, &snap)
+    ReceptionDriver::restore(env, cfg, timeline, arm, &snap)
         .expect("snapshot restores against its own run inputs")
         .run_to_end()
 }
@@ -677,10 +605,9 @@ pub fn snapshot_after_events(
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    workers: Option<usize>,
     events: u64,
 ) -> Vec<u8> {
-    let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, workers, BATCH_PER_WORKER);
+    let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
     driver.run_events(events);
     driver.save().to_bytes()
 }
@@ -692,10 +619,10 @@ pub fn snapshot_after_events(
 /// another — via [`ReceptionDriver::restore`]. A checkpointed run is
 /// bit-identical to an uninterrupted one: a save flushes the pending
 /// prepare/decode batches, which only moves work between batches — the
-/// sequential busy/idle fold stays in event-pop order (= timeline order
-/// per receiver), completion keys keep their relative `seq` order
-/// within the `(time, priority)` class, and output slots are fixed by
-/// the receiver-major job table. Batch boundaries are already pinned as
+/// busy/idle fold stays in event-pop order (= timeline order per
+/// receiver), completion keys keep their relative `seq` order within
+/// the `(time, priority)` class, and output slots are fixed by the
+/// receiver-major job table. Batch boundaries are pinned as
 /// result-invariant by `tests/event_parity.rs`.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
@@ -705,9 +632,6 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: rebuilt — squelch-passing receiver set per sender,
     /// derived from the frozen link gains.
     receivers_of: Vec<Vec<usize>>,
-    /// snapshot: rebuilt — execution knob (thread count), never
-    /// simulation state; results are invariant to it.
-    workers: usize,
     /// snapshot: rebuilt — execution knob (batch sizing), never
     /// simulation state; results are invariant to it.
     batch_len: usize,
@@ -739,14 +663,16 @@ pub struct ReceptionDriver<'a> {
 
 impl<'a> ReceptionDriver<'a> {
     /// Builds a driver at event zero (nothing dispatched, the full
-    /// timeline scheduled). `workers`/`batch_per_worker` are the
-    /// [`process_receptions_tuned`] knobs.
+    /// timeline scheduled). `batch_per_worker` is the prepare/decode
+    /// batch length (see [`BATCH_PER_WORKER`]). `_workers` is ignored:
+    /// the driver runs on the calling thread, and the argument stays
+    /// only so existing callers keep compiling.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
         arm: &'a RxArm,
-        workers: Option<usize>,
+        _workers: Option<usize>,
         batch_per_worker: usize,
     ) -> Self {
         let pipe = RxPipeline::new(env, cfg, timeline, arm);
@@ -767,8 +693,7 @@ impl<'a> ReceptionDriver<'a> {
 
         // Receiver-major output slots: slot bases per receiver, filled
         // in timeline order as TxStart events pop — the reference
-        // evaluation order, independent of batch boundaries and worker
-        // count.
+        // evaluation order, independent of batch boundaries.
         let mut count = vec![0usize; nr];
         for tx in timeline {
             for &r in &receivers_of[tx.sender] {
@@ -781,11 +706,7 @@ impl<'a> ReceptionDriver<'a> {
         }
         let total_jobs = base[nr];
         let next_slot: Vec<usize> = base[..nr].to_vec();
-
-        let workers = workers
-            .unwrap_or_else(|| worker_threads(total_jobs))
-            .clamp(1, total_jobs.max(1));
-        let batch_len = (workers * batch_per_worker).max(1);
+        let batch_len = batch_per_worker.max(1);
 
         // Timeline is (start_chip, id)-ordered, so scheduling in index
         // order makes `seq` reproduce timeline order at equal start
@@ -804,7 +725,6 @@ impl<'a> ReceptionDriver<'a> {
         ReceptionDriver {
             pipe,
             receivers_of,
-            workers,
             batch_len,
             q,
             out,
@@ -820,13 +740,12 @@ impl<'a> ReceptionDriver<'a> {
         }
     }
 
-    /// Parallel prepare, then the sequential busy/idle fold in
-    /// event-pop order (= timeline order per receiver), then schedule
-    /// completions.
+    /// Prepares the batch, folds the busy/idle state in event-pop order
+    /// (= timeline order per receiver), then schedules completions.
     fn flush_prepare(&mut self) {
-        let prepared = fan_out(self.workers, &self.prep_batch, |j| self.pipe.prepare(j));
         let timeline = self.pipe.timeline;
-        for (&job, prep) in self.prep_batch.iter().zip(prepared) {
+        for job in self.prep_batch.drain(..) {
+            let prep = self.pipe.prepare(&job);
             let tx = &timeline[job.idx];
             let idle = self.busy_until[job.r] <= tx.start_chip;
             if idle && prep.pre_hit {
@@ -843,18 +762,13 @@ impl<'a> ReceptionDriver<'a> {
             );
             self.in_flight.insert(job.slot, (job, prep, idle));
         }
-        self.prep_batch.clear();
     }
 
-    /// Parallel decode into the fixed output slots.
+    /// Decodes the batch into the fixed output slots.
     fn flush_decode(&mut self) {
-        let done = fan_out(self.workers, &self.decode_batch, |(job, prep, idle)| {
-            self.pipe.finish(job, prep, *idle)
-        });
-        for ((job, _, _), rec) in self.decode_batch.iter().zip(done) {
-            self.out[job.slot] = Some(rec);
+        for (job, prep, idle) in self.decode_batch.drain(..) {
+            self.out[job.slot] = Some(self.pipe.finish(&job, &prep, idle));
         }
-        self.decode_batch.clear();
     }
 
     /// Dispatches the next event (or, once the queue drains, performs a
@@ -901,9 +815,8 @@ impl<'a> ReceptionDriver<'a> {
         self.q.dispatched()
     }
 
-    /// Drives the run until `events` total dispatches (a stable epoch
-    /// boundary: the count is invariant to workers and batching) or
-    /// until the run completes, whichever is first.
+    /// Drives the run until `events` total dispatches or until the run
+    /// completes, whichever is first.
     pub fn run_events(&mut self, events: u64) {
         while self.q.dispatched() < events {
             if !self.step() {
@@ -979,12 +892,10 @@ impl<'a> ReceptionDriver<'a> {
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
         arm: &'a RxArm,
-        workers: Option<usize>,
-        batch_per_worker: usize,
         snap: &RxSnapshot,
     ) -> Result<Self, SnapError> {
         validate_rx_identity(env, cfg, timeline, arm, snap)?;
-        let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, workers, batch_per_worker);
+        let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
         let nr = env.testbed.receivers.len();
         let total_jobs = driver.out.len();
         if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
@@ -1028,18 +939,13 @@ impl<'a> ReceptionDriver<'a> {
         driver.out = snap.out.clone();
         // Reconstruct the in-flight captures: physics from the run
         // inputs, chip noise from the stored stream positions.
-        let prepared = fan_out(driver.workers, &snap.in_flight, |f| {
+        for f in &snap.in_flight {
             let job = RxJob {
                 r: f.receiver,
                 idx: f.tx_index,
                 slot: f.slot,
             };
-            (
-                job,
-                driver.pipe.prepare_with(&job, StdRng::from_state(f.rng)),
-            )
-        });
-        for (f, (job, prep)) in snap.in_flight.iter().zip(prepared) {
+            let prep = driver.pipe.prepare_with(&job, StdRng::from_state(f.rng));
             driver.in_flight.insert(job.slot, (job, prep, f.idle));
         }
         Ok(driver)
@@ -1091,108 +997,96 @@ fn validate_rx_identity(
     Ok(())
 }
 
-/// The time-stepped batch loop that was the production path before the
-/// event core (PR 2–7), kept as a pinned reference for driver parity
+/// The time-stepped loop that was the production path before the event
+/// core (PR 2–7), kept as a pinned reference for driver parity
 /// (`tests/event_parity.rs`) and selectable via the scenario
-/// `driver=timestep` axis: it walks the receiver-major job list in
-/// fixed-size batches with no event queue at all.
+/// `driver=timestep` axis: it walks the receiver-major job list with no
+/// event queue at all.
 pub fn process_receptions_timestep(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    workers: Option<usize>,
 ) -> Vec<Reception> {
     let pipe = RxPipeline::new(env, cfg, timeline, arm);
-    let nr = env.testbed.receivers.len();
-
-    // Job list in the reference evaluation order: receiver-major, then
-    // timeline order. Below-squelch links never acquire; skip them here
-    // exactly as the reference loop does.
-    let mut jobs: Vec<RxJob> = (0..nr)
-        .flat_map(|r| {
-            timeline
-                .iter()
-                .enumerate()
-                .filter(move |(_, tx)| env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR)
-                .map(move |(idx, _)| RxJob { r, idx, slot: 0 })
-        })
-        .collect();
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.slot = i;
-    }
-
-    let workers = workers
-        .unwrap_or_else(|| worker_threads(jobs.len()))
-        .clamp(1, jobs.len().max(1));
-
-    // Batches bound peak memory: each prepared job holds a full packed
-    // capture (~12 KB at 1500 B bodies), so only workers ×
-    // BATCH_PER_WORKER of them are alive at once. Phase B — the
-    // busy/idle chain — is the cheap sequential seam between the two
-    // parallel phases.
-    let mut out: Vec<Reception> = Vec::with_capacity(jobs.len());
-    let mut busy_until = vec![0u64; nr];
-    let batch_len = workers * BATCH_PER_WORKER;
-    for batch in jobs.chunks(batch_len.max(1)) {
-        let prepared = fan_out(workers, batch, |j| pipe.prepare(j));
-        let resolved: Vec<(RxJob, PreparedRx, bool)> = batch
-            .iter()
-            .zip(prepared)
-            .map(|(&job, prep)| {
-                let tx = &timeline[job.idx];
-                let idle = busy_until[job.r] <= tx.start_chip;
-                if idle && prep.pre_hit {
-                    busy_until[job.r] = tx.end_chip();
-                }
-                (job, prep, idle)
-            })
-            .collect();
-        out.extend(fan_out(workers, &resolved, |(job, prep, idle)| {
-            pipe.finish(job, prep, *idle)
-        }));
-    }
-    out
+    let jobs = receiver_major_jobs(&pipe);
+    let mut out = Vec::new();
+    out.resize_with(jobs.len(), || None);
+    let busy = vec![0u64; env.testbed.receivers.len()];
+    timestep_walk(&pipe, &jobs, out, busy, &BTreeMap::new())
 }
 
-/// A reception job paired with its snapshot capture, when the
-/// checkpoint caught it in flight: the stored RNG stream words and the
-/// already-resolved busy/idle verdict.
-type ResumeJob = (RxJob, Option<([u64; 4], bool)>);
+/// The job list in the reference evaluation order: receiver-major, then
+/// timeline order, with each job's slot its position in the list.
+/// Below-squelch links never acquire; they are skipped here exactly as
+/// the reference loop skips them.
+fn receiver_major_jobs(pipe: &RxPipeline) -> Vec<RxJob> {
+    let (env, timeline) = (pipe.env, pipe.timeline);
+    let mut jobs = Vec::new();
+    for r in 0..env.testbed.receivers.len() {
+        for (idx, tx) in timeline.iter().enumerate() {
+            if env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR {
+                let slot = jobs.len();
+                jobs.push(RxJob { r, idx, slot });
+            }
+        }
+    }
+    jobs
+}
+
+/// Evaluates every job whose slot in `out` is still empty, in job
+/// order, continuing each receiver's busy fold from `busy`. A job in
+/// `inflight` replays its capture from the stored RNG stream position
+/// with the busy/idle verdict the snapshot already folded in.
+fn timestep_walk(
+    pipe: &RxPipeline,
+    jobs: &[RxJob],
+    mut out: Vec<Option<Reception>>,
+    mut busy: Vec<u64>,
+    inflight: &BTreeMap<usize, &InFlightRx>,
+) -> Vec<Reception> {
+    for job in jobs {
+        if out[job.slot].is_some() {
+            continue;
+        }
+        let (prep, idle) = match inflight.get(&job.slot) {
+            Some(f) => (pipe.prepare_with(job, StdRng::from_state(f.rng)), f.idle),
+            None => {
+                let prep = pipe.prepare(job);
+                let tx = &pipe.timeline[job.idx];
+                let idle = busy[job.r] <= tx.start_chip;
+                if idle && prep.pre_hit {
+                    busy[job.r] = tx.end_chip();
+                }
+                (prep, idle)
+            }
+        };
+        out[job.slot] = Some(pipe.finish(job, &prep, idle));
+    }
+    out.into_iter()
+        .map(|r| r.expect("every slot decoded by the walk"))
+        .collect()
+}
 
 /// Completes a checkpointed run under the *time-stepped* driver: walks
-/// the receiver-major job list in fixed-size batches, copying slots the
-/// snapshot already decoded, replaying in-flight captures from their
-/// stored RNG stream positions (with the busy/idle verdict the snapshot
-/// resolved), and evaluating everything else exactly as
-/// [`process_receptions_timestep`] would — continuing each receiver's
-/// busy fold from the snapshot's horizon. The differential harness
-/// ([`crate::diff`]) holds this bit-identical to the event driver's
-/// resume.
+/// the receiver-major job list, copying slots the snapshot already
+/// decoded, replaying in-flight captures from their stored RNG stream
+/// positions (with the busy/idle verdict the snapshot resolved), and
+/// evaluating everything else exactly as [`process_receptions_timestep`]
+/// would — continuing each receiver's busy fold from the snapshot's
+/// horizon. The differential harness ([`crate::diff`]) holds this
+/// bit-identical to the event driver's resume.
 pub fn resume_receptions_timestep(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
     snap: &RxSnapshot,
-    workers: Option<usize>,
 ) -> Result<Vec<Reception>, SnapError> {
     validate_rx_identity(env, cfg, timeline, arm, snap)?;
     let pipe = RxPipeline::new(env, cfg, timeline, arm);
     let nr = env.testbed.receivers.len();
-
-    let mut jobs: Vec<RxJob> = (0..nr)
-        .flat_map(|r| {
-            timeline
-                .iter()
-                .enumerate()
-                .filter(move |(_, tx)| env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR)
-                .map(move |(idx, _)| RxJob { r, idx, slot: 0 })
-        })
-        .collect();
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.slot = i;
-    }
+    let jobs = receiver_major_jobs(&pipe);
 
     if snap.out.len() != jobs.len() || snap.busy_until.len() != nr {
         return Err(SnapError::Corrupt(format!(
@@ -1218,55 +1112,13 @@ pub fn resume_receptions_timestep(
         }
         inflight.insert(f.slot, f);
     }
-
-    let workers = workers
-        .unwrap_or_else(|| worker_threads(jobs.len()))
-        .clamp(1, jobs.len().max(1));
-    let batch_len = (workers * BATCH_PER_WORKER).max(1);
-
-    let mut out: Vec<Option<Reception>> = snap.out.clone();
-    let mut busy = snap.busy_until.clone();
-    let todo: Vec<ResumeJob> = jobs
-        .iter()
-        .filter(|j| out[j.slot].is_none())
-        .map(|&j| (j, inflight.get(&j.slot).map(|f| (f.rng, f.idle))))
-        .collect();
-    for batch in todo.chunks(batch_len) {
-        let prepared = fan_out(workers, batch, |(job, src)| match src {
-            Some((rng, _)) => pipe.prepare_with(job, StdRng::from_state(*rng)),
-            None => pipe.prepare(job),
-        });
-        let resolved: Vec<(RxJob, PreparedRx, bool)> = batch
-            .iter()
-            .zip(prepared)
-            .map(|(&(job, src), prep)| {
-                let idle = match src {
-                    // The snapshot resolved (and folded) this verdict
-                    // before the checkpoint.
-                    Some((_, idle)) => idle,
-                    None => {
-                        let tx = &timeline[job.idx];
-                        let idle = busy[job.r] <= tx.start_chip;
-                        if idle && prep.pre_hit {
-                            busy[job.r] = tx.end_chip();
-                        }
-                        idle
-                    }
-                };
-                (job, prep, idle)
-            })
-            .collect();
-        let done = fan_out(workers, &resolved, |(job, prep, idle)| {
-            pipe.finish(job, prep, *idle)
-        });
-        for ((job, _, _), rec) in resolved.iter().zip(done) {
-            out[job.slot] = Some(rec);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every slot decoded on resume"))
-        .collect())
+    Ok(timestep_walk(
+        &pipe,
+        &jobs,
+        snap.out.clone(),
+        snap.busy_until.clone(),
+        &inflight,
+    ))
 }
 
 /// Completes a checkpointed run under the sequential `&[bool]`
@@ -1460,7 +1312,7 @@ impl<'a> RxPipeline<'a> {
         }
     }
 
-    /// Phase A: everything independent of the receiver's busy state.
+    /// Prepare: everything independent of the receiver's busy state.
     fn prepare(&self, job: &RxJob) -> PreparedRx {
         let tx = &self.timeline[job.idx];
         let rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
@@ -1489,7 +1341,7 @@ impl<'a> RxPipeline<'a> {
         }
     }
 
-    /// Phase C: decode + delivery under the resolved idle flag.
+    /// Finish: decode + delivery under the resolved idle flag.
     fn finish(&self, job: &RxJob, prep: &PreparedRx, idle: bool) -> Reception {
         let tx = &self.timeline[job.idx];
         let (acq, rx_frame) = self.fast.receive_words(&prep.frame, &prep.corrupted, idle);
@@ -1530,15 +1382,15 @@ impl<'a> RxPipeline<'a> {
 
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`
 /// — one independent noise stream per (transmission, receiver) pair,
-/// which is what makes the parallel loop bit-identical to the sequential
-/// one.
+/// which is what makes every driver's evaluation order irrelevant to
+/// its output.
 pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
     seed ^ (tx_id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((receiver as u64) << 56)
 }
 
 /// Sequential `&[bool]` reference implementation of
 /// [`process_receptions`] — the executable specification the packed
-/// parallel path is tested against (`tests/packed_parity.rs`). Kept
+/// event-driven path is tested against (`tests/packed_parity.rs`). Kept
 /// simple on purpose; use [`process_receptions`] everywhere else.
 pub fn process_receptions_reference(
     env: &RadioEnv,

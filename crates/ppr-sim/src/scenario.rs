@@ -215,8 +215,9 @@ pub struct Scenario {
     pub arq_packets: usize,
     /// Source packets in the relay-forwarding experiment.
     pub relay_packets: usize,
-    /// Reception-loop worker threads (`None` = `PPR_THREADS` /
-    /// available parallelism, resolved at the reception loop).
+    /// Experiments `ppr-cli` runs concurrently (`None` = `PPR_THREADS`
+    /// / available parallelism). No simulation reads it; it changes
+    /// wall time only, never a result.
     pub threads: Option<usize>,
     /// Channel backend.
     pub backend: Backend,
@@ -410,7 +411,10 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
         "relay_packets",
         "relay packets >= 1, e.g. relay_packets=400",
     ),
-    ("threads", "worker threads >= 1, e.g. threads=4"),
+    (
+        "threads",
+        "experiments run concurrently >= 1, e.g. threads=4",
+    ),
     ("backend", "chip (dsp reserved, not yet wired)"),
     ("load", "offered load kbit/s/node, e.g. load=13.8"),
     ("carrier_sense", "true | false"),
@@ -495,7 +499,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the reception-loop worker count.
+    /// Sets how many experiments `ppr-cli` runs concurrently.
     pub fn threads(mut self, v: usize) -> Self {
         self.threads = Some(v);
         self

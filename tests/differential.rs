@@ -14,7 +14,7 @@ use ppr::sim::diff::{
     cross_validate, first_divergence, resume_receptions, standard_backends, DiffBackend,
 };
 use ppr::sim::network::{generate_timeline, snapshot_after_events, RadioEnv, RxArm, SimConfig};
-use ppr::sim::snapshot::RxSnapshot;
+use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot};
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -44,7 +44,7 @@ fn snapshot_with_in_flight(
     arm: &RxArm,
 ) -> RxSnapshot {
     for events in [200u64, 400, 800, 100, 50, 1600] {
-        let bytes = snapshot_after_events(env, c, timeline, arm, Some(2), events);
+        let bytes = snapshot_after_events(env, c, timeline, arm, events);
         let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot parses");
         if !snap.in_flight.is_empty() {
             return snap;
@@ -84,31 +84,25 @@ fn every_backend_completes_the_same_checkpoint_identically() {
 fn jammed_mesh_checkpoint_agrees_across_the_fleet() {
     // The adversarial analogue of the reception fleet test: one frozen
     // jammed-mesh checkpoint (reactive jammer + churn + exponential
-    // backoff) must complete to the same stats under every worker
-    // count, with and without an extra snapshot/restore leg.
+    // backoff), serialized and parsed back, must complete to the same
+    // stats as the uninterrupted run.
     use ppr::sim::adversary::JammerSpec;
     use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let mut params = MeshParams::benign(300, 12.0, 7, 6, 250);
     params.jammer = JammerSpec::React { delay: 4096 };
     params.churn = 2.0;
     params.arq_backoff_milli = 1500;
-    let reference = run_mesh(&params, Some(1));
+    let reference = run_mesh(&params, None);
     assert!(reference.jam_bursts > 0, "jammer never fired");
 
-    let mut d = MeshDriver::new(&params, Some(1));
+    let mut d = MeshDriver::new(&params, None);
     d.run_events(57);
-    let snap = d.save();
-    for workers in [1usize, 3, 5] {
-        let direct = run_mesh(&params, Some(workers));
-        assert_eq!(
-            direct, reference,
-            "direct run diverged at {workers} workers"
-        );
-        let resumed = MeshDriver::restore(&params, Some(workers), &snap)
-            .expect("jammed checkpoint restores")
-            .run_to_end();
-        assert_eq!(resumed, reference, "resume diverged at {workers} workers");
-    }
+    let bytes = d.save().to_bytes();
+    let snap = MeshSnapshot::from_bytes(&bytes).expect("jammed checkpoint parses");
+    let resumed = MeshDriver::restore(&params, &snap)
+        .expect("jammed checkpoint restores")
+        .run_to_end();
+    assert_eq!(resumed, reference, "resume diverged");
 }
 
 #[test]
@@ -118,10 +112,7 @@ fn perturbed_rng_stream_bisects_to_the_exact_event() {
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
     let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
-    let backend = DiffBackend::Event {
-        workers: 1,
-        batch_per_worker: 1,
-    };
+    let backend = DiffBackend::Event;
     let baseline = resume_receptions(&env, &c, &timeline, &arm, &snap, backend).unwrap();
 
     // Perturb each in-flight capture's serialized RNG stream in turn.

@@ -1,14 +1,14 @@
 //! Event-core parity: the discrete-event drivers must be bit-identical
-//! to the pinned time-stepped references, for every tuning knob.
+//! to the pinned time-stepped references, at every batch length.
 //!
 //! Three layers of the claim:
 //!
 //! 1. **Timeline** — [`generate_timeline`] (event queue) vs
 //!    [`generate_timeline_reference`] (the original per-sender merge).
-//! 2. **Reception loop** — [`process_receptions_tuned`] (event queue +
-//!    batched fan-out) vs [`process_receptions_timestep`] (the original
-//!    time-stepped loop), across worker counts *and* batch sizes: the
-//!    [`Reception`] stream may depend on neither.
+//! 2. **Reception loop** — [`ReceptionDriver`] (event queue + batched
+//!    prepare/decode) vs [`process_receptions_timestep`] (the original
+//!    time-stepped loop), across batch lengths: the [`Reception`] stream
+//!    must not depend on them.
 //! 3. **Experiments** — every registry entry renders the same report
 //!    under `driver=event` and `driver=timestep`.
 //!
@@ -22,7 +22,7 @@ use ppr::sim::experiments::registry;
 use ppr::sim::geometry::{Point, Testbed};
 use ppr::sim::network::{
     generate_timeline, generate_timeline_reference, office_model, process_receptions_timestep,
-    process_receptions_tuned, RadioEnv, RxArm, SimConfig,
+    RadioEnv, ReceptionDriver, RxArm, SimConfig,
 };
 use ppr::sim::scenario::{Driver, ScenarioBuilder};
 use ppr::sim::spatial::SpatialIndex;
@@ -54,7 +54,7 @@ fn timeline_event_core_matches_reference() {
 }
 
 #[test]
-fn reception_loop_is_invariant_to_workers_and_batch() {
+fn event_driver_matches_timestep_at_every_batch_length() {
     let c = cfg(42.4, 7);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
@@ -65,43 +65,12 @@ fn reception_loop_is_invariant_to_workers_and_batch() {
         collect_symbols: false,
     };
 
-    let reference = process_receptions_timestep(&env, &c, &timeline, &arm, Some(1));
+    let reference = process_receptions_timestep(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
-    for workers in [1usize, 2, 4, 8] {
-        for batch_per_worker in [1usize, 4, 8, 32] {
-            let got = process_receptions_tuned(
-                &env,
-                &c,
-                &timeline,
-                &arm,
-                Some(workers),
-                batch_per_worker,
-            );
-            assert_eq!(
-                got, reference,
-                "event driver diverged at workers={workers}, batch={batch_per_worker}"
-            );
-        }
+    for batch in [1usize, 4, 8, 32] {
+        let got = ReceptionDriver::new(&env, &c, &timeline, &arm, None, batch).run_to_end();
+        assert_eq!(got, reference, "event driver diverged at batch={batch}");
     }
-    // And the time-stepped loop itself is worker-invariant.
-    let ts4 = process_receptions_timestep(&env, &c, &timeline, &arm, Some(4));
-    assert_eq!(ts4, reference);
-
-    // workers=None resolves through PPR_THREADS / available parallelism
-    // — a worker count no explicit ladder rung covers. The batch ladder
-    // must be invariant under it too (this is the default every
-    // experiment actually runs with).
-    for batch_per_worker in [1usize, 8, 32] {
-        let got = process_receptions_tuned(&env, &c, &timeline, &arm, None, batch_per_worker);
-        assert_eq!(
-            got, reference,
-            "event driver diverged at workers=None, batch={batch_per_worker}"
-        );
-    }
-    assert_eq!(
-        process_receptions_timestep(&env, &c, &timeline, &arm, None),
-        reference
-    );
 }
 
 #[test]
@@ -114,9 +83,9 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
     // prints.
     use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let params = MeshParams::benign(300, 12.0, 2, 6, 250);
-    let reference = run_mesh(&params, Some(2));
+    let reference = run_mesh(&params, None);
 
-    let mut driver = MeshDriver::new(&params, Some(1));
+    let mut driver = MeshDriver::new(&params, None);
     let mut epochs_inside_flush = Vec::new();
     loop {
         let before = driver.dispatched();
@@ -136,18 +105,18 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
         "no epoch with a non-empty pending batch — SAFE_WINDOW flush never observed"
     );
     // Resume from an early, a middle and the last captured mid-flush
-    // epoch, each across a worker-count change.
+    // epoch.
     let picks = [
         epochs_inside_flush[0],
         epochs_inside_flush[epochs_inside_flush.len() / 2],
         *epochs_inside_flush.last().unwrap(),
     ];
     for &events in &picks {
-        let mut d = MeshDriver::new(&params, Some(1));
+        let mut d = MeshDriver::new(&params, None);
         d.run_events(events);
         let snap = d.save();
         assert!(!snap.pending.is_empty(), "picked epoch lost its batch");
-        let resumed = MeshDriver::restore(&params, Some(4), &snap)
+        let resumed = MeshDriver::restore(&params, &snap)
             .expect("mid-flush snapshot restores")
             .run_to_end();
         assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");

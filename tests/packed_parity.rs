@@ -4,8 +4,8 @@
 //! here proves the packed representation produces **bit-identical**
 //! chips and decisions across every stage of the pipeline — spreading,
 //! corruption, sync, despreading, the per-packet receive path, and full
-//! end-to-end experiment runs (sequential reference vs. packed parallel
-//! loop) — under fixed seeds and proptest-generated inputs.
+//! end-to-end experiment runs (sequential reference vs. packed
+//! event-driven loop) — under fixed seeds and proptest-generated inputs.
 
 use ppr::channel::chip_channel::{
     corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
@@ -17,8 +17,7 @@ use ppr::phy::chips::ChipWords;
 use ppr::phy::sync::SyncPattern;
 use ppr::phy::ChipReceiver;
 use ppr::sim::network::{
-    generate_timeline, process_receptions, process_receptions_reference,
-    process_receptions_with_workers, RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions, process_receptions_reference, RadioEnv, RxArm, SimConfig,
 };
 use ppr::sim::FastRx;
 use proptest::prelude::*;
@@ -285,14 +284,6 @@ fn end_to_end_experiment_parity() {
         let packed = process_receptions(&env, &cfg, &timeline, arm);
         assert_eq!(reference.len(), packed.len(), "{arm:?}");
         assert_eq!(reference, packed, "{arm:?}");
-        // Force the scoped-thread fan-out on explicit worker counts —
-        // on a single-core machine the default path would fall back to
-        // the inline loop and leave the threaded branch untested.
-        for workers in [2usize, 5] {
-            let threaded =
-                process_receptions_with_workers(&env, &cfg, &timeline, arm, Some(workers));
-            assert_eq!(reference, threaded, "{arm:?} workers={workers}");
-        }
     }
 }
 

@@ -8,9 +8,9 @@ use rand::SeedableRng;
 /// Acquisition outcomes of the reception pipeline under a fixed seed,
 /// pinned exactly (counts *and* an order-sensitive fingerprint over
 /// every reception's acquisition, delivery and CRC verdict). The packed
-/// chip representation and the parallel reception loop of PR 2 must not
+/// chip representation and the reception-loop rework of PR 2 must not
 /// change a single decode decision — and neither may any future
-/// refactor, on any worker count.
+/// refactor.
 #[test]
 fn rxpath_acquisition_outcomes_are_pinned() {
     use ppr::mac::schemes::DeliveryScheme;

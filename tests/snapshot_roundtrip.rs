@@ -6,7 +6,7 @@
 //!
 //! 1. **Reception streams** — `process_receptions_checkpointed` vs the
 //!    uninterrupted event driver, property-tested across checkpoint
-//!    epochs, worker counts and loads.
+//!    epochs and seeds.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set (under both drivers; the timestep driver
 //!    resumes an event-core snapshot, so this also pins cross-driver
@@ -18,8 +18,8 @@
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::registry;
 use ppr::sim::network::{
-    generate_timeline, process_receptions_checkpointed, process_receptions_tuned,
-    snapshot_after_events, RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions, process_receptions_checkpointed, snapshot_after_events,
+    RadioEnv, ReceptionDriver, RxArm, SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
 use ppr::sim::scenario::{Driver, ScenarioBuilder};
@@ -50,23 +50,21 @@ fn reception_checkpoint_is_bit_identical_at_every_epoch_class() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let reference = process_receptions_tuned(&env, &c, &timeline, &arm, Some(2), 8);
+    let reference = process_receptions(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
     // Epoch 0 (nothing dispatched), mid-run, and beyond the final event.
     for events in [0u64, 1, 17, 500, 5_000, u64::MAX] {
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, Some(3), events);
+        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         assert_eq!(got, reference, "diverged at checkpoint {events}");
     }
 }
 
 proptest! {
-    /// Any (checkpoint epoch, worker count, seed) combination resumes
-    /// bit-identically. Short duration: the vendored proptest runs a
-    /// fixed 256 cases.
+    /// Any (checkpoint epoch, seed) combination resumes bit-identically.
+    /// Short duration: the vendored proptest runs a fixed 256 cases.
     #[test]
     fn checkpointed_reception_stream_matches_uninterrupted(
         events in 0u64..1_500,
-        workers in 1usize..5,
         seed in 1u64..50,
     ) {
         let mut c = cfg(42.4, seed);
@@ -74,8 +72,8 @@ proptest! {
         let env = RadioEnv::new(c.seed);
         let timeline = generate_timeline(&env, &c);
         let arm = arm();
-        let reference = process_receptions_tuned(&env, &c, &timeline, &arm, Some(1), 1);
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, Some(workers), events);
+        let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, None, 1).run_to_end();
+        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         prop_assert_eq!(got, reference);
     }
 }
@@ -133,7 +131,13 @@ fn snapshot_byte_format_is_pinned() {
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm(), Some(2), 300);
+    // The canonical state is epoch 300 of a driver batching 16
+    // receptions at a time: the batch length moves which work an epoch
+    // has done, so it is part of what the constant pins.
+    let arm = arm();
+    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, 2 * BATCH_PER_WORKER);
+    driver.run_events(300);
+    let bytes = driver.save().to_bytes();
     let mut snap = RxSnapshot::from_bytes(&bytes).expect("canonical snapshot parses");
     // The kernel signature is provenance, not state: it names the host
     // CPU's dispatch choice, so pin the bytes with it normalized.
@@ -160,10 +164,10 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     params.churn = 2.0;
     params.arq_retries = 5;
     params.arq_backoff_milli = 1500;
-    let reference = run_mesh(&params, Some(2));
+    let reference = run_mesh(&params, None);
 
     let mut mid_burst = Vec::new();
-    let mut driver = MeshDriver::new(&params, Some(1));
+    let mut driver = MeshDriver::new(&params, None);
     loop {
         let before = driver.dispatched();
         driver.run_events(before + 1);
@@ -183,12 +187,12 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         "no epoch caught the reactive jammer mid-burst"
     );
     for &events in &[mid_burst[0], *mid_burst.last().unwrap()] {
-        let mut d = MeshDriver::new(&params, Some(1));
+        let mut d = MeshDriver::new(&params, None);
         d.run_events(events);
         let snap = d.save();
         let bytes = snap.to_bytes();
         let parsed = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot round-trips");
-        let resumed = MeshDriver::restore(&params, Some(4), &parsed)
+        let resumed = MeshDriver::restore(&params, &parsed)
             .expect("mid-burst snapshot restores")
             .run_to_end();
         assert_eq!(
@@ -198,7 +202,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     }
 
     // A snapshot taken under one jammer must not restore under another.
-    let mut d = MeshDriver::new(&params, Some(1));
+    let mut d = MeshDriver::new(&params, None);
     d.run_events(50);
     let snap = d.save();
     let mut other = params;
@@ -207,7 +211,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         duty: 0.25,
     };
     assert!(matches!(
-        MeshDriver::restore(&other, Some(1), &snap),
+        MeshDriver::restore(&other, &snap),
         Err(SnapError::IdentityMismatch(_))
     ));
 }
@@ -218,7 +222,7 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, Some(1), 200);
+    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 200);
 
     // Flipping any payload bit breaks the trailing fingerprint.
     let mut bad = bytes.clone();
@@ -242,14 +246,8 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     other.seed ^= 1;
     let other_env = RadioEnv::new(other.seed);
     let other_tl = generate_timeline(&other_env, &other);
-    let err = ppr::sim::network::resume_receptions_timestep(
-        &other_env,
-        &other,
-        &other_tl,
-        &arm,
-        &snap,
-        Some(1),
-    )
-    .unwrap_err();
+    let err =
+        ppr::sim::network::resume_receptions_timestep(&other_env, &other, &other_tl, &arm, &snap)
+            .unwrap_err();
     assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
 }
