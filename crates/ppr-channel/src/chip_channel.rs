@@ -91,6 +91,26 @@ impl ErrorProfile {
         }
     }
 
+    /// `base` chip error over `[0, len_chips)` except `burst_p` inside
+    /// `bursts` (sorted, disjoint `(start, end)` pairs within the frame):
+    /// a frame hit by collision or jamming bursts. Only non-empty base
+    /// gaps become pieces.
+    pub fn with_bursts(len_chips: u64, base: f64, bursts: &[(u64, u64)], burst_p: f64) -> Self {
+        let mut spans = Vec::with_capacity(2 * bursts.len() + 1);
+        let mut cursor = 0;
+        for &(s, e) in bursts {
+            if s > cursor {
+                spans.push((cursor, s, base));
+            }
+            spans.push((s, e, burst_p));
+            cursor = e;
+        }
+        if cursor < len_chips {
+            spans.push((cursor, len_chips, base));
+        }
+        ErrorProfile { spans, len_chips }
+    }
+
     /// Frame length covered, in chips.
     pub fn len_chips(&self) -> u64 {
         self.len_chips
@@ -454,6 +474,25 @@ mod tests {
         assert!(rx[2000..].iter().all(|&c| !c));
         let mid = rx[1000..2000].iter().filter(|&&c| c).count();
         assert!(mid > 200 && mid < 400, "mid errors {mid}");
+    }
+
+    #[test]
+    fn burst_profile_tiles_the_frame() {
+        let p = ErrorProfile::with_bursts(100, 0.01, &[(0, 10), (40, 60), (90, 100)], 0.35);
+        assert_eq!(
+            p.spans(),
+            [
+                (0, 10, 0.35),
+                (10, 40, 0.01),
+                (40, 60, 0.35),
+                (60, 90, 0.01),
+                (90, 100, 0.35)
+            ]
+        );
+        assert_eq!(
+            ErrorProfile::with_bursts(80, 0.01, &[], 0.35).spans(),
+            [(0, 80, 0.01)]
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn pulse_bursts_in(period: u64, duty: f64, from: u64, to: u64) -> Vec<Burst>
 
 /// Intersects a burst list with the window `[from, to)` and returns
 /// the covered intervals *relative to `from`* — the shape
-/// [`crate::chip_channel::ErrorProfile::from_pieces`] wants. Input
+/// [`crate::chip_channel::ErrorProfile::with_bursts`] wants. Input
 /// bursts need not be sorted; output is sorted and non-overlapping
 /// (overlapping inputs are merged).
 pub fn clip_bursts(bursts: &[Burst], from: u64, to: u64) -> Vec<(u64, u64)> {

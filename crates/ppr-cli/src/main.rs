@@ -266,6 +266,13 @@ impl From<std::io::Error> for Stop {
 /// these to start long experiments first; they never change a result.
 /// Figs. 14 and 15 render the hint pass that `fig03`, ahead of them in
 /// the registry, computes, and Table 1 reuses its dependencies' results.
+///
+/// To re-measure one entry, take the median wall time of a few solo
+/// release runs:
+///
+/// ```sh
+/// time target/release/ppr-cli run mrd --set threads=1 > /dev/null
+/// ```
 const RUN_COST_MS: [(&str, u64); 17] = [
     ("fig03", 450),
     ("table2", 600),
@@ -277,10 +284,10 @@ const RUN_COST_MS: [(&str, u64); 17] = [
     ("fig13", 20),
     ("fig14", 5),
     ("fig15", 5),
-    ("fig16", 90),
-    ("jam", 260),
-    ("mrd", 600),
-    ("relay", 90),
+    ("fig16", 35),
+    ("jam", 70),
+    ("mrd", 190),
+    ("relay", 25),
     ("mesh10k", 500),
     ("meshjam", 550),
     ("table1", 5),

@@ -21,9 +21,8 @@
 //!
 //! Interior mutability: the decode cache lives behind a
 //! [`RefCell`], so a `&SymbolView` can decode on demand. The type
-//! is `Send` but not `Sync`; receive pipelines hand whole frames between
-//! threads rather than sharing one frame across threads, which is the
-//! pattern `ppr-sim`'s parallel reception loop already uses.
+//! is `Send` but not `Sync`: a receive pipeline may hand a whole frame
+//! to another thread, but never shares one frame across threads.
 
 use crate::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use crate::softphy::SoftSymbol;

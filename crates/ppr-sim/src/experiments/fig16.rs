@@ -17,9 +17,9 @@ use super::Experiment;
 use crate::metrics::Cdf;
 use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::rxpath::FastRx;
+use crate::rxpath::{body_or_lost, FastRx};
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::ErrorProfile;
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig, SessionStats};
 use ppr_core::dp::ChunkScratch;
 use ppr_mac::frame::Frame;
@@ -58,37 +58,22 @@ impl RadioLinkChannel {
     /// view of the body plus per-byte hints.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let chips = frame.chip_words();
         let total = chips.len() as u64;
 
-        let mut profile = vec![(0u64, total, self.base_chip_error)];
+        let mut burst = Vec::new();
         if self.rng.gen::<f64>() < self.burst_prob {
             let cover = (total as f64 * self.burst_cover * self.rng.gen::<f64>() * 2.0) as u64;
             let cover = cover.min(total.saturating_sub(1)).max(1);
             let start = self.rng.gen_range(0..total - cover);
-            profile = vec![
-                (0, start, self.base_chip_error),
-                (start, start + cover, self.burst_chip_error),
-                (start + cover, total, self.base_chip_error),
-            ];
+            burst.push((start, start + cover));
         }
-        let profile = ErrorProfile::from_pieces(profile);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
-
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
-        match rx_frame {
-            Some(rx) => {
-                let body = rx.body_bytes().unwrap_or_default();
-                let hints = rx.body_byte_hints().unwrap_or_default();
-                if body.len() == bytes.len() && hints.len() == bytes.len() {
-                    (body, hints)
-                } else {
-                    // Geometry mismatch: treat as lost.
-                    (vec![0; bytes.len()], vec![u8::MAX; bytes.len()])
-                }
-            }
-            None => (vec![0; bytes.len()], vec![u8::MAX; bytes.len()]),
-        }
+        let profile =
+            ErrorProfile::with_bursts(total, self.base_chip_error, &burst, self.burst_chip_error);
+        let (_acq, rx) = self
+            .rx
+            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        body_or_lost(rx, bytes.len())
     }
 }
 
@@ -100,17 +85,12 @@ impl ArqChannel for RadioLinkChannel {
         // Feedback rides the same link quality without bursts (it is
         // short; the paper's reverse link is the same radio pair).
         let frame = Frame::new(2, 1, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let chips = frame.chip_words();
         let profile = ErrorProfile::uniform(chips.len() as u64, self.base_chip_error);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
-        match rx_frame.and_then(|rx| rx.body_bytes()) {
-            Some(body) if body.len() == bytes.len() => {
-                let hints = vec![0u8; body.len()];
-                (body, hints)
-            }
-            _ => (vec![0; bytes.len()], vec![u8::MAX; bytes.len()]),
-        }
+        let (_acq, rx) = self
+            .rx
+            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        body_or_lost(rx, bytes.len())
     }
 }
 

@@ -21,10 +21,10 @@
 use super::Experiment;
 use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::rxpath::FastRx;
+use crate::rxpath::{body_or_lost, FastRx};
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_channel::ber::chip_error_prob;
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::ErrorProfile;
 use ppr_channel::jamming::{clip_bursts, pulse_bursts_in};
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig};
 use ppr_core::dp::ChunkScratch;
@@ -64,7 +64,9 @@ pub struct JammedLinkChannel {
     pub duty: f64,
     /// Clean-channel chip error probability (link SINR).
     pub base_chip_error: f64,
-    /// Chip clock "now" — the next transmission start.
+    /// Chip clock "now" — the next transmission start. Saturates at
+    /// `u64::MAX` instead of wrapping, so an absurd backoff ladder pins
+    /// the clock at the end of time rather than rewinding it.
     pub now: u64,
     /// Backoff ladder applied before each retransmission round.
     pub policy: BackoffPolicy,
@@ -108,50 +110,26 @@ impl JammedLinkChannel {
         self.airtime_chips
     }
 
-    /// Error profile of a frame occupying `[self.now, self.now+total)`:
-    /// base error outside bursts, [`JAM_CHIP_ERROR`] inside.
-    fn frame_profile(&mut self, total: u64) -> ErrorProfile {
-        let bursts = pulse_bursts_in(self.period, self.duty, self.now, self.now + total);
-        let spans = clip_bursts(&bursts, self.now, self.now + total);
-        let mut pieces = Vec::with_capacity(2 * spans.len() + 1);
-        let mut cursor = 0u64;
-        for &(s, e) in &spans {
-            if s > cursor {
-                pieces.push((cursor, s, self.base_chip_error));
-            }
-            pieces.push((s, e, JAM_CHIP_ERROR));
-            self.jammed_chips += e - s;
-            cursor = e;
-        }
-        if cursor < total {
-            pieces.push((cursor, total, self.base_chip_error));
-        }
-        ErrorProfile::from_pieces(pieces)
-    }
-
     /// Sends `bytes` as one frame at `self.now`, advancing the clock.
+    /// The pulse train is periodic, so the frame's jam spans are taken at
+    /// its phase within the period — the same spans for any clock,
+    /// including a saturated one.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let chips = frame.chip_words();
         let total = chips.len() as u64;
-        let profile = self.frame_profile(total);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
-        self.now += total + TURNAROUND;
+        let from = self.now.checked_rem(self.period).unwrap_or(0);
+        let bursts = pulse_bursts_in(self.period, self.duty, from, from + total);
+        let spans = clip_bursts(&bursts, from, from + total);
+        self.jammed_chips += spans.iter().map(|&(s, e)| e - s).sum::<u64>();
+        let profile =
+            ErrorProfile::with_bursts(total, self.base_chip_error, &spans, JAM_CHIP_ERROR);
+        let (_acq, rx) = self
+            .rx
+            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        self.now = self.now.saturating_add(total + TURNAROUND);
         self.airtime_chips += total;
-
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
-        match rx_frame {
-            Some(rx) => {
-                let body = rx.body_bytes().unwrap_or_default();
-                let hints = rx.body_byte_hints().unwrap_or_default();
-                if body.len() == bytes.len() && hints.len() == bytes.len() {
-                    (body, hints)
-                } else {
-                    (vec![0; bytes.len()], vec![u8::MAX; bytes.len()])
-                }
-            }
-            None => (vec![0; bytes.len()], vec![u8::MAX; bytes.len()]),
-        }
+        body_or_lost(rx, bytes.len())
     }
 }
 
@@ -160,7 +138,9 @@ impl ArqChannel for JammedLinkChannel {
         // Rounds after the first wait out the deterministic backoff
         // ladder first — during which the jammer keeps pulsing.
         if self.forward_count > 0 {
-            self.now += self.policy.delay(self.forward_count - 1);
+            self.now = self
+                .now
+                .saturating_add(self.policy.delay(self.forward_count - 1));
         }
         self.forward_count = self.forward_count.saturating_add(1);
         self.transmit(bytes)
@@ -469,6 +449,23 @@ mod tests {
         let (pp, wf) = run_duty_point(0.5, 10, 3, p);
         assert!(pp.rounds <= 10 * p.max_retries as usize);
         assert!(wf.rounds <= 10 * p.max_retries as usize);
+    }
+
+    #[test]
+    fn saturating_backoff_pins_the_clock_instead_of_wrapping() {
+        // A `u64::MAX` multiplier (`arq_backoff=1e30`) makes every later
+        // retry wait ~1.8e16 chips: 4 sessions × 255 retries pass u64::MAX.
+        let p = BackoffPolicy {
+            max_retries: u8::MAX,
+            multiplier_milli: u64::MAX,
+            ..policy()
+        };
+        let (pp, wf) = run_duty_point(0.5, 4, 7, p);
+        let airtime = Frame::new(1, 2, 0, vec![0; JAM_BODY_BYTES + 4]).chips_len() as u64;
+        assert_eq!(wf.elapsed_chips, u64::MAX, "{wf:?}");
+        assert!(pp.elapsed_chips >= 4 * airtime, "{pp:?}");
+        // The jammer keeps pulsing at the end of time.
+        assert_eq!(wf.completed, 0, "{wf:?}");
     }
 
     #[test]

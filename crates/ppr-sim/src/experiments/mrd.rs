@@ -17,7 +17,7 @@ use crate::network::{payload_pattern, SQUELCH_SNR};
 use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::ErrorProfile;
 use ppr_channel::overlap::{interference_profile, HeardTx};
 use ppr_mac::frame::Frame;
 use ppr_phy::softphy::SoftSymbol;
@@ -72,7 +72,7 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
     for (i, tx) in run.timeline.iter().enumerate() {
         let payload = payload_pattern(tx.sender, tx.seq, payload_len);
         let frame = Frame::new(0xFFFF, tx.sender as u16, tx.seq, payload.clone());
-        let chips = frame.chips();
+        let chips = frame.chip_words();
 
         // Decode at every receiver that can hear this sender.
         let mut copies: Vec<Vec<SoftSymbol>> = Vec::new();
@@ -87,9 +87,8 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
             let mut rng = StdRng::seed_from_u64(
                 cfg.seed ^ (tx.id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((r as u64) << 56),
             );
-            let corrupted = corrupt_chips(&chips, &profile, &mut rng);
             let idle = busy_until[r] <= tx.start_chip;
-            let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
+            let (acq, rx_frame) = fast.transmit(&frame, chips.clone(), &profile, &mut rng, idle);
             if acq == crate::rxpath::Acquisition::Preamble {
                 busy_until[r] = tx.end_chip();
             }

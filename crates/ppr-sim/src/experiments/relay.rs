@@ -22,7 +22,7 @@ use super::Experiment;
 use crate::results::ExperimentResult;
 use crate::rxpath::{Acquisition, FastRx};
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::ErrorProfile;
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::RxFrame;
 use ppr_mac::schemes::DEFAULT_ETA;
@@ -67,21 +67,16 @@ fn send_over(
     rx: &FastRx,
     rng: &mut StdRng,
 ) -> (Acquisition, Option<RxFrame>) {
-    let chips = frame.chips();
+    let chips = frame.chip_words();
     let total = chips.len() as u64;
-    let mut pieces = vec![(0u64, total, q.base)];
+    let mut burst = Vec::new();
     if rng.gen::<f64>() < q.burst_prob {
         let len = rng.gen_range(total / 8..total / 2);
         let start = rng.gen_range(0..total - len);
-        pieces = vec![
-            (0, start, q.base),
-            (start, start + len, q.burst_p),
-            (start + len, total, q.base),
-        ];
+        burst.push((start, start + len));
     }
-    let profile = ErrorProfile::from_pieces(pieces);
-    let corrupted = corrupt_chips(&chips, &profile, rng);
-    rx.receive(frame, &corrupted, true)
+    let profile = ErrorProfile::with_bursts(total, q.base, &burst, q.burst_p);
+    rx.transmit(frame, chips, &profile, rng, true)
 }
 
 /// Per-policy tally of end-to-end correct bytes.
@@ -152,14 +147,12 @@ pub fn collect(n_packets: usize, payload_len: usize, seed: u64) -> RelayResult {
             let fwd_payload: Vec<u8> = r_map.iter().map(|b| b.unwrap_or(0)).collect();
             let relay_frame = Frame::new(3, 2, seq, fwd_payload);
             let (_, d2) = send_over(&relay_frame, r_d, &rx, &mut rng);
-            let hop2 = delivered_map_raw(&d2);
+            let hop2 = delivered_map(&d2, &payload);
             // A relayed byte is usable only if R labeled it good AND it
             // survived the R→D hop with a good hint.
             for i in 0..payload.len() {
                 if r_map[i].is_some() {
-                    if let Some(Some(b)) = hop2.get(i) {
-                        relayed_map[i] = Some(*b);
-                    }
+                    relayed_map[i] = hop2[i];
                 }
             }
         }
@@ -190,21 +183,6 @@ fn delivered_map(rx: &Option<RxFrame>, payload: &[u8]) -> Vec<Option<u8>> {
         }
     }
     out
-}
-
-/// Like [`delivered_map`] but sized from the frame itself.
-fn delivered_map_raw(rx: &Option<RxFrame>) -> Vec<Option<u8>> {
-    match rx {
-        Some(f) => match (f.body_bytes(), f.body_byte_hints()) {
-            (Some(body), Some(hints)) => body
-                .iter()
-                .zip(&hints)
-                .map(|(&b, &h)| if h <= DEFAULT_ETA { Some(b) } else { None })
-                .collect(),
-            _ => Vec::new(),
-        },
-        None => Vec::new(),
-    }
 }
 
 fn count_correct(map: &[Option<u8>], truth: &[u8]) -> usize {

@@ -11,12 +11,14 @@
 //! the ones the sliding pipeline produces (pinned by
 //! `tests/fastpath_parity.rs` at the workspace root).
 
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::{FrameReceiver, RxFrame};
 use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use ppr_phy::sync::{
     SyncPattern, DEFAULT_SYNC_THRESHOLD, POSTAMBLE_ZERO_SYMBOLS, PREAMBLE_ZERO_SYMBOLS,
 };
+use rand::Rng;
 
 /// How a packet was (or wasn't) acquired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,8 +131,8 @@ impl FastRx {
 
     /// Does the preamble pattern of a packed capture survive within the
     /// sync threshold? This is the only per-reception fact the busy/idle
-    /// chain of a receiver needs, so the parallel reception loop can
-    /// resolve acquisition order without decoding anything.
+    /// chain of a receiver needs, so the reception loop can resolve
+    /// acquisition order before decoding anything.
     pub fn preamble_hit_words(&self, corrupted_chips: &ChipWords) -> bool {
         self.preamble
             .distance_at_words(corrupted_chips, Self::preamble_pattern_offset())
@@ -168,6 +170,35 @@ impl FastRx {
             }
         }
         (Acquisition::None, None)
+    }
+
+    /// Sends `frame` over one link: corrupts `chips` (the frame's
+    /// [`Frame::chip_words`], owned so the caller decides whether to
+    /// render or copy) in place under `profile`, then receives them with
+    /// [`Self::receive_words`]. Consumes `rng` under the shared draw
+    /// contract, so it equals `corrupt_chips` followed by
+    /// [`Self::receive`] frame for frame (pinned by
+    /// `tests/packed_parity.rs`).
+    pub fn transmit<R: Rng>(
+        &self,
+        frame: &Frame,
+        mut chips: ChipWords,
+        profile: &ErrorProfile,
+        rng: &mut R,
+        receiver_idle: bool,
+    ) -> (Acquisition, Option<RxFrame>) {
+        corrupt_chip_words_in_place(&mut chips, profile, rng);
+        self.receive_words(frame, &chips, receiver_idle)
+    }
+}
+
+/// The receiver's view of a `len`-byte body: the decoded bytes and their
+/// per-byte hints, or zeros with `u8::MAX` hints (nothing trusted) when
+/// the frame was lost or decoded to a different length.
+pub fn body_or_lost(rx: Option<RxFrame>, len: usize) -> (Vec<u8>, Vec<u8>) {
+    match rx.and_then(|rx| Some((rx.body_bytes()?, rx.body_byte_hints()?))) {
+        Some((body, hints)) if body.len() == len => (body, hints),
+        _ => (vec![0; len], vec![u8::MAX; len]),
     }
 }
 
