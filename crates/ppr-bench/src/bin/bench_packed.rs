@@ -147,6 +147,14 @@ fn main() {
                 rx.link_bytes()
             }),
         ));
+        // The byte reads one delivery makes once the despread cache is
+        // warm: the packet-CRC check, the body and its byte hints.
+        let rx = receiver.decode_from_preamble_words(&words, data_start);
+        rx.link_bytes();
+        entries.push((
+            "read_1500B_cached".into(),
+            time_ns(|| (rx.pkt_crc_ok(), rx.body_bytes(), rx.body_byte_hints())),
+        ));
     }
 
     // Chunking-DP planner ladder (schema v3): the O(L³) interval

@@ -268,28 +268,28 @@ impl From<std::io::Error> for Stop {
 /// the registry, computes, and Table 1 reuses its dependencies' results.
 ///
 /// To re-measure one entry, take the median wall time of a few solo
-/// release runs:
+/// release runs (the table holds medians of five):
 ///
 /// ```sh
 /// time target/release/ppr-cli run mrd --set threads=1 > /dev/null
 /// ```
 const RUN_COST_MS: [(&str, u64); 17] = [
-    ("fig03", 450),
-    ("table2", 600),
-    ("fig08", 150),
+    ("fig03", 340),
+    ("table2", 500),
+    ("fig08", 100),
     ("fig09", 150),
-    ("fig10", 650),
-    ("fig11", 350),
-    ("fig12", 600),
-    ("fig13", 20),
+    ("fig10", 510),
+    ("fig11", 260),
+    ("fig12", 580),
+    ("fig13", 25),
     ("fig14", 5),
     ("fig15", 5),
-    ("fig16", 35),
-    ("jam", 70),
-    ("mrd", 190),
-    ("relay", 25),
+    ("fig16", 15),
+    ("jam", 30),
+    ("mrd", 90),
+    ("relay", 10),
     ("mesh10k", 500),
-    ("meshjam", 550),
+    ("meshjam", 470),
     ("table1", 5),
 ];
 

@@ -17,11 +17,31 @@
 //! [`crate::schemes`]).
 
 use crate::crc::{crc16, crc32};
-use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
+use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL, CODEBOOK};
 use ppr_phy::spread::bytes_to_symbols;
 use ppr_phy::sync::{
-    tx_postamble_chips, tx_postamble_codewords, tx_preamble_chips, tx_preamble_codewords,
+    tx_postamble_chips, tx_preamble_chips, POSTAMBLE_ZERO_SYMBOLS, POST_SFD, PREAMBLE_ZERO_SYMBOLS,
+    SFD, TX_POSTAMBLE_CHIPS, TX_PREAMBLE_CHIPS,
 };
+
+/// The 64 chips one byte spreads to, indexed by byte: its low nibble's
+/// codeword in chips 0..32 and its high nibble's in chips 32..64 (low
+/// nibble first, as [`bytes_to_symbols`] orders them).
+const BYTE_LANES: [u64; 256] = {
+    let mut lanes = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        lanes[b] = CODEBOOK[b & 15] as u64 | (CODEBOOK[b >> 4] as u64) << 32;
+        b += 1;
+    }
+    lanes
+};
+
+// Byte-lane rendering writes every section as whole 64-chip lanes, so
+// every link byte must start on a lane boundary: the preamble + SFD (and
+// the postamble, which follows whole link bytes) must fill whole lanes.
+const _: () =
+    assert!(TX_PREAMBLE_CHIPS.is_multiple_of(64) && TX_POSTAMBLE_CHIPS.is_multiple_of(64));
 
 /// A link-layer address (16-bit short address, 802.15.4 style).
 pub type Addr = u16;
@@ -122,7 +142,8 @@ impl Frame {
     /// Chip-level rendering of the whole frame including preamble, SFD
     /// and postamble — what the radio emits.
     ///
-    /// Reference (`Vec<bool>`) representation; the hot path uses
+    /// The executable spec: symbol by symbol through
+    /// [`ppr_phy::spread::spread`]. The hot path uses
     /// [`Self::chip_words`], which is bit-identical.
     pub fn chips(&self) -> Vec<bool> {
         let mut chips = tx_preamble_chips();
@@ -134,35 +155,36 @@ impl Frame {
     }
 
     /// Packed chip-level rendering of the whole frame: identical chips to
-    /// [`Self::chips`], built straight from the 32-chip codewords into
-    /// 64-chip lanes without materialising one `bool` per chip.
+    /// [`Self::chips`], written one 64-chip lane per byte — the delimiter
+    /// bytes, then every link byte — through a 256-entry table.
     pub fn chip_words(&self) -> ChipWords {
-        let mut words = ChipWords::from_codewords(&tx_preamble_codewords());
-        words.extend_codewords(&ppr_phy::spread::spread(&bytes_to_symbols(
-            &self.link_bytes(),
-        )));
-        words.extend_codewords(&tx_postamble_codewords());
-        words
+        // A delimiter is its zero symbols (whole zero bytes, by the
+        // lane assertion above) followed by its delimiter byte.
+        let zeros = |symbols| std::iter::repeat_n(0u8, symbols / 2);
+        let bytes = zeros(PREAMBLE_ZERO_SYMBOLS)
+            .chain([SFD])
+            .chain(self.link_bytes())
+            .chain(zeros(POSTAMBLE_ZERO_SYMBOLS))
+            .chain([POST_SFD]);
+        ChipWords::from_lanes(bytes.map(|b| BYTE_LANES[b as usize]).collect())
     }
 
     /// Number of data symbols in the link-layer section (excluding
     /// pre/postamble).
     pub fn link_symbols(&self) -> usize {
-        2 * self.link_bytes().len()
+        2 * FrameGeometry::for_body(self.body.len()).total()
     }
 
     /// Total frame airtime in chips.
     pub fn chips_len(&self) -> usize {
-        tx_preamble_chips().len()
-            + self.link_symbols() * CHIPS_PER_SYMBOL
-            + tx_postamble_chips().len()
+        Self::chips_len_for_body(self.body.len())
     }
 
     /// Total frame airtime in chips for a frame with `body_len` body
     /// bytes — without building the frame.
     pub fn chips_len_for_body(body_len: usize) -> usize {
-        let link_bytes = 2 * HEADER_BYTES + body_len + PKT_CRC_BYTES;
-        tx_preamble_chips().len() + 2 * link_bytes * CHIPS_PER_SYMBOL + tx_postamble_chips().len()
+        let link_bytes = FrameGeometry::for_body(body_len).total();
+        TX_PREAMBLE_CHIPS + 2 * link_bytes * CHIPS_PER_SYMBOL + TX_POSTAMBLE_CHIPS
     }
 
     /// Frame airtime in microseconds at the 802.15.4 chip rate.
@@ -284,14 +306,29 @@ mod tests {
         }
     }
 
+    /// The byte-lane table against the symbol-by-symbol spec: every byte
+    /// value in every link position (header fields, body, CRC, trailer),
+    /// at odd and even body lengths.
     #[test]
     fn packed_rendering_matches_reference() {
-        for body_len in [0usize, 1, 33, 200] {
-            let f = Frame::new(3, 9, 17, vec![0xC3; body_len]);
+        for body_len in [0usize, 1, 250, 255, 1500] {
+            // 167 is odd, so any 256 consecutive bytes hold every value.
+            let body: Vec<u8> = (0..body_len).map(|i| (i * 167 + 41) as u8).collect();
+            for (dst, src, seq) in [(3, 9, 17), (0xFFFF, 0, 0x8001), (0x1234, 0xABCD, 0xFFFF)] {
+                let f = Frame::new(dst, src, seq, body.clone());
+                assert_eq!(
+                    f.chip_words(),
+                    ChipWords::from_bools(&f.chips()),
+                    "body {body_len}, header {dst:#x}/{src:#x}/{seq:#x}"
+                );
+            }
+        }
+        for b in 0..=255u8 {
+            let f = Frame::new(u16::from(b), u16::from(b) << 8, u16::from(b), vec![b]);
             assert_eq!(
                 f.chip_words(),
                 ChipWords::from_bools(&f.chips()),
-                "body {body_len}"
+                "byte {b:#x}"
             );
         }
     }

@@ -90,10 +90,7 @@ impl RxFrame {
     /// Reassembled link-layer bytes (best effort; bad symbols included).
     /// Forces a complete despread.
     pub fn link_bytes(&self) -> Vec<u8> {
-        SoftSpan {
-            symbols: self.link.all(),
-        }
-        .to_bytes()
+        self.link.bytes(0..self.link.len() / 2)
     }
 
     /// The body bytes (scheme payload), when geometry is known.
@@ -131,10 +128,7 @@ impl RxFrame {
             return None;
         }
         let start = g.body().start + range.start;
-        let span = SoftSpan {
-            symbols: self.link.range(2 * start..2 * (start + range.len())),
-        };
-        Some(span.byte_hints())
+        Some(self.link.byte_hints(start..start + range.len()))
     }
 
     /// Per-symbol hints over the body region (two per byte).
@@ -145,7 +139,7 @@ impl RxFrame {
         if self.link.len() < e {
             return None;
         }
-        Some(self.link.range(s..e).iter().map(|s| s.hint).collect())
+        Some(self.link.hints(s..e))
     }
 
     /// Whole-packet CRC-32 verification (header + body against the CRC
@@ -167,10 +161,7 @@ impl RxFrame {
     /// Bytes `range` (link-section byte coordinates); caller guarantees
     /// the range is within the link section.
     fn byte_range_unchecked(&self, range: std::ops::Range<usize>) -> Vec<u8> {
-        SoftSpan {
-            symbols: self.link.range(2 * range.start..2 * range.end),
-        }
-        .to_bytes()
+        self.link.bytes(range)
     }
 }
 
@@ -253,7 +244,7 @@ impl FrameReceiver {
                         claimed.push((s, frame.link_len()));
                         busy_until = s
                             + (frame.link_len() * CHIPS_PER_SYMBOL) as i64
-                            + ppr_phy::sync::tx_postamble_chips().len() as i64;
+                            + ppr_phy::sync::TX_POSTAMBLE_CHIPS as i64;
                     }
                     frames.push(frame);
                 }
@@ -292,11 +283,7 @@ impl FrameReceiver {
     /// accessors.
     pub fn decode_from_preamble_words(&self, chips: &ChipWords, data_start: i64) -> RxFrame {
         let probe = SymbolView::lazy(chips, data_start, 2 * HEADER_BYTES, ABSENT);
-        let header_bytes = SoftSpan {
-            symbols: probe.all(),
-        }
-        .to_bytes();
-        let header = self.accept_header(&header_bytes);
+        let header = self.accept_header(&probe.bytes(0..HEADER_BYTES));
         let link = match header {
             Some(h) => {
                 let g = FrameGeometry::for_body(h.len as usize);
@@ -337,11 +324,7 @@ impl FrameReceiver {
     ) -> Option<RxFrame> {
         let (postamble_start, trailer_start) = postamble_rollback_offsets(hit_offset);
         let probe = SymbolView::lazy(chips, trailer_start, 2 * HEADER_BYTES, ABSENT);
-        let trailer_bytes = SoftSpan {
-            symbols: probe.all(),
-        }
-        .to_bytes();
-        let header = self.accept_header(&trailer_bytes)?;
+        let header = self.accept_header(&probe.bytes(0..HEADER_BYTES))?;
 
         let g = FrameGeometry::for_body(header.len as usize);
         let link_start = postamble_start - (2 * g.total() * CHIPS_PER_SYMBOL) as i64;

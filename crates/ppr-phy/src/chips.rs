@@ -230,6 +230,15 @@ impl ChipWords {
         out
     }
 
+    /// A stream of whole 64-chip lanes (`64 * lanes.len()` chips; always
+    /// canonical, since no lane has a tail).
+    pub fn from_lanes(lanes: Vec<u64>) -> Self {
+        ChipWords {
+            len: 64 * lanes.len(),
+            words: lanes,
+        }
+    }
+
     /// Unpacks to the reference `Vec<bool>` representation.
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()

@@ -32,6 +32,14 @@ pub const PREAMBLE_ZERO_SYMBOLS: usize = 8;
 /// and also carries the adaptive-equalizer training sequence (§4).
 pub const POSTAMBLE_ZERO_SYMBOLS: usize = 4;
 
+/// Length of the transmitted preamble (zero symbols + SFD), in chips:
+/// `tx_preamble_chips().len()` without building it.
+pub const TX_PREAMBLE_CHIPS: usize = (PREAMBLE_ZERO_SYMBOLS + 2) * CHIPS_PER_SYMBOL;
+
+/// Length of the transmitted postamble (zero symbols + [`POST_SFD`]), in
+/// chips: `tx_postamble_chips().len()` without building it.
+pub const TX_POSTAMBLE_CHIPS: usize = (POSTAMBLE_ZERO_SYMBOLS + 2) * CHIPS_PER_SYMBOL;
+
 /// Which frame delimiter a synchronization hit corresponds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncKind {
@@ -224,6 +232,12 @@ mod tests {
 
     fn random_chips(rng: &mut StdRng, n: usize) -> Vec<bool> {
         (0..n).map(|_| rng.gen()).collect()
+    }
+
+    #[test]
+    fn delimiter_length_constants_match_rendering() {
+        assert_eq!(tx_preamble_chips().len(), TX_PREAMBLE_CHIPS);
+        assert_eq!(tx_postamble_chips().len(), TX_POSTAMBLE_CHIPS);
     }
 
     #[test]

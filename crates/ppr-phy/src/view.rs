@@ -51,9 +51,12 @@ pub struct SymbolView {
     cache: RefCell<Cache>,
 }
 
+/// The decoded symbols as two parallel arrays, so byte and hint reads
+/// pack whole runs (see [`SymbolView::bytes`]).
 #[derive(Debug, Clone)]
 struct Cache {
-    symbols: Vec<SoftSymbol>,
+    symbols: Vec<u8>,
+    hints: Vec<u8>,
     block_done: Vec<bool>,
 }
 
@@ -100,7 +103,8 @@ impl SymbolView {
             chips,
             absent,
             cache: RefCell::new(Cache {
-                symbols: vec![absent; present],
+                symbols: vec![0; present],
+                hints: vec![0; present],
                 block_done: vec![false; present.div_ceil(BLOCK_SYMBOLS)],
             }),
         }
@@ -118,7 +122,8 @@ impl SymbolView {
             chips: ChipWords::new(),
             absent: SoftSymbol { symbol: 0, hint: 0 },
             cache: RefCell::new(Cache {
-                symbols,
+                symbols: symbols.iter().map(|s| s.symbol).collect(),
+                hints: symbols.iter().map(|s| s.hint).collect(),
                 block_done: vec![true; present.div_ceil(BLOCK_SYMBOLS)],
             }),
         }
@@ -163,7 +168,11 @@ impl SymbolView {
         }
         let k = i - self.lead;
         self.ensure_blocks(k..k + 1);
-        self.cache.borrow().symbols[k]
+        let cache = self.cache.borrow();
+        SoftSymbol {
+            symbol: cache.symbols[k],
+            hint: cache.hints[k],
+        }
     }
 
     /// The symbols of `range`, despreading exactly the blocks that
@@ -190,7 +199,13 @@ impl SymbolView {
         if cap_end > cap_start {
             let (ks, ke) = (cap_start - self.lead, cap_end - self.lead);
             self.ensure_blocks(ks..ke);
-            out.extend_from_slice(&self.cache.borrow().symbols[ks..ke]);
+            let cache = self.cache.borrow();
+            out.extend(
+                cache.symbols[ks..ke]
+                    .iter()
+                    .zip(&cache.hints[ks..ke])
+                    .map(|(&symbol, &hint)| SoftSymbol { symbol, hint }),
+            );
         }
         // Trailing absent symbols.
         out.extend(std::iter::repeat_n(self.absent, range.len() - out.len()));
@@ -202,13 +217,82 @@ impl SymbolView {
         self.range(0..self.total)
     }
 
+    /// Bytes `bytes` of the view (byte `i` is symbols `2i`, low nibble,
+    /// and `2i + 1`), packed straight from the decode cache; equal to
+    /// `SoftSpan { symbols: self.range(2 * start..2 * end) }.to_bytes()`.
+    ///
+    /// # Panics
+    /// Panics if `2 * bytes.end > len()`.
+    pub fn bytes(&self, bytes: Range<usize>) -> Vec<u8> {
+        self.with_columns(2 * bytes.start..2 * bytes.end, |symbols, _| {
+            // Each symbol pair read as one little-endian `u16` (low
+            // nibble's symbol in the low byte): the compiler vectorizes
+            // this form, not the byte-pair one.
+            symbols
+                .as_chunks::<2>()
+                .0
+                .iter()
+                .map(|&pair| {
+                    let w = u16::from_le_bytes(pair);
+                    ((w & 0x0f) | ((w >> 4) & 0xf0)) as u8
+                })
+                .collect()
+        })
+    }
+
+    /// Per-byte hints of bytes `bytes` (the larger of the two nibble
+    /// hints); equal to [`SoftSpan::byte_hints`](crate::softphy::SoftSpan::byte_hints)
+    /// of the same symbols.
+    ///
+    /// # Panics
+    /// Panics if `2 * bytes.end > len()`.
+    pub fn byte_hints(&self, bytes: Range<usize>) -> Vec<u8> {
+        self.with_columns(2 * bytes.start..2 * bytes.end, |_, hints| {
+            // `u16` pairs for the same reason as in `bytes`.
+            hints
+                .as_chunks::<2>()
+                .0
+                .iter()
+                .map(|&pair| {
+                    let w = u16::from_le_bytes(pair);
+                    (w & 0xff).max(w >> 8) as u8
+                })
+                .collect()
+        })
+    }
+
+    /// Per-symbol hints of symbols `range`.
+    ///
+    /// # Panics
+    /// Panics if `range.end > len()`.
+    pub fn hints(&self, range: Range<usize>) -> Vec<u8> {
+        self.with_columns(range, |_, hints| hints.to_vec())
+    }
+
+    /// Runs `f` over the symbols and the hints of `range`: borrowed
+    /// straight from the decode cache when the range is wholly captured
+    /// (the common case), otherwise split from the sentinel-padded copy
+    /// [`Self::range`] builds.
+    fn with_columns<T>(&self, range: Range<usize>, f: impl FnOnce(&[u8], &[u8]) -> T) -> T {
+        if range.start < self.lead || range.end > self.lead + self.present || range.is_empty() {
+            let padded = self.range(range);
+            let symbols: Vec<u8> = padded.iter().map(|s| s.symbol).collect();
+            let hints: Vec<u8> = padded.iter().map(|s| s.hint).collect();
+            return f(&symbols, &hints);
+        }
+        let (ks, ke) = (range.start - self.lead, range.end - self.lead);
+        self.ensure_blocks(ks..ke);
+        let cache = self.cache.borrow();
+        f(&cache.symbols[ks..ke], &cache.hints[ks..ke])
+    }
+
     /// Despreads every not-yet-decoded block covering captured symbols
     /// `range` (indices relative to the captured region).
     fn ensure_blocks(&self, range: Range<usize>) {
         let mut cache = self.cache.borrow_mut();
         let first = range.start / BLOCK_SYMBOLS;
         let last = (range.end - 1) / BLOCK_SYMBOLS;
-        let mut decisions: Vec<crate::chips::Decision> = Vec::with_capacity(BLOCK_SYMBOLS);
+        let mut decisions: Vec<crate::chips::Decision> = Vec::new();
         for b in first..=last {
             if cache.block_done[b] {
                 continue;
@@ -221,8 +305,13 @@ impl SymbolView {
             let lanes = &self.chips.words()[lo / 2..hi.div_ceil(2)];
             decisions.clear();
             crate::simd::decide_lanes_into(lanes, hi - lo, &mut decisions);
-            for (slot, d) in cache.symbols[lo..hi].iter_mut().zip(&decisions) {
-                *slot = (*d).into();
+            let Cache { symbols, hints, .. } = &mut *cache;
+            for ((symbol, hint), d) in symbols[lo..hi]
+                .iter_mut()
+                .zip(&mut hints[lo..hi])
+                .zip(&decisions)
+            {
+                (*symbol, *hint) = (d.symbol, d.distance);
             }
             cache.block_done[b] = true;
         }
@@ -346,6 +435,83 @@ mod tests {
         let reference = rx.despread_words(&stream, 17, syms.len());
         let view = SymbolView::lazy(&stream, 17, syms.len(), ABSENT);
         assert_eq!(view.all(), reference.symbols);
+    }
+
+    /// The cache-reading byte/hint accessors against the `SoftSpan` spec
+    /// over the padded symbols, on untouched and partly decoded views,
+    /// for lead-absent, unaligned and truncated captures and for ranges
+    /// that straddle the 64-symbol cache blocks.
+    #[test]
+    fn byte_accessors_match_soft_span() {
+        use crate::softphy::SoftSpan;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(14);
+        let syms: Vec<u8> = (0..300).map(|_| rng.gen_range(0..16)).collect();
+        let mut stream = stream_of(&syms);
+        for _ in 0..2_000 {
+            let i = rng.gen_range(0..stream.len());
+            stream.toggle(i); // varied hints, some wrong decisions
+        }
+        let mut truncated = stream.clone();
+        truncated.truncate(150 * CHIPS_PER_SYMBOL + 7); // ends mid-codeword
+        let n = 280; // symbols per view: 140 bytes
+        let captures: [(&ChipWords, i64); 7] = [
+            (&stream, 0),
+            (&stream, 17),                              // unaligned
+            (&stream, -32),                             // one lead symbol: byte 0 straddles
+            (&stream, -101),                            // four lead symbols, odd chip
+            (&stream, 40 * CHIPS_PER_SYMBOL as i64),    // runs past the end
+            (&truncated, 0),                            // truncated mid-frame
+            (&truncated, -3 * CHIPS_PER_SYMBOL as i64), // both at once, odd lead
+        ];
+        let byte_ranges = [
+            0..140,
+            0..0,
+            0..1,
+            1..2,
+            31..33,
+            30..35,
+            63..65,
+            70..75,
+            100..140,
+        ];
+        let symbol_ranges = [0..280, 1..2, 3..4, 63..65, 127..129, 61..200, 279..280];
+        let mut absent_seen = 0;
+        for &(chips, offset) in &captures {
+            for touched in [false, true] {
+                let fresh = || {
+                    let v = SymbolView::lazy(chips, offset, n, ABSENT);
+                    if touched {
+                        v.get(100); // decodes one block only
+                    }
+                    v
+                };
+                for r in &byte_ranges {
+                    let oracle = fresh();
+                    let spec = SoftSpan {
+                        symbols: oracle.range(2 * r.start..2 * r.end),
+                    };
+                    absent_seen += spec.symbols.iter().filter(|&&s| s == ABSENT).count();
+                    let ctx = format!("offset {offset}, touched {touched}, bytes {r:?}");
+                    let view = fresh();
+                    assert_eq!(view.bytes(r.clone()), spec.to_bytes(), "{ctx}");
+                    // Reading through the accessor decodes exactly the
+                    // blocks the padded copy would have.
+                    assert_eq!(view.decoded_symbols(), oracle.decoded_symbols(), "{ctx}");
+                    assert_eq!(fresh().byte_hints(r.clone()), spec.byte_hints(), "{ctx}");
+                }
+                for r in &symbol_ranges {
+                    let spec = SoftSpan {
+                        symbols: fresh().range(r.clone()),
+                    };
+                    let ctx = format!("offset {offset}, touched {touched}, symbols {r:?}");
+                    assert_eq!(fresh().hints(r.clone()), spec.hints(), "{ctx}");
+                }
+            }
+        }
+        assert!(absent_seen > 0, "no capture exercised the absent sentinel");
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn collect_seeded(seed: u64) -> CollisionAnatomy {
     let frames = receiver.receive(&chips);
 
     // Overlap geometry in each packet's own symbol coordinates.
-    let pre_len = ppr_phy::sync::tx_preamble_chips().len();
+    let pre_len = ppr_phy::sync::TX_PREAMBLE_CHIPS;
     let p1_overlap = (
         (p2_start_chip.saturating_sub(pre_len)) / 32,
         ((p2_start_chip + p2_chips.len()).saturating_sub(pre_len)) / 32,

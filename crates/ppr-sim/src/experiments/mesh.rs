@@ -270,9 +270,8 @@ impl MeshTx {
 #[derive(Clone)]
 // ppr-lint: region(snapshot-state) begin mesh per-node ARQ session state
 struct NodeState {
-    /// snapshot: serialized — byte-correct bitmask over the payload.
-    mask: Vec<u64>,
-    /// snapshot: serialized — correct-byte count (cached popcount).
+    /// snapshot: serialized — correct-byte count (cached popcount of
+    /// the node's `MeshDriver::masks` row).
     correct: usize,
     /// snapshot: serialized — full payload recovered.
     recovered: bool,
@@ -288,9 +287,8 @@ struct NodeState {
 // ppr-lint: region(snapshot-state) end
 
 impl NodeState {
-    fn new(payload_len: usize) -> Self {
+    fn new() -> Self {
         NodeState {
-            mask: vec![0u64; payload_len.div_ceil(64)],
             correct: 0,
             recovered: false,
             rebroadcasted: false,
@@ -298,14 +296,11 @@ impl NodeState {
             alive: true,
         }
     }
+}
 
-    fn has(&self, i: usize) -> bool {
-        self.mask[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    fn set(&mut self, i: usize) {
-        self.mask[i / 64] |= 1 << (i % 64);
-    }
+/// Whether bit `i` of a byte-correct mask is set.
+fn mask_has(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] >> (i % 64) & 1 == 1
 }
 
 /// SplitMix64 — the stateless jitter hash (no RNG object, so scheduling
@@ -386,6 +381,10 @@ pub struct MeshDriver {
     /// (`ChunkScratch` contents excluded: the DP reconstructs its
     /// working state from the mask on demand).
     states: Vec<NodeState>,
+    /// snapshot: serialized — every node's byte-correct bitmask over
+    /// the payload, `payload_len.div_ceil(64)` words per node in node
+    /// order: one allocation for the whole mesh, serialized per node.
+    masks: Vec<u64>,
     /// snapshot: serialized — the transmission store, as
     /// (sender, dst, start, spans); frames are reconstructed.
     txs: Vec<MeshTx>,
@@ -453,8 +452,10 @@ impl MeshDriver {
 
         let truth = payload_pattern(source, 0, payload_len);
 
-        let mut states: Vec<NodeState> = vec![NodeState::new(payload_len); n];
-        states[source].mask.fill(u64::MAX);
+        let mask_words = payload_len.div_ceil(64);
+        let mut masks = vec![0u64; n * mask_words];
+        masks[source * mask_words..(source + 1) * mask_words].fill(u64::MAX);
+        let mut states: Vec<NodeState> = vec![NodeState::new(); n];
         states[source].correct = payload_len;
         states[source].recovered = true;
         states[source].rebroadcasted = true;
@@ -483,6 +484,7 @@ impl MeshDriver {
             truth: truth.clone(),
             fast: FastRx::new(true),
             states,
+            masks,
             txs: Vec::new(),
             own_tx: vec![Vec::new(); n], // (start, end, tx id)
             started: Vec::new(),
@@ -522,6 +524,12 @@ impl MeshDriver {
             );
         }
         driver
+    }
+
+    /// Node `r`'s row of `masks`: its byte-correct mask.
+    fn mask_row(&self, r: usize) -> std::ops::Range<usize> {
+        let w = self.payload_len.div_ceil(64);
+        r * w..(r + 1) * w
     }
 
     /// Mean-power link gain (the mesh model has zero shadowing).
@@ -668,6 +676,8 @@ impl MeshDriver {
                 let end = self.txs[ti].end();
                 let mut rebroadcast = false;
                 if let Some(delivered) = self.decode(ti, r) {
+                    let row = self.mask_row(r);
+                    let mask = &mut self.masks[row];
                     let st = &mut self.states[r];
                     for d in &delivered {
                         for (i, &b) in d.bytes.iter().enumerate() {
@@ -676,8 +686,11 @@ impl MeshDriver {
                                 Some(spans) => map_repair_offset(spans, d.offset + i),
                             };
                             if let Some(off) = off {
-                                if off < self.payload_len && self.truth[off] == b && !st.has(off) {
-                                    st.set(off);
+                                if off < self.payload_len
+                                    && self.truth[off] == b
+                                    && !mask_has(mask, off)
+                                {
+                                    mask[off / 64] |= 1 << (off % 64);
                                     st.correct += 1;
                                 }
                             }
@@ -800,9 +813,8 @@ impl MeshDriver {
                 }
                 // Plan the repair request with the paper's chunking DP
                 // over the byte-correct mask.
-                let labels: Vec<bool> = (0..self.payload_len)
-                    .map(|i| self.states[node].has(i))
-                    .collect();
+                let mask = &self.masks[self.mask_row(node)];
+                let labels: Vec<bool> = (0..self.payload_len).map(|i| mask_has(mask, i)).collect();
                 let rl = RunLengths::from_labels(&labels);
                 let plan = plan_chunks(&rl, &CostModel::bytes(self.payload_len));
                 if plan.chunks.is_empty() {
@@ -886,6 +898,7 @@ impl MeshDriver {
                 }
             }
             SimEvent::NodeFault { node, up } => {
+                let row = self.mask_row(node);
                 let st = &mut self.states[node];
                 st.alive = up;
                 if up {
@@ -895,8 +908,8 @@ impl MeshDriver {
                     // A crash loses volatile reception state; a node
                     // that already recovered keeps its stored payload.
                     if !st.recovered {
-                        st.mask.fill(0);
                         st.correct = 0;
+                        self.masks[row].fill(0);
                     }
                 }
             }
@@ -958,8 +971,9 @@ impl MeshDriver {
             states: self
                 .states
                 .iter()
-                .map(|st| MeshNodeSnapshot {
-                    mask: st.mask.clone(),
+                .enumerate()
+                .map(|(i, st)| MeshNodeSnapshot {
+                    mask: self.masks[self.mask_row(i)].to_vec(),
                     correct: st.correct,
                     recovered: st.recovered,
                     rebroadcasted: st.rebroadcasted,
@@ -1065,13 +1079,17 @@ impl MeshDriver {
             .states
             .iter()
             .map(|st| NodeState {
-                mask: st.mask.clone(),
                 correct: st.correct,
                 recovered: st.recovered,
                 rebroadcasted: st.rebroadcasted,
                 timer_armed: st.timer_armed,
                 alive: st.alive,
             })
+            .collect();
+        driver.masks = snap
+            .states
+            .iter()
+            .flat_map(|st| st.mask.iter().copied())
             .collect();
         driver.txs = snap
             .txs

@@ -17,6 +17,7 @@ use ppr_mac::rx::{FrameReceiver, RxFrame};
 use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use ppr_phy::sync::{
     SyncPattern, DEFAULT_SYNC_THRESHOLD, POSTAMBLE_ZERO_SYMBOLS, PREAMBLE_ZERO_SYMBOLS,
+    TX_POSTAMBLE_CHIPS,
 };
 use rand::Rng;
 
@@ -89,8 +90,7 @@ impl FastRx {
     /// Chip offset within the frame where the postamble scan pattern
     /// begins, given the total frame length in chips.
     pub fn postamble_pattern_offset(frame_chips: usize) -> usize {
-        let post_len = ppr_phy::sync::tx_postamble_chips().len();
-        frame_chips - post_len + (POSTAMBLE_ZERO_SYMBOLS - 2) * CHIPS_PER_SYMBOL
+        frame_chips - TX_POSTAMBLE_CHIPS + (POSTAMBLE_ZERO_SYMBOLS - 2) * CHIPS_PER_SYMBOL
     }
 
     /// Attempts to receive one frame from its corrupted chip capture.

@@ -24,19 +24,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Spreading parity: the packed frame rendering equals the reference
-/// `Vec<bool>` rendering chip for chip, across body sizes.
-#[test]
-fn spreading_parity() {
-    for body_len in [0usize, 1, 20, 200, 1500] {
-        let frame = Frame::new(2, 7, 42, vec![0xA5; body_len]);
-        let reference = frame.chips();
-        let packed = frame.chip_words();
-        assert_eq!(packed.len(), reference.len(), "body {body_len}");
-        assert_eq!(packed, ChipWords::from_bools(&reference), "body {body_len}");
-    }
-}
-
 /// Corruption parity: packed and bool corruption flip exactly the same
 /// chips for the same seed, in every error regime including spans that
 /// straddle and overrun a truncated reception.
@@ -356,6 +343,30 @@ fn end_to_end_experiment_parity() {
 }
 
 proptest! {
+    /// Spreading parity: the byte-lane frame rendering equals the
+    /// symbol-by-symbol `Vec<bool>` spec chip for chip, for random
+    /// headers and bodies that walk every byte value (any odd stride is
+    /// a full cycle mod 256), at odd and even lengths.
+    #[test]
+    fn spreading_parity(
+        len_pick in 0usize..5,
+        first in any::<u8>(),
+        stride in any::<u8>(),
+        dst in any::<u16>(),
+        src in any::<u16>(),
+        seq in any::<u16>(),
+    ) {
+        let body_len = [0usize, 1, 250, 255, 1500][len_pick];
+        let body: Vec<u8> = (0..body_len)
+            .map(|i| first.wrapping_add((i as u8).wrapping_mul(stride | 1)))
+            .collect();
+        let frame = Frame::new(dst, src, seq, body);
+        let reference = frame.chips();
+        let packed = frame.chip_words();
+        prop_assert_eq!(packed.len(), reference.len());
+        prop_assert_eq!(packed, ChipWords::from_bools(&reference));
+    }
+
     /// Pack/unpack round-trip for arbitrary chip streams.
     #[test]
     fn chipwords_roundtrip(chips in proptest::collection::vec(any::<bool>(), 0..500)) {
