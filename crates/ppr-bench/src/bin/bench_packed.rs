@@ -4,15 +4,15 @@
 //! ladder (`plan_chunks_{interval,quadratic,monotone}_L*`), the CRC-32
 //! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
 //! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v6) so CI can
-//! archive the perf trajectory from PR 2 onward.
+//! reception run, and writes `BENCH_packed.json` (schema v7) so CI can
+//! archive the perf trajectory.
 //!
-//! The event-core rows time the reception loop under both drivers
-//! (`process_receptions_2s_ppr_ms`, `recv_timestep_ms`) and the 10k-node
-//! mesh flood
+//! The event-core rows time the reception driver
+//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood
 //! (`mesh10k_*`: wall ms, measured events/sec and simulated
 //! packets/sec). Schema v6 dropped v5's per-worker and batch-size
-//! ladders along with the reception worker threads they measured.
+//! ladders along with the reception worker threads they measured; v7
+//! dropped the time-stepped driver's row along with that driver.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -36,9 +36,7 @@ use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
 use ppr_phy::sova;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
-use ppr_sim::network::{
-    generate_timeline, process_receptions, process_receptions_timestep, RadioEnv, RxArm, SimConfig,
-};
+use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -301,13 +299,6 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
-    // The event core against the pinned time-stepped reference on the
-    // same timeline.
-    let t = Instant::now();
-    let s = process_receptions_timestep(&env, &cfg, &timeline, &arm);
-    entries.push(("recv_timestep_ms".into(), t.elapsed().as_secs_f64() * 1e3));
-    assert_eq!(recs, s, "drivers diverged");
-
     // The event core at scale: the 10k-node mesh flood, measured.
     // events/sec here is the wall-clock figure the mesh10k experiment
     // deliberately does not compute for itself.
@@ -332,7 +323,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v6\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v7\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -21,10 +21,10 @@
 //! registry order, so the output does not depend on the pool size.
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
-//! runs under every driver × checkpoint combination and the rendered
-//! reports are compared byte for byte; one reception checkpoint is then
-//! restored under every reception backend and the streams diffed event
-//! by event (`ppr_sim::diff`). Any disagreement exits 1 and — with
+//! runs with and without a checkpoint and the rendered reports are
+//! compared byte for byte; one reception checkpoint is then restored
+//! under the event driver and the bool spec and the streams diffed
+//! event by event (`ppr_sim::diff`). Any disagreement exits 1 and — with
 //! `--json DIR` — writes a first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
@@ -40,7 +40,7 @@ use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
 use ppr_sim::experiments::{find, registry, Experiment};
 use ppr_sim::network::{snapshot_after_events, RxArm};
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
-use ppr_sim::scenario::{Driver, Scenario, ScenarioBuilder, SCENARIO_KEYS};
+use ppr_sim::scenario::{Scenario, ScenarioBuilder, SCENARIO_KEYS};
 use ppr_sim::snapshot::{MeshSnapshot, RxSnapshot};
 use std::io::Write;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ usage:
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
   ppr-cli diff <id>... [options]     cross-validate experiments across
-  ppr-cli diff --all [options]       drivers, checkpoints and backends
+  ppr-cli diff --all [options]       checkpoints and backends
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -423,25 +423,6 @@ fn run(args: &RunArgs) -> i32 {
 /// exists when it is taken.
 const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
 
-/// The driver × checkpoint combinations the experiment-level pass runs;
-/// the first is the baseline.
-fn diff_variants(base: &Scenario, checkpoint: u64) -> Vec<(&'static str, Scenario)> {
-    [
-        ("event", Driver::Event, None),
-        ("event+checkpoint", Driver::Event, Some(checkpoint)),
-        ("timestep", Driver::Timestep, None),
-        ("timestep+checkpoint", Driver::Timestep, Some(checkpoint)),
-    ]
-    .into_iter()
-    .map(|(name, driver, checkpoint)| {
-        let mut sc = base.clone();
-        sc.driver = driver;
-        sc.checkpoint = checkpoint;
-        (name, sc)
-    })
-    .collect()
-}
-
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
 /// reactive jammer with churn and a ×1.5 backoff ladder, seeded from
 /// the scenario so `--set seed=` varies the whole pass.
@@ -494,41 +475,39 @@ fn diff(args: &RunArgs) -> i32 {
         );
         println!();
 
-        // Experiment-level pass: every selected experiment under every
-        // driver × checkpoint combination; the rendered reports must be
+        // Experiment-level pass: every selected experiment with and
+        // without the checkpoint; the rendered reports must be
         // byte-identical.
-        let mut t = ppr_sim::report::Table::new(&[
-            "experiment",
-            "event+checkpoint",
-            "timestep",
-            "timestep+checkpoint",
-        ]);
+        let plain = Scenario {
+            checkpoint: None,
+            ..base.clone()
+        };
+        let checked = Scenario {
+            checkpoint: Some(checkpoint),
+            ..base.clone()
+        };
+        let mut t = ppr_sim::report::Table::new(&["experiment", "checkpoint"]);
         for exp in &selected {
-            let variants = diff_variants(&base, checkpoint);
-            let baseline = exp.run(&variants[0].1).render_text();
-            let mut row = vec![exp.id().to_string()];
-            for (name, sc) in &variants[1..] {
-                let agree = exp.run(sc).render_text() == baseline;
-                row.push(if agree { "ok" } else { "DIVERGED" }.to_string());
-                if !agree {
-                    failures.push(Json::Obj(vec![
-                        ("experiment".into(), Json::str(exp.id())),
-                        ("variant".into(), Json::str(*name)),
-                        ("point".into(), Json::str(&label)),
-                    ]));
-                }
+            let agree = exp.run(&checked).render_text() == exp.run(&plain).render_text();
+            t.row(&[
+                exp.id().to_string(),
+                if agree { "ok" } else { "DIVERGED" }.to_string(),
+            ]);
+            if !agree {
+                failures.push(Json::Obj(vec![
+                    ("experiment".into(), Json::str(exp.id())),
+                    ("variant".into(), Json::str("checkpoint")),
+                    ("point".into(), Json::str(&label)),
+                ]));
             }
-            t.row(&row);
         }
         print!("{}", t.render());
         println!();
 
         // Stream-level pass: one reception checkpoint, restored under
-        // every backend, streams diffed event by event.
-        let mut event_base = base.clone();
-        event_base.driver = Driver::Event;
-        event_base.checkpoint = None;
-        let run = CapacityRun::from_scenario(&event_base, 13.8, false);
+        // the event driver and the bool spec, streams diffed event by
+        // event.
+        let run = CapacityRun::from_scenario(&plain, 13.8, false);
         let arm = RxArm {
             scheme: base.ppr_scheme(),
             postamble: true,

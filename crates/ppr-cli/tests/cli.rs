@@ -62,6 +62,20 @@ fn malformed_set_pairs_are_rejected() {
 }
 
 #[test]
+fn removed_driver_axis_is_an_unknown_key() {
+    // One reception driver remains, so `driver` is no scenario key: it
+    // must be refused up front, not ignored or crash the run.
+    let out = ppr_cli(&["run", "fig10", "--set", "driver=timestep"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("unknown scenario key \"driver\"") && err.contains("valid keys"),
+        "{err}"
+    );
+    assert!(stdout(&out).is_empty(), "ran despite the bad key");
+}
+
+#[test]
 fn nothing_to_run_is_an_error() {
     let out = ppr_cli(&["run"]);
     assert_eq!(out.status.code(), Some(2));

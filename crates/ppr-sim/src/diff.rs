@@ -1,6 +1,7 @@
-//! The differential harness: restore one frozen checkpoint under every
-//! backend/driver/kernel combination and diff the resulting
-//! [`Reception`] streams event by event.
+//! The differential harness: restore one frozen checkpoint under the
+//! event driver and under the bool spec, on whatever kernels this
+//! process selected, and diff the resulting [`Reception`] streams event
+//! by event.
 //!
 //! One-shot parity tests compare two fixed implementations on one
 //! input. This module turns parity into *continuous cross-validation*:
@@ -8,23 +9,21 @@
 //! ([`crate::network::snapshot_after_events`]), and the identical
 //! serialized state is completed under
 //!
-//! * the event-driven packed driver,
-//! * the time-stepped packed driver, and
+//! * the event-driven packed driver, and
 //! * the sequential `&[bool]` reference (the executable specification),
 //!
 //! after which [`first_divergence`] reports the first stream position
-//! where any combination disagrees with the baseline — down to the
-//! `(transmission, receiver)` pair, its completion chip time, and the
-//! first differing field. The SIMD axis cannot be toggled in-process
-//! (kernel selection is cached once from `PPR_NO_SIMD`), so it is
-//! compared *across* processes: [`stream_fingerprint`] gives a stable
-//! 64-bit digest of a reception stream that `ppr-cli diff` prints, and
-//! CI runs the whole matrix twice — default and `PPR_NO_SIMD=1` — and
-//! compares the printed fingerprints.
+//! where the two disagree — down to the `(transmission, receiver)`
+//! pair, its completion chip time, and the first differing field. The
+//! SIMD axis cannot be toggled in-process (kernel selection is cached
+//! once from `PPR_NO_SIMD`), so it is compared *across* processes:
+//! [`stream_fingerprint`] gives a stable 64-bit digest of a reception
+//! stream that `ppr-cli diff` prints, and CI runs the pass twice —
+//! default and `PPR_NO_SIMD=1` — and compares the printed fingerprints.
 
 use crate::network::{
-    resume_receptions_reference, resume_receptions_timestep, RadioEnv, Reception, ReceptionDriver,
-    RxArm, SimConfig, Transmission,
+    resume_receptions_reference, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig,
+    Transmission,
 };
 use crate::results::fingerprint;
 use crate::snapshot::{encode_reception, RxSnapshot, SnapError, SnapWriter};
@@ -35,9 +34,6 @@ pub use ppr_phy::simd::active_kernel_signature;
 pub enum DiffBackend {
     /// The event-driven packed driver.
     Event,
-    /// The time-stepped packed driver (receiver-major walk, no event
-    /// queue).
-    Timestep,
     /// The sequential `&[bool]` reference implementation.
     Reference,
 }
@@ -47,21 +43,16 @@ impl DiffBackend {
     pub fn label(&self) -> String {
         match self {
             DiffBackend::Event => "event",
-            DiffBackend::Timestep => "timestep",
             DiffBackend::Reference => "reference/bool",
         }
         .to_string()
     }
 }
 
-/// The default cross-validation matrix: the event driver as baseline,
-/// the time-stepped driver, and the bool reference.
+/// The default cross-validation pair: the event driver as baseline,
+/// then the bool reference.
 pub fn standard_backends() -> Vec<DiffBackend> {
-    vec![
-        DiffBackend::Event,
-        DiffBackend::Timestep,
-        DiffBackend::Reference,
-    ]
+    vec![DiffBackend::Event, DiffBackend::Reference]
 }
 
 /// Completes a restored checkpoint under one backend, returning the
@@ -78,7 +69,6 @@ pub fn resume_receptions(
         DiffBackend::Event => {
             ReceptionDriver::restore(env, cfg, timeline, arm, snap).map(|d| d.run_to_end())
         }
-        DiffBackend::Timestep => resume_receptions_timestep(env, cfg, timeline, arm, snap),
         DiffBackend::Reference => resume_receptions_reference(env, cfg, timeline, arm, snap),
     }
 }
@@ -349,6 +339,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         let labels: Vec<String> = standard_backends().iter().map(|b| b.label()).collect();
-        assert_eq!(labels, ["event", "timestep", "reference/bool"]);
+        assert_eq!(labels, ["event", "reference/bool"]);
     }
 }

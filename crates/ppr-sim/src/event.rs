@@ -73,7 +73,7 @@ pub mod prio {
     pub const NODE_FAULT: u32 = 5;
 
     /// Timeline generator: a packet arrival (processed before attempts
-    /// at the same chip, matching the legacy heap's `Ev` ordering).
+    /// at the same chip).
     pub const ARRIVAL: u32 = 0;
     /// Timeline generator: a CSMA transmit attempt.
     pub const ATTEMPT: u32 = 1;

@@ -8,13 +8,11 @@
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions, process_receptions_checkpointed,
-    process_receptions_timestep, resume_receptions_timestep, snapshot_after_events, RadioEnv,
+    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
     Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
 use crate::rxpath::Acquisition;
-use crate::scenario::{Driver, Scenario, DEFAULT_SEED};
-use crate::snapshot::RxSnapshot;
+use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
 
 /// One standard capacity run: environment + timeline, reusable across
@@ -26,8 +24,6 @@ pub struct CapacityRun {
     pub cfg: SimConfig,
     /// The generated transmission timeline.
     pub timeline: Vec<Transmission>,
-    /// Which reception driver evaluates the arms.
-    pub driver: Driver,
     /// Snapshot/restore exercise point (`None` = run uninterrupted).
     pub checkpoint: Option<u64>,
 }
@@ -43,12 +39,12 @@ impl CapacityRun {
             duration_s,
             seed: DEFAULT_SEED,
         };
-        Self::from_config(cfg, Testbed::fig7(), Driver::Event, None)
+        Self::from_config(cfg, Testbed::fig7(), None)
     }
 
     /// Builds a run for a scenario at the experiment's canonical load
     /// and carrier-sense arm (both subject to the scenario's
-    /// overrides), on the scenario's topology and driver.
+    /// overrides), on the scenario's topology.
     pub fn from_scenario(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Self {
         // The random-geometric square is sized for the *communication*
         // radius — the range at which a mean-power link still clears the
@@ -57,57 +53,33 @@ impl CapacityRun {
         Self::from_config(
             scenario.sim_config(load_kbps, carrier_sense),
             scenario.topology.testbed(comm_radius_m),
-            scenario.driver,
             scenario.checkpoint,
         )
     }
 
-    fn from_config(
-        cfg: SimConfig,
-        testbed: Testbed,
-        driver: Driver,
-        checkpoint: Option<u64>,
-    ) -> Self {
+    fn from_config(cfg: SimConfig, testbed: Testbed, checkpoint: Option<u64>) -> Self {
         let env = RadioEnv::with_testbed(cfg.seed, testbed);
         let timeline = generate_timeline(&env, &cfg);
         CapacityRun {
             env,
             cfg,
             timeline,
-            driver,
             checkpoint,
         }
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
-    /// run's driver (event-driven by default; the time-stepped pinned
-    /// reference under `driver=timestep`). Both produce bit-identical
-    /// [`Reception`] streams — `tests/event_parity.rs` pins it.
+    /// event driver.
     ///
     /// With a `checkpoint` set, the run is driven to that event
-    /// boundary by the event core, serialized through the binary
-    /// snapshot format, and completed under the run's driver — still
-    /// bit-identical, which `tests/snapshot_roundtrip.rs` pins for the
-    /// whole registry.
+    /// boundary, serialized through the binary snapshot format, and
+    /// completed from the parsed bytes — still bit-identical, which
+    /// `tests/snapshot_roundtrip.rs` pins for the whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
         let (env, cfg, timeline) = (&self.env, &self.cfg, &self.timeline);
-        match (self.driver, self.checkpoint) {
-            (Driver::Event, None) => process_receptions(env, cfg, timeline, arm),
-            (Driver::Event, Some(events)) => {
-                process_receptions_checkpointed(env, cfg, timeline, arm, events)
-            }
-            (Driver::Timestep, None) => process_receptions_timestep(env, cfg, timeline, arm),
-            (Driver::Timestep, Some(events)) => {
-                // The checkpoint is always taken by the event core (the
-                // timestep loop has no event counter); the *resume*
-                // runs the time-stepped reference — cross-driver resume
-                // in one run.
-                let bytes = snapshot_after_events(env, cfg, timeline, arm, events);
-                let snap =
-                    RxSnapshot::from_bytes(&bytes).expect("reception snapshot bytes round-trip");
-                resume_receptions_timestep(env, cfg, timeline, arm, &snap)
-                    .expect("reception snapshot resumes against its own run")
-            }
+        match self.checkpoint {
+            None => process_receptions(env, cfg, timeline, arm),
+            Some(events) => process_receptions_checkpointed(env, cfg, timeline, arm, events),
         }
     }
 }

@@ -20,8 +20,8 @@
 //! * [`spatial`] — uniform-grid interference sharding for mesh-scale
 //!   dispatch.
 //! * [`traffic`] — Poisson packet arrivals.
-//! * [`network`] — timeline generation + reception processing (event
-//!   driven, with the time-stepped loop kept as a pinned reference).
+//! * [`network`] — timeline generation + reception processing (one
+//!   event-driven driver, held to a sequential `&[bool]` spec).
 //! * [`rxpath`] — known-offset delimiter checks + `ppr-mac` decode.
 //! * [`metrics`] — CDF/CCDF and hint-statistics collectors.
 //! * [`env`](mod@env) — `PPR_DURATION` / `PPR_THREADS` parsing, in one
@@ -31,7 +31,7 @@
 //! * [`snapshot`] — versioned binary checkpoints of simulator state
 //!   (resume bit-identically, in this process or another).
 //! * [`diff`] — the differential harness: restore one checkpoint under
-//!   every backend/driver combination and diff the reception streams.
+//!   the event driver and the bool spec and diff the reception streams.
 //! * [`results`] — typed experiment results with text and JSON
 //!   rendering.
 //! * [`experiments`] — Fig. 3 through Fig. 16 and Tables 1–2, each an

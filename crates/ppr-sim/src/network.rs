@@ -22,21 +22,19 @@
 //! *identical* channel noise — the paper's "same trace, post-processed"
 //! methodology.
 //!
-//! Both stages now run over the discrete-event core ([`crate::event`]):
+//! Both stages run over the discrete-event core ([`crate::event`]):
 //! the timeline generator schedules arrival/attempt events, and
-//! [`process_receptions`] drives transmission-start / reception-complete
-//! events through a [`crate::event::BinaryHeapQueue`]. The legacy
-//! implementations are kept verbatim as pinned references —
-//! [`generate_timeline_reference`] (the inline heap) and
-//! [`process_receptions_timestep`] (the time-stepped loop) — and
-//! `tests/event_parity.rs` holds all of them bit-identical.
+//! [`ReceptionDriver`] drives transmission-start / reception-complete
+//! events through a [`crate::event::BinaryHeapQueue`].
 //!
-//! ## Why the drivers agree
+//! ## Why the driver agrees with the spec
 //!
-//! Every driver runs on the calling thread (parallelism lives one level
-//! up, in `ppr-cli`'s experiment pool). They produce the same stream as
-//! the sequential reference ([`process_receptions_reference`]) however
-//! they batch or order the work, because:
+//! [`process_receptions_reference`] is the executable specification: a
+//! sequential receiver-major walk over `&[bool]` chip vectors, with no
+//! event queue and no packed words. The event driver visits the same
+//! receptions in time order instead, on the calling thread (parallelism
+//! lives one level up, in `ppr-cli`'s experiment pool), and still
+//! produces the spec's stream, because:
 //!
 //! 1. every reception draws its channel noise from its own RNG stream
 //!    seeded by `(seed, tx id, receiver)` — no RNG is shared between
@@ -49,8 +47,8 @@
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
-//! `tests/packed_parity.rs` and `tests/event_parity.rs` pin the
-//! equalities.
+//! `tests/packed_parity.rs` pins the equality on whole runs, and the
+//! differential harness ([`crate::diff`]) on resumed checkpoints.
 
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
@@ -66,7 +64,7 @@ use ppr_phy::chips::ChipWords;
 use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Simulation parameters for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,15 +248,6 @@ fn cca_threshold_mw() -> f64 {
     10f64.powf(-77.0 / 10.0)
 }
 
-/// Event kinds in the timeline generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// A new packet arrives at the sender's queue.
-    Arrival,
-    /// The sender tries to transmit the head of its queue.
-    Attempt,
-}
-
 /// Generates the transmission timeline for one run.
 ///
 /// Each sender holds a FIFO of arrived-but-unsent packets. An arrival
@@ -271,12 +260,10 @@ enum Ev {
 ///
 /// Runs over the discrete-event core: arrivals and attempts are
 /// [`SimEvent`]s in a [`BinaryHeapQueue`], with the priority word
-/// encoding `(class, sender)` so the pop order reproduces the legacy
-/// `(time, Ev, sender)` heap key exactly —
-/// [`generate_timeline_reference`] is the pinned legacy implementation
-/// and `tests/event_parity.rs` holds the two bit-identical (the
-/// generator shares one RNG across senders, so pop *order* is
-/// bit-visible in the output).
+/// encoding `(class, sender)` — at equal times arrivals pop before
+/// attempts, and lower senders first. The generator shares one RNG
+/// across senders, so pop *order* is bit-visible in the output; the
+/// registry's golden fingerprints pin it.
 pub fn generate_timeline(env: &RadioEnv, cfg: &SimConfig) -> Vec<Transmission> {
     let ns = env.testbed.senders.len();
     let frame_chips = Frame::chips_len_for_body(cfg.body_bytes) as u64;
@@ -380,83 +367,6 @@ pub fn generate_timeline(env: &RadioEnv, cfg: &SimConfig) -> Vec<Transmission> {
     timeline
 }
 
-/// The legacy inline-heap timeline generator, kept verbatim as the
-/// pinned reference for [`generate_timeline`]'s event-core rework
-/// (`tests/event_parity.rs` holds the two bit-identical).
-pub fn generate_timeline_reference(env: &RadioEnv, cfg: &SimConfig) -> Vec<Transmission> {
-    let ns = env.testbed.senders.len();
-    let frame_chips = Frame::chips_len_for_body(cfg.body_bytes) as u64;
-    let horizon = secs_to_chips(cfg.duration_s);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0xA24B_AED4).wrapping_add(7));
-
-    let mut arrivals: Vec<PoissonArrivals> = (0..ns)
-        .map(|_| PoissonArrivals::new(cfg.load_kbps, cfg.body_bytes, &mut rng))
-        .collect();
-    let mut backlog = vec![0u32; ns];
-    let mut attempt_scheduled = vec![false; ns];
-    let mut next_free = vec![0u64; ns];
-    let mut seqs = vec![0u16; ns];
-
-    // Min-heap of (time, event, sender) via Reverse ordering. The event
-    // kind is part of the key so ordering is fully deterministic.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, Ev, usize)>> = BinaryHeap::new();
-    for (s, a) in arrivals.iter().enumerate() {
-        heap.push(std::cmp::Reverse((a.peek(), Ev::Arrival, s)));
-    }
-
-    let mut timeline: Vec<Transmission> = Vec::new();
-    let mut next_id = 0u64;
-
-    while let Some(std::cmp::Reverse((t, ev, s))) = heap.pop() {
-        if t >= horizon {
-            continue;
-        }
-        match ev {
-            Ev::Arrival => {
-                backlog[s] += 1;
-                arrivals[s].pop(&mut rng);
-                heap.push(std::cmp::Reverse((arrivals[s].peek(), Ev::Arrival, s)));
-                if !attempt_scheduled[s] {
-                    attempt_scheduled[s] = true;
-                    let at = t.max(next_free[s]);
-                    heap.push(std::cmp::Reverse((at, Ev::Attempt, s)));
-                }
-            }
-            Ev::Attempt => {
-                debug_assert!(backlog[s] > 0);
-                let at = t.max(next_free[s]);
-                if at > t {
-                    heap.push(std::cmp::Reverse((at, Ev::Attempt, s)));
-                    continue;
-                }
-                if cfg.carrier_sense && channel_busy(env, &timeline, s, at, frame_chips) {
-                    let retry = at + csma_backoff_chips(&mut rng);
-                    heap.push(std::cmp::Reverse((retry, Ev::Attempt, s)));
-                    continue;
-                }
-                timeline.push(Transmission {
-                    id: next_id,
-                    sender: s,
-                    seq: seqs[s],
-                    start_chip: at,
-                    len_chips: frame_chips,
-                });
-                next_id += 1;
-                seqs[s] = seqs[s].wrapping_add(1);
-                next_free[s] = at + frame_chips + 320; // 160 µs turnaround
-                backlog[s] -= 1;
-                if backlog[s] > 0 {
-                    heap.push(std::cmp::Reverse((next_free[s], Ev::Attempt, s)));
-                } else {
-                    attempt_scheduled[s] = false;
-                }
-            }
-        }
-    }
-    timeline.sort_by_key(|t| t.start_chip);
-    timeline
-}
-
 /// Does sender `s` hear an ongoing transmission at time `t`?
 fn channel_busy(
     env: &RadioEnv,
@@ -553,11 +463,9 @@ struct PreparedRx {
     pre_hit: bool,
 }
 
-/// Default prepare/decode batch length of [`ReceptionDriver`]: how many
-/// receptions it prepares (or decodes) before folding them in. The
-/// length never changes a result; it only moves which work a checkpoint
-/// epoch has already done. The name predates the removal of the
-/// reception worker threads and is kept for existing callers.
+/// Ignored by [`ReceptionDriver::new`], which prepares each reception
+/// when its transmission starts and decodes it when it completes.
+/// Exported only because `perfbench/` still passes it.
 pub const BATCH_PER_WORKER: usize = 8;
 
 /// Evaluates every transmission at every receiver under one arm.
@@ -565,9 +473,8 @@ pub const BATCH_PER_WORKER: usize = 8;
 /// This is the event-driven fast path: transmission starts and
 /// reception completions flow through a [`BinaryHeapQueue`] (total
 /// `(time, priority, seq)` order) and chip streams are bit-packed
-/// [`ChipWords`] end to end. Output is bit-identical to both the
-/// time-stepped loop ([`process_receptions_timestep`]) and the
-/// sequential reference ([`process_receptions_reference`]).
+/// [`ChipWords`] end to end. Output is bit-identical to the sequential
+/// `&[bool]` spec ([`process_receptions_reference`]).
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -616,14 +523,15 @@ pub fn snapshot_after_events(
 /// to completion ([`ReceptionDriver::run_to_end`]), or to an event
 /// boundary ([`ReceptionDriver::run_events`]), checkpoint it
 /// ([`ReceptionDriver::save`]) and continue later — in this process or
-/// another — via [`ReceptionDriver::restore`]. A checkpointed run is
-/// bit-identical to an uninterrupted one: a save flushes the pending
-/// prepare/decode batches, which only moves work between batches — the
-/// busy/idle fold stays in event-pop order (= timeline order per
-/// receiver), completion keys keep their relative `seq` order within
-/// the `(time, priority)` class, and output slots are fixed by the
-/// receiver-major job table. Batch boundaries are pinned as
-/// result-invariant by `tests/event_parity.rs`.
+/// another — via [`ReceptionDriver::restore`].
+///
+/// A `TxStart` prepares the transmission's capture at every receiver
+/// that can hear it, folds each receiver's busy/idle state (event-pop
+/// order = timeline order per receiver) and schedules the completion;
+/// a `ReceptionComplete` decodes into the job's fixed receiver-major
+/// slot. Every event finishes its work before the next one pops, so a
+/// checkpoint at any event boundary holds only queue + slots + busy
+/// horizons + in-flight captures.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
@@ -632,9 +540,6 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: rebuilt — squelch-passing receiver set per sender,
     /// derived from the frozen link gains.
     receivers_of: Vec<Vec<usize>>,
-    /// snapshot: rebuilt — execution knob (batch sizing), never
-    /// simulation state; results are invariant to it.
-    batch_len: usize,
     /// snapshot: serialized — every scheduled event with its key
     /// verbatim, plus the queue's push/dispatch counters.
     q: BinaryHeapQueue<SimEvent>,
@@ -651,29 +556,21 @@ pub struct ReceptionDriver<'a> {
     /// the prepared frame and corrupted chips are reconstructed on
     /// restore from the stored stream position.
     in_flight: BTreeMap<usize, (RxJob, PreparedRx, bool)>,
-    /// snapshot: drained — a save flushes the prepare batch first
-    /// (result-invariant; see the type docs), so it is always empty in
-    /// the byte format.
-    prep_batch: Vec<RxJob>,
-    /// snapshot: drained — a save flushes the decode batch into `out`
-    /// first, so it is always empty in the byte format.
-    decode_batch: Vec<(RxJob, PreparedRx, bool)>,
     // ppr-lint: region(snapshot-state) end
 }
 
 impl<'a> ReceptionDriver<'a> {
     /// Builds a driver at event zero (nothing dispatched, the full
-    /// timeline scheduled). `batch_per_worker` is the prepare/decode
-    /// batch length (see [`BATCH_PER_WORKER`]). `_workers` is ignored:
-    /// the driver runs on the calling thread, and the argument stays
-    /// only so existing callers keep compiling.
+    /// timeline scheduled). The last two arguments are ignored: the
+    /// driver runs on the calling thread, one event at a time, and they
+    /// stay only so existing callers (`perfbench/`) keep compiling.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
         arm: &'a RxArm,
         _workers: Option<usize>,
-        batch_per_worker: usize,
+        _batch: usize,
     ) -> Self {
         let pipe = RxPipeline::new(env, cfg, timeline, arm);
         let nr = env.testbed.receivers.len();
@@ -692,8 +589,8 @@ impl<'a> ReceptionDriver<'a> {
             .collect();
 
         // Receiver-major output slots: slot bases per receiver, filled
-        // in timeline order as TxStart events pop — the reference
-        // evaluation order, independent of batch boundaries.
+        // in timeline order as TxStart events pop — the spec's
+        // evaluation order.
         let mut count = vec![0usize; nr];
         for tx in timeline {
             for &r in &receivers_of[tx.sender] {
@@ -706,7 +603,6 @@ impl<'a> ReceptionDriver<'a> {
         }
         let total_jobs = base[nr];
         let next_slot: Vec<usize> = base[..nr].to_vec();
-        let batch_len = batch_per_worker.max(1);
 
         // Timeline is (start_chip, id)-ordered, so scheduling in index
         // order makes `seq` reproduce timeline order at equal start
@@ -725,87 +621,55 @@ impl<'a> ReceptionDriver<'a> {
         ReceptionDriver {
             pipe,
             receivers_of,
-            batch_len,
             q,
             out,
             busy_until: vec![0u64; nr],
             next_slot,
             // Captures awaiting their completion event, keyed by output
-            // slot. Bounded by what is actually on the air plus one
-            // batch — the event-driven analogue of the time-stepped
-            // loop's batch bound.
+            // slot: bounded by what is actually on the air.
             in_flight: BTreeMap::new(),
-            prep_batch: Vec::with_capacity(batch_len),
-            decode_batch: Vec::with_capacity(batch_len),
         }
     }
 
-    /// Prepares the batch, folds the busy/idle state in event-pop order
-    /// (= timeline order per receiver), then schedules completions.
-    fn flush_prepare(&mut self) {
-        let timeline = self.pipe.timeline;
-        for job in self.prep_batch.drain(..) {
-            let prep = self.pipe.prepare(&job);
-            let tx = &timeline[job.idx];
-            let idle = self.busy_until[job.r] <= tx.start_chip;
-            if idle && prep.pre_hit {
-                self.busy_until[job.r] = tx.end_chip();
-            }
-            self.q.schedule(
-                tx.end_chip(),
-                priority(prio::RECEPTION, 0),
-                SimEvent::ReceptionComplete {
-                    tx: job.idx,
-                    receiver: job.r,
-                    slot: job.slot,
-                },
-            );
-            self.in_flight.insert(job.slot, (job, prep, idle));
-        }
-    }
-
-    /// Decodes the batch into the fixed output slots.
-    fn flush_decode(&mut self) {
-        for (job, prep, idle) in self.decode_batch.drain(..) {
-            self.out[job.slot] = Some(self.pipe.finish(&job, &prep, idle));
-        }
-    }
-
-    /// Dispatches the next event (or, once the queue drains, performs a
-    /// final batch flush). Returns `false` when the run is complete.
+    /// Dispatches the next event. Returns `false` when the run is
+    /// complete.
     fn step(&mut self) -> bool {
         match self.q.pop() {
             Some((_, SimEvent::TxStart { tx: idx })) => {
-                for &r in &self.receivers_of[self.pipe.timeline[idx].sender] {
-                    let slot = self.next_slot[r];
+                let tx = &self.pipe.timeline[idx];
+                for &r in &self.receivers_of[tx.sender] {
+                    let job = RxJob {
+                        r,
+                        idx,
+                        slot: self.next_slot[r],
+                    };
                     self.next_slot[r] += 1;
-                    self.prep_batch.push(RxJob { r, idx, slot });
-                }
-                if self.prep_batch.len() >= self.batch_len {
-                    self.flush_prepare();
+                    let prep = self.pipe.prepare(&job);
+                    let idle = self.busy_until[r] <= tx.start_chip;
+                    if idle && prep.pre_hit {
+                        self.busy_until[r] = tx.end_chip();
+                    }
+                    self.q.schedule(
+                        tx.end_chip(),
+                        priority(prio::RECEPTION, 0),
+                        SimEvent::ReceptionComplete {
+                            tx: idx,
+                            receiver: r,
+                            slot: job.slot,
+                        },
+                    );
+                    self.in_flight.insert(job.slot, (job, prep, idle));
                 }
             }
             Some((_, SimEvent::ReceptionComplete { slot, .. })) => {
-                let entry = self
+                let (job, prep, idle) = self
                     .in_flight
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
-                self.decode_batch.push(entry);
-                if self.decode_batch.len() >= self.batch_len {
-                    self.flush_decode();
-                }
+                self.out[slot] = Some(self.pipe.finish(&job, &prep, idle));
             }
             Some((_, ev)) => unreachable!("unexpected {ev:?} in the testbed driver"),
-            None => {
-                if !self.prep_batch.is_empty() {
-                    self.flush_prepare();
-                    return true; // the flush scheduled completion events
-                }
-                if !self.decode_batch.is_empty() {
-                    self.flush_decode();
-                }
-                return false;
-            }
+            None => return false,
         }
         true
     }
@@ -835,16 +699,9 @@ impl<'a> ReceptionDriver<'a> {
             .collect()
     }
 
-    /// Checkpoints the driver. Flushes the pending batches first (see
-    /// the type docs for why that is bit-identical), so the snapshot
-    /// carries only queue + slots + busy horizons + in-flight captures.
-    pub fn save(&mut self) -> RxSnapshot {
-        if !self.prep_batch.is_empty() {
-            self.flush_prepare();
-        }
-        if !self.decode_batch.is_empty() {
-            self.flush_decode();
-        }
+    /// Checkpoints the driver: queue + slots + busy horizons + in-flight
+    /// captures (each as its RNG stream position).
+    pub fn save(&self) -> RxSnapshot {
         let (queue, next_seq, dispatched) = self.q.save_state();
         let cfg = self.pipe.cfg;
         let in_flight = self
@@ -885,8 +742,11 @@ impl<'a> ReceptionDriver<'a> {
     }
 
     /// Rebuilds a driver from a checkpoint, validating the snapshot's
-    /// identity fields against the run inputs and reconstructing every
-    /// in-flight capture from its stored RNG stream position.
+    /// identity fields and every cross-reference of its progress state
+    /// against the run inputs, then reconstructing every in-flight
+    /// capture from its stored RNG stream position. A snapshot that
+    /// passes its checksum but contradicts itself is
+    /// [`SnapError::Corrupt`], never a panic.
     pub fn restore(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -896,43 +756,7 @@ impl<'a> ReceptionDriver<'a> {
     ) -> Result<Self, SnapError> {
         validate_rx_identity(env, cfg, timeline, arm, snap)?;
         let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
-        let nr = env.testbed.receivers.len();
-        let total_jobs = driver.out.len();
-        if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
-            return Err(SnapError::Corrupt(format!(
-                "per-receiver tables sized {}/{} for {nr} receivers",
-                snap.busy_until.len(),
-                snap.next_slot.len()
-            )));
-        }
-        if snap.out.len() != total_jobs {
-            return Err(SnapError::Corrupt(format!(
-                "slot table holds {} slots, run inputs produce {total_jobs}",
-                snap.out.len()
-            )));
-        }
-        for (key, ev) in &snap.queue {
-            let ok = match *ev {
-                SimEvent::TxStart { tx } => tx < timeline.len(),
-                SimEvent::ReceptionComplete { tx, receiver, slot } => {
-                    tx < timeline.len() && receiver < nr && slot < total_jobs
-                }
-                _ => false,
-            };
-            if !ok || key.seq >= snap.next_seq {
-                return Err(SnapError::Corrupt(format!(
-                    "queue entry {key:?} {ev:?} out of bounds"
-                )));
-            }
-        }
-        for f in &snap.in_flight {
-            if f.receiver >= nr || f.tx_index >= timeline.len() || f.slot >= total_jobs {
-                return Err(SnapError::Corrupt(format!(
-                    "in-flight capture ({}, {}, {}) out of bounds",
-                    f.receiver, f.tx_index, f.slot
-                )));
-            }
-        }
+        driver.check_progress(snap)?;
         driver.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
         driver.busy_until = snap.busy_until.clone();
         driver.next_slot = snap.next_slot.clone();
@@ -949,6 +773,117 @@ impl<'a> ReceptionDriver<'a> {
             driver.in_flight.insert(job.slot, (job, prep, f.idle));
         }
         Ok(driver)
+    }
+
+    /// Checks that `snap`'s progress state is one this driver (fresh, at
+    /// event zero) can reach: the pending `TxStart`s are exactly the
+    /// not-yet-started suffix of the timeline, each `next_slot` matches
+    /// the started prefix, every queued `ReceptionComplete` has exactly
+    /// one in-flight capture for the same (slot, receiver, tx) job, and
+    /// every started slot is either decoded or in flight — never both,
+    /// and no unstarted slot is either. Anything else is
+    /// [`SnapError::Corrupt`], so a resealed but inconsistent snapshot
+    /// cannot reach an index or an `expect` in the event loop.
+    fn check_progress(&self, snap: &RxSnapshot) -> Result<(), SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(what));
+        let timeline = self.pipe.timeline;
+        let nr = self.next_slot.len();
+        let total_jobs = self.out.len();
+        if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
+            return corrupt(format!(
+                "per-receiver tables sized {}/{} for {nr} receivers",
+                snap.busy_until.len(),
+                snap.next_slot.len()
+            ));
+        }
+        if snap.out.len() != total_jobs {
+            return corrupt(format!(
+                "slot table holds {} slots, run inputs produce {total_jobs}",
+                snap.out.len()
+            ));
+        }
+
+        // Queue entries: keys as the driver schedules them, starts
+        // distinct, completions keyed by slot.
+        let mut pending_start = vec![false; timeline.len()];
+        let mut completions: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+        for (key, ev) in &snap.queue {
+            let ok = key.seq < snap.next_seq
+                && match *ev {
+                    SimEvent::TxStart { tx } => {
+                        tx < timeline.len()
+                            && key.time == timeline[tx].start_chip
+                            && key.priority == priority(prio::TX_START, 0)
+                            && !std::mem::replace(&mut pending_start[tx], true)
+                    }
+                    SimEvent::ReceptionComplete { tx, receiver, slot } => {
+                        tx < timeline.len()
+                            && key.time == timeline[tx].end_chip()
+                            && key.priority == priority(prio::RECEPTION, 0)
+                            && completions.insert(slot, (receiver, tx)).is_none()
+                    }
+                    _ => false,
+                };
+            if !ok {
+                return corrupt(format!("queue entry {key:?} {ev:?} is inconsistent"));
+            }
+        }
+        let started = pending_start.iter().filter(|&&p| !p).count();
+        if pending_start[..started].iter().any(|&p| p) {
+            return corrupt("pending TxStarts are not the unstarted timeline suffix".into());
+        }
+
+        // The job table of the started prefix: slot -> (receiver, tx).
+        let mut next_slot = self.next_slot.clone();
+        let mut job_at: Vec<Option<(usize, usize)>> = vec![None; total_jobs];
+        for (idx, tx) in timeline[..started].iter().enumerate() {
+            for &r in &self.receivers_of[tx.sender] {
+                job_at[next_slot[r]] = Some((r, idx));
+                next_slot[r] += 1;
+            }
+        }
+        if next_slot != snap.next_slot {
+            return corrupt(format!(
+                "next slots {:?} disagree with the {started} started transmissions",
+                snap.next_slot
+            ));
+        }
+
+        // In-flight captures: one per queued completion, same job.
+        let mut in_flight = vec![false; total_jobs];
+        for f in &snap.in_flight {
+            let job = Some((f.receiver, f.tx_index));
+            if completions.remove(&f.slot) != job || job_at.get(f.slot) != Some(&job) {
+                return corrupt(format!(
+                    "in-flight capture ({}, {}) at slot {} matches no pending completion",
+                    f.receiver, f.tx_index, f.slot
+                ));
+            }
+            in_flight[f.slot] = true;
+        }
+        if let Some((slot, _)) = completions.first_key_value() {
+            return corrupt(format!(
+                "completion for slot {slot} has no in-flight capture"
+            ));
+        }
+
+        // Decoded slots: started and not in flight; every started slot
+        // is one or the other.
+        for (slot, rec) in snap.out.iter().enumerate() {
+            let ok = match job_at[slot] {
+                Some(_) => rec.is_some() != in_flight[slot],
+                None => rec.is_none(),
+            };
+            if !ok {
+                return corrupt(format!(
+                    "slot {slot} (started: {}) is decoded: {}, in flight: {}",
+                    job_at[slot].is_some(),
+                    rec.is_some(),
+                    in_flight[slot]
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -997,276 +932,9 @@ fn validate_rx_identity(
     Ok(())
 }
 
-/// The time-stepped loop that was the production path before the event
-/// core (PR 2–7), kept as a pinned reference for driver parity
-/// (`tests/event_parity.rs`) and selectable via the scenario
-/// `driver=timestep` axis: it walks the receiver-major job list with no
-/// event queue at all.
-pub fn process_receptions_timestep(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-) -> Vec<Reception> {
-    let pipe = RxPipeline::new(env, cfg, timeline, arm);
-    let jobs = receiver_major_jobs(&pipe);
-    let mut out = Vec::new();
-    out.resize_with(jobs.len(), || None);
-    let busy = vec![0u64; env.testbed.receivers.len()];
-    timestep_walk(&pipe, &jobs, out, busy, &BTreeMap::new())
-}
-
-/// The job list in the reference evaluation order: receiver-major, then
-/// timeline order, with each job's slot its position in the list.
-/// Below-squelch links never acquire; they are skipped here exactly as
-/// the reference loop skips them.
-fn receiver_major_jobs(pipe: &RxPipeline) -> Vec<RxJob> {
-    let (env, timeline) = (pipe.env, pipe.timeline);
-    let mut jobs = Vec::new();
-    for r in 0..env.testbed.receivers.len() {
-        for (idx, tx) in timeline.iter().enumerate() {
-            if env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR {
-                let slot = jobs.len();
-                jobs.push(RxJob { r, idx, slot });
-            }
-        }
-    }
-    jobs
-}
-
-/// Evaluates every job whose slot in `out` is still empty, in job
-/// order, continuing each receiver's busy fold from `busy`. A job in
-/// `inflight` replays its capture from the stored RNG stream position
-/// with the busy/idle verdict the snapshot already folded in.
-fn timestep_walk(
-    pipe: &RxPipeline,
-    jobs: &[RxJob],
-    mut out: Vec<Option<Reception>>,
-    mut busy: Vec<u64>,
-    inflight: &BTreeMap<usize, &InFlightRx>,
-) -> Vec<Reception> {
-    for job in jobs {
-        if out[job.slot].is_some() {
-            continue;
-        }
-        let (prep, idle) = match inflight.get(&job.slot) {
-            Some(f) => (pipe.prepare_with(job, StdRng::from_state(f.rng)), f.idle),
-            None => {
-                let prep = pipe.prepare(job);
-                let tx = &pipe.timeline[job.idx];
-                let idle = busy[job.r] <= tx.start_chip;
-                if idle && prep.pre_hit {
-                    busy[job.r] = tx.end_chip();
-                }
-                (prep, idle)
-            }
-        };
-        out[job.slot] = Some(pipe.finish(job, &prep, idle));
-    }
-    out.into_iter()
-        .map(|r| r.expect("every slot decoded by the walk"))
-        .collect()
-}
-
-/// Completes a checkpointed run under the *time-stepped* driver: walks
-/// the receiver-major job list, copying slots the snapshot already
-/// decoded, replaying in-flight captures from their stored RNG stream
-/// positions (with the busy/idle verdict the snapshot resolved), and
-/// evaluating everything else exactly as [`process_receptions_timestep`]
-/// would — continuing each receiver's busy fold from the snapshot's
-/// horizon. The differential harness ([`crate::diff`]) holds this
-/// bit-identical to the event driver's resume.
-pub fn resume_receptions_timestep(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    snap: &RxSnapshot,
-) -> Result<Vec<Reception>, SnapError> {
-    validate_rx_identity(env, cfg, timeline, arm, snap)?;
-    let pipe = RxPipeline::new(env, cfg, timeline, arm);
-    let nr = env.testbed.receivers.len();
-    let jobs = receiver_major_jobs(&pipe);
-
-    if snap.out.len() != jobs.len() || snap.busy_until.len() != nr {
-        return Err(SnapError::Corrupt(format!(
-            "slot table holds {} slots / {} horizons, run inputs produce {} / {nr}",
-            snap.out.len(),
-            snap.busy_until.len(),
-            jobs.len()
-        )));
-    }
-    let mut inflight: BTreeMap<usize, &InFlightRx> = BTreeMap::new();
-    for f in &snap.in_flight {
-        let job = jobs.get(f.slot).ok_or_else(|| {
-            SnapError::Corrupt(format!(
-                "in-flight capture at slot {} out of bounds",
-                f.slot
-            ))
-        })?;
-        if job.r != f.receiver || job.idx != f.tx_index {
-            return Err(SnapError::IdentityMismatch(format!(
-                "in-flight capture ({}, {}) at slot {} does not match the job table",
-                f.receiver, f.tx_index, f.slot
-            )));
-        }
-        inflight.insert(f.slot, f);
-    }
-    Ok(timestep_walk(
-        &pipe,
-        &jobs,
-        snap.out.clone(),
-        snap.busy_until.clone(),
-        &inflight,
-    ))
-}
-
-/// Completes a checkpointed run under the sequential `&[bool]`
-/// *reference* implementation — the executable specification — with the
-/// same slot semantics as [`resume_receptions_timestep`]. This is the
-/// strongest leg of the differential harness: a restored snapshot must
-/// finish identically under the packed SIMD pipeline and the plain
-/// bool-vector spec.
-pub fn resume_receptions_reference(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    snap: &RxSnapshot,
-) -> Result<Vec<Reception>, SnapError> {
-    validate_rx_identity(env, cfg, timeline, arm, snap)?;
-    let fast = FastRx::new(arm.postamble);
-    let noise = env.model.noise_mw();
-    let payload_len = arm.scheme.payload_len(cfg.body_bytes);
-    let nr = env.testbed.receivers.len();
-    if snap.busy_until.len() != nr {
-        return Err(SnapError::Corrupt(format!(
-            "{} busy horizons for {nr} receivers",
-            snap.busy_until.len()
-        )));
-    }
-    let inflight: BTreeMap<usize, &InFlightRx> =
-        snap.in_flight.iter().map(|f| (f.slot, f)).collect();
-
-    let mut out = Vec::with_capacity(snap.out.len());
-    let mut slot = 0usize;
-    for r in 0..nr {
-        let heard: Vec<HeardTx> = timeline
-            .iter()
-            .map(|tx| HeardTx {
-                id: tx.id,
-                start_chip: tx.start_chip,
-                len_chips: tx.len_chips,
-                power_mw: env.s2r_mw[tx.sender][r],
-            })
-            .collect();
-
-        let mut busy_until = snap.busy_until[r];
-        for (i, tx) in timeline.iter().enumerate() {
-            let signal = env.s2r_mw[tx.sender][r];
-            if signal / noise < SQUELCH_SNR {
-                continue;
-            }
-            let this_slot = slot;
-            slot += 1;
-            match snap.out.get(this_slot) {
-                Some(Some(rec)) => {
-                    out.push(rec.clone());
-                    continue;
-                }
-                Some(None) => {}
-                None => {
-                    return Err(SnapError::Corrupt(format!(
-                        "slot table holds {} slots, run inputs produce more",
-                        snap.out.len()
-                    )));
-                }
-            }
-
-            let payload = payload_pattern(tx.sender, tx.seq, payload_len);
-            let body = build_body_padded(&arm.scheme, &payload, cfg.body_bytes);
-            let frame = Frame::new(r as u16, tx.sender as u16, tx.seq, body.clone());
-            let chips = frame.chips();
-            let profile_spans = interference_profile(&heard[i], &heard);
-            let profile = ErrorProfile::from_interference(signal, noise, &profile_spans);
-
-            let resolved_idle = match inflight.get(&this_slot) {
-                Some(f) => {
-                    if f.receiver != r || f.tx_index != i {
-                        return Err(SnapError::IdentityMismatch(format!(
-                            "in-flight capture ({}, {}) at slot {this_slot} does not match \
-                             the job table",
-                            f.receiver, f.tx_index
-                        )));
-                    }
-                    Some((f.rng, f.idle))
-                }
-                None => None,
-            };
-            let mut rng = match resolved_idle {
-                Some((state, _)) => StdRng::from_state(state),
-                None => StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r)),
-            };
-            let corrupted = corrupt_chips(&chips, &profile, &mut rng);
-            let idle = match resolved_idle {
-                Some((_, idle)) => idle,
-                None => busy_until <= tx.start_chip,
-            };
-            let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
-            // The snapshot already folded in-flight verdicts into the
-            // busy horizon; only fresh evaluations advance it here.
-            if resolved_idle.is_none() && acq == Acquisition::Preamble {
-                busy_until = tx.end_chip();
-            }
-
-            let mut rec = Reception {
-                tx_id: tx.id,
-                sender: tx.sender,
-                receiver: r,
-                acquisition: acq,
-                payload_len,
-                delivered_correct: 0,
-                delivered_claimed: 0,
-                crc_ok: false,
-                symbol_hints: Vec::new(),
-                symbol_correct: Vec::new(),
-            };
-            if let Some(rx) = rx_frame {
-                rec.crc_ok = rx.pkt_crc_ok();
-                let delivered = arm.scheme.deliver(&rx);
-                rec.delivered_claimed = delivered.iter().map(|d| d.bytes.len()).sum();
-                rec.delivered_correct = correct_delivered_bytes(&delivered, &payload);
-                if arm.collect_symbols {
-                    if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
-                        let tx_symbols = bytes_to_symbols(&body);
-                        let body_range = g.body();
-                        let rx_syms =
-                            rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
-                        rec.symbol_correct = rx_syms
-                            .iter()
-                            .zip(&tx_symbols)
-                            .map(|(a, b)| a.symbol == *b)
-                            .collect();
-                        rec.symbol_hints = hints;
-                    }
-                }
-            }
-            out.push(rec);
-        }
-    }
-    if slot != snap.out.len() {
-        return Err(SnapError::Corrupt(format!(
-            "slot table holds {} slots, run inputs produce {slot}",
-            snap.out.len()
-        )));
-    }
-    Ok(out)
-}
-
-/// The shared per-(transmission, receiver) pipeline stages: everything
-/// both reception drivers do identically, so driver parity is about
-/// *orchestration* (event order, batching, slots) and never about the
-/// physics.
+/// The event driver's per-(transmission, receiver) pipeline stages:
+/// prepare (everything independent of the busy state) and finish
+/// (decode + delivery), over packed chip words.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
@@ -1382,8 +1050,7 @@ impl<'a> RxPipeline<'a> {
 
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`
 /// — one independent noise stream per (transmission, receiver) pair,
-/// which is what makes every driver's evaluation order irrelevant to
-/// its output.
+/// which is what makes the evaluation order irrelevant to the output.
 pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
     seed ^ (tx_id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((receiver as u64) << 56)
 }
@@ -1398,12 +1065,73 @@ pub fn process_receptions_reference(
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
+    let busy_until = vec![0u64; env.testbed.receivers.len()];
+    spec_walk(env, cfg, timeline, arm, &busy_until, &[], &BTreeMap::new())
+        .expect("the empty state has no in-flight captures to mismatch")
+}
+
+/// Completes a checkpointed run under the sequential `&[bool]` spec:
+/// slots the snapshot already decoded are copied, in-flight captures
+/// replay from their stored RNG stream positions with the busy/idle
+/// verdict the snapshot resolved, and everything else is evaluated as
+/// [`process_receptions_reference`] would — continuing each receiver's
+/// busy fold from the snapshot's horizon. The differential harness
+/// ([`crate::diff`]) holds this bit-identical to the event driver's
+/// resume.
+pub fn resume_receptions_reference(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    timeline: &[Transmission],
+    arm: &RxArm,
+    snap: &RxSnapshot,
+) -> Result<Vec<Reception>, SnapError> {
+    validate_rx_identity(env, cfg, timeline, arm, snap)?;
+    let nr = env.testbed.receivers.len();
+    if snap.busy_until.len() != nr {
+        return Err(SnapError::Corrupt(format!(
+            "{} busy horizons for {nr} receivers",
+            snap.busy_until.len()
+        )));
+    }
+    let in_flight: BTreeMap<usize, &InFlightRx> =
+        snap.in_flight.iter().map(|f| (f.slot, f)).collect();
+    let out = spec_walk(
+        env,
+        cfg,
+        timeline,
+        arm,
+        &snap.busy_until,
+        &snap.out,
+        &in_flight,
+    )?;
+    if out.len() != snap.out.len() {
+        return Err(SnapError::Corrupt(format!(
+            "slot table holds {} slots, run inputs produce {}",
+            snap.out.len(),
+            out.len()
+        )));
+    }
+    Ok(out)
+}
+
+/// The spec's receiver-major walk, from a resumable state: per-receiver
+/// busy horizons, slots already decoded (`decoded[slot]`; slots past
+/// its end count as undecoded), and in-flight captures by slot.
+fn spec_walk(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    timeline: &[Transmission],
+    arm: &RxArm,
+    busy_until: &[u64],
+    decoded: &[Option<Reception>],
+    in_flight: &BTreeMap<usize, &InFlightRx>,
+) -> Result<Vec<Reception>, SnapError> {
     let fast = FastRx::new(arm.postamble);
     let noise = env.model.noise_mw();
     let payload_len = arm.scheme.payload_len(cfg.body_bytes);
     let mut out = Vec::new();
 
-    for r in 0..env.testbed.receivers.len() {
+    for (r, &busy_from) in busy_until.iter().enumerate() {
         // Everything on the air contributes interference at r.
         let heard: Vec<HeardTx> = timeline
             .iter()
@@ -1415,13 +1143,18 @@ pub fn process_receptions_reference(
             })
             .collect();
 
-        let mut busy_until = 0u64;
+        let mut busy_until = busy_from;
         for (i, tx) in timeline.iter().enumerate() {
             let signal = env.s2r_mw[tx.sender][r];
             // Below the sensitivity squelch the radio never acquires;
             // skip (the transmission still interferes with others via
             // `heard`).
             if signal / noise < SQUELCH_SNR {
+                continue;
+            }
+            let slot = out.len();
+            if let Some(Some(rec)) = decoded.get(slot) {
+                out.push(rec.clone());
                 continue;
             }
 
@@ -1433,12 +1166,28 @@ pub fn process_receptions_reference(
             // Interference profile over this frame at this receiver.
             let profile_spans = interference_profile(&heard[i], &heard);
             let profile = ErrorProfile::from_interference(signal, noise, &profile_spans);
-            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
+            // An in-flight capture resumes its stored stream position
+            // and busy/idle verdict; the snapshot already folded that
+            // verdict into the busy horizon.
+            let resumed = match in_flight.get(&slot) {
+                Some(f) if f.receiver != r || f.tx_index != i => {
+                    return Err(SnapError::IdentityMismatch(format!(
+                        "in-flight capture ({}, {}) at slot {slot} does not match the job table",
+                        f.receiver, f.tx_index
+                    )));
+                }
+                Some(f) => Some((f.rng, f.idle)),
+                None => None,
+            };
+            let mut rng = match resumed {
+                Some((state, _)) => StdRng::from_state(state),
+                None => StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r)),
+            };
             let corrupted = corrupt_chips(&chips, &profile, &mut rng);
 
-            let idle = busy_until <= tx.start_chip;
+            let idle = resumed.map_or(busy_until <= tx.start_chip, |(_, idle)| idle);
             let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
-            if acq == Acquisition::Preamble {
+            if resumed.is_none() && acq == Acquisition::Preamble {
                 busy_until = tx.end_chip();
             }
 
@@ -1478,7 +1227,7 @@ pub fn process_receptions_reference(
             out.push(rec);
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,77 +1,20 @@
-//! Event-core parity: the discrete-event drivers must be bit-identical
-//! to the pinned time-stepped references, at every batch length.
+//! Event-core properties that no whole-run parity test covers:
 //!
-//! Three layers of the claim:
+//! 1. **Mesh resume inside a decode flush** — a checkpoint taken while
+//!    the mesh driver holds completed-but-undecoded receptions resumes
+//!    bit-identically.
+//! 2. **Spatial-index soundness** — the uniform grid's candidate set is
+//!    a superset of every link the propagation model can still close at
+//!    the noise floor.
 //!
-//! 1. **Timeline** — [`generate_timeline`] (event queue) vs
-//!    [`generate_timeline_reference`] (the original per-sender merge).
-//! 2. **Reception loop** — [`ReceptionDriver`] (event queue + batched
-//!    prepare/decode) vs [`process_receptions_timestep`] (the original
-//!    time-stepped loop), across batch lengths: the [`Reception`] stream
-//!    must not depend on them.
-//! 3. **Experiments** — every registry entry renders the same report
-//!    under `driver=event` and `driver=timestep`.
-//!
-//! Plus the spatial-index soundness property: the uniform grid's
-//! candidate set is a superset of every link the propagation model can
-//! still close at the noise floor.
+//! The testbed reception driver is held to the sequential `&[bool]`
+//! spec in `tests/packed_parity.rs` and `tests/differential.rs`.
 
 use ppr::channel::pathloss::PathLossModel;
-use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::experiments::registry;
 use ppr::sim::geometry::{Point, Testbed};
-use ppr::sim::network::{
-    generate_timeline, generate_timeline_reference, office_model, process_receptions_timestep,
-    RadioEnv, ReceptionDriver, RxArm, SimConfig,
-};
-use ppr::sim::scenario::{Driver, ScenarioBuilder};
+use ppr::sim::network::office_model;
 use ppr::sim::spatial::SpatialIndex;
 use proptest::prelude::*;
-
-fn cfg(load_kbps: f64, seed: u64) -> SimConfig {
-    SimConfig {
-        load_kbps,
-        body_bytes: 1500,
-        carrier_sense: false,
-        duration_s: 2.0,
-        seed,
-    }
-}
-
-#[test]
-fn timeline_event_core_matches_reference() {
-    for (load, cs, seed) in [(13.8, false, 1u64), (42.4, false, 2), (87.5, true, 3)] {
-        let mut c = cfg(load, seed);
-        c.carrier_sense = cs;
-        let env = RadioEnv::new(c.seed);
-        let a = generate_timeline(&env, &c);
-        let b = generate_timeline_reference(&env, &c);
-        assert_eq!(
-            a, b,
-            "timeline diverged at load {load}, cs {cs}, seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn event_driver_matches_timestep_at_every_batch_length() {
-    let c = cfg(42.4, 7);
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    assert!(!timeline.is_empty());
-    let arm = RxArm {
-        scheme: DeliveryScheme::Ppr { eta: 6 },
-        postamble: true,
-        collect_symbols: false,
-    };
-
-    let reference = process_receptions_timestep(&env, &c, &timeline, &arm);
-    assert!(!reference.is_empty());
-    for batch in [1usize, 4, 8, 32] {
-        let got = ReceptionDriver::new(&env, &c, &timeline, &arm, None, batch).run_to_end();
-        assert_eq!(got, reference, "event driver diverged at batch={batch}");
-    }
-}
 
 #[test]
 fn mesh_resume_inside_a_flush_window_is_bit_identical() {
@@ -120,41 +63,6 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
             .expect("mid-flush snapshot restores")
             .run_to_end();
         assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");
-    }
-}
-
-#[test]
-fn every_experiment_is_driver_invariant() {
-    // Short but complete pass over all 15 experiments under both
-    // drivers. `mesh10k` has no time-stepped path (it exists only on
-    // the event core) but runs under both scenario values all the same
-    // — the driver axis must not leak into it.
-    let build = |driver: Driver| {
-        ScenarioBuilder::new()
-            .duration_s(1.0)
-            .seed(0xD21)
-            .threads(1)
-            .arq_packets(10)
-            .relay_packets(15)
-            .mesh_nodes(300)
-            .driver(driver)
-            .build()
-    };
-    let (sc_event, sc_timestep) = (build(Driver::Event), build(Driver::Timestep));
-
-    let mut prior_e = Vec::new();
-    let mut prior_t = Vec::new();
-    for exp in registry() {
-        let re = exp.run_with(&sc_event, &prior_e);
-        let rt = exp.run_with(&sc_timestep, &prior_t);
-        assert_eq!(
-            re.render_text(),
-            rt.render_text(),
-            "driver changed the report of {}",
-            exp.id()
-        );
-        prior_e.push(re);
-        prior_t.push(rt);
     }
 }
 

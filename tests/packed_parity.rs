@@ -304,19 +304,24 @@ fn rollback_decode_parity() {
 
 /// End-to-end parity: the packed event-driven reception loop produces the
 /// exact `Reception` list of the sequential `&[bool]` reference, across
-/// schemes and postamble arms (including symbol-trace collection).
+/// schemes and postamble arms (including symbol-trace collection), on a
+/// light 200 B run and a dense 1500 B one.
 #[test]
 fn end_to_end_experiment_parity() {
-    let env = RadioEnv::new(1);
-    let cfg = SimConfig {
+    let light = SimConfig {
         load_kbps: 13.8,
         body_bytes: 200,
         carrier_sense: false,
         duration_s: 3.0,
         seed: 42,
     };
-    let timeline = generate_timeline(&env, &cfg);
-    assert!(!timeline.is_empty());
+    let dense = SimConfig {
+        load_kbps: 42.4,
+        body_bytes: 1500,
+        carrier_sense: false,
+        duration_s: 2.0,
+        seed: 7,
+    };
     let arms = [
         RxArm {
             scheme: DeliveryScheme::PacketCrc,
@@ -334,11 +339,19 @@ fn end_to_end_experiment_parity() {
             collect_symbols: false,
         },
     ];
-    for arm in &arms {
-        let reference = process_receptions_reference(&env, &cfg, &timeline, arm);
-        let packed = process_receptions(&env, &cfg, &timeline, arm);
-        assert_eq!(reference.len(), packed.len(), "{arm:?}");
-        assert_eq!(reference, packed, "{arm:?}");
+    for (env, cfg) in [
+        (RadioEnv::new(1), light),
+        (RadioEnv::new(dense.seed), dense),
+    ] {
+        let timeline = generate_timeline(&env, &cfg);
+        assert!(!timeline.is_empty());
+        for arm in &arms {
+            let reference = process_receptions_reference(&env, &cfg, &timeline, arm);
+            let packed = process_receptions(&env, &cfg, &timeline, arm);
+            assert!(!reference.is_empty(), "{cfg:?} {arm:?}");
+            assert_eq!(reference.len(), packed.len(), "{cfg:?} {arm:?}");
+            assert_eq!(reference, packed, "{cfg:?} {arm:?}");
+        }
     }
 }
 

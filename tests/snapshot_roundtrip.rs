@@ -8,21 +8,22 @@
 //!    uninterrupted event driver, property-tested across checkpoint
 //!    epochs and seeds.
 //! 2. **Experiments** — every registry entry renders the same report
-//!    with `checkpoint` set (under both drivers; the timestep driver
-//!    resumes an event-core snapshot, so this also pins cross-driver
-//!    resume).
+//!    with `checkpoint` set.
 //! 3. **The format itself** — a canonical snapshot's bytes are pinned
 //!    by fingerprint: any layout change must be deliberate and must
-//!    come with a `SNAPSHOT_VERSION` bump.
+//!    come with a `SNAPSHOT_VERSION` bump. Restoring a snapshot that
+//!    passes its checksum but contradicts itself is an error, never a
+//!    panic.
 
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::registry;
 use ppr::sim::network::{
-    generate_timeline, process_receptions, process_receptions_checkpointed, snapshot_after_events,
-    RadioEnv, ReceptionDriver, RxArm, SimConfig, BATCH_PER_WORKER,
+    generate_timeline, process_receptions, process_receptions_checkpointed,
+    resume_receptions_reference, snapshot_after_events, RadioEnv, ReceptionDriver, RxArm,
+    SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
-use ppr::sim::scenario::{Driver, ScenarioBuilder};
+use ppr::sim::scenario::ScenarioBuilder;
 use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot, SnapError, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 
@@ -72,7 +73,7 @@ proptest! {
         let env = RadioEnv::new(c.seed);
         let timeline = generate_timeline(&env, &c);
         let arm = arm();
-        let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, None, 1).run_to_end();
+        let reference = process_receptions(&env, &c, &timeline, &arm);
         let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         prop_assert_eq!(got, reference);
     }
@@ -82,38 +83,29 @@ proptest! {
 fn every_experiment_is_checkpoint_invariant() {
     // Short but complete pass over all registry experiments: the
     // rendered report must not change when the run snapshots and
-    // resumes mid-flight, under either driver.
-    let build = |driver: Driver, checkpoint: Option<u64>| {
-        let mut b = ScenarioBuilder::new()
-            .duration_s(1.0)
-            .seed(0xD21)
-            .threads(1)
-            .arq_packets(10)
-            .relay_packets(15)
-            .mesh_nodes(300)
-            .driver(driver);
-        if let Some(cp) = checkpoint {
-            b = b.checkpoint(cp);
-        }
-        b.build()
-    };
-    for driver in [Driver::Event, Driver::Timestep] {
-        let plain = build(driver, None);
-        let checked = build(driver, Some(120));
-        let mut prior_p = Vec::new();
-        let mut prior_c = Vec::new();
-        for exp in registry() {
-            let rp = exp.run_with(&plain, &prior_p);
-            let rc = exp.run_with(&checked, &prior_c);
-            assert_eq!(
-                rp.render_text(),
-                rc.render_text(),
-                "checkpoint changed the report of {} under driver={driver:?}",
-                exp.id()
-            );
-            prior_p.push(rp);
-            prior_c.push(rc);
-        }
+    // resumes mid-flight.
+    let builder = ScenarioBuilder::new()
+        .duration_s(1.0)
+        .seed(0xD21)
+        .threads(1)
+        .arq_packets(10)
+        .relay_packets(15)
+        .mesh_nodes(300);
+    let plain = builder.clone().build();
+    let checked = builder.checkpoint(120).build();
+    let mut prior_p = Vec::new();
+    let mut prior_c = Vec::new();
+    for exp in registry() {
+        let rp = exp.run_with(&plain, &prior_p);
+        let rc = exp.run_with(&checked, &prior_c);
+        assert_eq!(
+            rp.render_text(),
+            rc.render_text(),
+            "checkpoint changed the report of {}",
+            exp.id()
+        );
+        prior_p.push(rp);
+        prior_c.push(rc);
     }
 }
 
@@ -131,11 +123,9 @@ fn snapshot_byte_format_is_pinned() {
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
-    // The canonical state is epoch 300 of a driver batching 16
-    // receptions at a time: the batch length moves which work an epoch
-    // has done, so it is part of what the constant pins.
+    // The canonical state is epoch 300 of the event driver.
     let arm = arm();
-    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, 2 * BATCH_PER_WORKER);
+    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
     driver.run_events(300);
     let bytes = driver.save().to_bytes();
     let mut snap = RxSnapshot::from_bytes(&bytes).expect("canonical snapshot parses");
@@ -246,8 +236,137 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     other.seed ^= 1;
     let other_env = RadioEnv::new(other.seed);
     let other_tl = generate_timeline(&other_env, &other);
-    let err =
-        ppr::sim::network::resume_receptions_timestep(&other_env, &other, &other_tl, &arm, &snap)
-            .unwrap_err();
+    let err = resume_receptions_reference(&other_env, &other, &other_tl, &arm, &snap).unwrap_err();
     assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
+}
+
+/// Recomputes a snapshot's FNV-1a trailer over everything before it, so
+/// a mutated byte string passes the checksum and reaches restore.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let fp = fingerprint(&bytes[..body]);
+    bytes[body..].copy_from_slice(&fp.to_le_bytes());
+}
+
+/// The byte ranges of an [`RxSnapshot`]'s sections, in layout order:
+/// header + identity, queue, counters, busy horizons, next slots, slot
+/// table, in-flight captures. Each table's length comes from
+/// re-encoding the snapshot with that table emptied, so the ranges
+/// follow the encoders without restating them.
+fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
+    let full = snap.to_bytes().len();
+    let without = |clear: fn(&mut RxSnapshot)| {
+        let mut s = snap.clone();
+        clear(&mut s);
+        full - s.to_bytes().len()
+    };
+    // Table bytes plus its u64 count prefix, last section first.
+    let tables = [
+        8 + without(|s| s.in_flight.clear()),
+        8 + without(|s| s.out.clear()),
+        8 + without(|s| s.next_slot.clear()),
+        8 + without(|s| s.busy_until.clear()),
+        16, // next_seq, dispatched
+        8 + without(|s| s.queue.clear()),
+    ];
+    let mut end = full - 8; // the trailer is recomputed, never mutated
+    let mut sections = Vec::new();
+    for len in tables {
+        sections.push(end - len..end);
+        end -= len;
+    }
+    sections.push(0..end);
+    sections.reverse();
+    sections
+}
+
+/// Up to `n` evenly spaced offsets inside `range`.
+fn spread(range: std::ops::Range<usize>, n: usize) -> impl Iterator<Item = usize> {
+    let step = range.len().div_ceil(n).max(1);
+    range.step_by(step)
+}
+
+/// Every sampled single-byte mutation (`^0x01` and `^0xFF`), resealed:
+/// each that parses goes through `restore_and_run`, which must return
+/// an error or a result — never panic. Returns the number that parsed.
+fn assert_resealed_mutations_never_panic<S>(
+    bytes: &[u8],
+    offsets: &[usize],
+    parse: impl Fn(&[u8]) -> Result<S, SnapError>,
+    restore_and_run: impl Fn(&S),
+) -> usize {
+    let mut parsed = 0;
+    let mut panics = Vec::new();
+    for &at in offsets {
+        for mask in [0x01u8, 0xFF] {
+            let mut m = bytes.to_vec();
+            m[at] ^= mask;
+            reseal(&mut m);
+            let Ok(snap) = parse(&m) else { continue };
+            parsed += 1;
+            let run =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| restore_and_run(&snap)));
+            if run.is_err() {
+                panics.push((at, mask));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {parsed} resealed mutations panicked, at (byte, mask) {panics:?}",
+        panics.len()
+    );
+    parsed
+}
+
+#[test]
+fn resealed_snapshot_mutations_never_panic() {
+    // A short, dense run checkpointed late (so each resume has little
+    // left to evaluate) with decoded slots, in-flight captures and
+    // pending starts all present.
+    let c = SimConfig {
+        load_kbps: 42.4,
+        body_bytes: 250,
+        carrier_sense: false,
+        duration_s: 0.1,
+        seed: 60,
+    };
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let arm = arm();
+    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 130);
+    let snap = RxSnapshot::from_bytes(&bytes).unwrap();
+    assert!(
+        !snap.in_flight.is_empty() && snap.out.iter().any(Option::is_some),
+        "checkpoint has no in-flight or decoded state to corrupt"
+    );
+    assert!(snap.queue.len() > snap.in_flight.len(), "no pending starts");
+    let offsets: Vec<usize> = rx_sections(&snap)
+        .into_iter()
+        .flat_map(|section| spread(section, 32))
+        .collect();
+    let parsed =
+        assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
+            if let Ok(driver) = ReceptionDriver::restore(&env, &c, &timeline, &arm, s) {
+                driver.run_to_end();
+            }
+            let _ = resume_receptions_reference(&env, &c, &timeline, &arm, s);
+        });
+    assert!(parsed > offsets.len(), "too few mutations parsed: {parsed}");
+
+    use ppr::sim::experiments::mesh::{MeshDriver, MeshParams};
+    let params = MeshParams::benign(40, 8.0, 3, 6, 250);
+    let mut d = MeshDriver::new(&params, None);
+    d.run_events(60);
+    let bytes = d.save().to_bytes();
+    assert_resealed_mutations_never_panic(
+        &bytes,
+        &spread(0..bytes.len() - 8, 240).collect::<Vec<_>>(),
+        MeshSnapshot::from_bytes,
+        |s| {
+            if let Ok(driver) = MeshDriver::restore(&params, s) {
+                driver.run_to_end();
+            }
+        },
+    );
 }
