@@ -72,16 +72,21 @@ fn bench_despreading(c: &mut Criterion) {
     c.bench_function("despread_hard_3000_codewords", |b| {
         b.iter(|| ppr_phy::spread::despread_hard(black_box(&words)))
     });
-    // The same scan, pinned to each kernel this CPU offers: the
-    // scalar-vs-SIMD ladder (despread_hard uses the widest by default).
+    // The same decode through the column entry, pinned to each kernel
+    // this CPU offers: the scalar-vs-SIMD ladder (despread_hard uses the
+    // widest by default). Random words all miss the exact-codeword
+    // shortcut; the `clean_` rows are codewords, which all hit it.
+    let clean: Vec<u32> = (0..words.len())
+        .map(|_| ppr_phy::chips::CODEBOOK[rng.gen_range(0..16usize)])
+        .collect();
     let mut group = c.benchmark_group("despread_kernels_3000");
+    let (mut symbols, mut hints) = (vec![0u8; words.len()], vec![0u8; words.len()]);
     for kernel in ppr_phy::simd::DespreadKernel::available() {
-        let mut out = Vec::with_capacity(words.len());
         group.bench_function(kernel.name(), |b| {
-            b.iter(|| {
-                out.clear();
-                kernel.decide_into(black_box(&words), &mut out);
-            })
+            b.iter(|| kernel.despread_into(black_box(&words), &mut symbols, &mut hints))
+        });
+        group.bench_function(format!("clean_{}", kernel.name()), |b| {
+            b.iter(|| kernel.despread_into(black_box(&clean), &mut symbols, &mut hints))
         });
     }
     group.finish();

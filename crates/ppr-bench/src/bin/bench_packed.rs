@@ -4,7 +4,7 @@
 //! ladder (`plan_chunks_{interval,quadratic,monotone}_L*`), the CRC-32
 //! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
 //! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v7) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v8) so CI can
 //! archive the perf trajectory.
 //!
 //! The event-core rows time the reception driver
@@ -12,7 +12,10 @@
 //! (`mesh10k_*`: wall ms, measured events/sec and simulated
 //! packets/sec). Schema v6 dropped v5's per-worker and batch-size
 //! ladders along with the reception worker threads they measured; v7
-//! dropped the time-stepped driver's row along with that driver.
+//! dropped the time-stepped driver's row along with that driver; v8
+//! dropped the SSSE3 despread row with that tier and added the
+//! column-entry `despread_{clean,mixed}_*` rows, which show the
+//! exact-codeword shortcut's regime split.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -96,8 +99,9 @@ fn main() {
             format!("despread_packed_{l}"),
             time_ns(|| rx.despread_words(&packed, 0, l / 32)),
         ));
-        // The bare codebook scan, kernel by kernel (gather excluded):
-        // what the SIMD rewrite buys at each vector width this CPU has.
+        // The bare codebook scan, kernel by kernel (gather excluded), on
+        // random words — every word misses the exact-codeword shortcut,
+        // the mesh's mostly-dirty regime: what each vector width buys.
         let words: Vec<u32> = (0..l / 32).map(|s| packed.extract_u32(s * 32)).collect();
         for kernel in DespreadKernel::available() {
             let mut out = Vec::with_capacity(words.len());
@@ -107,6 +111,35 @@ fn main() {
                     out.clear();
                     kernel.decide_into(&words, &mut out);
                 }),
+            ));
+        }
+        // The same decode through the column entry on codeword streams:
+        // all clean (every vector skips the scan), and the testbed's
+        // regime of ~18 % dirty 64-chip lanes, dirtied in bursts as
+        // collisions do.
+        let clean: Vec<u32> = (0..l / 32)
+            .map(|_| ppr_phy::chips::CODEBOOK[rng.gen_range(0..16usize)])
+            .collect();
+        // A 16-lane burst starts at each clean lane with probability q,
+        // so 16q / (1 + 15q) of the lanes end up dirty: 18 % at q below.
+        let mut mixed = clean.clone();
+        let mut lane = 0;
+        while lane < mixed.len() / 2 {
+            if rng.gen_bool(0.18 / (16.0 - 15.0 * 0.18)) {
+                for w in mixed.iter_mut().skip(2 * lane).take(2 * 16) {
+                    *w ^= 1u32 << rng.gen_range(0..32);
+                }
+                lane += 16;
+            } else {
+                lane += 1;
+            }
+        }
+        let kernel = DespreadKernel::active();
+        let (mut symbols, mut hints) = (vec![0u8; clean.len()], vec![0u8; clean.len()]);
+        for (regime, words) in [("clean", &clean), ("mixed", &mixed)] {
+            entries.push((
+                format!("despread_{regime}_{l}"),
+                time_ns(|| kernel.despread_into(words, &mut symbols, &mut hints)),
             ));
         }
     }
@@ -323,7 +356,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v7\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v8\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -13,7 +13,7 @@
 use crate::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use crate::complex::Complex32;
 use crate::modem::{pack_chip_words, MskModem};
-use crate::softphy::SoftSpan;
+use crate::softphy::{SoftSpan, SoftSymbol};
 use crate::spread::despread_hard;
 use crate::sync::{SyncHit, SyncPattern, DEFAULT_SYNC_THRESHOLD};
 use crate::timing::estimate_timing;
@@ -95,10 +95,9 @@ impl ChipReceiver {
     /// Word-wise equivalent of [`Self::despread`] over a packed chip
     /// stream: the codeword gather is one whole-lane funnel-shift pass
     /// ([`ChipWords::gather_lanes_into`]) — or a zero-copy borrow of the
-    /// lane storage when the offset is 64-aligned — and the
-    /// nearest-codeword scan runs batched on the active SIMD kernel
-    /// straight out of the lanes
-    /// ([`decide_lanes_into`](crate::simd::decide_lanes_into)).
+    /// lane storage when the offset is 64-aligned — and the active SIMD
+    /// kernel despreads straight out of the lanes into symbol and hint
+    /// columns ([`despread_lanes`](crate::simd::despread_lanes)).
     /// Chips past the end of the stream read as zero and symbols whose
     /// first chip is past the end are not emitted, exactly as in the
     /// reference implementation.
@@ -115,24 +114,30 @@ impl ChipReceiver {
             n_symbols.min((stream.len() - chip_offset).div_ceil(CHIPS_PER_SYMBOL))
         };
         if n == 0 {
-            return SoftSpan::from_decisions(Vec::new());
+            return SoftSpan::default();
         }
         let n_lanes = n.div_ceil(2);
-        let mut decisions = Vec::new();
+        let (mut symbols, mut hints) = (vec![0; n], vec![0; n]);
         let lane0 = chip_offset / 64;
         if chip_offset.is_multiple_of(64) && lane0 + n_lanes <= stream.words().len() {
             // Lane-aligned and fully in range: decode from lane storage.
-            crate::simd::decide_lanes_into(
+            crate::simd::despread_lanes(
                 &stream.words()[lane0..lane0 + n_lanes],
-                n,
-                &mut decisions,
+                &mut symbols,
+                &mut hints,
             );
         } else {
             let mut lanes = Vec::new();
             stream.gather_lanes_into(chip_offset, n_lanes, &mut lanes);
-            crate::simd::decide_lanes_into(&lanes, n, &mut decisions);
+            crate::simd::despread_lanes(&lanes, &mut symbols, &mut hints);
         }
-        SoftSpan::from_decisions(decisions)
+        SoftSpan {
+            symbols: symbols
+                .into_iter()
+                .zip(hints)
+                .map(|(symbol, hint)| SoftSymbol { symbol, hint })
+                .collect(),
+        }
     }
 }
 

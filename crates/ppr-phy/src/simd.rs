@@ -4,40 +4,54 @@
 //! scalar reference, runtime feature detection, a cached process-wide
 //! choice, and the `PPR_NO_SIMD=1` escape hatch:
 //!
-//! * [`DespreadKernel`] — the vectorized nearest-codeword scan (PR 6).
-//! * [`DspKernel`] — the sample-level DSP backend's inner loops
-//!   (this PR): waveform superposition ([`DspKernel::axpy_rotated`]),
-//!   the matched-filter bank ([`DspKernel::demod_full_windows`]) and
-//!   the SOVA trellis passes ([`DspKernel::sova_decode`]). Every
-//!   kernel is **bit-identical** to its scalar reference — mandatory,
-//!   because the collision-anatomy experiment (Fig. 13) feeds the DSP
-//!   path into the pinned golden-registry fingerprint.
+//! * [`DespreadKernel`] — the vectorized nearest-codeword decode.
+//! * [`DspKernel`] — the sample-level DSP backend's inner loops:
+//!   waveform superposition ([`DspKernel::axpy_rotated`]), the
+//!   matched-filter bank ([`DspKernel::demod_full_windows`]) and the
+//!   SOVA trellis passes ([`DspKernel::sova_decode`]). Every kernel is
+//!   **bit-identical** to its scalar reference — mandatory, because the
+//!   collision-anatomy experiment (Fig. 13) feeds the DSP path into the
+//!   pinned golden-registry fingerprint.
 //!
 //! ## Despreading
 //!
-//! [`chips::decide`](crate::chips::decide) scans all sixteen codewords of
-//! the 802.15.4 book with an XOR + popcount per candidate — 16 popcounts
-//! per received symbol. After PR 2 packed the chip pipeline into `u64`
-//! lanes, that scan became the dominant receive-side stage (~33 µs per
-//! 100 k chips), so this module batches it across symbols and vectorizes
-//! the whole scan with `core::arch` x86-64 intrinsics:
+//! [`chips::decide`](crate::chips::decide) is the specification: it
+//! scans all sixteen codewords of the 802.15.4 book with an XOR +
+//! popcount per candidate. Each [`DespreadKernel`] tier has exactly one
+//! despread body, [`DespreadKernel::despread_into`], which writes the
+//! decoded symbols and their hints straight into two caller-supplied
+//! byte columns — the layout the lazy
+//! [`SymbolView`](crate::view::SymbolView) caches. The
+//! [`Decision`]-returning entries ([`DespreadKernel::decide_into`],
+//! [`decide_batch`]) wrap that same body.
 //!
-//! * **SSSE3** — 4 codewords per 128-bit register; per-lane popcount via
-//!   the classic `pshufb` nibble lookup (`maddubs`/`madd` reduce the
-//!   per-byte counts into 32-bit lanes).
-//! * **AVX2** — the same nibble-LUT popcount widened to 8 codewords per
-//!   256-bit register.
-//! * **AVX-512** — 16 codewords per 512-bit register with the dedicated
-//!   `vpopcntd` instruction (`AVX512VPOPCNTDQ`); masked loads handle the
-//!   tail, so there is no scalar remainder loop at all.
+//! **Exact-codeword shortcut.** By §3.2 a hint is the Hamming distance
+//! to the nearest codeword, so a word that *is* a codeword decodes to
+//! that symbol with hint 0 — the sixteen codewords are distinct, so no
+//! other candidate can tie at distance 0. `(w >> 1) & 15` is a perfect
+//! hash of the book (checked at compile time), so one table lookup and
+//! one compare tell whether a word is a codeword. Every tier tests that
+//! before it scans, which makes despreading cost scale with the chip
+//! errors on the channel rather than with the frame length: most lanes
+//! of a testbed reception arrive clean.
 //!
-//! Every kernel reproduces `decide` **bit-identically**, including its
-//! tie-break toward the lowest symbol index: candidates are folded as
-//! `(distance << 4) | symbol` keys whose numeric minimum selects the
-//! smallest distance and breaks ties toward the lowest symbol — exactly
-//! the scalar fold in `chips::decide`. `tests/simd_parity.rs` at the
-//! workspace root proves all kernels agree with the scalar reference on
-//! arbitrary inputs.
+//! * **Scalar** — the shortcut per word, then `chips::decide` on a miss.
+//! * **AVX2** — 8 words per 256-bit register; the shortcut is two
+//!   `vpermd` table halves and one compare, and the scan (skipped when
+//!   all 8 words are codewords) a `pshufb` nibble-LUT popcount.
+//! * **AVX-512** — 16 words per 512-bit register; the shortcut is one
+//!   shift/and, one `vpermd` and one compare, the scan uses the native
+//!   `vpopcntd` (`AVX512VPOPCNTDQ`), and masked loads plus masked
+//!   `vpmovdb` stores handle the tail, so there is no scalar remainder.
+//!
+//! Every kernel reproduces `decide` **bit-identically** on every input
+//! word — truncated or zero-padded codewords included — with its
+//! tie-break toward the lowest symbol index: scanned candidates are
+//! folded as `(distance << 4) | symbol` keys whose numeric minimum
+//! selects the smallest distance and breaks ties toward the lowest
+//! symbol, exactly the fold in `chips::decide`. `tests/simd_parity.rs`
+//! at the workspace root proves every available kernel agrees with the
+//! spec, shortcut hits and misses alike.
 //!
 //! ## Kernel selection
 //!
@@ -59,22 +73,20 @@
 //! may contain `unsafe`, and every site must carry a `// SAFETY:`
 //! justification.
 
-use crate::chips::{decide, Decision};
+use crate::chips::{decide, Decision, CODEBOOK, NUM_SYMBOLS};
 use crate::complex::Complex32;
 use crate::sova::SovaBit;
 use std::sync::OnceLock;
 
 /// One despreading implementation: the scalar reference or one of the
-/// vectorized codebook scans.
+/// vectorized codebook scans, each behind the exact-codeword shortcut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DespreadKernel {
-    /// The portable scalar reference (`chips::decide` in a loop).
+    /// The portable scalar tier (shortcut, then `chips::decide`).
     Scalar,
-    /// 128-bit `pshufb` nibble-popcount scan (4 codewords per step).
-    Ssse3,
-    /// 256-bit `pshufb` nibble-popcount scan (8 codewords per step).
+    /// 256-bit `pshufb` nibble-popcount scan (8 words per step).
     Avx2,
-    /// 512-bit `vpopcntd` scan (16 codewords per step, masked tail).
+    /// 512-bit `vpopcntd` scan (16 words per step, masked tail).
     Avx512,
 }
 
@@ -83,7 +95,6 @@ impl DespreadKernel {
     pub fn name(self) -> &'static str {
         match self {
             DespreadKernel::Scalar => "scalar",
-            DespreadKernel::Ssse3 => "ssse3",
             DespreadKernel::Avx2 => "avx2",
             DespreadKernel::Avx512 => "avx512",
         }
@@ -95,9 +106,6 @@ impl DespreadKernel {
         let mut out = vec![DespreadKernel::Scalar];
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("ssse3") {
-                out.push(DespreadKernel::Ssse3);
-            }
             if is_x86_feature_detected!("avx2") {
                 out.push(DespreadKernel::Avx2);
             }
@@ -125,22 +133,48 @@ impl DespreadKernel {
         })
     }
 
-    /// Decodes every received 32-chip word with this kernel, appending
-    /// one [`Decision`] per word to `out`. Bit-identical to
-    /// [`chips::decide`](crate::chips::decide) on each word for every
-    /// kernel.
-    pub fn decide_into(self, received: &[u32], out: &mut Vec<Decision>) {
-        out.reserve(received.len());
+    /// Despreads every received 32-chip word with this kernel: word `i`
+    /// decodes to `symbols[i]` with hint `hints[i]`, bit-identical to
+    /// [`chips::decide`](crate::chips::decide) on that word for every
+    /// kernel. This is each tier's one despread body.
+    ///
+    /// # Panics
+    /// Panics unless both columns have exactly `received.len()` entries.
+    pub fn despread_into(self, received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
+        assert!(
+            symbols.len() == received.len() && hints.len() == received.len(),
+            "{} words into columns of {} symbols and {} hints",
+            received.len(),
+            symbols.len(),
+            hints.len()
+        );
         match self {
-            DespreadKernel::Scalar => scalar_batch(received, out),
+            DespreadKernel::Scalar => scalar_columns(received, symbols, hints),
             #[cfg(target_arch = "x86_64")]
-            DespreadKernel::Ssse3 => x86::run_ssse3(received, out),
+            DespreadKernel::Avx2 => x86::run_avx2(received, symbols, hints),
             #[cfg(target_arch = "x86_64")]
-            DespreadKernel::Avx2 => x86::run_avx2(received, out),
-            #[cfg(target_arch = "x86_64")]
-            DespreadKernel::Avx512 => x86::run_avx512(received, out),
+            DespreadKernel::Avx512 => x86::run_avx512(received, symbols, hints),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar_batch(received, out),
+            _ => scalar_columns(received, symbols, hints),
+        }
+    }
+
+    /// Decodes every received 32-chip word with this kernel, appending
+    /// one [`Decision`] per word to `out`: [`Self::despread_into`] staged
+    /// through fixed-size stack columns.
+    pub fn decide_into(self, received: &[u32], out: &mut Vec<Decision>) {
+        const STAGE: usize = 256;
+        let (mut symbols, mut hints) = ([0u8; STAGE], [0u8; STAGE]);
+        out.reserve(received.len());
+        for words in received.chunks(STAGE) {
+            let (symbols, hints) = (&mut symbols[..words.len()], &mut hints[..words.len()]);
+            self.despread_into(words, symbols, hints);
+            out.extend(
+                symbols
+                    .iter()
+                    .zip(hints.iter())
+                    .map(|(&symbol, &distance)| Decision { symbol, distance }),
+            );
         }
     }
 }
@@ -154,17 +188,20 @@ pub fn decide_batch(received: &[u32]) -> Vec<Decision> {
     out
 }
 
-/// Decodes `n` codeword-aligned symbols straight out of packed 64-chip
-/// lanes — codeword `2k` in the low half of lane `k`, codeword `2k + 1`
-/// in the high half, the layout
-/// [`ChipWords`](crate::chips::ChipWords) stores — with no intermediate
-/// gather copy on little-endian x86-64. This is the
-/// [`SymbolView`](crate::view::SymbolView) fast path: a re-based view's
+/// Despreads `symbols.len()` codeword-aligned symbols straight out of
+/// packed 64-chip lanes — codeword `2k` in the low half of lane `k`,
+/// codeword `2k + 1` in the high half, the layout
+/// [`ChipWords`](crate::chips::ChipWords) stores — into the two columns,
+/// on the active kernel and with no intermediate gather copy on
+/// little-endian x86-64. This is the
+/// [`SymbolView`](crate::view::SymbolView) fill: a re-based view's
 /// symbols are exactly this layout.
 ///
 /// # Panics
-/// Panics if `n` exceeds the `2 × lanes.len()` codewords available.
-pub fn decide_lanes_into(lanes: &[u64], n: usize, out: &mut Vec<Decision>) {
+/// Panics if the columns differ in length or ask for more than the
+/// `2 × lanes.len()` codewords available.
+pub fn despread_lanes(lanes: &[u64], symbols: &mut [u8], hints: &mut [u8]) {
+    let n = symbols.len();
     assert!(
         n <= lanes.len() * 2,
         "{n} codewords from {} lanes",
@@ -172,7 +209,7 @@ pub fn decide_lanes_into(lanes: &[u64], n: usize, out: &mut Vec<Decision>) {
     );
     #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
     {
-        x86::run_lanes(lanes, n, out);
+        x86::run_lanes(lanes, symbols, hints);
     }
     #[cfg(not(all(target_arch = "x86_64", target_endian = "little")))]
     {
@@ -186,14 +223,57 @@ pub fn decide_lanes_into(lanes: &[u64], n: usize, out: &mut Vec<Decision>) {
                 }
             })
             .collect();
-        DespreadKernel::active().decide_into(&words, out);
+        DespreadKernel::active().despread_into(&words, symbols, hints);
     }
 }
 
-/// The scalar reference batch: [`chips::decide`](crate::chips::decide)
-/// per word.
-fn scalar_batch(received: &[u32], out: &mut Vec<Decision>) {
-    out.extend(received.iter().map(|&w| decide(w)));
+/// The exact-codeword tables, indexed by a word's slot `(w >> 1) & 15`:
+/// the codeword that owns each slot, and its symbol. Built at compile
+/// time; the build fails unless the slot function is a perfect hash of
+/// the codebook, which is what makes "the word equals its slot's
+/// codeword" an exact membership test.
+const EXACT: ([u32; NUM_SYMBOLS], [u32; NUM_SYMBOLS]) = {
+    assert!(NUM_SYMBOLS == 16, "the slot is four bits wide");
+    let (mut codewords, mut symbols) = ([0u32; NUM_SYMBOLS], [0u32; NUM_SYMBOLS]);
+    let mut taken = [false; NUM_SYMBOLS];
+    let mut s = 0;
+    while s < NUM_SYMBOLS {
+        let slot = exact_slot(CODEBOOK[s]);
+        assert!(
+            !taken[slot],
+            "(w >> 1) & 15 must be a perfect hash of CODEBOOK"
+        );
+        taken[slot] = true;
+        codewords[slot] = CODEBOOK[s];
+        symbols[slot] = s as u32;
+        s += 1;
+    }
+    (codewords, symbols)
+};
+/// Codeword owning each exact-match slot (see [`EXACT`]).
+const EXACT_CODEWORD: [u32; NUM_SYMBOLS] = EXACT.0;
+/// Symbol of each exact-match slot (see [`EXACT`]).
+const EXACT_SYMBOL: [u32; NUM_SYMBOLS] = EXACT.1;
+
+/// A word's exact-match slot: chips 1–4.
+#[inline]
+const fn exact_slot(w: u32) -> usize {
+    ((w >> 1) & 15) as usize
+}
+
+/// The scalar tier: the exact-codeword shortcut per word, and the
+/// [`chips::decide`](crate::chips::decide) scan on a miss. Also the
+/// remainder loop of the AVX2 tier.
+fn scalar_columns(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
+    for ((&w, symbol), hint) in received.iter().zip(symbols).zip(hints) {
+        let slot = exact_slot(w);
+        (*symbol, *hint) = if EXACT_CODEWORD[slot] == w {
+            (EXACT_SYMBOL[slot] as u8, 0)
+        } else {
+            let d = decide(w);
+            (d.symbol, d.distance)
+        };
+    }
 }
 
 /// One DSP-backend implementation: the scalar reference or one of the
@@ -414,118 +494,57 @@ fn demod_full_windows_scalar(
     }
 }
 
-/// Unpacks a `(distance << 4) | symbol` key lane into a [`Decision`].
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn decision_from_key(key: u32) -> Decision {
-    Decision {
-        symbol: (key & 0xF) as u8,
-        distance: (key >> 4) as u8,
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // core::arch intrinsics; dispatch checks features.
 mod x86 {
-    use super::decision_from_key;
-    use crate::chips::{decide, Decision, CODEBOOK};
+    use super::{scalar_columns, EXACT_CODEWORD, EXACT_SYMBOL};
+    use crate::chips::CODEBOOK;
     use crate::complex::Complex32;
     use crate::sova::SovaBit;
     use core::arch::x86_64::*;
 
-    // All kernels fold `(hamming << 4) | symbol` keys with an unsigned
+    // Both scans fold `(hamming << 4) | symbol` keys with an unsigned
     // minimum, mirroring the branchless scalar fold in `chips::decide`.
-    // Keys are at most (32 << 4) | 15 = 527, so they fit comfortably in
-    // 16 bits — which is what lets the SSSE3 kernel get away with the
-    // SSE2 *signed* 16-bit minimum on 32-bit lanes whose upper halves
-    // are zero.
+    // Keys are at most (32 << 4) | 15 = 527. A word whose shortcut hit
+    // gets the key of distance 0, which is its symbol.
 
     /// Safe entry: re-asserts the feature (a cached atomic load) so the
     /// `unsafe` call is locally justified, not dependent on the caller.
-    pub(super) fn run_ssse3(received: &[u32], out: &mut Vec<Decision>) {
-        assert!(is_x86_feature_detected!("ssse3"));
-        // SAFETY: feature presence checked on the line above.
-        unsafe { ssse3_batch(received, out) }
-    }
-
-    /// Safe entry for the AVX2 kernel (see [`run_ssse3`]).
-    pub(super) fn run_avx2(received: &[u32], out: &mut Vec<Decision>) {
+    pub(super) fn run_avx2(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
         assert!(is_x86_feature_detected!("avx2"));
-        // SAFETY: feature presence checked on the line above.
-        unsafe { avx2_batch(received, out) }
+        // SAFETY: feature presence checked on the line above; the
+        // dispatcher asserted both columns are `received.len()` long.
+        unsafe { avx2_columns(received, symbols, hints) }
     }
 
-    /// Safe entry for the AVX-512 kernel (see [`run_ssse3`]).
-    pub(super) fn run_avx512(received: &[u32], out: &mut Vec<Decision>) {
+    /// Safe entry for the AVX-512 kernel (see [`run_avx2`]).
+    pub(super) fn run_avx512(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
         assert!(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq"));
-        // SAFETY: feature presence checked on the line above.
-        unsafe { avx512_batch(received, out) }
+        // SAFETY: feature presence checked on the line above; the
+        // dispatcher asserted both columns are `received.len()` long.
+        unsafe { avx512_columns(received, symbols, hints) }
     }
 
     /// Zero-copy lane decode: on little-endian x86-64 a `&[u64]` of
     /// packed 64-chip lanes *is* a `&[u32]` of codewords in symbol
     /// order, so the active kernel can read the lane memory directly.
     #[cfg(target_endian = "little")]
-    pub(super) fn run_lanes(lanes: &[u64], n: usize, out: &mut Vec<Decision>) {
+    pub(super) fn run_lanes(lanes: &[u64], symbols: &mut [u8], hints: &mut [u8]) {
+        let n = symbols.len();
         // SAFETY: `u32` has weaker alignment than `u64`; the slice
-        // covers `n ≤ 2 × lanes.len()` `u32`s inside the lanes
-        // allocation; `u32` has no invalid bit patterns; and the
-        // reborrow is read-only for the lifetime of `words`.
-        let words: &[u32] = unsafe { core::slice::from_raw_parts(lanes.as_ptr() as *const u32, n) };
-        super::DespreadKernel::active().decide_into(words, out);
+        // covers `n ≤ 2 × lanes.len()` `u32`s (asserted by
+        // `despread_lanes`) inside the lanes allocation; `u32` has no
+        // invalid bit patterns; and the reborrow is read-only for the
+        // lifetime of `words`.
+        let words = unsafe { core::slice::from_raw_parts(lanes.as_ptr().cast::<u32>(), n) };
+        super::DespreadKernel::active().despread_into(words, symbols, hints);
     }
 
-    /// Per-32-bit-lane popcount for 128-bit vectors: `pshufb` nibble
-    /// lookup, then `maddubs`/`madd` to sum the four byte counts of each
-    /// lane (counts ≤ 8 per byte, so the 16-bit partials cannot
-    /// overflow).
-    // SAFETY: caller must ensure SSSE3 is available (`run_ssse3`
-    // asserts it); the body is pure register arithmetic — no memory
-    // access, no alignment or validity obligations.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn popcnt_epi32_sse(x: __m128i) -> __m128i {
-        let lut = _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-        let mask = _mm_set1_epi8(0x0F);
-        let lo = _mm_and_si128(x, mask);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(x), mask);
-        let per_byte = _mm_add_epi8(_mm_shuffle_epi8(lut, lo), _mm_shuffle_epi8(lut, hi));
-        let pairs = _mm_maddubs_epi16(per_byte, _mm_set1_epi8(1));
-        _mm_madd_epi16(pairs, _mm_set1_epi16(1))
-    }
-
-    /// SSSE3 kernel: 4 received codewords per iteration.
-    // SAFETY: caller must ensure SSSE3 is available (`run_ssse3`
-    // asserts it). All loads/stores are `loadu`/`storeu` (no alignment
-    // requirement) on in-bounds `chunks_exact` slices and local arrays.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_batch(received: &[u32], out: &mut Vec<Decision>) {
-        let mut chunks = received.chunks_exact(4);
-        for chunk in &mut chunks {
-            let r = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
-            // 0x7FFF per 32-bit lane: larger than any key, and the
-            // largest value the signed 16-bit minimum handles correctly.
-            let mut best = _mm_set1_epi32(0x7FFF);
-            for (s, &cw) in CODEBOOK.iter().enumerate() {
-                let x = _mm_xor_si128(r, _mm_set1_epi32(cw as i32));
-                let key = _mm_or_si128(
-                    _mm_slli_epi32::<4>(popcnt_epi32_sse(x)),
-                    _mm_set1_epi32(s as i32),
-                );
-                // Keys fit in the low 16 bits with zeroed upper halves,
-                // so the SSE2 signed 16-bit min is exact here and the
-                // kernel needs nothing newer than SSSE3.
-                best = _mm_min_epi16(best, key);
-            }
-            let mut lanes = [0u32; 4];
-            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, best);
-            out.extend(lanes.iter().map(|&k| decision_from_key(k)));
-        }
-        out.extend(chunks.remainder().iter().map(|&w| decide(w)));
-    }
-
-    /// Per-32-bit-lane popcount for 256-bit vectors (same nibble LUT,
-    /// duplicated across both 128-bit halves for the in-lane `pshufb`).
+    /// Per-32-bit-lane popcount for 256-bit vectors: `pshufb` nibble
+    /// lookup (the LUT duplicated across both 128-bit halves for the
+    /// in-lane shuffle), then `maddubs`/`madd` to sum the four byte
+    /// counts of each lane (counts ≤ 8 per byte, so the 16-bit partials
+    /// cannot overflow).
     // SAFETY: caller must ensure AVX2 is available (`run_avx2` asserts
     // it); pure register arithmetic, no memory access.
     #[inline]
@@ -544,56 +563,123 @@ mod x86 {
         _mm256_madd_epi16(pairs, _mm256_set1_epi16(1))
     }
 
-    /// AVX2 kernel: 8 received codewords per iteration.
-    // SAFETY: caller must ensure AVX2 is available (`run_avx2` asserts
-    // it). Unaligned `loadu`/`storeu` only, on in-bounds `chunks_exact`
-    // slices and local arrays.
+    /// Looks up a 16-entry table at per-lane indices `0..16`:
+    /// `vpermd` reads only an index's low three bits, so each table
+    /// half is permuted and bit 3 picks between them.
+    // SAFETY: caller must ensure AVX2 is available; pure register
+    // arithmetic, no memory access.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_batch(received: &[u32], out: &mut Vec<Decision>) {
-        let mut chunks = received.chunks_exact(8);
-        for chunk in &mut chunks {
-            let r = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-            let mut best = _mm256_set1_epi32(u32::MAX as i32);
-            for (s, &cw) in CODEBOOK.iter().enumerate() {
-                let x = _mm256_xor_si256(r, _mm256_set1_epi32(cw as i32));
-                let key = _mm256_or_si256(
-                    _mm256_slli_epi32::<4>(popcnt_epi32_avx2(x)),
-                    _mm256_set1_epi32(s as i32),
-                );
-                best = _mm256_min_epu32(best, key);
-            }
-            let mut lanes = [0u32; 8];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, best);
-            out.extend(lanes.iter().map(|&k| decision_from_key(k)));
-        }
-        out.extend(chunks.remainder().iter().map(|&w| decide(w)));
+    unsafe fn lookup16_avx2(lo: __m256i, hi: __m256i, idx: __m256i) -> __m256i {
+        let upper = _mm256_cmpgt_epi32(idx, _mm256_set1_epi32(7));
+        _mm256_blendv_epi8(
+            _mm256_permutevar8x32_epi32(lo, idx),
+            _mm256_permutevar8x32_epi32(hi, idx),
+            upper,
+        )
     }
 
-    /// AVX-512 kernel: 16 received codewords per iteration with native
-    /// per-lane popcount; the tail is a masked load, not a scalar loop.
+    /// AVX2 kernel: 8 received words per iteration. The scan runs only
+    /// when some word of the vector is not a codeword; the keys are
+    /// narrowed to bytes with two saturating packs and one `vpermd`, and
+    /// the fewer-than-8 tail is the scalar tier.
+    // SAFETY: caller must ensure AVX2 is available (`run_avx2` asserts
+    // it) and that both columns are `received.len()` long. Vector loads
+    // are unaligned `loadu`s of in-bounds `chunks_exact` slices and of
+    // the 16-entry tables; the stores are safe slice copies.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_columns(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
+        let table = |t: &[u32; 16], half: usize| {
+            _mm256_loadu_si256(t.as_ptr().add(8 * half) as *const __m256i)
+        };
+        let (cw_lo, cw_hi) = (table(&EXACT_CODEWORD, 0), table(&EXACT_CODEWORD, 1));
+        let (sym_lo, sym_hi) = (table(&EXACT_SYMBOL, 0), table(&EXACT_SYMBOL, 1));
+        let nibble = _mm256_set1_epi32(15);
+        // After the packs, dword 0/4 holds symbols 0–3/4–7 and dword 1/5
+        // hints 0–3/4–7; this gathers symbols then hints into 128 bits.
+        let compact = _mm256_setr_epi32(0, 4, 1, 5, 0, 0, 0, 0);
+        let mut chunks = received.chunks_exact(8);
+        let mut i = 0;
+        for chunk in &mut chunks {
+            let r = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+            let slot = _mm256_and_si256(_mm256_srli_epi32::<1>(r), nibble);
+            let exact = _mm256_cmpeq_epi32(lookup16_avx2(cw_lo, cw_hi, slot), r);
+            let keys = if _mm256_movemask_epi8(exact) == -1 {
+                lookup16_avx2(sym_lo, sym_hi, slot)
+            } else {
+                let mut best = _mm256_set1_epi32(u32::MAX as i32);
+                for (s, &cw) in CODEBOOK.iter().enumerate() {
+                    let x = _mm256_xor_si256(r, _mm256_set1_epi32(cw as i32));
+                    let key = _mm256_or_si256(
+                        _mm256_slli_epi32::<4>(popcnt_epi32_avx2(x)),
+                        _mm256_set1_epi32(s as i32),
+                    );
+                    best = _mm256_min_epu32(best, key);
+                }
+                best
+            };
+            // Keys ≤ 527 split into symbols ≤ 15 and hints ≤ 32, so
+            // neither saturating pack clips.
+            let words =
+                _mm256_packus_epi32(_mm256_and_si256(keys, nibble), _mm256_srli_epi32::<4>(keys));
+            let bytes = _mm256_packus_epi16(words, words);
+            let out = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(bytes, compact));
+            let (s, h) = (_mm_cvtsi128_si64(out), _mm_extract_epi64::<1>(out));
+            symbols[i..i + 8].copy_from_slice(&s.to_le_bytes());
+            hints[i..i + 8].copy_from_slice(&h.to_le_bytes());
+            i += 8;
+        }
+        scalar_columns(chunks.remainder(), &mut symbols[i..], &mut hints[i..]);
+    }
+
+    /// AVX-512 kernel: 16 received words per iteration with native
+    /// per-lane popcount. The shortcut is one shift/and, one `vpermd`
+    /// and one compare; the scan runs only when some live word is not a
+    /// codeword. The tail is a masked load and masked `vpmovdb` stores,
+    /// not a scalar loop.
     // SAFETY: caller must ensure AVX512F + AVX512VPOPCNTDQ are
-    // available (`run_avx512` asserts both). The masked `loadu` reads
-    // only the `n` lanes covered by `mask`, all inside `received[i..]`;
-    // the store targets a local array.
+    // available (`run_avx512` asserts both) and that both columns are
+    // `received.len()` long. The masked `loadu` reads, and the masked
+    // `vpmovdb` stores write, only the `n` lanes covered by `live`, all
+    // inside `received[i..]` and the columns' `[i..]`; the table loads
+    // read the 16-entry tables whole.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn avx512_batch(received: &[u32], out: &mut Vec<Decision>) {
+    unsafe fn avx512_columns(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
+        let exact_cw = _mm512_loadu_si512(EXACT_CODEWORD.as_ptr() as *const __m512i);
+        let exact_sym = _mm512_loadu_si512(EXACT_SYMBOL.as_ptr() as *const __m512i);
+        let nibble = _mm512_set1_epi32(15);
         let mut i = 0;
         while i < received.len() {
             let n = (received.len() - i).min(16);
-            let mask: __mmask16 = if n == 16 { !0 } else { (1u16 << n) - 1 };
-            let r = _mm512_maskz_loadu_epi32(mask, received.as_ptr().add(i) as *const i32);
-            let mut best = _mm512_set1_epi32(u32::MAX as i32);
-            for (s, &cw) in CODEBOOK.iter().enumerate() {
-                let x = _mm512_xor_si512(r, _mm512_set1_epi32(cw as i32));
-                let key = _mm512_or_si512(
-                    _mm512_slli_epi32::<4>(_mm512_popcnt_epi32(x)),
-                    _mm512_set1_epi32(s as i32),
-                );
-                best = _mm512_min_epu32(best, key);
-            }
-            let mut lanes = [0u32; 16];
-            _mm512_storeu_si512(lanes.as_mut_ptr() as *mut __m512i, best);
-            out.extend(lanes[..n].iter().map(|&k| decision_from_key(k)));
+            let live: __mmask16 = if n == 16 { !0 } else { (1u16 << n) - 1 };
+            let r = _mm512_maskz_loadu_epi32(live, received.as_ptr().add(i) as *const i32);
+            let slot = _mm512_and_si512(_mm512_srli_epi32::<1>(r), nibble);
+            let exact =
+                _mm512_mask_cmpeq_epi32_mask(live, _mm512_permutexvar_epi32(slot, exact_cw), r);
+            let keys = if exact == live {
+                _mm512_permutexvar_epi32(slot, exact_sym)
+            } else {
+                let mut best = _mm512_set1_epi32(u32::MAX as i32);
+                for (s, &cw) in CODEBOOK.iter().enumerate() {
+                    let x = _mm512_xor_si512(r, _mm512_set1_epi32(cw as i32));
+                    let key = _mm512_or_si512(
+                        _mm512_slli_epi32::<4>(_mm512_popcnt_epi32(x)),
+                        _mm512_set1_epi32(s as i32),
+                    );
+                    best = _mm512_min_epu32(best, key);
+                }
+                best
+            };
+            _mm512_mask_cvtepi32_storeu_epi8(
+                symbols.as_mut_ptr().add(i) as *mut i8,
+                live,
+                _mm512_and_si512(keys, nibble),
+            );
+            _mm512_mask_cvtepi32_storeu_epi8(
+                hints.as_mut_ptr().add(i) as *mut i8,
+                live,
+                _mm512_srli_epi32::<4>(keys),
+            );
             i += n;
         }
     }
@@ -605,7 +691,7 @@ mod x86 {
     // `[re, im, re, im, …]` f32s — even float lanes carry I, odd lanes
     // carry Q. Every kernel below leans on that layout.
 
-    /// Safe entry for the SSE3 superposition kernel (see [`run_ssse3`]).
+    /// Safe entry for the SSE3 superposition kernel (see [`run_avx2`]).
     pub(super) fn run_axpy_sse3(
         out: &mut [Complex32],
         wave: &[Complex32],
@@ -617,7 +703,7 @@ mod x86 {
         unsafe { axpy_sse3(out, wave, rot, amp) }
     }
 
-    /// Safe entry for the AVX2 superposition kernel (see [`run_ssse3`]).
+    /// Safe entry for the AVX2 superposition kernel (see [`run_avx2`]).
     pub(super) fn run_axpy_avx2(
         out: &mut [Complex32],
         wave: &[Complex32],
@@ -696,7 +782,7 @@ mod x86 {
         }
     }
 
-    /// Safe entry for the AVX2 matched-filter bank (see [`run_ssse3`]).
+    /// Safe entry for the AVX2 matched-filter bank (see [`run_avx2`]).
     #[allow(clippy::too_many_arguments)] // mirrors the demodulator's geometry verbatim
     pub(super) fn run_demod_avx2(
         samples: &[Complex32],
@@ -794,7 +880,7 @@ mod x86 {
         );
     }
 
-    /// Safe entry for the SSE SOVA kernel (see [`run_ssse3`]).
+    /// Safe entry for the SSE SOVA kernel (see [`run_avx2`]).
     pub(super) fn run_sova(soft: &[f32]) -> Option<Vec<SovaBit>> {
         assert!(is_x86_feature_detected!("sse3"));
         // SAFETY: feature presence checked on the line above (the
@@ -1007,7 +1093,6 @@ mod tests {
     fn kernel_names_are_distinct() {
         let names: Vec<_> = [
             DespreadKernel::Scalar,
-            DespreadKernel::Ssse3,
             DespreadKernel::Avx2,
             DespreadKernel::Avx512,
         ]

@@ -7,9 +7,16 @@
 //! [`SymbolView`] defers that work: it captures the (packed) chips of a
 //! symbol range at construction and despreads **only the sub-ranges a
 //! consumer actually requests**, in 64-symbol blocks, each decoded once
-//! and cached. Decoding runs on the active SIMD kernel
-//! ([`DespreadKernel::active`](crate::simd::DespreadKernel::active)) and
-//! is bit-identical to the eager reference path.
+//! and cached. The cache is two byte columns, symbols and hints, and the
+//! active SIMD kernel
+//! ([`DespreadKernel::active`](crate::simd::DespreadKernel::active))
+//! despreads each missing block straight into them
+//! ([`despread_lanes`](crate::simd::despread_lanes)), bit-identical to
+//! the eager reference path. Every kernel tier skips the codebook scan
+//! for words that are exact codewords, so filling a block of a clean
+//! reception costs a table lookup per word, not a 16-codeword scan: the
+//! despread work follows the channel's chip errors, not the frame
+//! length.
 //!
 //! A view is *frame-shaped*: it always exposes exactly the symbol count
 //! it was built for. Symbols the reception never captured (the stream
@@ -287,14 +294,18 @@ impl SymbolView {
     }
 
     /// Despreads every not-yet-decoded block covering captured symbols
-    /// `range` (indices relative to the captured region).
+    /// `range` (indices relative to the captured region) straight into
+    /// the cache columns.
     fn ensure_blocks(&self, range: Range<usize>) {
         let mut cache = self.cache.borrow_mut();
-        let first = range.start / BLOCK_SYMBOLS;
-        let last = (range.end - 1) / BLOCK_SYMBOLS;
-        let mut decisions: Vec<crate::chips::Decision> = Vec::new();
-        for b in first..=last {
-            if cache.block_done[b] {
+        let Cache {
+            symbols,
+            hints,
+            block_done,
+        } = &mut *cache;
+        let (first, last) = (range.start / BLOCK_SYMBOLS, (range.end - 1) / BLOCK_SYMBOLS);
+        for (b, done) in (first..).zip(&mut block_done[first..=last]) {
+            if *done {
                 continue;
             }
             // The view is re-based, so block `b`'s codewords sit packed
@@ -302,18 +313,12 @@ impl SymbolView {
             // BLOCK_SYMBOLS is) — decoded straight from lane memory.
             let lo = b * BLOCK_SYMBOLS;
             let hi = ((b + 1) * BLOCK_SYMBOLS).min(self.present);
-            let lanes = &self.chips.words()[lo / 2..hi.div_ceil(2)];
-            decisions.clear();
-            crate::simd::decide_lanes_into(lanes, hi - lo, &mut decisions);
-            let Cache { symbols, hints, .. } = &mut *cache;
-            for ((symbol, hint), d) in symbols[lo..hi]
-                .iter_mut()
-                .zip(&mut hints[lo..hi])
-                .zip(&decisions)
-            {
-                (*symbol, *hint) = (d.symbol, d.distance);
-            }
-            cache.block_done[b] = true;
+            crate::simd::despread_lanes(
+                &self.chips.words()[lo / 2..hi.div_ceil(2)],
+                &mut symbols[lo..hi],
+                &mut hints[lo..hi],
+            );
+            *done = true;
         }
     }
 }

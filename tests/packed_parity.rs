@@ -445,6 +445,60 @@ proptest! {
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
+    /// Receive-path parity on mutated captures: `FastRx::receive_words`
+    /// equals the `receive` spec on acquisition and on every decoded
+    /// read, for both postamble arms and both idle states, when the
+    /// frame's chips are truncated, shifted behind a garbage prefix,
+    /// sparsely flipped and overwritten by jammed bursts — so delimiters
+    /// land off their expected offsets, codewords straddle lanes and the
+    /// capture ends mid-codeword.
+    #[test]
+    fn receive_words_matches_receive_on_mutated_frames(
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+        seq in any::<u16>(),
+        mutations in 0u8..16,
+        prefix in proptest::collection::vec(any::<bool>(), 1..100),
+        keep in 0.0f64..1.0,
+        flips in proptest::collection::vec(any::<usize>(), 0..40),
+        bursts in proptest::collection::vec((any::<usize>(), 1usize..400), 0..3),
+        seed in any::<u64>(),
+    ) {
+        // Each mutation is applied or not by one bit of `mutations`, so
+        // every combination — the untouched frame included — is drawn.
+        let frame = Frame::new(7, 9, seq, body);
+        let mut chips = if mutations & 1 != 0 { prefix } else { Vec::new() };
+        chips.extend(frame.chips());
+        if mutations & 2 != 0 {
+            chips.truncate((chips.len() as f64 * keep) as usize);
+        }
+        let flips = if mutations & 4 != 0 { flips } else { Vec::new() };
+        let bursts = if mutations & 8 != 0 { bursts } else { Vec::new() };
+        if !chips.is_empty() {
+            for &i in &flips {
+                let i = i % chips.len();
+                chips[i] = !chips[i];
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for &(start, len) in &bursts {
+                let start = start % chips.len();
+                let end = (start + len).min(chips.len());
+                for c in &mut chips[start..end] {
+                    *c = rng.gen();
+                }
+            }
+        }
+        let packed = ChipWords::from_bools(&chips);
+        for postamble in [false, true] {
+            let fast = FastRx::new(postamble);
+            for idle in [false, true] {
+                let (acq_a, rx_a) = fast.receive(&frame, &chips, idle);
+                let (acq_b, rx_b) = fast.receive_words(&frame, &packed, idle);
+                prop_assert_eq!(acq_a, acq_b, "postamble {} idle {}", postamble, idle);
+                prop_assert_eq!(rx_a, rx_b, "postamble {} idle {}", postamble, idle);
+            }
+        }
+    }
+
     /// Despreading parity at arbitrary offsets/lengths over random chips.
     #[test]
     fn despread_parity_arbitrary(

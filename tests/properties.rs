@@ -10,6 +10,7 @@ use ppr::core::dp::{
 use ppr::core::feedback::{complement_ranges, Feedback};
 use ppr::core::runs::{RunLengths, UnitRange};
 use ppr::mac::crc::{append_crc32, crc16, crc32, verify_crc32_trailer};
+use ppr::mac::frame::{Header, HEADER_BYTES};
 use ppr::phy::spread::{bytes_to_symbols, despread_hard, spread, symbols_to_bytes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -189,6 +190,61 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c));
+    }
+
+    /// `Feedback::decode` never panics on arbitrary bytes, and whatever
+    /// it accepts re-encodes into no more bytes than it read and decodes
+    /// back to the same value. Half the cases are random bytes (nearly
+    /// all rejected); the other half are a valid encoding with a few
+    /// bytes XORed, then truncated or extended, so both branches run.
+    #[test]
+    fn feedback_decode_arbitrary_bytes(
+        random in any::<bool>(),
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+        len in 1usize..600,
+        chunk in (0usize..600, 1usize..50),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        keep in any::<usize>(),
+    ) {
+        let bytes = if random {
+            raw
+        } else {
+            let start = chunk.0 % len;
+            let chunks = vec![UnitRange::new(start, (start + chunk.1).min(len))];
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut bytes = Feedback::from_plan(9, &payload, chunks).encode();
+            for &(at, x) in &edits {
+                let at = at % bytes.len();
+                bytes[at] ^= x;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            bytes.extend(&raw[..raw.len().min(4)]);
+            bytes
+        };
+        if let Some(fb) = Feedback::decode(&bytes) {
+            let encoded = fb.encode();
+            prop_assert!(encoded.len() <= bytes.len());
+            prop_assert_eq!(Feedback::decode(&encoded), Some(fb));
+        }
+    }
+
+    /// `Header::decode` never panics on arbitrary bytes, and a header it
+    /// accepts (CRC-16 intact) re-encodes to exactly the bytes it read.
+    #[test]
+    fn header_decode_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+        seal in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if seal && bytes.len() >= HEADER_BYTES {
+            // Recompute the CRC so the accepting branch is exercised too.
+            let crc = crc16(&bytes[..8]);
+            bytes[8..10].copy_from_slice(&crc.to_le_bytes());
+        }
+        if let Some(h) = Header::decode(&bytes) {
+            prop_assert_eq!(&h.encode()[..], &bytes[..HEADER_BYTES]);
+            prop_assert_eq!(Header::decode(&h.encode()), Some(h));
+        }
     }
 
     /// Retransmission packets round-trip including confirm bitmaps and
