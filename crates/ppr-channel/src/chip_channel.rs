@@ -218,14 +218,148 @@ pub fn corrupt_chip_words<R: Rng>(
 }
 
 /// In-place form of [`corrupt_chip_words`] for callers that own their
-/// chip buffer (the reception pipeline corrupts a freshly rendered frame
-/// it never reads clean again) — same draw contract, zero clone traffic.
+/// chip buffer (the link experiments corrupt a freshly rendered frame
+/// they never read clean again) — same draw contract, zero clone traffic.
 pub fn corrupt_chip_words_in_place<R: Rng>(
     out: &mut ChipWords,
     profile: &ErrorProfile,
     rng: &mut R,
 ) {
-    let len = out.len();
+    walk_spans(out.len(), profile, rng, out);
+}
+
+/// One frame's chip errors, drawn once and applied to any number of
+/// renderings of that frame: per 64-chip lane, the chips a jammed span
+/// overwrote and the chips the channel flipped.
+///
+/// [`ChipErrors::draw`] consumes the RNG exactly as
+/// [`corrupt_chip_words_in_place`] does (both walk the profile with one
+/// span walker), and [`ChipErrors::apply`] then changes the same chips
+/// that call would have — on *any* frame of the drawn length, because
+/// the sampler never reads chip values. That is what lets every
+/// delivery scheme and postamble arm of a capacity trace share one draw
+/// per (transmission, receiver) pair.
+///
+/// Lane entries are kept in draw order; consecutive entries for the same
+/// lane are composed into one, so a lane that two spans share costs one
+/// entry. Spans never overlap, so masks that share a lane touch disjoint
+/// chips and their order would not matter anyway.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChipErrors {
+    len: usize,
+    lanes: Vec<LaneErrors>,
+}
+
+/// The errors of one 64-chip lane: `(w & !clear) ^ flips`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaneErrors {
+    lane: usize,
+    /// Chips a jammed span overwrote (their drawn values are in
+    /// `flips`).
+    clear: u64,
+    /// Chips flipped, or set by a jammed span.
+    flips: u64,
+}
+
+impl ChipErrors {
+    /// Draws the errors `profile` puts on a `len`-chip frame, under the
+    /// draw contract of [`corrupt_chip_words_in_place`] (same RNG words,
+    /// in the same order).
+    pub fn draw<R: Rng>(len: usize, profile: &ErrorProfile, rng: &mut R) -> ChipErrors {
+        let mut errors = ChipErrors {
+            len,
+            lanes: Vec::new(),
+        };
+        walk_spans(len, profile, rng, &mut errors);
+        errors
+    }
+
+    /// Frame length the errors were drawn for, in chips.
+    pub fn len_chips(&self) -> usize {
+        self.len
+    }
+
+    /// Number of lane entries (lanes the channel touched, counting a
+    /// lane once per run of consecutive entries).
+    pub fn lanes_touched(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Applies the errors to `chips`, a rendering of a frame of
+    /// [`Self::len_chips`] chips. Lanes past the end of `chips` are
+    /// skipped, so a prefix of the frame (say, its preamble) takes
+    /// exactly the errors of its own lanes.
+    pub fn apply(&self, chips: &mut ChipWords) {
+        let lanes = chips.words().len();
+        for e in &self.lanes {
+            if e.lane < lanes {
+                chips.clear_xor_word(e.lane, e.clear, e.flips);
+            }
+        }
+    }
+
+    fn push(&mut self, lane: usize, clear: u64, flips: u64) {
+        match self.lanes.last_mut() {
+            // Applying (c1, x1) then (c2, x2) is (c1 | c2, (x1 & !c2) ^ x2).
+            Some(last) if last.lane == lane => {
+                last.flips = (last.flips & !clear) ^ flips;
+                last.clear |= clear;
+            }
+            _ => self.lanes.push(LaneErrors { lane, clear, flips }),
+        }
+    }
+}
+
+/// Where the span walker's draws land: straight into a chip buffer
+/// ([`corrupt_chip_words_in_place`]) or into an error pattern
+/// ([`ChipErrors::draw`]).
+trait ErrorSink {
+    /// A jammed span sets the chips of `mask` in `lane` to `bits`.
+    fn overwrite(&mut self, lane: usize, mask: u64, bits: u64);
+    /// A collision-grade span flips the chips of `flips` in `lane`.
+    fn flip_lane(&mut self, lane: usize, flips: u64);
+    /// A sparse span flips chip `chip` (always in bounds).
+    fn flip_chip(&mut self, chip: usize);
+}
+
+impl ErrorSink for ChipWords {
+    #[inline]
+    fn overwrite(&mut self, lane: usize, mask: u64, bits: u64) {
+        self.apply_mask64(lane, mask, bits);
+    }
+
+    #[inline]
+    fn flip_lane(&mut self, lane: usize, flips: u64) {
+        self.xor_word(lane, flips);
+    }
+
+    #[inline]
+    fn flip_chip(&mut self, chip: usize) {
+        self.toggle_in_bounds(chip);
+    }
+}
+
+impl ErrorSink for ChipErrors {
+    #[inline]
+    fn overwrite(&mut self, lane: usize, mask: u64, bits: u64) {
+        self.push(lane, mask, bits & mask);
+    }
+
+    #[inline]
+    fn flip_lane(&mut self, lane: usize, flips: u64) {
+        self.push(lane, 0, flips);
+    }
+
+    #[inline]
+    fn flip_chip(&mut self, chip: usize) {
+        self.push(chip / 64, 0, 1 << (chip % 64));
+    }
+}
+
+/// The packed span walker behind [`corrupt_chip_words_in_place`] and
+/// [`ChipErrors::draw`]: the draw contract of [`corrupt_chips`] over a
+/// `len`-chip frame, emitting lane-level errors into `sink`.
+fn walk_spans<R: Rng, S: ErrorSink>(len: usize, profile: &ErrorProfile, rng: &mut R, sink: &mut S) {
     for &(start, end, p) in profile.spans() {
         if p < 1e-12 {
             continue;
@@ -239,16 +373,16 @@ pub fn corrupt_chip_words_in_place<R: Rng>(
             // Jammed span: one RNG word per touched 64-chip lane.
             for_each_block(lo, hi, |w, block_lo, block_hi| {
                 let draw = rng.next_u64();
-                out.apply_mask64(w, block_mask(w, block_lo, block_hi), draw);
+                sink.overwrite(w, block_mask(w, block_lo, block_hi), draw);
             });
             continue;
         }
         if p >= BLOCK_FLIP_MIN_P {
-            // Collision-grade span: XOR one Bernoulli flip mask per lane.
+            // Collision-grade span: one Bernoulli flip mask per lane.
             let p_bits = bernoulli_p_bits(p);
             for_each_block(lo, hi, |w, block_lo, block_hi| {
                 let flips = bernoulli_mask64(p_bits, rng) & block_mask(w, block_lo, block_hi);
-                out.xor_word(w, flips);
+                sink.flip_lane(w, flips);
             });
             continue;
         }
@@ -261,7 +395,7 @@ pub fn corrupt_chip_words_in_place<R: Rng>(
         // guarantees `i < hi ≤ len`, so the in-bounds toggle applies.
         let mut flips = GeometricFlips::new(lo, hi, p);
         while let Some(i) = flips.next(rng) {
-            out.toggle_in_bounds(i);
+            sink.flip_chip(i);
         }
     }
 }

@@ -37,6 +37,7 @@ use ppr_sim::diff::{active_kernel_signature, cross_validate, standard_backends};
 use ppr_sim::env::threads_from_env;
 use ppr_sim::experiments::common::CapacityRun;
 use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
+use ppr_sim::experiments::traces::{self, TraceKey};
 use ppr_sim::experiments::{find, registry, Experiment};
 use ppr_sim::network::{snapshot_after_events, RxArm};
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
@@ -262,28 +263,31 @@ impl From<std::io::Error> for Stop {
 }
 
 /// Rough run time of each experiment in milliseconds, measured one at a
-/// time at the default scenario on a 2-vCPU Xeon. The pool only uses
-/// these to start long experiments first; they never change a result.
-/// Figs. 14 and 15 render the hint pass that `fig03`, ahead of them in
-/// the registry, computes, and Table 1 reuses its dependencies' results.
+/// time at the default scenario on a 2-vCPU Xeon, with the traces it
+/// reads already evaluated. The pool only uses these to start long jobs
+/// first; they never change a result. The capacity experiments (Figs. 3,
+/// 8–12, 14, 15 and Table 2) only render their traces' folds, and
+/// Table 1 reuses its dependencies' results, so they cost next to
+/// nothing here; their work is in the trace jobs ([`trace_cost_ms`]).
 ///
 /// To re-measure one entry, take the median wall time of a few solo
-/// release runs (the table holds medians of five):
+/// release runs (the table holds medians of five), minus the time of
+/// its traces alone for a capacity experiment:
 ///
 /// ```sh
 /// time target/release/ppr-cli run mrd --set threads=1 > /dev/null
 /// ```
 const RUN_COST_MS: [(&str, u64); 17] = [
-    ("fig03", 340),
-    ("table2", 500),
-    ("fig08", 100),
-    ("fig09", 150),
-    ("fig10", 510),
-    ("fig11", 260),
-    ("fig12", 580),
+    ("fig03", 1),
+    ("table2", 1),
+    ("fig08", 1),
+    ("fig09", 1),
+    ("fig10", 1),
+    ("fig11", 1),
+    ("fig12", 1),
     ("fig13", 25),
-    ("fig14", 5),
-    ("fig15", 5),
+    ("fig14", 1),
+    ("fig15", 1),
     ("fig16", 15),
     ("jam", 30),
     ("mrd", 90),
@@ -301,13 +305,108 @@ fn run_cost_ms(id: &str) -> u64 {
         .expect("RUN_COST_MS lists every registered experiment")
 }
 
+/// Estimated run time of one trace job, in milliseconds at the default
+/// scenario: a multi-arm pass costs about [`TRACE_MS_PER_KBPS`] per
+/// kbit/s/node of offered load for what it does once per reception
+/// (interference, chip-error draw, busy fold), plus
+/// [`TRACE_MS_PER_ARM_KBPS`] per arm per kbit/s/node for what it does
+/// per arm (render, decode, deliver, fold). Fitted to single-thread
+/// per-trace times of the testbed ids on the same 2-vCPU Xeon as
+/// [`RUN_COST_MS`] (the 11-arm 13.8 kbit/s trace ≈ 0.4–0.55 s, the
+/// one-arm hint traces ≈ 0.04–0.2 s); like it, the estimate only orders
+/// the pool.
+fn trace_cost_ms(key: &TraceKey, arms: usize) -> u64 {
+    (key.cfg.load_kbps * (TRACE_MS_PER_KBPS + TRACE_MS_PER_ARM_KBPS * arms as f64)) as u64
+}
+
+/// Per-reception cost of a trace job; see [`trace_cost_ms`].
+const TRACE_MS_PER_KBPS: f64 = 3.0;
+
+/// Per-arm cost of a trace job; see [`trace_cost_ms`].
+const TRACE_MS_PER_ARM_KBPS: f64 = 3.0;
+
+/// One job of a `run`: evaluate a trace, or run one experiment at one
+/// sweep point.
+enum Job {
+    /// Evaluate the trace `key` with the union of the arms the sweep
+    /// point's experiments request of it.
+    Trace { key: TraceKey, arms: Vec<RxArm> },
+    /// Run experiment `i` of the selection at sweep point `p`.
+    Experiment { p: usize, i: usize },
+}
+
+/// The jobs of a `run`, point by point: each point's distinct traces,
+/// then its experiments. Returns the jobs and each job's dependencies:
+/// an experiment depends on the traces it reads and on the
+/// [`Experiment::dependencies`] selected before it at the same point.
+fn plan_jobs(
+    selected: &[&'static dyn Experiment],
+    scenarios: &[Scenario],
+) -> (Vec<Job>, Vec<Vec<usize>>) {
+    let mut jobs = Vec::new();
+    let mut deps = Vec::new();
+    for (p, scenario) in scenarios.iter().enumerate() {
+        // Trace jobs of this point: one per distinct key, in first-
+        // request order, with the union of the requested arms.
+        let first_trace = jobs.len();
+        let mut reads: Vec<Vec<usize>> = Vec::new();
+        for exp in selected {
+            let mut mine = Vec::new();
+            for request in exp.traces(scenario) {
+                let key = request.key(scenario);
+                let found = jobs[first_trace..]
+                    .iter()
+                    .position(|j| matches!(j, Job::Trace { key: k, .. } if *k == key));
+                let at = match found {
+                    Some(offset) => first_trace + offset,
+                    None => {
+                        jobs.push(Job::Trace {
+                            key,
+                            arms: Vec::new(),
+                        });
+                        deps.push(Vec::new());
+                        jobs.len() - 1
+                    }
+                };
+                if let Job::Trace { arms, .. } = &mut jobs[at] {
+                    for arm in request.arms {
+                        if !arms.contains(&arm) {
+                            arms.push(arm);
+                        }
+                    }
+                }
+                if !mine.contains(&at) {
+                    mine.push(at);
+                }
+            }
+            reads.push(mine);
+        }
+        let first_exp = jobs.len();
+        for (i, exp) in selected.iter().enumerate() {
+            let mut d = std::mem::take(&mut reads[i]);
+            d.extend(
+                exp.dependencies()
+                    .iter()
+                    .filter_map(|id| selected[..i].iter().position(|e| e.id() == *id))
+                    .map(|j| first_exp + j),
+            );
+            jobs.push(Job::Experiment { p, i });
+            deps.push(d);
+        }
+    }
+    (jobs, deps)
+}
+
 /// Runs every (sweep point × experiment) job on the experiment pool
 /// ([`pool::run_ordered`]) and prints and writes the results in sweep
 /// and registry order, so the output is byte-identical to a serial run
-/// whatever the pool size. An experiment with
-/// [`Experiment::dependencies`] (Table 1) starts only after those
-/// experiments at its sweep point have finished, and reuses their
-/// results.
+/// whatever the pool size. Each distinct trace of a sweep point is one
+/// job of its own, evaluated once with every arm its experiments read
+/// ([`ppr_sim::experiments::traces::evaluate`]); the experiments that
+/// read it start after it and render from the shared memo. An
+/// experiment with [`Experiment::dependencies`] (Table 1) starts only
+/// after those experiments at its sweep point have finished, and reuses
+/// their results.
 fn run(args: &RunArgs) -> i32 {
     let selected: Vec<&'static dyn Experiment> = if args.all {
         registry().to_vec()
@@ -346,26 +445,27 @@ fn run(args: &RunArgs) -> i32 {
         .max()
         .unwrap_or(1);
 
-    // Job k is experiment k % n at sweep point k / n.
-    let n = selected.len();
-    let deps = |k: usize| -> Vec<usize> {
-        let (p, i) = (k / n, k % n);
-        selected[i]
-            .dependencies()
-            .iter()
-            .filter_map(|id| selected[..i].iter().position(|e| e.id() == *id))
-            .map(|j| p * n + j)
-            .collect()
+    let (jobs, deps) = plan_jobs(&selected, &scenarios);
+    let cost = |k: usize| match &jobs[k] {
+        Job::Trace { key, arms } => trace_cost_ms(key, arms.len()),
+        Job::Experiment { i, .. } => run_cost_ms(selected[*i].id()),
     };
-    let cost = |k: usize| run_cost_ms(selected[k % n].id());
-    let work = |k: usize, prior: Vec<Arc<ExperimentResult>>| {
-        let prior: Vec<ExperimentResult> = prior.iter().map(|r| (**r).clone()).collect();
-        selected[k % n].run_with(&scenarios[k / n], &prior)
+    let work = |k: usize, prior: Vec<Arc<Option<ExperimentResult>>>| match &jobs[k] {
+        Job::Trace { key, arms } => {
+            traces::evaluate(key, arms);
+            None
+        }
+        Job::Experiment { p, i } => {
+            let prior: Vec<ExperimentResult> = prior.iter().filter_map(|r| (**r).clone()).collect();
+            Some(selected[*i].run_with(&scenarios[*p], &prior))
+        }
     };
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let emit = |k: usize, result: &ExperimentResult| -> Result<(), Stop> {
-        let (p, i) = (k / n, k % n);
+    let emit = |k: usize, result: &Option<ExperimentResult>| -> Result<(), Stop> {
+        let (&Job::Experiment { p, i }, Some(result)) = (&jobs[k], result) else {
+            return Ok(());
+        };
         let mut text = String::new();
         if i == 0 {
             if points.len() > 1 {
@@ -406,7 +506,7 @@ fn run(args: &RunArgs) -> i32 {
         }
         Ok(())
     };
-    let outcome = pool::run_ordered(points.len() * n, workers, deps, cost, work, emit)
+    let outcome = pool::run_ordered(jobs.len(), workers, |k| deps[k].clone(), cost, work, emit)
         .and_then(|()| out.flush().map_err(Stop::from));
     match outcome {
         Ok(()) | Err(Stop::BrokenPipe) => 0,
@@ -707,5 +807,130 @@ mod tests {
         assert_eq!(ok.ids, vec!["fig03"]);
         assert_eq!(ok.sets.len(), 1);
         assert_eq!(ok.json_dir.as_deref(), Some("out"));
+    }
+
+    /// Argument fragments: flags, ids, and `--set` pieces at and past
+    /// every parser's edge.
+    const ARG_TOKENS: [&str; 30] = [
+        "run",
+        "--set",
+        "--json",
+        "--all",
+        "--help",
+        "-",
+        "fig03",
+        "fig10",
+        "bogus",
+        "=",
+        ",",
+        ":",
+        "load",
+        "seed",
+        "eta",
+        "topology",
+        "jammer",
+        "checkpoint",
+        "0",
+        "1",
+        "-1",
+        "2.5",
+        "nan",
+        "1e309",
+        "rg",
+        "grid",
+        "react",
+        "\u{e9}",
+        " ",
+        "",
+    ];
+
+    proptest::proptest! {
+        /// `parse_run_args`, and the sweep expansion of whatever it
+        /// accepts, never panic on arbitrary argument lists built from
+        /// flags, ids and `key=value[,value...]` fragments.
+        #[test]
+        fn run_args_never_panic(
+            args in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..5),
+                0..6,
+            ),
+        ) {
+            let args: Vec<String> = args
+                .iter()
+                .map(|picks| {
+                    picks
+                        .iter()
+                        .map(|&p| ARG_TOKENS[p as usize % ARG_TOKENS.len()])
+                        .collect()
+                })
+                .collect();
+            if let Ok(run_args) = parse_run_args(&args) {
+                for point in sweep_points(&run_args.sets) {
+                    let _ = scenario_for(&point);
+                    let _ = point_label(&point, &run_args.sets);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_trace_is_one_job_with_the_union_of_its_arms() {
+        let selected = registry().to_vec();
+        let scenarios = [ScenarioBuilder::new().duration_s(1.0).build()];
+        let (jobs, deps) = plan_jobs(&selected, &scenarios);
+        let traces: Vec<(&TraceKey, usize)> = jobs
+            .iter()
+            .filter_map(|j| match j {
+                Job::Trace { key, arms } => Some((key, arms.len())),
+                Job::Experiment { .. } => None,
+            })
+            .collect();
+        // (load, carrier sense): 3.5/on, 3.5/off, 13.8/off, 6.9/off,
+        // 13.8/on, 6.9/on — fig08's six arms plus the hint arm, the six
+        // arms at each CS-off load (fig12's three among them), plus
+        // Table 2's five at 13.8/off, and the hint arm alone.
+        let mut arms: Vec<(f64, bool, usize)> = traces
+            .iter()
+            .map(|(k, n)| (k.cfg.load_kbps, k.cfg.carrier_sense, *n))
+            .collect();
+        arms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(
+            arms,
+            [
+                (3.5, false, 6),
+                (3.5, true, 7),
+                (6.9, false, 6),
+                (6.9, true, 1),
+                (13.8, false, 11),
+                (13.8, true, 1)
+            ]
+        );
+        // Every experiment depends on exactly the traces it requests,
+        // all earlier in the job list.
+        for (k, job) in jobs.iter().enumerate() {
+            let Job::Experiment { p, i } = job else {
+                assert!(deps[k].is_empty());
+                continue;
+            };
+            let sc = &scenarios[*p];
+            let wanted: Vec<TraceKey> = selected[*i].traces(sc).iter().map(|r| r.key(sc)).collect();
+            for d in &deps[k] {
+                assert!(*d < k);
+                if let Job::Trace { key, .. } = &jobs[*d] {
+                    assert!(wanted.contains(key), "{}", selected[*i].id());
+                }
+            }
+            let trace_deps = deps[k]
+                .iter()
+                .filter(|&&d| matches!(jobs[d], Job::Trace { .. }))
+                .count();
+            let mut distinct: Vec<&TraceKey> = Vec::new();
+            for key in &wanted {
+                if !distinct.contains(&key) {
+                    distinct.push(key);
+                }
+            }
+            assert_eq!(trace_deps, distinct.len(), "{}", selected[*i].id());
+        }
     }
 }

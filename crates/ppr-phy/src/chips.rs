@@ -510,6 +510,20 @@ impl ChipWords {
         self.words[word_idx] ^= flips & self.tail_mask(word_idx);
     }
 
+    /// Clears the chips of `clear` in lane `word_idx`, then XORs in
+    /// `flips`: `(w & !clear) ^ flips`. One primitive for a lane's
+    /// overwrites and flips together. Bits past the end of the stream
+    /// are ignored, preserving the canonical-tail invariant.
+    ///
+    /// # Panics
+    /// Panics if `word_idx` is out of range.
+    #[inline]
+    pub fn clear_xor_word(&mut self, word_idx: usize, clear: u64, flips: u64) {
+        let valid = self.tail_mask(word_idx);
+        let w = &mut self.words[word_idx];
+        *w = (*w & !(clear & valid)) ^ (flips & valid);
+    }
+
     /// Iterator over chips, chip 0 first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(|i| self.get(i))

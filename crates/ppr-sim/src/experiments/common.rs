@@ -5,15 +5,17 @@
 //! [`crate::scenario`] — this module only consumes a resolved
 //! [`Scenario`].
 
+use super::traces::TraceKey;
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
-    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
+    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, ArmFold,
+    RadioEnv, Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
-use crate::rxpath::Acquisition;
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
+
+pub use crate::network::LinkStats;
 
 /// One standard capacity run: environment + timeline, reusable across
 /// arms (the trace-post-processing methodology).
@@ -46,15 +48,16 @@ impl CapacityRun {
     /// and carrier-sense arm (both subject to the scenario's
     /// overrides), on the scenario's topology.
     pub fn from_scenario(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Self {
+        Self::from_key(&TraceKey::new(scenario, load_kbps, carrier_sense))
+    }
+
+    /// Builds the run a trace key names.
+    pub fn from_key(key: &TraceKey) -> Self {
         // The random-geometric square is sized for the *communication*
         // radius — the range at which a mean-power link still clears the
         // squelch threshold.
         let comm_radius_m = office_model().range_at_snr_m(SQUELCH_SNR);
-        Self::from_config(
-            scenario.sim_config(load_kbps, carrier_sense),
-            scenario.topology.testbed(comm_radius_m),
-            scenario.checkpoint,
-        )
+        Self::from_config(key.cfg, key.topology.testbed(comm_radius_m), key.checkpoint)
     }
 
     fn from_config(cfg: SimConfig, testbed: Testbed, checkpoint: Option<u64>) -> Self {
@@ -84,83 +87,25 @@ impl CapacityRun {
     }
 }
 
-/// Per-link aggregation of reception outcomes.
-#[derive(Debug, Clone, Default)]
-pub struct LinkStats {
-    /// Frames transmitted on the link (evaluated receptions).
-    pub frames: usize,
-    /// Frames acquired via preamble.
-    pub via_preamble: usize,
-    /// Frames acquired via postamble.
-    pub via_postamble: usize,
-    /// Total correct bytes delivered.
-    pub delivered_correct: usize,
-    /// Total scheme payload bytes offered.
-    pub payload_offered: usize,
-}
-
-impl LinkStats {
-    /// Equivalent frame delivery rate: correct delivered bytes per
-    /// airtime-equivalent byte (the 1500 B body), so scheme overhead is
-    /// charged (§7.2.2).
-    pub fn fdr(&self, body_bytes: usize) -> f64 {
-        if self.frames == 0 {
-            return f64::NAN;
-        }
-        self.delivered_correct as f64 / (self.frames * body_bytes) as f64
-    }
-
-    /// Delivered throughput over the run, kbit/s.
-    pub fn throughput_kbps(&self, duration_s: f64) -> f64 {
-        self.delivered_correct as f64 * 8.0 / duration_s / 1000.0
-    }
-}
-
 /// Groups receptions by usable link, returning stats per (sender,
 /// receiver) link in `env.links()` order.
 pub fn per_link_stats(env: &RadioEnv, recs: &[Reception]) -> Vec<((usize, usize), LinkStats)> {
-    let links = env.links();
-    let mut stats: Vec<LinkStats> = vec![LinkStats::default(); links.len()];
-    // BTreeMap, not HashMap: output order is driven by `links`, but the
-    // experiment layer is deterministic *by construction* — no hashed
-    // iteration order anywhere it could someday leak into results.
-    let index: std::collections::BTreeMap<(usize, usize), usize> =
-        links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-    for rec in recs {
-        let Some(&i) = index.get(&(rec.sender, rec.receiver)) else {
-            continue;
-        };
-        let s = &mut stats[i];
-        s.frames += 1;
-        s.payload_offered += rec.payload_len;
-        s.delivered_correct += rec.delivered_correct;
-        match rec.acquisition {
-            Acquisition::Preamble => s.via_preamble += 1,
-            Acquisition::Postamble => s.via_postamble += 1,
-            Acquisition::None => {}
-        }
-    }
-    links.into_iter().zip(stats).collect()
+    env.links()
+        .into_iter()
+        .zip(ArmFold::of_stream(env, recs, false).links)
+        .collect()
+}
+
+/// The distribution of `metric` over the links that carried frames.
+pub fn link_cdf(links: &[LinkStats], metric: impl Fn(&LinkStats) -> f64) -> Cdf {
+    Cdf::from_samples(links.iter().filter(|s| s.frames > 0).map(metric).collect())
 }
 
 /// Per-link FDR samples for a reception set.
 pub fn fdr_cdf(env: &RadioEnv, recs: &[Reception], body_bytes: usize) -> Cdf {
-    let samples = per_link_stats(env, recs)
-        .into_iter()
-        .filter(|(_, s)| s.frames > 0)
-        .map(|(_, s)| s.fdr(body_bytes))
-        .collect();
-    Cdf::from_samples(samples)
-}
-
-/// Per-link throughput samples (kbit/s) for a reception set.
-pub fn throughput_cdf(env: &RadioEnv, recs: &[Reception], duration_s: f64) -> Cdf {
-    let samples = per_link_stats(env, recs)
-        .into_iter()
-        .filter(|(_, s)| s.frames > 0)
-        .map(|(_, s)| s.throughput_kbps(duration_s))
-        .collect();
-    Cdf::from_samples(samples)
+    link_cdf(&ArmFold::of_stream(env, recs, false).links, |s| {
+        s.fdr(body_bytes)
+    })
 }
 
 /// The six arm combinations of Figs. 8–10: the scenario's three schemes

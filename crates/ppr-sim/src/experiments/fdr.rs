@@ -10,7 +10,8 @@
 //! packet CRC collapses without carrier sense and at high load while PPR
 //! stays high.
 
-use super::common::{fdr_cdf, six_arms, CapacityRun};
+use super::common::{link_cdf, six_arms};
+use super::traces::{self, TraceRequest};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::results::{ExperimentResult, TableBlock};
@@ -30,17 +31,29 @@ pub fn median_metric_key(label: &str) -> String {
     format!("median_fdr/{label}")
 }
 
-/// Runs one figure's experiment at the resolved load/carrier-sense.
+/// The trace an FDR figure reads: its six arms at (load, carrier
+/// sense).
+pub fn request(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> TraceRequest {
+    TraceRequest {
+        load_kbps,
+        carrier_sense,
+        arms: six_arms(scenario.schemes())
+            .into_iter()
+            .map(|(_, arm)| arm)
+            .collect(),
+    }
+}
+
+/// Renders one figure's curves from its trace at (load, carrier sense).
 pub fn collect(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Vec<Curve> {
-    let run = CapacityRun::from_scenario(scenario, load_kbps, carrier_sense);
+    let trace = traces::folds(scenario, &request(scenario, load_kbps, carrier_sense));
+    let body_bytes = trace.cfg.body_bytes;
     six_arms(scenario.schemes())
         .into_iter()
-        .map(|(label, arm)| {
-            let recs = run.receptions(&arm);
-            Curve {
-                label,
-                cdf: fdr_cdf(&run.env, &recs, run.cfg.body_bytes),
-            }
+        .zip(&trace.folds)
+        .map(|((label, _), fold)| Curve {
+            label,
+            cdf: link_cdf(&fold.links, |s| s.fdr(body_bytes)),
         })
         .collect()
 }
@@ -101,6 +114,10 @@ impl Experiment for FdrExperiment {
 
     fn description(&self) -> &'static str {
         self.description
+    }
+
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        vec![request(scenario, self.load_kbps, self.carrier_sense)]
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {

@@ -8,7 +8,8 @@
 //! in the standard capacity runs ([`super::hints`]) as the six CDF
 //! curves.
 
-use super::hints;
+use super::hints::{self, HintStats};
+use super::traces::TraceRequest;
 use super::Experiment;
 use crate::results::{ExperimentResult, TableBlock};
 use crate::scenario::Scenario;
@@ -33,8 +34,12 @@ impl Experiment for Fig03 {
         "Hamming-distance CDFs for correct vs incorrect codewords, per load"
     }
 
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        hints::requests(scenario)
+    }
+
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let stats = hints::shared(scenario);
+        let stats = HintStats::of(scenario);
         let data = &stats.per_load;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(
@@ -105,7 +110,7 @@ mod tests {
         // The same scenario as the Fig. 14/15 shape tests, so the three
         // share one memoised hint pass.
         let sc = ScenarioBuilder::new().duration_s(6.0).build();
-        let stats = hints::shared(&sc);
+        let stats = HintStats::of(&sc);
         let data = &stats.per_load;
         assert_eq!(data.len(), 3);
         // Use the highest load (most collisions → most incorrect

@@ -12,13 +12,14 @@
 //! ([`super::hints`]): high load maximizes the collision (and therefore
 //! miss) count.
 
-use super::hints;
+use super::hints::{self, HintStats};
+use super::traces::TraceRequest;
 use super::Experiment;
 use crate::results::ExperimentResult;
 use crate::scenario::Scenario;
 
 /// Thresholds evaluated, as in the paper.
-pub const ETAS: [u8; 4] = [1, 2, 3, 4];
+pub const ETAS: [u8; 4] = crate::metrics::MISS_RUN_ETAS;
 
 /// The Fig. 14 experiment.
 pub struct Fig14;
@@ -40,8 +41,12 @@ impl Experiment for Fig14 {
         "CCDF of contiguous miss-run lengths at eta in {1,2,3,4}, high load"
     }
 
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        hints::requests(scenario)
+    }
+
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let stats = hints::shared(scenario);
+        let stats = HintStats::of(scenario);
         let hist = &stats.miss_runs;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(format!(
@@ -80,7 +85,7 @@ mod tests {
     #[test]
     fn miss_lengths_are_short_and_decaying() {
         let sc = ScenarioBuilder::new().duration_s(6.0).build();
-        let stats = hints::shared(&sc);
+        let stats = HintStats::of(&sc);
         let hist = &stats.miss_runs;
         // Use eta = 4 (most permissive -> most misses).
         let e = 3;

@@ -8,7 +8,8 @@
 //! histograms are Fig. 3's, from the shared hint pass
 //! ([`super::hints`]).
 
-use super::hints;
+use super::hints::{self, HintStats};
+use super::traces::TraceRequest;
 use super::Experiment;
 use crate::results::{ExperimentResult, TableBlock};
 use crate::scenario::Scenario;
@@ -33,8 +34,12 @@ impl Experiment for Fig15 {
         "False-alarm rate vs threshold eta, per offered load"
     }
 
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        hints::requests(scenario)
+    }
+
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let stats = hints::shared(scenario);
+        let stats = HintStats::of(scenario);
         let data = &stats.per_load;
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(
@@ -76,7 +81,7 @@ mod tests {
         // The same scenario as the Fig. 3/14 shape tests, so the three
         // share one memoised hint pass.
         let sc = ScenarioBuilder::new().duration_s(6.0).build();
-        let stats = hints::shared(&sc);
+        let stats = HintStats::of(&sc);
         for (load, hist) in &stats.per_load {
             assert!(hist.total_correct() > 1000, "load {load}: too few samples");
             let fa6 = hist.false_alarm_rate(6);

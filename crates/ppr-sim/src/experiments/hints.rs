@@ -1,28 +1,21 @@
-//! The SoftPHY hint statistics behind Figs. 3, 14 and 15, computed once.
+//! The SoftPHY hint statistics behind Figs. 3, 14 and 15.
 //!
 //! The paper draws all three figures from the same hint traces at the
-//! three offered loads (§7.4). [`HintStats::compute`] evaluates each
-//! load's PPR-arm capacity run once, with per-symbol traces on, and
-//! folds every reception into that load's [`HintHistogram`] (Figs. 3
-//! and 15). The run at the high load (`load_or(13.8)`) is folded into
-//! the [`MissRunHistogram`] of Fig. 14 in the same pass. Runs are
-//! evaluated one after another, so at most one run's traces are
-//! resident.
+//! three offered loads (§7.4). Each load's capacity trace is evaluated
+//! under the PPR arm with per-symbol traces on; the reception pass folds
+//! every reception into that arm's [`HintHistogram`] (Figs. 3 and 15)
+//! and [`MissRunHistogram`] as it decodes, so no symbol trace outlives
+//! its reception. Fig. 14 reads the miss runs of the high-load trace
+//! (`load_or(13.8)`).
 //!
-//! [`shared`] memoises the statistics per [`Scenario`] for the life of
-//! the process: when `fig03`, `fig14` and `fig15` run in one invocation
-//! — even concurrently, on `ppr-cli`'s experiment pool — the first
-//! caller computes and the others wait for its result.
+//! The traces come from the shared trace memo ([`super::traces`]): when
+//! `fig03`, `fig14` and `fig15` run in one invocation, the traces are
+//! evaluated once and each figure only renders.
 
-use super::common::CapacityRun;
-use super::fig14::ETAS;
-use crate::metrics::{HintHistogram, MissRunHistogram};
+use super::traces::{self, TraceRequest};
+use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETAS};
 use crate::network::RxArm;
 use crate::scenario::{Scenario, LOADS};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Longest miss run Fig. 14 tracks in its own bin.
-const MAX_MISS_RUN: usize = 100;
 
 /// The hint statistics of one scenario.
 #[derive(Debug, Clone)]
@@ -30,39 +23,49 @@ pub struct HintStats {
     /// One hint histogram per offered load, in sweep order.
     pub per_load: Vec<(f64, HintHistogram)>,
     /// Contiguous miss-run lengths at the high load, at each of
-    /// [`ETAS`].
+    /// [`MISS_RUN_ETAS`].
     pub miss_runs: MissRunHistogram,
 }
 
+/// The traces the hint figures read: the PPR arm, with symbol traces,
+/// at each load. Carrier sense on: the CC2420 default, and the
+/// §3.2/§7.4 hint-statistics environment (the paper disables CS only in
+/// the experiments that say so, Figs. 9–12).
+pub fn requests(scenario: &Scenario) -> Vec<TraceRequest> {
+    let arm = RxArm {
+        scheme: scenario.ppr_scheme(),
+        postamble: true,
+        collect_symbols: true,
+    };
+    scenario
+        .loads(&LOADS)
+        .into_iter()
+        .map(|load_kbps| TraceRequest {
+            load_kbps,
+            carrier_sense: true,
+            arms: vec![arm],
+        })
+        .collect()
+}
+
 impl HintStats {
-    /// Evaluates the PPR arm over each load's capacity run and folds
-    /// every reception's hint trace.
-    pub fn compute(scenario: &Scenario) -> HintStats {
-        let arm = RxArm {
-            scheme: scenario.ppr_scheme(),
-            postamble: true,
-            collect_symbols: true,
-        };
+    /// Renders the statistics from the PPR arm's folds over each load's
+    /// trace.
+    pub fn of(scenario: &Scenario) -> HintStats {
         let miss_load = scenario.load_or(13.8);
-        let mut miss_runs = MissRunHistogram::new(ETAS.to_vec(), MAX_MISS_RUN);
-        let per_load = scenario
-            .loads(&LOADS)
-            .into_iter()
-            .map(|load| {
-                // Carrier sense on: the CC2420 default, and the §3.2/§7.4
-                // hint-statistics environment (the paper disables CS only
-                // in the experiments that say so, Figs. 9-12).
-                let run = CapacityRun::from_scenario(scenario, load, true);
-                let mut hist = HintHistogram::new();
-                for rec in run.receptions(&arm) {
-                    for (&h, &c) in rec.symbol_hints.iter().zip(&rec.symbol_correct) {
-                        hist.record(h, c);
-                    }
-                    if load == miss_load && !rec.symbol_hints.is_empty() {
-                        miss_runs.record_packet(&rec.symbol_hints, &rec.symbol_correct);
-                    }
+        let mut miss_runs = MissRunHistogram::new(MISS_RUN_ETAS.to_vec(), MAX_MISS_RUN);
+        let per_load = requests(scenario)
+            .iter()
+            .map(|request| {
+                let trace = traces::folds(scenario, request);
+                let hints = trace.folds[0]
+                    .hints
+                    .as_ref()
+                    .expect("the hint arm collects symbol traces");
+                if request.load_kbps == miss_load {
+                    miss_runs = hints.miss_runs.clone();
                 }
-                (load, hist)
+                (request.load_kbps, hints.hist.clone())
             })
             .collect();
         HintStats {
@@ -72,47 +75,14 @@ impl HintStats {
     }
 }
 
-/// A handle on memoised [`HintStats`]; dereferences to them.
-pub struct SharedHintStats(Arc<OnceLock<HintStats>>);
-
-impl std::ops::Deref for SharedHintStats {
-    type Target = HintStats;
-
-    fn deref(&self) -> &HintStats {
-        self.0.get().expect("shared() initialises before returning")
-    }
-}
-
-/// The memo behind [`shared`]: one cell per scenario seen so far.
-type Memo = Mutex<Vec<(Scenario, Arc<OnceLock<HintStats>>)>>;
-
-/// The [`HintStats`] of `scenario`, computed by the first caller in this
-/// process and shared with every later or concurrent one.
-pub fn shared(scenario: &Scenario) -> SharedHintStats {
-    static MEMO: Memo = Mutex::new(Vec::new());
-    let cell = {
-        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
-        match memo.iter().find(|(sc, _)| sc == scenario) {
-            Some((_, cell)) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(OnceLock::new());
-                memo.push((scenario.clone(), Arc::clone(&cell)));
-                cell
-            }
-        }
-    };
-    // Computed outside the memo lock: other scenarios proceed while this
-    // one's runs evaluate; callers for this scenario block in the cell.
-    cell.get_or_init(|| HintStats::compute(scenario));
-    SharedHintStats(cell)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::CapacityRun;
     use crate::experiments::{fig03::Fig03, fig14::Fig14, fig15::Fig15, Experiment};
     use crate::results::fingerprint;
     use crate::scenario::ScenarioBuilder;
+    use std::sync::Arc;
 
     #[test]
     fn fig14_and_fig15_reuse_fig03s_pass_and_match_the_golden_corpus() {
@@ -127,7 +97,13 @@ mod tests {
             .relay_packets(60)
             .build();
         let fig03 = Fig03.run(&sc);
-        let first: *const HintStats = &*shared(&sc);
+        let folds_of = || -> Vec<_> {
+            requests(&sc)
+                .iter()
+                .map(|r| traces::folds(&sc, r).folds[0].clone())
+                .collect()
+        };
+        let first = folds_of();
 
         // ppr-lint: allow(determinism) — wall-clock use is the point of
         // this test (it asserts reuse does no recomputation); the timing
@@ -140,10 +116,9 @@ mod tests {
             reuse_time.as_millis() < 100,
             "fig14 + fig15 took {reuse_time:?} — the hint pass was re-run"
         );
-        assert!(
-            std::ptr::eq(first, &*shared(&sc)),
-            "the memo entry was replaced"
-        );
+        for (a, b) in first.iter().zip(folds_of()) {
+            assert!(Arc::ptr_eq(a, &b), "a memoised trace fold was replaced");
+        }
 
         for (res, pinned) in [
             (fig03, 0x9cb4_80fa_3494_4975),
@@ -161,7 +136,7 @@ mod tests {
             .duration_s(2.0)
             .load_kbps(6.9)
             .build();
-        let stats = shared(&sc);
+        let stats = HintStats::of(&sc);
         assert_eq!(stats.per_load.len(), 1);
         assert_eq!(stats.per_load[0].0, 6.9);
         // Fig. 14 reads the pinned load's run — the run its canonical
@@ -173,7 +148,7 @@ mod tests {
             postamble: true,
             collect_symbols: true,
         };
-        let mut direct = MissRunHistogram::new(ETAS.to_vec(), MAX_MISS_RUN);
+        let mut direct = MissRunHistogram::new(MISS_RUN_ETAS.to_vec(), MAX_MISS_RUN);
         for rec in run.receptions(&arm) {
             direct.record_packet(&rec.symbol_hints, &rec.symbol_correct);
         }

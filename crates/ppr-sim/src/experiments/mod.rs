@@ -20,8 +20,11 @@
 //! Every experiment implements [`Experiment`] and registers itself in
 //! [`registry`], so drivers (the `ppr-cli` binary, the golden
 //! regression test) enumerate them instead of hard-wiring binaries.
-//! Figs. 3, 14 and 15 render one shared, memoised hint pass
-//! ([`hints`]).
+//! The capacity experiments (Figs. 3, 8–12, 14, 15 and Table 2) are
+//! renderers: each declares the channel traces it reads
+//! ([`Experiment::traces`]) and renders the per-arm folds of those
+//! traces, which every experiment shares through one memo
+//! ([`traces`]).
 
 pub mod common;
 pub mod fdr;
@@ -39,9 +42,11 @@ pub mod relay;
 pub mod table1;
 pub mod table2;
 pub mod throughput;
+pub mod traces;
 
 use crate::results::ExperimentResult;
 use crate::scenario::Scenario;
+use traces::TraceRequest;
 
 /// A runnable paper experiment.
 ///
@@ -76,6 +81,15 @@ pub trait Experiment: Sync {
     /// concurrently starts this one only after those have finished.
     fn dependencies(&self) -> &'static [&'static str] {
         &[]
+    }
+
+    /// The capacity traces [`Experiment::run`] reads under `scenario`,
+    /// with the receiver arms it needs of each. A driver can evaluate
+    /// every trace once, with the union of the arms its experiments
+    /// request ([`traces::evaluate`]), before the experiments run; a
+    /// standalone run evaluates what the memo lacks on demand.
+    fn traces(&self, _scenario: &Scenario) -> Vec<TraceRequest> {
+        Vec::new()
     }
 }
 

@@ -10,6 +10,16 @@
 //! transmission, combines the four receivers' decoded symbol streams by
 //! minimum hint, then compares delivered-correct bytes against the best
 //! single receiver.
+//!
+//! It keeps its own reception loop instead of reading the shared
+//! (13.8 kbit/s, carrier sense off) trace ([`super::traces`]) that
+//! `fig10` and `table2` read. Its frames are broadcast-addressed
+//! (`dst 0xFFFF`) and carry the bare payload, so their header chips
+//! differ from those of the trace's per-receiver frames, and so does
+//! their length — and with it every interference profile, chip-error
+//! draw and busy/idle verdict. It also needs every receiver's decoded
+//! symbol stream of one transmission side by side, which a fold over
+//! per-arm counters does not keep.
 
 use super::common::CapacityRun;
 use super::Experiment;

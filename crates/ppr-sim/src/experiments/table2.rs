@@ -6,7 +6,7 @@
 //! at ~30 chunks (50 B fragments), which the capacity experiments then
 //! use.
 
-use super::common::{per_link_stats, CapacityRun};
+use super::traces::{self, TraceRequest};
 use super::Experiment;
 use crate::network::RxArm;
 use crate::results::{ExperimentResult, TableBlock};
@@ -27,34 +27,46 @@ pub struct Row {
     pub aggregate_kbps: f64,
 }
 
-/// Runs the sweep at high load (where the trade-off is sharpest).
-pub fn collect(scenario: &Scenario) -> Vec<Row> {
-    let run = CapacityRun::from_scenario(scenario, 13.8, false);
-    let duration_s = run.cfg.duration_s;
-    let body_bytes = run.cfg.body_bytes;
-    CHUNK_COUNTS
-        .iter()
-        .map(|&chunks| {
-            // `chunks` fragments must fit in the body including their
-            // 4 B CRCs.
-            let frag_bytes = (body_bytes / chunks).saturating_sub(4).max(1);
-            let arm = RxArm {
+/// Fragment payload size for `chunks` fragments per body: they must
+/// fit in the body including their 4 B CRCs.
+fn frag_bytes(body_bytes: usize, chunks: usize) -> usize {
+    (body_bytes / chunks).saturating_sub(4).max(1)
+}
+
+/// The trace the sweep reads: one fragmented-CRC arm per chunk count,
+/// at high load (where the trade-off is sharpest).
+pub fn request(scenario: &Scenario) -> TraceRequest {
+    TraceRequest {
+        load_kbps: 13.8,
+        carrier_sense: false,
+        arms: CHUNK_COUNTS
+            .iter()
+            .map(|&chunks| RxArm {
                 scheme: DeliveryScheme::FragmentedCrc {
-                    frag_payload: frag_bytes,
+                    frag_payload: frag_bytes(scenario.body_bytes, chunks),
                 },
                 postamble: true,
                 collect_symbols: false,
-            };
-            let recs = run.receptions(&arm);
-            let aggregate: f64 = per_link_stats(&run.env, &recs)
+            })
+            .collect(),
+    }
+}
+
+/// Renders the sweep from its trace.
+pub fn collect(scenario: &Scenario) -> Vec<Row> {
+    let trace = traces::folds(scenario, &request(scenario));
+    let duration_s = trace.cfg.duration_s;
+    CHUNK_COUNTS
+        .iter()
+        .zip(&trace.folds)
+        .map(|(&chunks, fold)| Row {
+            chunks,
+            frag_bytes: frag_bytes(trace.cfg.body_bytes, chunks),
+            aggregate_kbps: fold
+                .links
                 .iter()
-                .map(|(_, s)| s.throughput_kbps(duration_s))
-                .sum();
-            Row {
-                chunks,
-                frag_bytes,
-                aggregate_kbps: aggregate,
-            }
+                .map(|s| s.throughput_kbps(duration_s))
+                .sum(),
         })
         .collect()
 }
@@ -77,6 +89,10 @@ impl Experiment for Table2 {
 
     fn description(&self) -> &'static str {
         "Fragmented-CRC aggregate throughput vs chunk count, high load"
+    }
+
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        vec![request(scenario)]
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {

@@ -9,7 +9,9 @@
 //! CRC; fragmented CRC far outperforms packet CRC; the spread of link
 //! quality narrows for the finer-granularity schemes.
 
-use super::common::{per_link_stats, six_arms, CapacityRun};
+use super::common::{link_cdf, six_arms};
+use super::fdr;
+use super::traces::{self, TraceRequest};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::network::RxArm;
@@ -25,23 +27,17 @@ pub struct Curve {
     pub cdf: Cdf,
 }
 
-/// Fig. 11: throughput CDFs for the six arms at one load.
+/// Fig. 11: throughput CDFs for the six arms at one load, carrier
+/// sense off.
 pub fn collect_fig11(scenario: &Scenario, load_kbps: f64) -> Vec<Curve> {
-    let run = CapacityRun::from_scenario(scenario, load_kbps, false);
-    let duration_s = run.cfg.duration_s;
+    let trace = traces::folds(scenario, &fdr::request(scenario, load_kbps, false));
+    let duration_s = trace.cfg.duration_s;
     six_arms(scenario.schemes())
         .into_iter()
-        .map(|(label, arm)| {
-            let recs = run.receptions(&arm);
-            let samples = per_link_stats(&run.env, &recs)
-                .into_iter()
-                .filter(|(_, s)| s.frames > 0)
-                .map(|(_, s)| s.throughput_kbps(duration_s))
-                .collect();
-            Curve {
-                label,
-                cdf: Cdf::from_samples(samples),
-            }
+        .zip(&trace.folds)
+        .map(|((label, _), fold)| Curve {
+            label,
+            cdf: link_cdf(&fold.links, |s| s.throughput_kbps(duration_s)),
         })
         .collect()
 }
@@ -62,34 +58,46 @@ pub struct ScatterPoint {
     pub ppr: f64,
 }
 
+/// The traces Fig. 12 reads: the three schemes with postamble decoding
+/// (the paper's default receiver) at every load, carrier sense off —
+/// arms that Figs. 9–11 evaluate over the same traces.
+pub fn fig12_requests(scenario: &Scenario) -> Vec<TraceRequest> {
+    scenario
+        .loads(&LOADS)
+        .into_iter()
+        .map(|load_kbps| TraceRequest {
+            load_kbps,
+            carrier_sense: false,
+            arms: scenario
+                .schemes()
+                .map(|scheme| RxArm {
+                    scheme,
+                    postamble: true,
+                    collect_symbols: false,
+                })
+                .to_vec(),
+        })
+        .collect()
+}
+
 /// Fig. 12: per-link (fragmented CRC, packet CRC, PPR) throughput
-/// triples at every load. Postamble decoding enabled for all (the
-/// paper's default receiver).
+/// triples at every load.
 pub fn collect_fig12(scenario: &Scenario) -> Vec<ScatterPoint> {
     let mut out = Vec::new();
-    for load in scenario.loads(&LOADS) {
-        let run = CapacityRun::from_scenario(scenario, load, false);
-        let duration_s = run.cfg.duration_s;
-        let [pkt, frag, ppr] = scenario.schemes();
-        let arms = [pkt, frag, ppr].map(|scheme| RxArm {
-            scheme,
-            postamble: true,
-            collect_symbols: false,
-        });
-        let stats: Vec<_> = arms
-            .iter()
-            .map(|arm| per_link_stats(&run.env, &run.receptions(arm)))
-            .collect();
-        for (i, &(link, ref packet_stats)) in stats[0].iter().enumerate() {
-            if packet_stats.frames == 0 {
+    for request in fig12_requests(scenario) {
+        let trace = traces::folds(scenario, &request);
+        let duration_s = trace.cfg.duration_s;
+        let [packet, frag, ppr] = [0, 1, 2].map(|a| &trace.folds[a].links);
+        for (i, &link) in trace.links.iter().enumerate() {
+            if packet[i].frames == 0 {
                 continue;
             }
             out.push(ScatterPoint {
-                load_kbps: load,
+                load_kbps: request.load_kbps,
                 link,
-                packet: packet_stats.throughput_kbps(duration_s),
-                frag: stats[1][i].1.throughput_kbps(duration_s),
-                ppr: stats[2][i].1.throughput_kbps(duration_s),
+                packet: packet[i].throughput_kbps(duration_s),
+                frag: frag[i].throughput_kbps(duration_s),
+                ppr: ppr[i].throughput_kbps(duration_s),
             });
         }
     }
@@ -114,6 +122,10 @@ impl Experiment for Fig11 {
 
     fn description(&self) -> &'static str {
         "Per-link throughput CDFs at 6.9 kbit/s/node, carrier sense off"
+    }
+
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        vec![fdr::request(scenario, 6.9, false)]
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
@@ -166,6 +178,10 @@ impl Experiment for Fig12 {
 
     fn description(&self) -> &'static str {
         "Per-link throughput triples (packet CRC, PPR vs fragmented CRC), all loads"
+    }
+
+    fn traces(&self, scenario: &Scenario) -> Vec<TraceRequest> {
+        fig12_requests(scenario)
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {

@@ -67,7 +67,7 @@ impl Cdf {
 
 /// Histogram over SoftPHY hint values split by ground-truth correctness
 /// (drives Figs. 3 and 15).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HintHistogram {
     /// `counts[h]` for codewords decoded correctly.
     pub correct: Vec<u64>,
@@ -98,6 +98,25 @@ impl HintHistogram {
             self.correct[h] += 1;
         } else {
             self.incorrect[h] += 1;
+        }
+    }
+
+    /// Records one packet's hint/correctness trace: the codewords of
+    /// `hints` and `correct`, paired up to the shorter of the two. Same
+    /// counts as [`Self::record`] per codeword, tallied on the stack in
+    /// four interleaved tallies (nearly every codeword lands in the same
+    /// bin, and one tally would serialize on it).
+    pub fn record_packet(&mut self, hints: &[u8], correct: &[bool]) {
+        let mut tally = [[[0u64; 34]; 2]; 4];
+        for (i, (&h, &c)) in hints.iter().zip(correct).enumerate() {
+            tally[i % 4][c as usize][(h as usize).min(33)] += 1;
+        }
+        for t in tally {
+            for (counts, t) in [&mut self.incorrect, &mut self.correct].into_iter().zip(t) {
+                for (n, t) in counts.iter_mut().zip(t) {
+                    *n += t;
+                }
+            }
         }
     }
 
@@ -148,9 +167,17 @@ impl HintHistogram {
     }
 }
 
+/// The thresholds η at which capacity traces histogram miss runs
+/// (Fig. 14's curves).
+pub const MISS_RUN_ETAS: [u8; 4] = [1, 2, 3, 4];
+
+/// Longest miss run a trace's [`MissRunHistogram`] tracks in its own
+/// bin; longer runs share the last one.
+pub const MAX_MISS_RUN: usize = 100;
+
 /// Histogram of contiguous miss-run lengths at several thresholds
 /// (Fig. 14).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MissRunHistogram {
     /// Thresholds η under evaluation.
     pub etas: Vec<u8>,
@@ -170,6 +197,16 @@ impl MissRunHistogram {
     /// Records one packet's hint/correctness trace: a *miss* is an
     /// incorrect codeword with `hint ≤ η`; contiguous misses form runs.
     pub fn record_packet(&mut self, hints: &[u8], correct: &[bool]) {
+        // Most packets hold no miss even at the largest threshold, and
+        // have no run to record.
+        let max_eta = self.etas.iter().copied().max().unwrap_or(0);
+        let any_miss = hints
+            .iter()
+            .zip(correct)
+            .fold(false, |any, (&h, &c)| any | (!c & (h <= max_eta)));
+        if !any_miss {
+            return;
+        }
         for (e, &eta) in self.etas.iter().enumerate() {
             let max = self.counts[e].len() - 1;
             let mut run = 0usize;

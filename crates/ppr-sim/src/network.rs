@@ -20,7 +20,10 @@
 //! Chip corruption for a given (transmission, receiver) pair is seeded by
 //! `(seed, tx id, receiver)`, so different schemes and postamble arms see
 //! *identical* channel noise — the paper's "same trace, post-processed"
-//! methodology.
+//! methodology. [`ReceptionDriver`] takes that literally: one pass over
+//! a trace evaluates any number of arms, drawing each pair's chip errors
+//! once ([`ChipErrors`]) and folding each arm's receptions into its
+//! [`ArmFold`] as they decode ([`fold_receptions`]).
 //!
 //! Both stages run over the discrete-event core ([`crate::event`]):
 //! the timeline generator schedules arrival/attempt events, and
@@ -43,28 +46,36 @@
 //!    depends solely on earlier preamble hits at that receiver, folded
 //!    in event-pop order (= timeline order per receiver);
 //! 3. outputs are collected in (receiver, timeline-order) slots, not in
-//!    completion order;
+//!    completion order, or folded into order-independent counts;
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
-//! `tests/packed_parity.rs` pins the equality on whole runs, and the
-//! differential harness ([`crate::diff`]) on resumed checkpoints.
+//! A multi-arm pass adds one fact: the chip errors of a pair do not
+//! depend on the arm, because every arm's frame has the same length
+//! and the sampler never reads chip values; and the busy/idle fold does
+//! not either, because it reads only the preamble, which every frame
+//! shares.
+//!
+//! `tests/packed_parity.rs` pins the equality on whole runs, arm by arm
+//! for multi-arm passes, and the differential harness ([`crate::diff`])
+//! on resumed checkpoints.
 
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
+use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETAS};
 use crate::rxpath::{Acquisition, FastRx};
 use crate::snapshot::{env_fingerprint, timeline_fingerprint, InFlightRx, RxSnapshot, SnapError};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
-use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
 use ppr_channel::overlap::{interference_profile, HeardTx};
 use ppr_channel::pathloss::PathLossModel;
 use ppr_mac::frame::Frame;
 use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme};
-use ppr_phy::chips::ChipWords;
 use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Simulation parameters for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -443,6 +454,118 @@ pub fn build_body_padded(scheme: &DeliveryScheme, payload: &[u8], body_bytes: us
     body
 }
 
+/// Per-link counters of one arm over one trace.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Frames transmitted on the link (evaluated receptions).
+    pub frames: usize,
+    /// Frames acquired via preamble.
+    pub via_preamble: usize,
+    /// Frames acquired via postamble.
+    pub via_postamble: usize,
+    /// Total correct bytes delivered.
+    pub delivered_correct: usize,
+    /// Total scheme payload bytes offered.
+    pub payload_offered: usize,
+}
+
+impl LinkStats {
+    /// Equivalent frame delivery rate: correct delivered bytes per
+    /// airtime-equivalent byte (the 1500 B body), so scheme overhead is
+    /// charged (§7.2.2).
+    pub fn fdr(&self, body_bytes: usize) -> f64 {
+        if self.frames == 0 {
+            return f64::NAN;
+        }
+        self.delivered_correct as f64 / (self.frames * body_bytes) as f64
+    }
+
+    /// Delivered throughput over the run, kbit/s.
+    pub fn throughput_kbps(&self, duration_s: f64) -> f64 {
+        self.delivered_correct as f64 * 8.0 / duration_s / 1000.0
+    }
+}
+
+/// The codeword hint statistics of one arm (Figs. 3, 14 and 15).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HintFold {
+    /// Every decoded body codeword's hint, split by correctness.
+    pub hist: HintHistogram,
+    /// Contiguous miss-run lengths at each of [`MISS_RUN_ETAS`].
+    pub miss_runs: MissRunHistogram,
+}
+
+/// What the capacity figures read of one arm's receptions over one
+/// trace, folded as each reception decodes. Every field is a count, so
+/// the fold does not depend on the order receptions arrive in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArmFold {
+    /// Per-link counters, in [`RadioEnv::links`] order.
+    pub links: Vec<LinkStats>,
+    /// Codeword hint statistics, for arms that collect symbol traces.
+    pub hints: Option<HintFold>,
+}
+
+impl ArmFold {
+    /// An empty fold over `links` links; `hints` keeps the codeword hint
+    /// statistics too.
+    pub fn new(links: usize, hints: bool) -> Self {
+        ArmFold {
+            links: vec![LinkStats::default(); links],
+            hints: hints.then(|| HintFold {
+                hist: HintHistogram::new(),
+                miss_runs: MissRunHistogram::new(MISS_RUN_ETAS.to_vec(), MAX_MISS_RUN),
+            }),
+        }
+    }
+
+    /// Folds one reception on link `link`.
+    pub fn add(&mut self, link: usize, rec: &Reception) {
+        let s = &mut self.links[link];
+        s.frames += 1;
+        s.payload_offered += rec.payload_len;
+        s.delivered_correct += rec.delivered_correct;
+        match rec.acquisition {
+            Acquisition::Preamble => s.via_preamble += 1,
+            Acquisition::Postamble => s.via_postamble += 1,
+            Acquisition::None => {}
+        }
+        if let Some(h) = &mut self.hints {
+            h.hist.record_packet(&rec.symbol_hints, &rec.symbol_correct);
+            h.miss_runs
+                .record_packet(&rec.symbol_hints, &rec.symbol_correct);
+        }
+    }
+
+    /// Folds a collected reception stream. Receptions on pairs that are
+    /// not links of `env` are skipped.
+    pub fn of_stream(env: &RadioEnv, recs: &[Reception], hints: bool) -> Self {
+        let links = env.links();
+        // BTreeMap, not HashMap: the experiment layer is deterministic
+        // by construction, with no hashed iteration order anywhere.
+        let index: BTreeMap<(usize, usize), usize> =
+            links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+        let mut fold = ArmFold::new(links.len(), hints);
+        for rec in recs {
+            if let Some(&link) = index.get(&(rec.sender, rec.receiver)) {
+                fold.add(link, rec);
+            }
+        }
+        fold
+    }
+}
+
+/// What a reception pass keeps of each decoded reception.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RxOutput {
+    /// One arm's receptions in their receiver-major slots (undecoded
+    /// slots are `None`): the stream [`process_receptions`] returns and
+    /// the differential harness compares.
+    Stream(Vec<Option<Reception>>),
+    /// One [`ArmFold`] per arm, in arm order.
+    Folds(Vec<ArmFold>),
+}
+
 /// One unit of reception work: the transmission at `timeline[idx]`
 /// evaluated at receiver `r`.
 #[derive(Debug, Clone, Copy)]
@@ -454,13 +577,18 @@ struct RxJob {
     slot: usize,
 }
 
-/// Prepared capture for one job: everything a reception needs that does
-/// not depend on the receiver's busy/idle state.
-struct PreparedRx {
-    frame: Frame,
-    payload: Vec<u8>,
-    corrupted: ChipWords,
-    pre_hit: bool,
+/// A reception on the air: everything the arms need to decode it when
+/// it completes.
+struct Capture {
+    job: RxJob,
+    /// The channel's chip errors for this (transmission, receiver) pair,
+    /// shared by every arm.
+    errors: ChipErrors,
+    /// The transmission's known payload at the longest arm's length
+    /// (shorter arms read a prefix), shared by its receivers.
+    payload: Arc<[u8]>,
+    /// The busy/idle verdict resolved when the transmission started.
+    idle: bool,
 }
 
 /// Ignored by [`ReceptionDriver::new`], which prepares each reception
@@ -470,11 +598,11 @@ pub const BATCH_PER_WORKER: usize = 8;
 
 /// Evaluates every transmission at every receiver under one arm.
 ///
-/// This is the event-driven fast path: transmission starts and
-/// reception completions flow through a [`BinaryHeapQueue`] (total
+/// This is the one-arm case of [`ReceptionDriver`]: transmission starts
+/// and reception completions flow through a [`BinaryHeapQueue`] (total
 /// `(time, priority, seq)` order) and chip streams are bit-packed
-/// [`ChipWords`] end to end. Output is bit-identical to the sequential
-/// `&[bool]` spec ([`process_receptions_reference`]).
+/// [`ppr_phy::chips::ChipWords`] end to end. Output is bit-identical to
+/// the sequential `&[bool]` spec ([`process_receptions_reference`]).
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -488,8 +616,7 @@ pub fn process_receptions(
 /// driven to the `checkpoint_events` dispatch boundary, serialized to
 /// the versioned snapshot byte format, restored from those bytes into a
 /// fresh driver, and completed. Output is bit-identical to the
-/// uninterrupted run (`tests/snapshot_roundtrip.rs` pins this for every
-/// registry experiment) — the scenario `checkpoint` axis routes here.
+/// uninterrupted run (`tests/snapshot_roundtrip.rs` pins this).
 pub fn process_receptions_checkpointed(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -497,11 +624,46 @@ pub fn process_receptions_checkpointed(
     arm: &RxArm,
     checkpoint_events: u64,
 ) -> Vec<Reception> {
-    let bytes = snapshot_after_events(env, cfg, timeline, arm, checkpoint_events);
-    let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot bytes round-trip");
-    ReceptionDriver::restore(env, cfg, timeline, arm, &snap)
-        .expect("snapshot restores against its own run inputs")
-        .run_to_end()
+    let driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
+    through_snapshot(driver, checkpoint_events, |snap| {
+        ReceptionDriver::restore(env, cfg, timeline, arm, snap)
+    })
+    .run_to_end()
+}
+
+/// Evaluates every arm over one trace in a single pass of
+/// [`ReceptionDriver`], folding each reception into its arm's
+/// [`ArmFold`] as it decodes. With a `checkpoint`, the pass is driven
+/// to that event boundary, round-tripped through the snapshot bytes and
+/// completed — bit-identical either way.
+pub fn fold_receptions(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    timeline: &[Transmission],
+    arms: &[RxArm],
+    checkpoint: Option<u64>,
+) -> Vec<ArmFold> {
+    let driver = ReceptionDriver::folding(env, cfg, timeline, arms);
+    match checkpoint {
+        None => driver,
+        Some(events) => through_snapshot(driver, events, |snap| {
+            ReceptionDriver::restore_folding(env, cfg, timeline, arms, snap)
+        }),
+    }
+    .run_to_folds()
+}
+
+/// Drives `driver` to the `events` dispatch boundary, serializes it,
+/// parses the bytes back and hands them to `restore`.
+fn through_snapshot<'a>(
+    mut driver: ReceptionDriver<'a>,
+    events: u64,
+    restore: impl FnOnce(&RxSnapshot) -> Result<ReceptionDriver<'a>, SnapError>,
+) -> ReceptionDriver<'a> {
+    driver.run_events(events);
+    let snap =
+        RxSnapshot::from_bytes(&driver.save().to_bytes()).expect("snapshot bytes round-trip");
+    restore(&snap).expect("snapshot restores against its own run inputs")
 }
 
 /// Runs the event-driven reception driver to the `events` dispatch
@@ -519,33 +681,48 @@ pub fn snapshot_after_events(
     driver.save().to_bytes()
 }
 
-/// The event-driven reception loop as a resumable state machine: run it
-/// to completion ([`ReceptionDriver::run_to_end`]), or to an event
-/// boundary ([`ReceptionDriver::run_events`]), checkpoint it
-/// ([`ReceptionDriver::save`]) and continue later — in this process or
-/// another — via [`ReceptionDriver::restore`].
+/// The event-driven reception loop as a resumable state machine, over
+/// any number of receiver arms: run it to completion
+/// ([`ReceptionDriver::run_to_end`], [`ReceptionDriver::run_to_folds`]),
+/// or to an event boundary ([`ReceptionDriver::run_events`]), checkpoint
+/// it ([`ReceptionDriver::save`]) and continue later — in this process
+/// or another — via [`ReceptionDriver::restore`] or
+/// [`ReceptionDriver::restore_folding`].
 ///
-/// A `TxStart` prepares the transmission's capture at every receiver
-/// that can hear it, folds each receiver's busy/idle state (event-pop
-/// order = timeline order per receiver) and schedules the completion;
-/// a `ReceptionComplete` decodes into the job's fixed receiver-major
-/// slot. Every event finishes its work before the next one pops, so a
-/// checkpoint at any event boundary holds only queue + slots + busy
-/// horizons + in-flight captures.
+/// Work that does not depend on the arm is done once. A `TxStart`
+/// builds the transmission's payload once, at the longest arm's length;
+/// then, at every receiver that can hear it, it draws the channel's
+/// [`ChipErrors`] once, resolves the preamble hit and folds the
+/// receiver's busy/idle state (event-pop order = timeline order per
+/// receiver), and schedules the completion. The busy fold is the same
+/// for every arm: it reads only the idle flag and the preamble hit, and
+/// every arm's frame has the same preamble, header and length. A
+/// `ReceptionComplete` renders each arm's frame, applies the errors,
+/// decodes, and either stores the reception in its receiver-major slot
+/// (one arm, [`RxOutput::Stream`]) or folds it into its arm's
+/// [`ArmFold`]. Every event finishes its work before the next one pops,
+/// so a checkpoint at any event boundary holds only queue + output +
+/// busy horizons + in-flight captures.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
-    /// of the run inputs (environment, config, timeline, arm).
+    /// of the run inputs (environment, config, timeline, arms).
     pipe: RxPipeline<'a>,
     /// snapshot: rebuilt — squelch-passing receiver set per sender,
     /// derived from the frozen link gains.
     receivers_of: Vec<Vec<usize>>,
+    /// snapshot: rebuilt — per sender, the index (in
+    /// [`RadioEnv::links`] order) of its link to `receivers_of[s][0]`;
+    /// its link to `receivers_of[s][k]` is `link_base[s] + k`.
+    link_base: Vec<usize>,
+    /// snapshot: rebuilt — receptions in the whole run (output slots).
+    total_jobs: usize,
     /// snapshot: serialized — every scheduled event with its key
     /// verbatim, plus the queue's push/dispatch counters.
     q: BinaryHeapQueue<SimEvent>,
-    /// snapshot: serialized — decoded receptions in their fixed
-    /// receiver-major slots (undecoded slots travel as absent).
-    out: Vec<Option<Reception>>,
+    /// snapshot: serialized — the decoded receptions: the one arm's
+    /// slot table, or every arm's fold.
+    output: RxOutput,
     /// snapshot: serialized — per-receiver busy horizon of the
     /// sequential busy/idle fold.
     busy_until: Vec<u64>,
@@ -553,17 +730,18 @@ pub struct ReceptionDriver<'a> {
     next_slot: Vec<usize>,
     /// snapshot: serialized — captures awaiting their completion event,
     /// as (receiver, timeline index, slot, RNG stream position, idle);
-    /// the prepared frame and corrupted chips are reconstructed on
-    /// restore from the stored stream position.
-    in_flight: BTreeMap<usize, (RxJob, PreparedRx, bool)>,
+    /// the chip errors and payload are reconstructed on restore from
+    /// the stored stream position.
+    in_flight: BTreeMap<usize, Capture>,
     // ppr-lint: region(snapshot-state) end
 }
 
 impl<'a> ReceptionDriver<'a> {
-    /// Builds a driver at event zero (nothing dispatched, the full
-    /// timeline scheduled). The last two arguments are ignored: the
-    /// driver runs on the calling thread, one event at a time, and they
-    /// stay only so existing callers (`perfbench/`) keep compiling.
+    /// Builds a one-arm driver at event zero (nothing dispatched, the
+    /// full timeline scheduled) that keeps every reception in its slot.
+    /// The last two arguments are ignored: the driver runs on the
+    /// calling thread, one event at a time, and they stay only so
+    /// existing callers (`perfbench/`) keep compiling.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -572,7 +750,31 @@ impl<'a> ReceptionDriver<'a> {
         _workers: Option<usize>,
         _batch: usize,
     ) -> Self {
-        let pipe = RxPipeline::new(env, cfg, timeline, arm);
+        Self::with_arms(env, cfg, timeline, std::slice::from_ref(arm), true)
+    }
+
+    /// Builds a driver at event zero that evaluates every arm of `arms`
+    /// over the trace and folds each reception into its arm's
+    /// [`ArmFold`].
+    pub fn folding(
+        env: &'a RadioEnv,
+        cfg: &'a SimConfig,
+        timeline: &'a [Transmission],
+        arms: &'a [RxArm],
+    ) -> Self {
+        Self::with_arms(env, cfg, timeline, arms, false)
+    }
+
+    /// A driver at event zero whose output is the slot table (`stream`,
+    /// one arm) or one empty fold per arm.
+    fn with_arms(
+        env: &'a RadioEnv,
+        cfg: &'a SimConfig,
+        timeline: &'a [Transmission],
+        arms: &'a [RxArm],
+        stream: bool,
+    ) -> Self {
+        let pipe = RxPipeline::new(env, cfg, timeline, arms);
         let nr = env.testbed.receivers.len();
         let ns = env.testbed.senders.len();
 
@@ -580,11 +782,16 @@ impl<'a> ReceptionDriver<'a> {
         // dispatch enumerates per TxStart instead of every receiver (at
         // mesh scale this is where [`crate::spatial::SpatialIndex`]
         // prunes; at testbed scale the gain row is the whole story).
+        // The predicate is [`RadioEnv::is_link`]'s, so numbering the
+        // pairs sender-major gives the `links()` order.
         let receivers_of: Vec<Vec<usize>> = (0..ns)
-            .map(|s| {
-                (0..nr)
-                    .filter(|&r| env.s2r_mw[s][r] / pipe.noise >= SQUELCH_SNR)
-                    .collect()
+            .map(|s| (0..nr).filter(|&r| env.is_link(s, r)).collect())
+            .collect();
+        let link_base = receivers_of
+            .iter()
+            .scan(0, |next, rs| {
+                *next += rs.len();
+                Some(*next - rs.len())
             })
             .collect();
 
@@ -597,12 +804,12 @@ impl<'a> ReceptionDriver<'a> {
                 count[r] += 1;
             }
         }
-        let mut base = vec![0usize; nr + 1];
-        for r in 0..nr {
-            base[r + 1] = base[r] + count[r];
+        let mut next_slot = Vec::with_capacity(nr);
+        let mut total_jobs = 0;
+        for c in count {
+            next_slot.push(total_jobs);
+            total_jobs += c;
         }
-        let total_jobs = base[nr];
-        let next_slot: Vec<usize> = base[..nr].to_vec();
 
         // Timeline is (start_chip, id)-ordered, so scheduling in index
         // order makes `seq` reproduce timeline order at equal start
@@ -616,13 +823,23 @@ impl<'a> ReceptionDriver<'a> {
             );
         }
 
-        let mut out: Vec<Option<Reception>> = Vec::new();
-        out.resize_with(total_jobs, || None);
+        let output = if stream {
+            RxOutput::Stream(vec![None; total_jobs])
+        } else {
+            let links = env.links().len();
+            RxOutput::Folds(
+                arms.iter()
+                    .map(|arm| ArmFold::new(links, arm.collect_symbols))
+                    .collect(),
+            )
+        };
         ReceptionDriver {
             pipe,
             receivers_of,
+            link_base,
+            total_jobs,
             q,
-            out,
+            output,
             busy_until: vec![0u64; nr],
             next_slot,
             // Captures awaiting their completion event, keyed by output
@@ -637,6 +854,7 @@ impl<'a> ReceptionDriver<'a> {
         match self.q.pop() {
             Some((_, SimEvent::TxStart { tx: idx })) => {
                 let tx = &self.pipe.timeline[idx];
+                let payload: Arc<[u8]> = self.pipe.payload(tx).into();
                 for &r in &self.receivers_of[tx.sender] {
                     let job = RxJob {
                         r,
@@ -644,9 +862,9 @@ impl<'a> ReceptionDriver<'a> {
                         slot: self.next_slot[r],
                     };
                     self.next_slot[r] += 1;
-                    let prep = self.pipe.prepare(&job);
+                    let errors = self.pipe.draw_errors(&job, self.pipe.rng(&job));
                     let idle = self.busy_until[r] <= tx.start_chip;
-                    if idle && prep.pre_hit {
+                    if idle && self.pipe.fast[0].preamble_hit(&errors) {
                         self.busy_until[r] = tx.end_chip();
                     }
                     self.q.schedule(
@@ -658,15 +876,35 @@ impl<'a> ReceptionDriver<'a> {
                             slot: job.slot,
                         },
                     );
-                    self.in_flight.insert(job.slot, (job, prep, idle));
+                    let payload = Arc::clone(&payload);
+                    let capture = Capture {
+                        job,
+                        errors,
+                        payload,
+                        idle,
+                    };
+                    self.in_flight.insert(job.slot, capture);
                 }
             }
             Some((_, SimEvent::ReceptionComplete { slot, .. })) => {
-                let (job, prep, idle) = self
+                let capture = self
                     .in_flight
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
-                self.out[slot] = Some(self.pipe.finish(&job, &prep, idle));
+                match &mut self.output {
+                    RxOutput::Stream(out) => out[slot] = Some(self.pipe.receive(&capture, 0)),
+                    RxOutput::Folds(folds) => {
+                        let job = &capture.job;
+                        let sender = self.pipe.timeline[job.idx].sender;
+                        let k = self.receivers_of[sender]
+                            .binary_search(&job.r)
+                            .expect("captures exist only for audible receivers");
+                        let link = self.link_base[sender] + k;
+                        for (a, fold) in folds.iter_mut().enumerate() {
+                            fold.add(link, &self.pipe.receive(&capture, a));
+                        }
+                    }
+                }
             }
             Some((_, ev)) => unreachable!("unexpected {ev:?} in the testbed driver"),
             None => return false,
@@ -691,32 +929,45 @@ impl<'a> ReceptionDriver<'a> {
 
     /// Runs to completion and returns the receptions in receiver-major
     /// reference order.
+    ///
+    /// # Panics
+    /// Panics on a folding driver, which keeps no receptions.
     pub fn run_to_end(mut self) -> Vec<Reception> {
         while self.step() {}
-        self.out
-            .into_iter()
+        let RxOutput::Stream(out) = self.output else {
+            panic!("run_to_end on a folding driver; use run_to_folds");
+        };
+        out.into_iter()
             .map(|r| r.expect("every slot decoded by its completion event"))
             .collect()
     }
 
-    /// Checkpoints the driver: queue + slots + busy horizons + in-flight
-    /// captures (each as its RNG stream position).
+    /// Runs to completion and returns every arm's fold, in arm order.
+    ///
+    /// # Panics
+    /// Panics on a one-arm stream driver; use [`Self::run_to_end`].
+    pub fn run_to_folds(mut self) -> Vec<ArmFold> {
+        while self.step() {}
+        let RxOutput::Folds(folds) = self.output else {
+            panic!("run_to_folds on a stream driver; use run_to_end");
+        };
+        folds
+    }
+
+    /// Checkpoints the driver: queue + output + busy horizons +
+    /// in-flight captures (each as its RNG stream position).
     pub fn save(&self) -> RxSnapshot {
         let (queue, next_seq, dispatched) = self.q.save_state();
         let cfg = self.pipe.cfg;
         let in_flight = self
             .in_flight
             .values()
-            .map(|(job, _, idle)| {
-                let tx = &self.pipe.timeline[job.idx];
-                let rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, job.r));
-                InFlightRx {
-                    receiver: job.r,
-                    tx_index: job.idx,
-                    slot: job.slot,
-                    rng: rng.state(),
-                    idle: *idle,
-                }
+            .map(|c| InFlightRx {
+                receiver: c.job.r,
+                tx_index: c.job.idx,
+                slot: c.job.slot,
+                rng: self.pipe.rng(&c.job).state(),
+                idle: c.idle,
             })
             .collect();
         RxSnapshot {
@@ -725,9 +976,7 @@ impl<'a> ReceptionDriver<'a> {
             body_bytes: cfg.body_bytes,
             carrier_sense: cfg.carrier_sense,
             duration_s: cfg.duration_s,
-            scheme: self.pipe.arm.scheme,
-            postamble: self.pipe.arm.postamble,
-            collect_symbols: self.pipe.arm.collect_symbols,
+            arms: self.pipe.arms.to_vec(),
             timeline_fp: timeline_fingerprint(self.pipe.timeline),
             env_fp: env_fingerprint(self.pipe.env),
             kernel_signature: ppr_phy::simd::active_kernel_signature().into_bytes(),
@@ -736,17 +985,17 @@ impl<'a> ReceptionDriver<'a> {
             dispatched,
             busy_until: self.busy_until.clone(),
             next_slot: self.next_slot.clone(),
-            out: self.out.clone(),
+            output: self.output.clone(),
             in_flight,
         }
     }
 
-    /// Rebuilds a driver from a checkpoint, validating the snapshot's
-    /// identity fields and every cross-reference of its progress state
-    /// against the run inputs, then reconstructing every in-flight
-    /// capture from its stored RNG stream position. A snapshot that
-    /// passes its checksum but contradicts itself is
-    /// [`SnapError::Corrupt`], never a panic.
+    /// Rebuilds a one-arm stream driver ([`Self::new`]) from a
+    /// checkpoint, validating the snapshot's identity fields and every
+    /// cross-reference of its progress state against the run inputs,
+    /// then reconstructing every in-flight capture from its stored RNG
+    /// stream position. A snapshot that passes its checksum but
+    /// contradicts itself is [`SnapError::Corrupt`], never a panic.
     pub fn restore(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -754,13 +1003,29 @@ impl<'a> ReceptionDriver<'a> {
         arm: &'a RxArm,
         snap: &RxSnapshot,
     ) -> Result<Self, SnapError> {
-        validate_rx_identity(env, cfg, timeline, arm, snap)?;
-        let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
-        driver.check_progress(snap)?;
-        driver.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
-        driver.busy_until = snap.busy_until.clone();
-        driver.next_slot = snap.next_slot.clone();
-        driver.out = snap.out.clone();
+        validate_rx_identity(env, cfg, timeline, std::slice::from_ref(arm), snap)?;
+        Self::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).resume(snap)
+    }
+
+    /// [`Self::restore`] for a folding driver ([`Self::folding`]).
+    pub fn restore_folding(
+        env: &'a RadioEnv,
+        cfg: &'a SimConfig,
+        timeline: &'a [Transmission],
+        arms: &'a [RxArm],
+        snap: &RxSnapshot,
+    ) -> Result<Self, SnapError> {
+        validate_rx_identity(env, cfg, timeline, arms, snap)?;
+        Self::folding(env, cfg, timeline, arms).resume(snap)
+    }
+
+    /// Moves a fresh driver to `snap`'s progress state.
+    fn resume(mut self, snap: &RxSnapshot) -> Result<Self, SnapError> {
+        self.check_progress(snap)?;
+        self.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
+        self.busy_until = snap.busy_until.clone();
+        self.next_slot = snap.next_slot.clone();
+        self.output = snap.output.clone();
         // Reconstruct the in-flight captures: physics from the run
         // inputs, chip noise from the stored stream positions.
         for f in &snap.in_flight {
@@ -769,10 +1034,15 @@ impl<'a> ReceptionDriver<'a> {
                 idx: f.tx_index,
                 slot: f.slot,
             };
-            let prep = driver.pipe.prepare_with(&job, StdRng::from_state(f.rng));
-            driver.in_flight.insert(job.slot, (job, prep, f.idle));
+            let capture = Capture {
+                job,
+                errors: self.pipe.draw_errors(&job, StdRng::from_state(f.rng)),
+                payload: self.pipe.payload(&self.pipe.timeline[job.idx]).into(),
+                idle: f.idle,
+            };
+            self.in_flight.insert(job.slot, capture);
         }
-        Ok(driver)
+        Ok(self)
     }
 
     /// Checks that `snap`'s progress state is one this driver (fresh, at
@@ -780,26 +1050,22 @@ impl<'a> ReceptionDriver<'a> {
     /// not-yet-started suffix of the timeline, each `next_slot` matches
     /// the started prefix, every queued `ReceptionComplete` has exactly
     /// one in-flight capture for the same (slot, receiver, tx) job, and
-    /// every started slot is either decoded or in flight — never both,
-    /// and no unstarted slot is either. Anything else is
+    /// the output holds exactly the started receptions that are not in
+    /// flight: slot by slot for a stream, link by link (within what
+    /// those receptions can add up to) for folds. Anything else is
     /// [`SnapError::Corrupt`], so a resealed but inconsistent snapshot
-    /// cannot reach an index or an `expect` in the event loop.
+    /// cannot reach an index, an `expect` or an overflowing count in the
+    /// event loop.
     fn check_progress(&self, snap: &RxSnapshot) -> Result<(), SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(what));
         let timeline = self.pipe.timeline;
         let nr = self.next_slot.len();
-        let total_jobs = self.out.len();
+        let total_jobs = self.total_jobs;
         if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
             return corrupt(format!(
                 "per-receiver tables sized {}/{} for {nr} receivers",
                 snap.busy_until.len(),
                 snap.next_slot.len()
-            ));
-        }
-        if snap.out.len() != total_jobs {
-            return corrupt(format!(
-                "slot table holds {} slots, run inputs produce {total_jobs}",
-                snap.out.len()
             ));
         }
 
@@ -833,12 +1099,15 @@ impl<'a> ReceptionDriver<'a> {
             return corrupt("pending TxStarts are not the unstarted timeline suffix".into());
         }
 
-        // The job table of the started prefix: slot -> (receiver, tx).
+        // The job table of the started prefix: slot -> (receiver, tx,
+        // link).
         let mut next_slot = self.next_slot.clone();
         let mut job_at: Vec<Option<(usize, usize)>> = vec![None; total_jobs];
+        let mut link_at: Vec<usize> = vec![0; total_jobs];
         for (idx, tx) in timeline[..started].iter().enumerate() {
-            for &r in &self.receivers_of[tx.sender] {
+            for (k, &r) in self.receivers_of[tx.sender].iter().enumerate() {
                 job_at[next_slot[r]] = Some((r, idx));
+                link_at[next_slot[r]] = self.link_base[tx.sender] + k;
                 next_slot[r] += 1;
             }
         }
@@ -867,34 +1136,120 @@ impl<'a> ReceptionDriver<'a> {
             ));
         }
 
-        // Decoded slots: started and not in flight; every started slot
-        // is one or the other.
-        for (slot, rec) in snap.out.iter().enumerate() {
-            let ok = match job_at[slot] {
-                Some(_) => rec.is_some() != in_flight[slot],
-                None => rec.is_none(),
-            };
-            if !ok {
+        match (&self.output, &snap.output) {
+            (RxOutput::Stream(_), RxOutput::Stream(out)) => {
+                if out.len() != total_jobs {
+                    return corrupt(format!(
+                        "slot table holds {} slots, run inputs produce {total_jobs}",
+                        out.len()
+                    ));
+                }
+                // Decoded slots: started and not in flight; every
+                // started slot is one or the other.
+                for (slot, rec) in out.iter().enumerate() {
+                    let ok = match job_at[slot] {
+                        Some(_) => rec.is_some() != in_flight[slot],
+                        None => rec.is_none(),
+                    };
+                    if !ok {
+                        return corrupt(format!(
+                            "slot {slot} (started: {}) is decoded: {}, in flight: {}",
+                            job_at[slot].is_some(),
+                            rec.is_some(),
+                            in_flight[slot]
+                        ));
+                    }
+                }
+            }
+            (RxOutput::Folds(_), RxOutput::Folds(folds)) => {
+                let mut decoded = vec![0usize; self.pipe.env.links().len()];
+                for slot in 0..total_jobs {
+                    if job_at[slot].is_some() && !in_flight[slot] {
+                        decoded[link_at[slot]] += 1;
+                    }
+                }
+                self.check_folds(folds, &decoded)?;
+            }
+            _ => return Err(SnapError::IdentityMismatch(
+                "a stream snapshot restores only into a stream driver, folds into a folding one"
+                    .into(),
+            )),
+        }
+        Ok(())
+    }
+
+    /// Checks that every arm's fold could come from the `decoded[link]`
+    /// receptions decoded so far on each link: the right shape, each
+    /// link's frame count exact, and every other count within what
+    /// those frames can add up to.
+    fn check_folds(&self, folds: &[ArmFold], decoded: &[usize]) -> Result<(), SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(what));
+        if folds.len() != self.pipe.arms.len() {
+            return corrupt(format!(
+                "{} folds for {} arms",
+                folds.len(),
+                self.pipe.arms.len()
+            ));
+        }
+        // Each decoded reception records at most one hint per body
+        // codeword.
+        let symbols = 2 * self.pipe.cfg.body_bytes;
+        let max_symbols = (decoded.iter().sum::<usize>() as u128) * symbols as u128;
+        let within =
+            |counts: &[u64]| counts.iter().map(|&c| c as u128).sum::<u128>() <= max_symbols;
+        for (a, (fold, arm)) in folds.iter().zip(self.pipe.arms).enumerate() {
+            if fold.links.len() != decoded.len() {
                 return corrupt(format!(
-                    "slot {slot} (started: {}) is decoded: {}, in flight: {}",
-                    job_at[slot].is_some(),
-                    rec.is_some(),
-                    in_flight[slot]
+                    "arm {a} folds {} links, the environment has {}",
+                    fold.links.len(),
+                    decoded.len()
                 ));
+            }
+            let payload_len = self.pipe.payload_lens[a];
+            for (l, (s, &n)) in fold.links.iter().zip(decoded).enumerate() {
+                let ok = s.frames == n
+                    && Some(s.payload_offered) == n.checked_mul(payload_len)
+                    && s.via_preamble <= n
+                    && s.via_postamble <= n - s.via_preamble
+                    && s.delivered_correct <= s.payload_offered;
+                if !ok {
+                    return corrupt(format!(
+                        "arm {a} link {l} counts {s:?} after {n} decoded receptions"
+                    ));
+                }
+            }
+            let hints_ok = match &fold.hints {
+                None => !arm.collect_symbols,
+                Some(h) => {
+                    arm.collect_symbols
+                        && h.hist.correct.len() == HintHistogram::new().correct.len()
+                        && h.hist.incorrect.len() == h.hist.correct.len()
+                        && within(&h.hist.correct)
+                        && within(&h.hist.incorrect)
+                        && h.miss_runs.etas == MISS_RUN_ETAS
+                        && h.miss_runs.counts.len() == MISS_RUN_ETAS.len()
+                        && h.miss_runs
+                            .counts
+                            .iter()
+                            .all(|c| c.len() == MAX_MISS_RUN + 1 && within(c))
+                }
+            };
+            if !hints_ok {
+                return corrupt(format!("arm {a} hint statistics are malformed"));
             }
         }
         Ok(())
     }
 }
 
-/// Rejects a snapshot whose identity fields (seed, config, arm, or the
+/// Rejects a snapshot whose identity fields (seed, config, arms, or the
 /// timeline/environment fingerprints) disagree with the run inputs the
 /// caller is restoring into. Float fields compare by exact bits.
 fn validate_rx_identity(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
-    arm: &RxArm,
+    arms: &[RxArm],
     snap: &RxSnapshot,
 ) -> Result<(), SnapError> {
     if cfg.seed != snap.seed
@@ -907,12 +1262,9 @@ fn validate_rx_identity(
             "SimConfig differs from the snapshot's".into(),
         ));
     }
-    if arm.scheme != snap.scheme
-        || arm.postamble != snap.postamble
-        || arm.collect_symbols != snap.collect_symbols
-    {
+    if arms != snap.arms.as_slice() {
         return Err(SnapError::IdentityMismatch(
-            "RxArm differs from the snapshot's".into(),
+            "RxArms differ from the snapshot's".into(),
         ));
     }
     let tfp = timeline_fingerprint(timeline);
@@ -932,17 +1284,23 @@ fn validate_rx_identity(
     Ok(())
 }
 
-/// The event driver's per-(transmission, receiver) pipeline stages:
-/// prepare (everything independent of the busy state) and finish
-/// (decode + delivery), over packed chip words.
+/// The event driver's per-(transmission, receiver) pipeline stages over
+/// packed chip words: draw the chip errors (independent of the arm and
+/// of the busy state), then render, corrupt, decode and deliver each
+/// arm's frame.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
     timeline: &'a [Transmission],
-    arm: &'a RxArm,
-    fast: FastRx,
+    arms: &'a [RxArm],
+    /// One receiver per arm (its postamble setting).
+    fast: Vec<FastRx>,
+    /// Scheme payload length per arm.
+    payload_lens: Vec<usize>,
     noise: f64,
-    payload_len: usize,
+    /// Every frame's length, chips: each scheme pads its body to
+    /// `body_bytes`.
+    frame_chips: usize,
     /// Per-receiver interference views of the whole timeline.
     heard: Vec<Vec<HeardTx>>,
 }
@@ -952,7 +1310,7 @@ impl<'a> RxPipeline<'a> {
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
-        arm: &'a RxArm,
+        arms: &'a [RxArm],
     ) -> Self {
         let nr = env.testbed.receivers.len();
         let heard: Vec<Vec<HeardTx>> = (0..nr)
@@ -972,53 +1330,62 @@ impl<'a> RxPipeline<'a> {
             env,
             cfg,
             timeline,
-            arm,
-            fast: FastRx::new(arm.postamble),
+            arms,
+            fast: arms.iter().map(|a| FastRx::new(a.postamble)).collect(),
+            payload_lens: arms
+                .iter()
+                .map(|a| a.scheme.payload_len(cfg.body_bytes))
+                .collect(),
             noise: env.model.noise_mw(),
-            payload_len: arm.scheme.payload_len(cfg.body_bytes),
+            frame_chips: Frame::chips_len_for_body(cfg.body_bytes),
             heard,
         }
     }
 
-    /// Prepare: everything independent of the receiver's busy state.
-    fn prepare(&self, job: &RxJob) -> PreparedRx {
+    /// The job's chip-noise stream, from its start.
+    fn rng(&self, job: &RxJob) -> StdRng {
         let tx = &self.timeline[job.idx];
-        let rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
-        self.prepare_with(job, rng)
+        StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r))
     }
 
-    /// [`RxPipeline::prepare`] with an explicit RNG stream position —
-    /// the restore path replays an in-flight capture from the position
-    /// its snapshot recorded instead of re-deriving it from the seed.
-    fn prepare_with(&self, job: &RxJob, mut rng: StdRng) -> PreparedRx {
+    /// The transmission's known payload at the longest arm's length.
+    /// `payload_pattern` draws one RNG word per byte, so every shorter
+    /// arm's payload is a prefix of it.
+    fn payload(&self, tx: &Transmission) -> Vec<u8> {
+        let len = self.payload_lens.iter().copied().max().unwrap_or(0);
+        payload_pattern(tx.sender, tx.seq, len)
+    }
+
+    /// The channel's chip errors for one (transmission, receiver) pair,
+    /// drawn from `rng` — everything about a reception that does not
+    /// depend on the arm or on the receiver's busy state.
+    fn draw_errors(&self, job: &RxJob, mut rng: StdRng) -> ChipErrors {
         let tx = &self.timeline[job.idx];
         let signal = self.env.s2r_mw[tx.sender][job.r];
-        let payload = payload_pattern(tx.sender, tx.seq, self.payload_len);
-        let body = build_body_padded(&self.arm.scheme, &payload, self.cfg.body_bytes);
-        let frame = Frame::new(job.r as u16, tx.sender as u16, tx.seq, body);
-        let mut corrupted = frame.chip_words();
         let profile_spans = interference_profile(&self.heard[job.r][job.idx], &self.heard[job.r]);
         let profile = ErrorProfile::from_interference(signal, self.noise, &profile_spans);
-        corrupt_chip_words_in_place(&mut corrupted, &profile, &mut rng);
-        let pre_hit = self.fast.preamble_hit_words(&corrupted);
-        PreparedRx {
-            frame,
-            payload,
-            corrupted,
-            pre_hit,
-        }
+        ChipErrors::draw(self.frame_chips, &profile, &mut rng)
     }
 
-    /// Finish: decode + delivery under the resolved idle flag.
-    fn finish(&self, job: &RxJob, prep: &PreparedRx, idle: bool) -> Reception {
+    /// Decodes a completed capture under arm `a`: render the arm's
+    /// frame, apply the channel's errors, receive under the resolved
+    /// idle flag, deliver.
+    fn receive(&self, capture: &Capture, a: usize) -> Reception {
+        let (job, arm) = (&capture.job, &self.arms[a]);
         let tx = &self.timeline[job.idx];
-        let (acq, rx_frame) = self.fast.receive_words(&prep.frame, &prep.corrupted, idle);
+        let payload = &capture.payload[..self.payload_lens[a]];
+        let body = build_body_padded(&arm.scheme, payload, self.cfg.body_bytes);
+        let frame = Frame::new(job.r as u16, tx.sender as u16, tx.seq, body);
+        let mut chips = frame.chip_words();
+        debug_assert_eq!(chips.len(), self.frame_chips);
+        capture.errors.apply(&mut chips);
+        let (acq, rx_frame) = self.fast[a].receive_words(&frame, &chips, capture.idle);
         let mut rec = Reception {
             tx_id: tx.id,
             sender: tx.sender,
             receiver: job.r,
             acquisition: acq,
-            payload_len: self.payload_len,
+            payload_len: payload.len(),
             delivered_correct: 0,
             delivered_claimed: 0,
             crc_ok: false,
@@ -1027,12 +1394,12 @@ impl<'a> RxPipeline<'a> {
         };
         if let Some(rx) = rx_frame {
             rec.crc_ok = rx.pkt_crc_ok();
-            let delivered = self.arm.scheme.deliver(&rx);
+            let delivered = arm.scheme.deliver(&rx);
             rec.delivered_claimed = delivered.iter().map(|d| d.bytes.len()).sum();
-            rec.delivered_correct = correct_delivered_bytes(&delivered, &prep.payload);
-            if self.arm.collect_symbols {
+            rec.delivered_correct = correct_delivered_bytes(&delivered, payload);
+            if arm.collect_symbols {
                 if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
-                    let tx_symbols = bytes_to_symbols(&prep.frame.body);
+                    let tx_symbols = bytes_to_symbols(&frame.body);
                     let body_range = g.body();
                     let rx_syms = rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
                     rec.symbol_correct = rx_syms
@@ -1085,7 +1452,12 @@ pub fn resume_receptions_reference(
     arm: &RxArm,
     snap: &RxSnapshot,
 ) -> Result<Vec<Reception>, SnapError> {
-    validate_rx_identity(env, cfg, timeline, arm, snap)?;
+    validate_rx_identity(env, cfg, timeline, std::slice::from_ref(arm), snap)?;
+    let RxOutput::Stream(decoded) = &snap.output else {
+        return Err(SnapError::IdentityMismatch(
+            "the snapshot holds folds, not a reception stream".into(),
+        ));
+    };
     let nr = env.testbed.receivers.len();
     if snap.busy_until.len() != nr {
         return Err(SnapError::Corrupt(format!(
@@ -1101,13 +1473,13 @@ pub fn resume_receptions_reference(
         timeline,
         arm,
         &snap.busy_until,
-        &snap.out,
+        decoded,
         &in_flight,
     )?;
-    if out.len() != snap.out.len() {
+    if out.len() != decoded.len() {
         return Err(SnapError::Corrupt(format!(
             "slot table holds {} slots, run inputs produce {}",
-            snap.out.len(),
+            decoded.len(),
             out.len()
         )));
     }

@@ -11,7 +11,7 @@
 //! the ones the sliding pipeline produces (pinned by
 //! `tests/fastpath_parity.rs` at the workspace root).
 
-use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ChipErrors, ErrorProfile};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::{FrameReceiver, RxFrame};
 use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
@@ -20,6 +20,7 @@ use ppr_phy::sync::{
     TX_POSTAMBLE_CHIPS,
 };
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// How a packet was (or wasn't) acquired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +67,19 @@ pub struct FastRx {
     threshold: u32,
     /// Whether the postamble correlator is enabled (experiment arm).
     pub postamble_decoding: bool,
+}
+
+/// The clean chips of every frame's leading lanes, through the end of
+/// the preamble scan window: the zero bytes and the SFD, which are the
+/// same in every frame. Rendered once per process.
+fn preamble_window() -> &'static ChipWords {
+    static WINDOW: OnceLock<ChipWords> = OnceLock::new();
+    WINDOW.get_or_init(|| {
+        let mut window = Frame::new(0, 0, 0, Vec::new()).chip_words();
+        let end = FastRx::preamble_pattern_offset() + SyncPattern::preamble().len_chips();
+        window.truncate(end.div_ceil(64) * 64);
+        window
+    })
 }
 
 impl FastRx {
@@ -137,6 +151,17 @@ impl FastRx {
         self.preamble
             .distance_at_words(corrupted_chips, Self::preamble_pattern_offset())
             <= self.threshold
+    }
+
+    /// [`Self::preamble_hit_words`] of any frame that takes `errors`,
+    /// without rendering the frame: the scan window lies in the leading
+    /// lanes, which every frame shares, so only those lanes take their
+    /// errors. Every delivery scheme of a capacity trace therefore has
+    /// the same preamble verdict for a (transmission, receiver) pair.
+    pub fn preamble_hit(&self, errors: &ChipErrors) -> bool {
+        let mut window = preamble_window().clone();
+        errors.apply(&mut window);
+        self.preamble_hit_words(&window)
     }
 
     /// Word-wise equivalent of [`Self::receive`] over a packed capture;

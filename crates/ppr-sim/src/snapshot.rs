@@ -67,7 +67,10 @@
 
 use crate::event::EventKey;
 use crate::event::SimEvent;
-use crate::network::{RadioEnv, Reception, Transmission};
+use crate::metrics::{HintHistogram, MissRunHistogram};
+use crate::network::{
+    ArmFold, HintFold, LinkStats, RadioEnv, Reception, RxArm, RxOutput, Transmission,
+};
 use crate::results::fingerprint;
 use crate::rxpath::Acquisition;
 use ppr_mac::schemes::DeliveryScheme;
@@ -79,8 +82,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PPRSNAP1";
 ///
 /// Version history: 1 — initial format; 2 — adversarial state (jammer
 /// identity + actor state, node liveness, fault/backoff knobs, and the
-/// `JamBurst`/`NodeFault` event tags).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// `JamBurst`/`NodeFault` event tags); 3 — the reception snapshot holds
+/// a list of receiver arms instead of one, and its output is either the
+/// one arm's slot table or every arm's fold (per-link counters, plus
+/// hint and miss-run histograms for symbol-trace arms).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Kind tag of a testbed reception-driver snapshot ([`RxSnapshot`]).
 pub const KIND_RX: u8 = 1;
@@ -515,6 +521,134 @@ pub fn decode_reception(r: &mut SnapReader) -> Result<Reception, SnapError> {
     })
 }
 
+/// Encodes a reception pass's output: tag 0 and the slot table, or
+/// tag 1 and one fold per arm.
+pub fn encode_output(w: &mut SnapWriter, output: &RxOutput) {
+    match output {
+        RxOutput::Stream(out) => {
+            w.u8(0);
+            w.usize(out.len());
+            for slot in out {
+                match slot {
+                    None => w.bool(false),
+                    Some(rec) => {
+                        w.bool(true);
+                        encode_reception(w, rec);
+                    }
+                }
+            }
+        }
+        RxOutput::Folds(folds) => {
+            w.u8(1);
+            w.usize(folds.len());
+            for fold in folds {
+                encode_fold(w, fold);
+            }
+        }
+    }
+}
+
+/// Decodes a reception pass's output.
+pub fn decode_output(r: &mut SnapReader) -> Result<RxOutput, SnapError> {
+    match r.u8()? {
+        0 => {
+            let n = r.usize()?;
+            let mut out = Vec::with_capacity(n.min(1 << 24));
+            for _ in 0..n {
+                out.push(if r.bool()? {
+                    Some(decode_reception(r)?)
+                } else {
+                    None
+                });
+            }
+            Ok(RxOutput::Stream(out))
+        }
+        1 => {
+            let n = r.usize()?;
+            let mut folds = Vec::with_capacity(n.min(1 << 10));
+            for _ in 0..n {
+                folds.push(decode_fold(r)?);
+            }
+            Ok(RxOutput::Folds(folds))
+        }
+        t => Err(SnapError::Corrupt(format!("output tag {t}"))),
+    }
+}
+
+fn encode_counts(w: &mut SnapWriter, counts: &[u64]) {
+    w.usize(counts.len());
+    for &c in counts {
+        w.u64(c);
+    }
+}
+
+fn decode_counts(r: &mut SnapReader) -> Result<Vec<u64>, SnapError> {
+    let n = r.usize()?;
+    let mut counts = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        counts.push(r.u64()?);
+    }
+    Ok(counts)
+}
+
+/// Encodes one arm's [`ArmFold`].
+pub fn encode_fold(w: &mut SnapWriter, fold: &ArmFold) {
+    w.usize(fold.links.len());
+    for s in &fold.links {
+        w.usize(s.frames);
+        w.usize(s.via_preamble);
+        w.usize(s.via_postamble);
+        w.usize(s.delivered_correct);
+        w.usize(s.payload_offered);
+    }
+    match &fold.hints {
+        None => w.bool(false),
+        Some(h) => {
+            w.bool(true);
+            encode_counts(w, &h.hist.correct);
+            encode_counts(w, &h.hist.incorrect);
+            w.bytes(&h.miss_runs.etas);
+            w.usize(h.miss_runs.counts.len());
+            for counts in &h.miss_runs.counts {
+                encode_counts(w, counts);
+            }
+        }
+    }
+}
+
+/// Decodes one arm's [`ArmFold`]. Shapes and counts are checked
+/// against the run on restore, not here.
+pub fn decode_fold(r: &mut SnapReader) -> Result<ArmFold, SnapError> {
+    let n = r.usize()?;
+    let mut links = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        links.push(LinkStats {
+            frames: r.usize()?,
+            via_preamble: r.usize()?,
+            via_postamble: r.usize()?,
+            delivered_correct: r.usize()?,
+            payload_offered: r.usize()?,
+        });
+    }
+    let hints = if r.bool()? {
+        let correct = decode_counts(r)?;
+        let incorrect = decode_counts(r)?;
+        let etas = r.bytes()?;
+        let n = r.usize()?;
+        let mut counts = Vec::with_capacity(n.min(1 << 8));
+        for _ in 0..n {
+            counts.push(decode_counts(r)?);
+        }
+        Some(HintFold {
+            hist: HintHistogram { correct, incorrect },
+            miss_runs: MissRunHistogram { etas, counts },
+        })
+    } else {
+        None
+    };
+    Ok(ArmFold { links, hints })
+}
+
 /// One in-flight capture of the testbed reception driver: the frame has
 /// started on the air (its busy/idle resolution is already folded into
 /// the snapshot's `busy_until`) but its completion event has not popped.
@@ -560,12 +694,9 @@ pub struct RxSnapshot {
     pub carrier_sense: bool,
     /// snapshot: identity — simulated duration, exact f64 bits.
     pub duration_s: f64,
-    /// snapshot: identity — delivery scheme under evaluation.
-    pub scheme: DeliveryScheme,
-    /// snapshot: identity — postamble decoding arm.
-    pub postamble: bool,
-    /// snapshot: identity — symbol-trace collection arm.
-    pub collect_symbols: bool,
+    /// snapshot: identity — the receiver arms under evaluation (scheme,
+    /// postamble decoding, symbol-trace collection), in arm order.
+    pub arms: Vec<RxArm>,
     /// snapshot: identity — [`timeline_fingerprint`] of the run's
     /// timeline (restore refuses a different one).
     pub timeline_fp: u64,
@@ -586,9 +717,10 @@ pub struct RxSnapshot {
     pub busy_until: Vec<u64>,
     /// snapshot: serialized — per-receiver next output slot.
     pub next_slot: Vec<usize>,
-    /// snapshot: serialized — decoded receptions, receiver-major slots
-    /// (undecoded slots are `None`).
-    pub out: Vec<Option<Reception>>,
+    /// snapshot: serialized — the decoded receptions: one arm's
+    /// receiver-major slots (undecoded slots are `None`), or every
+    /// arm's fold.
+    pub output: RxOutput,
     /// snapshot: serialized — captures awaiting their completion event.
     pub in_flight: Vec<InFlightRx>,
 }
@@ -603,9 +735,12 @@ impl RxSnapshot {
         w.usize(self.body_bytes);
         w.bool(self.carrier_sense);
         w.f64(self.duration_s);
-        encode_scheme(&mut w, &self.scheme);
-        w.bool(self.postamble);
-        w.bool(self.collect_symbols);
+        w.usize(self.arms.len());
+        for arm in &self.arms {
+            encode_scheme(&mut w, &arm.scheme);
+            w.bool(arm.postamble);
+            w.bool(arm.collect_symbols);
+        }
         w.u64(self.timeline_fp);
         w.u64(self.env_fp);
         w.bytes(&self.kernel_signature);
@@ -623,16 +758,7 @@ impl RxSnapshot {
         for &s in &self.next_slot {
             w.usize(s);
         }
-        w.usize(self.out.len());
-        for slot in &self.out {
-            match slot {
-                None => w.bool(false),
-                Some(rec) => {
-                    w.bool(true);
-                    encode_reception(&mut w, rec);
-                }
-            }
-        }
+        encode_output(&mut w, &self.output);
         w.usize(self.in_flight.len());
         for f in &self.in_flight {
             w.usize(f.receiver);
@@ -657,9 +783,15 @@ impl RxSnapshot {
         let body_bytes = r.usize()?;
         let carrier_sense = r.bool()?;
         let duration_s = r.f64()?;
-        let scheme = decode_scheme(&mut r)?;
-        let postamble = r.bool()?;
-        let collect_symbols = r.bool()?;
+        let na = r.usize()?;
+        let mut arms = Vec::with_capacity(na.min(1 << 10));
+        for _ in 0..na {
+            arms.push(RxArm {
+                scheme: decode_scheme(&mut r)?,
+                postamble: r.bool()?,
+                collect_symbols: r.bool()?,
+            });
+        }
         let timeline_fp = r.u64()?;
         let env_fp = r.u64()?;
         let kernel_signature = r.bytes()?;
@@ -680,15 +812,7 @@ impl RxSnapshot {
         for _ in 0..ns {
             next_slot.push(r.usize()?);
         }
-        let no = r.usize()?;
-        let mut out = Vec::with_capacity(no.min(1 << 24));
-        for _ in 0..no {
-            out.push(if r.bool()? {
-                Some(decode_reception(&mut r)?)
-            } else {
-                None
-            });
-        }
+        let output = decode_output(&mut r)?;
         let nf = r.usize()?;
         let mut in_flight = Vec::with_capacity(nf.min(1 << 24));
         for _ in 0..nf {
@@ -715,9 +839,7 @@ impl RxSnapshot {
             body_bytes,
             carrier_sense,
             duration_s,
-            scheme,
-            postamble,
-            collect_symbols,
+            arms,
             timeline_fp,
             env_fp,
             kernel_signature,
@@ -726,7 +848,7 @@ impl RxSnapshot {
             dispatched,
             busy_until,
             next_slot,
-            out,
+            output,
             in_flight,
         })
     }

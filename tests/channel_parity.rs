@@ -4,15 +4,22 @@
 //!
 //! This is the test that justifies running the network experiments on
 //! the fast backend (DESIGN.md §2).
+//!
+//! It also pins the error pattern the capacity traces share between
+//! arms: [`ChipErrors::draw`] followed by [`ChipErrors::apply`] must
+//! change exactly the chips [`corrupt_chip_words_in_place`] changes, on
+//! any frame of the drawn length, and leave the RNG where it leaves it.
 
 use ppr::channel::ber::chip_error_prob;
 use ppr::channel::chip_channel::{
-    codeword_flip_counts, corrupt_chip_words, corrupt_chips, ErrorProfile,
+    codeword_flip_counts, corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips,
+    ChipErrors, ErrorProfile,
 };
 use ppr::channel::sample_channel::render_single;
 use ppr::phy::chips::ChipWords;
 use ppr::phy::modem::{pack_chip_words, unpack_chip_words, MskModem};
 use ppr::phy::spread::{despread_hard, spread_bytes};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,4 +182,119 @@ fn decode_stats(rx_chips: &[bool], tx_symbols: &[u8]) -> (f64, f64) {
 
 fn mean(v: &[u8]) -> f64 {
     v.iter().map(|&x| x as f64).sum::<f64>() / v.len().max(1) as f64
+}
+
+/// A chip-error probability in one of the sampler's regimes: sparse,
+/// just around the sparse/collision crossover (`BLOCK_FLIP_MIN_P` =
+/// 0.02), collision-grade, just around the jammed boundary (0.5),
+/// jammed, or below the error-free cutoff.
+fn regime_p(regime: u8, u: f64) -> f64 {
+    match regime % 6 {
+        0 => 1e-6 + u * 0.02,
+        1 => 0.02 + (u - 0.5) * 1e-9,
+        2 => 0.02 + u * 0.48,
+        3 => 0.5 + (u - 0.5) * 1e-9,
+        4 => 0.5 + u * 0.5,
+        _ => u * 1e-13,
+    }
+}
+
+/// `draw` + `apply` against `corrupt_chip_words_in_place` for one
+/// (frame, profile, seed): same chips, same RNG position afterwards.
+fn assert_pattern_parity(chips: &ChipWords, profile: &ErrorProfile, seed: u64) -> ChipErrors {
+    let mut rng_a = StdRng::seed_from_u64(seed);
+    let mut rng_b = StdRng::seed_from_u64(seed);
+    let mut expect = chips.clone();
+    corrupt_chip_words_in_place(&mut expect, profile, &mut rng_a);
+    let errors = ChipErrors::draw(chips.len(), profile, &mut rng_b);
+    let mut got = chips.clone();
+    errors.apply(&mut got);
+    assert_eq!(got, expect, "{profile:?} seed {seed}");
+    assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG position");
+    errors
+}
+
+/// Fixed corners: an empty profile, spans sharing a lane in every
+/// regime pairing, and one pattern applied to two different frames.
+#[test]
+fn chip_error_pattern_fixed_corners() {
+    let n = 64 * 5 + 17;
+    let frame_a = ChipWords::from_bools(&(0..n).map(|i| i % 3 == 0).collect::<Vec<_>>());
+    let frame_b = ChipWords::from_bools(&(0..n).map(|i| i % 7 < 4).collect::<Vec<_>>());
+
+    let empty = assert_pattern_parity(&frame_a, &ErrorProfile::from_pieces(Vec::new()), 1);
+    assert_eq!(empty.lanes_touched(), 0);
+
+    // Two spans inside lane 2 (128..192), each regime against each.
+    let ps = [0.01, 0.3, 0.9];
+    for &p1 in &ps {
+        for &p2 in &ps {
+            let profile = ErrorProfile::from_pieces(vec![(130, 150, p1), (150, 190, p2)]);
+            for seed in 0..8 {
+                let errors = assert_pattern_parity(&frame_a, &profile, seed);
+                assert!(errors.lanes_touched() <= 1, "a shared lane is one entry");
+                // The same draw corrupts another frame exactly as a
+                // fresh corruption of that frame would.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut expect = frame_b.clone();
+                corrupt_chip_words_in_place(&mut expect, &profile, &mut rng);
+                let mut got = frame_b.clone();
+                errors.apply(&mut got);
+                assert_eq!(got, expect, "{p1} {p2} seed {seed}");
+            }
+        }
+    }
+
+    // Overlapping pieces (which real profiles never have) still match:
+    // entries apply in draw order, and a jammed span that overwrites a
+    // lane's earlier flips composes into the same lane entry.
+    for pieces in [
+        vec![(10, 200, 0.7), (100, 300, 0.2), (50, 60, 0.01)],
+        vec![(64, 100, 0.3), (70, 90, 0.9)],
+        vec![(64, 128, 0.01), (64, 128, 0.3), (65, 127, 0.6)],
+    ] {
+        let overlapping = ErrorProfile::from_pieces(pieces);
+        for seed in 0..8 {
+            assert_pattern_parity(&frame_a, &overlapping, seed);
+        }
+    }
+}
+
+proptest! {
+    /// `ChipErrors::draw` then `apply` equals `corrupt_chip_words_in_place`
+    /// on the same frame — chips and RNG position — over arbitrary
+    /// profiles in every regime and at both regime boundaries, with
+    /// spans that share lanes and frames whose length is not a multiple
+    /// of 64; and applied to a prefix of the frame it gives that
+    /// prefix of the corrupted frame.
+    #[test]
+    fn chip_error_pattern_matches_in_place_corruption(
+        seed in any::<u64>(),
+        n_lanes in 0usize..12,
+        tail in 0usize..64,
+        pieces in proptest::collection::vec((0u64..90, 1u64..300, any::<u8>(), 0.0f64..1.0), 0..7),
+        prefix_lanes in 0usize..14,
+    ) {
+        let n = n_lanes * 64 + tail;
+        let mut cursor = 0u64;
+        let mut spans = Vec::new();
+        for (gap, len, regime, u) in pieces {
+            let start = cursor + gap;
+            spans.push((start, start + len, regime_p(regime, u)));
+            cursor = start + len;
+        }
+        let profile = ErrorProfile::from_pieces(spans);
+        let chips = ChipWords::from_bools(&(0..n).map(|i| (i * 5) % 11 < 5).collect::<Vec<_>>());
+        let errors = assert_pattern_parity(&chips, &profile, seed);
+        prop_assert_eq!(errors.len_chips(), n);
+
+        let mut whole = chips.clone();
+        errors.apply(&mut whole);
+        let keep = (prefix_lanes * 64).min(n);
+        let mut prefix = chips.clone();
+        prefix.truncate(keep);
+        errors.apply(&mut prefix);
+        whole.truncate(keep);
+        prop_assert_eq!(prefix, whole);
+    }
 }

@@ -16,9 +16,14 @@ use ppr::mac::schemes::DeliveryScheme;
 use ppr::phy::chips::ChipWords;
 use ppr::phy::sync::SyncPattern;
 use ppr::phy::ChipReceiver;
+use ppr::sim::experiments::common::six_arms;
+use ppr::sim::experiments::{hints, table2};
+use ppr::sim::geometry::Testbed;
 use ppr::sim::network::{
-    generate_timeline, process_receptions, process_receptions_reference, RadioEnv, RxArm, SimConfig,
+    fold_receptions, generate_timeline, office_model, process_receptions,
+    process_receptions_reference, ArmFold, RadioEnv, RxArm, SimConfig, SQUELCH_SNR,
 };
+use ppr::sim::scenario::{ScenarioBuilder, Topology};
 use ppr::sim::{Acquisition, FastRx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -352,6 +357,59 @@ fn end_to_end_experiment_parity() {
             assert_eq!(reference.len(), packed.len(), "{cfg:?} {arm:?}");
             assert_eq!(reference, packed, "{cfg:?} {arm:?}");
         }
+    }
+}
+
+/// Multi-arm parity: one folding pass of the reception driver over a
+/// trace, with every arm a full run evaluates on one trace (the six
+/// scheme × postamble arms, the Table 2 fragment sweep and the hint
+/// arm), folds each arm exactly as the bool spec's stream for that arm
+/// alone, folded the same way — on the Fig. 7 floor and on a
+/// random-geometric one, at a dense load where most frames collide.
+#[test]
+fn multi_arm_pass_folds_match_each_arms_spec() {
+    let sc = ScenarioBuilder::new().build();
+    let mut arms: Vec<RxArm> = six_arms(sc.schemes()).into_iter().map(|(_, a)| a).collect();
+    for a in table2::request(&sc)
+        .arms
+        .into_iter()
+        .chain(hints::requests(&sc)[0].arms.clone())
+    {
+        if !arms.contains(&a) {
+            arms.push(a);
+        }
+    }
+    assert_eq!(arms.len(), 12);
+    let cfg = SimConfig {
+        load_kbps: 42.4,
+        body_bytes: 1500,
+        carrier_sense: false,
+        duration_s: 1.0,
+        seed: 9,
+    };
+    let rg = Topology::RandomGeometric {
+        seed: 5,
+        density: 6.0,
+    };
+    let comm_radius_m = office_model().range_at_snr_m(SQUELCH_SNR);
+    for testbed in [Testbed::fig7(), rg.testbed(comm_radius_m)] {
+        let env = RadioEnv::with_testbed(cfg.seed, testbed);
+        let timeline = generate_timeline(&env, &cfg);
+        assert!(timeline.len() > 20);
+        let folds = fold_receptions(&env, &cfg, &timeline, &arms, None);
+        for (arm, fold) in arms.iter().zip(&folds) {
+            let spec = process_receptions_reference(&env, &cfg, &timeline, arm);
+            assert_eq!(
+                *fold,
+                ArmFold::of_stream(&env, &spec, arm.collect_symbols),
+                "{arm:?}"
+            );
+            // The one-arm stream driver agrees with its own fold too.
+            let stream = process_receptions(&env, &cfg, &timeline, arm);
+            assert_eq!(stream, spec, "{arm:?}");
+        }
+        let hints = folds[arms.len() - 1].hints.as_ref().expect("hint arm");
+        assert!(hints.hist.total_incorrect() > 0, "no collisions to fold");
     }
 }
 

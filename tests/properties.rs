@@ -456,3 +456,81 @@ fn partition_planners_match_interval_dp_at_large_l() {
         }
     }
 }
+
+/// Fragments `--set` strings are built from: separators, numbers at and
+/// past every parser's edge, and the words the enum-valued keys accept.
+const SET_TOKENS: [&str; 34] = [
+    "",
+    "=",
+    ",",
+    ":",
+    " ",
+    "0",
+    "1",
+    "-1",
+    "1.5",
+    "0.5",
+    "nan",
+    "inf",
+    "-inf",
+    "1e309",
+    "18446744073709551616",
+    "255",
+    "256",
+    "33",
+    "grid",
+    "rg",
+    "fig7",
+    "x",
+    "pulse",
+    "rand",
+    "sweep",
+    "react",
+    "off",
+    "true",
+    "on",
+    "chip",
+    "dsp",
+    "\u{e9}",
+    "\u{0}",
+    "+3",
+];
+
+/// A string of `picks.len()` tokens from [`SET_TOKENS`].
+fn set_string(picks: &[u8]) -> String {
+    picks
+        .iter()
+        .map(|&p| SET_TOKENS[p as usize % SET_TOKENS.len()])
+        .collect()
+}
+
+proptest! {
+    /// The scenario `--set` parser never panics: an arbitrary key (a
+    /// real one, an alias or junk) with an arbitrary value — or a
+    /// comma-separated sweep of them, applied one by one as the CLI
+    /// does — is accepted or rejected with a message, and whatever it
+    /// accepts builds a scenario.
+    #[test]
+    fn scenario_set_never_panics(
+        key_pick in any::<u16>(),
+        junk_key in proptest::collection::vec(any::<u8>(), 0..4),
+        value in proptest::collection::vec(any::<u8>(), 0..10),
+    ) {
+        use ppr::sim::scenario::{ScenarioBuilder, SCENARIO_KEYS};
+        let keys: Vec<&str> = SCENARIO_KEYS.iter().map(|&(k, _)| k).collect();
+        let key = match key_pick as usize % (keys.len() + 1) {
+            i if i < keys.len() => keys[i].to_string(),
+            _ => set_string(&junk_key),
+        };
+        let value = set_string(&value);
+        let mut builder = ScenarioBuilder::new();
+        let whole = builder.set(&key, &value);
+        if let Err(e) = &whole {
+            prop_assert!(!e.is_empty());
+        }
+        for v in value.split(',') {
+            let _ = builder.set(&key, v);
+        }
+        let _ = builder.build();
+    }
+}

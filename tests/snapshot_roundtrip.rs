@@ -6,7 +6,8 @@
 //!
 //! 1. **Reception streams** — `process_receptions_checkpointed` vs the
 //!    uninterrupted event driver, property-tested across checkpoint
-//!    epochs and seeds.
+//!    epochs and seeds; and a multi-arm folding pass through a
+//!    checkpoint vs the bool spec, arm by arm.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set.
 //! 3. **The format itself** — a canonical snapshot's bytes are pinned
@@ -16,14 +17,15 @@
 //!    panic.
 
 use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::experiments::registry;
+use ppr::sim::experiments::common::{six_arms, CapacityRun};
+use ppr::sim::experiments::{hints, registry, table2};
 use ppr::sim::network::{
-    generate_timeline, process_receptions, process_receptions_checkpointed,
-    resume_receptions_reference, snapshot_after_events, RadioEnv, ReceptionDriver, RxArm,
-    SimConfig, BATCH_PER_WORKER,
+    fold_receptions, generate_timeline, process_receptions, process_receptions_checkpointed,
+    process_receptions_reference, resume_receptions_reference, snapshot_after_events, ArmFold,
+    RadioEnv, ReceptionDriver, RxArm, RxOutput, SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
-use ppr::sim::scenario::ScenarioBuilder;
+use ppr::sim::scenario::{ScenarioBuilder, Topology};
 use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot, SnapError, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 
@@ -42,6 +44,60 @@ fn arm() -> RxArm {
         scheme: DeliveryScheme::Ppr { eta: 6 },
         postamble: true,
         collect_symbols: false,
+    }
+}
+
+/// The arms one testbed trace is evaluated with in a full run: the six
+/// scheme × postamble arms, the Table 2 fragment sweep and the hint arm.
+fn union_arms() -> Vec<RxArm> {
+    let sc = ScenarioBuilder::new().build();
+    let mut arms: Vec<RxArm> = six_arms(sc.schemes()).into_iter().map(|(_, a)| a).collect();
+    for a in table2::request(&sc)
+        .arms
+        .into_iter()
+        .chain(hints::requests(&sc)[0].arms.clone())
+    {
+        if !arms.contains(&a) {
+            arms.push(a);
+        }
+    }
+    arms
+}
+
+#[test]
+fn multi_arm_checkpoint_folds_match_each_arms_spec() {
+    // Every arm of the union, folded in one pass through a checkpoint,
+    // equals the bool spec's stream for that arm alone, folded the same
+    // way — on the Fig. 7 floor and a random-geometric one.
+    let arms = union_arms();
+    for topology in [
+        Topology::Fig7,
+        Topology::RandomGeometric {
+            seed: 3,
+            density: 6.0,
+        },
+    ] {
+        let sc = ScenarioBuilder::new()
+            .duration_s(1.0)
+            .seed(21)
+            .topology(topology)
+            .build();
+        let run = CapacityRun::from_scenario(&sc, 13.8, false);
+        assert!(
+            run.timeline.len() > 20,
+            "{topology:?}: too few transmissions"
+        );
+        for checkpoint in [None, Some(0), Some(150), Some(u64::MAX)] {
+            let folds = fold_receptions(&run.env, &run.cfg, &run.timeline, &arms, checkpoint);
+            for (arm, fold) in arms.iter().zip(&folds) {
+                let spec = process_receptions_reference(&run.env, &run.cfg, &run.timeline, arm);
+                let want = ArmFold::of_stream(&run.env, &spec, arm.collect_symbols);
+                assert_eq!(
+                    *fold, want,
+                    "{topology:?} checkpoint {checkpoint:?} {arm:?}"
+                );
+            }
+        }
     }
 }
 
@@ -109,17 +165,21 @@ fn every_experiment_is_checkpoint_invariant() {
     }
 }
 
-/// Fingerprint of the canonical reception snapshot's serialized bytes.
-/// This pins the *format*: magic, version, field order, and every
-/// encoder. If this assertion fires, the byte layout changed — bump
-/// `SNAPSHOT_VERSION`, update this constant, and say so in the commit.
-const RX_FORMAT_FINGERPRINT: u64 = 0x93d0_91a2_d58e_f27b;
+/// Fingerprints of the canonical reception snapshots' serialized bytes
+/// (a one-arm stream, then a multi-arm fold). These pin the *format*:
+/// magic, version, field order, and every encoder. If an assertion
+/// fires, the byte layout changed — bump `SNAPSHOT_VERSION`, update
+/// these constants, and say so in the commit.
+const RX_FORMAT_FINGERPRINT: u64 = 0xde7f_dd78_82e1_81d9;
+const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0x6252_999b_9d24_ef4b;
 
 #[test]
 fn snapshot_byte_format_is_pinned() {
     // Version 2: adversarial state (jammer/churn/backoff identity,
     // jammer actor state, per-node liveness) joined the mesh snapshot.
-    assert_eq!(SNAPSHOT_VERSION, 2);
+    // Version 3: the reception snapshot holds an arm list, and its
+    // output is one arm's slot table or every arm's fold.
+    assert_eq!(SNAPSHOT_VERSION, 3);
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
@@ -138,6 +198,20 @@ fn snapshot_byte_format_is_pinned() {
         "snapshot byte format changed: fingerprint {fp:#018x} != pinned \
          {RX_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, update \
          RX_FORMAT_FINGERPRINT, and explain the layout change in the commit."
+    );
+
+    // The fold layout, at the same epoch of a multi-arm pass.
+    let arms = union_arms();
+    let mut driver = ReceptionDriver::folding(&env, &c, &timeline, &arms);
+    driver.run_events(300);
+    let mut snap = driver.save();
+    snap.kernel_signature = b"pinned".to_vec();
+    let fp = fingerprint(&snap.to_bytes());
+    assert_eq!(
+        fp, RX_FOLD_FORMAT_FINGERPRINT,
+        "fold snapshot byte format changed: fingerprint {fp:#018x} != pinned \
+         {RX_FOLD_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, \
+         update RX_FOLD_FORMAT_FINGERPRINT, and explain the layout change in the commit."
     );
 }
 
@@ -249,8 +323,8 @@ fn reseal(bytes: &mut [u8]) {
 }
 
 /// The byte ranges of an [`RxSnapshot`]'s sections, in layout order:
-/// header + identity, queue, counters, busy horizons, next slots, slot
-/// table, in-flight captures. Each table's length comes from
+/// header + identity (arms included), queue, counters, busy horizons,
+/// next slots, output (slot table or folds), in-flight captures. Each table's length comes from
 /// re-encoding the snapshot with that table emptied, so the ranges
 /// follow the encoders without restating them.
 fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
@@ -260,10 +334,11 @@ fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
         clear(&mut s);
         full - s.to_bytes().len()
     };
-    // Table bytes plus its u64 count prefix, last section first.
+    // Table bytes plus its u64 count prefix, last section first; the
+    // output section also has its one-byte stream/folds tag.
     let tables = [
         8 + without(|s| s.in_flight.clear()),
-        8 + without(|s| s.out.clear()),
+        9 + without(|s| s.output = RxOutput::Stream(Vec::new())),
         8 + without(|s| s.next_slot.clear()),
         8 + without(|s| s.busy_until.clear()),
         16, // next_seq, dispatched
@@ -336,8 +411,11 @@ fn resealed_snapshot_mutations_never_panic() {
     let arm = arm();
     let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 130);
     let snap = RxSnapshot::from_bytes(&bytes).unwrap();
+    let RxOutput::Stream(out) = &snap.output else {
+        panic!("a one-arm driver keeps a stream");
+    };
     assert!(
-        !snap.in_flight.is_empty() && snap.out.iter().any(Option::is_some),
+        !snap.in_flight.is_empty() && out.iter().any(Option::is_some),
         "checkpoint has no in-flight or decoded state to corrupt"
     );
     assert!(snap.queue.len() > snap.in_flight.len(), "no pending starts");
@@ -353,6 +431,35 @@ fn resealed_snapshot_mutations_never_panic() {
             let _ = resume_receptions_reference(&env, &c, &timeline, &arm, s);
         });
     assert!(parsed > offsets.len(), "too few mutations parsed: {parsed}");
+
+    // The same for a multi-arm folding pass (the v3 fold layout: arm
+    // list, per-link counters, hint and miss-run histograms).
+    let arms = union_arms();
+    let mut driver = ReceptionDriver::folding(&env, &c, &timeline, &arms);
+    driver.run_events(130);
+    let snap = driver.save();
+    assert!(
+        !snap.in_flight.is_empty(),
+        "no in-flight captures to corrupt"
+    );
+    let bytes = snap.to_bytes();
+    let offsets: Vec<usize> = rx_sections(&snap)
+        .into_iter()
+        .flat_map(|section| spread(section, 48))
+        .collect();
+    let parsed =
+        assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
+            if let Ok(driver) = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, s) {
+                driver.run_to_folds();
+            }
+            // A fold snapshot offered to the stream paths is an error.
+            let _ = ReceptionDriver::restore(&env, &c, &timeline, &arm, s);
+            let _ = resume_receptions_reference(&env, &c, &timeline, &arm, s);
+        });
+    assert!(
+        parsed > offsets.len(),
+        "too few fold mutations parsed: {parsed}"
+    );
 
     use ppr::sim::experiments::mesh::{MeshDriver, MeshParams};
     let params = MeshParams::benign(40, 8.0, 3, 6, 250);
