@@ -1,7 +1,7 @@
 //! Criterion micro-benches for PPR's hot algorithmic paths:
 //!
-//! * the chunking-DP planner ladder (`O(L³)` interval reference vs the
-//!   `O(L²)` and `O(L)` partition planners, up to L = 4096),
+//! * the chunking-DP planner ladder (the `O(L³)` interval spec vs the
+//!   `O(L)` production planner, up to L = 4096),
 //! * nearest-codeword despreading (the per-codeword receive cost),
 //! * the fast chip channel (geometric skipping vs dense Bernoulli),
 //! * sparse corruption across the geometric/mask crossover
@@ -12,10 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppr_core::arq::{run_session, PerfectChannel, PpArqConfig};
-use ppr_core::dp::{
-    plan_chunks_interval, plan_chunks_monotone_with, plan_chunks_quadratic_with, ChunkScratch,
-    CostModel,
-};
+use ppr_core::dp::{plan_chunks_interval, plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::feedback::Feedback;
 use ppr_core::runs::{RunLengths, UnitRange};
 use rand::rngs::StdRng;
@@ -33,11 +30,10 @@ fn labels_with_l_bad_runs(l: usize, total: usize) -> Vec<bool> {
     labels
 }
 
-/// The planner ladder: the `O(L³)` interval reference is capped at
-/// L = 128 (it is already ~700 µs/iter there and cubic beyond); the
-/// partition planners run to L = 4096, the regime the interval DP made
-/// infeasible. All three produce identical plans (see
-/// `tests/properties.rs`).
+/// The planner ladder: the `O(L³)` interval spec is capped at L = 128
+/// (it is already ~700 µs/iter there and cubic beyond); the production
+/// planner runs to L = 4096, the regime the interval DP made
+/// infeasible. Both produce identical plans (see `tests/properties.rs`).
 fn bench_chunking_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("chunking_dp");
     let mut scratch = ChunkScratch::new();
@@ -52,15 +48,8 @@ fn bench_chunking_dp(c: &mut Criterion) {
                 b.iter(|| plan_chunks_interval(black_box(&rl), black_box(&cost)))
             });
         }
-        group.bench_with_input(BenchmarkId::new("quadratic", l), &l, |b, _| {
-            b.iter(|| {
-                plan_chunks_quadratic_with(black_box(&rl), black_box(&cost), &mut scratch).cost_bits
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("monotone", l), &l, |b, _| {
-            b.iter(|| {
-                plan_chunks_monotone_with(black_box(&rl), black_box(&cost), &mut scratch).cost_bits
-            })
+        group.bench_with_input(BenchmarkId::new("production", l), &l, |b, _| {
+            b.iter(|| plan_chunks_with(black_box(&rl), black_box(&cost), &mut scratch).cost_bits)
         });
     }
     group.finish();
@@ -145,7 +134,7 @@ fn bench_chip_channel(c: &mut Criterion) {
 /// L ∈ {1k, 10k, 100k} chips: corruption in the sparse and jammed
 /// regimes, and full-stream despreading.
 fn bench_packed_vs_bool(c: &mut Criterion) {
-    use ppr_channel::chip_channel::{corrupt_chip_words, corrupt_chips, ErrorProfile};
+    use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
     use ppr_phy::chips::ChipWords;
     use ppr_phy::frame_rx::ChipReceiver;
 
@@ -164,7 +153,11 @@ fn bench_packed_vs_bool(c: &mut Criterion) {
                 b.iter(|| corrupt_chips(black_box(&chips), black_box(&profile), &mut rng))
             });
             group.bench_function(format!("corrupt_packed_{regime}"), |b| {
-                b.iter(|| corrupt_chip_words(black_box(&packed), black_box(&profile), &mut rng))
+                b.iter(|| {
+                    let mut w = packed.clone();
+                    corrupt_chip_words_in_place(&mut w, black_box(&profile), &mut rng);
+                    w
+                })
             });
         }
         let rx = ChipReceiver::default();
@@ -188,12 +181,10 @@ fn bench_packed_vs_bool(c: &mut Criterion) {
 /// Sparse corruption around the geometric/mask crossover: the packed
 /// sampler (one RNG draw per flip, geometric chip skipping) against the
 /// dense per-chip Bernoulli mask, at probabilities bracketing the
-/// measured p ≈ 0.029 break-even, plus the allocation-free in-place
-/// entry the feedback path uses.
+/// measured p ≈ 0.029 break-even. The packed rows clone a template and
+/// corrupt it in place.
 fn bench_corrupt_sparse(c: &mut Criterion) {
-    use ppr_channel::chip_channel::{
-        corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
-    };
+    use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
     use ppr_phy::chips::ChipWords;
 
     let mut rng = StdRng::seed_from_u64(5);
@@ -207,9 +198,6 @@ fn bench_corrupt_sparse(c: &mut Criterion) {
             b.iter(|| corrupt_chips(black_box(&chips), black_box(&profile), &mut rng))
         });
         group.bench_with_input(BenchmarkId::new("packed", p), &p, |b, _| {
-            b.iter(|| corrupt_chip_words(black_box(&packed), black_box(&profile), &mut rng))
-        });
-        group.bench_with_input(BenchmarkId::new("packed_inplace", p), &p, |b, _| {
             b.iter(|| {
                 let mut w = packed.clone();
                 corrupt_chip_words_in_place(&mut w, black_box(&profile), &mut rng);
@@ -220,9 +208,10 @@ fn bench_corrupt_sparse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The DSP backend kernel ladder (superposition, matched-filter bank,
-/// SOVA trellis — each tier this CPU offers vs the scalar reference it
-/// must bit-match) and the CRC-32 kernel ladder on a 1500 B packet.
+/// The DSP backend kernel ladder (superposition and matched-filter bank
+/// — each tier this CPU offers vs the scalar reference it must
+/// bit-match), the scalar SOVA decoder, and the CRC-32 kernel ladder on
+/// a 1500 B packet.
 fn bench_dsp_kernels(c: &mut Criterion) {
     use ppr_phy::complex::Complex32;
     use ppr_phy::pulse::HalfSine;
@@ -280,13 +269,9 @@ fn bench_dsp_kernels(c: &mut Criterion) {
     for s in &mut soft {
         *s += rng.gen_range(-0.5f32..0.5);
     }
-    let mut group = c.benchmark_group("dsp_sova_500bits");
-    for kernel in DspKernel::available() {
-        group.bench_function(kernel.name(), |b| {
-            b.iter(|| kernel.sova_decode(black_box(&soft)))
-        });
-    }
-    group.finish();
+    c.bench_function("dsp_sova_500bits", |b| {
+        b.iter(|| sova::decode(black_box(&soft)))
+    });
 
     let buf: Vec<u8> = (0..1500).map(|_| rng.gen()).collect();
     let mut group = c.benchmark_group("crc32_1500B");

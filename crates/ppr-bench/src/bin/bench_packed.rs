@@ -1,11 +1,10 @@
 //! Quick-bench snapshot of the packed chip pipeline: times the
-//! packed-vs-bool stages at L ∈ {1k, 10k, 100k} chips (including the
-//! allocation-free in-place corruption entry), the chunking-DP planner
-//! ladder (`plan_chunks_{interval,quadratic,monotone}_L*`), the CRC-32
-//! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
-//! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v8) so CI can
-//! archive the perf trajectory.
+//! packed-vs-bool stages at L ∈ {1k, 10k, 100k} chips, the chunking-DP
+//! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
+//! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
+//! kernel ladder (`dsp_{axpy,demod}_<kernel>`) and the scalar SOVA
+//! decoder (`dsp_sova_500bits`), plus a small end-to-end reception run, and writes `BENCH_packed.json`
+//! (schema v9) so CI can archive the perf trajectory.
 //!
 //! The event-core rows time the reception driver
 //! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood
@@ -15,7 +14,12 @@
 //! dropped the time-stepped driver's row along with that driver; v8
 //! dropped the SSSE3 despread row with that tier and added the
 //! column-entry `despread_{clean,mixed}_*` rows, which show the
-//! exact-codeword shortcut's regime split.
+//! exact-codeword shortcut's regime split; v9 dropped the quadratic
+//! planner, the SSE3 DSP tier and the SOVA vector kernel with their
+//! code, renamed the production planner's rows `plan_chunks_L*`,
+//! collapsed the SOVA rows into one `dsp_sova_500bits` and folded
+//! `corrupt_packed_inplace_*` into `corrupt_packed_*`, which now times
+//! clone + in place.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -23,13 +27,8 @@
 //! is a smoke-level trend tracker, not a statistics engine; use
 //! `cargo bench -p ppr-bench` for interactive comparisons.
 
-use ppr_channel::chip_channel::{
-    corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
-};
-use ppr_core::dp::{
-    plan_chunks_interval, plan_chunks_monotone_with, plan_chunks_quadratic_with, ChunkScratch,
-    CostModel,
-};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
+use ppr_core::dp::{plan_chunks_interval, plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::runs::RunLengths;
 use ppr_mac::schemes::DeliveryScheme;
 use ppr_phy::chips::ChipWords;
@@ -74,15 +73,10 @@ fn main() {
                 format!("corrupt_bool_{regime}_{l}"),
                 time_ns(|| corrupt_chips(&chips, &profile, &mut rng)),
             ));
+            // Clone a packed template and corrupt it in place (the clone
+            // is a memcpy, not a per-chip rebuild).
             entries.push((
                 format!("corrupt_packed_{regime}_{l}"),
-                time_ns(|| corrupt_chip_words(&packed, &profile, &mut rng)),
-            ));
-            // The production shape since the feedback path went
-            // allocation-free: clone a packed template, corrupt it in
-            // place (the clone is a memcpy, not a per-chip rebuild).
-            entries.push((
-                format!("corrupt_packed_inplace_{regime}_{l}"),
                 time_ns(|| {
                     let mut w = packed.clone();
                     corrupt_chip_words_in_place(&mut w, &profile, &mut rng);
@@ -188,11 +182,11 @@ fn main() {
         ));
     }
 
-    // Chunking-DP planner ladder (schema v3): the O(L³) interval
-    // reference vs the O(L²)/O(L) partition planners on L evenly spaced
-    // 3-unit bad runs. Two deliberate exceptions to the 20 ms/entry
-    // budget: `plan_chunks_interval_L1024` runs one ~0.4 s iteration so
-    // the trajectory records the baseline the partition planners are
+    // Chunking-DP planner ladder: the O(L³) interval spec vs the O(L)
+    // production planner on L evenly spaced 3-unit bad runs. Two
+    // deliberate exceptions to the 20 ms/entry budget:
+    // `plan_chunks_interval_L1024` runs one ~0.4 s iteration so the
+    // trajectory records the baseline the production planner is
     // measured against, and the interval DP is skipped entirely at
     // L = 4096 — it is cubic and would take tens of seconds per
     // iteration there, which is precisely the point of the ladder.
@@ -216,12 +210,8 @@ fn main() {
                 ));
             }
             entries.push((
-                format!("plan_chunks_quadratic_L{l}"),
-                time_ns(|| plan_chunks_quadratic_with(&rl, &cost, &mut scratch).cost_bits),
-            ));
-            entries.push((
-                format!("plan_chunks_monotone_L{l}"),
-                time_ns(|| plan_chunks_monotone_with(&rl, &cost, &mut scratch).cost_bits),
+                format!("plan_chunks_L{l}"),
+                time_ns(|| plan_chunks_with(&rl, &cost, &mut scratch).cost_bits),
             ));
         }
     }
@@ -248,9 +238,9 @@ fn main() {
     }
 
     // DSP kernel ladder: each vector tier this CPU offers against the
-    // scalar reference, on the three kernels the sample-level pipeline
-    // dispatches — transmitter superposition (axpy), the matched-filter
-    // bank (demod), and the SOVA trellis.
+    // scalar reference, on the two kernels the sample-level pipeline
+    // dispatches — transmitter superposition (axpy) and the
+    // matched-filter bank (demod) — plus the scalar SOVA decoder.
     {
         let wave: Vec<Complex32> = (0..4096)
             .map(|_| Complex32 {
@@ -301,12 +291,7 @@ fn main() {
         for s in &mut soft {
             *s += rng.gen_range(-0.5f32..0.5);
         }
-        for kernel in DspKernel::available() {
-            entries.push((
-                format!("dsp_sova_{}_500bits", kernel.name()),
-                time_ns(|| kernel.sova_decode(&soft)),
-            ));
-        }
+        entries.push(("dsp_sova_500bits".into(), time_ns(|| sova::decode(&soft))));
     }
 
     // Small end-to-end run through the packed reception loop.
@@ -356,7 +341,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v8\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v9\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -1,4 +1,4 @@
-//! # `ppr-bench` — ablation/profiling binaries and criterion benches
+//! # `ppr-bench` — the perf snapshot, criterion benches and one sweep
 //!
 //! The paper's figure and table experiments live in the `ppr-sim`
 //! experiment registry and run through the `ppr-cli` driver:
@@ -9,16 +9,11 @@
 //! cargo run --release -p ppr-cli -- run fig10 --set load=3.5,6.9,13.8 --json out/
 //! ```
 //!
-//! What stays here are the binaries that are *not* registry
-//! experiments: the ablations (`ablation_eta`, `ablation_hints`,
-//! `ablation_arq_strategies`, `ablation_collision_model`), the §9
-//! spreading-factor sweep (`conclusion_rate`), the development probes
-//! (`profile_sim`, `profile_stages`), the `bench_packed` perf
-//! snapshot, plus criterion micro-benches for the hot algorithmic
-//! paths (the chunking DP, the despreader, the chip channel).
-//!
-//! Set `PPR_DURATION=<seconds>` to shorten/lengthen the simulated
-//! duration (default 90 s) — or use `--set duration=<s>` on `ppr-cli`.
+//! What stays here is what is *not* a registry experiment: the
+//! `bench_packed` perf snapshot, the criterion micro-benches for the hot
+//! algorithmic paths (the chunking DP, the despreader, the chip
+//! channel), and the §9 spreading-factor sweep (`conclusion_rate`),
+//! which waits for its own port into the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

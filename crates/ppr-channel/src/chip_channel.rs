@@ -11,7 +11,7 @@
 //! agree on codeword error statistics, which is what every higher layer
 //! consumes.
 
-use crate::ber::{chip_error_prob, chip_error_prob_dominant, sinr};
+use crate::ber::chip_error_prob_dominant;
 use crate::overlap::InterferenceSpan;
 use ppr_phy::chips::ChipWords;
 use rand::Rng;
@@ -42,27 +42,6 @@ impl ErrorProfile {
         for s in interference {
             let residual = (s.interference_mw - s.dominant_mw).max(0.0);
             let p = chip_error_prob_dominant(signal_mw, s.dominant_mw, residual, noise_mw);
-            spans.push((s.start, s.end, p));
-            len = s.end;
-        }
-        ErrorProfile {
-            spans,
-            len_chips: len,
-        }
-    }
-
-    /// Like [`Self::from_interference`] but with every interferer
-    /// Gaussian-approximated — the simpler textbook model, kept for the
-    /// collision-model ablation.
-    pub fn from_interference_gaussian(
-        signal_mw: f64,
-        noise_mw: f64,
-        interference: &[InterferenceSpan],
-    ) -> Self {
-        let mut spans = Vec::with_capacity(interference.len());
-        let mut len = 0;
-        for s in interference {
-            let p = chip_error_prob(sinr(signal_mw, s.interference_mw, noise_mw));
             spans.push((s.start, s.end, p));
             len = s.end;
         }
@@ -142,8 +121,8 @@ impl ErrorProfile {
 /// `chips.len()` may be shorter than the profile (truncated receptions);
 /// extra profile coverage is ignored.
 ///
-/// This is the reference implementation; [`corrupt_chip_words`] is the
-/// packed fast path. Both consume the RNG under the **same draw
+/// This is the reference implementation; [`corrupt_chip_words_in_place`]
+/// is the packed fast path. Both consume the RNG under the **same draw
 /// contract** so their outputs are bit-identical for a given seed
 /// (pinned by `tests/packed_parity.rs`):
 ///
@@ -201,25 +180,13 @@ pub fn corrupt_chips<R: Rng>(chips: &[bool], profile: &ErrorProfile, rng: &mut R
     out
 }
 
-/// Packed fast path of [`corrupt_chips`]: identical chip flips for a
-/// given seed (the shared draw contract), but jammed spans overwrite
-/// whole 64-chip lanes with one RNG word, collision-grade spans XOR one
-/// flip mask per lane, and sparse spans make one in-bounds 64-bit XOR
-/// per flip — no per-chip `Vec<bool>` traffic, no per-flip assert
-/// formatting or tail re-masking.
-pub fn corrupt_chip_words<R: Rng>(
-    chips: &ChipWords,
-    profile: &ErrorProfile,
-    rng: &mut R,
-) -> ChipWords {
-    let mut out = chips.clone();
-    corrupt_chip_words_in_place(&mut out, profile, rng);
-    out
-}
-
-/// In-place form of [`corrupt_chip_words`] for callers that own their
-/// chip buffer (the link experiments corrupt a freshly rendered frame
-/// they never read clean again) — same draw contract, zero clone traffic.
+/// Packed fast path of [`corrupt_chips`], in place: identical chip flips
+/// for a given seed (the shared draw contract), but jammed spans
+/// overwrite whole 64-chip lanes with one RNG word, collision-grade
+/// spans XOR one flip mask per lane, and sparse spans make one in-bounds
+/// 64-bit XOR per flip — no per-chip `Vec<bool>` traffic, no per-flip
+/// assert formatting or tail re-masking. Callers that still need the
+/// clean chips corrupt a clone.
 pub fn corrupt_chip_words_in_place<R: Rng>(
     out: &mut ChipWords,
     profile: &ErrorProfile,
@@ -468,7 +435,7 @@ fn for_each_geometric_flip<R: Rng>(
 /// ~7 expected RNG words of [`bernoulli_mask64`].
 ///
 /// Re-measured 2026-08 against the reworked sparse path (PR 7) by
-/// sweeping `corrupt_chip_words` over p at 100k chips (repro:
+/// sweeping the packed corruption over p at 100k chips (repro:
 /// `docs/PERF.md` §Channel corruption): the geometric path costs
 /// ~15 ns per expected flip (one f64 draw + `ln` + divide), i.e.
 /// ~15·p ns/chip, while the mask path is flat at ~0.43 ns/chip
@@ -707,7 +674,8 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let reference = corrupt_chips(&chips, &profile, &mut rng_a);
-            let fast = corrupt_chip_words(&packed, &profile, &mut rng_b);
+            let mut fast = packed.clone();
+            corrupt_chip_words_in_place(&mut fast, &profile, &mut rng_b);
             assert_eq!(fast, ChipWords::from_bools(&reference), "seed {seed}");
         }
     }

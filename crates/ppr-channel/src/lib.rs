@@ -40,8 +40,7 @@ pub mod sample_channel;
 
 pub use ber::{chip_error_prob, sinr};
 pub use chip_channel::{
-    codeword_flip_counts, corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips,
-    ErrorProfile,
+    codeword_flip_counts, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
 };
 pub use jamming::{clip_bursts, cover_fraction, pulse_burst, pulse_bursts_in, Burst};
 pub use overlap::{interference_profile, HeardTx, InterferenceSpan};

@@ -21,7 +21,7 @@
 //! adversarial unit-test channels.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::dp::{plan_chunks, plan_chunks_monotone_with, ChunkPlan, ChunkScratch, CostModel};
+use crate::dp::{plan_chunks, plan_chunks_with, ChunkPlan, ChunkScratch, CostModel};
 use crate::feedback::Feedback;
 use crate::hints::PacketHints;
 use crate::runs::{RunLengths, UnitRange};
@@ -95,7 +95,7 @@ impl PpArq {
             bits_per_unit: self.config.bits_per_unit,
             checksum_bits: self.config.checksum_bits,
         };
-        plan_chunks_monotone_with(&rl, &cost, scratch)
+        plan_chunks_with(&rl, &cost, scratch)
     }
 }
 
@@ -348,7 +348,7 @@ impl ReceiverPacket {
             bits_per_unit: self.config.bits_per_unit,
             checksum_bits: self.config.checksum_bits,
         };
-        let plan = plan_chunks_monotone_with(&self.runs, &cost, &mut self.scratch);
+        let plan = plan_chunks_with(&self.runs, &cost, &mut self.scratch);
         let fb = Feedback::from_plan(self.seq, &self.bytes, plan.chunks.clone());
         self.last_feedback = Some(fb.clone());
         fb

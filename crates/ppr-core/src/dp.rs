@@ -40,8 +40,8 @@
 //!    the minimization. (The kink *does* break the quadrangle inequality
 //!    for the combined weight — `2 log S ≤ singleton(j)` can fail — which
 //!    is why a generic SMAWK over the combined `w` would be unsound;
-//!    [`plan_chunks_monotone`] cross-checks itself against
-//!    [`plan_chunks_quadratic`] under `debug_assertions` instead of
+//!    [`plan_chunks_with`] cross-checks itself against
+//!    [`plan_chunks_interval`] under `debug_assertions` instead of
 //!    assuming the inequality.)
 //!
 //! Plans are *identical* to the interval DP's, not merely cost-equal.
@@ -50,10 +50,14 @@
 //! shows the partition it selects is the greedy **smallest-boundary**
 //! optimum: scanning left to right, each group is the shortest prefix
 //! group consistent with global optimality, except that a single group
-//! running to the end wins any tie. Both new planners reconstruct with
+//! running to the end wins any tie. The `O(L)` planner reconstructs with
 //! exactly that rule from a suffix-cost array (`subopt[s]` = optimal cost
-//! of runs `s..L`), so all three agree chunk-for-chunk — pinned by the
-//! tie-inducing property tests in `tests/properties.rs`.
+//! of runs `s..L`), so it agrees with the interval DP chunk-for-chunk —
+//! pinned by the tie-inducing property tests in `tests/properties.rs`.
+//!
+//! So there is one production planner ([`plan_chunks`] /
+//! [`plan_chunks_with`]), one executable spec ([`plan_chunks_interval`])
+//! and one exponential oracle ([`plan_chunks_brute`]).
 //!
 //! **Selection runs in fixed point.** Summing the same group costs in
 //! different associations (the interval DP's split tree vs a suffix
@@ -62,7 +66,7 @@
 //! every planner scores partitions in Q23.40 fixed point: each atomic
 //! cost (`log S`, `log λᵇ`, `bpu`, `λ_C`) is quantized once, products
 //! with integer run lengths and all sums are then exact, and integer
-//! addition is associative — three different evaluation orders, one
+//! addition is associative — two different evaluation orders, one
 //! answer. `cost_bits` is the fixed-point optimum converted back to
 //! `f64` (within `≈ L · 2⁻⁴¹` bits of the exact real value), identical
 //! across planners. The `no-float` lint (`cargo run -p ppr-lint`)
@@ -70,10 +74,11 @@
 //! below are declared `region(no-float)` and may not contain float
 //! tokens, so a stray `f64` cannot creep back into selection.
 //!
-//! The per-frame entry points take a caller-provided [`ChunkScratch`] so
-//! the hot feedback path ([`crate::arq::ReceiverPacket::make_feedback`])
-//! performs no table allocation per frame; `plan_chunks` remains the
-//! allocating convenience wrapper and now runs the `O(L)` planner.
+//! The per-frame entry point [`plan_chunks_with`] takes a caller-provided
+//! [`ChunkScratch`] so the hot feedback path
+//! ([`crate::arq::ReceiverPacket::make_feedback`]) performs no table
+//! allocation per frame; [`plan_chunks`] is its allocating convenience
+//! wrapper.
 
 use crate::runs::{RunLengths, UnitRange};
 
@@ -202,13 +207,13 @@ impl ChunkPlan {
     }
 }
 
-/// Reusable working memory for the partition planners.
+/// Reusable working memory for the production planner.
 ///
 /// One scratch per receiver amortizes every per-frame allocation of the
 /// feedback path: the good-run prefix sums, the suffix-cost array and
 /// the output chunk vector all keep their capacity across frames. The
 /// interval DP's `2·L²` table rows have no counterpart here at all — the
-/// partition planners never materialize a table.
+/// partition planner never materializes a table.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkScratch {
     /// `prefix_good[i]` = Σ good-run lengths of runs `0..i` (units).
@@ -226,7 +231,7 @@ impl ChunkScratch {
         ChunkScratch::default()
     }
 
-    /// The plan produced by the most recent `plan_chunks_*_with` call.
+    /// The plan produced by the most recent [`plan_chunks_with`] call.
     pub fn plan(&self) -> &ChunkPlan {
         &self.plan
     }
@@ -242,104 +247,13 @@ impl ChunkScratch {
             self.prefix_good.push(acc);
         }
     }
-
-    /// `Σ_{l=i}^{j-1} λᵍ_l` from the prefix sums.
-    fn interior_good(&self, i: usize, j: usize) -> usize {
-        (self.prefix_good[j] - self.prefix_good[i]) as usize
-    }
 }
 
-/// Plans the optimal chunk set. This is the production entry point: it
-/// dispatches to the `O(L)` planner ([`plan_chunks_monotone`]) and
-/// produces plans identical to the paper's `O(L³)` interval DP
-/// ([`plan_chunks_interval`]).
+/// Plans the optimal chunk set: the production planner
+/// ([`plan_chunks_with`]) on a fresh scratch. Plans are identical to the
+/// paper's `O(L³)` interval DP ([`plan_chunks_interval`]).
 pub fn plan_chunks(rl: &RunLengths, cost: &CostModel) -> ChunkPlan {
-    plan_chunks_monotone(rl, cost)
-}
-
-/// `O(L²)`-time, `O(L)`-space partition DP (allocating wrapper around
-/// [`plan_chunks_quadratic_with`]).
-pub fn plan_chunks_quadratic(rl: &RunLengths, cost: &CostModel) -> ChunkPlan {
-    plan_chunks_quadratic_with(rl, cost, &mut ChunkScratch::new()).clone()
-}
-
-/// `O(L)`-time partition DP (allocating wrapper around
-/// [`plan_chunks_monotone_with`]).
-pub fn plan_chunks_monotone(rl: &RunLengths, cost: &CostModel) -> ChunkPlan {
-    plan_chunks_monotone_with(rl, cost, &mut ChunkScratch::new()).clone()
-}
-
-/// The direct `O(L²)`-time, `O(L)`-space partition DP with greedy
-/// smallest-boundary reconstruction.
-///
-/// `subopt[s] = min_{e ≥ s} w(s, e) + subopt[e + 1]` where `w(s, e)` is
-/// Eq. 4 for `e = s` and the merged branch of Eq. 5 otherwise, evaluated
-/// directly per `(s, e)` — the obviously-correct form that
-/// [`plan_chunks_monotone_with`] must agree with at any scale.
-pub fn plan_chunks_quadratic_with<'a>(
-    rl: &RunLengths,
-    cost: &CostModel,
-    scratch: &'a mut ChunkScratch,
-) -> &'a ChunkPlan {
-    let l = rl.l();
-    scratch.plan.chunks.clear();
-    scratch.plan.cost_bits = 0.0;
-    if l == 0 {
-        return &scratch.plan;
-    }
-    let fxc = cost.fixed();
-    scratch.fill_prefix(rl);
-    scratch.subopt.clear();
-    scratch.subopt.resize(l + 1, 0);
-    // ppr-lint: region(no-float) begin — partition DP selection and
-    // reconstruction compare exact Q23.40 integers only.
-    for s in (0..l).rev() {
-        let mut best =
-            fxc.singleton(rl.pairs[s].bad_len, rl.pairs[s].good_len) + scratch.subopt[s + 1];
-        for e in s + 1..l {
-            let cand = fxc.merged(scratch.interior_good(s, e)) + scratch.subopt[e + 1];
-            if cand < best {
-                best = cand;
-            }
-        }
-        scratch.subopt[s] = best;
-    }
-
-    // Greedy smallest-boundary reconstruction (see module docs): the
-    // integer candidate sums are exactly the ones the DP minimized, so
-    // the equality scans always terminate at the selected group end.
-    let mut s = 0usize;
-    while s < l {
-        if s + 1 == l {
-            scratch.plan.chunks.push(rl.chunk_range(s, s));
-            break;
-        }
-        // A single group running to the end wins any tie (the interval
-        // DP only splits when a split is strictly cheaper).
-        let to_end = fxc.merged(scratch.interior_good(s, l - 1));
-        if to_end == scratch.subopt[s] {
-            scratch.plan.chunks.push(rl.chunk_range(s, l - 1));
-            break;
-        }
-        let mut e = s;
-        loop {
-            let cand = if e == s {
-                fxc.singleton(rl.pairs[s].bad_len, rl.pairs[s].good_len) + scratch.subopt[s + 1]
-            } else {
-                fxc.merged(scratch.interior_good(s, e)) + scratch.subopt[e + 1]
-            };
-            if cand == scratch.subopt[s] {
-                break;
-            }
-            e += 1;
-            debug_assert!(e < l, "reconstruction ran past the last run");
-        }
-        scratch.plan.chunks.push(rl.chunk_range(s, e));
-        s = e + 1;
-    }
-    // ppr-lint: region(no-float) end
-    scratch.plan.cost_bits = FxCost::to_bits(scratch.subopt[0]);
-    &scratch.plan
+    plan_chunks_with(rl, cost, &mut ChunkScratch::new()).clone()
 }
 
 /// The `O(L)`-time planner: the separable off-diagonal weight reduces
@@ -348,9 +262,9 @@ pub fn plan_chunks_quadratic_with<'a>(
 /// one extra candidate per cell.
 ///
 /// Under `debug_assertions` every instance with `L ≤ 96` is cross-checked
-/// against [`plan_chunks_quadratic_with`] — the per-instance fallback
-/// guard for the total-monotonicity argument.
-pub fn plan_chunks_monotone_with<'a>(
+/// against [`plan_chunks_interval`] — the per-instance fallback guard for
+/// the total-monotonicity argument.
+pub fn plan_chunks_with<'a>(
     rl: &RunLengths,
     cost: &CostModel,
     scratch: &'a mut ChunkScratch,
@@ -375,7 +289,7 @@ pub fn plan_chunks_monotone_with<'a>(
     // maintained as e-candidates are produced right to left. Integer
     // arithmetic makes the factored candidate (2logS − P[s]·bpu) +
     // suffix_min *equal* to the direct merged(s,e) + subopt[e+1] — the
-    // separability that collapses the quadratic scan to O(1) per cell.
+    // separability that collapses the O(L) scan per cell to O(1).
     let mut suffix_min = i64::MAX;
     for s in (0..l).rev() {
         let mut best =
@@ -425,22 +339,23 @@ pub fn plan_chunks_monotone_with<'a>(
 
     #[cfg(debug_assertions)]
     if l <= 96 {
-        let quad = plan_chunks_quadratic(rl, cost);
+        let spec = plan_chunks_interval(rl, cost);
         debug_assert_eq!(
-            scratch.plan.chunks, quad.chunks,
-            "monotone planner diverged from the quadratic partition DP"
+            scratch.plan.chunks, spec.chunks,
+            "O(L) planner diverged from the interval DP"
         );
         debug_assert_eq!(
-            scratch.plan.cost_bits, quad.cost_bits,
-            "monotone cost diverged from the quadratic partition DP"
+            scratch.plan.cost_bits, spec.cost_bits,
+            "O(L) cost diverged from the interval DP"
         );
     }
     &scratch.plan
 }
 
 /// The paper's `O(L³)`-time, `O(L²)`-space interval DP (Eqs. 4–5),
-/// kept verbatim as the pinned reference implementation for the property
-/// tests and the `chunking_dp` bench ladder. Production code paths call
+/// kept verbatim as the executable spec: the property tests, the
+/// `chunking_dp` bench ladder and [`plan_chunks_with`]'s debug
+/// cross-check compare against it. Production code paths call
 /// [`plan_chunks`] (the `O(L)` planner) instead; the two produce
 /// identical chunk vectors.
 pub fn plan_chunks_interval(rl: &RunLengths, cost: &CostModel) -> ChunkPlan {
@@ -566,18 +481,15 @@ mod tests {
         plan_chunks(&rl, &CostModel::bytes(s.len()))
     }
 
-    /// Runs all three planners on one instance, asserts they agree and
-    /// returns the production plan.
+    /// Runs the production planner and the interval spec on one
+    /// instance, asserts they agree and returns the production plan.
     fn plan_all_agree(rl: &RunLengths, cost: &CostModel) -> ChunkPlan {
         let interval = plan_chunks_interval(rl, cost);
-        let quad = plan_chunks_quadratic(rl, cost);
-        let mono = plan_chunks_monotone(rl, cost);
-        assert_eq!(interval.chunks, quad.chunks, "quadratic diverged");
-        assert_eq!(interval.chunks, mono.chunks, "monotone diverged");
+        let production = plan_chunks(rl, cost);
+        assert_eq!(interval.chunks, production.chunks, "O(L) planner diverged");
         let tol = 1e-9 * (1.0 + interval.cost_bits.abs());
-        assert!((interval.cost_bits - quad.cost_bits).abs() <= tol);
-        assert!((interval.cost_bits - mono.cost_bits).abs() <= tol);
-        mono
+        assert!((interval.cost_bits - production.cost_bits).abs() <= tol);
+        production
     }
 
     #[test]
@@ -716,15 +628,9 @@ mod tests {
         let cases = ["bgb", "gggggggg", "bbggbbggbb", "b", "bgbgbgbg"];
         for s in cases {
             let rl = RunLengths::from_labels(&labels(s));
-            let fresh = plan_chunks_monotone(&rl, &cost);
-            let reused = plan_chunks_monotone_with(&rl, &cost, &mut scratch);
-            assert_eq!(reused, &fresh, "monotone scratch reuse on {s}");
-        }
-        for s in cases {
-            let rl = RunLengths::from_labels(&labels(s));
-            let fresh = plan_chunks_quadratic(&rl, &cost);
-            let reused = plan_chunks_quadratic_with(&rl, &cost, &mut scratch);
-            assert_eq!(reused, &fresh, "quadratic scratch reuse on {s}");
+            let fresh = plan_chunks(&rl, &cost);
+            let reused = plan_chunks_with(&rl, &cost, &mut scratch);
+            assert_eq!(reused, &fresh, "scratch reuse on {s}");
         }
     }
 

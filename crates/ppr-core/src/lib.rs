@@ -40,8 +40,7 @@ pub use arq::{
     PpArqConfig, ReceiverPacket, RetxPacket, Segment, SenderPacket, SessionStats,
 };
 pub use dp::{
-    plan_chunks, plan_chunks_brute, plan_chunks_interval, plan_chunks_monotone,
-    plan_chunks_monotone_with, plan_chunks_quadratic, plan_chunks_quadratic_with, ChunkPlan,
+    plan_chunks, plan_chunks_brute, plan_chunks_interval, plan_chunks_with, ChunkPlan,
     ChunkScratch, CostModel,
 };
 pub use feedback::{complement_ranges, Feedback, RangeChecksum};

@@ -6,9 +6,9 @@
 //!
 //! * [`DespreadKernel`] — the vectorized nearest-codeword decode.
 //! * [`DspKernel`] — the sample-level DSP backend's inner loops:
-//!   waveform superposition ([`DspKernel::axpy_rotated`]), the
-//!   matched-filter bank ([`DspKernel::demod_full_windows`]) and the
-//!   SOVA trellis passes ([`DspKernel::sova_decode`]). Every kernel is
+//!   waveform superposition ([`DspKernel::axpy_rotated`]) and the
+//!   matched-filter bank ([`DspKernel::demod_full_windows`]), each with
+//!   one scalar reference and one AVX2 tier. Every kernel is
 //!   **bit-identical** to its scalar reference — mandatory, because the
 //!   collision-anatomy experiment (Fig. 13) feeds the DSP path into the
 //!   pinned golden-registry fingerprint.
@@ -75,7 +75,6 @@
 
 use crate::chips::{decide, Decision, CODEBOOK, NUM_SYMBOLS};
 use crate::complex::Complex32;
-use crate::sova::SovaBit;
 use std::sync::OnceLock;
 
 /// One despreading implementation: the scalar reference or one of the
@@ -276,8 +275,8 @@ fn scalar_columns(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
     }
 }
 
-/// One DSP-backend implementation: the scalar reference or one of the
-/// vectorized tiers.
+/// One DSP-backend implementation: the scalar reference or the AVX2
+/// tier.
 ///
 /// Unlike despreading (integer XOR + popcount, where lane order is
 /// irrelevant), these kernels run floating-point reductions, so each
@@ -290,13 +289,8 @@ fn scalar_columns(received: &[u32], symbols: &mut [u8], hints: &mut [u8]) {
 pub enum DspKernel {
     /// The portable scalar reference paths.
     Scalar,
-    /// 128-bit tier: `addsub`-based complex rotation (SSE3) and the
-    /// four-state SOVA trellis passes (one state per lane). The
-    /// matched-filter bank stays scalar at this tier — it needs
-    /// AVX2's gathers to beat the scalar loop.
-    Sse3,
-    /// 256-bit tier: adds the wide complex rotation and the gathered
-    /// matched-filter bank (8 chips per step).
+    /// 256-bit tier: `addsub`-based complex rotation (4 samples per
+    /// step) and the gathered matched-filter bank (8 chips per step).
     Avx2,
 }
 
@@ -305,7 +299,6 @@ impl DspKernel {
     pub fn name(self) -> &'static str {
         match self {
             DspKernel::Scalar => "scalar",
-            DspKernel::Sse3 => "sse3",
             DspKernel::Avx2 => "avx2",
         }
     }
@@ -315,13 +308,8 @@ impl DspKernel {
     pub fn available() -> Vec<DspKernel> {
         let mut out = vec![DspKernel::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("sse3") {
-                out.push(DspKernel::Sse3);
-            }
-            if is_x86_feature_detected!("avx2") {
-                out.push(DspKernel::Avx2);
-            }
+        if is_x86_feature_detected!("avx2") {
+            out.push(DspKernel::Avx2);
         }
         out
     }
@@ -356,8 +344,6 @@ impl DspKernel {
     pub fn axpy_rotated(self, out: &mut [Complex32], wave: &[Complex32], rot: Complex32, amp: f32) {
         match self {
             DspKernel::Scalar => axpy_rotated_scalar(out, wave, rot, amp),
-            #[cfg(target_arch = "x86_64")]
-            DspKernel::Sse3 => x86::run_axpy_sse3(out, wave, rot, amp),
             #[cfg(target_arch = "x86_64")]
             DspKernel::Avx2 => x86::run_axpy_avx2(out, wave, rot, amp),
             #[cfg(not(target_arch = "x86_64"))]
@@ -423,23 +409,6 @@ impl DspKernel {
             ),
         }
     }
-
-    /// Max-log-MAP (SOVA) decode with this kernel. The scalar tier is
-    /// [`sova::decode_reference`](crate::sova::decode_reference); the
-    /// vector tiers run all three trellis passes with the four states
-    /// of the (7,5) code in the four lanes of a 128-bit register.
-    ///
-    /// Bit-identical to the reference for matched-filter-scale inputs
-    /// (see the kernel's derivation comment for the exact contract).
-    pub fn sova_decode(self, soft: &[f32]) -> Option<Vec<SovaBit>> {
-        match self {
-            DspKernel::Scalar => crate::sova::decode_reference(soft),
-            #[cfg(target_arch = "x86_64")]
-            DspKernel::Sse3 | DspKernel::Avx2 => x86::run_sova(soft),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => crate::sova::decode_reference(soft),
-        }
-    }
 }
 
 /// The process's active kernel selection as one stable provenance
@@ -500,7 +469,6 @@ mod x86 {
     use super::{scalar_columns, EXACT_CODEWORD, EXACT_SYMBOL};
     use crate::chips::CODEBOOK;
     use crate::complex::Complex32;
-    use crate::sova::SovaBit;
     use core::arch::x86_64::*;
 
     // Both scans fold `(hamming << 4) | symbol` keys with an unsigned
@@ -691,18 +659,6 @@ mod x86 {
     // `[re, im, re, im, …]` f32s — even float lanes carry I, odd lanes
     // carry Q. Every kernel below leans on that layout.
 
-    /// Safe entry for the SSE3 superposition kernel (see [`run_avx2`]).
-    pub(super) fn run_axpy_sse3(
-        out: &mut [Complex32],
-        wave: &[Complex32],
-        rot: Complex32,
-        amp: f32,
-    ) {
-        assert!(is_x86_feature_detected!("sse3"));
-        // SAFETY: feature presence checked on the line above.
-        unsafe { axpy_sse3(out, wave, rot, amp) }
-    }
-
     /// Safe entry for the AVX2 superposition kernel (see [`run_avx2`]).
     pub(super) fn run_axpy_avx2(
         out: &mut [Complex32],
@@ -715,7 +671,7 @@ mod x86 {
         unsafe { axpy_avx2(out, wave, rot, amp) }
     }
 
-    /// SSE3 superposition: 2 complex samples per 128-bit register.
+    /// AVX2 superposition: 4 complex samples per 256-bit register.
     ///
     /// The complex multiply is the textbook `addsub` decomposition:
     /// with `w = [re, im, …]` interleaved,
@@ -726,36 +682,6 @@ mod x86 {
     /// same-order additions as the scalar `Complex32::mul` (addition
     /// commutes bit-exactly; no FMA is emitted from intrinsics), so the
     /// result is bit-identical to the scalar reference.
-    // SAFETY: caller must ensure SSE3 is available (`run_axpy_sse3`
-    // asserts it). All loads/stores are unaligned `loadu`/`storeu` on
-    // index `i ≤ n − 2` of slices of length ≥ n; the `Complex32` →
-    // interleaved-f32 reinterpretation is sound because the type is
-    // `#[repr(C)] { f32, f32 }`.
-    #[target_feature(enable = "sse3")]
-    unsafe fn axpy_sse3(out: &mut [Complex32], wave: &[Complex32], rot: Complex32, amp: f32) {
-        let n = out.len().min(wave.len());
-        let vrr = _mm_set1_ps(rot.re);
-        let vri = _mm_set1_ps(rot.im);
-        let vamp = _mm_set1_ps(amp);
-        let mut i = 0;
-        while i + 2 <= n {
-            let w = _mm_loadu_ps(wave.as_ptr().add(i) as *const f32);
-            let o = _mm_loadu_ps(out.as_ptr().add(i) as *const f32);
-            let t1 = _mm_mul_ps(w, vrr);
-            // Swap re/im within each complex pair: lanes [1,0,3,2].
-            let t2 = _mm_mul_ps(_mm_shuffle_ps(w, w, 0b10_11_00_01), vri);
-            let prod = _mm_addsub_ps(t1, t2);
-            let r = _mm_add_ps(o, _mm_mul_ps(prod, vamp));
-            _mm_storeu_ps(out.as_mut_ptr().add(i) as *mut f32, r);
-            i += 2;
-        }
-        for j in i..n {
-            out[j] += (wave[j] * rot).scale(amp);
-        }
-    }
-
-    /// AVX2 superposition: 4 complex samples per 256-bit register
-    /// (same `addsub` decomposition as [`axpy_sse3`]).
     // SAFETY: caller must ensure AVX2 is available (`run_axpy_avx2`
     // asserts it). Unaligned `loadu`/`storeu` on index `i ≤ n − 4` of
     // slices of length ≥ n; `Complex32` is `#[repr(C)] { f32, f32 }`.
@@ -879,146 +805,6 @@ mod x86 {
             out,
         );
     }
-
-    /// Safe entry for the SSE SOVA kernel (see [`run_avx2`]).
-    pub(super) fn run_sova(soft: &[f32]) -> Option<Vec<SovaBit>> {
-        assert!(is_x86_feature_detected!("sse3"));
-        // SAFETY: feature presence checked on the line above (the
-        // kernel itself needs nothing newer than SSE2, which the SSE3
-        // dispatch tier implies).
-        unsafe { sova_sse(soft) }
-    }
-
-    /// Horizontal maximum of a 4-lane vector. `max` is associative and
-    /// commutative on non-NaN floats, so any reduction order yields
-    /// the same value as the scalar left-to-right fold.
-    // SAFETY: pure register arithmetic; caller provides the feature.
-    #[inline]
-    #[target_feature(enable = "sse3")]
-    unsafe fn hmax_ps(v: __m128) -> f32 {
-        let hi = _mm_movehl_ps(v, v); // [v2, v3, v2, v3]
-        let m = _mm_max_ps(v, hi); // [max(v0,v2), max(v1,v3), …]
-        let s = _mm_shuffle_ps(m, m, 0b01_01_01_01);
-        _mm_cvtss_f32(_mm_max_ss(m, s))
-    }
-
-    /// SSE SOVA: all three max-log-MAP passes with the four trellis
-    /// states in the four lanes of one `__m128`.
-    ///
-    /// ## Lane derivation (generators 7,5 octal; `reg = b·4 | s`,
-    /// `ns = reg >> 1`)
-    ///
-    /// Every branch metric is `±A` or `±B` where `A = r0 + r1` and
-    /// `B = r0 − r1` (`r` = the step's two soft values): coded bits
-    /// `(c0, c1)` contribute `±r0 ± r1` with signs `+` for a coded 1.
-    /// Enumerating `branch(s, b)`:
-    ///
-    /// | s | b | ns | metric |   | s | b | ns | metric |
-    /// |---|---|----|--------|---|---|---|----|--------|
-    /// | 0 | 0 | 0  | −A     |   | 0 | 1 | 2  | +A     |
-    /// | 1 | 0 | 0  | +A     |   | 1 | 1 | 2  | −A     |
-    /// | 2 | 0 | 1  | +B     |   | 2 | 1 | 3  | −B     |
-    /// | 3 | 0 | 1  | −B     |   | 3 | 1 | 3  | +B     |
-    ///
-    /// so the forward step is
-    /// `alpha' = max([α0,α2,α0,α2] + [−A,B,A,−B],
-    ///               [α1,α3,α1,α3] + [A,−B,−A,B])`,
-    /// the backward step is
-    /// `beta' = max([−A,A,B,−B] + [β0,β0,β1,β1],
-    ///              [A,−A,−B,B] + [β2,β2,β3,β3])`,
-    /// and the per-bit hypothesis metrics are horizontal maxima of
-    /// `(α + m_b) + β_next` with the same `m` vectors as the backward
-    /// step. Negation (`−A` from `A`) is a sign-bit flip and rounding
-    /// is sign-symmetric, so `−A == (−r0) + (−r1)` bit-exactly.
-    ///
-    /// ## Why dropping the scalar reachability guards is exact
-    ///
-    /// The scalar reference skips states with `α = NEG_INF` (−1e30);
-    /// this kernel instead lets their candidates flow through the max.
-    /// For matched-filter-scale inputs (|r| ≤ ~1e6, the documented
-    /// contract of `sova::decode`) every such candidate is
-    /// `−1e30 + m`, which rounds to exactly −1e30 because
-    /// `|m| ≪ ulp(1e30)/2 ≈ 3.8e22` — identical to the untouched
-    /// NEG_INF the scalar path leaves behind, and always beaten by any
-    /// reachable path's candidate (bounded by ±Σ|r| ≪ 1e30). The
-    /// explicit floor at NEG_INF below mirrors the scalar
-    /// initialization for states with no surviving predecessor.
-    // SAFETY: caller must ensure the dispatch tier's feature is
-    // available (`run_sova` asserts SSE3). All loads/stores are
-    // unaligned `loadu`/`storeu` on in-bounds `[f32; 4]` rows of the
-    // `alpha`/`beta` tables.
-    #[target_feature(enable = "sse3")]
-    unsafe fn sova_sse(soft: &[f32]) -> Option<Vec<SovaBit>> {
-        use crate::sova::{CONSTRAINT, NEG_INF};
-        if !soft.len().is_multiple_of(2) {
-            return None;
-        }
-        let steps = soft.len() / 2;
-        if steps < CONSTRAINT - 1 {
-            return None;
-        }
-        let n_info = steps - (CONSTRAINT - 1);
-        let vneg = _mm_set1_ps(NEG_INF);
-
-        // Forward (alpha) pass.
-        let mut alpha = vec![[NEG_INF; 4]; steps + 1];
-        alpha[0][0] = 0.0;
-        for t in 0..steps {
-            let (a, b) = (soft[2 * t] + soft[2 * t + 1], soft[2 * t] - soft[2 * t + 1]);
-            let prev = _mm_loadu_ps(alpha[t].as_ptr());
-            let c1 = _mm_add_ps(
-                _mm_shuffle_ps(prev, prev, 0b10_00_10_00), // [α0, α2, α0, α2]
-                _mm_setr_ps(-a, b, a, -b),
-            );
-            let c2 = _mm_add_ps(
-                _mm_shuffle_ps(prev, prev, 0b11_01_11_01), // [α1, α3, α1, α3]
-                _mm_setr_ps(a, -b, -a, b),
-            );
-            let next = _mm_max_ps(_mm_max_ps(c1, c2), vneg);
-            _mm_storeu_ps(alpha[t + 1].as_mut_ptr(), next);
-        }
-
-        // Backward (beta) pass, anchored at state 0.
-        let mut beta = vec![[NEG_INF; 4]; steps + 1];
-        beta[steps][0] = 0.0;
-        for t in (0..steps).rev() {
-            let (a, b) = (soft[2 * t] + soft[2 * t + 1], soft[2 * t] - soft[2 * t + 1]);
-            let nxt = _mm_loadu_ps(beta[t + 1].as_ptr());
-            let c1 = _mm_add_ps(
-                _mm_setr_ps(-a, a, b, -b),
-                _mm_shuffle_ps(nxt, nxt, 0b01_01_00_00), // [β0, β0, β1, β1]
-            );
-            let c2 = _mm_add_ps(
-                _mm_setr_ps(a, -a, -b, b),
-                _mm_shuffle_ps(nxt, nxt, 0b11_11_10_10), // [β2, β2, β3, β3]
-            );
-            let best = _mm_max_ps(_mm_max_ps(c1, c2), vneg);
-            _mm_storeu_ps(beta[t].as_mut_ptr(), best);
-        }
-
-        // Per-bit pass: hypothesis metrics (α + m) + β, matching the
-        // scalar reference's left-to-right addition order.
-        let mut out = Vec::with_capacity(n_info);
-        for t in 0..n_info {
-            let (a, b) = (soft[2 * t] + soft[2 * t + 1], soft[2 * t] - soft[2 * t + 1]);
-            let va = _mm_loadu_ps(alpha[t].as_ptr());
-            let bn = _mm_loadu_ps(beta[t + 1].as_ptr());
-            let c0 = _mm_add_ps(
-                _mm_add_ps(va, _mm_setr_ps(-a, a, b, -b)),
-                _mm_shuffle_ps(bn, bn, 0b01_01_00_00),
-            );
-            let c1 = _mm_add_ps(
-                _mm_add_ps(va, _mm_setr_ps(a, -a, -b, b)),
-                _mm_shuffle_ps(bn, bn, 0b11_11_10_10),
-            );
-            let best0 = hmax_ps(c0).max(NEG_INF);
-            let best1 = hmax_ps(c1).max(NEG_INF);
-            let bit = best1 > best0;
-            let reliability = (best1 - best0).abs();
-            out.push(SovaBit { bit, reliability });
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -1130,7 +916,7 @@ mod tests {
 
     #[test]
     fn dsp_kernel_names_are_distinct() {
-        let names: Vec<_> = [DspKernel::Scalar, DspKernel::Sse3, DspKernel::Avx2]
+        let names: Vec<_> = [DspKernel::Scalar, DspKernel::Avx2]
             .iter()
             .map(|k| k.name())
             .collect();
@@ -1196,21 +982,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sova_kernels_match_scalar_bitwise() {
-        for kernel in DspKernel::available() {
-            for steps in [2usize, 3, 4, 10, 129] {
-                let soft = floats(2 * steps, 0x50FA ^ steps as u64);
-                let expect = crate::sova::decode_reference(&soft);
-                let got = kernel.sova_decode(&soft);
-                assert_eq!(got, expect, "kernel {} steps {steps}", kernel.name());
-            }
-            // Malformed inputs are rejected by every kernel.
-            assert!(kernel.sova_decode(&[1.0]).is_none());
-            assert!(kernel.sova_decode(&[1.0, -1.0]).is_none());
         }
     }
 }

@@ -12,8 +12,7 @@
 
 use ppr::channel::ber::chip_error_prob;
 use ppr::channel::chip_channel::{
-    codeword_flip_counts, corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips,
-    ChipErrors, ErrorProfile,
+    codeword_flip_counts, corrupt_chip_words_in_place, corrupt_chips, ChipErrors, ErrorProfile,
 };
 use ppr::channel::sample_channel::render_single;
 use ppr::phy::chips::ChipWords;
@@ -145,7 +144,8 @@ fn sample_backend_parity_at_large_frames() {
 
             // Packed fast backend at the same error probability.
             let profile = ErrorProfile::uniform(chips.len() as u64, p);
-            let rx_fast = corrupt_chip_words(&packed, &profile, &mut rng);
+            let mut rx_fast = packed.clone();
+            corrupt_chip_words_in_place(&mut rx_fast, &profile, &mut rng);
             let p_fast = rx_fast.hamming_to(&packed) as f64 / chips.len() as f64;
             assert!(
                 (p_fast - p).abs() < tol,

@@ -1,14 +1,12 @@
 //! Parity harness for the DSP SIMD kernels (`ppr_phy::simd::DspKernel`).
 //!
 //! The scalar reference paths — the superposition loop the sample-level
-//! channel ran before vectorization, `MskModem::chip_soft_value`, and
-//! `sova::decode_reference` — are the executable specifications. Every
-//! vectorized tier (SSE3 `addsub` rotation, AVX2 gathered matched
-//! filter, SSE four-lane SOVA trellis) must reproduce them
-//! **bit-identically**: these are floating-point reductions, so the
-//! kernels preserve the reference's operation order and shape, and this
-//! suite pins that with `f32::to_bits` comparisons rather than
-//! approximate equality. Kernels the CPU lacks are skipped by
+//! channel ran before vectorization and `MskModem::chip_soft_value` —
+//! are the executable specifications. The AVX2 tier (`addsub` rotation,
+//! gathered matched filter) must reproduce them **bit-identically**:
+//! these are floating-point reductions, so the kernels preserve the
+//! reference's operation order and shape, and this suite pins that with
+//! `f32::to_bits` comparisons rather than approximate equality. Kernels the CPU lacks are skipped by
 //! construction (`DspKernel::available`); the CI Miri job re-runs the
 //! fixed tests with `PPR_NO_SIMD=1`, which pins the *active* kernel to
 //! scalar but leaves `available()` intact, so the loops below still
@@ -16,7 +14,6 @@
 
 use ppr::phy::pulse::HalfSine;
 use ppr::phy::simd::DspKernel;
-use ppr::phy::sova;
 use ppr::phy::{Complex32, MskModem};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,8 +42,8 @@ fn active_dsp_kernel_is_available() {
     assert!(DspKernel::available().contains(&DspKernel::active()));
 }
 
-/// Superposition parity on lengths straddling the 2-lane (SSE3) and
-/// 4-lane (AVX2) complex chunk boundaries, accumulated over several
+/// Superposition parity on lengths straddling the 4-lane (AVX2) complex
+/// chunk boundary, accumulated over several
 /// passes so rounding differences would compound and show.
 #[test]
 fn axpy_kernels_match_scalar_fixed() {
@@ -162,40 +159,6 @@ fn demodulate_matches_chip_soft_value_reference() {
     }
 }
 
-/// SOVA parity on noisy encoded streams: hard bits and reliabilities
-/// bit-identical to `decode_reference` for every kernel tier, plus the
-/// malformed-input rejections.
-#[test]
-fn sova_kernels_match_reference_fixed() {
-    let mut rng = StdRng::seed_from_u64(44);
-    for info_bits in [1usize, 2, 3, 10, 129, 500] {
-        let bits: Vec<bool> = (0..info_bits).map(|_| rng.gen()).collect();
-        let mut soft = sova::modulate_coded(&bits);
-        for s in &mut soft {
-            *s += rng.gen_range(-0.8f32..0.8);
-        }
-        let expect = sova::decode_reference(&soft).expect("well-formed stream");
-        for kernel in DspKernel::available() {
-            let got = kernel.sova_decode(&soft).expect("well-formed stream");
-            assert_eq!(got, expect, "kernel {} info {info_bits}", kernel.name());
-        }
-    }
-    for kernel in DspKernel::available() {
-        assert!(kernel.sova_decode(&[]).is_none(), "{}", kernel.name());
-        assert!(kernel.sova_decode(&[1.0]).is_none(), "{}", kernel.name());
-        assert!(
-            kernel.sova_decode(&[1.0, -1.0]).is_none(),
-            "{}",
-            kernel.name()
-        );
-        assert!(
-            kernel.sova_decode(&[1.0, -1.0, 0.5]).is_none(),
-            "{}",
-            kernel.name()
-        );
-    }
-}
-
 proptest! {
     /// Superposition parity on arbitrary waveforms, rotations, gains
     /// and length mismatches (out shorter, equal, or longer than wave).
@@ -251,20 +214,6 @@ proptest! {
                 first_chip_even, &mut got,
             );
             prop_assert_eq!(bits_f(&got), bits_f(&expect), "kernel {}", kernel.name());
-        }
-    }
-
-    /// SOVA parity on arbitrary matched-filter-scale soft streams (the
-    /// documented |r| contract under which the vector kernel's dropped
-    /// ±∞ guards are exact).
-    #[test]
-    fn sova_kernels_match_reference_arbitrary(
-        pairs in proptest::collection::vec((-8.0f32..8.0, -8.0f32..8.0), 2..150),
-    ) {
-        let soft: Vec<f32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        let expect = sova::decode_reference(&soft);
-        for kernel in DspKernel::available() {
-            prop_assert_eq!(kernel.sova_decode(&soft), expect.clone(), "kernel {}", kernel.name());
         }
     }
 }

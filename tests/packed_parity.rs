@@ -7,14 +7,14 @@
 //! end-to-end experiment runs (sequential reference vs. packed
 //! event-driven loop) — under fixed seeds and proptest-generated inputs.
 
-use ppr::channel::chip_channel::{
-    corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
-};
-use ppr::mac::frame::Frame;
+use ppr::channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
+use ppr::mac::frame::{Frame, Header, HEADER_BYTES};
 use ppr::mac::rx::FrameReceiver;
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::phy::chips::ChipWords;
-use ppr::phy::sync::SyncPattern;
+use ppr::phy::modem::unpack_chip_words;
+use ppr::phy::spread::spread_bytes;
+use ppr::phy::sync::{tx_preamble_chips, SyncPattern};
 use ppr::phy::ChipReceiver;
 use ppr::sim::experiments::common::six_arms;
 use ppr::sim::experiments::{hints, table2};
@@ -58,7 +58,8 @@ fn corruption_parity_fixed_seeds() {
             let mut rng_a = StdRng::seed_from_u64(seed * 31 + 7);
             let mut rng_b = StdRng::seed_from_u64(seed * 31 + 7);
             let reference = corrupt_chips(&chips, profile, &mut rng_a);
-            let fast = corrupt_chip_words(&packed, profile, &mut rng_b);
+            let mut fast = packed.clone();
+            corrupt_chip_words_in_place(&mut fast, profile, &mut rng_b);
             assert_eq!(
                 fast,
                 ChipWords::from_bools(&reference),
@@ -104,7 +105,8 @@ fn corruption_parity_sampler_edge_cases() {
             let mut rng_a = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let mut rng_b = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let reference = corrupt_chips(&chips, profile, &mut rng_a);
-            let fast = corrupt_chip_words(&packed, profile, &mut rng_b);
+            let mut fast = packed.clone();
+            corrupt_chip_words_in_place(&mut fast, profile, &mut rng_b);
             assert_eq!(
                 fast,
                 ChipWords::from_bools(&reference),
@@ -115,35 +117,6 @@ fn corruption_parity_sampler_edge_cases() {
                 rng_b.gen::<u64>(),
                 "RNG state diverged: profile {pi} seed {seed}"
             );
-        }
-    }
-}
-
-/// The in-place corruption entry point is bit-identical to the
-/// allocating one (same flips, same RNG draws) — it is the same
-/// algorithm minus the clone, and this pins that.
-#[test]
-fn corruption_in_place_matches_allocating() {
-    let chips: Vec<bool> = (0..9_999).map(|i| i % 11 < 4).collect();
-    let packed = ChipWords::from_bools(&chips);
-    let profiles = [
-        ErrorProfile::uniform(9_999, 0.01),
-        ErrorProfile::uniform(9_999, 0.25),
-        ErrorProfile::from_pieces(vec![
-            (0, 63, 0.004),
-            (63, 6_000, 0.6),
-            (6_000, 12_000, 0.02),
-        ]),
-    ];
-    for (pi, profile) in profiles.iter().enumerate() {
-        for seed in 0..5u64 {
-            let mut rng_a = StdRng::seed_from_u64(seed + 17);
-            let mut rng_b = StdRng::seed_from_u64(seed + 17);
-            let allocating = corrupt_chip_words(&packed, profile, &mut rng_a);
-            let mut in_place = packed.clone();
-            corrupt_chip_words_in_place(&mut in_place, profile, &mut rng_b);
-            assert_eq!(allocating, in_place, "profile {pi} seed {seed}");
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "profile {pi}");
         }
     }
 }
@@ -469,7 +442,8 @@ proptest! {
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         let reference = corrupt_chips(&chips, &profile, &mut rng_a);
-        let fast = corrupt_chip_words(&packed, &profile, &mut rng_b);
+        let mut fast = packed.clone();
+        corrupt_chip_words_in_place(&mut fast, &profile, &mut rng_b);
         prop_assert_eq!(fast, ChipWords::from_bools(&reference));
     }
 
@@ -498,7 +472,8 @@ proptest! {
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         let reference = corrupt_chips(&chips, &profile, &mut rng_a);
-        let fast = corrupt_chip_words(&packed, &profile, &mut rng_b);
+        let mut fast = packed.clone();
+        corrupt_chip_words_in_place(&mut fast, &profile, &mut rng_b);
         prop_assert_eq!(fast, ChipWords::from_bools(&reference));
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
@@ -509,23 +484,42 @@ proptest! {
     /// frame's chips are truncated, shifted behind a garbage prefix,
     /// sparsely flipped and overwritten by jammed bursts — so delimiters
     /// land off their expected offsets, codewords straddle lanes and the
-    /// capture ends mid-codeword.
+    /// capture ends mid-codeword — and when its header or trailer record
+    /// is replaced by one that passes its CRC-16 but claims another body
+    /// length: zero, past the capture's end, or past `max_body_len`.
     #[test]
     fn receive_words_matches_receive_on_mutated_frames(
         body in proptest::collection::vec(any::<u8>(), 0..300),
         seq in any::<u16>(),
-        mutations in 0u8..16,
+        mutations in 0u8..32,
         prefix in proptest::collection::vec(any::<bool>(), 1..100),
         keep in 0.0f64..1.0,
         flips in proptest::collection::vec(any::<usize>(), 0..40),
         bursts in proptest::collection::vec((any::<usize>(), 1usize..400), 0..3),
         seed in any::<u64>(),
+        forged in (0u16..2200, any::<bool>(), 1u8..4),
     ) {
         // Each mutation is applied or not by one bit of `mutations`, so
         // every combination — the untouched frame included — is drawn.
         let frame = Frame::new(7, 9, seq, body);
+        let mut clean = frame.chips();
+        if mutations & 16 != 0 {
+            // Bit 0 of `forged.2` reseals the header, bit 1 the
+            // trailer; `forged.1` complements the length (above 63 000).
+            let (len, huge, records) = forged;
+            let len = if huge { !len } else { len };
+            let record = Header { len, dst: 7, src: 9, seq }.encode();
+            let record_chips = unpack_chip_words(&spread_bytes(&record));
+            let header_at = tx_preamble_chips().len();
+            let trailer_at = header_at + (frame.link_bytes().len() - HEADER_BYTES) * 2 * 32;
+            for (bit, at) in [(1u8, header_at), (2, trailer_at)] {
+                if records & bit != 0 {
+                    clean[at..at + record_chips.len()].copy_from_slice(&record_chips);
+                }
+            }
+        }
         let mut chips = if mutations & 1 != 0 { prefix } else { Vec::new() };
-        chips.extend(frame.chips());
+        chips.extend(clean);
         if mutations & 2 != 0 {
             chips.truncate((chips.len() as f64 * keep) as usize);
         }
@@ -552,6 +546,14 @@ proptest! {
                 let (acq_a, rx_a) = fast.receive(&frame, &chips, idle);
                 let (acq_b, rx_b) = fast.receive_words(&frame, &packed, idle);
                 prop_assert_eq!(acq_a, acq_b, "postamble {} idle {}", postamble, idle);
+                if let (Some(a), Some(b)) = (&rx_a, &rx_b) {
+                    // The byte reads pack straight from the despread
+                    // cache, not through the symbol equality below.
+                    prop_assert_eq!(a.link_bytes(), b.link_bytes());
+                    prop_assert_eq!(a.body_bytes(), b.body_bytes());
+                    prop_assert_eq!(a.body_byte_hints(), b.body_byte_hints());
+                    prop_assert_eq!(a.pkt_crc_ok(), b.pkt_crc_ok());
+                }
                 prop_assert_eq!(rx_a, rx_b, "postamble {} idle {}", postamble, idle);
             }
         }

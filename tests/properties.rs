@@ -4,8 +4,8 @@
 use ppr::channel::chip_channel::{corrupt_chips, ErrorProfile};
 use ppr::core::arq::{RetxPacket, Segment};
 use ppr::core::dp::{
-    plan_chunks, plan_chunks_brute, plan_chunks_interval, plan_chunks_monotone,
-    plan_chunks_quadratic, CostModel,
+    plan_chunks, plan_chunks_brute, plan_chunks_interval, plan_chunks_with, ChunkPlan,
+    ChunkScratch, CostModel,
 };
 use ppr::core::feedback::{complement_ranges, Feedback};
 use ppr::core::runs::{RunLengths, UnitRange};
@@ -85,10 +85,10 @@ proptest! {
         }
     }
 
-    /// All planner implementations return *identical chunk vectors* (not
-    /// just equal costs) for arbitrary labelings: the `O(L²)` and `O(L)`
-    /// partition planners, and the production `plan_chunks`, against the
-    /// pinned `O(L³)` interval DP.
+    /// The production planner returns *identical chunk vectors* (not
+    /// just equal costs) to the pinned `O(L³)` interval DP for arbitrary
+    /// labelings — both through `plan_chunks` and through
+    /// `plan_chunks_with` on a scratch left dirty by another instance.
     #[test]
     fn partition_planners_match_interval_dp(
         labels in proptest::collection::vec(any::<bool>(), 1..300),
@@ -96,17 +96,14 @@ proptest! {
         let rl = RunLengths::from_labels(&labels);
         let cost = CostModel::bytes(labels.len().max(16));
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
         let production = plan_chunks(&rl, &cost);
-        prop_assert_eq!(&quadratic.chunks, &interval.chunks, "quadratic chunks");
-        prop_assert_eq!(&monotone.chunks, &interval.chunks, "monotone chunks");
+        let reused = plan_with_dirty_scratch(&labels, &cost);
         prop_assert_eq!(&production.chunks, &interval.chunks, "plan_chunks chunks");
+        prop_assert_eq!(&reused.chunks, &interval.chunks, "plan_chunks_with chunks");
         let tol = 1e-9 * (1.0 + interval.cost_bits.abs());
-        prop_assert!((quadratic.cost_bits - interval.cost_bits).abs() <= tol,
-            "quadratic cost {} vs interval {}", quadratic.cost_bits, interval.cost_bits);
-        prop_assert!((monotone.cost_bits - interval.cost_bits).abs() <= tol,
-            "monotone cost {} vs interval {}", monotone.cost_bits, interval.cost_bits);
+        prop_assert!((production.cost_bits - interval.cost_bits).abs() <= tol,
+            "plan_chunks cost {} vs interval {}", production.cost_bits, interval.cost_bits);
+        prop_assert_eq!(reused.cost_bits, production.cost_bits);
     }
 
     /// Tie-pinning: under a dyadic cost model every atomic cost is an
@@ -136,13 +133,13 @@ proptest! {
             checksum_bits: 16.0,
         };
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
-        prop_assert_eq!(&quadratic.chunks, &interval.chunks, "quadratic ties");
-        prop_assert_eq!(&monotone.chunks, &interval.chunks, "monotone ties");
+        let production = plan_chunks(&rl, &cost);
+        let reused = plan_with_dirty_scratch(&labels, &cost);
+        prop_assert_eq!(&production.chunks, &interval.chunks, "plan_chunks ties");
+        prop_assert_eq!(&reused.chunks, &interval.chunks, "plan_chunks_with ties");
         // Costs are exact integers here: demand bit-equality.
-        prop_assert_eq!(quadratic.cost_bits, interval.cost_bits);
-        prop_assert_eq!(monotone.cost_bits, interval.cost_bits);
+        prop_assert_eq!(production.cost_bits, interval.cost_bits);
+        prop_assert_eq!(reused.cost_bits, interval.cost_bits);
         if rl.l() <= 14 {
             // Brute force scores in plain f64 (deliberately independent
             // of the planners' fixed-point arithmetic): tolerance, not
@@ -222,9 +219,55 @@ proptest! {
             bytes
         };
         if let Some(fb) = Feedback::decode(&bytes) {
+            // Accepted chunks are what the sender's retransmission loop
+            // indexes with: non-empty, sorted, disjoint, inside the packet.
+            for c in &fb.chunks {
+                prop_assert!(c.start < c.end && c.end <= fb.packet_len, "chunk {:?}", c);
+            }
+            for w in fb.chunks.windows(2) {
+                prop_assert!(w[0].end <= w[1].start, "unsorted {:?}", w);
+            }
             let encoded = fb.encode();
             prop_assert!(encoded.len() <= bytes.len());
             prop_assert_eq!(Feedback::decode(&encoded), Some(fb));
+        }
+    }
+
+    /// `RetxPacket::decode` never panics on arbitrary bytes, and what it
+    /// keeps is safe to apply: every kept segment verifies its CRC-16 and
+    /// lies inside the claimed packet. Half the cases are a valid
+    /// encoding with a few bytes XORed, then truncated or extended, so
+    /// the confirm-bitmap and segment branches both run.
+    #[test]
+    fn retx_decode_arbitrary_bytes(
+        random in any::<bool>(),
+        raw in proptest::collection::vec(any::<u8>(), 0..96),
+        confirms in proptest::collection::vec(any::<bool>(), 0..12),
+        segs in proptest::collection::vec((0usize..300, 1usize..40), 0..4),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        keep in any::<usize>(),
+    ) {
+        let bytes = if random {
+            raw
+        } else {
+            let segments = segs
+                .into_iter()
+                .map(|(offset, len)| Segment { offset, bytes: vec![0xA5; len] })
+                .collect();
+            let packet = RetxPacket { seq: 4, packet_len: 340, confirms, segments };
+            let mut bytes = packet.encode();
+            for &(at, x) in &edits {
+                let at = at % bytes.len();
+                bytes[at] ^= x;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            bytes.extend(&raw[..raw.len().min(4)]);
+            bytes
+        };
+        if let Some(d) = RetxPacket::decode(&bytes) {
+            for seg in &d.segments {
+                prop_assert!(seg.offset + seg.bytes.len() <= d.packet_len, "segment out of bounds");
+            }
         }
     }
 
@@ -433,28 +476,28 @@ fn partition_planners_match_interval_dp_at_large_l() {
             checksum_bits: 16.0,
         };
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
+        let production = plan_with_dirty_scratch(&labels, &cost);
         assert_eq!(
-            quadratic.chunks,
+            production.chunks,
             interval.chunks,
-            "quadratic L={} seed={seed:#x}",
-            rl.l()
-        );
-        assert_eq!(
-            monotone.chunks,
-            interval.chunks,
-            "monotone L={} seed={seed:#x}",
+            "plan_chunks_with L={} seed={seed:#x}",
             rl.l()
         );
         let tol = 1e-9 * (1.0 + interval.cost_bits.abs());
-        assert!((quadratic.cost_bits - interval.cost_bits).abs() <= tol);
-        assert!((monotone.cost_bits - interval.cost_bits).abs() <= tol);
+        assert!((production.cost_bits - interval.cost_bits).abs() <= tol);
         if dyadic {
-            assert_eq!(quadratic.cost_bits, interval.cost_bits, "dyadic exact");
-            assert_eq!(monotone.cost_bits, interval.cost_bits, "dyadic exact");
+            assert_eq!(production.cost_bits, interval.cost_bits, "dyadic exact");
         }
     }
+}
+
+/// `plan_chunks_with` on a scratch that first planned the complemented
+/// labeling, so a stale prefix-sum or suffix-cost entry would show.
+fn plan_with_dirty_scratch(labels: &[bool], cost: &CostModel) -> ChunkPlan {
+    let mut scratch = ChunkScratch::new();
+    let flipped: Vec<bool> = labels.iter().map(|&good| !good).collect();
+    plan_chunks_with(&RunLengths::from_labels(&flipped), cost, &mut scratch);
+    plan_chunks_with(&RunLengths::from_labels(labels), cost, &mut scratch).clone()
 }
 
 /// Fragments `--set` strings are built from: separators, numbers at and
