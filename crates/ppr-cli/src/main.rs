@@ -22,10 +22,10 @@
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
 //! runs with and without a checkpoint and the rendered reports are
-//! compared byte for byte; one reception checkpoint is then restored
-//! under the event driver and the bool spec and the streams diffed
-//! event by event (`ppr_sim::diff`). Any disagreement exits 1 and — with
-//! `--json DIR` — writes a first-divergence report.
+//! compared byte for byte; one reception checkpoint is then resumed
+//! under the event driver and its stream diffed event by event against
+//! the bool spec run from scratch (`ppr_sim::diff`). Any disagreement
+//! exits 1 and — with `--json DIR` — writes a first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
 //! (unknown id, malformed `--set`, unknown flag).
@@ -33,7 +33,7 @@
 mod pool;
 
 use ppr_sim::adversary::JammerSpec;
-use ppr_sim::diff::{active_kernel_signature, cross_validate, standard_backends};
+use ppr_sim::diff::{active_kernel_signature, cross_validate, EVENT_LABEL, REFERENCE_LABEL};
 use ppr_sim::env::threads_from_env;
 use ppr_sim::experiments::common::CapacityRun;
 use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
@@ -52,8 +52,8 @@ usage:
   ppr-cli --list                     list registered experiments
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
-  ppr-cli diff <id>... [options]     cross-validate experiments across
-  ppr-cli diff --all [options]       checkpoints and backends
+  ppr-cli diff <id>... [options]     check experiments across checkpoints
+  ppr-cli diff --all [options]       and resumes against the bool spec
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -604,9 +604,9 @@ fn diff(args: &RunArgs) -> i32 {
         print!("{}", t.render());
         println!();
 
-        // Stream-level pass: one reception checkpoint, restored under
-        // the event driver and the bool spec, streams diffed event by
-        // event.
+        // Stream-level pass: one reception checkpoint, resumed under
+        // the event driver, its stream diffed event by event against the
+        // bool spec run from scratch.
         let run = CapacityRun::from_scenario(&plain, 13.8, false);
         let arm = RxArm {
             scheme: base.ppr_scheme(),
@@ -621,14 +621,7 @@ fn diff(args: &RunArgs) -> i32 {
                 return 1;
             }
         };
-        let reports = match cross_validate(
-            &run.env,
-            &run.cfg,
-            &run.timeline,
-            &arm,
-            &snap,
-            &standard_backends(),
-        ) {
+        let report = match cross_validate(&run.env, &run.cfg, &run.timeline, &arm, &snap) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: checkpoint restore failed: {e}");
@@ -636,25 +629,26 @@ fn diff(args: &RunArgs) -> i32 {
             }
         };
         let mut t = ppr_sim::report::Table::new(&["backend", "stream fingerprint", "vs baseline"]);
-        for report in &reports {
-            let verdict = match &report.divergence {
+        let rows = [
+            (EVENT_LABEL, report.event_fp, None),
+            (
+                REFERENCE_LABEL,
+                report.reference_fp,
+                report.divergence.as_ref(),
+            ),
+        ];
+        for (backend, fp, divergence) in rows {
+            let verdict = match divergence {
                 None => "ok".to_string(),
                 Some(d) => format!("DIVERGED: {d}"),
             };
-            t.row(&[
-                report.label.clone(),
-                format!("{:016x}", report.stream_fp),
-                verdict,
-            ]);
+            t.row(&[backend.to_string(), format!("{fp:016x}"), verdict]);
             let mut fields = vec![
-                ("backend".into(), Json::str(&report.label)),
-                (
-                    "stream_fingerprint".into(),
-                    Json::str(format!("{:016x}", report.stream_fp)),
-                ),
+                ("backend".into(), Json::str(backend)),
+                ("stream_fingerprint".into(), Json::str(format!("{fp:016x}"))),
                 ("point".into(), Json::str(&label)),
             ];
-            if let Some(d) = &report.divergence {
+            if let Some(d) = divergence {
                 fields.push((
                     "first_divergence".into(),
                     Json::Obj(vec![
@@ -669,7 +663,7 @@ fn diff(args: &RunArgs) -> i32 {
                     ]),
                 ));
                 failures.push(Json::Obj(vec![
-                    ("backend".into(), Json::str(&report.label)),
+                    ("backend".into(), Json::str(backend)),
                     ("point".into(), Json::str(&label)),
                     ("divergence".into(), Json::str(d.to_string())),
                 ]));

@@ -166,7 +166,7 @@ fn help_exits_zero_and_documents_scenario_keys() {
     let out = ppr_cli(&["--help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for key in ["duration", "seed", "load", "eta", "backend"] {
+    for key in ["duration", "seed", "load", "eta", "checkpoint"] {
         assert!(text.contains(key), "--help missing {key}:\n{text}");
     }
 }

@@ -159,11 +159,6 @@ impl RetxPacket {
         crc16(&material)
     }
 
-    /// Total serialized size in bytes — the paper's Fig. 16 metric.
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
-    }
-
     /// Decodes a possibly-corrupted retransmission packet.
     ///
     /// The confirm bitmap is kept only when its CRC-16 verifies; each

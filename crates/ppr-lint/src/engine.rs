@@ -1,4 +1,5 @@
-//! The lint driver: walk the workspace, run every lint, then filter
+//! The lint driver: walk the workspace, run every lint (per file, plus
+//! the cross-file `orphan-file` lint over the whole walk), then filter
 //! findings through suppressions and the baseline.
 //!
 //! The walk covers `src/`, `crates/`, `tests/` and `examples/` under
@@ -19,7 +20,7 @@
 //! suppressible — a typo in a suppression must not suppress itself.
 
 use crate::config::{BaselineEntry, Config};
-use crate::lints::{check_file_with_readme, Finding};
+use crate::lints::{check_file_with_readme, orphan_file_lint, Finding};
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -132,13 +133,21 @@ pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
     // the documentation the lint guards is gone).
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
 
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let rel = rel_path(root, path);
-        let file = SourceFile::parse(&rel, &text);
-        for finding in check_file_with_readme(&file, cfg, Some(&readme)) {
-            if finding.lint != "directive" && is_suppressed(&file, &finding) {
+        sources.push(SourceFile::parse(&rel_path(root, path), &text));
+    }
+    let orphans = orphan_file_lint(&sources);
+
+    for file in &sources {
+        let own_orphans = orphans.iter().filter(|f| f.path == file.rel_path).cloned();
+        for finding in check_file_with_readme(file, cfg, Some(&readme))
+            .into_iter()
+            .chain(own_orphans)
+        {
+            if finding.lint != "directive" && is_suppressed(file, &finding) {
                 report.suppressed.push(finding);
             } else if let Some(i) = cfg.baseline.iter().position(|e| {
                 e.path == finding.path && e.line == finding.line && e.lint == finding.lint

@@ -14,6 +14,7 @@
 //! | `event-key-doc` | `ppr_sim::event` documents the heap ordering key verbatim — the literal `(time, priority, seq)` must appear in the module, so the total-order contract every driver leans on cannot silently rot out of the docs |
 //! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (`ppr_sim::network`, the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
 //! | `axis-doc` | every axis key in `ppr_sim::scenario`'s `SCENARIO_KEYS` table has a `` | `key` `` row in the README's scenario-axis table — so `--set` surface and documentation cannot drift apart |
+//! | `orphan-file` | every `.rs` file under a crate's `src/` is reachable through `mod` declarations from `lib.rs`, `main.rs` or a `src/bin/` target — a file nothing declares is never compiled, yet reads like live code |
 //! | `directive` | `ppr-lint:` comments themselves parse and regions match (not suppressible) |
 //!
 //! Being lexical is a feature (no `syn`, no build, runs in
@@ -26,6 +27,7 @@
 use crate::config::Config;
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint violation (before suppression/baseline filtering).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +45,7 @@ pub struct Finding {
 }
 
 /// Names of every lint, for `--list` and allow(...) validation.
-pub const LINT_NAMES: [&str; 8] = [
+pub const LINT_NAMES: [&str; 9] = [
     "determinism",
     "unsafe-containment",
     "no-float",
@@ -51,6 +53,7 @@ pub const LINT_NAMES: [&str; 8] = [
     "event-key-doc",
     "snapshot-field-doc",
     "axis-doc",
+    "orphan-file",
     "directive",
 ];
 
@@ -598,12 +601,166 @@ fn followed_by_var(tokens: &[crate::lexer::Token], i: usize) -> bool {
             Some(TokenKind::Ident(n)) if n == "var" || n == "var_os")
 }
 
+/// `orphan-file`: every `.rs` file under a crate's `src/` must be
+/// reachable through `mod` declarations from a crate root — `lib.rs`,
+/// `main.rs` or a `src/bin/` target. Nothing compiles a file no `mod`
+/// names, so it rots unchecked while it reads like live code. This lint
+/// is cross-file: the engine hands it every scanned file at once. A
+/// `src/` that holds no crate root is not a cargo target and is
+/// skipped.
+pub fn orphan_file_lint(files: &[SourceFile]) -> Vec<Finding> {
+    let by_path: BTreeMap<&str, &SourceFile> =
+        files.iter().map(|f| (f.rel_path.as_str(), f)).collect();
+    let mut stack: Vec<&str> = by_path
+        .keys()
+        .copied()
+        .filter(|p| is_crate_root(p))
+        .collect();
+    let rooted: BTreeSet<&str> = stack.iter().filter_map(|p| src_dir(p)).collect();
+    let mut reached = BTreeSet::new();
+    while let Some(path) = stack.pop() {
+        if !reached.insert(path) {
+            continue;
+        }
+        let dir = module_dir(path);
+        for name in declared_mods(by_path[path]) {
+            for child in [format!("{dir}{name}.rs"), format!("{dir}{name}/mod.rs")] {
+                if let Some((&child, _)) = by_path.get_key_value(child.as_str()) {
+                    stack.push(child);
+                }
+            }
+        }
+    }
+    files
+        .iter()
+        .filter(|f| {
+            src_dir(&f.rel_path).is_some_and(|d| rooted.contains(d))
+                && !reached.contains(f.rel_path.as_str())
+        })
+        .map(|f| {
+            finding(
+                f,
+                1,
+                "orphan-file",
+                "no `mod` declaration reaches this file from its crate's lib.rs, main.rs or \
+                 src/bin/ targets, so it is never compiled; declare it or delete it"
+                    .to_string(),
+            )
+        })
+        .collect()
+}
+
+/// The crate source directory holding `path` — `src/` for the facade
+/// crate, `crates/<name>/src/` for the others — if there is one.
+fn src_dir(path: &str) -> Option<&str> {
+    if path.starts_with("src/") {
+        return Some("src/");
+    }
+    let name_end = "crates/".len() + path.strip_prefix("crates/")?.find('/')?;
+    let dir_end = name_end + "/src/".len();
+    (path.get(name_end..dir_end) == Some("/src/")).then(|| &path[..dir_end])
+}
+
+/// Is `path` a crate root: `lib.rs`, `main.rs`, `bin/<name>.rs` or
+/// `bin/<name>/main.rs` directly under a crate's `src/`?
+fn is_crate_root(path: &str) -> bool {
+    let Some(dir) = src_dir(path) else {
+        return false;
+    };
+    let rel = &path[dir.len()..];
+    match rel.strip_prefix("bin/") {
+        Some(bin) => bin
+            .split_once('/')
+            .is_none_or(|(_, rest)| rest == "main.rs"),
+        None => rel == "lib.rs" || rel == "main.rs",
+    }
+}
+
+/// The directory a file's `mod name;` declarations resolve in: its own
+/// directory for crate roots and `mod.rs`, else `<stem>/` beside it.
+fn module_dir(path: &str) -> String {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    if is_crate_root(path) || file == "mod.rs" {
+        format!("{dir}/")
+    } else {
+        format!("{}/", path.trim_end_matches(".rs"))
+    }
+}
+
+/// The names of a file's out-of-line module declarations (`mod name;`).
+fn declared_mods(file: &SourceFile) -> Vec<&str> {
+    file.lexed
+        .tokens
+        .windows(3)
+        .filter_map(|w| match (&w[0].kind, &w[1].kind, &w[2].kind) {
+            (TokenKind::Ident(m), TokenKind::Ident(name), TokenKind::Punct(';')) if m == "mod" => {
+                Some(name.as_str())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn check(path: &str, src: &str) -> Vec<Finding> {
         check_file(&SourceFile::parse(path, src), &Config::default())
+    }
+
+    #[test]
+    fn orphan_files_are_those_no_mod_reaches() {
+        let files: Vec<SourceFile> = [
+            (
+                "src/lib.rs",
+                "pub mod a;
+#[cfg(test)]
+mod tests {}
+",
+            ),
+            (
+                "src/a.rs",
+                "mod b;
+mod c;
+",
+            ),
+            ("src/a/b.rs", ""),
+            (
+                "src/a/c/mod.rs",
+                "pub(crate) mod d;
+",
+            ),
+            ("src/a/c/d.rs", ""),
+            (
+                "src/stray.rs",
+                "pub fn f() {}
+",
+            ),
+            (
+                "crates/x/src/bin/tool.rs",
+                "mod util;
+",
+            ),
+            ("crates/x/src/bin/util.rs", ""),
+            ("crates/x/src/bin/big/main.rs", ""),
+            (
+                "crates/x/src/lost.rs",
+                "// mod lost; names nothing
+",
+            ),
+            ("crates/y/src/rootless.rs", ""),
+            ("tests/t.rs", ""),
+        ]
+        .iter()
+        .map(|(p, src)| SourceFile::parse(p, src))
+        .collect();
+        let findings = orphan_file_lint(&files);
+        assert!(findings
+            .iter()
+            .all(|f| (f.line, f.lint) == (1, "orphan-file")));
+        let orphans: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(orphans, ["src/stray.rs", "crates/x/src/lost.rs"]);
     }
 
     #[test]

@@ -69,13 +69,6 @@ impl RxFrame {
         self.link.len()
     }
 
-    /// The lazy symbol view over the link-layer section — the
-    /// demand-driven access point for consumers that read sub-ranges
-    /// (PP-ARQ chunk requests, relays probing specific fields).
-    pub fn link_view(&self) -> &SymbolView {
-        &self.link
-    }
-
     /// The full link-layer section (forces a complete despread).
     pub fn link_symbols(&self) -> Vec<SoftSymbol> {
         self.link.all()

@@ -43,16 +43,6 @@ impl ChipReceiver {
         }
     }
 
-    /// The preamble pattern in use.
-    pub fn preamble_pattern(&self) -> &SyncPattern {
-        &self.preamble
-    }
-
-    /// The postamble pattern in use.
-    pub fn postamble_pattern(&self) -> &SyncPattern {
-        &self.postamble
-    }
-
     /// Scans for both delimiters; hits are returned sorted by offset.
     pub fn scan(&self, stream: &[bool]) -> Vec<SyncHit> {
         let mut hits = self.preamble.scan(stream, self.threshold);

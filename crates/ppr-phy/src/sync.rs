@@ -60,14 +60,6 @@ pub struct SyncHit {
     pub kind: SyncKind,
 }
 
-impl SyncHit {
-    /// Chip offset of the first symbol *after* the delimiter (for a
-    /// preamble hit this is where the header starts).
-    pub fn payload_start(&self, pattern: &SyncPattern) -> usize {
-        self.chip_offset + pattern.len_chips()
-    }
-}
-
 /// A chip-level correlation pattern for one delimiter.
 #[derive(Debug, Clone)]
 pub struct SyncPattern {

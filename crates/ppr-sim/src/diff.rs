@@ -1,18 +1,18 @@
-//! The differential harness: restore one frozen checkpoint under the
-//! event driver and under the bool spec, on whatever kernels this
-//! process selected, and diff the resulting [`Reception`] streams event
-//! by event.
+//! The differential harness: resume one frozen checkpoint under the
+//! event driver, run the bool spec from scratch, and diff the two
+//! [`Reception`] streams event by event.
 //!
 //! One-shot parity tests compare two fixed implementations on one
 //! input. This module turns parity into *continuous cross-validation*:
 //! any run is checkpointed at an event boundary
-//! ([`crate::network::snapshot_after_events`]), and the identical
-//! serialized state is completed under
-//!
-//! * the event-driven packed driver, and
-//! * the sequential `&[bool]` reference (the executable specification),
-//!
-//! after which [`first_divergence`] reports the first stream position
+//! ([`crate::network::snapshot_after_events`]), the serialized state is
+//! restored into [`ReceptionDriver`] and completed, and the result is
+//! compared with the sequential `&[bool]` reference (the executable
+//! specification) run over the same inputs from the first event. The
+//! spec never reads the snapshot, so it is an oracle for the checkpoint
+//! too: a snapshot that carries wrong progress — a tampered decoded
+//! slot, idle flag or busy horizon — resumes to a stream the spec does
+//! not produce. [`first_divergence`] reports the first stream position
 //! where the two disagree — down to the `(transmission, receiver)`
 //! pair, its completion chip time, and the first differing field. The
 //! SIMD axis cannot be toggled in-process (kernel selection is cached
@@ -22,56 +22,18 @@
 //! default and `PPR_NO_SIMD=1` — and compares the printed fingerprints.
 
 use crate::network::{
-    resume_receptions_reference, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig,
+    process_receptions_reference, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig,
     Transmission,
 };
 use crate::results::fingerprint;
 use crate::snapshot::{encode_reception, RxSnapshot, SnapError, SnapWriter};
 pub use ppr_phy::simd::active_kernel_signature;
 
-/// One way to complete a restored checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffBackend {
-    /// The event-driven packed driver.
-    Event,
-    /// The sequential `&[bool]` reference implementation.
-    Reference,
-}
+/// Report label of the event driver's resumed stream (the baseline).
+pub const EVENT_LABEL: &str = "event";
 
-impl DiffBackend {
-    /// Stable human-readable label, used in reports and CI output.
-    pub fn label(&self) -> String {
-        match self {
-            DiffBackend::Event => "event",
-            DiffBackend::Reference => "reference/bool",
-        }
-        .to_string()
-    }
-}
-
-/// The default cross-validation pair: the event driver as baseline,
-/// then the bool reference.
-pub fn standard_backends() -> Vec<DiffBackend> {
-    vec![DiffBackend::Event, DiffBackend::Reference]
-}
-
-/// Completes a restored checkpoint under one backend, returning the
-/// full reception stream in receiver-major reference order.
-pub fn resume_receptions(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    snap: &RxSnapshot,
-    backend: DiffBackend,
-) -> Result<Vec<Reception>, SnapError> {
-    match backend {
-        DiffBackend::Event => {
-            ReceptionDriver::restore(env, cfg, timeline, arm, snap).map(|d| d.run_to_end())
-        }
-        DiffBackend::Reference => resume_receptions_reference(env, cfg, timeline, arm, snap),
-    }
-}
+/// Report label of the bool spec's stream, run from scratch.
+pub const REFERENCE_LABEL: &str = "reference/bool";
 
 /// The first position where two reception streams disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,46 +78,24 @@ impl std::fmt::Display for Divergence {
 
 /// Field-by-field comparison of one reception pair; `None` when equal.
 fn diff_reception(a: &Reception, b: &Reception) -> Option<(&'static str, String, String)> {
-    if a.tx_id != b.tx_id {
-        return Some(("tx_id", a.tx_id.to_string(), b.tx_id.to_string()));
+    macro_rules! scalars {
+        ($($field:ident),*) => {$(
+            if a.$field != b.$field {
+                let (left, right) = (format!("{:?}", a.$field), format!("{:?}", b.$field));
+                return Some((stringify!($field), left, right));
+            }
+        )*};
     }
-    if a.sender != b.sender {
-        return Some(("sender", a.sender.to_string(), b.sender.to_string()));
-    }
-    if a.receiver != b.receiver {
-        return Some(("receiver", a.receiver.to_string(), b.receiver.to_string()));
-    }
-    if a.acquisition != b.acquisition {
-        return Some((
-            "acquisition",
-            format!("{:?}", a.acquisition),
-            format!("{:?}", b.acquisition),
-        ));
-    }
-    if a.payload_len != b.payload_len {
-        return Some((
-            "payload_len",
-            a.payload_len.to_string(),
-            b.payload_len.to_string(),
-        ));
-    }
-    if a.delivered_correct != b.delivered_correct {
-        return Some((
-            "delivered_correct",
-            a.delivered_correct.to_string(),
-            b.delivered_correct.to_string(),
-        ));
-    }
-    if a.delivered_claimed != b.delivered_claimed {
-        return Some((
-            "delivered_claimed",
-            a.delivered_claimed.to_string(),
-            b.delivered_claimed.to_string(),
-        ));
-    }
-    if a.crc_ok != b.crc_ok {
-        return Some(("crc_ok", a.crc_ok.to_string(), b.crc_ok.to_string()));
-    }
+    scalars!(
+        tx_id,
+        sender,
+        receiver,
+        acquisition,
+        payload_len,
+        delivered_correct,
+        delivered_claimed,
+        crc_ok
+    );
     if a.symbol_hints != b.symbol_hints {
         return Some((
             "symbol_hints",
@@ -174,7 +114,7 @@ fn diff_reception(a: &Reception, b: &Reception) -> Option<(&'static str, String,
 }
 
 /// Diffs two reception streams event by event (stream order is the
-/// receiver-major reference order, common to every backend) and
+/// receiver-major reference order, common to the driver and the spec) and
 /// reports the first disagreement, localized to its event key.
 pub fn first_divergence(
     timeline: &[Transmission],
@@ -221,7 +161,7 @@ pub fn first_divergence(
 
 /// Stable 64-bit digest of a reception stream: FNV-1a over the
 /// canonical field encoding of every reception, in stream order. Equal
-/// streams — across processes, kernel selections and backends — print
+/// streams — across processes, kernel selections and implementations — print
 /// equal fingerprints; this is how CI compares the SIMD and scalar
 /// kernel runs.
 pub fn stream_fingerprint(recs: &[Reception]) -> u64 {
@@ -233,44 +173,34 @@ pub fn stream_fingerprint(recs: &[Reception]) -> u64 {
     fingerprint(&w.into_inner())
 }
 
-/// One backend's verdict against the baseline stream.
+/// A resumed checkpoint's verdict against the spec.
 #[derive(Debug, Clone)]
-pub struct ComboReport {
-    /// Backend label ([`DiffBackend::label`]).
-    pub label: String,
-    /// Digest of this backend's resumed stream.
-    pub stream_fp: u64,
-    /// First disagreement with the baseline, if any.
+pub struct DiffReport {
+    /// Digest of the event driver's stream, resumed from the snapshot.
+    pub event_fp: u64,
+    /// Digest of the bool spec's stream, run from scratch.
+    pub reference_fp: u64,
+    /// First disagreement of the spec's stream with the resumed one.
     pub divergence: Option<Divergence>,
 }
 
-/// Restores `snap` under every backend in `backends` (the first is the
-/// baseline) and diffs each stream against the baseline. Returns the
-/// per-combination reports, baseline first.
+/// Restores `snap` into [`ReceptionDriver`] and runs it to the end,
+/// runs [`process_receptions_reference`] over the same inputs from
+/// scratch, and diffs the spec's stream against the resumed one.
 pub fn cross_validate(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
     snap: &RxSnapshot,
-    backends: &[DiffBackend],
-) -> Result<Vec<ComboReport>, SnapError> {
-    assert!(!backends.is_empty(), "need a baseline backend");
-    let baseline = resume_receptions(env, cfg, timeline, arm, snap, backends[0])?;
-    let mut reports = vec![ComboReport {
-        label: backends[0].label(),
-        stream_fp: stream_fingerprint(&baseline),
-        divergence: None,
-    }];
-    for &backend in &backends[1..] {
-        let stream = resume_receptions(env, cfg, timeline, arm, snap, backend)?;
-        reports.push(ComboReport {
-            label: backend.label(),
-            stream_fp: stream_fingerprint(&stream),
-            divergence: first_divergence(timeline, &baseline, &stream),
-        });
-    }
-    Ok(reports)
+) -> Result<DiffReport, SnapError> {
+    let resumed = ReceptionDriver::restore(env, cfg, timeline, arm, snap)?.run_to_end();
+    let spec = process_receptions_reference(env, cfg, timeline, arm);
+    Ok(DiffReport {
+        event_fp: stream_fingerprint(&resumed),
+        reference_fp: stream_fingerprint(&spec),
+        divergence: first_divergence(timeline, &resumed, &spec),
+    })
 }
 
 #[cfg(test)]
@@ -338,7 +268,6 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        let labels: Vec<String> = standard_backends().iter().map(|b| b.label()).collect();
-        assert_eq!(labels, ["event", "reference/bool"]);
+        assert_eq!([EVENT_LABEL, REFERENCE_LABEL], ["event", "reference/bool"]);
     }
 }

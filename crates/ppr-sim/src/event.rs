@@ -1,8 +1,8 @@
 //! The deterministic discrete-event core.
 //!
 //! Everything time-ordered in the simulator — traffic arrivals, CSMA
-//! attempts, transmission starts and ends, reception completions, ARQ
-//! timers — flows through one [`EventQueue`]. The default implementation
+//! attempts, transmission starts, reception completions, ARQ timers —
+//! flows through one [`EventQueue`]. The default implementation
 //! is a binary heap ([`BinaryHeapQueue`]), but the queue is a trait so a
 //! calendar queue or ladder queue can slot in later without touching the
 //! drivers.
@@ -16,9 +16,9 @@
 //!    [`ppr_phy::chips::CHIP_RATE_HZ`]);
 //! 2. **`priority`** — a caller-chosen class/minor pair (see
 //!    [`priority`]) that fixes the order of *different kinds* of events
-//!    scheduled for the same chip (e.g. a frame that ends at chip `t`
-//!    is processed before a frame that starts at chip `t`, because end
-//!    times are exclusive);
+//!    scheduled for the same chip (e.g. a reception that completes at
+//!    chip `t` is processed before a frame that starts at chip `t`,
+//!    because end times are exclusive);
 //! 3. **`seq`** — a per-queue push counter that breaks every remaining
 //!    tie in schedule order.
 //!
@@ -52,16 +52,14 @@ pub const fn priority(class: u32, minor: u32) -> u64 {
 }
 
 /// Priority classes for the reception drivers, in same-time pop order:
-/// frame ends (exclusive) resolve before timers, timers before frame
-/// starts at the same chip.
+/// reception completions (frame ends are exclusive) resolve before
+/// timers, timers before frame starts at the same chip.
 ///
 /// The timeline generator uses its own two classes ([`prio::ARRIVAL`],
 /// [`prio::ATTEMPT`]) — it never shares a queue with the reception
 /// drivers, so the two class spaces are independent.
 pub mod prio {
-    /// A transmission's last chip has passed (end times are exclusive).
-    pub const TX_END: u32 = 0;
-    /// A reception completes (same instant as the frame end).
+    /// A reception completes (at the frame's exclusive end).
     pub const RECEPTION: u32 = 1;
     /// An ARQ timer fires.
     pub const ARQ_TIMER: u32 = 2;
@@ -97,11 +95,6 @@ pub enum SimEvent {
     },
     /// A transmission's first chip hits the air.
     TxStart {
-        /// Index into the driver's transmission store.
-        tx: usize,
-    },
-    /// A transmission's last chip has passed.
-    TxEnd {
         /// Index into the driver's transmission store.
         tx: usize,
     },
@@ -234,11 +227,6 @@ impl<E> BinaryHeapQueue<E> {
             dispatched: 0,
         }
     }
-
-    /// The key of the next event to pop, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(e)| e.key)
-    }
 }
 
 impl<E: Clone> BinaryHeapQueue<E> {
@@ -324,12 +312,11 @@ mod tests {
         let mut q = BinaryHeapQueue::new();
         q.schedule(5, priority(prio::TX_START, 0), "start");
         q.schedule(5, priority(prio::NODE_FAULT, 0), "fault");
-        q.schedule(5, priority(prio::TX_END, 0), "end");
         q.schedule(5, priority(prio::JAM_BURST, 0), "jam");
         q.schedule(5, priority(prio::ARQ_TIMER, 0), "timer");
         q.schedule(5, priority(prio::RECEPTION, 0), "rx");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["end", "rx", "timer", "start", "jam", "fault"]);
+        assert_eq!(order, ["rx", "timer", "start", "jam", "fault"]);
     }
 
     #[test]

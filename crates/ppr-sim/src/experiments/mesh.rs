@@ -270,13 +270,13 @@ impl MeshTx {
 #[derive(Clone)]
 // ppr-lint: region(snapshot-state) begin mesh per-node ARQ session state
 struct NodeState {
-    /// snapshot: serialized — correct-byte count (cached popcount of
-    /// the node's `MeshDriver::masks` row).
+    /// snapshot: rebuilt — correct-byte count: the popcount of the
+    /// node's `MeshDriver::masks` row over the payload's bits.
     correct: usize,
-    /// snapshot: serialized — full payload recovered.
+    /// snapshot: rebuilt — full payload recovered, i.e. `correct` is
+    /// the payload length. A node rebroadcasts exactly once, when it
+    /// recovers, so this is also "rebroadcast scheduled".
     recovered: bool,
-    /// snapshot: serialized — rebroadcast already scheduled.
-    rebroadcasted: bool,
     /// snapshot: serialized — a PP-ARQ timer is armed.
     timer_armed: bool,
     /// snapshot: serialized — node is up (fault injection crashes and
@@ -291,7 +291,6 @@ impl NodeState {
         NodeState {
             correct: 0,
             recovered: false,
-            rebroadcasted: false,
             timer_armed: false,
             alive: true,
         }
@@ -397,8 +396,10 @@ pub struct MeshDriver {
     /// snapshot: serialized — the event queue with keys verbatim, plus
     /// its push/dispatch counters.
     q: BinaryHeapQueue<SimEvent>,
-    /// snapshot: serialized — every deterministic counter, flat in
-    /// field order.
+    /// snapshot: serialized — the ten running counters, flat in field
+    /// order; node and shard counts, transmissions and repairs are
+    /// recounted on restore, and the end-of-run totals are set by
+    /// [`MeshDriver::run_to_end`].
     stats: MeshStats,
     /// snapshot: serialized — completed-but-undecoded receptions, in
     /// pop order (never flushed early by a checkpoint).
@@ -458,7 +459,6 @@ impl MeshDriver {
         let mut states: Vec<NodeState> = vec![NodeState::new(); n];
         states[source].correct = payload_len;
         states[source].recovered = true;
-        states[source].rebroadcasted = true;
 
         let stats = MeshStats {
             nodes: n,
@@ -698,10 +698,7 @@ impl MeshDriver {
                     }
                     if st.correct == self.payload_len && !st.recovered {
                         st.recovered = true;
-                        if !st.rebroadcasted {
-                            st.rebroadcasted = true;
-                            rebroadcast = true;
-                        }
+                        rebroadcast = true;
                     }
                 }
                 if rebroadcast {
@@ -974,9 +971,6 @@ impl MeshDriver {
                 .enumerate()
                 .map(|(i, st)| MeshNodeSnapshot {
                     mask: self.masks[self.mask_row(i)].to_vec(),
-                    correct: st.correct,
-                    recovered: st.recovered,
-                    rebroadcasted: st.rebroadcasted,
                     timer_armed: st.timer_armed,
                     alive: st.alive,
                 })
@@ -1001,14 +995,18 @@ impl MeshDriver {
             pending: self.pending.clone(),
             pending_deadline: self.pending_deadline,
             last_time: self.last_time,
-            stats: stats_words(&self.stats),
+            stats: running_counters(&mut self.stats.clone())
+                .map(|c| *c as u64)
+                .to_vec(),
         }
     }
 
     /// Rebuilds a driver from a checkpoint, validating the snapshot's
     /// identity against `params` and every index against the
     /// reconstructed run. Frames are rebuilt from the ground-truth
-    /// payload (flood) or their repair spans.
+    /// payload (flood) or their repair spans; each node's correct-byte
+    /// count and recovery flag from its mask; and the stats the
+    /// snapshot does not carry from the rebuilt run.
     pub fn restore(params: &MeshParams, snap: &MeshSnapshot) -> Result<Self, SnapError> {
         if params.nodes != snap.nodes
             || params.density.to_bits() != snap.density.to_bits()
@@ -1035,7 +1033,7 @@ impl MeshDriver {
             )));
         }
         for (i, st) in snap.states.iter().enumerate() {
-            if st.mask.len() != mask_words || st.correct > payload_len {
+            if st.mask.len() != mask_words {
                 return Err(SnapError::Corrupt(format!("node {i} state out of bounds")));
             }
         }
@@ -1071,19 +1069,37 @@ impl MeshDriver {
         if snap.pending.iter().any(|&(t, r)| t >= ntx || r >= n) {
             return Err(SnapError::Corrupt("pending reception out of bounds".into()));
         }
-        let stats = stats_from_words(&snap.stats).ok_or_else(|| {
-            SnapError::Corrupt(format!("{} stats words, expected 20", snap.stats.len()))
-        })?;
+        let mut stats = MeshStats {
+            transmissions: snap.started.len(),
+            repair_tx: snap.txs.iter().filter(|t| t.spans.is_some()).count(),
+            ..driver.stats
+        };
+        let counters = running_counters(&mut stats);
+        if snap.stats.len() != counters.len() {
+            return Err(SnapError::Corrupt(format!(
+                "{} stats words, expected {}",
+                snap.stats.len(),
+                counters.len()
+            )));
+        }
+        for (c, &w) in counters.into_iter().zip(&snap.stats) {
+            *c = usize::try_from(w)
+                .map_err(|_| SnapError::Corrupt(format!("stats word {w} overflows")))?;
+        }
 
         driver.states = snap
             .states
             .iter()
-            .map(|st| NodeState {
-                correct: st.correct,
-                recovered: st.recovered,
-                rebroadcasted: st.rebroadcasted,
-                timer_armed: st.timer_armed,
-                alive: st.alive,
+            .map(|st| {
+                // Only the payload's bits count: the source's row is
+                // whole `u64::MAX` words.
+                let correct = (0..payload_len).filter(|&i| mask_has(&st.mask, i)).count();
+                NodeState {
+                    correct,
+                    recovered: correct == payload_len,
+                    timer_armed: st.timer_armed,
+                    alive: st.alive,
+                }
             })
             .collect();
         driver.masks = snap
@@ -1142,61 +1158,22 @@ impl MeshDriver {
     }
 }
 
-/// [`MeshStats`] as flat words, in field order — the snapshot encoding.
-fn stats_words(s: &MeshStats) -> Vec<u64> {
-    vec![
-        s.nodes as u64,
-        s.recovered as u64,
-        s.transmissions as u64,
-        s.repair_tx as u64,
-        s.receptions_scheduled as u64,
-        s.receptions_evaluated as u64,
-        s.receptions_skipped as u64,
-        s.self_busy_drops as u64,
-        s.events_dispatched,
-        s.repair_bytes_requested as u64,
-        s.correct_bytes as u64,
-        s.sim_chips,
-        s.shards as u64,
-        s.flush_batches as u64,
-        s.max_batch as u64,
-        s.jam_bursts as u64,
-        s.jam_chips,
-        s.crashes as u64,
-        s.restarts as u64,
-        s.retry_exhausted as u64,
+/// The running counters of [`MeshStats`], in field order — what the
+/// snapshot's stats section holds. Every other field is recomputed on
+/// restore.
+fn running_counters(s: &mut MeshStats) -> [&mut usize; 10] {
+    [
+        &mut s.receptions_scheduled,
+        &mut s.receptions_evaluated,
+        &mut s.receptions_skipped,
+        &mut s.self_busy_drops,
+        &mut s.repair_bytes_requested,
+        &mut s.flush_batches,
+        &mut s.max_batch,
+        &mut s.crashes,
+        &mut s.restarts,
+        &mut s.retry_exhausted,
     ]
-}
-
-/// Inverse of [`stats_words`]; `None` on a wrong word count or a value
-/// that does not fit the field.
-fn stats_from_words(w: &[u64]) -> Option<MeshStats> {
-    if w.len() != 20 {
-        return None;
-    }
-    let u = |i: usize| usize::try_from(w[i]).ok();
-    Some(MeshStats {
-        nodes: u(0)?,
-        recovered: u(1)?,
-        transmissions: u(2)?,
-        repair_tx: u(3)?,
-        receptions_scheduled: u(4)?,
-        receptions_evaluated: u(5)?,
-        receptions_skipped: u(6)?,
-        self_busy_drops: u(7)?,
-        events_dispatched: w[8],
-        repair_bytes_requested: u(9)?,
-        correct_bytes: u(10)?,
-        sim_chips: w[11],
-        shards: u(12)?,
-        flush_batches: u(13)?,
-        max_batch: u(14)?,
-        jam_bursts: u(15)?,
-        jam_chips: w[16],
-        crashes: u(17)?,
-        restarts: u(18)?,
-        retry_exhausted: u(19)?,
-    })
 }
 
 /// The `mesh10k` experiment.

@@ -30,8 +30,9 @@
 //!   precedence.
 //! * [`snapshot`] — versioned binary checkpoints of simulator state
 //!   (resume bit-identically, in this process or another).
-//! * [`diff`] — the differential harness: restore one checkpoint under
-//!   the event driver and the bool spec and diff the reception streams.
+//! * [`diff`] — the differential harness: resume one checkpoint under
+//!   the event driver and diff its reception stream against the bool
+//!   spec run from scratch.
 //! * [`results`] — typed experiment results with text and JSON
 //!   rendering.
 //! * [`experiments`] — Fig. 3 through Fig. 16 and Tables 1–2, each an
@@ -75,7 +76,7 @@ pub mod spatial;
 pub mod traffic;
 
 pub use adversary::{AdversaryState, FaultPlan, JammerSpec};
-pub use diff::{DiffBackend, Divergence};
+pub use diff::Divergence;
 pub use event::{BinaryHeapQueue, EventKey, EventQueue, SimEvent};
 pub use experiments::{find, registry, Experiment};
 pub use geometry::{Point, Testbed};
@@ -85,6 +86,6 @@ pub use network::{
 };
 pub use results::{Block, Cell, ExperimentResult, Json, TableBlock};
 pub use rxpath::{Acquisition, FastRx};
-pub use scenario::{Backend, Scenario, ScenarioBuilder};
+pub use scenario::{Scenario, ScenarioBuilder};
 pub use snapshot::{MeshSnapshot, RxSnapshot, SnapError};
 pub use spatial::SpatialIndex;

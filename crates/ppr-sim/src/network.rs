@@ -64,7 +64,7 @@ use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
 use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETAS};
 use crate::rxpath::{Acquisition, FastRx};
-use crate::snapshot::{env_fingerprint, timeline_fingerprint, InFlightRx, RxSnapshot, SnapError};
+use crate::snapshot::{env_fingerprint, timeline_fingerprint, RxSnapshot, SnapError};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
 use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
 use ppr_channel::overlap::{interference_profile, HeardTx};
@@ -667,8 +667,8 @@ fn through_snapshot<'a>(
 }
 
 /// Runs the event-driven reception driver to the `events` dispatch
-/// boundary and returns the serialized checkpoint — the shared frozen
-/// state the differential harness hands to every backend.
+/// boundary and returns the serialized checkpoint — the frozen state
+/// the differential harness resumes and checks against the spec.
 pub fn snapshot_after_events(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -702,7 +702,7 @@ pub fn snapshot_after_events(
 /// (one arm, [`RxOutput::Stream`]) or folds it into its arm's
 /// [`ArmFold`]. Every event finishes its work before the next one pops,
 /// so a checkpoint at any event boundary holds only queue + output +
-/// busy horizons + in-flight captures.
+/// busy horizons + one idle flag per in-flight capture.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
@@ -726,12 +726,13 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: serialized — per-receiver busy horizon of the
     /// sequential busy/idle fold.
     busy_until: Vec<u64>,
-    /// snapshot: serialized — per-receiver next output slot.
+    /// snapshot: rebuilt — per-receiver next output slot, recounted
+    /// from the started prefix of the timeline.
     next_slot: Vec<usize>,
     /// snapshot: serialized — captures awaiting their completion event,
-    /// as (receiver, timeline index, slot, RNG stream position, idle);
-    /// the chip errors and payload are reconstructed on restore from
-    /// the stored stream position.
+    /// as their idle flags; the queued completion names the job, and
+    /// the chip errors and payload are redrawn on restore from the
+    /// reception's stream start.
     in_flight: BTreeMap<usize, Capture>,
     // ppr-lint: region(snapshot-state) end
 }
@@ -862,7 +863,7 @@ impl<'a> ReceptionDriver<'a> {
                         slot: self.next_slot[r],
                     };
                     self.next_slot[r] += 1;
-                    let errors = self.pipe.draw_errors(&job, self.pipe.rng(&job));
+                    let errors = self.pipe.draw_errors(&job);
                     let idle = self.busy_until[r] <= tx.start_chip;
                     if idle && self.pipe.fast[0].preamble_hit(&errors) {
                         self.busy_until[r] = tx.end_chip();
@@ -954,20 +955,17 @@ impl<'a> ReceptionDriver<'a> {
         folds
     }
 
-    /// Checkpoints the driver: queue + output + busy horizons +
-    /// in-flight captures (each as its RNG stream position).
+    /// Checkpoints the driver: queue + output + busy horizons + the idle
+    /// flag of each in-flight capture, in the queue order of its
+    /// completion event.
     pub fn save(&self) -> RxSnapshot {
         let (queue, next_seq, dispatched) = self.q.save_state();
         let cfg = self.pipe.cfg;
-        let in_flight = self
-            .in_flight
-            .values()
-            .map(|c| InFlightRx {
-                receiver: c.job.r,
-                tx_index: c.job.idx,
-                slot: c.job.slot,
-                rng: self.pipe.rng(&c.job).state(),
-                idle: c.idle,
+        let in_flight_idle = queue
+            .iter()
+            .filter_map(|(_, ev)| match ev {
+                SimEvent::ReceptionComplete { slot, .. } => Some(self.in_flight[slot].idle),
+                _ => None,
             })
             .collect();
         RxSnapshot {
@@ -984,17 +982,16 @@ impl<'a> ReceptionDriver<'a> {
             next_seq,
             dispatched,
             busy_until: self.busy_until.clone(),
-            next_slot: self.next_slot.clone(),
             output: self.output.clone(),
-            in_flight,
+            in_flight_idle,
         }
     }
 
     /// Rebuilds a one-arm stream driver ([`Self::new`]) from a
     /// checkpoint, validating the snapshot's identity fields and every
     /// cross-reference of its progress state against the run inputs,
-    /// then reconstructing every in-flight capture from its stored RNG
-    /// stream position. A snapshot that passes its checksum but
+    /// then reconstructing every in-flight capture from its queued
+    /// completion and idle flag. A snapshot that passes its checksum but
     /// contradicts itself is [`SnapError::Corrupt`], never a panic.
     pub fn restore(
         env: &'a RadioEnv,
@@ -1021,24 +1018,19 @@ impl<'a> ReceptionDriver<'a> {
 
     /// Moves a fresh driver to `snap`'s progress state.
     fn resume(mut self, snap: &RxSnapshot) -> Result<Self, SnapError> {
-        self.check_progress(snap)?;
+        let (next_slot, in_flight) = self.check_progress(snap)?;
         self.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
         self.busy_until = snap.busy_until.clone();
-        self.next_slot = snap.next_slot.clone();
+        self.next_slot = next_slot;
         self.output = snap.output.clone();
         // Reconstruct the in-flight captures: physics from the run
-        // inputs, chip noise from the stored stream positions.
-        for f in &snap.in_flight {
-            let job = RxJob {
-                r: f.receiver,
-                idx: f.tx_index,
-                slot: f.slot,
-            };
+        // inputs, chip noise from each reception's stream start.
+        for (job, &idle) in in_flight.into_iter().zip(&snap.in_flight_idle) {
             let capture = Capture {
                 job,
-                errors: self.pipe.draw_errors(&job, StdRng::from_state(f.rng)),
+                errors: self.pipe.draw_errors(&job),
                 payload: self.pipe.payload(&self.pipe.timeline[job.idx]).into(),
-                idle: f.idle,
+                idle,
             };
             self.in_flight.insert(job.slot, capture);
         }
@@ -1046,33 +1038,34 @@ impl<'a> ReceptionDriver<'a> {
     }
 
     /// Checks that `snap`'s progress state is one this driver (fresh, at
-    /// event zero) can reach: the pending `TxStart`s are exactly the
-    /// not-yet-started suffix of the timeline, each `next_slot` matches
-    /// the started prefix, every queued `ReceptionComplete` has exactly
-    /// one in-flight capture for the same (slot, receiver, tx) job, and
-    /// the output holds exactly the started receptions that are not in
-    /// flight: slot by slot for a stream, link by link (within what
+    /// event zero) can reach, and returns what restore rebuilds from
+    /// it: each receiver's next output slot, and the job of every queued
+    /// completion in queue order. The pending `TxStart`s must be exactly
+    /// the not-yet-started suffix of the timeline, every queued
+    /// `ReceptionComplete` must name a distinct started job by its slot,
+    /// receiver and transmission, one idle flag must come with each, and
+    /// the output must hold exactly the started receptions that are not
+    /// in flight: slot by slot for a stream, link by link (within what
     /// those receptions can add up to) for folds. Anything else is
     /// [`SnapError::Corrupt`], so a resealed but inconsistent snapshot
     /// cannot reach an index, an `expect` or an overflowing count in the
     /// event loop.
-    fn check_progress(&self, snap: &RxSnapshot) -> Result<(), SnapError> {
+    fn check_progress(&self, snap: &RxSnapshot) -> Result<(Vec<usize>, Vec<RxJob>), SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(what));
         let timeline = self.pipe.timeline;
         let nr = self.next_slot.len();
         let total_jobs = self.total_jobs;
-        if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
+        if snap.busy_until.len() != nr {
             return corrupt(format!(
-                "per-receiver tables sized {}/{} for {nr} receivers",
-                snap.busy_until.len(),
-                snap.next_slot.len()
+                "{} busy horizons for {nr} receivers",
+                snap.busy_until.len()
             ));
         }
 
         // Queue entries: keys as the driver schedules them, starts
-        // distinct, completions keyed by slot.
+        // distinct.
         let mut pending_start = vec![false; timeline.len()];
-        let mut completions: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+        let mut completions: Vec<RxJob> = Vec::new();
         for (key, ev) in &snap.queue {
             let ok = key.seq < snap.next_seq
                 && match *ev {
@@ -1083,10 +1076,14 @@ impl<'a> ReceptionDriver<'a> {
                             && !std::mem::replace(&mut pending_start[tx], true)
                     }
                     SimEvent::ReceptionComplete { tx, receiver, slot } => {
+                        completions.push(RxJob {
+                            r: receiver,
+                            idx: tx,
+                            slot,
+                        });
                         tx < timeline.len()
                             && key.time == timeline[tx].end_chip()
                             && key.priority == priority(prio::RECEPTION, 0)
-                            && completions.insert(slot, (receiver, tx)).is_none()
                     }
                     _ => false,
                 };
@@ -1097,6 +1094,13 @@ impl<'a> ReceptionDriver<'a> {
         let started = pending_start.iter().filter(|&&p| !p).count();
         if pending_start[..started].iter().any(|&p| p) {
             return corrupt("pending TxStarts are not the unstarted timeline suffix".into());
+        }
+        if snap.in_flight_idle.len() != completions.len() {
+            return corrupt(format!(
+                "{} idle flags for {} pending completions",
+                snap.in_flight_idle.len(),
+                completions.len()
+            ));
         }
 
         // The job table of the started prefix: slot -> (receiver, tx,
@@ -1111,29 +1115,19 @@ impl<'a> ReceptionDriver<'a> {
                 next_slot[r] += 1;
             }
         }
-        if next_slot != snap.next_slot {
-            return corrupt(format!(
-                "next slots {:?} disagree with the {started} started transmissions",
-                snap.next_slot
-            ));
-        }
 
-        // In-flight captures: one per queued completion, same job.
+        // In-flight captures: one per queued completion, each the
+        // started job at its slot.
         let mut in_flight = vec![false; total_jobs];
-        for f in &snap.in_flight {
-            let job = Some((f.receiver, f.tx_index));
-            if completions.remove(&f.slot) != job || job_at.get(f.slot) != Some(&job) {
+        for job in &completions {
+            if job_at.get(job.slot) != Some(&Some((job.r, job.idx)))
+                || std::mem::replace(&mut in_flight[job.slot], true)
+            {
                 return corrupt(format!(
-                    "in-flight capture ({}, {}) at slot {} matches no pending completion",
-                    f.receiver, f.tx_index, f.slot
+                    "completion ({}, {}) at slot {} matches no distinct started job",
+                    job.r, job.idx, job.slot
                 ));
             }
-            in_flight[f.slot] = true;
-        }
-        if let Some((slot, _)) = completions.first_key_value() {
-            return corrupt(format!(
-                "completion for slot {slot} has no in-flight capture"
-            ));
         }
 
         match (&self.output, &snap.output) {
@@ -1175,7 +1169,7 @@ impl<'a> ReceptionDriver<'a> {
                     .into(),
             )),
         }
-        Ok(())
+        Ok((next_slot, completions))
     }
 
     /// Checks that every arm's fold could come from the `decoded[link]`
@@ -1342,12 +1336,6 @@ impl<'a> RxPipeline<'a> {
         }
     }
 
-    /// The job's chip-noise stream, from its start.
-    fn rng(&self, job: &RxJob) -> StdRng {
-        let tx = &self.timeline[job.idx];
-        StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r))
-    }
-
     /// The transmission's known payload at the longest arm's length.
     /// `payload_pattern` draws one RNG word per byte, so every shorter
     /// arm's payload is a prefix of it.
@@ -1357,10 +1345,12 @@ impl<'a> RxPipeline<'a> {
     }
 
     /// The channel's chip errors for one (transmission, receiver) pair,
-    /// drawn from `rng` — everything about a reception that does not
-    /// depend on the arm or on the receiver's busy state.
-    fn draw_errors(&self, job: &RxJob, mut rng: StdRng) -> ChipErrors {
+    /// drawn from the start of the pair's noise stream — everything
+    /// about a reception that does not depend on the arm or on the
+    /// receiver's busy state.
+    fn draw_errors(&self, job: &RxJob) -> ChipErrors {
         let tx = &self.timeline[job.idx];
+        let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
         let signal = self.env.s2r_mw[tx.sender][job.r];
         let profile_spans = interference_profile(&self.heard[job.r][job.idx], &self.heard[job.r]);
         let profile = ErrorProfile::from_interference(signal, self.noise, &profile_spans);
@@ -1424,86 +1414,23 @@ pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 
 
 /// Sequential `&[bool]` reference implementation of
 /// [`process_receptions`] — the executable specification the packed
-/// event-driven path is tested against (`tests/packed_parity.rs`). Kept
-/// simple on purpose; use [`process_receptions`] everywhere else.
+/// event-driven path is tested against (`tests/packed_parity.rs`, and
+/// resumed checkpoints in [`crate::diff`]). It always runs from
+/// scratch, receiver by receiver, and shares no state or snapshot with
+/// the driver. Kept simple on purpose; use [`process_receptions`]
+/// everywhere else.
 pub fn process_receptions_reference(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
-    let busy_until = vec![0u64; env.testbed.receivers.len()];
-    spec_walk(env, cfg, timeline, arm, &busy_until, &[], &BTreeMap::new())
-        .expect("the empty state has no in-flight captures to mismatch")
-}
-
-/// Completes a checkpointed run under the sequential `&[bool]` spec:
-/// slots the snapshot already decoded are copied, in-flight captures
-/// replay from their stored RNG stream positions with the busy/idle
-/// verdict the snapshot resolved, and everything else is evaluated as
-/// [`process_receptions_reference`] would — continuing each receiver's
-/// busy fold from the snapshot's horizon. The differential harness
-/// ([`crate::diff`]) holds this bit-identical to the event driver's
-/// resume.
-pub fn resume_receptions_reference(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    snap: &RxSnapshot,
-) -> Result<Vec<Reception>, SnapError> {
-    validate_rx_identity(env, cfg, timeline, std::slice::from_ref(arm), snap)?;
-    let RxOutput::Stream(decoded) = &snap.output else {
-        return Err(SnapError::IdentityMismatch(
-            "the snapshot holds folds, not a reception stream".into(),
-        ));
-    };
-    let nr = env.testbed.receivers.len();
-    if snap.busy_until.len() != nr {
-        return Err(SnapError::Corrupt(format!(
-            "{} busy horizons for {nr} receivers",
-            snap.busy_until.len()
-        )));
-    }
-    let in_flight: BTreeMap<usize, &InFlightRx> =
-        snap.in_flight.iter().map(|f| (f.slot, f)).collect();
-    let out = spec_walk(
-        env,
-        cfg,
-        timeline,
-        arm,
-        &snap.busy_until,
-        decoded,
-        &in_flight,
-    )?;
-    if out.len() != decoded.len() {
-        return Err(SnapError::Corrupt(format!(
-            "slot table holds {} slots, run inputs produce {}",
-            decoded.len(),
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
-/// The spec's receiver-major walk, from a resumable state: per-receiver
-/// busy horizons, slots already decoded (`decoded[slot]`; slots past
-/// its end count as undecoded), and in-flight captures by slot.
-fn spec_walk(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    busy_until: &[u64],
-    decoded: &[Option<Reception>],
-    in_flight: &BTreeMap<usize, &InFlightRx>,
-) -> Result<Vec<Reception>, SnapError> {
     let fast = FastRx::new(arm.postamble);
     let noise = env.model.noise_mw();
     let payload_len = arm.scheme.payload_len(cfg.body_bytes);
     let mut out = Vec::new();
 
-    for (r, &busy_from) in busy_until.iter().enumerate() {
+    for r in 0..env.testbed.receivers.len() {
         // Everything on the air contributes interference at r.
         let heard: Vec<HeardTx> = timeline
             .iter()
@@ -1515,18 +1442,13 @@ fn spec_walk(
             })
             .collect();
 
-        let mut busy_until = busy_from;
+        let mut busy_until = 0u64;
         for (i, tx) in timeline.iter().enumerate() {
             let signal = env.s2r_mw[tx.sender][r];
             // Below the sensitivity squelch the radio never acquires;
             // skip (the transmission still interferes with others via
             // `heard`).
             if signal / noise < SQUELCH_SNR {
-                continue;
-            }
-            let slot = out.len();
-            if let Some(Some(rec)) = decoded.get(slot) {
-                out.push(rec.clone());
                 continue;
             }
 
@@ -1538,28 +1460,12 @@ fn spec_walk(
             // Interference profile over this frame at this receiver.
             let profile_spans = interference_profile(&heard[i], &heard);
             let profile = ErrorProfile::from_interference(signal, noise, &profile_spans);
-            // An in-flight capture resumes its stored stream position
-            // and busy/idle verdict; the snapshot already folded that
-            // verdict into the busy horizon.
-            let resumed = match in_flight.get(&slot) {
-                Some(f) if f.receiver != r || f.tx_index != i => {
-                    return Err(SnapError::IdentityMismatch(format!(
-                        "in-flight capture ({}, {}) at slot {slot} does not match the job table",
-                        f.receiver, f.tx_index
-                    )));
-                }
-                Some(f) => Some((f.rng, f.idle)),
-                None => None,
-            };
-            let mut rng = match resumed {
-                Some((state, _)) => StdRng::from_state(state),
-                None => StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r)),
-            };
+            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
             let corrupted = corrupt_chips(&chips, &profile, &mut rng);
 
-            let idle = resumed.map_or(busy_until <= tx.start_chip, |(_, idle)| idle);
+            let idle = busy_until <= tx.start_chip;
             let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
-            if resumed.is_none() && acq == Acquisition::Preamble {
+            if acq == Acquisition::Preamble {
                 busy_until = tx.end_chip();
             }
 
@@ -1599,7 +1505,7 @@ fn spec_walk(
             out.push(rec);
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

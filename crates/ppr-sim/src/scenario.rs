@@ -39,31 +39,6 @@ pub const DEFAULT_FRAG_BYTES: usize = 50;
 /// The paper's SoftPHY threshold.
 pub const DEFAULT_ETA: u8 = 6;
 
-/// Channel backend selector. Today only [`Backend::Chip`] drives the
-/// network experiments; the sample-level DSP pipeline backs `fig13`
-/// regardless (its whole point is real waveforms). The knob exists so a
-/// future sample-level network backend slots in without an API change —
-/// until one consumes it, [`ScenarioBuilder::set`] rejects
-/// `backend=dsp` rather than mislabeling chip-backend results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Fast chip-flip channel (SINR-driven Bernoulli chip errors).
-    #[default]
-    Chip,
-    /// Sample-level DSP channel (MSK waveforms + superposition + AWGN).
-    Dsp,
-}
-
-impl Backend {
-    /// The CLI/JSON name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Chip => "chip",
-            Backend::Dsp => "dsp",
-        }
-    }
-}
-
 /// Default node count for the mesh flood experiment.
 pub const DEFAULT_MESH_NODES: usize = 10_000;
 
@@ -197,8 +172,6 @@ pub struct Scenario {
     /// / available parallelism). No simulation reads it; it changes
     /// wall time only, never a result.
     pub threads: Option<usize>,
-    /// Channel backend.
-    pub backend: Backend,
     /// Offered-load override, kbit/s/node (`None` = each experiment's
     /// canonical load(s)).
     pub load_kbps: Option<f64>,
@@ -229,12 +202,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The environment-resolved scenario with no builder overrides —
-    /// what every experiment binary ran before the registry existed.
-    pub fn from_env() -> Scenario {
-        ScenarioBuilder::new().build()
-    }
-
     /// The [`SimConfig`] for a capacity run at the given canonical load
     /// and carrier-sense arm (both overridable by this scenario).
     pub fn sim_config(&self, load_kbps: f64, carrier_sense: bool) -> SimConfig {
@@ -298,7 +265,10 @@ impl Scenario {
                     None => Json::Null,
                 },
             ),
-            ("backend".into(), Json::str(self.backend.name())),
+            // Not a knob: the chip channel is the only network backend.
+            // The constant keeps every result document, and the golden
+            // and benchmark fingerprints taken over them, unchanged.
+            ("backend".into(), Json::str("chip")),
             (
                 "load_kbps".into(),
                 match self.load_kbps {
@@ -354,7 +324,6 @@ pub struct ScenarioBuilder {
     arq_packets: Option<usize>,
     relay_packets: Option<usize>,
     threads: Option<usize>,
-    backend: Option<Backend>,
     load_kbps: Option<f64>,
     carrier_sense: Option<bool>,
     topology: Option<Topology>,
@@ -387,7 +356,6 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
         "threads",
         "experiments run concurrently >= 1, e.g. threads=4",
     ),
-    ("backend", "chip (dsp reserved, not yet wired)"),
     ("load", "offered load kbit/s/node, e.g. load=13.8"),
     ("carrier_sense", "true | false"),
     (
@@ -473,12 +441,6 @@ impl ScenarioBuilder {
     /// Sets how many experiments `ppr-cli` runs concurrently.
     pub fn threads(mut self, v: usize) -> Self {
         self.threads = Some(v);
-        self
-    }
-
-    /// Sets the channel backend.
-    pub fn backend(mut self, v: Backend) -> Self {
-        self.backend = Some(v);
         self
     }
 
@@ -581,23 +543,6 @@ impl ScenarioBuilder {
             "arq_packets" => self.arq_packets = Some(parse_positive(key, value)?),
             "relay_packets" => self.relay_packets = Some(parse_positive(key, value)?),
             "threads" => self.threads = Some(parse_positive(key, value)?),
-            "backend" => {
-                self.backend = Some(match value.trim() {
-                    "chip" => Backend::Chip,
-                    // Accepting `dsp` here would silently run the chip
-                    // backend while the JSON labels the result dsp —
-                    // reject until a sample-level network backend
-                    // consumes the knob.
-                    "dsp" => {
-                        return Err(
-                            "backend \"dsp\" is reserved: the sample-level network backend \
-                             is not implemented yet; only \"chip\" is accepted"
-                                .to_string(),
-                        )
-                    }
-                    _ => return Err(format!("invalid value {value:?} for backend (want chip)")),
-                });
-            }
             "load" | "load_kbps" => {
                 let v: f64 = parse(key, value, "kbit/s per node")?;
                 if !(v.is_finite() && v > 0.0) {
@@ -703,7 +648,6 @@ impl ScenarioBuilder {
             arq_packets: self.arq_packets.unwrap_or(300),
             relay_packets: self.relay_packets.unwrap_or(400),
             threads: self.threads.or_else(env::threads_override_from_env),
-            backend: self.backend.unwrap_or_default(),
             load_kbps: self.load_kbps,
             carrier_sense: self.carrier_sense,
             topology: self.topology.unwrap_or_default(),
@@ -770,20 +714,16 @@ mod tests {
     fn set_accepts_every_documented_key() {
         let mut b = ScenarioBuilder::new();
         for (key, example) in SCENARIO_KEYS {
-            let value = example.rsplit_once('=').map(|(_, v)| v).unwrap_or("chip");
-            let value = if *key == "backend" {
-                "chip"
-            } else if *key == "carrier_sense" {
-                "true"
-            } else {
-                value
+            let value = match example.rsplit_once('=') {
+                _ if *key == "carrier_sense" => "true",
+                Some((_, v)) => v,
+                None => panic!("{key}: no example value in {example:?}"),
             };
             b.set(key, value)
                 .unwrap_or_else(|e| panic!("set({key}, {value}): {e}"));
         }
         let sc = b.build();
         assert_eq!(sc.duration_s, 20.0);
-        assert_eq!(sc.backend, Backend::Chip);
         assert_eq!(sc.threads, Some(4));
     }
 
@@ -797,8 +737,6 @@ mod tests {
             ("eta", "99"),
             ("frag_bytes", "0"),
             ("threads", "none"),
-            ("backend", "fpga"),
-            ("backend", "dsp"),
             ("load", "0"),
             ("carrier_sense", "maybe"),
             ("topology", "donut"),
@@ -824,6 +762,11 @@ mod tests {
             );
         }
         assert!(b.set("bogus", "1").unwrap_err().contains("valid keys"));
+        // `backend` had one legal value, so it is no axis any more.
+        assert!(b
+            .set("backend", "chip")
+            .unwrap_err()
+            .contains("unknown scenario key"));
     }
 
     #[test]

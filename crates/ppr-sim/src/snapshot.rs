@@ -1,8 +1,7 @@
 //! Versioned, dependency-free serialization of simulator state —
-//! checkpoint any run at an epoch (event) boundary, resume it
-//! bit-identically, and hand the same frozen state to every
-//! backend/driver combination for differential testing (see
-//! [`crate::diff`]).
+//! checkpoint any run at an epoch (event) boundary and resume it
+//! bit-identically. The differential harness ([`crate::diff`]) checks a
+//! resumed run against the bool spec run from scratch.
 //!
 //! ## Byte layout
 //!
@@ -34,29 +33,39 @@
 //!
 //! ## What is serialized, and what is reconstructed
 //!
-//! The format stores the minimum state that cannot be recomputed from
-//! the run's inputs, and *identity fields* (seed, config, fingerprints
-//! of the timeline and the radio environment) that restore validates
-//! against the inputs it is handed:
+//! The format stores each fact once: the state restore cannot
+//! recompute from the run's inputs, plus *identity fields* (seed,
+//! config, fingerprints of the timeline and the radio environment) that
+//! restore validates against the inputs it is handed. Whatever restore
+//! can derive is left out, so a snapshot cannot contradict itself
+//! about it:
 //!
-//! * **RNG stream positions** — every RNG in the simulator is either
-//!   consumed atomically inside one pipeline stage or derived
-//!   statelessly from `(seed, tx id, receiver)`, so the only live
-//!   stream positions at an epoch boundary are those of in-flight
-//!   captures; each is stored verbatim as the xoshiro256++ state words
-//!   (`StdRng::state`) and resumed with `StdRng::from_state`.
 //! * **The event queue** — every scheduled `(EventKey, SimEvent)` pair
 //!   with its key preserved verbatim (including `seq` tie-breaks), plus
 //!   the queue's push/dispatch counters
 //!   ([`crate::event::BinaryHeapQueue::save_state`]).
-//! * **In-flight frames** — identified by `(receiver, timeline index,
-//!   slot)`; the frame bytes, known payload and interference profile
-//!   are *reconstructed* from the timeline and environment on restore,
-//!   so a snapshot stays small.
+//! * **In-flight captures** — a testbed reception on the air is its
+//!   queued `ReceptionComplete` event (transmission, receiver, output
+//!   slot) plus the busy/idle verdict resolved when the frame started.
+//!   Its frame, known payload, interference profile and chip errors are
+//!   *reconstructed*: every reception's noise stream starts at
+//!   `reception_rng_seed(seed, tx id, receiver)`, so no RNG state is
+//!   stored for it. Each receiver's next output slot is rebuilt from
+//!   the started prefix of the timeline.
 //! * **Per-link PP-ARQ session state** — the mesh driver's per-node
-//!   byte-correct masks, recovery/rebroadcast flags and armed timers.
-//!   `ChunkScratch` contents are deliberately excluded: the chunking
-//!   DP's scratch is reallocated per plan and reconstructed on demand.
+//!   byte-correct masks, armed timers and liveness. A node's
+//!   correct-byte count is its mask's popcount over the payload, and it
+//!   has recovered (and rebroadcast) exactly when that count is the
+//!   payload length, so none of the three is stored. `ChunkScratch`
+//!   contents are excluded too: the chunking DP's scratch is
+//!   reallocated per plan.
+//! * **Running counters** — the mesh stats section holds only the ten
+//!   counters the event loop accumulates. Node and shard counts come
+//!   from the rebuilt placement, transmissions and repairs from the
+//!   transmission store, and the end-of-run totals are set when the
+//!   run ends.
+//! * **The jammer's RNG** — the one stream that advances across events,
+//!   stored as its xoshiro256++ state words (`StdRng::state`).
 //!
 //! Structs whose fields persist through this format are wrapped in
 //! `// ppr-lint: region(snapshot-state)` markers, and every field in
@@ -85,8 +94,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PPRSNAP1";
 /// `JamBurst`/`NodeFault` event tags); 3 — the reception snapshot holds
 /// a list of receiver arms instead of one, and its output is either the
 /// one arm's slot table or every arm's fold (per-link counters, plus
-/// hint and miss-run histograms for symbol-trace arms).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// hint and miss-run histograms for symbol-trace arms); 4 — every field
+/// restore can recompute is gone: the reception snapshot's per-receiver
+/// next slots, and its in-flight captures' receiver, transmission, slot
+/// and RNG words (a capture is its queued completion plus an idle
+/// flag); the mesh nodes' correct-byte counts and recovery/rebroadcast
+/// flags, and ten of its twenty stats words; and the `TxEnd` event tag.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Kind tag of a testbed reception-driver snapshot ([`RxSnapshot`]).
 pub const KIND_RX: u8 = 1;
@@ -200,6 +214,14 @@ impl SnapWriter {
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends a length-prefixed sequence, each element by `put`.
+    pub fn seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for item in items {
+            put(self, item);
+        }
     }
 
     /// Appends the FNV-1a trailer and returns the finished byte string.
@@ -320,6 +342,20 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Reads a length-prefixed sequence, each element by `get`. Every
+    /// element takes at least one byte, so a count beyond the bytes
+    /// left is [`SnapError::Truncated`] before anything is allocated.
+    pub fn seq<T>(
+        &mut self,
+        mut get: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        let n = self.usize()?;
+        if n > self.buf.len() - self.pos {
+            return Err(SnapError::Truncated);
+        }
+        (0..n).map(|_| get(self)).collect()
+    }
+
     /// Asserts every payload byte was consumed (the fingerprint already
     /// matched, so trailing garbage means an encoder/decoder mismatch).
     pub fn finish(self) -> Result<(), SnapError> {
@@ -414,10 +450,6 @@ pub fn encode_event(w: &mut SnapWriter, key: EventKey, ev: &SimEvent) {
             w.u8(2);
             w.usize(tx);
         }
-        SimEvent::TxEnd { tx } => {
-            w.u8(3);
-            w.usize(tx);
-        }
         SimEvent::ReceptionComplete { tx, receiver, slot } => {
             w.u8(4);
             w.usize(tx);
@@ -452,7 +484,6 @@ pub fn decode_event(r: &mut SnapReader) -> Result<(EventKey, SimEvent), SnapErro
         0 => SimEvent::TrafficArrival { sender: r.usize()? },
         1 => SimEvent::TxAttempt { sender: r.usize()? },
         2 => SimEvent::TxStart { tx: r.usize()? },
-        3 => SimEvent::TxEnd { tx: r.usize()? },
         4 => SimEvent::ReceptionComplete {
             tx: r.usize()?,
             receiver: r.usize()?,
@@ -483,10 +514,7 @@ pub fn encode_reception(w: &mut SnapWriter, rec: &Reception) {
     w.usize(rec.delivered_claimed);
     w.bool(rec.crc_ok);
     w.bytes(&rec.symbol_hints);
-    w.usize(rec.symbol_correct.len());
-    for &b in &rec.symbol_correct {
-        w.bool(b);
-    }
+    w.seq(&rec.symbol_correct, |w, &b| w.bool(b));
 }
 
 /// Decodes one [`Reception`].
@@ -502,11 +530,7 @@ pub fn decode_reception(r: &mut SnapReader) -> Result<Reception, SnapError> {
     let delivered_claimed = r.usize()?;
     let crc_ok = r.bool()?;
     let symbol_hints = r.bytes()?;
-    let n = r.usize()?;
-    let mut symbol_correct = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        symbol_correct.push(r.bool()?);
-    }
+    let symbol_correct = r.seq(SnapReader::bool)?;
     Ok(Reception {
         tx_id,
         sender,
@@ -527,23 +551,16 @@ pub fn encode_output(w: &mut SnapWriter, output: &RxOutput) {
     match output {
         RxOutput::Stream(out) => {
             w.u8(0);
-            w.usize(out.len());
-            for slot in out {
-                match slot {
-                    None => w.bool(false),
-                    Some(rec) => {
-                        w.bool(true);
-                        encode_reception(w, rec);
-                    }
+            w.seq(out, |w, slot| {
+                w.bool(slot.is_some());
+                if let Some(rec) = slot {
+                    encode_reception(w, rec);
                 }
-            }
+            });
         }
         RxOutput::Folds(folds) => {
             w.u8(1);
-            w.usize(folds.len());
-            for fold in folds {
-                encode_fold(w, fold);
-            }
+            w.seq(folds, encode_fold);
         }
     }
 }
@@ -552,126 +569,69 @@ pub fn encode_output(w: &mut SnapWriter, output: &RxOutput) {
 pub fn decode_output(r: &mut SnapReader) -> Result<RxOutput, SnapError> {
     match r.u8()? {
         0 => {
-            let n = r.usize()?;
-            let mut out = Vec::with_capacity(n.min(1 << 24));
-            for _ in 0..n {
-                out.push(if r.bool()? {
-                    Some(decode_reception(r)?)
-                } else {
-                    None
-                });
-            }
-            Ok(RxOutput::Stream(out))
+            Ok(RxOutput::Stream(r.seq(|r| {
+                r.bool()?.then(|| decode_reception(r)).transpose()
+            })?))
         }
-        1 => {
-            let n = r.usize()?;
-            let mut folds = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                folds.push(decode_fold(r)?);
-            }
-            Ok(RxOutput::Folds(folds))
-        }
+        1 => Ok(RxOutput::Folds(r.seq(decode_fold)?)),
         t => Err(SnapError::Corrupt(format!("output tag {t}"))),
     }
 }
 
 fn encode_counts(w: &mut SnapWriter, counts: &[u64]) {
-    w.usize(counts.len());
-    for &c in counts {
-        w.u64(c);
-    }
+    w.seq(counts, |w, &c| w.u64(c));
 }
 
 fn decode_counts(r: &mut SnapReader) -> Result<Vec<u64>, SnapError> {
-    let n = r.usize()?;
-    let mut counts = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        counts.push(r.u64()?);
-    }
-    Ok(counts)
+    r.seq(SnapReader::u64)
 }
 
 /// Encodes one arm's [`ArmFold`].
 pub fn encode_fold(w: &mut SnapWriter, fold: &ArmFold) {
-    w.usize(fold.links.len());
-    for s in &fold.links {
+    w.seq(&fold.links, |w, s| {
         w.usize(s.frames);
         w.usize(s.via_preamble);
         w.usize(s.via_postamble);
         w.usize(s.delivered_correct);
         w.usize(s.payload_offered);
-    }
-    match &fold.hints {
-        None => w.bool(false),
-        Some(h) => {
-            w.bool(true);
-            encode_counts(w, &h.hist.correct);
-            encode_counts(w, &h.hist.incorrect);
-            w.bytes(&h.miss_runs.etas);
-            w.usize(h.miss_runs.counts.len());
-            for counts in &h.miss_runs.counts {
-                encode_counts(w, counts);
-            }
-        }
+    });
+    w.bool(fold.hints.is_some());
+    if let Some(h) = &fold.hints {
+        encode_counts(w, &h.hist.correct);
+        encode_counts(w, &h.hist.incorrect);
+        w.bytes(&h.miss_runs.etas);
+        w.seq(&h.miss_runs.counts, |w, counts| encode_counts(w, counts));
     }
 }
 
 /// Decodes one arm's [`ArmFold`]. Shapes and counts are checked
 /// against the run on restore, not here.
 pub fn decode_fold(r: &mut SnapReader) -> Result<ArmFold, SnapError> {
-    let n = r.usize()?;
-    let mut links = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        links.push(LinkStats {
+    let links = r.seq(|r| {
+        Ok(LinkStats {
             frames: r.usize()?,
             via_preamble: r.usize()?,
             via_postamble: r.usize()?,
             delivered_correct: r.usize()?,
             payload_offered: r.usize()?,
-        });
-    }
+        })
+    })?;
     let hints = if r.bool()? {
-        let correct = decode_counts(r)?;
-        let incorrect = decode_counts(r)?;
-        let etas = r.bytes()?;
-        let n = r.usize()?;
-        let mut counts = Vec::with_capacity(n.min(1 << 8));
-        for _ in 0..n {
-            counts.push(decode_counts(r)?);
-        }
         Some(HintFold {
-            hist: HintHistogram { correct, incorrect },
-            miss_runs: MissRunHistogram { etas, counts },
+            hist: HintHistogram {
+                correct: decode_counts(r)?,
+                incorrect: decode_counts(r)?,
+            },
+            miss_runs: MissRunHistogram {
+                etas: r.bytes()?,
+                counts: r.seq(decode_counts)?,
+            },
         })
     } else {
         None
     };
     Ok(ArmFold { links, hints })
 }
-
-/// One in-flight capture of the testbed reception driver: the frame has
-/// started on the air (its busy/idle resolution is already folded into
-/// the snapshot's `busy_until`) but its completion event has not popped.
-/// The capture itself — frame bytes, known payload, corrupted chips —
-/// is *reconstructed* on restore from the timeline, environment and the
-/// stored RNG stream position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-// ppr-lint: region(snapshot-state) begin in-flight capture identity
-pub struct InFlightRx {
-    /// snapshot: serialized — receiver node index.
-    pub receiver: usize,
-    /// snapshot: serialized — index into the run's timeline.
-    pub tx_index: usize,
-    /// snapshot: serialized — receiver-major output slot.
-    pub slot: usize,
-    /// snapshot: serialized — the xoshiro256++ stream position this
-    /// capture's chip corruption draws from (`StdRng::state`).
-    pub rng: [u64; 4],
-    /// snapshot: serialized — the busy/idle verdict resolved in event
-    /// order before the checkpoint (orchestration state, not physics).
-    pub idle: bool,
-}
-// ppr-lint: region(snapshot-state) end
 
 /// A checkpoint of the testbed reception driver
 /// ([`crate::network::ReceptionDriver`]) at an event boundary.
@@ -715,14 +675,15 @@ pub struct RxSnapshot {
     /// snapshot: serialized — per-receiver busy horizon of the
     /// sequential busy/idle fold.
     pub busy_until: Vec<u64>,
-    /// snapshot: serialized — per-receiver next output slot.
-    pub next_slot: Vec<usize>,
     /// snapshot: serialized — the decoded receptions: one arm's
     /// receiver-major slots (undecoded slots are `None`), or every
     /// arm's fold.
     pub output: RxOutput,
-    /// snapshot: serialized — captures awaiting their completion event.
-    pub in_flight: Vec<InFlightRx>,
+    /// snapshot: serialized — one per queued `ReceptionComplete`, in
+    /// queue (key) order: the busy/idle verdict its capture resolved
+    /// when the frame started (already folded into `busy_until`). The
+    /// event names the capture; its chip errors are redrawn on restore.
+    pub in_flight_idle: Vec<bool>,
 }
 // ppr-lint: region(snapshot-state) end
 
@@ -735,40 +696,20 @@ impl RxSnapshot {
         w.usize(self.body_bytes);
         w.bool(self.carrier_sense);
         w.f64(self.duration_s);
-        w.usize(self.arms.len());
-        for arm in &self.arms {
-            encode_scheme(&mut w, &arm.scheme);
+        w.seq(&self.arms, |w, arm| {
+            encode_scheme(w, &arm.scheme);
             w.bool(arm.postamble);
             w.bool(arm.collect_symbols);
-        }
+        });
         w.u64(self.timeline_fp);
         w.u64(self.env_fp);
         w.bytes(&self.kernel_signature);
-        w.usize(self.queue.len());
-        for (key, ev) in &self.queue {
-            encode_event(&mut w, *key, ev);
-        }
+        w.seq(&self.queue, |w, (key, ev)| encode_event(w, *key, ev));
         w.u64(self.next_seq);
         w.u64(self.dispatched);
-        w.usize(self.busy_until.len());
-        for &b in &self.busy_until {
-            w.u64(b);
-        }
-        w.usize(self.next_slot.len());
-        for &s in &self.next_slot {
-            w.usize(s);
-        }
+        encode_counts(&mut w, &self.busy_until);
         encode_output(&mut w, &self.output);
-        w.usize(self.in_flight.len());
-        for f in &self.in_flight {
-            w.usize(f.receiver);
-            w.usize(f.tx_index);
-            w.usize(f.slot);
-            for &s in &f.rng {
-                w.u64(s);
-            }
-            w.bool(f.idle);
-        }
+        w.seq(&self.in_flight_idle, |w, &idle| w.bool(idle));
         w.finish()
     }
 
@@ -778,97 +719,44 @@ impl RxSnapshot {
     /// [`crate::network::ReceptionDriver::restore`].
     pub fn from_bytes(bytes: &[u8]) -> Result<RxSnapshot, SnapError> {
         let mut r = SnapReader::new(bytes, KIND_RX)?;
-        let seed = r.u64()?;
-        let load_kbps = r.f64()?;
-        let body_bytes = r.usize()?;
-        let carrier_sense = r.bool()?;
-        let duration_s = r.f64()?;
-        let na = r.usize()?;
-        let mut arms = Vec::with_capacity(na.min(1 << 10));
-        for _ in 0..na {
-            arms.push(RxArm {
-                scheme: decode_scheme(&mut r)?,
-                postamble: r.bool()?,
-                collect_symbols: r.bool()?,
-            });
-        }
-        let timeline_fp = r.u64()?;
-        let env_fp = r.u64()?;
-        let kernel_signature = r.bytes()?;
-        let nq = r.usize()?;
-        let mut queue = Vec::with_capacity(nq.min(1 << 24));
-        for _ in 0..nq {
-            queue.push(decode_event(&mut r)?);
-        }
-        let next_seq = r.u64()?;
-        let dispatched = r.u64()?;
-        let nb = r.usize()?;
-        let mut busy_until = Vec::with_capacity(nb.min(1 << 24));
-        for _ in 0..nb {
-            busy_until.push(r.u64()?);
-        }
-        let ns = r.usize()?;
-        let mut next_slot = Vec::with_capacity(ns.min(1 << 24));
-        for _ in 0..ns {
-            next_slot.push(r.usize()?);
-        }
-        let output = decode_output(&mut r)?;
-        let nf = r.usize()?;
-        let mut in_flight = Vec::with_capacity(nf.min(1 << 24));
-        for _ in 0..nf {
-            let receiver = r.usize()?;
-            let tx_index = r.usize()?;
-            let slot = r.usize()?;
-            let mut rng = [0u64; 4];
-            for s in &mut rng {
-                *s = r.u64()?;
-            }
-            let idle = r.bool()?;
-            in_flight.push(InFlightRx {
-                receiver,
-                tx_index,
-                slot,
-                rng,
-                idle,
-            });
-        }
+        let snap = RxSnapshot {
+            seed: r.u64()?,
+            load_kbps: r.f64()?,
+            body_bytes: r.usize()?,
+            carrier_sense: r.bool()?,
+            duration_s: r.f64()?,
+            arms: r.seq(|r| {
+                Ok(RxArm {
+                    scheme: decode_scheme(r)?,
+                    postamble: r.bool()?,
+                    collect_symbols: r.bool()?,
+                })
+            })?,
+            timeline_fp: r.u64()?,
+            env_fp: r.u64()?,
+            kernel_signature: r.bytes()?,
+            queue: r.seq(decode_event)?,
+            next_seq: r.u64()?,
+            dispatched: r.u64()?,
+            busy_until: decode_counts(&mut r)?,
+            output: decode_output(&mut r)?,
+            in_flight_idle: r.seq(SnapReader::bool)?,
+        };
         r.finish()?;
-        Ok(RxSnapshot {
-            seed,
-            load_kbps,
-            body_bytes,
-            carrier_sense,
-            duration_s,
-            arms,
-            timeline_fp,
-            env_fp,
-            kernel_signature,
-            queue,
-            next_seq,
-            dispatched,
-            busy_until,
-            next_slot,
-            output,
-            in_flight,
-        })
+        Ok(snap)
     }
 }
 
 /// One node's protocol state in a mesh snapshot — the per-link PP-ARQ
-/// session state of the flood (byte-correct mask + timer/recovery
-/// flags). The chunking DP's `ChunkScratch` is deliberately absent:
-/// it is reconstructed whenever a repair is planned.
+/// session state of the flood (byte-correct mask, timer and liveness
+/// flags). The correct-byte count and the recovery flag are derived
+/// from the mask on restore; the chunking DP's `ChunkScratch` is
+/// reconstructed whenever a repair is planned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 // ppr-lint: region(snapshot-state) begin mesh per-node ARQ session state
 pub struct MeshNodeSnapshot {
     /// snapshot: serialized — byte-correct bitmask over the payload.
     pub mask: Vec<u64>,
-    /// snapshot: serialized — correct-byte count (cached popcount).
-    pub correct: usize,
-    /// snapshot: serialized — full payload recovered.
-    pub recovered: bool,
-    /// snapshot: serialized — rebroadcast already scheduled.
-    pub rebroadcasted: bool,
     /// snapshot: serialized — a PP-ARQ timer is armed.
     pub timer_armed: bool,
     /// snapshot: serialized — node is up (fault injection can crash and
@@ -939,8 +827,9 @@ pub struct MeshSnapshot {
     pub pending_deadline: u64,
     /// snapshot: serialized — chip time of the last dispatched event.
     pub last_time: u64,
-    /// snapshot: serialized — every deterministic counter, flat in
-    /// [`crate::experiments::mesh::MeshStats`] field order.
+    /// snapshot: serialized — the ten running counters of
+    /// [`crate::experiments::mesh::MeshStats`], in field order; restore
+    /// recomputes the other ten.
     pub stats: Vec<u64>,
     /// snapshot: identity — the jammer's wire identity
     /// ([`crate::adversary::JammerSpec::identity_words`]: kind tag plus
@@ -982,56 +871,34 @@ impl MeshSnapshot {
         w.u8(self.eta);
         w.usize(self.body_bytes);
         w.bytes(&self.kernel_signature);
-        w.usize(self.states.len());
-        for st in &self.states {
-            w.usize(st.mask.len());
-            for &m in &st.mask {
-                w.u64(m);
-            }
-            w.usize(st.correct);
-            w.bool(st.recovered);
-            w.bool(st.rebroadcasted);
+        w.seq(&self.states, |w, st| {
+            encode_counts(w, &st.mask);
             w.bool(st.timer_armed);
             w.bool(st.alive);
-        }
-        w.usize(self.txs.len());
-        for t in &self.txs {
+        });
+        w.seq(&self.txs, |w, t| {
             w.usize(t.sender);
             w.u16(t.dst);
             w.u64(t.start);
-            match &t.spans {
-                None => w.bool(false),
-                Some(spans) => {
-                    w.bool(true);
-                    w.usize(spans.len());
-                    for &(s, e) in spans {
-                        w.usize(s);
-                        w.usize(e);
-                    }
-                }
+            w.bool(t.spans.is_some());
+            if let Some(spans) = &t.spans {
+                w.seq(spans, |w, &(s, e)| {
+                    w.usize(s);
+                    w.usize(e);
+                });
             }
-        }
-        w.usize(self.started.len());
-        for &id in &self.started {
-            w.usize(id);
-        }
-        w.usize(self.queue.len());
-        for (key, ev) in &self.queue {
-            encode_event(&mut w, *key, ev);
-        }
+        });
+        w.seq(&self.started, |w, &id| w.usize(id));
+        w.seq(&self.queue, |w, (key, ev)| encode_event(w, *key, ev));
         w.u64(self.next_seq);
         w.u64(self.dispatched);
-        w.usize(self.pending.len());
-        for &(t, r) in &self.pending {
+        w.seq(&self.pending, |w, &(t, r)| {
             w.usize(t);
             w.usize(r);
-        }
+        });
         w.u64(self.pending_deadline);
         w.u64(self.last_time);
-        w.usize(self.stats.len());
-        for &s in &self.stats {
-            w.u64(s);
-        }
+        encode_counts(&mut w, &self.stats);
         let (jtag, jw0, jw1) = self.jammer;
         w.u8(jtag);
         w.u64(jw0);
@@ -1044,152 +911,68 @@ impl MeshSnapshot {
         }
         w.u64(self.adv_busy_until);
         w.u64(self.adv_sweep_idx);
-        w.usize(self.adv_scheduled.len());
-        for &(s, e) in &self.adv_scheduled {
+        w.seq(&self.adv_scheduled, |w, &(s, e)| {
             w.u64(s);
             w.u64(e);
-        }
-        w.usize(self.adv_bursts.len());
-        for &(s, e, x, y) in &self.adv_bursts {
-            w.u64(s);
-            w.u64(e);
-            w.u64(x);
-            w.u64(y);
-        }
+        });
+        w.seq(&self.adv_bursts, |w, &(s, e, x, y)| {
+            for v in [s, e, x, y] {
+                w.u64(v);
+            }
+        });
         w.finish()
     }
 
     /// Deserializes from the versioned byte format.
     pub fn from_bytes(bytes: &[u8]) -> Result<MeshSnapshot, SnapError> {
         let mut r = SnapReader::new(bytes, KIND_MESH)?;
-        let nodes = r.usize()?;
-        let density = r.f64()?;
-        let seed = r.u64()?;
-        let eta = r.u8()?;
-        let body_bytes = r.usize()?;
-        let kernel_signature = r.bytes()?;
-        let nstates = r.usize()?;
-        let mut states = Vec::with_capacity(nstates.min(1 << 24));
-        for _ in 0..nstates {
-            let nm = r.usize()?;
-            let mut mask = Vec::with_capacity(nm.min(1 << 24));
-            for _ in 0..nm {
-                mask.push(r.u64()?);
-            }
-            states.push(MeshNodeSnapshot {
-                mask,
-                correct: r.usize()?,
-                recovered: r.bool()?,
-                rebroadcasted: r.bool()?,
-                timer_armed: r.bool()?,
-                alive: r.bool()?,
-            });
-        }
-        let ntx = r.usize()?;
-        let mut txs = Vec::with_capacity(ntx.min(1 << 24));
-        for _ in 0..ntx {
-            let sender = r.usize()?;
-            let dst = r.u16()?;
-            let start = r.u64()?;
-            let spans = if r.bool()? {
-                let n = r.usize()?;
-                let mut spans = Vec::with_capacity(n.min(1 << 24));
-                for _ in 0..n {
-                    let s = r.usize()?;
-                    let e = r.usize()?;
-                    spans.push((s, e));
-                }
-                Some(spans)
-            } else {
-                None
-            };
-            txs.push(MeshTxSnapshot {
-                sender,
-                dst,
-                start,
-                spans,
-            });
-        }
-        let nstart = r.usize()?;
-        let mut started = Vec::with_capacity(nstart.min(1 << 24));
-        for _ in 0..nstart {
-            started.push(r.usize()?);
-        }
-        let nq = r.usize()?;
-        let mut queue = Vec::with_capacity(nq.min(1 << 24));
-        for _ in 0..nq {
-            queue.push(decode_event(&mut r)?);
-        }
-        let next_seq = r.u64()?;
-        let dispatched = r.u64()?;
-        let np = r.usize()?;
-        let mut pending = Vec::with_capacity(np.min(1 << 24));
-        for _ in 0..np {
-            let t = r.usize()?;
-            let rc = r.usize()?;
-            pending.push((t, rc));
-        }
-        let pending_deadline = r.u64()?;
-        let last_time = r.u64()?;
-        let nstats = r.usize()?;
-        let mut stats = Vec::with_capacity(nstats.min(1 << 16));
-        for _ in 0..nstats {
-            stats.push(r.u64()?);
-        }
-        let jammer = (r.u8()?, r.u64()?, r.u64()?);
-        let churn = r.f64()?;
-        let arq_retries = r.u8()?;
-        let arq_backoff_milli = r.u64()?;
-        let mut adv_rng = [0u64; 4];
-        for s in &mut adv_rng {
-            *s = r.u64()?;
-        }
-        let adv_busy_until = r.u64()?;
-        let adv_sweep_idx = r.u64()?;
-        let nsched = r.usize()?;
-        let mut adv_scheduled = Vec::with_capacity(nsched.min(1 << 24));
-        for _ in 0..nsched {
-            let s = r.u64()?;
-            let e = r.u64()?;
-            adv_scheduled.push((s, e));
-        }
-        let nbursts = r.usize()?;
-        let mut adv_bursts = Vec::with_capacity(nbursts.min(1 << 24));
-        for _ in 0..nbursts {
-            let s = r.u64()?;
-            let e = r.u64()?;
-            let x = r.u64()?;
-            let y = r.u64()?;
-            adv_bursts.push((s, e, x, y));
-        }
+        // Fields in wire order: a struct literal evaluates in the order
+        // it is written.
+        let snap = MeshSnapshot {
+            nodes: r.usize()?,
+            density: r.f64()?,
+            seed: r.u64()?,
+            eta: r.u8()?,
+            body_bytes: r.usize()?,
+            kernel_signature: r.bytes()?,
+            states: r.seq(|r| {
+                Ok(MeshNodeSnapshot {
+                    mask: decode_counts(r)?,
+                    timer_armed: r.bool()?,
+                    alive: r.bool()?,
+                })
+            })?,
+            txs: r.seq(|r| {
+                Ok(MeshTxSnapshot {
+                    sender: r.usize()?,
+                    dst: r.u16()?,
+                    start: r.u64()?,
+                    spans: match r.bool()? {
+                        true => Some(r.seq(|r| Ok((r.usize()?, r.usize()?)))?),
+                        false => None,
+                    },
+                })
+            })?,
+            started: r.seq(SnapReader::usize)?,
+            queue: r.seq(decode_event)?,
+            next_seq: r.u64()?,
+            dispatched: r.u64()?,
+            pending: r.seq(|r| Ok((r.usize()?, r.usize()?)))?,
+            pending_deadline: r.u64()?,
+            last_time: r.u64()?,
+            stats: decode_counts(&mut r)?,
+            jammer: (r.u8()?, r.u64()?, r.u64()?),
+            churn: r.f64()?,
+            arq_retries: r.u8()?,
+            arq_backoff_milli: r.u64()?,
+            adv_rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+            adv_busy_until: r.u64()?,
+            adv_sweep_idx: r.u64()?,
+            adv_scheduled: r.seq(|r| Ok((r.u64()?, r.u64()?)))?,
+            adv_bursts: r.seq(|r| Ok((r.u64()?, r.u64()?, r.u64()?, r.u64()?)))?,
+        };
         r.finish()?;
-        Ok(MeshSnapshot {
-            nodes,
-            density,
-            seed,
-            eta,
-            body_bytes,
-            kernel_signature,
-            states,
-            txs,
-            started,
-            queue,
-            next_seq,
-            dispatched,
-            pending,
-            pending_deadline,
-            last_time,
-            stats,
-            jammer,
-            churn,
-            arq_retries,
-            arq_backoff_milli,
-            adv_rng,
-            adv_busy_until,
-            adv_sweep_idx,
-            adv_scheduled,
-            adv_bursts,
-        })
+        Ok(snap)
     }
 }
 

@@ -1,19 +1,21 @@
-//! The differential fleet: one frozen checkpoint, restored under every
-//! reception backend, must complete to the same `Reception` stream —
-//! and when a stream *does* diverge, the harness must localize the
-//! first diverging event exactly.
+//! The differential harness: one frozen checkpoint, resumed under the
+//! event driver, must complete to the `Reception` stream the bool spec
+//! produces from scratch — and when the streams *do* diverge, the
+//! harness must localize the first diverging event exactly.
 //!
-//! The second half is the regression test for the bisect story: a
-//! deliberate perturbation of one restored RNG stream (one in-flight
-//! reception's serialized xoshiro state) must surface as a divergence
-//! at precisely that reception's stream slot, transmission and
-//! receiver — not anywhere downstream.
+//! The second half is the regression test for the bisect story: the
+//! spec never reads the snapshot, so a snapshot that carries wrong
+//! progress — a tampered decoded slot, an in-flight capture's flipped
+//! idle flag, a moved busy horizon — must surface as a divergence at
+//! precisely the tampered reception, not anywhere downstream.
 
 use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::diff::{
-    cross_validate, first_divergence, resume_receptions, standard_backends, DiffBackend,
+use ppr::sim::diff::cross_validate;
+use ppr::sim::event::SimEvent;
+use ppr::sim::network::{
+    generate_timeline, snapshot_after_events, RadioEnv, RxArm, RxOutput, SimConfig,
 };
-use ppr::sim::network::{generate_timeline, snapshot_after_events, RadioEnv, RxArm, SimConfig};
+use ppr::sim::rxpath::Acquisition;
 use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot};
 
 fn cfg(seed: u64) -> SimConfig {
@@ -34,9 +36,9 @@ fn arm() -> RxArm {
     }
 }
 
-/// A checkpoint whose in-flight set is non-empty (so the restore has
-/// prepared-but-undecided receptions to replay), found by scanning
-/// epochs.
+/// A checkpoint with in-flight captures (so the restore has started
+/// but undecided receptions to rebuild) and decoded slots, found by
+/// scanning epochs.
 fn snapshot_with_in_flight(
     env: &RadioEnv,
     c: &SimConfig,
@@ -46,43 +48,51 @@ fn snapshot_with_in_flight(
     for events in [200u64, 400, 800, 100, 50, 1600] {
         let bytes = snapshot_after_events(env, c, timeline, arm, events);
         let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot parses");
-        if !snap.in_flight.is_empty() {
+        let RxOutput::Stream(out) = &snap.output else {
+            panic!("a one-arm driver keeps a stream");
+        };
+        if !snap.in_flight_idle.is_empty() && out.iter().any(Option::is_some) {
             return snap;
         }
     }
-    panic!("no epoch with in-flight receptions — timeline too sparse for this test");
+    panic!("no epoch with in-flight and decoded receptions — timeline too sparse for this test");
+}
+
+/// The output slot of each in-flight capture, in the order of the
+/// snapshot's idle flags (the queue order of the completions).
+fn in_flight_slots(snap: &RxSnapshot) -> Vec<usize> {
+    snap.queue
+        .iter()
+        .filter_map(|(_, ev)| match *ev {
+            SimEvent::ReceptionComplete { slot, .. } => Some(slot),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
-fn every_backend_completes_the_same_checkpoint_identically() {
+fn resumed_checkpoint_matches_the_spec_from_scratch() {
     let c = cfg(7);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
     let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
 
-    let reports = cross_validate(&env, &c, &timeline, &arm, &snap, &standard_backends())
-        .expect("checkpoint restores under every backend");
-    assert_eq!(reports.len(), standard_backends().len());
-    let baseline_fp = reports[0].stream_fp;
-    for report in &reports {
-        assert!(
-            report.divergence.is_none(),
-            "{} diverged: {}",
-            report.label,
-            report.divergence.as_ref().unwrap()
-        );
-        assert_eq!(
-            report.stream_fp, baseline_fp,
-            "{} fingerprint differs without a reported divergence",
-            report.label
-        );
-    }
+    let report = cross_validate(&env, &c, &timeline, &arm, &snap).expect("checkpoint restores");
+    assert!(
+        report.divergence.is_none(),
+        "the resumed driver diverged from the spec: {}",
+        report.divergence.as_ref().unwrap()
+    );
+    assert_eq!(
+        report.event_fp, report.reference_fp,
+        "fingerprints differ without a reported divergence"
+    );
 }
 
 #[test]
 fn jammed_mesh_checkpoint_agrees_across_the_fleet() {
-    // The adversarial analogue of the reception fleet test: one frozen
+    // The adversarial analogue of the reception test: one frozen
     // jammed-mesh checkpoint (reactive jammer + churn + exponential
     // backoff), serialized and parsed back, must complete to the same
     // stats as the uninterrupted run.
@@ -106,65 +116,77 @@ fn jammed_mesh_checkpoint_agrees_across_the_fleet() {
 }
 
 #[test]
-fn perturbed_rng_stream_bisects_to_the_exact_event() {
+fn tampered_snapshot_bisects_to_the_exact_slot() {
     let c = cfg(7);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
     let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
-    let backend = DiffBackend::Event;
-    let baseline = resume_receptions(&env, &c, &timeline, &arm, &snap, backend).unwrap();
+    let verdict = |tampered: &RxSnapshot| {
+        cross_validate(&env, &c, &timeline, &arm, tampered)
+            .expect("tampered progress stays restorable")
+            .divergence
+    };
 
-    // Perturb each in-flight capture's serialized RNG stream in turn.
-    // At least one must change its reception's outcome (interference at
-    // this load corrupts chips on most links); every one that does must
-    // localize to exactly its own stream slot — never downstream.
-    let mut bisected = 0;
-    for k in 0..snap.in_flight.len() {
+    // A decoded slot's field: reported at exactly that slot and field.
+    let RxOutput::Stream(out) = &snap.output else {
+        panic!("a one-arm driver keeps a stream");
+    };
+    let decoded: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_some()).collect();
+    let picks = [0, decoded.len() / 2, decoded.len() - 1];
+    let fields = ["acquisition", "delivered_correct", "crc_ok"];
+    for (&pick, field) in picks.iter().zip(fields) {
+        let slot = decoded[pick];
         let mut tampered = snap.clone();
-        tampered.in_flight[k].rng[0] ^= 1;
-        let candidate = resume_receptions(&env, &c, &timeline, &arm, &tampered, backend).unwrap();
-        let Some(d) = first_divergence(&timeline, &baseline, &candidate) else {
-            // This reception decoded identically despite the new error
-            // pattern (e.g. a clean link) — no divergence to localize.
+        let RxOutput::Stream(out) = &mut tampered.output else {
+            unreachable!()
+        };
+        let rec = out[slot].as_mut().unwrap();
+        match field {
+            "acquisition" => {
+                rec.acquisition = match rec.acquisition {
+                    Acquisition::None => Acquisition::Preamble,
+                    _ => Acquisition::None,
+                }
+            }
+            "delivered_correct" => rec.delivered_correct ^= 1,
+            _ => rec.crc_ok = !rec.crc_ok,
+        }
+        let d = verdict(&tampered).expect("a tampered decoded slot must diverge");
+        assert_eq!((d.index, d.field), (slot, field), "{d}");
+    }
+
+    // An in-flight capture's idle flag: every flip that changes the
+    // outcome is reported at exactly that capture's slot. Interference
+    // at this load leaves many preambles unacquired, so some must.
+    let slots = in_flight_slots(&snap);
+    let mut bisected = 0;
+    for (k, &slot) in slots.iter().enumerate() {
+        let mut tampered = snap.clone();
+        tampered.in_flight_idle[k] ^= true;
+        let Some(d) = verdict(&tampered) else {
             continue;
         };
         bisected += 1;
-        let f = &tampered.in_flight[k];
-        assert_eq!(d.index, f.slot, "divergence not at the perturbed slot");
-        assert_eq!(d.receiver, f.receiver);
-        assert_eq!(d.tx_id, timeline[f.tx_index].id);
-        assert_eq!(d.end_chip, timeline[f.tx_index].end_chip());
+        assert_eq!(d.index, slot, "divergence not at the flipped capture: {d}");
     }
     assert!(
         bisected > 0,
-        "no perturbation changed any outcome — checkpoint has no corruptible in-flight state"
+        "no idle flip among {} captures changed an outcome",
+        slots.len()
     );
-}
 
-#[test]
-fn reference_backend_sees_the_perturbation_too() {
-    // The bisect verdict must not depend on which backend replays the
-    // tampered snapshot: the bool spec derives the reception's chip
-    // errors from the same serialized stream state as the event driver.
-    let c = cfg(11);
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let arm = arm();
-    let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
-
-    let mut tampered = snap.clone();
-    for f in &mut tampered.in_flight {
-        f.rng[0] ^= 1; // perturb them all: maximize the chance of a flip
+    // A busy horizon pushed to the end of time: every later preamble
+    // at that receiver is missed, and the first divergence is one of
+    // its receptions.
+    let mut moved = 0;
+    for r in 0..snap.busy_until.len() {
+        let mut tampered = snap.clone();
+        tampered.busy_until[r] = u64::MAX;
+        if let Some(d) = verdict(&tampered) {
+            moved += 1;
+            assert_eq!(d.receiver, r, "divergence at another receiver: {d}");
+        }
     }
-    let verdict = |b: DiffBackend| {
-        let baseline = resume_receptions(&env, &c, &timeline, &arm, &snap, b).unwrap();
-        let candidate = resume_receptions(&env, &c, &timeline, &arm, &tampered, b).unwrap();
-        first_divergence(&timeline, &baseline, &candidate).map(|d| d.index)
-    };
-    assert_eq!(
-        verdict(DiffBackend::Reference),
-        verdict(DiffBackend::Event),
-        "the spec and the event driver disagree on the first divergence"
-    );
+    assert!(moved > 0, "no moved busy horizon changed an outcome");
 }

@@ -10,19 +10,20 @@
 //!    checkpoint vs the bool spec, arm by arm.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set.
-//! 3. **The format itself** — a canonical snapshot's bytes are pinned
+//! 3. **The format itself** — canonical snapshots' bytes are pinned
 //!    by fingerprint: any layout change must be deliberate and must
 //!    come with a `SNAPSHOT_VERSION` bump. Restoring a snapshot that
 //!    passes its checksum but contradicts itself is an error, never a
-//!    panic.
+//!    panic, and the facts restore derives (mesh node and shard counts,
+//!    recovery state) come from the run, not from the bytes.
 
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::common::{six_arms, CapacityRun};
 use ppr::sim::experiments::{hints, registry, table2};
 use ppr::sim::network::{
     fold_receptions, generate_timeline, process_receptions, process_receptions_checkpointed,
-    process_receptions_reference, resume_receptions_reference, snapshot_after_events, ArmFold,
-    RadioEnv, ReceptionDriver, RxArm, RxOutput, SimConfig, BATCH_PER_WORKER,
+    process_receptions_reference, snapshot_after_events, ArmFold, RadioEnv, ReceptionDriver, RxArm,
+    RxOutput, SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
 use ppr::sim::scenario::{ScenarioBuilder, Topology};
@@ -165,13 +166,14 @@ fn every_experiment_is_checkpoint_invariant() {
     }
 }
 
-/// Fingerprints of the canonical reception snapshots' serialized bytes
-/// (a one-arm stream, then a multi-arm fold). These pin the *format*:
-/// magic, version, field order, and every encoder. If an assertion
-/// fires, the byte layout changed — bump `SNAPSHOT_VERSION`, update
-/// these constants, and say so in the commit.
-const RX_FORMAT_FINGERPRINT: u64 = 0xde7f_dd78_82e1_81d9;
-const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0x6252_999b_9d24_ef4b;
+/// Fingerprints of the canonical snapshots' serialized bytes (a one-arm
+/// reception stream, a multi-arm fold, a jammed mesh). These pin the
+/// *format*: magic, version, field order, and every encoder. If an
+/// assertion fires, the byte layout changed — bump `SNAPSHOT_VERSION`,
+/// update these constants, and say so in the commit.
+const RX_FORMAT_FINGERPRINT: u64 = 0x7bd6_f23f_6531_4e85;
+const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0x245c_c5bf_86bb_ee21;
+const MESH_FORMAT_FINGERPRINT: u64 = 0x0175_1d9e_b631_37a8;
 
 #[test]
 fn snapshot_byte_format_is_pinned() {
@@ -179,7 +181,10 @@ fn snapshot_byte_format_is_pinned() {
     // jammer actor state, per-node liveness) joined the mesh snapshot.
     // Version 3: the reception snapshot holds an arm list, and its
     // output is one arm's slot table or every arm's fold.
-    assert_eq!(SNAPSHOT_VERSION, 3);
+    // Version 4: fields restore recomputes are gone (next slots,
+    // in-flight jobs and RNG words, mesh node counts and flags, ten
+    // mesh stats words) and the `TxEnd` event tag with them.
+    assert_eq!(SNAPSHOT_VERSION, 4);
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
@@ -212,6 +217,28 @@ fn snapshot_byte_format_is_pinned() {
         "fold snapshot byte format changed: fingerprint {fp:#018x} != pinned \
          {RX_FOLD_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, \
          update RX_FOLD_FORMAT_FINGERPRINT, and explain the layout change in the commit."
+    );
+
+    // The mesh layout, at epoch 300 of a jammed flood with churn.
+    use ppr::sim::adversary::JammerSpec;
+    use ppr::sim::experiments::mesh::{MeshDriver, MeshParams};
+    let mut params = MeshParams::benign(120, 12.0, 5, 6, 250);
+    params.jammer = JammerSpec::React { delay: 4096 };
+    params.churn = 4.0;
+    let mut driver = MeshDriver::new(&params, None);
+    driver.run_events(300);
+    let mut snap = driver.save();
+    assert!(
+        !snap.adv_bursts.is_empty(),
+        "canonical mesh state has no bursts"
+    );
+    snap.kernel_signature = b"pinned".to_vec();
+    let fp = fingerprint(&snap.to_bytes());
+    assert_eq!(
+        fp, MESH_FORMAT_FINGERPRINT,
+        "mesh snapshot byte format changed: fingerprint {fp:#018x} != pinned \
+         {MESH_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, update \
+         MESH_FORMAT_FINGERPRINT, and explain the layout change in the commit."
     );
 }
 
@@ -310,7 +337,9 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     other.seed ^= 1;
     let other_env = RadioEnv::new(other.seed);
     let other_tl = generate_timeline(&other_env, &other);
-    let err = resume_receptions_reference(&other_env, &other, &other_tl, &arm, &snap).unwrap_err();
+    let Err(err) = ReceptionDriver::restore(&other_env, &other, &other_tl, &arm, &snap) else {
+        panic!("a snapshot restored into a different run");
+    };
     assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
 }
 
@@ -324,9 +353,9 @@ fn reseal(bytes: &mut [u8]) {
 
 /// The byte ranges of an [`RxSnapshot`]'s sections, in layout order:
 /// header + identity (arms included), queue, counters, busy horizons,
-/// next slots, output (slot table or folds), in-flight captures. Each table's length comes from
-/// re-encoding the snapshot with that table emptied, so the ranges
-/// follow the encoders without restating them.
+/// output (slot table or folds), in-flight idle flags. Each table's
+/// length comes from re-encoding the snapshot with that table emptied,
+/// so the ranges follow the encoders without restating them.
 fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
     let full = snap.to_bytes().len();
     let without = |clear: fn(&mut RxSnapshot)| {
@@ -337,9 +366,8 @@ fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
     // Table bytes plus its u64 count prefix, last section first; the
     // output section also has its one-byte stream/folds tag.
     let tables = [
-        8 + without(|s| s.in_flight.clear()),
+        8 + without(|s| s.in_flight_idle.clear()),
         9 + without(|s| s.output = RxOutput::Stream(Vec::new())),
-        8 + without(|s| s.next_slot.clear()),
         8 + without(|s| s.busy_until.clear()),
         16, // next_seq, dispatched
         8 + without(|s| s.queue.clear()),
@@ -415,10 +443,13 @@ fn resealed_snapshot_mutations_never_panic() {
         panic!("a one-arm driver keeps a stream");
     };
     assert!(
-        !snap.in_flight.is_empty() && out.iter().any(Option::is_some),
+        !snap.in_flight_idle.is_empty() && out.iter().any(Option::is_some),
         "checkpoint has no in-flight or decoded state to corrupt"
     );
-    assert!(snap.queue.len() > snap.in_flight.len(), "no pending starts");
+    assert!(
+        snap.queue.len() > snap.in_flight_idle.len(),
+        "no pending starts"
+    );
     let offsets: Vec<usize> = rx_sections(&snap)
         .into_iter()
         .flat_map(|section| spread(section, 32))
@@ -428,7 +459,6 @@ fn resealed_snapshot_mutations_never_panic() {
             if let Ok(driver) = ReceptionDriver::restore(&env, &c, &timeline, &arm, s) {
                 driver.run_to_end();
             }
-            let _ = resume_receptions_reference(&env, &c, &timeline, &arm, s);
         });
     assert!(parsed > offsets.len(), "too few mutations parsed: {parsed}");
 
@@ -439,7 +469,7 @@ fn resealed_snapshot_mutations_never_panic() {
     driver.run_events(130);
     let snap = driver.save();
     assert!(
-        !snap.in_flight.is_empty(),
+        !snap.in_flight_idle.is_empty(),
         "no in-flight captures to corrupt"
     );
     let bytes = snap.to_bytes();
@@ -452,28 +482,88 @@ fn resealed_snapshot_mutations_never_panic() {
             if let Ok(driver) = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, s) {
                 driver.run_to_folds();
             }
-            // A fold snapshot offered to the stream paths is an error.
+            // A fold snapshot offered to the stream driver is an error.
             let _ = ReceptionDriver::restore(&env, &c, &timeline, &arm, s);
-            let _ = resume_receptions_reference(&env, &c, &timeline, &arm, s);
         });
     assert!(
         parsed > offsets.len(),
         "too few fold mutations parsed: {parsed}"
     );
 
-    use ppr::sim::experiments::mesh::{MeshDriver, MeshParams};
+    // The mesh: every mutation that restores keeps the node and shard
+    // counts of the run it restores into.
+    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let params = MeshParams::benign(40, 8.0, 3, 6, 250);
+    let reference = run_mesh(&params, None);
     let mut d = MeshDriver::new(&params, None);
     d.run_events(60);
     let bytes = d.save().to_bytes();
+    let wrong = std::cell::RefCell::new(Vec::new());
     assert_resealed_mutations_never_panic(
         &bytes,
         &spread(0..bytes.len() - 8, 240).collect::<Vec<_>>(),
         MeshSnapshot::from_bytes,
         |s| {
             if let Ok(driver) = MeshDriver::restore(&params, s) {
-                driver.run_to_end();
+                let st = driver.run_to_end();
+                if (st.nodes, st.shards) != (reference.nodes, reference.shards) {
+                    wrong.borrow_mut().push((st.nodes, st.shards));
+                }
             }
         },
     );
+    let wrong = wrong.into_inner();
+    assert!(
+        wrong.is_empty(),
+        "{} restored mutations report (nodes, shards) other than {:?}: {wrong:?}",
+        wrong.len(),
+        (reference.nodes, reference.shards)
+    );
+}
+
+#[test]
+fn mesh_resumes_at_every_event_boundary() {
+    // A small jammed flood with churn, checkpointed and resumed at each
+    // of its event boundaries: every resume must finish with the
+    // uninterrupted stats. The snapshot stores no correct-byte counts,
+    // recovery flags, or node, shard, transmission and repair counts,
+    // so this pins that restore derives each of them correctly at
+    // every point of the run.
+    use ppr::sim::adversary::JammerSpec;
+    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
+    let mut params = MeshParams::benign(60, 12.0, 5, 6, 250);
+    params.jammer = JammerSpec::React { delay: 4096 };
+    params.churn = 4.0;
+    let reference = run_mesh(&params, None);
+    assert!(
+        reference.jam_bursts > 0 && reference.crashes > 0 && reference.repair_tx > 0,
+        "the run exercises no jamming, churn or repair: {reference:?}"
+    );
+    let mut driver = MeshDriver::new(&params, None);
+    let mut boundaries = 0;
+    loop {
+        let snap = driver.save();
+        assert_eq!(
+            snap.stats.len(),
+            10,
+            "the stats section holds the running counters"
+        );
+        let parsed = MeshSnapshot::from_bytes(&snap.to_bytes()).expect("mesh snapshot parses");
+        let resumed = MeshDriver::restore(&params, &parsed)
+            .expect("mesh snapshot restores")
+            .run_to_end();
+        assert_eq!(
+            resumed,
+            reference,
+            "resume at event {} diverged",
+            driver.dispatched()
+        );
+        boundaries += 1;
+        let before = driver.dispatched();
+        driver.run_events(before + 1);
+        if driver.dispatched() == before {
+            break;
+        }
+    }
+    assert_eq!(boundaries as u64, reference.events_dispatched + 1);
 }
