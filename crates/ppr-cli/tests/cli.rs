@@ -62,6 +62,32 @@ fn malformed_set_pairs_are_rejected() {
 }
 
 #[test]
+fn body_bytes_is_bounded_by_what_the_receiver_accepts() {
+    // 2048 B is the receiver's largest body: accepted, and it runs.
+    let out = ppr_cli(&[
+        "run",
+        "fig08",
+        "--set",
+        "body_bytes=2048",
+        "--set",
+        "duration=2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    // One more byte would lose every frame's header; a body past what a
+    // frame can carry used to panic. Both are usage errors.
+    for set in ["body_bytes=2049", "body_bytes=70000"] {
+        let out = ppr_cli(&["run", "fig08", "--set", set, "--set", "duration=2"]);
+        assert_eq!(out.status.code(), Some(2), "--set {set}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains("want 1-2048") && !err.contains("panicked"),
+            "{err}"
+        );
+        assert!(stdout(&out).is_empty(), "ran despite --set {set}");
+    }
+}
+
+#[test]
 fn removed_driver_axis_is_an_unknown_key() {
     // One reception driver remains, so `driver` is no scenario key: it
     // must be refused up front, not ignored or crash the run.

@@ -158,6 +158,11 @@ impl RxFrame {
     }
 }
 
+/// The longest body, in bytes, a receiver accepts by default
+/// ([`RxConfig::default`]) and so the longest an experiment may send:
+/// a header announcing more is rejected, and the frame with it.
+pub const MAX_BODY_LEN: usize = 2048;
+
 /// Receive-pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RxConfig {
@@ -174,7 +179,7 @@ impl Default for RxConfig {
     fn default() -> Self {
         RxConfig {
             postamble_decoding: true,
-            max_body_len: 2048,
+            max_body_len: MAX_BODY_LEN,
         }
     }
 }

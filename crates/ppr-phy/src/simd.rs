@@ -826,19 +826,34 @@ mod tests {
 
     #[test]
     fn every_available_kernel_matches_scalar() {
-        // Random words, clean codewords, all-zeros/ones, and every
-        // length around the vector widths (tail handling).
-        let mut inputs: Vec<u32> = words(333, 0xDEAD_BEEF_1234_5678);
-        inputs.extend_from_slice(&CODEBOOK);
-        inputs.push(0);
-        inputs.push(u32::MAX);
+        // Random words at every length around the vector widths (tail
+        // handling).
+        let inputs: Vec<u32> = words(333, 0xDEAD_BEEF_1234_5678);
+        let check = |kernel: DespreadKernel, slice: &[u32], what: &str| {
+            let expect: Vec<Decision> = slice.iter().map(|&w| decide(w)).collect();
+            let mut got = Vec::new();
+            kernel.decide_into(slice, &mut got);
+            assert_eq!(got, expect, "kernel {} {what}", kernel.name());
+        };
         for kernel in DespreadKernel::available() {
             for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 333] {
-                let slice = &inputs[..len.min(inputs.len())];
-                let expect: Vec<Decision> = slice.iter().map(|&w| decide(w)).collect();
-                let mut got = Vec::new();
-                kernel.decide_into(slice, &mut got);
-                assert_eq!(got, expect, "kernel {} len {len}", kernel.name());
+                check(kernel, &inputs[..len], &format!("len {len}"));
+            }
+        }
+        // Every codeword (the exact-codeword fast path) and the
+        // all-zero and all-one words (ties), at every position of
+        // every in-vector length and of a full 64-word run, among
+        // random words.
+        let special = CODEBOOK.iter().copied().chain([0, u32::MAX]);
+        for w in special {
+            for len in (1..=17).chain([64]) {
+                for pos in 0..len {
+                    let mut slice = inputs[..len].to_vec();
+                    slice[pos] = w;
+                    for kernel in DespreadKernel::available() {
+                        check(kernel, &slice, &format!("word {w:#010x} at {pos}/{len}"));
+                    }
+                }
             }
         }
     }

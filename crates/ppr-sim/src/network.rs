@@ -71,9 +71,11 @@ use ppr_channel::overlap::{interference_profile, HeardTx};
 use ppr_channel::pathloss::PathLossModel;
 use ppr_mac::frame::Frame;
 use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme};
+use ppr_phy::chips::ChipWords;
 use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -697,10 +699,17 @@ pub fn snapshot_after_events(
 /// receiver), and schedules the completion. The busy fold is the same
 /// for every arm: it reads only the idle flag and the preamble hit, and
 /// every arm's frame has the same preamble, header and length. A
-/// `ReceptionComplete` renders each arm's frame, applies the errors,
-/// decodes, and either stores the reception in its receiver-major slot
-/// (one arm, [`RxOutput::Stream`]) or folds it into its arm's
-/// [`ArmFold`]. Every event finishes its work before the next one pops,
+/// `ReceptionComplete` receives each arm's frame: a capture whose
+/// errors touch no lane is the transmitted frame (every codeword at
+/// distance 0 with hint 0, §3.2), so it takes the arm's clean outcome
+/// for its idle flag — decoded once per arm when the pipeline is built
+/// — without rendering, despreading or delivering anything; any other
+/// capture renders the arm's frame, applies the errors and decodes.
+/// The reception is then stored in its receiver-major slot (one arm,
+/// [`RxOutput::Stream`]) or folded into its arm's [`ArmFold`]. Both
+/// outputs go through the one receive function, so the parity tests
+/// against [`process_receptions_reference`] cover the shortcut. Every
+/// event finishes its work before the next one pops,
 /// so a checkpoint at any event boundary holds only queue + output +
 /// busy horizons + one idle flag per in-flight capture.
 pub struct ReceptionDriver<'a> {
@@ -893,7 +902,7 @@ impl<'a> ReceptionDriver<'a> {
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
                 match &mut self.output {
-                    RxOutput::Stream(out) => out[slot] = Some(self.pipe.receive(&capture, 0)),
+                    RxOutput::Stream(out) => out[slot] = Some(self.pipe.reception(&capture, 0)),
                     RxOutput::Folds(folds) => {
                         let job = &capture.job;
                         let sender = self.pipe.timeline[job.idx].sender;
@@ -1280,8 +1289,9 @@ fn validate_rx_identity(
 
 /// The event driver's per-(transmission, receiver) pipeline stages over
 /// packed chip words: draw the chip errors (independent of the arm and
-/// of the busy state), then render, corrupt, decode and deliver each
-/// arm's frame.
+/// of the busy state), then receive each arm's frame — from the arm's
+/// clean outcome when the errors touch no lane, else by rendering,
+/// corrupting, decoding and delivering it.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
@@ -1297,6 +1307,10 @@ struct RxPipeline<'a> {
     frame_chips: usize,
     /// Per-receiver interference views of the whole timeline.
     heard: Vec<Vec<HeardTx>>,
+    /// Per arm, the reception of a frame the channel did not touch,
+    /// indexed by the capture's idle flag (busy, idle); its ids are
+    /// placeholders ([`Self::clean_receptions`]).
+    clean: Vec<[Reception; 2]>,
 }
 
 impl<'a> RxPipeline<'a> {
@@ -1320,7 +1334,7 @@ impl<'a> RxPipeline<'a> {
                     .collect()
             })
             .collect();
-        RxPipeline {
+        let mut pipe = RxPipeline {
             env,
             cfg,
             timeline,
@@ -1333,7 +1347,28 @@ impl<'a> RxPipeline<'a> {
             noise: env.model.noise_mw(),
             frame_chips: Frame::chips_len_for_body(cfg.body_bytes),
             heard,
-        }
+            clean: Vec::new(),
+        };
+        pipe.clean = (0..arms.len()).map(|a| pipe.clean_receptions(a)).collect();
+        pipe
+    }
+
+    /// Arm `a`'s receptions of a frame the channel did not touch, busy
+    /// and idle. Such a frame *is* the transmitted one: every codeword
+    /// sits at distance 0 with hint 0 (§3.2), so what the receiver makes
+    /// of it depends on the arm and the idle flag only, not on the
+    /// payload, the addresses or the sequence number. Each outcome is
+    /// decoded once, by the same path as every other reception, from
+    /// one clean rendering — so a header the receiver rejects (a body
+    /// over [`ppr_mac::rx::MAX_BODY_LEN`]) is rejected here too. The ids
+    /// are the rendering's placeholders; [`Self::reception`] stamps the
+    /// capture's.
+    fn clean_receptions(&self, a: usize) -> [Reception; 2] {
+        let payload = payload_pattern(0, 0, self.payload_lens[a]);
+        let body = build_body_padded(&self.arms[a].scheme, &payload, self.cfg.body_bytes);
+        let frame = Frame::new(0, 0, 0, body);
+        let chips = frame.chip_words();
+        [false, true].map(|idle| self.decode(a, &frame, &chips, idle, &payload))
     }
 
     /// The transmission's known payload at the longest arm's length.
@@ -1357,10 +1392,17 @@ impl<'a> RxPipeline<'a> {
         ChipErrors::draw(self.frame_chips, &profile, &mut rng)
     }
 
-    /// Decodes a completed capture under arm `a`: render the arm's
-    /// frame, apply the channel's errors, receive under the resolved
-    /// idle flag, deliver.
-    fn receive(&self, capture: &Capture, a: usize) -> Reception {
+    /// Decodes a completed capture under arm `a`. A capture the channel
+    /// did not touch borrows the arm's clean outcome
+    /// ([`Self::clean_receptions`]) without rendering or decoding
+    /// anything; any other renders the arm's frame, applies the errors,
+    /// receives under the resolved idle flag and delivers. Either way
+    /// the ids are placeholders: a fold reads none, and
+    /// [`Self::reception`] stamps them for a stream.
+    fn receive(&self, capture: &Capture, a: usize) -> Cow<'_, Reception> {
+        if capture.errors.lanes_touched() == 0 {
+            return Cow::Borrowed(&self.clean[a][usize::from(capture.idle)]);
+        }
         let (job, arm) = (&capture.job, &self.arms[a]);
         let tx = &self.timeline[job.idx];
         let payload = &capture.payload[..self.payload_lens[a]];
@@ -1369,11 +1411,37 @@ impl<'a> RxPipeline<'a> {
         let mut chips = frame.chip_words();
         debug_assert_eq!(chips.len(), self.frame_chips);
         capture.errors.apply(&mut chips);
-        let (acq, rx_frame) = self.fast[a].receive_words(&frame, &chips, capture.idle);
-        let mut rec = Reception {
+        Cow::Owned(self.decode(a, &frame, &chips, capture.idle, payload))
+    }
+
+    /// [`Self::receive`] with the capture's ids stamped in: the
+    /// reception a stream keeps.
+    fn reception(&self, capture: &Capture, a: usize) -> Reception {
+        let tx = &self.timeline[capture.job.idx];
+        Reception {
             tx_id: tx.id,
             sender: tx.sender,
-            receiver: job.r,
+            receiver: capture.job.r,
+            ..self.receive(capture, a).into_owned()
+        }
+    }
+
+    /// Receives `chips`, a capture of `frame`, under arm `a` and
+    /// delivers it against `payload`. The ids are left at zero.
+    fn decode(
+        &self,
+        a: usize,
+        frame: &Frame,
+        chips: &ChipWords,
+        idle: bool,
+        payload: &[u8],
+    ) -> Reception {
+        let arm = &self.arms[a];
+        let (acq, rx_frame) = self.fast[a].receive_words(frame, chips, idle);
+        let mut rec = Reception {
+            tx_id: 0,
+            sender: 0,
+            receiver: 0,
             acquisition: acq,
             payload_len: payload.len(),
             delivered_correct: 0,
@@ -1408,7 +1476,7 @@ impl<'a> RxPipeline<'a> {
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`
 /// — one independent noise stream per (transmission, receiver) pair,
 /// which is what makes the evaluation order irrelevant to the output.
-pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
+pub fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
     seed ^ (tx_id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((receiver as u64) << 56)
 }
 

@@ -158,7 +158,11 @@ impl FastRx {
     /// lanes, which every frame shares, so only those lanes take their
     /// errors. Every delivery scheme of a capacity trace therefore has
     /// the same preamble verdict for a (transmission, receiver) pair.
+    /// Errors that touch no lane leave the window clean, at distance 0.
     pub fn preamble_hit(&self, errors: &ChipErrors) -> bool {
+        if errors.lanes_touched() == 0 {
+            return true;
+        }
         let mut window = preamble_window().clone();
         errors.apply(&mut window);
         self.preamble_hit_words(&window)

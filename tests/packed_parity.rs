@@ -7,21 +7,25 @@
 //! end-to-end experiment runs (sequential reference vs. packed
 //! event-driven loop) — under fixed seeds and proptest-generated inputs.
 
-use ppr::channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
-use ppr::mac::frame::{Frame, Header, HEADER_BYTES};
-use ppr::mac::rx::FrameReceiver;
+use ppr::channel::chip_channel::{
+    corrupt_chip_words_in_place, corrupt_chips, ChipErrors, ErrorProfile,
+};
+use ppr::channel::overlap::{interference_profile, HeardTx};
+use ppr::mac::frame::{Frame, Header, HEADER_BYTES, PKT_CRC_BYTES};
+use ppr::mac::rx::{FrameReceiver, MAX_BODY_LEN};
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::phy::chips::ChipWords;
 use ppr::phy::modem::unpack_chip_words;
 use ppr::phy::spread::spread_bytes;
-use ppr::phy::sync::{tx_preamble_chips, SyncPattern};
+use ppr::phy::sync::{tx_preamble_chips, SyncPattern, TX_PREAMBLE_CHIPS};
 use ppr::phy::ChipReceiver;
 use ppr::sim::experiments::common::six_arms;
 use ppr::sim::experiments::{hints, table2};
-use ppr::sim::geometry::Testbed;
+use ppr::sim::geometry::{Point, Testbed};
 use ppr::sim::network::{
-    fold_receptions, generate_timeline, office_model, process_receptions,
-    process_receptions_reference, ArmFold, RadioEnv, RxArm, SimConfig, SQUELCH_SNR,
+    build_body_padded, fold_receptions, generate_timeline, office_model, payload_pattern,
+    process_receptions, process_receptions_reference, reception_rng_seed, ArmFold, RadioEnv,
+    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
 use ppr::sim::scenario::{ScenarioBuilder, Topology};
 use ppr::sim::{Acquisition, FastRx};
@@ -383,6 +387,378 @@ fn multi_arm_pass_folds_match_each_arms_spec() {
         }
         let hints = folds[arms.len() - 1].hints.as_ref().expect("hint arm");
         assert!(hints.hist.total_incorrect() > 0, "no collisions to fold");
+    }
+}
+
+// The clean-reception corpus: one receiver, hand-placed frames whose
+// chip errors are known, every reception checked arm by arm against the
+// bool spec, as a stream and as a fold. A capture the channel did not
+// touch folds its arm's precomputed outcome; everything else decodes.
+// The corpus pins both sides of that line.
+
+/// Senders of the corpus floor, by SNR at its one receiver.
+const VICTIM: usize = 0; // 60 dB: no chip error of its own
+const WEAK: usize = 1; // 20 dB: locks the receiver, too weak to touch the victim
+const FLIPPER: usize = 2; // the victim's power: flips ~1/4 of the chips it overlaps
+const JAMMER: usize = 3; // 40 dB over the victim: overwrites the chips it overlaps
+const CORPUS_SNR: [f64; 4] = [1e6, 1e2, 1e6, 1e10];
+
+fn corpus_env() -> RadioEnv {
+    let testbed = Testbed {
+        senders: (1..=4)
+            .map(|x| Point {
+                x: x as f64,
+                y: 0.0,
+            })
+            .collect(),
+        receivers: vec![Point { x: 0.0, y: 1.0 }],
+        wall_attenuation: false,
+    };
+    let mut env = RadioEnv::with_testbed(1, testbed);
+    let noise = env.model.noise_mw();
+    for (s, snr) in CORPUS_SNR.into_iter().enumerate() {
+        env.s2r_mw[s][0] = snr * noise;
+    }
+    env
+}
+
+fn corpus_cfg(body_bytes: usize) -> SimConfig {
+    SimConfig {
+        load_kbps: 13.8,
+        body_bytes,
+        carrier_sense: false,
+        duration_s: 1.0,
+        seed: 0xC0_FFEE,
+    }
+}
+
+/// Packet CRC, fragmented CRC and PPR, with and without postamble
+/// decoding; the PPR arms collect hint columns.
+fn corpus_arms() -> Vec<RxArm> {
+    let mut arms = Vec::new();
+    for postamble in [false, true] {
+        for scheme in DeliveryScheme::standard_set(20, 6) {
+            arms.push(RxArm {
+                scheme,
+                postamble,
+                collect_symbols: matches!(scheme, DeliveryScheme::Ppr { .. }),
+            });
+        }
+    }
+    arms
+}
+
+/// Chip offsets of a frame's link sections: one 64-chip lane per byte.
+const HEADER_AT: u64 = TX_PREAMBLE_CHIPS as u64;
+const BODY_AT: u64 = HEADER_AT + 64 * HEADER_BYTES as u64;
+fn trailer_at(body_bytes: usize) -> u64 {
+    BODY_AT + 64 * (body_bytes + PKT_CRC_BYTES) as u64
+}
+
+/// The chips `errors` change in an all-zero frame of `len` chips: the
+/// flips, or the ones a jammed span drew.
+fn changed_chips(errors: &ChipErrors, len: usize) -> Vec<usize> {
+    let mut chips = ChipWords::zeros(len);
+    errors.apply(&mut chips);
+    (0..len)
+        .filter(|&c| chips.words()[c / 64] >> (c % 64) & 1 == 1)
+        .collect()
+}
+
+/// Does a victim's draw show the pattern its case names? Gets the
+/// errors and the victim's clean rendering under every arm.
+type Wants = Box<dyn Fn(&ChipErrors, &[ChipWords]) -> bool>;
+
+/// One corpus case: a victim frame received idle or busy (a weak frame
+/// holds the receiver), with interferers `(sender, chip offset into the
+/// victim, chips)`, and what its chip errors must look like.
+struct Case {
+    name: String,
+    busy: bool,
+    interferers: Vec<(usize, u64, u64)>,
+    wants: Wants,
+}
+
+impl Case {
+    fn new(
+        name: impl Into<String>,
+        busy: bool,
+        interferers: Vec<(usize, u64, u64)>,
+        wants: impl Fn(&ChipErrors, &[ChipWords]) -> bool + 'static,
+    ) -> Self {
+        Case {
+            name: name.into(),
+            busy,
+            interferers,
+            wants: Box::new(wants),
+        }
+    }
+}
+
+/// Lays the cases out one after another, far enough apart that no two
+/// interact, with each victim's id picked so its draw is the case's
+/// pattern. Returns the timeline and the victims' `(tx id, case)`.
+fn corpus_timeline(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    arms: &[RxArm],
+    cases: &[Case],
+) -> (Vec<Transmission>, Vec<(u64, usize)>) {
+    let frame = Frame::chips_len_for_body(cfg.body_bytes) as u64;
+    let mut timeline = Vec::new();
+    let mut victims = Vec::new();
+    for (k, case) in cases.iter().enumerate() {
+        let seq = k as u16;
+        let start = 3 * frame * k as u64 + frame / 2;
+        let clean: Vec<ChipWords> = arms
+            .iter()
+            .map(|arm| {
+                let payload_len = arm.scheme.payload_len(cfg.body_bytes);
+                let payload = payload_pattern(VICTIM, seq, payload_len);
+                let body = build_body_padded(&arm.scheme, &payload, cfg.body_bytes);
+                Frame::new(0, VICTIM as u16, seq, body).chip_words()
+            })
+            .collect();
+        let mut episode = Vec::new();
+        if case.busy {
+            episode.push((WEAK, start - frame / 2, frame));
+        }
+        episode.push((VICTIM, start, frame));
+        for &(sender, offset, len) in &case.interferers {
+            episode.push((sender, start + offset, len));
+        }
+        let txs = |victim_id: u64| -> Vec<Transmission> {
+            let mut id = 1_000_000 + 100 * k as u64;
+            episode
+                .iter()
+                .map(|&(sender, start_chip, len_chips)| Transmission {
+                    id: if sender == VICTIM {
+                        victim_id
+                    } else {
+                        id += 1;
+                        id
+                    },
+                    sender,
+                    seq,
+                    start_chip,
+                    len_chips,
+                })
+                .collect()
+        };
+        let victim_id = (0..10_000)
+            .map(|attempt| 10_000 * k as u64 + attempt)
+            .find(|&id| {
+                let txs = txs(id);
+                let errors = victim_errors(env, cfg, &txs, usize::from(case.busy));
+                (case.wants)(&errors, &clean)
+            })
+            .unwrap_or_else(|| panic!("no victim draw shows {:?}", case.name));
+        victims.push((victim_id, k));
+        timeline.extend(txs(victim_id));
+    }
+    timeline.sort_by_key(|tx| (tx.start_chip, tx.id));
+    (timeline, victims)
+}
+
+/// The chip errors the reception pass draws for `txs[i]` at the corpus
+/// receiver, given that `txs` is everything on the air around it.
+fn victim_errors(env: &RadioEnv, cfg: &SimConfig, txs: &[Transmission], i: usize) -> ChipErrors {
+    let heard: Vec<HeardTx> = txs
+        .iter()
+        .map(|tx| HeardTx {
+            id: tx.id,
+            start_chip: tx.start_chip,
+            len_chips: tx.len_chips,
+            power_mw: env.s2r_mw[tx.sender][0],
+        })
+        .collect();
+    let spans = interference_profile(&heard[i], &heard);
+    let profile = ErrorProfile::from_interference(heard[i].power_mw, env.model.noise_mw(), &spans);
+    let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, txs[i].id, 0));
+    ChipErrors::draw(
+        Frame::chips_len_for_body(cfg.body_bytes),
+        &profile,
+        &mut rng,
+    )
+}
+
+/// Runs the corpus through the stream driver, one folding pass over
+/// every arm, and the bool spec, and checks all three agree per arm.
+/// Returns each arm's spec stream.
+fn check_corpus(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    arms: &[RxArm],
+    timeline: &[Transmission],
+    victims: &[(u64, usize)],
+    cases: &[Case],
+) -> Vec<Vec<Reception>> {
+    let folds = fold_receptions(env, cfg, timeline, arms, None);
+    let mut specs = Vec::new();
+    for (arm, fold) in arms.iter().zip(&folds) {
+        let spec = process_receptions_reference(env, cfg, timeline, arm);
+        let stream = process_receptions(env, cfg, timeline, arm);
+        assert_eq!(stream.len(), spec.len(), "{arm:?}");
+        for (got, want) in stream.iter().zip(&spec) {
+            let case = victims
+                .iter()
+                .find(|&&(id, _)| id == want.tx_id)
+                .map_or("an interferer", |&(_, k)| cases[k].name.as_str());
+            assert_eq!(got, want, "{case}, {arm:?}");
+        }
+        assert_eq!(
+            *fold,
+            ArmFold::of_stream(env, &spec, arm.collect_symbols),
+            "{arm:?}"
+        );
+        specs.push(spec);
+    }
+    specs
+}
+
+/// The spec's reception of case `k`'s victim.
+fn victim_of<'a>(spec: &'a [Reception], victims: &[(u64, usize)], k: usize) -> &'a Reception {
+    let id = victims[k].0;
+    spec.iter()
+        .find(|r| r.tx_id == id)
+        .expect("victim received")
+}
+
+#[test]
+fn clean_shortcut_corpus_matches_the_spec() {
+    let env = corpus_env();
+    let cfg = corpus_cfg(100);
+    let arms = corpus_arms();
+    let len = Frame::chips_len_for_body(cfg.body_bytes);
+    let (header, body, trailer) = (HEADER_AT, BODY_AT, trailer_at(100));
+    let within = move |lo: u64, hi: u64| {
+        move |e: &ChipErrors, _: &[ChipWords]| {
+            let changed = changed_chips(e, len);
+            !changed.is_empty() && changed.iter().all(|&c| (lo..hi).contains(&(c as u64)))
+        }
+    };
+    let clean = |e: &ChipErrors, _: &[ChipWords]| e.lanes_touched() == 0;
+    let mut cases = vec![
+        Case::new("clean, idle", false, vec![], clean),
+        Case::new("clean, busy", true, vec![], clean),
+        Case::new(
+            "flips in the header only",
+            false,
+            vec![(FLIPPER, header, 640)],
+            within(header, header + 640),
+        ),
+        Case::new(
+            "flips in the trailer only",
+            false,
+            vec![(FLIPPER, trailer, 640)],
+            within(trailer, trailer + 640),
+        ),
+        Case::new(
+            "flips in the body only",
+            false,
+            vec![(FLIPPER, body, 640)],
+            within(body, body + 640),
+        ),
+        Case::new(
+            "all lanes jammed",
+            false,
+            vec![(JAMMER, 0, len as u64)],
+            move |e: &ChipErrors, _: &[ChipWords]| e.lanes_touched() == len.div_ceil(64),
+        ),
+        // A jammed span over four chips of a header lane (the same in
+        // every arm) whose drawn chips are the codeword's own: a touched
+        // lane that changes nothing.
+        Case::new(
+            "jammed lane reproduces the codeword",
+            false,
+            vec![(JAMMER, header + 2 * 64 + 8, 4)],
+            |e: &ChipErrors, clean: &[ChipWords]| {
+                e.lanes_touched() > 0
+                    && clean.iter().all(|c| {
+                        let mut jammed = c.clone();
+                        e.apply(&mut jammed);
+                        jammed == *c
+                    })
+            },
+        ),
+        // Busy receiver, so the postamble arms acquire by rollback,
+        // with error spans that start and end mid-lane.
+        Case::new(
+            "postamble acquisition, unaligned spans",
+            true,
+            vec![(FLIPPER, body + 37, 300), (FLIPPER, body + 1000 + 5, 3)],
+            within(body + 37, body + 1008),
+        ),
+    ];
+    // One flip at each bit of body lane 3.
+    for bit in 0..64 {
+        let chip = body + 3 * 64 + bit;
+        cases.push(Case::new(
+            format!("one flip at bit {bit} of a body lane"),
+            false,
+            vec![(FLIPPER, chip, 1)],
+            move |e: &ChipErrors, _: &[ChipWords]| changed_chips(e, len) == [chip as usize],
+        ));
+    }
+    let (timeline, victims) = corpus_timeline(&env, &cfg, &arms, &cases);
+    let specs = check_corpus(&env, &cfg, &arms, &timeline, &victims, &cases);
+
+    // The clean cases are what they say: idle frames acquire by
+    // preamble and deliver everything; busy ones only by postamble.
+    for (arm, spec) in arms.iter().zip(&specs) {
+        let idle = victim_of(spec, &victims, 0);
+        assert_eq!(idle.acquisition, Acquisition::Preamble, "{arm:?}");
+        assert!(idle.crc_ok && idle.delivered_correct == idle.payload_len);
+        let busy = victim_of(spec, &victims, 1);
+        if arm.postamble {
+            assert_eq!(busy.acquisition, Acquisition::Postamble, "{arm:?}");
+            assert!(busy.crc_ok && busy.delivered_correct == busy.payload_len);
+            let unaligned = victim_of(spec, &victims, 7);
+            assert_eq!(unaligned.acquisition, Acquisition::Postamble, "{arm:?}");
+        } else {
+            assert_eq!(busy.acquisition, Acquisition::None, "{arm:?}");
+        }
+        if arm.collect_symbols {
+            // A single flipped chip leaves its codeword decodable, one
+            // chip from home: hint 1 on one body symbol.
+            let one = victim_of(spec, &victims, 8);
+            assert_eq!(one.symbol_hints.iter().filter(|&&h| h == 1).count(), 1);
+            assert!(one.symbol_correct.iter().all(|&c| c));
+        }
+    }
+}
+
+/// A body longer than the receiver accepts: the header is rejected, so
+/// even a clean frame delivers nothing — and the clean outcome must
+/// say so, because it comes from the same decoder.
+#[test]
+fn clean_shortcut_reports_rejected_headers() {
+    let body_bytes = MAX_BODY_LEN + 52;
+    let env = corpus_env();
+    let cfg = corpus_cfg(body_bytes);
+    let arms = corpus_arms();
+    let clean = |e: &ChipErrors, _: &[ChipWords]| e.lanes_touched() == 0;
+    let cases = vec![
+        Case::new("clean, idle", false, vec![], clean),
+        Case::new("clean, busy", true, vec![], clean),
+        Case::new(
+            "flips in the body",
+            false,
+            vec![(FLIPPER, BODY_AT + 100, 640)],
+            |e: &ChipErrors, _: &[ChipWords]| e.lanes_touched() > 0,
+        ),
+    ];
+    let (timeline, victims) = corpus_timeline(&env, &cfg, &arms, &cases);
+    let specs = check_corpus(&env, &cfg, &arms, &timeline, &victims, &cases);
+    for (arm, spec) in arms.iter().zip(&specs) {
+        for k in 0..cases.len() {
+            let rec = victim_of(spec, &victims, k);
+            assert!(!rec.crc_ok && rec.delivered_claimed == 0, "{arm:?} {k}");
+        }
+        assert_eq!(
+            victim_of(spec, &victims, 0).acquisition,
+            Acquisition::Preamble
+        );
     }
 }
 
