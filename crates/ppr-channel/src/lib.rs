@@ -43,6 +43,6 @@ pub use chip_channel::{
     codeword_flip_counts, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
 };
 pub use jamming::{clip_bursts, cover_fraction, pulse_burst, pulse_bursts_in, Burst};
-pub use overlap::{interference_profile, HeardTx, InterferenceSpan};
+pub use overlap::{interference_profile, overlap_window, HeardTx, InterferenceSpan};
 pub use pathloss::{Link, PathLossModel};
 pub use sample_channel::{render, render_single, WaveformTx};

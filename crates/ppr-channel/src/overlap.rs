@@ -126,9 +126,24 @@ pub fn interference_profile(target: &HeardTx, heard: &[HeardTx]) -> Vec<Interfer
     spans
 }
 
+/// The contiguous run of `heard` that can overlap `[from, to)` on the
+/// chip clock: every transmission that starts before `to` and less than
+/// `max_len` chips before `from`, found by binary search. `heard` must
+/// be sorted by `start_chip` and hold no transmission longer than
+/// `max_len` chips; every transmission outside the run then misses the
+/// window. The run keeps the list's order, so [`interference_profile`]
+/// over it sees the same interferers in the same order — and sums the
+/// same floats — as over the whole list.
+pub fn overlap_window(heard: &[HeardTx], from: u64, to: u64, max_len: u64) -> &[HeardTx] {
+    let lo = heard.partition_point(|tx| tx.start_chip.saturating_add(max_len) <= from);
+    let hi = lo + heard[lo..].partition_point(|tx| tx.start_chip < to);
+    &heard[lo..hi]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tx(id: u64, start: u64, len: u64, power: f64) -> HeardTx {
         HeardTx {
@@ -252,5 +267,41 @@ mod tests {
         // Power level returns to zero after both end (no float residue
         // big enough to create a phantom span).
         assert_eq!(spans[2].interference_mw, 0.0);
+    }
+
+    proptest! {
+        /// The window drops only transmissions that miss the target: the
+        /// profile over it equals the profile over the whole list, bit
+        /// for bit, on start-sorted lists with mixed frame lengths (equal
+        /// starts included), for targets from the list and for foreign
+        /// windows.
+        #[test]
+        fn window_profile_equals_full_profile(
+            raw in proptest::collection::vec((0u64..5000, 1u64..900, 1u32..1000), 1..60),
+            pick in 0usize..60,
+            foreign in (0u64..6000, 1u64..900),
+        ) {
+            let mut heard: Vec<HeardTx> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(start, len, p))| tx(i as u64, start, len, f64::from(p) * 1e-3))
+                .collect();
+            heard.sort_by_key(|t| t.start_chip);
+            let max_len = heard.iter().map(|t| t.len_chips).max().unwrap();
+            let target = heard[pick % heard.len()];
+            let outsider = tx(u64::MAX, foreign.0, foreign.1, 1.0);
+            for target in [target, outsider] {
+                let window =
+                    overlap_window(&heard, target.start_chip, target.end_chip(), max_len);
+                prop_assert!(heard
+                    .iter()
+                    .filter(|t| !window.contains(t))
+                    .all(|t| !t.overlaps(target.start_chip, target.end_chip())));
+                prop_assert_eq!(
+                    interference_profile(&target, window),
+                    interference_profile(&target, &heard)
+                );
+            }
+        }
     }
 }

@@ -290,7 +290,7 @@ const RUN_COST_MS: [(&str, u64); 17] = [
     ("fig15", 1),
     ("fig16", 15),
     ("jam", 30),
-    ("mrd", 90),
+    ("mrd", 70),
     ("relay", 10),
     ("mesh10k", 500),
     ("meshjam", 470),
@@ -308,22 +308,32 @@ fn run_cost_ms(id: &str) -> u64 {
 /// Estimated run time of one trace job, in milliseconds at the default
 /// scenario: a multi-arm pass costs about [`TRACE_MS_PER_KBPS`] per
 /// kbit/s/node of offered load for what it does once per reception
-/// (interference, chip-error draw, busy fold), plus
-/// [`TRACE_MS_PER_ARM_KBPS`] per arm per kbit/s/node for what it does
-/// per arm (render, decode, deliver, fold). Fitted to single-thread
-/// per-trace times of the testbed ids on the same 2-vCPU Xeon as
-/// [`RUN_COST_MS`] (the 11-arm 13.8 kbit/s trace ≈ 0.4–0.55 s, the
-/// one-arm hint traces ≈ 0.04–0.2 s); like it, the estimate only orders
-/// the pool.
+/// (interference, chip-error draw, busy fold, one decode per distinct
+/// frame), plus [`TRACE_MS_PER_ARM_KBPS`] per arm per kbit/s/node for
+/// what it does per arm (acceptance rule, fold). Like [`RUN_COST_MS`],
+/// the estimate only orders the pool.
+///
+/// Fitted by least squares to the median of seven single-thread release
+/// runs of each of these, on the same 2-vCPU Xeon as [`RUN_COST_MS`]
+/// (the capacity experiments only render their traces, so each run
+/// times its traces): `fig10 table2` (the 11-arm 13.8 kbit/s trace,
+/// ≈ 0.14 s), `fig03` (the three one-arm hint traces, ≈ 0.09 s),
+/// `fig08`, `fig09`, `fig11` and `fig12`:
+///
+/// ```sh
+/// time target/release/ppr-cli run fig10 table2 --set threads=1 > /dev/null
+/// ```
 fn trace_cost_ms(key: &TraceKey, arms: usize) -> u64 {
     (key.cfg.load_kbps * (TRACE_MS_PER_KBPS + TRACE_MS_PER_ARM_KBPS * arms as f64)) as u64
 }
 
-/// Per-reception cost of a trace job; see [`trace_cost_ms`].
-const TRACE_MS_PER_KBPS: f64 = 3.0;
+/// Per-reception cost of a trace job; see [`trace_cost_ms`] for how it
+/// is measured.
+const TRACE_MS_PER_KBPS: f64 = 2.8;
 
-/// Per-arm cost of a trace job; see [`trace_cost_ms`].
-const TRACE_MS_PER_ARM_KBPS: f64 = 3.0;
+/// Per-arm cost of a trace job; see [`trace_cost_ms`] for how it is
+/// measured.
+const TRACE_MS_PER_ARM_KBPS: f64 = 0.6;
 
 /// One job of a `run`: evaluate a trace, or run one experiment at one
 /// sweep point.

@@ -41,4 +41,6 @@ pub use crc::{crc16, crc32};
 pub use csma::CarrierSense;
 pub use frame::{Addr, Frame, FrameGeometry, Header, HEADER_BYTES, PKT_CRC_BYTES};
 pub use rx::{FrameReceiver, RxConfig, RxFrame, HINT_NEVER_RECEIVED};
-pub use schemes::{correct_delivered_bytes, Delivered, DeliveryScheme, DEFAULT_ETA};
+pub use schemes::{
+    correct_delivered_bytes, BodyLayout, Delivered, DeliveryScheme, ReceivedBody, DEFAULT_ETA,
+};

@@ -69,7 +69,8 @@ use ppr_channel::pathloss::PathLossModel;
 use ppr_core::dp::{plan_chunks, CostModel};
 use ppr_core::runs::{RunLengths, UnitRange};
 use ppr_mac::frame::Frame;
-use ppr_mac::schemes::{Delivered, DeliveryScheme};
+use ppr_mac::rx::RxFrame;
+use ppr_mac::schemes::{DeliveryScheme, ReceivedBody};
 use ppr_mac::BackoffPolicy;
 use ppr_phy::chips::CHIP_RATE_HZ;
 use rand::rngs::StdRng;
@@ -311,18 +312,45 @@ fn jitter_hash(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps an offset within a repair payload (the concatenation of `spans`)
-/// back to the original payload coordinate.
-fn map_repair_offset(spans: &[UnitRange], off: usize) -> Option<usize> {
-    let mut consumed = 0usize;
-    for s in spans {
-        let len = s.len();
-        if off < consumed + len {
-            return Some(s.start + (off - consumed));
+/// Maps offsets within a frame's payload back to original payload
+/// coordinates: the identity for an original frame, and through the
+/// spans for a repair frame, whose payload is the concatenation of
+/// `spans`. Offsets must come in increasing order, as a scheme accepts
+/// them ([`DeliveryScheme::for_each_accepted`]), so one cursor walks the
+/// spans once per frame.
+struct RepairCursor<'a> {
+    spans: Option<&'a [UnitRange]>,
+    /// The span the last offset fell in.
+    k: usize,
+    /// Repair-payload offset where span `k` begins.
+    base: usize,
+}
+
+impl<'a> RepairCursor<'a> {
+    fn new(spans: Option<&'a [UnitRange]>) -> Self {
+        RepairCursor {
+            spans,
+            k: 0,
+            base: 0,
         }
-        consumed += len;
     }
-    None
+
+    /// The original payload coordinate of offset `off`, or `None` past
+    /// the end of the spans.
+    fn payload_offset(&mut self, off: usize) -> Option<usize> {
+        let Some(spans) = self.spans else {
+            return Some(off);
+        };
+        debug_assert!(off >= self.base, "offsets must increase");
+        while let Some(s) = spans.get(self.k) {
+            if off < self.base + s.len() {
+                return Some(s.start + (off - self.base));
+            }
+            self.base += s.len();
+            self.k += 1;
+        }
+        None
+    }
 }
 
 /// Runs one mesh flood on the calling thread. `threads` is ignored; it
@@ -568,10 +596,10 @@ impl MeshDriver {
     }
 
     /// Runs reception `(ti, r)` through the chip pipeline and returns
-    /// what the PPR scheme delivers (`None` when nothing is acquired).
-    /// Reads only state a flush never changes: the transmissions that
-    /// were on the air, positions and the adversary's recorded bursts.
-    fn decode(&self, ti: usize, r: usize) -> Option<Vec<Delivered>> {
+    /// the received frame (`None` when nothing is acquired). Reads only
+    /// state a flush never changes: the transmissions that were on the
+    /// air, positions and the adversary's recorded bursts.
+    fn decode(&self, ti: usize, r: usize) -> Option<RxFrame> {
         let t = &self.txs[ti];
         let signal = self.gain(t.sender, r);
         let me = HeardTx {
@@ -628,8 +656,7 @@ impl MeshDriver {
         let mut corrupted = t.frame.chip_words();
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
         corrupt_chip_words_in_place(&mut corrupted, &profile, &mut rng);
-        let (_acq, rx) = self.fast.receive_words(&t.frame, &corrupted, true);
-        rx.map(|rx| self.scheme.deliver(&rx))
+        self.fast.receive_words(&t.frame, &corrupted, true).1
     }
 
     /// Decodes the pending batch and applies outcomes in batch order.
@@ -675,26 +702,21 @@ impl MeshDriver {
             for (ti, r) in work {
                 let end = self.txs[ti].end();
                 let mut rebroadcast = false;
-                if let Some(delivered) = self.decode(ti, r) {
+                if let Some(rx) = self.decode(ti, r) {
                     let row = self.mask_row(r);
                     let mask = &mut self.masks[row];
                     let st = &mut self.states[r];
-                    for d in &delivered {
-                        for (i, &b) in d.bytes.iter().enumerate() {
-                            let off = match &self.txs[ti].spans {
-                                None => Some(d.offset + i),
-                                Some(spans) => map_repair_offset(spans, d.offset + i),
-                            };
-                            if let Some(off) = off {
-                                if off < self.payload_len
-                                    && self.truth[off] == b
-                                    && !mask_has(mask, off)
-                                {
+                    if let Some(body) = ReceivedBody::of(&rx) {
+                        let mut repair = RepairCursor::new(self.txs[ti].spans.as_deref());
+                        let (truth, payload_len) = (&self.truth, self.payload_len);
+                        self.scheme.for_each_accepted(&body, |off, b| {
+                            if let Some(off) = repair.payload_offset(off) {
+                                if off < payload_len && truth[off] == b && !mask_has(mask, off) {
                                     mask[off / 64] |= 1 << (off % 64);
                                     st.correct += 1;
                                 }
                             }
-                        }
+                        });
                     }
                     if st.correct == self.payload_len && !st.recovered {
                         st.recovered = true;
@@ -1337,11 +1359,20 @@ mod tests {
 
     #[test]
     fn repair_offsets_map_through_spans() {
-        let spans = vec![UnitRange::new(3, 5), UnitRange::new(10, 13)];
-        assert_eq!(map_repair_offset(&spans, 0), Some(3));
-        assert_eq!(map_repair_offset(&spans, 1), Some(4));
-        assert_eq!(map_repair_offset(&spans, 2), Some(10));
-        assert_eq!(map_repair_offset(&spans, 4), Some(12));
-        assert_eq!(map_repair_offset(&spans, 5), None);
+        let spans = vec![
+            UnitRange::new(3, 5),
+            UnitRange::new(7, 7),
+            UnitRange::new(10, 13),
+        ];
+        let mut c = RepairCursor::new(Some(&spans));
+        assert_eq!(c.payload_offset(0), Some(3));
+        assert_eq!(c.payload_offset(1), Some(4));
+        assert_eq!(c.payload_offset(2), Some(10));
+        assert_eq!(c.payload_offset(4), Some(12));
+        assert_eq!(c.payload_offset(5), None);
+        // Skipping ahead lands where a fresh cursor does.
+        let mut skip = RepairCursor::new(Some(&spans));
+        assert_eq!(skip.payload_offset(3), Some(11));
+        assert_eq!(RepairCursor::new(None).payload_offset(9), Some(9));
     }
 }

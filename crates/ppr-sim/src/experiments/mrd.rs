@@ -28,8 +28,9 @@ use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
 use ppr_channel::chip_channel::ErrorProfile;
-use ppr_channel::overlap::{interference_profile, HeardTx};
+use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
 use ppr_mac::frame::Frame;
+use ppr_mac::schemes::ReceivedBody;
 use ppr_phy::softphy::SoftSymbol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,6 +77,12 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
                 .collect()
         })
         .collect();
+    let max_len = run
+        .timeline
+        .iter()
+        .map(|tx| tx.len_chips)
+        .max()
+        .unwrap_or(0);
     let mut busy_until = vec![0u64; env.testbed.receivers.len()];
 
     let mut result = MrdResult::default();
@@ -92,7 +99,9 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
             if signal / noise < SQUELCH_SNR {
                 continue;
             }
-            let spans = interference_profile(&heard[r][i], &heard[r]);
+            let target = &heard[r][i];
+            let window = overlap_window(&heard[r], target.start_chip, target.end_chip(), max_len);
+            let spans = interference_profile(target, window);
             let profile = ErrorProfile::from_interference(signal, noise, &spans);
             let mut rng = StdRng::seed_from_u64(
                 cfg.seed ^ (tx.id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((r as u64) << 56),
@@ -103,10 +112,8 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
                 busy_until[r] = tx.end_chip();
             }
             if let Some(rx) = rx_frame {
-                if rx.header.is_some() {
-                    let delivered =
-                        ppr_mac::schemes::correct_delivered_bytes(&scheme.deliver(&rx), &payload);
-                    singles.push(delivered);
+                if let Some(body) = ReceivedBody::of(&rx) {
+                    singles.push(scheme.count_accepted(&body, &payload).1);
                     copies.push(rx.link_symbols());
                 }
             }

@@ -120,6 +120,18 @@ impl HintHistogram {
         }
     }
 
+    /// Adds `other`'s counts, as if its codewords were recorded here.
+    pub fn merge(&mut self, other: &HintHistogram) {
+        for (mine, theirs) in [
+            (&mut self.correct, &other.correct),
+            (&mut self.incorrect, &other.incorrect),
+        ] {
+            for (n, t) in mine.iter_mut().zip(theirs) {
+                *n += t;
+            }
+        }
+    }
+
     /// Total correct codewords.
     pub fn total_correct(&self) -> u64 {
         self.correct.iter().sum()
@@ -221,6 +233,27 @@ impl MissRunHistogram {
             }
             if run > 0 {
                 self.counts[e][run.min(max)] += 1;
+            }
+        }
+    }
+
+    /// Adds `other`'s counts, as if its packets were recorded here.
+    ///
+    /// # Panics
+    /// Panics unless `other` tracks the same thresholds and run lengths.
+    pub fn merge(&mut self, other: &MissRunHistogram) {
+        assert!(
+            self.etas == other.etas
+                && self
+                    .counts
+                    .iter()
+                    .map(Vec::len)
+                    .eq(other.counts.iter().map(Vec::len)),
+            "miss-run histograms of different shapes"
+        );
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            for (n, t) in mine.iter_mut().zip(theirs) {
+                *n += t;
             }
         }
     }

@@ -50,11 +50,14 @@
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
-//! A multi-arm pass adds one fact: the chip errors of a pair do not
+//! A multi-arm pass adds two facts. The chip errors of a pair do not
 //! depend on the arm, because every arm's frame has the same length
 //! and the sampler never reads chip values; and the busy/idle fold does
 //! not either, because it reads only the preamble, which every frame
-//! shares.
+//! shares. Arms whose schemes send the same body send the same frame,
+//! so one decode of it serves all of them: what differs is only each
+//! scheme's acceptance rule, and — when the preamble did not acquire
+//! the frame — whether the arm decodes postambles at all.
 //!
 //! `tests/packed_parity.rs` pins the equality on whole runs, arm by arm
 //! for multi-arm passes, and the differential harness ([`crate::diff`])
@@ -67,11 +70,10 @@ use crate::rxpath::{Acquisition, FastRx};
 use crate::snapshot::{env_fingerprint, timeline_fingerprint, RxSnapshot, SnapError};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
 use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
-use ppr_channel::overlap::{interference_profile, HeardTx};
+use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
 use ppr_channel::pathloss::PathLossModel;
 use ppr_mac::frame::Frame;
-use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme};
-use ppr_phy::chips::ChipWords;
+use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme, ReceivedBody};
 use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -497,6 +499,30 @@ pub struct HintFold {
     pub miss_runs: MissRunHistogram,
 }
 
+impl HintFold {
+    /// Empty statistics.
+    fn new() -> Self {
+        HintFold {
+            hist: HintHistogram::new(),
+            miss_runs: MissRunHistogram::new(MISS_RUN_ETAS.to_vec(), MAX_MISS_RUN),
+        }
+    }
+
+    /// Tallies one reception's hint columns.
+    fn record(&mut self, rec: &Reception) {
+        self.hist
+            .record_packet(&rec.symbol_hints, &rec.symbol_correct);
+        self.miss_runs
+            .record_packet(&rec.symbol_hints, &rec.symbol_correct);
+    }
+
+    /// Adds `other`'s counts.
+    fn merge(&mut self, other: &HintFold) {
+        self.hist.merge(&other.hist);
+        self.miss_runs.merge(&other.miss_runs);
+    }
+}
+
 /// What the capacity figures read of one arm's receptions over one
 /// trace, folded as each reception decodes. Every field is a count, so
 /// the fold does not depend on the order receptions arrive in.
@@ -514,15 +540,19 @@ impl ArmFold {
     pub fn new(links: usize, hints: bool) -> Self {
         ArmFold {
             links: vec![LinkStats::default(); links],
-            hints: hints.then(|| HintFold {
-                hist: HintHistogram::new(),
-                miss_runs: MissRunHistogram::new(MISS_RUN_ETAS.to_vec(), MAX_MISS_RUN),
-            }),
+            hints: hints.then(HintFold::new),
         }
     }
 
     /// Folds one reception on link `link`.
     pub fn add(&mut self, link: usize, rec: &Reception) {
+        self.add_tallied(link, rec, None);
+    }
+
+    /// [`Self::add`], taking the reception's hint statistics from
+    /// `tally` when given — tallied once for every reception that shares
+    /// them — instead of tallying its hint columns.
+    fn add_tallied(&mut self, link: usize, rec: &Reception, tally: Option<&HintFold>) {
         let s = &mut self.links[link];
         s.frames += 1;
         s.payload_offered += rec.payload_len;
@@ -533,9 +563,10 @@ impl ArmFold {
             Acquisition::None => {}
         }
         if let Some(h) = &mut self.hints {
-            h.hist.record_packet(&rec.symbol_hints, &rec.symbol_correct);
-            h.miss_runs
-                .record_packet(&rec.symbol_hints, &rec.symbol_correct);
+            match tally {
+                Some(t) => h.merge(t),
+                None => h.record(rec),
+            }
         }
     }
 
@@ -591,6 +622,10 @@ struct Capture {
     payload: Arc<[u8]>,
     /// The busy/idle verdict resolved when the transmission started.
     idle: bool,
+    /// Did its preamble acquire it: the receiver was idle and the
+    /// preamble pattern survived the errors? Rebuilt on restore from the
+    /// idle flag and the errors.
+    preamble: bool,
 }
 
 /// Ignored by [`ReceptionDriver::new`], which prepares each reception
@@ -694,24 +729,40 @@ pub fn snapshot_after_events(
 /// Work that does not depend on the arm is done once. A `TxStart`
 /// builds the transmission's payload once, at the longest arm's length;
 /// then, at every receiver that can hear it, it draws the channel's
-/// [`ChipErrors`] once, resolves the preamble hit and folds the
+/// [`ChipErrors`] once (scanning only the transmissions that can overlap
+/// the frame, [`overlap_window`]), resolves the preamble verdict — the
+/// receiver is idle and the preamble pattern survives — folds the
 /// receiver's busy/idle state (event-pop order = timeline order per
 /// receiver), and schedules the completion. The busy fold is the same
-/// for every arm: it reads only the idle flag and the preamble hit, and
-/// every arm's frame has the same preamble, header and length. A
-/// `ReceptionComplete` receives each arm's frame: a capture whose
+/// for every arm: it reads only that verdict, and every arm's frame has
+/// the same preamble, header and length.
+///
+/// A `ReceptionComplete` receives every arm's frame. A capture whose
 /// errors touch no lane is the transmitted frame (every codeword at
-/// distance 0 with hint 0, §3.2), so it takes the arm's clean outcome
-/// for its idle flag — decoded once per arm when the pipeline is built
-/// — without rendering, despreading or delivering anything; any other
-/// capture renders the arm's frame, applies the errors and decodes.
-/// The reception is then stored in its receiver-major slot (one arm,
-/// [`RxOutput::Stream`]) or folded into its arm's [`ArmFold`]. Both
-/// outputs go through the one receive function, so the parity tests
-/// against [`process_receptions_reference`] cover the shortcut. Every
-/// event finishes its work before the next one pops,
-/// so a checkpoint at any event boundary holds only queue + output +
-/// busy horizons + one idle flag per in-flight capture.
+/// distance 0 with hint 0, §3.2), so each arm takes its clean outcome
+/// for the idle flag — decoded once per arm when the pipeline is built,
+/// hint statistics tallied once — without rendering, despreading or
+/// delivering anything. Any other capture is decoded once per distinct
+/// frame: arms whose schemes share a
+/// [`BodyLayout`](ppr_mac::schemes::BodyLayout) (Packet CRC and PPR at
+/// any η) send the same frame, and the preamble verdict settles the
+/// acquisition path — acquired by its preamble, every arm decodes alike;
+/// otherwise the postamble arms share one rollback decode and the
+/// others lose the frame without rendering it. One render, decode and
+/// whole-packet CRC verdict per frame, then each arm's acceptance rule
+/// counts its delivered bytes in place
+/// ([`DeliveryScheme::count_accepted`]). The reception is stored in its
+/// receiver-major slot (one arm, [`RxOutput::Stream`]) or folded into
+/// its arm's [`ArmFold`]. Both outputs go through the one receive
+/// function, so the parity tests against [`process_receptions_reference`]
+/// cover the shortcut and the sharing. Every event finishes its work
+/// before the next one pops, so a checkpoint at any event boundary
+/// holds only queue + output + busy horizons + one idle flag per
+/// in-flight capture.
+///
+/// The timeline must be sorted by `(start_chip, id)`, as
+/// [`generate_timeline`] returns it: the busy/idle fold and the
+/// interference window read it in that order.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
@@ -752,6 +803,11 @@ impl<'a> ReceptionDriver<'a> {
     /// The last two arguments are ignored: the driver runs on the
     /// calling thread, one event at a time, and they stay only so
     /// existing callers (`perfbench/`) keep compiling.
+    ///
+    /// # Panics
+    /// Panics unless `timeline` is sorted by `(start_chip, id)`;
+    /// [`Self::folding`], [`Self::restore`] and
+    /// [`Self::restore_folding`] check the same.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -766,6 +822,9 @@ impl<'a> ReceptionDriver<'a> {
     /// Builds a driver at event zero that evaluates every arm of `arms`
     /// over the trace and folds each reception into its arm's
     /// [`ArmFold`].
+    ///
+    /// # Panics
+    /// Panics unless `timeline` is sorted by `(start_chip, id)`.
     pub fn folding(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -784,6 +843,11 @@ impl<'a> ReceptionDriver<'a> {
         arms: &'a [RxArm],
         stream: bool,
     ) -> Self {
+        assert!(
+            timeline.is_sorted_by_key(|tx| (tx.start_chip, tx.id)),
+            "the reception driver needs a timeline sorted by (start_chip, id), \
+             as generate_timeline returns it"
+        );
         let pipe = RxPipeline::new(env, cfg, timeline, arms);
         let nr = env.testbed.receivers.len();
         let ns = env.testbed.senders.len();
@@ -872,9 +936,9 @@ impl<'a> ReceptionDriver<'a> {
                         slot: self.next_slot[r],
                     };
                     self.next_slot[r] += 1;
-                    let errors = self.pipe.draw_errors(&job);
                     let idle = self.busy_until[r] <= tx.start_chip;
-                    if idle && self.pipe.fast[0].preamble_hit(&errors) {
+                    let capture = self.pipe.capture(job, Arc::clone(&payload), idle);
+                    if capture.preamble {
                         self.busy_until[r] = tx.end_chip();
                     }
                     self.q.schedule(
@@ -886,13 +950,6 @@ impl<'a> ReceptionDriver<'a> {
                             slot: job.slot,
                         },
                     );
-                    let payload = Arc::clone(&payload);
-                    let capture = Capture {
-                        job,
-                        errors,
-                        payload,
-                        idle,
-                    };
                     self.in_flight.insert(job.slot, capture);
                 }
             }
@@ -901,18 +958,25 @@ impl<'a> ReceptionDriver<'a> {
                     .in_flight
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
+                let job = &capture.job;
+                let tx = &self.pipe.timeline[job.idx];
                 match &mut self.output {
-                    RxOutput::Stream(out) => out[slot] = Some(self.pipe.reception(&capture, 0)),
+                    RxOutput::Stream(out) => self.pipe.receive(&capture, |_, rec, _| {
+                        out[slot] = Some(Reception {
+                            tx_id: tx.id,
+                            sender: tx.sender,
+                            receiver: job.r,
+                            ..rec.into_owned()
+                        });
+                    }),
                     RxOutput::Folds(folds) => {
-                        let job = &capture.job;
-                        let sender = self.pipe.timeline[job.idx].sender;
-                        let k = self.receivers_of[sender]
+                        let k = self.receivers_of[tx.sender]
                             .binary_search(&job.r)
                             .expect("captures exist only for audible receivers");
-                        let link = self.link_base[sender] + k;
-                        for (a, fold) in folds.iter_mut().enumerate() {
-                            fold.add(link, &self.pipe.receive(&capture, a));
-                        }
+                        let link = self.link_base[tx.sender] + k;
+                        self.pipe.receive(&capture, |a, rec, tally| {
+                            folds[a].add_tallied(link, &rec, tally);
+                        });
                     }
                 }
             }
@@ -1035,13 +1099,9 @@ impl<'a> ReceptionDriver<'a> {
         // Reconstruct the in-flight captures: physics from the run
         // inputs, chip noise from each reception's stream start.
         for (job, &idle) in in_flight.into_iter().zip(&snap.in_flight_idle) {
-            let capture = Capture {
-                job,
-                errors: self.pipe.draw_errors(&job),
-                payload: self.pipe.payload(&self.pipe.timeline[job.idx]).into(),
-                idle,
-            };
-            self.in_flight.insert(job.slot, capture);
+            let payload = self.pipe.payload(&self.pipe.timeline[job.idx]).into();
+            self.in_flight
+                .insert(job.slot, self.pipe.capture(job, payload, idle));
         }
         Ok(self)
     }
@@ -1208,7 +1268,7 @@ impl<'a> ReceptionDriver<'a> {
                     decoded.len()
                 ));
             }
-            let payload_len = self.pipe.payload_lens[a];
+            let payload_len = arm.scheme.payload_len(self.pipe.cfg.body_bytes);
             for (l, (s, &n)) in fold.links.iter().zip(decoded).enumerate() {
                 let ok = s.frames == n
                     && Some(s.payload_offered) == n.checked_mul(payload_len)
@@ -1287,30 +1347,53 @@ fn validate_rx_identity(
     Ok(())
 }
 
+/// The arms of a pass that send one frame: a [`BodyLayout`] with the
+/// payload length it carries and its arms, in arm order.
+struct LayoutGroup {
+    /// The first member arm's scheme; every member builds its body.
+    scheme: DeliveryScheme,
+    payload_len: usize,
+    arms: Vec<usize>,
+}
+
+/// An arm's reception of a frame the channel did not touch, with its
+/// hint statistics tallied once when the arm collects them.
+struct CleanOutcome {
+    rec: Reception,
+    hints: Option<HintFold>,
+}
+
 /// The event driver's per-(transmission, receiver) pipeline stages over
-/// packed chip words: draw the chip errors (independent of the arm and
-/// of the busy state), then receive each arm's frame — from the arm's
-/// clean outcome when the errors touch no lane, else by rendering,
-/// corrupting, decoding and delivering it.
+/// packed chip words: draw the chip errors and resolve the preamble
+/// verdict (independent of the arm), then receive every arm's frame —
+/// from the arm's clean outcome when the errors touch no lane, else by
+/// decoding each distinct frame once ([`Self::decode`]).
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
     timeline: &'a [Transmission],
     arms: &'a [RxArm],
-    /// One receiver per arm (its postamble setting).
-    fast: Vec<FastRx>,
-    /// Scheme payload length per arm.
-    payload_lens: Vec<usize>,
+    /// The receiver, postamble decoding on. An arm without postamble
+    /// decoding reaches it only with captures its preamble acquired,
+    /// which both receivers decode alike.
+    rx: FastRx,
+    /// The distinct frames the arms send, in order of first arm.
+    groups: Vec<LayoutGroup>,
+    /// The longest payload any arm carries.
+    payload_len: usize,
     noise: f64,
     /// Every frame's length, chips: each scheme pads its body to
     /// `body_bytes`.
     frame_chips: usize,
     /// Per-receiver interference views of the whole timeline.
     heard: Vec<Vec<HeardTx>>,
+    /// The longest transmission on the timeline, chips: how far before
+    /// a frame an interferer can start ([`overlap_window`]).
+    max_len_chips: u64,
     /// Per arm, the reception of a frame the channel did not touch,
     /// indexed by the capture's idle flag (busy, idle); its ids are
-    /// placeholders ([`Self::clean_receptions`]).
-    clean: Vec<[Reception; 2]>,
+    /// placeholders ([`Self::clean_outcomes`]).
+    clean: Vec<[CleanOutcome; 2]>,
 }
 
 impl<'a> RxPipeline<'a> {
@@ -1334,26 +1417,37 @@ impl<'a> RxPipeline<'a> {
                     .collect()
             })
             .collect();
+        let mut groups: Vec<LayoutGroup> = Vec::new();
+        for (a, arm) in arms.iter().enumerate() {
+            let layout = arm.scheme.body_layout();
+            match groups.iter_mut().find(|g| g.scheme.body_layout() == layout) {
+                Some(g) => g.arms.push(a),
+                None => groups.push(LayoutGroup {
+                    scheme: arm.scheme,
+                    payload_len: layout.payload_len(cfg.body_bytes),
+                    arms: vec![a],
+                }),
+            }
+        }
         let mut pipe = RxPipeline {
             env,
             cfg,
             timeline,
             arms,
-            fast: arms.iter().map(|a| FastRx::new(a.postamble)).collect(),
-            payload_lens: arms
-                .iter()
-                .map(|a| a.scheme.payload_len(cfg.body_bytes))
-                .collect(),
+            rx: FastRx::new(true),
+            payload_len: groups.iter().map(|g| g.payload_len).max().unwrap_or(0),
+            groups,
             noise: env.model.noise_mw(),
             frame_chips: Frame::chips_len_for_body(cfg.body_bytes),
             heard,
+            max_len_chips: timeline.iter().map(|tx| tx.len_chips).max().unwrap_or(0),
             clean: Vec::new(),
         };
-        pipe.clean = (0..arms.len()).map(|a| pipe.clean_receptions(a)).collect();
+        pipe.clean = pipe.clean_outcomes();
         pipe
     }
 
-    /// Arm `a`'s receptions of a frame the channel did not touch, busy
+    /// Every arm's receptions of a frame the channel did not touch, busy
     /// and idle. Such a frame *is* the transmitted one: every codeword
     /// sits at distance 0 with hint 0 (§3.2), so what the receiver makes
     /// of it depends on the arm and the idle flag only, not on the
@@ -1361,115 +1455,194 @@ impl<'a> RxPipeline<'a> {
     /// decoded once, by the same path as every other reception, from
     /// one clean rendering — so a header the receiver rejects (a body
     /// over [`ppr_mac::rx::MAX_BODY_LEN`]) is rejected here too. The ids
-    /// are the rendering's placeholders; [`Self::reception`] stamps the
-    /// capture's.
-    fn clean_receptions(&self, a: usize) -> [Reception; 2] {
-        let payload = payload_pattern(0, 0, self.payload_lens[a]);
-        let body = build_body_padded(&self.arms[a].scheme, &payload, self.cfg.body_bytes);
-        let frame = Frame::new(0, 0, 0, body);
-        let chips = frame.chip_words();
-        [false, true].map(|idle| self.decode(a, &frame, &chips, idle, &payload))
+    /// are the rendering's placeholders; a stream stamps the capture's.
+    fn clean_outcomes(&self) -> Vec<[CleanOutcome; 2]> {
+        let tx = Transmission {
+            id: 0,
+            sender: 0,
+            seq: 0,
+            start_chip: 0,
+            len_chips: self.frame_chips as u64,
+        };
+        let payload = payload_pattern(0, 0, self.payload_len);
+        let mut outcomes: Vec<[Option<CleanOutcome>; 2]> =
+            self.arms.iter().map(|_| [None, None]).collect();
+        for idle in [false, true] {
+            // Untouched, the preamble survives: an idle receiver locks.
+            let errors = ChipErrors::default();
+            self.decode(0, &tx, &errors, &payload, idle, idle, |a, rec| {
+                let hints = self.arms[a].collect_symbols.then(|| {
+                    let mut fold = HintFold::new();
+                    fold.record(&rec);
+                    fold
+                });
+                outcomes[a][usize::from(idle)] = Some(CleanOutcome { rec, hints });
+            });
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.map(|c| c.expect("decode reports every arm")))
+            .collect()
     }
 
     /// The transmission's known payload at the longest arm's length.
     /// `payload_pattern` draws one RNG word per byte, so every shorter
     /// arm's payload is a prefix of it.
     fn payload(&self, tx: &Transmission) -> Vec<u8> {
-        let len = self.payload_lens.iter().copied().max().unwrap_or(0);
-        payload_pattern(tx.sender, tx.seq, len)
+        payload_pattern(tx.sender, tx.seq, self.payload_len)
+    }
+
+    /// The capture of `job` by a receiver that is `idle` when the frame
+    /// starts: its chip errors, and whether its preamble acquires it.
+    fn capture(&self, job: RxJob, payload: Arc<[u8]>, idle: bool) -> Capture {
+        let errors = self.draw_errors(&job);
+        let preamble = idle && self.rx.preamble_hit(&errors);
+        Capture {
+            job,
+            errors,
+            payload,
+            idle,
+            preamble,
+        }
     }
 
     /// The channel's chip errors for one (transmission, receiver) pair,
     /// drawn from the start of the pair's noise stream — everything
     /// about a reception that does not depend on the arm or on the
-    /// receiver's busy state.
+    /// receiver's busy state. Only the transmissions that can overlap
+    /// the frame are scanned for interference.
     fn draw_errors(&self, job: &RxJob) -> ChipErrors {
         let tx = &self.timeline[job.idx];
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
         let signal = self.env.s2r_mw[tx.sender][job.r];
-        let profile_spans = interference_profile(&self.heard[job.r][job.idx], &self.heard[job.r]);
+        let heard = &self.heard[job.r];
+        let target = &heard[job.idx];
+        let window = overlap_window(
+            heard,
+            target.start_chip,
+            target.end_chip(),
+            self.max_len_chips,
+        );
+        let profile_spans = interference_profile(target, window);
         let profile = ErrorProfile::from_interference(signal, self.noise, &profile_spans);
         ChipErrors::draw(self.frame_chips, &profile, &mut rng)
     }
 
-    /// Decodes a completed capture under arm `a`. A capture the channel
-    /// did not touch borrows the arm's clean outcome
-    /// ([`Self::clean_receptions`]) without rendering or decoding
-    /// anything; any other renders the arm's frame, applies the errors,
-    /// receives under the resolved idle flag and delivers. Either way
-    /// the ids are placeholders: a fold reads none, and
-    /// [`Self::reception`] stamps them for a stream.
-    fn receive(&self, capture: &Capture, a: usize) -> Cow<'_, Reception> {
+    /// Receives a completed capture under every arm, calling `each(a,
+    /// reception, tally)` once per arm `a`. A capture the channel did
+    /// not touch hands out the arms' clean outcomes
+    /// ([`Self::clean_outcomes`]), with their hint statistics as
+    /// `tally`, without rendering or decoding anything; any other is
+    /// decoded ([`Self::decode`]). Either way the ids are placeholders:
+    /// a fold reads none, and a stream stamps them.
+    fn receive(
+        &self,
+        capture: &Capture,
+        mut each: impl FnMut(usize, Cow<'_, Reception>, Option<&HintFold>),
+    ) {
         if capture.errors.lanes_touched() == 0 {
-            return Cow::Borrowed(&self.clean[a][usize::from(capture.idle)]);
+            for (a, clean) in self.clean.iter().enumerate() {
+                let c = &clean[usize::from(capture.idle)];
+                each(a, Cow::Borrowed(&c.rec), c.hints.as_ref());
+            }
+            return;
         }
-        let (job, arm) = (&capture.job, &self.arms[a]);
-        let tx = &self.timeline[job.idx];
-        let payload = &capture.payload[..self.payload_lens[a]];
-        let body = build_body_padded(&arm.scheme, payload, self.cfg.body_bytes);
-        let frame = Frame::new(job.r as u16, tx.sender as u16, tx.seq, body);
-        let mut chips = frame.chip_words();
-        debug_assert_eq!(chips.len(), self.frame_chips);
-        capture.errors.apply(&mut chips);
-        Cow::Owned(self.decode(a, &frame, &chips, capture.idle, payload))
+        let job = &capture.job;
+        self.decode(
+            job.r,
+            &self.timeline[job.idx],
+            &capture.errors,
+            &capture.payload,
+            capture.idle,
+            capture.preamble,
+            |a, rec| each(a, Cow::Owned(rec), None),
+        );
     }
 
-    /// [`Self::receive`] with the capture's ids stamped in: the
-    /// reception a stream keeps.
-    fn reception(&self, capture: &Capture, a: usize) -> Reception {
-        let tx = &self.timeline[capture.job.idx];
-        Reception {
-            tx_id: tx.id,
-            sender: tx.sender,
-            receiver: capture.job.r,
-            ..self.receive(capture, a).into_owned()
-        }
-    }
-
-    /// Receives `chips`, a capture of `frame`, under arm `a` and
-    /// delivers it against `payload`. The ids are left at zero.
+    /// Decodes `tx`'s frame at receiver `r` under `errors` once per
+    /// distinct frame the arms send, and calls `each(a, reception)` for
+    /// every arm `a`. Arms whose schemes share a [`BodyLayout`] send one
+    /// frame, so they share its rendering, its chip errors, its decode
+    /// and its whole-packet CRC verdict; only the scheme's acceptance
+    /// rule ([`DeliveryScheme::count_accepted`]) and the hint columns
+    /// run per arm. A capture its `preamble` did not acquire reaches
+    /// only the postamble arms; the others lose it
+    /// ([`Acquisition::None`]) and a frame no arm can acquire is not
+    /// rendered at all. `payload` is the transmission's payload at the
+    /// longest arm's length. The ids are left at zero.
+    #[allow(clippy::too_many_arguments)]
     fn decode(
         &self,
-        a: usize,
-        frame: &Frame,
-        chips: &ChipWords,
-        idle: bool,
+        r: usize,
+        tx: &Transmission,
+        errors: &ChipErrors,
         payload: &[u8],
-    ) -> Reception {
-        let arm = &self.arms[a];
-        let (acq, rx_frame) = self.fast[a].receive_words(frame, chips, idle);
-        let mut rec = Reception {
-            tx_id: 0,
-            sender: 0,
-            receiver: 0,
-            acquisition: acq,
-            payload_len: payload.len(),
-            delivered_correct: 0,
-            delivered_claimed: 0,
-            crc_ok: false,
-            symbol_hints: Vec::new(),
-            symbol_correct: Vec::new(),
-        };
-        if let Some(rx) = rx_frame {
-            rec.crc_ok = rx.pkt_crc_ok();
-            let delivered = arm.scheme.deliver(&rx);
-            rec.delivered_claimed = delivered.iter().map(|d| d.bytes.len()).sum();
-            rec.delivered_correct = correct_delivered_bytes(&delivered, payload);
-            if arm.collect_symbols {
-                if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
-                    let tx_symbols = bytes_to_symbols(&frame.body);
-                    let body_range = g.body();
-                    let rx_syms = rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
-                    rec.symbol_correct = rx_syms
-                        .iter()
-                        .zip(&tx_symbols)
-                        .map(|(a, b)| a.symbol == *b)
-                        .collect();
-                    rec.symbol_hints = hints;
+        idle: bool,
+        preamble: bool,
+        mut each: impl FnMut(usize, Reception),
+    ) {
+        let acquires = |a: usize| preamble || self.arms[a].postamble;
+        for g in &self.groups {
+            let payload = &payload[..g.payload_len];
+            let lost = || Reception {
+                tx_id: 0,
+                sender: 0,
+                receiver: 0,
+                acquisition: Acquisition::None,
+                payload_len: g.payload_len,
+                delivered_correct: 0,
+                delivered_claimed: 0,
+                crc_ok: false,
+                symbol_hints: Vec::new(),
+                symbol_correct: Vec::new(),
+            };
+            if !g.arms.iter().any(|&a| acquires(a)) {
+                for &a in &g.arms {
+                    each(a, lost());
                 }
+                continue;
+            }
+            let body = build_body_padded(&g.scheme, payload, self.cfg.body_bytes);
+            let frame = Frame::new(r as u16, tx.sender as u16, tx.seq, body);
+            let mut chips = frame.chip_words();
+            debug_assert_eq!(chips.len(), self.frame_chips);
+            errors.apply(&mut chips);
+            let (acquisition, rx) = self.rx.receive_words(&frame, &chips, idle);
+            debug_assert_eq!(acquisition == Acquisition::Preamble, preamble);
+            let body = rx.as_ref().and_then(ReceivedBody::of);
+            let crc_ok = body.as_ref().is_some_and(|b| b.crc_ok());
+            for &a in &g.arms {
+                if !acquires(a) {
+                    each(a, lost());
+                    continue;
+                }
+                let arm = &self.arms[a];
+                let mut rec = Reception {
+                    acquisition,
+                    crc_ok,
+                    ..lost()
+                };
+                if let Some(body) = &body {
+                    (rec.delivered_claimed, rec.delivered_correct) =
+                        arm.scheme.count_accepted(body, payload);
+                }
+                if let (true, Some(rx)) = (arm.collect_symbols, &rx) {
+                    if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
+                        let tx_symbols = bytes_to_symbols(&frame.body);
+                        let body_range = g.body();
+                        let rx_syms =
+                            rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
+                        rec.symbol_correct = rx_syms
+                            .iter()
+                            .zip(&tx_symbols)
+                            .map(|(a, b)| a.symbol == *b)
+                            .collect();
+                        rec.symbol_hints = hints;
+                    }
+                }
+                each(a, rec);
             }
         }
-        rec
     }
 }
 
@@ -1710,6 +1883,22 @@ mod tests {
             assert_eq!(x.delivered_correct, y.delivered_correct);
             assert_eq!(x.acquisition, y.acquisition);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by (start_chip, id)")]
+    fn unsorted_timeline_is_refused() {
+        let env = RadioEnv::new(1);
+        let cfg = tiny_cfg();
+        let mut timeline = generate_timeline(&env, &cfg);
+        assert!(timeline.len() > 2);
+        timeline.swap(0, 1);
+        let arm = RxArm {
+            scheme: DeliveryScheme::PacketCrc,
+            postamble: true,
+            collect_symbols: false,
+        };
+        process_receptions(&env, &cfg, &timeline, &arm);
     }
 
     #[test]

@@ -624,12 +624,12 @@ fn victim_of<'a>(spec: &'a [Reception], victims: &[(u64, usize)], k: usize) -> &
         .expect("victim received")
 }
 
-#[test]
-fn clean_shortcut_corpus_matches_the_spec() {
-    let env = corpus_env();
-    let cfg = corpus_cfg(100);
-    let arms = corpus_arms();
-    let len = Frame::chips_len_for_body(cfg.body_bytes);
+/// The clean-reception corpus cases for a 100 B body of `len` chips:
+/// clean captures idle and busy, flips confined to the header, the
+/// trailer or the body, every lane jammed, a jammed lane that redraws
+/// its codeword, postamble acquisition with unaligned spans, and one
+/// flip at each bit of a body lane.
+fn shortcut_cases(len: usize) -> Vec<Case> {
     let (header, body, trailer) = (HEADER_AT, BODY_AT, trailer_at(100));
     let within = move |lo: u64, hi: u64| {
         move |e: &ChipErrors, _: &[ChipWords]| {
@@ -700,6 +700,15 @@ fn clean_shortcut_corpus_matches_the_spec() {
             move |e: &ChipErrors, _: &[ChipWords]| changed_chips(e, len) == [chip as usize],
         ));
     }
+    cases
+}
+
+#[test]
+fn clean_shortcut_corpus_matches_the_spec() {
+    let env = corpus_env();
+    let cfg = corpus_cfg(100);
+    let arms = corpus_arms();
+    let cases = shortcut_cases(Frame::chips_len_for_body(cfg.body_bytes));
     let (timeline, victims) = corpus_timeline(&env, &cfg, &arms, &cases);
     let specs = check_corpus(&env, &cfg, &arms, &timeline, &victims, &cases);
 
@@ -760,6 +769,108 @@ fn clean_shortcut_reports_rejected_headers() {
             Acquisition::Preamble
         );
     }
+}
+
+/// Every arm the registry evaluates on one 13.8 kbit/s trace — the six
+/// scheme × postamble arms of Figs. 8–12 and the Table 2 fragment
+/// sweep, eleven in all — plus the hint arm, in that order. Several
+/// send one frame (Packet CRC and PPR, with and without postamble
+/// decoding), so one reception pass decodes each distinct frame once
+/// and scores every arm that sends it.
+fn registry_arms() -> Vec<RxArm> {
+    let sc = ScenarioBuilder::new().build();
+    let mut arms: Vec<RxArm> = six_arms(sc.schemes()).into_iter().map(|(_, a)| a).collect();
+    for a in table2::request(&sc).arms {
+        if !arms.contains(&a) {
+            arms.push(a);
+        }
+    }
+    assert_eq!(arms.len(), 11);
+    arms.extend(hints::requests(&sc)[0].arms.clone());
+    arms
+}
+
+/// The corpus under the registry's arms: one folding pass, in which
+/// arms that send the same frame share its decode, folds every arm as
+/// its own spec stream, and every arm's one-arm stream equals its spec
+/// — the busy and the preamble-less captures included, which a
+/// postamble-off arm loses without rendering anything.
+#[test]
+fn shared_decode_corpus_matches_each_arms_spec() {
+    let env = corpus_env();
+    let cfg = corpus_cfg(100);
+    let arms = registry_arms();
+    let cases = shortcut_cases(Frame::chips_len_for_body(cfg.body_bytes));
+    let (timeline, victims) = corpus_timeline(&env, &cfg, &arms, &cases);
+    let specs = check_corpus(&env, &cfg, &arms, &timeline, &victims, &cases);
+    // The busy clean case: postamble arms roll back, the others lose it.
+    for (arm, spec) in arms.iter().zip(&specs) {
+        let busy = victim_of(spec, &victims, 1);
+        let want = if arm.postamble {
+            Acquisition::Postamble
+        } else {
+            Acquisition::None
+        };
+        assert_eq!(busy.acquisition, want, "{arm:?}");
+    }
+}
+
+/// A short random trace at the load where the registry's arms share
+/// one pass: one folding pass over all of them folds each as its own
+/// spec stream, and each one-arm stream equals its spec. The trace
+/// holds receptions a postamble-off arm loses while a postamble arm of
+/// the same frame rolls them back, and receptions every arm acquires
+/// by preamble and scores differently.
+#[test]
+fn shared_decode_random_trace_matches_each_arms_spec() {
+    let cfg = SimConfig {
+        load_kbps: 13.8,
+        body_bytes: 1500,
+        carrier_sense: false,
+        duration_s: 2.0,
+        seed: 0x5EED,
+    };
+    let env = RadioEnv::new(cfg.seed);
+    let timeline = generate_timeline(&env, &cfg);
+    let arms = registry_arms();
+    let folds = fold_receptions(&env, &cfg, &timeline, &arms, None);
+    let mut specs = Vec::new();
+    for (arm, fold) in arms.iter().zip(&folds) {
+        let spec = process_receptions_reference(&env, &cfg, &timeline, arm);
+        assert_eq!(
+            *fold,
+            ArmFold::of_stream(&env, &spec, arm.collect_symbols),
+            "{arm:?}"
+        );
+        assert_eq!(
+            process_receptions(&env, &cfg, &timeline, arm),
+            spec,
+            "{arm:?}"
+        );
+        specs.push(spec);
+    }
+    // Arms 0 and 3 are Packet CRC without and with postamble decoding;
+    // arms 3 and 5 are Packet CRC and PPR, both with it.
+    let (off, on, ppr) = (&specs[0], &specs[3], &specs[5]);
+    assert!(!arms[0].postamble && arms[3].postamble && arms[5].postamble);
+    let rolled_back = off
+        .iter()
+        .zip(on)
+        .filter(|(a, b)| {
+            a.acquisition == Acquisition::None && b.acquisition == Acquisition::Postamble
+        })
+        .count();
+    let scored_apart = on
+        .iter()
+        .zip(ppr)
+        .filter(|(a, b)| {
+            a.acquisition == Acquisition::Preamble && a.delivered_correct != b.delivered_correct
+        })
+        .count();
+    assert!(
+        rolled_back > 0 && scored_apart > 0,
+        "{rolled_back} {scored_apart}"
+    );
 }
 
 proptest! {
