@@ -210,13 +210,11 @@ fn bench_corrupt_sparse(c: &mut Criterion) {
 
 /// The DSP backend kernel ladder (superposition and matched-filter bank
 /// — each tier this CPU offers vs the scalar reference it must
-/// bit-match), the scalar SOVA decoder, and the CRC-32 kernel ladder on
-/// a 1500 B packet.
+/// bit-match) and the CRC-32 kernel ladder on a 1500 B packet.
 fn bench_dsp_kernels(c: &mut Criterion) {
     use ppr_phy::complex::Complex32;
     use ppr_phy::pulse::HalfSine;
     use ppr_phy::simd::DspKernel;
-    use ppr_phy::sova;
 
     let mut rng = StdRng::seed_from_u64(6);
     let cpx = |n: usize, rng: &mut StdRng| -> Vec<Complex32> {
@@ -263,15 +261,6 @@ fn bench_dsp_kernels(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let bits: Vec<bool> = (0..500).map(|_| rng.gen()).collect();
-    let mut soft = sova::modulate_coded(&bits);
-    for s in &mut soft {
-        *s += rng.gen_range(-0.5f32..0.5);
-    }
-    c.bench_function("dsp_sova_500bits", |b| {
-        b.iter(|| sova::decode(black_box(&soft)))
-    });
 
     let buf: Vec<u8> = (0..1500).map(|_| rng.gen()).collect();
     let mut group = c.benchmark_group("crc32_1500B");

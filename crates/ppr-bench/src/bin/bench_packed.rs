@@ -2,9 +2,9 @@
 //! packed-vs-bool stages at L ∈ {1k, 10k, 100k} chips, the chunking-DP
 //! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
 //! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
-//! kernel ladder (`dsp_{axpy,demod}_<kernel>`) and the scalar SOVA
-//! decoder (`dsp_sova_500bits`), plus a small end-to-end reception run, and writes `BENCH_packed.json`
-//! (schema v9) so CI can archive the perf trajectory.
+//! kernel ladder (`dsp_{axpy,demod}_<kernel>`), plus a small end-to-end
+//! reception run, and writes `BENCH_packed.json` (schema v10) so CI can
+//! archive the perf trajectory.
 //!
 //! The event-core rows time the reception driver
 //! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood
@@ -19,7 +19,8 @@
 //! code, renamed the production planner's rows `plan_chunks_L*`,
 //! collapsed the SOVA rows into one `dsp_sova_500bits` and folded
 //! `corrupt_packed_inplace_*` into `corrupt_packed_*`, which now times
-//! clone + in place.
+//! clone + in place; v10 dropped `dsp_sova_500bits` with the SOVA
+//! decoder, which no experiment reached.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -36,7 +37,6 @@ use ppr_phy::complex::Complex32;
 use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
-use ppr_phy::sova;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
 use rand::rngs::StdRng;
@@ -240,7 +240,7 @@ fn main() {
     // DSP kernel ladder: each vector tier this CPU offers against the
     // scalar reference, on the two kernels the sample-level pipeline
     // dispatches — transmitter superposition (axpy) and the
-    // matched-filter bank (demod) — plus the scalar SOVA decoder.
+    // matched-filter bank (demod).
     {
         let wave: Vec<Complex32> = (0..4096)
             .map(|_| Complex32 {
@@ -285,13 +285,6 @@ fn main() {
                 }),
             ));
         }
-
-        let bits: Vec<bool> = (0..500).map(|_| rng.gen()).collect();
-        let mut soft = sova::modulate_coded(&bits);
-        for s in &mut soft {
-            *s += rng.gen_range(-0.5f32..0.5);
-        }
-        entries.push(("dsp_sova_500bits".into(), time_ns(|| sova::decode(&soft))));
     }
 
     // Small end-to-end run through the packed reception loop.
@@ -341,7 +334,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v9\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v10\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -58,25 +58,6 @@ pub fn chip_error_prob_dominant(
     p.clamp(0.0, 0.5)
 }
 
-/// Linear SINR from signal, interference and noise powers (all mW).
-#[inline]
-pub fn sinr(signal_mw: f64, interference_mw: f64, noise_mw: f64) -> f64 {
-    signal_mw / (interference_mw + noise_mw)
-}
-
-/// Probability that a 32-chip codeword decodes *incorrectly* under
-/// independent chip errors with probability `p`, estimated via the
-/// nearest-codeword union bound with minimum distance 12.
-///
-/// Used for analytics and sanity tests only — simulations flip actual
-/// chips and decode, they never shortcut through this bound.
-pub fn codeword_error_upper_bound(p: f64) -> f64 {
-    // A decoding error requires ≥ 6 chip errors (half the minimum
-    // distance); bound by P[Binomial(32, p) ≥ 6] × 15 neighbors, clamped.
-    let tail = binomial_tail(32, p, 6);
-    (15.0 * tail).min(1.0)
-}
-
 /// `P[Binomial(n, p) ≥ k]`.
 pub fn binomial_tail(n: u32, p: f64, k: u32) -> f64 {
     if p <= 0.0 {
@@ -109,6 +90,11 @@ fn ln_factorial(n: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Linear SINR from signal, interference and noise powers (all mW).
+    fn sinr(signal_mw: f64, interference_mw: f64, noise_mw: f64) -> f64 {
+        signal_mw / (interference_mw + noise_mw)
+    }
 
     #[test]
     fn chip_error_prob_limits() {
@@ -203,13 +189,5 @@ mod tests {
         assert_eq!(binomial_tail(32, 0.0, 1), 0.0);
         assert_eq!(binomial_tail(32, 1.0, 32), 1.0);
         assert!((binomial_tail(10, 0.5, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn codeword_bound_tracks_chip_error_rate() {
-        assert!(codeword_error_upper_bound(1e-4) < 1e-10);
-        let mid = codeword_error_upper_bound(0.05);
-        assert!(mid > 1e-5 && mid < 0.5, "mid {mid}");
-        assert_eq!(codeword_error_upper_bound(0.5), 1.0);
     }
 }

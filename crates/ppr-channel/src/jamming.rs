@@ -99,21 +99,21 @@ pub fn clip_bursts(bursts: &[Burst], from: u64, to: u64) -> Vec<(u64, u64)> {
     merged
 }
 
-/// Fraction of the window `[from, to)` covered by the bursts.
-pub fn cover_fraction(bursts: &[Burst], from: u64, to: u64) -> f64 {
-    if to <= from {
-        return 0.0;
-    }
-    let covered: u64 = clip_bursts(bursts, from, to)
-        .iter()
-        .map(|&(s, e)| e - s)
-        .sum();
-    covered as f64 / (to - from) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of the window `[from, to)` covered by the bursts.
+    fn cover_fraction(bursts: &[Burst], from: u64, to: u64) -> f64 {
+        if to <= from {
+            return 0.0;
+        }
+        let covered: u64 = clip_bursts(bursts, from, to)
+            .iter()
+            .map(|&(s, e)| e - s)
+            .sum();
+        covered as f64 / (to - from) as f64
+    }
 
     #[test]
     fn pulse_burst_jams_leading_duty_fraction() {

@@ -11,22 +11,10 @@ pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
 
-/// Converts milliwatts to dBm. Returns `-inf` for 0 mW.
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
-
 /// Converts a power ratio to decibels.
 #[inline]
 pub fn ratio_to_db(r: f64) -> f64 {
     10.0 * r.log10()
-}
-
-/// Converts decibels to a power ratio.
-#[inline]
-pub fn db_to_ratio(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
 }
 
 /// The error function, via Abramowitz & Stegun 7.1.26.
@@ -63,9 +51,10 @@ mod tests {
     #[test]
     fn db_conversions_roundtrip() {
         for dbm in [-100.0, -30.0, 0.0, 17.5] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
+            // dBm is the ratio to 1 mW in dB.
+            assert!((ratio_to_db(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
         }
-        assert!((db_to_ratio(3.0103) - 2.0).abs() < 1e-3);
+        assert!((ratio_to_db(2.0) - 3.0103).abs() < 1e-3);
         assert!((ratio_to_db(10.0) - 10.0).abs() < 1e-12);
     }
 

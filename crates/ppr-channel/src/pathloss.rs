@@ -127,25 +127,10 @@ impl Link {
         }
     }
 
-    /// Builds a link with explicit shadowing (deterministic tests).
-    pub fn with_shadowing(model: &PathLossModel, distance_m: f64, shadowing_db: f64) -> Self {
-        Link {
-            distance_m,
-            shadowing_db,
-            rx_power_mw: model.rx_power_mw(distance_m, shadowing_db),
-        }
-    }
-
     /// Linear SNR of this link against a noise floor in mW.
     pub fn snr(&self, noise_mw: f64) -> f64 {
         self.rx_power_mw / noise_mw
     }
-}
-
-/// Free-space reference loss at 1 m for a carrier frequency in GHz:
-/// `20 log₁₀(4π d f / c)`.
-pub fn fspl_at_1m_db(freq_ghz: f64) -> f64 {
-    20.0 * (4.0 * std::f64::consts::PI * freq_ghz * 1e9 / 299_792_458.0).log10()
 }
 
 /// Draws one sample from the standard normal `N(0, 1)` via Box–Muller.
@@ -171,6 +156,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Free-space reference loss at 1 m for a carrier frequency in GHz:
+    /// `20 log₁₀(4π d f / c)`.
+    fn fspl_at_1m_db(freq_ghz: f64) -> f64 {
+        20.0 * (4.0 * std::f64::consts::PI * freq_ghz * 1e9 / 299_792_458.0).log10()
+    }
+
     #[test]
     fn path_loss_increases_with_distance() {
         let m = PathLossModel::default();
@@ -195,8 +186,9 @@ mod tests {
 
     #[test]
     fn fspl_reference_value() {
-        // ~40 dB at 1 m, 2.4 GHz.
+        // ~40 dB at 1 m, 2.4 GHz: the default model's reference loss.
         assert!((fspl_at_1m_db(2.4) - 40.05).abs() < 0.1);
+        assert!((fspl_at_1m_db(2.4) - PathLossModel::default().pl0_db).abs() < 0.1);
     }
 
     #[test]
@@ -227,8 +219,8 @@ mod tests {
     #[test]
     fn link_freezes_shadowing() {
         let m = PathLossModel::default();
-        let l = Link::with_shadowing(&m, 10.0, 3.0);
-        assert!((l.rx_power_mw - m.rx_power_mw(10.0, 3.0)).abs() < 1e-15);
+        let l = Link::new(&m, 10.0, &mut StdRng::seed_from_u64(3));
+        assert!((l.rx_power_mw - m.rx_power_mw(10.0, l.shadowing_db)).abs() < 1e-15);
         assert!(l.snr(m.noise_mw()) > 0.0);
     }
 

@@ -88,6 +88,21 @@ fn body_bytes_is_bounded_by_what_the_receiver_accepts() {
 }
 
 #[test]
+fn values_that_size_an_allocation_are_bounded() {
+    // Each would size a huge allocation before the run starts; both are
+    // refused as usage errors before anything is built.
+    for (id, set, want) in [
+        ("meshjam", "churn=1e9", "0-10000"),
+        ("fig10", "topology=grid:100000x100000", "1-32"),
+    ] {
+        let out = ppr_cli(&["run", id, "--set", set]);
+        assert_eq!(out.status.code(), Some(2), "--set {set}: {}", stderr(&out));
+        assert!(stderr(&out).contains(want), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "ran despite --set {set}");
+    }
+}
+
+#[test]
 fn removed_driver_axis_is_an_unknown_key() {
     // One reception driver remains, so `driver` is no scenario key: it
     // must be refused up front, not ignored or crash the run.

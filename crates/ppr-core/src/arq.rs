@@ -79,24 +79,6 @@ impl PpArq {
         };
         plan_chunks(&rl, &cost)
     }
-
-    /// Like [`Self::plan_feedback`] but reusing a caller-provided
-    /// [`ChunkScratch`], so a per-receiver loop plans without allocating
-    /// DP state per packet. The plan lives in the scratch until the next
-    /// call.
-    pub fn plan_feedback_with<'a>(
-        &self,
-        hints: &PacketHints,
-        scratch: &'a mut ChunkScratch,
-    ) -> &'a ChunkPlan {
-        let rl = RunLengths::from_labels(&hints.labels());
-        let cost = CostModel {
-            packet_units: hints.len(),
-            bits_per_unit: self.config.bits_per_unit,
-            checksum_bits: self.config.checksum_bits,
-        };
-        plan_chunks_with(&rl, &cost, scratch)
-    }
 }
 
 /// One retransmitted byte range.
@@ -929,21 +911,6 @@ mod tests {
             assert_eq!(fresh, reused, "payload {n}");
             assert!(reused.completed);
         }
-    }
-
-    #[test]
-    fn planner_facade_scratch_variant_matches() {
-        let mut hints = vec![0u8; 64];
-        for h in &mut hints[28..36] {
-            *h = 9;
-        }
-        let arq = PpArq::new(PpArqConfig::default());
-        let hints = PacketHints::from_raw(&hints, 6);
-        let plain = arq.plan_feedback(&hints);
-        let mut scratch = crate::dp::ChunkScratch::new();
-        let with = arq.plan_feedback_with(&hints, &mut scratch);
-        assert_eq!(with, &plain);
-        assert_eq!(scratch.plan(), &plain);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Feedback {
         }
     }
 
-    /// True when nothing is requested (ACK-shaped feedback).
-    pub fn is_ack(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
     /// Serializes to bytes. Layout (bit-packed):
     /// `seq:16 · packet_len:16 · n_chunks:8 · (offset:w · len:w)* · crc:16*`
     /// where `w = ⌈log₂(packet_len+1)⌉`.
@@ -82,13 +77,6 @@ impl Feedback {
             bw.write(cs.crc as u64, 16);
         }
         bw.into_bytes()
-    }
-
-    /// Size of the encoded feedback in bits (before byte padding) — the
-    /// quantity the DP minimizes, used by the evaluation.
-    pub fn encoded_bits(&self) -> usize {
-        let w = width_for(self.packet_len);
-        16 + 16 + 8 + self.chunks.len() * 2 * w + self.checksums.len() * 16
     }
 
     /// Deserializes; returns `None` on truncation or malformed geometry
@@ -147,6 +135,13 @@ pub fn complement_ranges(len: usize, chunks: &[UnitRange]) -> Vec<UnitRange> {
 mod tests {
     use super::*;
 
+    /// Size of the encoded feedback in bits (before byte padding): the
+    /// quantity the DP's cost model charges.
+    fn encoded_bits(fb: &Feedback) -> usize {
+        let w = width_for(fb.packet_len);
+        16 + 16 + 8 + fb.chunks.len() * 2 * w + fb.checksums.len() * 16
+    }
+
     #[test]
     fn complement_geometry() {
         let chunks = vec![UnitRange::new(10, 20), UnitRange::new(30, 35)];
@@ -184,7 +179,7 @@ mod tests {
     fn ack_shape() {
         let bytes = vec![1u8; 64];
         let fb = Feedback::from_plan(1, &bytes, vec![]);
-        assert!(fb.is_ack());
+        assert!(fb.chunks.is_empty());
         assert_eq!(fb.checksums.len(), 1);
         assert_eq!(fb.checksums[0].range, UnitRange::new(0, 64));
         let decoded = Feedback::decode(&fb.encode()).unwrap();
@@ -204,8 +199,8 @@ mod tests {
             ],
         );
         let padded_bits = fb.encode().len() * 8;
-        assert!(fb.encoded_bits() <= padded_bits);
-        assert!(padded_bits - fb.encoded_bits() < 8);
+        assert!(encoded_bits(&fb) <= padded_bits);
+        assert!(padded_bits - encoded_bits(&fb) < 8);
     }
 
     #[test]
@@ -240,10 +235,10 @@ mod tests {
                 .map(|i| UnitRange::new(i * 40, i * 40 + 10))
                 .collect(),
         );
-        assert!(many.encoded_bits() > one.encoded_bits());
+        assert!(encoded_bits(&many) > encoded_bits(&one));
         // w = 10 bits. one: header 40 + 1 chunk (20) + 1 CRC (16) = 76.
-        assert_eq!(one.encoded_bits(), 76);
+        assert_eq!(encoded_bits(&one), 76);
         // many: header 40 + 20 chunks (400) + 20 complement CRCs (320).
-        assert_eq!(many.encoded_bits(), 760);
+        assert_eq!(encoded_bits(&many), 760);
     }
 }

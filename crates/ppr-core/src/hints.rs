@@ -45,12 +45,8 @@ impl PacketHints {
         &self.hints
     }
 
-    /// The §3.2 threshold rule: unit `i` is good ⇔ `hint ≤ η`.
-    pub fn is_good(&self, i: usize) -> bool {
-        self.hints[i] <= self.eta
-    }
-
-    /// Good/bad labels for the whole packet.
+    /// Good/bad labels for the whole packet: the §3.2 threshold rule,
+    /// unit `i` is good ⇔ `hint ≤ η`.
     pub fn labels(&self) -> Vec<bool> {
         self.hints.iter().map(|&h| h <= self.eta).collect()
     }
@@ -78,8 +74,6 @@ mod tests {
         assert_eq!(h.labels(), vec![true, true, false, false]);
         assert_eq!(h.bad_count(), 2);
         assert!(!h.all_good());
-        assert!(h.is_good(1));
-        assert!(!h.is_good(2));
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl AdaptiveThreshold {
         }
     }
 
-    /// The paper's defaults: Hamming hints 0..=32, η₀ = 6, 2 % target
-    /// miss rate.
-    pub fn hamming_default() -> Self {
-        Self::new(32, ppr_mac::schemes::DEFAULT_ETA, 0.02)
-    }
-
     /// Records the ground-truth outcome of one unit with hint `h`.
     pub fn observe(&mut self, hint: u8, was_correct: bool) {
         let h = (hint as usize).min(self.correct.len() - 1);
@@ -50,13 +44,6 @@ impl AdaptiveThreshold {
             self.correct[h] += 1;
         } else {
             self.wrong[h] += 1;
-        }
-    }
-
-    /// Records outcomes for a whole span.
-    pub fn observe_span(&mut self, hints: &[u8], correct: &[bool]) {
-        for (&h, &c) in hints.iter().zip(correct) {
-            self.observe(h, c);
         }
     }
 
@@ -110,7 +97,7 @@ mod tests {
 
     #[test]
     fn starts_with_initial_eta() {
-        let t = AdaptiveThreshold::hamming_default();
+        let t = AdaptiveThreshold::new(32, 6, 0.02);
         assert_eq!(t.eta(), 6);
         assert_eq!(t.samples(), 0);
     }
@@ -143,20 +130,6 @@ mod tests {
         }
         assert_eq!(t.eta(), 0);
         assert!(t.miss_rate_at(0) > 0.15);
-    }
-
-    #[test]
-    fn observe_span_matches_pointwise() {
-        let mut a = AdaptiveThreshold::new(8, 3, 0.1);
-        let mut b = AdaptiveThreshold::new(8, 3, 0.1);
-        let hints = [0u8, 1, 5, 7, 2];
-        let truth = [true, true, false, false, true];
-        a.observe_span(&hints, &truth);
-        for (&h, &c) in hints.iter().zip(&truth) {
-            b.observe(h, c);
-        }
-        assert_eq!(a.samples(), b.samples());
-        assert_eq!(a.eta(), b.eta());
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The lint driver: walk the workspace, run every lint (per file, plus
-//! the cross-file `orphan-file` lint over the whole walk), then filter
-//! findings through suppressions and the baseline.
+//! the cross-file `orphan-file` and `dead-pub` lints over the whole
+//! walk), then filter findings through suppressions and the baseline.
 //!
 //! The walk covers `src/`, `crates/`, `tests/` and `examples/` under
 //! the workspace root, skipping `vendor/` (third-party stand-ins we do
 //! not hold to project invariants), `target/` and any `fixtures/`
 //! directory (lint-test inputs contain violations by design).
+//! `perfbench/src` is read but not linted: the benchmark harness is a
+//! separate cargo project whose calls into the workspace count as uses
+//! for `dead-pub`.
 //!
 //! A raw finding ends up in exactly one bucket:
 //!
@@ -20,7 +23,7 @@
 //! suppressible — a typo in a suppression must not suppress itself.
 
 use crate::config::{BaselineEntry, Config};
-use crate::lints::{check_file_with_readme, orphan_file_lint, Finding};
+use crate::lints::{check_file_with_readme, dead_pub_lint, orphan_file_lint, Finding};
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -133,19 +136,22 @@ pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
     // the documentation the lint guards is gone).
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
 
-    let mut sources = Vec::with_capacity(files.len());
-    for path in &files {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        sources.push(SourceFile::parse(&rel_path(root, path), &text));
-    }
-    let orphans = orphan_file_lint(&sources);
+    let sources = parse_all(root, &files)?;
+    let mut bench_files = Vec::new();
+    collect_rs_files(&root.join("perfbench/src"), &mut bench_files);
+    bench_files.sort();
+    let bench_sources = parse_all(root, &bench_files)?;
+    let mut cross_file = orphan_file_lint(&sources);
+    cross_file.extend(dead_pub_lint(&sources, &bench_sources));
 
     for file in &sources {
-        let own_orphans = orphans.iter().filter(|f| f.path == file.rel_path).cloned();
+        let own = cross_file
+            .iter()
+            .filter(|f| f.path == file.rel_path)
+            .cloned();
         for finding in check_file_with_readme(file, cfg, Some(&readme))
             .into_iter()
-            .chain(own_orphans)
+            .chain(own)
         {
             if finding.lint != "directive" && is_suppressed(file, &finding) {
                 report.suppressed.push(finding);
@@ -168,6 +174,17 @@ pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
         .map(|(e, _)| e.clone())
         .collect();
     Ok(report)
+}
+
+fn parse_all(root: &Path, files: &[PathBuf]) -> Result<Vec<SourceFile>, String> {
+    files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("reading {}: {e}", path.display()))?;
+            Ok(SourceFile::parse(&rel_path(root, path), &text))
+        })
+        .collect()
 }
 
 /// A finding is suppressed when an `allow` directive naming its lint

@@ -15,14 +15,17 @@
 //! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (`ppr_sim::network`, the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
 //! | `axis-doc` | every axis key in `ppr_sim::scenario`'s `SCENARIO_KEYS` table has a `` | `key` `` row in the README's scenario-axis table — so `--set` surface and documentation cannot drift apart |
 //! | `orphan-file` | every `.rs` file under a crate's `src/` is reachable through `mod` declarations from `lib.rs`, `main.rs` or a `src/bin/` target — a file nothing declares is never compiled, yet reads like live code |
+//! | `dead-pub` | every `pub` item (`fn`, method, `struct`, `enum`, `trait`, `type`, `const`, `static`) of a library crate's `src/` is named as a code token somewhere other than its own declaration, a `pub use` in a `lib.rs` and its own file's `#[cfg(test)]` items — uses count in `src/`, `crates/`, `tests/`, `examples/` and the read-only `perfbench/src` |
 //! | `directive` | `ppr-lint:` comments themselves parse and regions match (not suppressible) |
 //!
 //! Being lexical is a feature (no `syn`, no build, runs in
 //! milliseconds) and a limit: a call like `FxCost::to_bits(x)` returns
 //! `f64` without any float *token* on the line, and a `HashMap` behind
-//! a type alias would hide. The lints guard the conventions as written
-//! in this codebase — idiomatic std names, spelled out — which review
-//! keeps true.
+//! a type alias would hide. `dead-pub` matches names, not paths, so a
+//! dead item that shares its name with anything used (a `new` among
+//! many, a local variable) hides; it can never flag a live one. The
+//! lints guard the conventions as written in this codebase — idiomatic
+//! std names, spelled out — which review keeps true.
 
 use crate::config::Config;
 use crate::lexer::TokenKind;
@@ -45,7 +48,7 @@ pub struct Finding {
 }
 
 /// Names of every lint, for `--list` and allow(...) validation.
-pub const LINT_NAMES: [&str; 9] = [
+pub const LINT_NAMES: [&str; 10] = [
     "determinism",
     "unsafe-containment",
     "no-float",
@@ -54,6 +57,7 @@ pub const LINT_NAMES: [&str; 9] = [
     "snapshot-field-doc",
     "axis-doc",
     "orphan-file",
+    "dead-pub",
     "directive",
 ];
 
@@ -91,18 +95,13 @@ fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| path.starts_with(s))
 }
 
-/// Runs every lint over one file. `cfg` supplies the configured
-/// extension of the `unsafe` allowlist; the baseline is applied later
-/// by the engine, not here. Without README text the `axis-doc` lint
-/// cannot run — the engine uses [`check_file_with_readme`].
-pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
-    check_file_with_readme(file, cfg, None)
-}
-
-/// [`check_file`] plus the cross-file `axis-doc` lint, which compares
-/// the scenario-axis table against `readme` (the workspace README's
-/// text; the engine passes the file's content, or `""` when the README
-/// itself is missing — which correctly flags every axis as undocumented).
+/// Runs every per-file lint over one file. `cfg` supplies the
+/// configured extension of the `unsafe` allowlist; the baseline is
+/// applied later by the engine, not here. `axis-doc` compares the
+/// scenario-axis table against `readme` (the workspace README's text;
+/// the engine passes the file's content, or `""` when the README itself
+/// is missing — which correctly flags every axis as undocumented) and
+/// is off without it.
 pub fn check_file_with_readme(
     file: &SourceFile,
     cfg: &Config,
@@ -701,9 +700,239 @@ fn declared_mods(file: &SourceFile) -> Vec<&str> {
         .collect()
 }
 
+/// `dead-pub`: every `pub` item declared in a library crate's `src/`
+/// must be named somewhere that is not its own declaration, a `pub use`
+/// re-export in a `lib.rs`, or its own file's `#[cfg(test)]` items. An
+/// item only its own tests call belongs in that test module; an item
+/// nothing calls belongs nowhere. `files` are the linted workspace
+/// files; `read_only` (the benchmark harness's sources) only contribute
+/// uses. Cross-file, like `orphan-file`.
+pub fn dead_pub_lint(files: &[SourceFile], read_only: &[SourceFile]) -> Vec<Finding> {
+    let lib_dirs: BTreeSet<&str> = files
+        .iter()
+        .filter_map(|f| {
+            let dir = src_dir(&f.rel_path)?;
+            (&f.rel_path[dir.len()..] == "lib.rs").then_some(dir)
+        })
+        .collect();
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut per_file = Vec::with_capacity(files.len());
+    for file in files.iter().chain(read_only) {
+        let scan = UseScan::of(file);
+        for (tok, &excluded) in file.lexed.tokens.iter().zip(&scan.excluded) {
+            if let (TokenKind::Ident(name), false) = (&tok.kind, excluded) {
+                *uses.entry(name.as_str()).or_default() += 1;
+            }
+        }
+        per_file.push(scan);
+    }
+    let mut out = Vec::new();
+    for (file, scan) in files.iter().zip(&per_file) {
+        let in_lib_crate = src_dir(&file.rel_path).is_some_and(|d| {
+            let rel = &file.rel_path[d.len()..];
+            lib_dirs.contains(d) && rel != "main.rs" && !rel.starts_with("bin/")
+        });
+        if !in_lib_crate {
+            continue;
+        }
+        let tokens = &file.lexed.tokens;
+        // Uses in this file's own tests do not keep an item alive.
+        let mut own_test_uses: BTreeMap<&str, usize> = BTreeMap::new();
+        for &(a, b) in &scan.tests {
+            for (tok, &excluded) in tokens[a..=b].iter().zip(&scan.excluded[a..=b]) {
+                if let (TokenKind::Ident(name), false) = (&tok.kind, excluded) {
+                    *own_test_uses.entry(name.as_str()).or_default() += 1;
+                }
+            }
+        }
+        for &(pub_at, name_at) in &scan.decls {
+            if scan.in_tests(pub_at) {
+                continue;
+            }
+            let TokenKind::Ident(name) = &tokens[name_at].kind else {
+                continue;
+            };
+            let count = |m: &BTreeMap<&str, usize>| m.get(name.as_str()).copied().unwrap_or(0);
+            if count(&uses) > count(&own_test_uses) {
+                continue;
+            }
+            out.push(finding(
+                file,
+                tokens[pub_at].line,
+                "dead-pub",
+                format!(
+                    "`pub` item `{name}` is named nowhere but its declaration, lib.rs \
+                     re-exports and its own file's tests; delete it, or move it into the \
+                     test module that uses it"
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// What the `dead-pub` lint reads out of one file: its `pub` item
+/// declarations, the token ranges of its `#[cfg(test)]` items, and the
+/// tokens that never count as a use (declared names and the names in a
+/// `lib.rs`'s `pub use` re-exports).
+struct UseScan {
+    /// `(index of the pub token, index of the declared name)`.
+    decls: Vec<(usize, usize)>,
+    /// Inclusive token ranges of `#[cfg(test)]` items.
+    tests: Vec<(usize, usize)>,
+    /// Per token: true if it never counts as a use.
+    excluded: Vec<bool>,
+}
+
+impl UseScan {
+    fn of(file: &SourceFile) -> UseScan {
+        let tokens = &file.lexed.tokens;
+        let is_lib = file.rel_path.ends_with("/lib.rs");
+        let mut scan = UseScan {
+            decls: Vec::new(),
+            tests: Vec::new(),
+            excluded: vec![false; tokens.len()],
+        };
+        let mut i = 0;
+        while i < tokens.len() {
+            if is_punct(tokens, i, '#') && cfg_test_attr(tokens, i + 1) {
+                // `#` `[` `cfg` `(` `test` `)` `]`, then the item.
+                let end = item_end(tokens, i + 7);
+                scan.tests.push((i, end));
+            }
+            if !is_ident(tokens, i, "pub") || is_punct(tokens, i + 1, '(') {
+                i += 1;
+                continue;
+            }
+            if is_lib && is_ident(tokens, i + 1, "use") {
+                let end = (i..tokens.len())
+                    .find(|&k| is_punct(tokens, k, ';'))
+                    .unwrap_or(tokens.len() - 1);
+                scan.excluded[i..=end].fill(true);
+                i = end + 1;
+                continue;
+            }
+            if let Some(name_at) = declared_name(tokens, i + 1) {
+                scan.decls.push((i, name_at));
+                scan.excluded[name_at] = true;
+            }
+            i += 1;
+        }
+        scan
+    }
+
+    fn in_tests(&self, i: usize) -> bool {
+        self.tests.iter().any(|&(a, b)| a <= i && i <= b)
+    }
+}
+
+fn is_ident(tokens: &[crate::lexer::Token], i: usize, want: &str) -> bool {
+    matches!(tokens.get(i).map(|t| &t.kind), Some(TokenKind::Ident(n)) if n == want)
+}
+
+fn is_punct(tokens: &[crate::lexer::Token], i: usize, want: char) -> bool {
+    tokens
+        .get(i)
+        .is_some_and(|t| t.kind == TokenKind::Punct(want))
+}
+
+/// Do the tokens at `i` read `[cfg(test)]`?
+fn cfg_test_attr(tokens: &[crate::lexer::Token], i: usize) -> bool {
+    is_punct(tokens, i, '[')
+        && is_ident(tokens, i + 1, "cfg")
+        && is_punct(tokens, i + 2, '(')
+        && is_ident(tokens, i + 3, "test")
+        && is_punct(tokens, i + 4, ')')
+        && is_punct(tokens, i + 5, ']')
+}
+
+/// The index of the last token of the item starting at `from`: its
+/// first `;` outside brackets, or the `}` closing its first top-level
+/// brace block (attributes in front of the item are skipped over).
+fn item_end(tokens: &[crate::lexer::Token], from: usize) -> usize {
+    let mut depth = 0usize;
+    let mut k = from;
+    while k < tokens.len() {
+        match tokens[k].kind {
+            TokenKind::Punct('#') if depth == 0 && is_punct(tokens, k + 1, '[') => {
+                // An attribute: skip to its closing bracket.
+                let mut d = 0usize;
+                k += 1;
+                while k < tokens.len() {
+                    match tokens[k].kind {
+                        TokenKind::Punct('[') => d += 1,
+                        TokenKind::Punct(']') => {
+                            d -= 1;
+                            if d == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    k += 1;
+                }
+            }
+            TokenKind::Punct('(' | '[' | '{') => depth += 1,
+            TokenKind::Punct(')' | ']') => depth = depth.saturating_sub(1),
+            TokenKind::Punct('}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return k;
+                }
+            }
+            TokenKind::Punct(';') if depth == 0 => return k,
+            _ => {}
+        }
+        k += 1;
+    }
+    tokens.len().saturating_sub(1)
+}
+
+/// After a bare `pub`, the index of the declared item's name, if the
+/// tokens at `i` declare one of the items `dead-pub` checks (`fn`,
+/// `struct`, `enum`, `union`, `trait`, `type`, `const`, `static`),
+/// behind any `const`/`unsafe`/`async`/`extern "ABI"` qualifiers.
+fn declared_name(tokens: &[crate::lexer::Token], mut i: usize) -> Option<usize> {
+    const QUALIFIED: [&str; 4] = ["fn", "unsafe", "async", "extern"];
+    loop {
+        match tokens.get(i).map(|t| &t.kind) {
+            Some(TokenKind::Ident(q)) if q == "unsafe" || q == "async" || q == "extern" => i += 1,
+            Some(TokenKind::Literal) => i += 1, // the ABI string of `extern "C"`
+            Some(TokenKind::Ident(q))
+                if q == "const"
+                    && matches!(tokens.get(i + 1).map(|t| &t.kind),
+                        Some(TokenKind::Ident(n)) if QUALIFIED.contains(&n.as_str())) =>
+            {
+                i += 1
+            }
+            _ => break,
+        }
+    }
+    let TokenKind::Ident(kind) = &tokens.get(i)?.kind else {
+        return None;
+    };
+    if !matches!(
+        kind.as_str(),
+        "fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static"
+    ) {
+        return None;
+    }
+    let name_at = if is_ident(tokens, i + 1, "mut") {
+        i + 2
+    } else {
+        i + 1
+    };
+    matches!(tokens.get(name_at)?.kind, TokenKind::Ident(_)).then_some(name_at)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every per-file lint but `axis-doc`, which needs README text.
+    fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
+        check_file_with_readme(file, cfg, None)
+    }
 
     fn check(path: &str, src: &str) -> Vec<Finding> {
         check_file(&SourceFile::parse(path, src), &Config::default())
@@ -761,6 +990,114 @@ mod c;
             .all(|f| (f.line, f.lint) == (1, "orphan-file")));
         let orphans: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(orphans, ["src/stray.rs", "crates/x/src/lost.rs"]);
+    }
+
+    /// Runs `dead-pub` over `files` (linted) and `bench` (read only)
+    /// and returns the `(path, line)` of each finding.
+    fn dead_pub(files: &[(&str, &str)], bench: &[(&str, &str)]) -> Vec<(String, u32)> {
+        let parse = |set: &[(&str, &str)]| -> Vec<SourceFile> {
+            set.iter().map(|(p, s)| SourceFile::parse(p, s)).collect()
+        };
+        dead_pub_lint(&parse(files), &parse(bench))
+            .into_iter()
+            .inspect(|f| assert_eq!(f.lint, "dead-pub"))
+            .map(|f| (f.path, f.line))
+            .collect()
+    }
+
+    const DEAD_LIB: &str = "pub mod a;\npub use a::{Reexported, Tested};\n";
+
+    #[test]
+    fn dead_pub_ignores_own_tests_reexports_comments_and_strings() {
+        let a = "\
+pub fn tested() {}
+pub struct Reexported;
+// Commented: named in prose only, and in \"Commented\" below.
+pub const COMMENTED: u8 = 1;
+pub fn live() {}
+fn private() { let _ = \"COMMENTED\"; live(); }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    #[test]
+    fn t() { tested(); let _ = Reexported; }
+}
+";
+        let found = dead_pub(
+            &[("crates/x/src/lib.rs", DEAD_LIB), ("crates/x/src/a.rs", a)],
+            &[],
+        );
+        assert_eq!(
+            found,
+            [
+                ("crates/x/src/a.rs".to_string(), 1),
+                ("crates/x/src/a.rs".to_string(), 2),
+                ("crates/x/src/a.rs".to_string(), 4),
+            ]
+        );
+        // `private` keeps `live` alive; nothing in lib.rs is a finding.
+    }
+
+    #[test]
+    fn dead_pub_counts_uses_in_other_crates_tests_and_perfbench() {
+        let a = "\
+pub struct Engine;
+impl Engine {
+    pub fn spin(&self) {}
+    pub const fn idle() -> u8 { 0 }
+    pub(crate) fn internal() {}
+}
+pub static mut COUNTER: u32 = 0;
+";
+        let lib = "pub mod a;\n";
+        let files = [
+            ("crates/x/src/lib.rs", lib),
+            ("crates/x/src/a.rs", a),
+            // A method called from another crate's source.
+            (
+                "crates/y/src/main.rs",
+                "fn main() { x::a::Engine.spin(); }\n",
+            ),
+            // Another file's test module counts as a use.
+            (
+                "tests/t.rs",
+                "#[cfg(test)]\nmod tests { fn f() { let _ = x::a::Engine::idle(); } }\n",
+            ),
+        ];
+        // Only COUNTER is unused; `pub(crate)` is out of scope.
+        assert_eq!(
+            dead_pub(&files, &[]),
+            [("crates/x/src/a.rs".to_string(), 7)]
+        );
+        // The benchmark harness is read, not linted: its use counts.
+        let bench = [(
+            "perfbench/src/main.rs",
+            "fn f() { unsafe { x::a::COUNTER += 1 } }\n",
+        )];
+        assert!(dead_pub(&files, &bench).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_lints_library_sources_only() {
+        // No lib.rs: a binary crate, out of scope; so are a library
+        // crate's bin targets, tests and declarations inside its tests.
+        let files = [
+            ("crates/cli/src/main.rs", "pub fn unused() {}\n"),
+            (
+                "crates/x/src/lib.rs",
+                "#[cfg(test)]\nmod t { pub fn helper() {} }\n",
+            ),
+            ("crates/x/src/bin/tool.rs", "pub fn unused_too() {}\n"),
+            ("crates/x/tests/it.rs", "pub fn shared() {}\n"),
+            ("tests/it.rs", "pub fn shared_too() {}\n"),
+        ];
+        assert!(dead_pub(&files, &[]).is_empty());
+        // Declared names never count as uses of each other.
+        let twins = [
+            ("crates/x/src/lib.rs", "pub fn twin() {}\n"),
+            ("crates/y/src/lib.rs", "pub fn twin() {}\n"),
+        ];
+        assert_eq!(dead_pub(&twins, &[]).len(), 2);
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn every_lint_fires_on_its_fixture() {
         ("crates/ppr-core/src/float_region.rs", 4, "no-float"),
         ("crates/ppr-channel/src/env_use.rs", 3, "env-hygiene"),
         ("crates/ppr-cli/src/orphan.rs", 1, "orphan-file"),
+        ("crates/ppr-dead/src/stats.rs", 7, "dead-pub"),
     ] {
         assert!(
             hits.iter()
@@ -58,6 +59,10 @@ fn every_lint_fires_on_its_fixture() {
     // orphan.rs only: the crate root reaches pool.rs and pool/queue.rs,
     // and the other fixture crates have no root to reach from.
     assert_eq!(count("orphan-file"), 1);
+    // `spread` only: `mean` is called from the crate's integration test,
+    // and the other fixture crates have no lib.rs, so they are no
+    // library crates.
+    assert_eq!(count("dead-pub"), 1);
     assert_eq!(count("directive"), 0);
 }
 

@@ -48,17 +48,6 @@ pub struct BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// A constant-delay policy (multiplier ×1.0, no jitter): the
-    /// schedule every pre-adversary caller implicitly used.
-    pub fn constant(max_retries: u8, base_delay: u64) -> Self {
-        BackoffPolicy {
-            max_retries,
-            base_delay,
-            multiplier_milli: 1000,
-            jitter_span: 0,
-        }
-    }
-
     /// May round `round` (0-based) still be attempted under the budget?
     pub fn allows(&self, round: u8) -> bool {
         round < self.max_retries
@@ -178,9 +167,19 @@ impl DeliveryOutcome {
 mod tests {
     use super::*;
 
+    /// A constant-delay policy: multiplier ×1.0, no jitter.
+    fn constant(max_retries: u8, base_delay: u64) -> BackoffPolicy {
+        BackoffPolicy {
+            max_retries,
+            base_delay,
+            multiplier_milli: 1000,
+            jitter_span: 0,
+        }
+    }
+
     #[test]
     fn identity_multiplier_is_exact_at_every_round() {
-        let p = BackoffPolicy::constant(8, 65_536);
+        let p = constant(8, 65_536);
         for r in 0..8 {
             assert_eq!(p.delay(r), 65_536, "round {r}");
         }
@@ -251,7 +250,7 @@ mod tests {
 
     #[test]
     fn allows_enforces_the_bound() {
-        let p = BackoffPolicy::constant(3, 10);
+        let p = constant(3, 10);
         assert!(p.allows(0) && p.allows(2));
         assert!(!p.allows(3) && !p.allows(200));
     }

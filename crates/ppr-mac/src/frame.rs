@@ -186,11 +186,6 @@ impl Frame {
         let link_bytes = FrameGeometry::for_body(body_len).total();
         TX_PREAMBLE_CHIPS + 2 * link_bytes * CHIPS_PER_SYMBOL + TX_POSTAMBLE_CHIPS
     }
-
-    /// Frame airtime in microseconds at the 802.15.4 chip rate.
-    pub fn airtime_us(&self) -> u64 {
-        self.chips_len() as u64 * 1_000_000 / ppr_phy::chips::CHIP_RATE_HZ
-    }
 }
 
 /// Byte offsets of the frame sections inside the link-layer byte stream.
@@ -331,14 +326,5 @@ mod tests {
                 "byte {b:#x}"
             );
         }
-    }
-
-    #[test]
-    fn airtime_scales_with_size() {
-        let small = Frame::new(1, 2, 0, vec![0; 10]).airtime_us();
-        let big = Frame::new(1, 2, 0, vec![0; 1000]).airtime_us();
-        assert!(big > small);
-        // 1000 B body ≈ 1024 B link-layer ≈ 2048 symbols × 16 µs ≈ 33 ms.
-        assert!(big > 30_000 && big < 40_000, "airtime {big} µs");
     }
 }

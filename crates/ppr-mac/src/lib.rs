@@ -1,5 +1,4 @@
-//! # `ppr-mac` — link-layer framing, CRCs, carrier sense and delivery
-//! schemes
+//! # `ppr-mac` — link-layer framing, CRCs and delivery schemes
 //!
 //! The link/MAC substrate of the PPR reproduction, sitting between the
 //! `ppr-phy` modem and the `ppr-core` PP-ARQ protocol:
@@ -17,7 +16,6 @@
 //!   reconstruction with explicit never-received padding.
 //! * [`schemes`] — the §7.2 trio: packet CRC, fragmented CRC and PPR
 //!   (hint-threshold) delivery.
-//! * [`csma`] — the carrier-sense rule toggled across experiments.
 //! * [`arq_policy`] — bounded-retry backoff schedules and
 //!   graceful-degradation outcomes for ARQ under adversity.
 
@@ -31,14 +29,12 @@
 pub mod arq_policy;
 pub mod clmul;
 pub mod crc;
-pub mod csma;
 pub mod frame;
 pub mod rx;
 pub mod schemes;
 
 pub use arq_policy::{BackoffPolicy, DeliveryOutcome};
 pub use crc::{crc16, crc32};
-pub use csma::CarrierSense;
 pub use frame::{Addr, Frame, FrameGeometry, Header, HEADER_BYTES, PKT_CRC_BYTES};
 pub use rx::{FrameReceiver, RxConfig, RxFrame, HINT_NEVER_RECEIVED};
 pub use schemes::{

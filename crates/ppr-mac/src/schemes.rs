@@ -276,18 +276,6 @@ impl DeliveryScheme {
             DeliveryScheme::Ppr { eta },
         ]
     }
-
-    /// Constructs a scheme from its CLI/JSON name (`packet`, `frag`,
-    /// `ppr`), taking the fragment size and η from the given
-    /// parameterization.
-    pub fn from_name(name: &str, frag_payload: usize, eta: u8) -> Option<DeliveryScheme> {
-        match name {
-            "packet" | "packet_crc" => Some(DeliveryScheme::PacketCrc),
-            "frag" | "fragmented_crc" => Some(DeliveryScheme::FragmentedCrc { frag_payload }),
-            "ppr" => Some(DeliveryScheme::Ppr { eta }),
-            _ => None,
-        }
-    }
 }
 
 /// A reception's body as the acceptance rules read it: the body bytes,
@@ -372,15 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn standard_set_and_from_name_agree() {
+    fn standard_set_is_in_paper_order() {
         let set = DeliveryScheme::standard_set(50, 6);
         assert_eq!(set[0], DeliveryScheme::PacketCrc);
         assert_eq!(set[1], DeliveryScheme::FragmentedCrc { frag_payload: 50 });
         assert_eq!(set[2], DeliveryScheme::Ppr { eta: 6 });
-        for (name, want) in [("packet", set[0]), ("frag", set[1]), ("ppr", set[2])] {
-            assert_eq!(DeliveryScheme::from_name(name, 50, 6), Some(want));
-        }
-        assert_eq!(DeliveryScheme::from_name("bogus", 50, 6), None);
     }
 
     #[test]

@@ -17,20 +17,10 @@ pub const CHIPS_PER_SYMBOL: usize = 32;
 pub const BITS_PER_SYMBOL: usize = 4;
 
 /// Number of distinct codewords (`2^b`).
-pub const NUM_SYMBOLS: usize = 16;
+pub const NUM_SYMBOLS: usize = 1 << BITS_PER_SYMBOL;
 
 /// Chip rate of the CC2420 radio modelled throughout the workspace.
 pub const CHIP_RATE_HZ: u64 = 2_000_000;
-
-/// Symbol rate: `CHIP_RATE_HZ / CHIPS_PER_SYMBOL` = 62 500 symbols/s.
-pub const SYMBOL_RATE_HZ: u64 = CHIP_RATE_HZ / CHIPS_PER_SYMBOL as u64;
-
-/// Peak data rate: 4 bits per symbol at 62.5 ksym/s = 250 kbit/s.
-pub const PEAK_BIT_RATE: u64 = SYMBOL_RATE_HZ * BITS_PER_SYMBOL as u64;
-
-/// Duration of one codeword in microseconds (16 µs; the time unit of the
-/// paper's Fig. 13 x-axis).
-pub const SYMBOL_TIME_US: u64 = 16;
 
 /// Base chip sequence for data symbol 0, written chip 0 first.
 ///
@@ -153,26 +143,6 @@ pub fn decide(received: u32) -> Decision {
 #[inline]
 pub fn spread_symbol(symbol: u8) -> u32 {
     CODEBOOK[symbol as usize]
-}
-
-/// Minimum pairwise Hamming distance of the code book.
-///
-/// For the 802.15.4 book this is 12, which is why a received word at
-/// distance ≤ 5 from its nearest codeword is almost always a correct
-/// decode — the geometric fact behind the paper's threshold `η = 6`.
-pub fn min_codeword_distance() -> u32 {
-    let mut min = u32::MAX;
-    for (i, &a) in CODEBOOK.iter().enumerate() {
-        for &b in &CODEBOOK[i + 1..] {
-            min = min.min(hamming(a, b));
-        }
-    }
-    min
-}
-
-/// Iterator over the chips of a codeword, chip 0 first.
-pub fn chips_of(word: u32) -> impl Iterator<Item = bool> {
-    (0..CHIPS_PER_SYMBOL).map(move |i| (word >> i) & 1 == 1)
 }
 
 /// A bit-packed chip stream: 64 chips per `u64` lane, chip `i` stored in
@@ -567,6 +537,26 @@ impl ChipWords {
 mod tests {
     use super::*;
 
+    /// Minimum pairwise Hamming distance of the code book.
+    ///
+    /// For the 802.15.4 book this is 12, which is why a received word at
+    /// distance ≤ 5 from its nearest codeword is almost always a correct
+    /// decode — the geometric fact behind the paper's threshold `η = 6`.
+    fn min_codeword_distance() -> u32 {
+        let mut min = u32::MAX;
+        for (i, &a) in CODEBOOK.iter().enumerate() {
+            for &b in &CODEBOOK[i + 1..] {
+                min = min.min(hamming(a, b));
+            }
+        }
+        min
+    }
+
+    /// Iterator over the chips of a codeword, chip 0 first.
+    fn chips_of(word: u32) -> impl Iterator<Item = bool> {
+        (0..CHIPS_PER_SYMBOL).map(move |i| (word >> i) & 1 == 1)
+    }
+
     /// The full chip table from the IEEE 802.15.4 standard, written
     /// chip 0 first, used to pin the generated code book.
     const REFERENCE: [&str; NUM_SYMBOLS] = [
@@ -812,12 +802,13 @@ mod tests {
 
     #[test]
     fn symbol_timing_constants_are_consistent() {
-        assert_eq!(SYMBOL_RATE_HZ, 62_500);
-        assert_eq!(PEAK_BIT_RATE, 250_000);
-        // 32 chips at 2 Mchip/s = 16 µs per codeword.
-        assert_eq!(
-            CHIPS_PER_SYMBOL as u64 * 1_000_000 / CHIP_RATE_HZ,
-            SYMBOL_TIME_US
-        );
+        // 2 Mchip/s over 32-chip codewords = 62 500 symbols/s.
+        let symbol_rate_hz = CHIP_RATE_HZ / CHIPS_PER_SYMBOL as u64;
+        assert_eq!(symbol_rate_hz, 62_500);
+        // Peak data rate: 4 bits per symbol at 62.5 ksym/s = 250 kbit/s.
+        assert_eq!(symbol_rate_hz * BITS_PER_SYMBOL as u64, 250_000);
+        // 32 chips at 2 Mchip/s = 16 µs per codeword (the time unit of
+        // the paper's Fig. 13 x-axis).
+        assert_eq!(CHIPS_PER_SYMBOL as u64 * 1_000_000 / CHIP_RATE_HZ, 16);
     }
 }

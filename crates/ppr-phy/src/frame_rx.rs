@@ -1,22 +1,15 @@
-//! Chip-stream and sample-stream receiver front ends.
+//! The chip-stream receiver front end.
 //!
 //! [`ChipReceiver`] is the synchronization + despreading engine shared by
 //! every experiment: it scans a hard-decision chip stream for preamble and
 //! postamble delimiters and despreads arbitrary symbol ranges with
 //! SoftPHY hints attached. Frame *parsing* (headers, trailers, CRCs) is a
 //! link-layer concern and lives in `ppr-mac`.
-//!
-//! [`SampleReceiver`] stacks the DSP front end on top: timing recovery,
-//! matched-filter demodulation (resolving the I/Q rail-parity ambiguity by
-//! trying both) and then the same chip-level machinery.
 
 use crate::chips::{ChipWords, CHIPS_PER_SYMBOL};
-use crate::complex::Complex32;
-use crate::modem::{pack_chip_words, MskModem};
 use crate::softphy::{SoftSpan, SoftSymbol};
 use crate::spread::despread_hard;
 use crate::sync::{SyncHit, SyncPattern, DEFAULT_SYNC_THRESHOLD};
-use crate::timing::estimate_timing;
 
 /// Synchronization + despreading over a hard chip stream.
 #[derive(Debug, Clone)]
@@ -131,122 +124,25 @@ impl ChipReceiver {
     }
 }
 
-/// Result of the sample-level front end: the chip stream a receiver
-/// recovered, plus how it was aligned.
-#[derive(Debug, Clone)]
-pub struct ChipStream {
-    /// Hard chip decisions.
-    pub chips: Vec<bool>,
-    /// Sub-chip sample offset chosen by timing recovery.
-    pub timing_offset: usize,
-    /// Whether chip 0 of `chips` was read from the I rail (`true`) or the
-    /// Q rail.
-    pub even_parity: bool,
-}
-
-/// DSP front end: timing recovery + matched filter + rail-parity
-/// resolution.
-#[derive(Debug, Clone)]
-pub struct SampleReceiver {
-    modem: MskModem,
-    chip_rx: ChipReceiver,
-}
-
-impl SampleReceiver {
-    /// Creates a sample receiver with the given oversampling factor.
-    pub fn new(samples_per_chip: usize) -> Self {
-        SampleReceiver {
-            modem: MskModem::new(samples_per_chip),
-            chip_rx: ChipReceiver::default(),
-        }
-    }
-
-    /// The chip-level receiver this front end feeds.
-    pub fn chip_receiver(&self) -> &ChipReceiver {
-        &self.chip_rx
-    }
-
-    /// The modem in use.
-    pub fn modem(&self) -> &MskModem {
-        &self.modem
-    }
-
-    /// Recovers the chip stream from raw samples: runs timing recovery,
-    /// demodulates at both rail parities and keeps the alignment whose
-    /// sync scan finds delimiters (preferring the parity with more /
-    /// better hits). Returns the chip stream and any sync hits found.
-    pub fn acquire(&self, samples: &[Complex32]) -> (ChipStream, Vec<SyncHit>) {
-        let sps = self.modem.samples_per_chip();
-        let window = 64.min(samples.len() / sps / 2);
-        let timing = estimate_timing(&self.modem, samples, 0, window).unwrap_or(
-            crate::timing::TimingEstimate {
-                offset: 0,
-                quality: 0.0,
-            },
-        );
-        let n_chips = (samples.len().saturating_sub(timing.offset)) / sps;
-
-        let mut best: Option<(ChipStream, Vec<SyncHit>)> = None;
-        for parity in [true, false] {
-            let chips = self
-                .modem
-                .demodulate_hard(samples, timing.offset, n_chips, parity);
-            let hits = self.chip_rx.scan(&chips);
-            let stream = ChipStream {
-                chips,
-                timing_offset: timing.offset,
-                even_parity: parity,
-            };
-            let better = match &best {
-                None => true,
-                Some((_, best_hits)) => score(&hits) > score(best_hits),
-            };
-            if better {
-                best = Some((stream, hits));
-            }
-        }
-        best.expect("two candidates always evaluated")
-    }
-
-    /// Despreads a symbol range of an acquired chip stream.
-    pub fn despread(&self, stream: &ChipStream, chip_offset: usize, n_symbols: usize) -> SoftSpan {
-        self.chip_rx.despread(&stream.chips, chip_offset, n_symbols)
-    }
-}
-
-/// Sync-quality score used to pick a rail parity: more hits win; among
-/// equal counts, lower total distance wins.
-fn score(hits: &[SyncHit]) -> (usize, i64) {
-    let total: i64 = hits.iter().map(|h| h.distance as i64).sum();
-    (hits.len(), -total)
-}
-
-/// Builds the chip stream a sender emits for raw payload symbols framed by
-/// preamble and postamble (no MAC structure — test helper and building
-/// block for `ppr-mac`'s frame builder).
-pub fn frame_chips(symbols: &[u8]) -> Vec<bool> {
-    let mut chips = crate::sync::tx_preamble_chips();
-    chips.extend(crate::modem::unpack_chip_words(&crate::spread::spread(
-        symbols,
-    )));
-    chips.extend(crate::sync::tx_postamble_chips());
-    chips
-}
-
-/// Packs a chip stream back into codeword-aligned words from an offset —
-/// convenience for tests.
-pub fn words_from(stream: &[bool], chip_offset: usize, n_symbols: usize) -> Vec<u32> {
-    let end = (chip_offset + n_symbols * CHIPS_PER_SYMBOL).min(stream.len());
-    pack_chip_words(&stream[chip_offset.min(end)..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::pack_chip_words;
     use crate::spread::bytes_to_symbols;
     use crate::sync::{SyncKind, PREAMBLE_ZERO_SYMBOLS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The chip stream a sender emits for raw payload symbols framed by
+    /// preamble and postamble (no MAC structure).
+    fn frame_chips(symbols: &[u8]) -> Vec<bool> {
+        let mut chips = crate::sync::tx_preamble_chips();
+        chips.extend(crate::modem::unpack_chip_words(&crate::spread::spread(
+            symbols,
+        )));
+        chips.extend(crate::sync::tx_postamble_chips());
+        chips
+    }
 
     #[test]
     fn chip_receiver_finds_frame_and_decodes_payload() {
@@ -275,27 +171,6 @@ mod tests {
         let span = rx.despread(&stream, data_start, symbols.len());
         assert_eq!(span.to_bytes(), payload);
         assert!(span.hints().iter().all(|&h| h == 0));
-    }
-
-    #[test]
-    fn sample_receiver_end_to_end() {
-        let payload = b"dsp path";
-        let symbols = bytes_to_symbols(payload);
-        let chips = frame_chips(&symbols);
-        let modem = MskModem::new(4);
-        let mut samples = vec![Complex32::ZERO; 13]; // odd lead to stress timing
-        samples.extend(modem.modulate(&chips));
-
-        let rx = SampleReceiver::new(4);
-        let (stream, hits) = rx.acquire(&samples);
-        let pre: Vec<_> = hits
-            .iter()
-            .filter(|h| h.kind == SyncKind::Preamble)
-            .collect();
-        assert_eq!(pre.len(), 1, "hits: {hits:?}");
-        let data_start = rx.chip_receiver().data_start_after(pre[0]);
-        let span = rx.despread(&stream, data_start, symbols.len());
-        assert_eq!(span.to_bytes(), payload);
     }
 
     #[test]
@@ -391,7 +266,8 @@ mod tests {
         // all equal CODEBOOK[0] pattern.
         let zero = crate::chips::CODEBOOK[0];
         for s in 0..PREAMBLE_ZERO_SYMBOLS {
-            let w = words_from(&chips, s * CHIPS_PER_SYMBOL, 1)[0];
+            let start = s * CHIPS_PER_SYMBOL;
+            let w = pack_chip_words(&chips[start..start + CHIPS_PER_SYMBOL])[0];
             assert_eq!(w, zero);
         }
     }

@@ -14,15 +14,11 @@
 //!
 //! ## Receive path
 //!
-//! samples → timing recovery ([`timing`]) → matched filter
-//! ([`modem::MskModem::demodulate`]) → hard chip decisions → delimiter
-//! sync ([`sync::SyncPattern`]) → nearest-codeword despreading with a
-//! **Hamming-distance SoftPHY hint** per symbol
+//! samples → matched filter ([`modem::MskModem::demodulate`]) → hard
+//! chip decisions → delimiter sync ([`sync::SyncPattern`]) →
+//! nearest-codeword despreading with a **Hamming-distance SoftPHY hint**
+//! per symbol
 //! ([`frame_rx::ChipReceiver::despread`] → [`softphy::SoftSpan`]).
-//!
-//! The circular [`sample_buf::SampleBuffer`] retains one max-packet of
-//! samples so a postamble detection can *roll back in time* and decode a
-//! packet whose preamble was destroyed by a collision.
 //!
 //! Network-scale experiments bypass the waveform and work on chip streams
 //! directly (see `ppr-channel`'s fast backend); the two paths share all
@@ -40,22 +36,16 @@ pub mod complex;
 pub mod frame_rx;
 pub mod modem;
 pub mod pulse;
-pub mod sample_buf;
 pub mod simd;
 pub mod softphy;
-pub mod sova;
 pub mod spread;
 pub mod sync;
-pub mod timing;
 pub mod view;
 
-pub use chips::{
-    ChipWords, Decision, BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, CHIP_RATE_HZ, SYMBOL_RATE_HZ,
-};
+pub use chips::{ChipWords, Decision, BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, CHIP_RATE_HZ};
 pub use complex::Complex32;
-pub use frame_rx::{ChipReceiver, ChipStream, SampleReceiver};
+pub use frame_rx::ChipReceiver;
 pub use modem::MskModem;
-pub use sample_buf::SampleBuffer;
 pub use simd::{decide_batch, DespreadKernel, DspKernel};
 pub use softphy::{SoftSpan, SoftSymbol};
 pub use sync::{SyncHit, SyncKind, SyncPattern};

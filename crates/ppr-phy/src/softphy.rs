@@ -85,18 +85,6 @@ impl SoftSpan {
     pub fn labels(&self, eta: u8) -> Vec<bool> {
         self.symbols.iter().map(|s| s.hint <= eta).collect()
     }
-
-    /// Fraction of symbols labeled good at threshold `eta`.
-    pub fn good_fraction(&self, eta: u8) -> f64 {
-        if self.symbols.is_empty() {
-            return 0.0;
-        }
-        // Count directly rather than materializing `labels()`: the
-        // byte-compare loop auto-vectorizes, and the span-sized
-        // `Vec<bool>` was pure allocation traffic.
-        let good = self.symbols.iter().filter(|s| s.hint <= eta).count();
-        good as f64 / self.symbols.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +110,6 @@ mod tests {
         assert_eq!(s.labels(6), vec![true, true, true, false, false]);
         assert_eq!(s.labels(0), vec![true, false, false, false, false]);
         assert_eq!(s.labels(32), vec![true; 5]);
-    }
-
-    #[test]
-    fn good_fraction_counts_correctly() {
-        let s = span(&[0, 0, 10, 10]);
-        assert!((s.good_fraction(6) - 0.5).abs() < 1e-12);
-        assert_eq!(span(&[]).good_fraction(6), 0.0);
     }
 
     #[test]

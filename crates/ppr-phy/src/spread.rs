@@ -2,13 +2,10 @@
 //!
 //! The sender path maps a byte stream to 4-bit symbols (low nibble first,
 //! as in 802.15.4) and each symbol to its 32-chip codeword. The receiver
-//! path reverses this, producing for each codeword either a
-//! [`Decision`] (hard decoding + Hamming-distance
-//! SoftPHY hint) or a soft correlation metric (the paper's Eq. 1).
+//! path reverses this, producing for each codeword a [`Decision`] (hard
+//! decoding + Hamming-distance SoftPHY hint).
 
-use crate::chips::{
-    spread_symbol, Decision, BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, CODEBOOK, NUM_SYMBOLS,
-};
+use crate::chips::{spread_symbol, Decision};
 
 /// Converts a byte stream into 4-bit data symbols, low nibble first.
 pub fn bytes_to_symbols(bytes: &[u8]) -> Vec<u8> {
@@ -53,64 +50,6 @@ pub fn despread_hard(chip_words: &[u32]) -> Vec<Decision> {
     crate::simd::decide_batch(chip_words)
 }
 
-/// Soft-decision correlation metric of the paper's Eq. 1 for one received
-/// chip-soft-value vector against codeword `symbol`:
-///
-/// `C(R, Cᵢ) = Σⱼ (2 cᵢⱼ − 1) rⱼ`
-///
-/// `soft_chips` holds one soft value per chip (positive ⇒ chip "1").
-pub fn correlation_metric(soft_chips: &[f32; CHIPS_PER_SYMBOL], symbol: u8) -> f32 {
-    let word = CODEBOOK[symbol as usize & 0x0f];
-    let mut acc = 0.0f32;
-    for (j, &r) in soft_chips.iter().enumerate() {
-        let c = ((word >> j) & 1) as i32;
-        acc += (2 * c - 1) as f32 * r;
-    }
-    acc
-}
-
-/// A soft-decision decode of one codeword: the maximum-correlation symbol
-/// plus the winning and runner-up metrics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoftDecision {
-    /// Decoded 4-bit symbol.
-    pub symbol: u8,
-    /// Correlation metric of the winning codeword (Eq. 1). Larger ⇒ more
-    /// confident.
-    pub metric: f32,
-    /// Correlation metric of the second-best codeword; the margin
-    /// `metric − runner_up` is an alternative SoftPHY hint.
-    pub runner_up: f32,
-}
-
-/// Soft-decision despreading of one codeword worth of chip soft values.
-pub fn despread_soft(soft_chips: &[f32; CHIPS_PER_SYMBOL]) -> SoftDecision {
-    let mut best_sym = 0u8;
-    let mut best = f32::NEG_INFINITY;
-    let mut second = f32::NEG_INFINITY;
-    for s in 0..NUM_SYMBOLS as u8 {
-        let m = correlation_metric(soft_chips, s);
-        if m > best {
-            second = best;
-            best = m;
-            best_sym = s;
-        } else if m > second {
-            second = m;
-        }
-    }
-    SoftDecision {
-        symbol: best_sym,
-        metric: best,
-        runner_up: second,
-    }
-}
-
-/// Number of codewords needed to carry `n_bytes` bytes.
-#[inline]
-pub fn codewords_for_bytes(n_bytes: usize) -> usize {
-    n_bytes * 8 / BITS_PER_SYMBOL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +70,7 @@ mod tests {
     fn spread_despread_roundtrip_clean() {
         let data = b"partial packet recovery";
         let chips = spread_bytes(data);
-        assert_eq!(chips.len(), codewords_for_bytes(data.len()));
+        assert_eq!(chips.len(), data.len() * 2); // two codewords per byte
         let decisions = despread_hard(&chips);
         assert!(decisions.iter().all(|d| d.distance == 0));
         let symbols: Vec<u8> = decisions.iter().map(|d| d.symbol).collect();
@@ -150,49 +89,5 @@ mod tests {
 
     fn decide_one(w: u32) -> crate::chips::Decision {
         despread_hard(&[w])[0]
-    }
-
-    #[test]
-    fn soft_decode_matches_hard_decode_on_strong_signal() {
-        for sym in 0..16u8 {
-            let word = spread_symbol(sym);
-            let mut soft = [0.0f32; CHIPS_PER_SYMBOL];
-            for (j, v) in soft.iter_mut().enumerate() {
-                *v = if (word >> j) & 1 == 1 { 1.0 } else { -1.0 };
-            }
-            let sd = despread_soft(&soft);
-            assert_eq!(sd.symbol, sym);
-            assert_eq!(sd.metric, CHIPS_PER_SYMBOL as f32);
-            assert!(sd.metric > sd.runner_up);
-        }
-    }
-
-    #[test]
-    fn correlation_metric_is_linear_in_amplitude() {
-        let word = spread_symbol(3);
-        let mut soft = [0.0f32; CHIPS_PER_SYMBOL];
-        for (j, v) in soft.iter_mut().enumerate() {
-            *v = if (word >> j) & 1 == 1 { 0.5 } else { -0.5 };
-        }
-        let m = correlation_metric(&soft, 3);
-        assert!((m - 16.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn soft_decode_degrades_gracefully_under_noise() {
-        // With mild deterministic perturbation the decision is unchanged
-        // and the margin shrinks but stays positive.
-        let sym = 9u8;
-        let word = spread_symbol(sym);
-        let mut soft = [0.0f32; CHIPS_PER_SYMBOL];
-        for (j, v) in soft.iter_mut().enumerate() {
-            let clean = if (word >> j) & 1 == 1 { 1.0 } else { -1.0 };
-            // ±0.4 perturbation alternating sign.
-            let pert = if j % 2 == 0 { 0.4 } else { -0.4 };
-            *v = clean + pert;
-        }
-        let sd = despread_soft(&soft);
-        assert_eq!(sd.symbol, sym);
-        assert!(sd.metric > sd.runner_up);
     }
 }

@@ -146,20 +146,6 @@ impl SymbolView {
         self.total == 0
     }
 
-    /// Symbols despread so far — the demand-driven cost of this view.
-    /// Zero for an untouched lazy view, full for an eager one; grows
-    /// block-wise as ranges are read.
-    pub fn decoded_symbols(&self) -> usize {
-        let cache = self.cache.borrow();
-        cache
-            .block_done
-            .iter()
-            .enumerate()
-            .filter(|&(_, &done)| done)
-            .map(|(b, _)| ((b + 1) * BLOCK_SYMBOLS).min(self.present) - b * BLOCK_SYMBOLS)
-            .sum()
-    }
-
     /// Symbol `i`, despreading its 64-symbol block on first touch.
     ///
     /// # Panics
@@ -339,6 +325,22 @@ impl Eq for SymbolView {}
 mod tests {
     use super::*;
     use crate::chips::CODEBOOK;
+
+    impl SymbolView {
+        /// Symbols despread so far — the demand-driven cost of this view.
+        /// Zero for an untouched lazy view, full for an eager one; grows
+        /// block-wise as ranges are read.
+        fn decoded_symbols(&self) -> usize {
+            let cache = self.cache.borrow();
+            cache
+                .block_done
+                .iter()
+                .enumerate()
+                .filter(|&(_, &done)| done)
+                .map(|(b, _)| ((b + 1) * BLOCK_SYMBOLS).min(self.present) - b * BLOCK_SYMBOLS)
+                .sum()
+        }
+    }
 
     const ABSENT: SoftSymbol = SoftSymbol {
         symbol: 0,

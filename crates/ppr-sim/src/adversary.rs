@@ -72,6 +72,12 @@ pub const DEGRADE_MAX: u64 = 1 << 19;
 /// Noise-floor multiplier inside a degradation window (≈ 6 dB).
 pub const DEGRADE_FACTOR: f64 = 4.0;
 
+/// Largest churn rate a plan accepts, crashes per simulated second:
+/// far above any rate the experiments use (`meshjam` runs at 2/s), and
+/// small enough that the up-front plan (four entries per crash over
+/// the ~2.1 s horizon) stays under a megabyte or two.
+pub const MAX_CHURN: f64 = 10_000.0;
+
 /// Seed of an adversary actor's RNG stream: `(master seed, stream
 /// slot)`. Same construction as the per-reception streams — one
 /// independent stream per actor, so no actor's draws can perturb
@@ -260,11 +266,16 @@ impl FaultPlan {
     /// `protect` (the flood source — crashing it would trivially kill
     /// every run). Deterministic: stream slots 1 (churn) and 2
     /// (degradation) of `seed`.
+    ///
+    /// # Panics
+    /// Panics if `churn` exceeds [`MAX_CHURN`] or is NaN: the plan is
+    /// allocated before the run starts.
     pub fn generate(seed: u64, churn: f64, nodes: usize, protect: usize) -> FaultPlan {
         let mut plan = FaultPlan::default();
         if churn <= 0.0 || nodes < 2 {
             return plan;
         }
+        assert!(churn <= MAX_CHURN, "churn {churn} outside 0-{MAX_CHURN}");
         let horizon_s = ADVERSARY_HORIZON as f64 / ppr_phy::chips::CHIP_RATE_HZ as f64;
         let count = (churn * horizon_s).round() as usize;
         let mut crng = StdRng::seed_from_u64(adversary_seed(seed, 1));

@@ -9,8 +9,8 @@ use super::traces::TraceKey;
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, ArmFold,
-    RadioEnv, Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
+    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
+    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
@@ -87,25 +87,9 @@ impl CapacityRun {
     }
 }
 
-/// Groups receptions by usable link, returning stats per (sender,
-/// receiver) link in `env.links()` order.
-pub fn per_link_stats(env: &RadioEnv, recs: &[Reception]) -> Vec<((usize, usize), LinkStats)> {
-    env.links()
-        .into_iter()
-        .zip(ArmFold::of_stream(env, recs, false).links)
-        .collect()
-}
-
 /// The distribution of `metric` over the links that carried frames.
 pub fn link_cdf(links: &[LinkStats], metric: impl Fn(&LinkStats) -> f64) -> Cdf {
     Cdf::from_samples(links.iter().filter(|s| s.frames > 0).map(metric).collect())
-}
-
-/// Per-link FDR samples for a reception set.
-pub fn fdr_cdf(env: &RadioEnv, recs: &[Reception], body_bytes: usize) -> Cdf {
-    link_cdf(&ArmFold::of_stream(env, recs, false).links, |s| {
-        s.fdr(body_bytes)
-    })
 }
 
 /// The six arm combinations of Figs. 8–10: the scenario's three schemes
@@ -139,7 +123,17 @@ pub fn six_arms(schemes: [DeliveryScheme; 3]) -> Vec<(String, RxArm)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::ArmFold;
     use crate::scenario::{ScenarioBuilder, DEFAULT_ETA};
+
+    /// Groups receptions by usable link, returning stats per (sender,
+    /// receiver) link in `env.links()` order.
+    fn per_link_stats(env: &RadioEnv, recs: &[Reception]) -> Vec<((usize, usize), LinkStats)> {
+        env.links()
+            .into_iter()
+            .zip(ArmFold::of_stream(env, recs, false).links)
+            .collect()
+    }
 
     #[test]
     fn quick_capacity_run_produces_links_and_stats() {

@@ -18,9 +18,6 @@ use super::Experiment;
 use crate::results::ExperimentResult;
 use crate::scenario::Scenario;
 
-/// Thresholds evaluated, as in the paper.
-pub const ETAS: [u8; 4] = crate::metrics::MISS_RUN_ETAS;
-
 /// The Fig. 14 experiment.
 pub struct Fig14;
 

@@ -97,9 +97,15 @@ impl Testbed {
     /// A regular `cols × rows` sender grid over the same office floor
     /// (cell centers), with the four Fig. 7 receivers — a controlled
     /// topology for density sweeps where every sender spacing is known.
+    ///
+    /// # Panics
+    /// Panics if either side is 0 or `cols × rows` overflows `usize`.
     pub fn grid(cols: usize, rows: usize) -> Testbed {
         assert!(cols >= 1 && rows >= 1, "grid needs at least one cell");
-        let mut senders = Vec::with_capacity(cols * rows);
+        let cells = cols
+            .checked_mul(rows)
+            .unwrap_or_else(|| panic!("grid {cols}x{rows} overflows usize"));
+        let mut senders = Vec::with_capacity(cells);
         for row in 0..rows {
             for col in 0..cols {
                 senders.push(Point::new(

@@ -20,7 +20,7 @@
 //! Setting them pins every experiment in the run to that value — the
 //! sweep API.
 
-use crate::adversary::JammerSpec;
+use crate::adversary::{JammerSpec, MAX_CHURN};
 use crate::env;
 use crate::geometry::Testbed;
 use crate::network::SimConfig;
@@ -59,6 +59,12 @@ pub const DEFAULT_ARQ_RETRIES: u8 = 3;
 /// schedule, bit-identical to the pre-adversary timing.
 pub const DEFAULT_ARQ_BACKOFF: f64 = 1.0;
 
+/// Largest side of a `grid:CxR` topology: up to 1 024 senders, 45 times
+/// the Fig. 7 floor's. A capacity run's memory grows faster than the
+/// sender count (a 2 s `fig10` peaks near 22 MB at `grid:32x32` and
+/// 170 MB at `grid:64x64`), so the bound keeps every grid runnable.
+pub const MAX_GRID_SIDE: usize = 32;
+
 /// The sender layout a capacity run simulates — a first-class scenario
 /// axis (`--set topology=...`). Values use `:`-separated syntax because
 /// the CLI splits `--set` values on commas for sweeps.
@@ -68,8 +74,9 @@ pub enum Topology {
     #[default]
     Fig7,
     /// A regular `cols × rows` sender grid on the office floor
-    /// ([`Testbed::grid`]): syntax `grid:CxR`, e.g. `grid:6x4` (bare
-    /// `grid` means `grid:6x4`).
+    /// ([`Testbed::grid`]): syntax `grid:CxR`, each side
+    /// 1–[`MAX_GRID_SIDE`], e.g. `grid:6x4` (bare `grid` means
+    /// `grid:6x4`).
     Grid {
         /// Grid columns.
         cols: usize,
@@ -117,8 +124,8 @@ impl Topology {
             let rows: usize = r
                 .parse()
                 .map_err(|_| format!("invalid grid rows {r:?} in {s:?}"))?;
-            if cols < 1 || rows < 1 {
-                return Err(format!("grid needs at least 1x1, got {s:?}"));
+            if !(1..=MAX_GRID_SIDE).contains(&cols) || !(1..=MAX_GRID_SIDE).contains(&rows) {
+                return Err(format!("grid sides must be 1-{MAX_GRID_SIDE}, got {s:?}"));
             }
             return Ok(Topology::Grid { cols, rows });
         }
@@ -368,7 +375,7 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
     ("carrier_sense", "true | false"),
     (
         "topology",
-        "fig7 | grid:CxR | rg:SEED:DENSITY, e.g. topology=grid:6x4",
+        "fig7 | grid:CxR (C, R 1-32) | rg:SEED:DENSITY, e.g. topology=grid:6x4",
     ),
     ("mesh_nodes", "mesh node count >= 2, e.g. mesh_nodes=10000"),
     (
@@ -386,7 +393,7 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
     ),
     (
         "churn",
-        "node crashes per simulated second >= 0, e.g. churn=2",
+        "node crashes per simulated second 0-10000, e.g. churn=2",
     ),
     (
         "arq_retries",
@@ -533,7 +540,7 @@ impl ScenarioBuilder {
                 .map_err(|_| format!("invalid value {value:?} for {key} (want {want})"))
         }
         match key {
-            "duration" | "duration_s" => {
+            "duration" => {
                 let v: f64 = parse(key, value, "positive seconds")?;
                 if !(v.is_finite() && v > 0.0) {
                     return Err(format!(
@@ -550,10 +557,10 @@ impl ScenarioBuilder {
                 }
                 self.eta = Some(v);
             }
-            "frag" | "frag_bytes" => {
+            "frag_bytes" => {
                 self.frag_bytes = Some(parse_positive(key, value)?);
             }
-            "body" | "body_bytes" => {
+            "body_bytes" => {
                 // The receiver rejects the header of a longer body, so
                 // every frame of the run would be lost.
                 let v = parse_positive(key, value)?;
@@ -567,7 +574,7 @@ impl ScenarioBuilder {
             "arq_packets" => self.arq_packets = Some(parse_positive(key, value)?),
             "relay_packets" => self.relay_packets = Some(parse_positive(key, value)?),
             "threads" => self.threads = Some(parse_positive(key, value)?),
-            "load" | "load_kbps" => {
+            "load" => {
                 let v: f64 = parse(key, value, "kbit/s per node")?;
                 if !(v.is_finite() && v > 0.0) {
                     return Err(format!(
@@ -576,7 +583,7 @@ impl ScenarioBuilder {
                 }
                 self.load_kbps = Some(v);
             }
-            "carrier_sense" | "cs" => {
+            "carrier_sense" => {
                 self.carrier_sense = Some(match value.trim() {
                     "true" | "on" | "1" => true,
                     "false" | "off" | "0" => false,
@@ -621,10 +628,10 @@ impl ScenarioBuilder {
                 self.jammer = Some(JammerSpec::parse(value).map_err(|e| format!("jammer: {e}"))?)
             }
             "churn" => {
-                let v: f64 = parse(key, value, "crashes per second >= 0")?;
-                if !(v.is_finite() && v >= 0.0) {
+                let v: f64 = parse(key, value, "crashes per second 0-10000")?;
+                if !(0.0..=MAX_CHURN).contains(&v) {
                     return Err(format!(
-                        "invalid value {value:?} for churn (want crashes per second >= 0)"
+                        "invalid value {value:?} for churn (want crashes per second 0-{MAX_CHURN})"
                     ));
                 }
                 self.churn = Some(v);
@@ -788,6 +795,12 @@ mod tests {
             ("jammer", "pulse:16:0.5"),
             ("jammer", "rand:1.5"),
             ("churn", "-1"),
+            ("churn", "1e9"),
+            ("churn", "10000.5"),
+            ("churn", "inf"),
+            ("topology", "grid:33x1"),
+            ("topology", "grid:1x33"),
+            ("topology", "grid:100000x100000"),
             ("arq_retries", "0"),
             ("arq_backoff", "0.5"),
             ("nonsense", "1"),
@@ -799,6 +812,21 @@ mod tests {
             );
         }
         assert!(b.set("bogus", "1").unwrap_err().contains("valid keys"));
+        // Each axis has one spelling: the old aliases are unknown keys.
+        for alias in ["duration_s", "frag", "body", "load_kbps", "cs"] {
+            let err = b.set(alias, "1").unwrap_err();
+            assert!(err.contains("unknown scenario key"), "{alias}: {err}");
+        }
+        // The bounds are inclusive, and the help text states them.
+        b.set("churn", "10000").unwrap();
+        b.set("topology", "grid:32x32").unwrap();
+        for (key, bound) in [
+            ("churn", format!("0-{MAX_CHURN}")),
+            ("topology", format!("1-{MAX_GRID_SIDE}")),
+        ] {
+            let help = SCENARIO_KEYS.iter().find(|&&(k, _)| k == key);
+            assert!(help.unwrap().1.contains(&bound), "{key}");
+        }
         // `backend` had one legal value, so it is no axis any more.
         assert!(b
             .set("backend", "chip")
@@ -836,7 +864,20 @@ mod tests {
         assert_eq!(Topology::parse(&rg.name()).unwrap(), rg);
         assert_eq!(rg.testbed(35.0).senders.len(), crate::geometry::NUM_SENDERS);
         assert_eq!(g.testbed(35.0).senders.len(), 24);
-        for bad in ["grid:0x3", "grid:ax3", "rg:7", "rg:x:2", "rg:1:-3", "donut"] {
+        let max = Topology::parse("grid:32x32").unwrap();
+        assert_eq!(Topology::parse(&max.name()).unwrap(), max);
+        for bad in [
+            "grid:0x3",
+            "grid:ax3",
+            "grid:33x2",
+            "grid:2x33",
+            "grid:100000x100000",
+            "grid:18446744073709551615x2",
+            "rg:7",
+            "rg:x:2",
+            "rg:1:-3",
+            "donut",
+        ] {
             assert!(Topology::parse(bad).is_err(), "{bad}");
         }
     }

@@ -84,11 +84,6 @@ impl SpatialIndex {
         row * self.cols + col
     }
 
-    /// Grid dimensions `(cols, rows)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     /// Total cells (the shard count for per-shard parallel dispatch).
     pub fn shard_count(&self) -> usize {
         self.cells.len()
@@ -124,17 +119,6 @@ impl SpatialIndex {
         let mut out = Vec::new();
         self.candidates_into(p, &mut out);
         out
-    }
-
-    /// Mean nodes per non-empty cell — the shard occupancy the dispatch
-    /// fan-out sees.
-    pub fn mean_occupancy(&self) -> f64 {
-        let non_empty = self.cells.iter().filter(|c| !c.is_empty()).count();
-        if non_empty == 0 {
-            return 0.0;
-        }
-        let total: usize = self.cells.iter().map(|c| c.len()).sum();
-        total as f64 / non_empty as f64
     }
 }
 
@@ -201,15 +185,13 @@ mod tests {
         let idx = SpatialIndex::build(&one, 5.0);
         assert_eq!(idx.candidates(&one[0]), vec![0]);
         assert_eq!(idx.shard_count(), 1);
-        assert!(idx.mean_occupancy() > 0.0);
     }
 
     #[test]
     fn shard_count_tracks_area_over_radius() {
         let pts = grid_points(20, 4.0); // 76 m × 76 m
         let idx = SpatialIndex::build(&pts, 19.1);
-        let (cols, rows) = idx.dims();
-        assert_eq!((cols, rows), (4, 4));
+        assert_eq!((idx.cols, idx.rows), (4, 4));
         assert_eq!(idx.shard_count(), 16);
     }
 }

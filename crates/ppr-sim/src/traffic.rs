@@ -14,11 +14,6 @@ pub fn secs_to_chips(s: f64) -> u64 {
     (s * CHIP_RATE_HZ as f64).round() as u64
 }
 
-/// Converts chips to seconds.
-pub fn chips_to_secs(c: u64) -> f64 {
-    c as f64 / CHIP_RATE_HZ as f64
-}
-
 /// A Poisson arrival process for one sender.
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn chips_seconds_roundtrip() {
         assert_eq!(secs_to_chips(1.0), 2_000_000);
-        assert!((chips_to_secs(secs_to_chips(3.25)) - 3.25).abs() < 1e-9);
+        assert_eq!(secs_to_chips(3.25), 6_500_000);
     }
 
     #[test]

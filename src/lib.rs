@@ -9,13 +9,13 @@
 //! * [`phy`] — an 802.15.4 (Zigbee) DSSS/MSK software modem that attaches a
 //!   **SoftPHY** confidence hint (Hamming distance to the decoded codeword)
 //!   to every group of decoded bits, plus preamble/**postamble** frame
-//!   synchronization with sample-buffer rollback.
+//!   synchronization.
 //! * [`channel`] — indoor radio propagation: log-distance path loss,
 //!   shadowing, AWGN, and per-chip SINR under concurrent (colliding)
 //!   transmissions; both a fast chip-flip backend and a full sample-level
 //!   DSP backend.
 //! * [`mac`] — framing (header + replicated trailer + postamble), CRC-32 /
-//!   CRC-16, carrier sense, and the three §7.2 delivery schemes
+//!   CRC-16, postamble rollback, and the three §7.2 delivery schemes
 //!   (packet CRC, fragmented CRC, PPR).
 //! * [`core`] — the paper's contribution: the SoftPHY interface contract,
 //!   run-length representation, the PP-ARQ chunking dynamic program
