@@ -272,7 +272,9 @@ impl From<std::io::Error> for Stop {
 ///
 /// To re-measure one entry, take the median wall time of a few solo
 /// release runs (the table holds medians of five), minus the time of
-/// its traces alone for a capacity experiment:
+/// its traces alone for a capacity experiment. An experiment with
+/// parts (`jam`) only renders them here; their work is in the part jobs
+/// ([`PART_COST_MS`]).
 ///
 /// ```sh
 /// time target/release/ppr-cli run mrd --set threads=1 > /dev/null
@@ -289,7 +291,7 @@ const RUN_COST_MS: [(&str, u64); 17] = [
     ("fig14", 1),
     ("fig15", 1),
     ("fig16", 15),
-    ("jam", 30),
+    ("jam", 1),
     ("mrd", 70),
     ("relay", 10),
     ("mesh10k", 500),
@@ -303,6 +305,26 @@ fn run_cost_ms(id: &str) -> u64 {
         .find(|(i, _)| *i == id)
         .map(|&(_, ms)| ms)
         .expect("RUN_COST_MS lists every registered experiment")
+}
+
+/// Rough run time of each part job ([`Experiment::run_part`]) in
+/// milliseconds at the default scenario, by experiment and part index.
+/// `jam`'s twelve parts are its (duty, arm) cells, duty by duty from 0
+/// to 0.5, PP-ARQ before whole-frame at each: the medians of seven
+/// in-process runs of each cell (`jam::run_pparq_arm` and
+/// `jam::run_whole_frame_arm` at 100 sessions) on the same 2-vCPU Xeon
+/// as [`RUN_COST_MS`], rounded up to whole milliseconds. The clean band
+/// (duty 0) needs no retransmission and is cheapest. Like
+/// [`RUN_COST_MS`], the estimates only order the pool: `fig16` (15 ms)
+/// starts before any cell, then the costliest cells.
+const PART_COST_MS: [(&str, &[u64]); 1] = [("jam", &[1, 1, 3, 2, 3, 2, 3, 3, 3, 3, 3, 3])];
+
+fn part_cost_ms(id: &str, part: usize) -> u64 {
+    PART_COST_MS
+        .iter()
+        .find(|(i, _)| *i == id)
+        .and_then(|(_, ms)| ms.get(part).copied())
+        .expect("PART_COST_MS lists every part of every experiment")
 }
 
 /// Estimated run time of one trace job, in milliseconds at the default
@@ -335,20 +357,24 @@ const TRACE_MS_PER_KBPS: f64 = 2.8;
 /// measured.
 const TRACE_MS_PER_ARM_KBPS: f64 = 0.6;
 
-/// One job of a `run`: evaluate a trace, or run one experiment at one
-/// sweep point.
+/// One job of a `run`: evaluate a trace, compute one part of an
+/// experiment, or run one experiment at one sweep point.
 enum Job {
     /// Evaluate the trace `key` with the union of the arms the sweep
     /// point's experiments request of it.
     Trace { key: TraceKey, arms: Vec<RxArm> },
+    /// Compute part `k` of experiment `i` of the selection at sweep
+    /// point `p` ([`Experiment::run_part`]).
+    Part { p: usize, i: usize, k: usize },
     /// Run experiment `i` of the selection at sweep point `p`.
     Experiment { p: usize, i: usize },
 }
 
 /// The jobs of a `run`, point by point: each point's distinct traces,
-/// then its experiments. Returns the jobs and each job's dependencies:
-/// an experiment depends on the traces it reads and on the
-/// [`Experiment::dependencies`] selected before it at the same point.
+/// then its experiments' parts, then its experiments. Returns the jobs
+/// and each job's dependencies: an experiment depends on the traces it
+/// reads, on its parts and on the [`Experiment::dependencies`] selected
+/// before it at the same point.
 fn plan_jobs(
     selected: &[&'static dyn Experiment],
     scenarios: &[Scenario],
@@ -390,6 +416,13 @@ fn plan_jobs(
                 }
             }
             reads.push(mine);
+        }
+        for (i, exp) in selected.iter().enumerate() {
+            for k in 0..exp.parts(scenario) {
+                reads[i].push(jobs.len());
+                jobs.push(Job::Part { p, i, k });
+                deps.push(Vec::new());
+            }
         }
         let first_exp = jobs.len();
         for (i, exp) in selected.iter().enumerate() {
@@ -458,11 +491,16 @@ fn run(args: &RunArgs) -> i32 {
     let (jobs, deps) = plan_jobs(&selected, &scenarios);
     let cost = |k: usize| match &jobs[k] {
         Job::Trace { key, arms } => trace_cost_ms(key, arms.len()),
+        Job::Part { i, k, .. } => part_cost_ms(selected[*i].id(), *k),
         Job::Experiment { i, .. } => run_cost_ms(selected[*i].id()),
     };
     let work = |k: usize, prior: Vec<Arc<Option<ExperimentResult>>>| match &jobs[k] {
         Job::Trace { key, arms } => {
             traces::evaluate(key, arms);
+            None
+        }
+        Job::Part { p, i, k } => {
+            selected[*i].run_part(&scenarios[*p], *k);
             None
         }
         Job::Experiment { p, i } => {
@@ -761,6 +799,50 @@ mod tests {
     }
 
     #[test]
+    fn every_part_has_a_cost() {
+        let sc = ScenarioBuilder::new().duration_s(1.0).build();
+        for exp in registry() {
+            let costed = PART_COST_MS
+                .iter()
+                .find(|&&(id, _)| id == exp.id())
+                .map_or(0, |(_, ms)| ms.len());
+            assert_eq!(costed, exp.parts(&sc), "{}", exp.id());
+        }
+        // The pool starts `fig16`, the longest PP-ARQ job, before any
+        // `jam` cell.
+        let (_, cells) = PART_COST_MS[0];
+        assert!(cells.iter().all(|&ms| ms < run_cost_ms("fig16")));
+    }
+
+    #[test]
+    fn each_jam_cell_is_a_job_the_jam_job_waits_for() {
+        // Two sweep points of `fig16 jam`: each point plans jam's twelve
+        // cells as part jobs, and its jam job depends on exactly those.
+        let selected = vec![find("fig16").unwrap(), find("jam").unwrap()];
+        let scenarios = [1.0, 2.0].map(|b| ScenarioBuilder::new().arq_backoff(b).build());
+        let (jobs, deps) = plan_jobs(&selected, &scenarios);
+        for (p, sc) in scenarios.iter().enumerate() {
+            let parts: Vec<usize> = (0..jobs.len())
+                .filter(|&j| matches!(jobs[j], Job::Part { p: q, i: 1, .. } if q == p))
+                .collect();
+            assert_eq!(parts.len(), 12);
+            assert_eq!(selected[1].parts(sc), 12);
+            for (k, &j) in parts.iter().enumerate() {
+                assert!(matches!(jobs[j], Job::Part { k: kk, .. } if kk == k));
+                assert!(deps[j].is_empty());
+            }
+            let at = |i: usize| {
+                (0..jobs.len())
+                    .find(|&j| matches!(jobs[j], Job::Experiment { p: q, i: ii } if q == p && ii == i))
+                    .unwrap()
+            };
+            assert_eq!(deps[at(1)], parts, "point {p}");
+            assert!(deps[at(0)].is_empty(), "fig16 has no parts");
+        }
+        assert_eq!(jobs.len(), 2 * (12 + 2));
+    }
+
+    #[test]
     fn sweep_points_build_the_cartesian_product() {
         let sets = vec![
             ("load".to_string(), vec!["3.5".into(), "13.8".into()]),
@@ -886,7 +968,7 @@ mod tests {
             .iter()
             .filter_map(|j| match j {
                 Job::Trace { key, arms } => Some((key, arms.len())),
-                Job::Experiment { .. } => None,
+                _ => None,
             })
             .collect();
         // (load, carrier sense): 3.5/on, 3.5/off, 13.8/off, 6.9/off,

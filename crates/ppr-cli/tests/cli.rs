@@ -89,11 +89,30 @@ fn body_bytes_is_bounded_by_what_the_receiver_accepts() {
 
 #[test]
 fn values_that_size_an_allocation_are_bounded() {
-    // Each would size a huge allocation before the run starts; both are
+    // Each would size a huge allocation before the run starts; all are
     // refused as usage errors before anything is built.
     for (id, set, want) in [
         ("meshjam", "churn=1e9", "0-10000"),
         ("fig10", "topology=grid:100000x100000", "1-32"),
+        ("mesh10k", "mesh_nodes=200000000", "2-100000"),
+    ] {
+        let out = ppr_cli(&["run", id, "--set", set]);
+        assert_eq!(out.status.code(), Some(2), "--set {set}: {}", stderr(&out));
+        assert!(stderr(&out).contains(want), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "ran despite --set {set}");
+    }
+}
+
+#[test]
+fn values_that_size_work_linearly_are_bounded() {
+    // Each would run for minutes or hours (the timeline grows with
+    // load × duration; fig16 keeps a record per packet): refused as
+    // usage errors before anything runs.
+    for (id, set, want) in [
+        ("fig10", "load=10000000", "<= 250"),
+        ("fig10", "duration=1e9", "<= 900"),
+        ("fig16", "arq_packets=1000000000", "1-100000"),
+        ("relay", "relay_packets=1000000000", "1-100000"),
     ] {
         let out = ppr_cli(&["run", id, "--set", set]);
         assert_eq!(out.status.code(), Some(2), "--set {set}: {}", stderr(&out));

@@ -126,9 +126,7 @@ impl RetxPacket {
             bw.write(s.offset as u64, 16);
             bw.write(s.bytes.len() as u64, 16);
             bw.write(crc16(&s.bytes) as u64, 16);
-            for &b in &s.bytes {
-                bw.write(b as u64, 8);
-            }
+            bw.write_bytes(&s.bytes);
         }
         bw.into_bytes()
     }
@@ -167,15 +165,13 @@ impl RetxPacket {
 
         let mut segments = Vec::new();
         if let Some(n_segments) = br.read(8) {
-            'seg: for _ in 0..n_segments {
+            for _ in 0..n_segments {
                 let Some(offset) = br.read(16) else { break };
                 let Some(len) = br.read(16) else { break };
                 let Some(crc) = br.read(16) else { break };
-                let mut data = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    let Some(b) = br.read(8) else { break 'seg };
-                    data.push(b as u8);
-                }
+                let Some(data) = br.read_bytes(len as usize) else {
+                    break;
+                };
                 let in_bounds = (offset as usize) + data.len() <= packet_len;
                 if crc16(&data) == crc as u16 && in_bounds {
                     segments.push(Segment {
@@ -923,5 +919,94 @@ mod tests {
             PpArq::new(PpArqConfig::default()).plan_feedback(&PacketHints::from_raw(&hints, 6));
         assert_eq!(plan.chunks.len(), 1);
         assert!(plan.chunks[0].covers(30));
+    }
+
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Feedback packets of every shape the codec sees: a pure ACK, byte-
+    /// aligned descriptors (`w = 8`) and 11-bit descriptors that straddle
+    /// byte boundaries.
+    fn feedback_corpus() -> Vec<Feedback> {
+        vec![
+            Feedback::from_plan(7, &payload(20), vec![]),
+            Feedback::from_plan(
+                0xBEEF,
+                &payload(250),
+                vec![UnitRange::new(10, 20), UnitRange::new(100, 130)],
+            ),
+            Feedback::from_plan(
+                513,
+                &payload(1499),
+                vec![UnitRange::new(0, 5), UnitRange::new(1400, 1499)],
+            ),
+        ]
+    }
+
+    /// Retransmissions whose segment data starts off a byte boundary
+    /// (three confirm bits), on one (eight), and an empty one.
+    fn retx_corpus() -> Vec<RetxPacket> {
+        vec![
+            RetxPacket {
+                seq: 3,
+                packet_len: 250,
+                confirms: vec![true, false, true],
+                segments: vec![
+                    Segment {
+                        offset: 10,
+                        bytes: payload(10),
+                    },
+                    Segment {
+                        offset: 200,
+                        bytes: vec![0xFF, 0x00, 0x81],
+                    },
+                ],
+            },
+            RetxPacket {
+                seq: 0xFFFF,
+                packet_len: 64,
+                confirms: vec![false, true, true, false, true, false, false, true],
+                segments: vec![Segment {
+                    offset: 32,
+                    bytes: payload(5),
+                }],
+            },
+            RetxPacket {
+                seq: 0,
+                packet_len: 0,
+                confirms: vec![],
+                segments: vec![],
+            },
+        ]
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // Any change to a field's width, order or bit order changes
+        // these bytes; the codec is what the cost model charges for.
+        let feedback = [
+            "0700140000b950",
+            "efbefa00020a0a641e032dc0f09b49",
+            "0102db05020028005ec7501f06",
+        ];
+        for (fb, want) in feedback_corpus().iter().zip(feedback) {
+            let bytes = fb.encode();
+            assert_eq!(hex(&bytes), want, "{fb:?}");
+            assert_eq!(Feedback::decode(&bytes).as_ref(), Some(fb));
+        }
+        let retx = [
+            "0300fa00032dbd13500050001868393029221b140d06fff740061800b012fc070804",
+            "ffff400008964ee9012000050057f60726456483",
+            "0000000000c08400",
+        ];
+        for (r, want) in retx_corpus().iter().zip(retx) {
+            let bytes = r.encode();
+            assert_eq!(hex(&bytes), want, "{r:?}");
+            let d = RetxPacket::decode(&bytes).expect("a whole packet decodes");
+            assert_eq!(d.confirms.as_ref(), Some(&r.confirms));
+            assert_eq!(d.segments, r.segments);
+        }
     }
 }

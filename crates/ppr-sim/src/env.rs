@@ -17,18 +17,28 @@
 /// invalid, seconds.
 pub const DEFAULT_DURATION_S: f64 = 90.0;
 
+/// Longest experiment duration, seconds: ten times the default. A
+/// capacity run's timeline grows with load × duration.
+pub const MAX_DURATION_S: f64 = 900.0;
+
+/// Is `d` a duration a run accepts: more than zero seconds and at most
+/// [`MAX_DURATION_S`]?
+pub(crate) fn duration_in_range(d: f64) -> bool {
+    d > 0.0 && d <= MAX_DURATION_S
+}
+
 /// Default experiment duration, seconds. Override with the
 /// `PPR_DURATION` environment variable (e.g. `PPR_DURATION=20` for a
-/// quick pass). A value that does not parse as a positive, finite
-/// number of seconds is rejected with a warning on stderr — a typo'd
-/// duration must not silently run the full 90 s default.
+/// quick pass). A value that does not parse as a number of seconds in
+/// (0, [`MAX_DURATION_S`]] is rejected with a warning on stderr — a
+/// typo'd duration must not silently run the full 90 s default.
 pub fn duration_from_env() -> f64 {
     match parse_duration(std::env::var("PPR_DURATION").ok().as_deref()) {
         Ok(d) => d,
         Err(raw) => {
             eprintln!(
                 "warning: ignoring invalid PPR_DURATION={raw:?} \
-                 (want a positive number of seconds); using the default \
+                 (want seconds, > 0 and <= {MAX_DURATION_S}); using the default \
                  {DEFAULT_DURATION_S} s"
             );
             DEFAULT_DURATION_S
@@ -44,7 +54,7 @@ pub fn parse_duration(raw: Option<&str>) -> Result<f64, String> {
         return Ok(DEFAULT_DURATION_S);
     };
     match raw.trim().parse::<f64>() {
-        Ok(d) if d.is_finite() && d > 0.0 => Ok(d),
+        Ok(d) if duration_in_range(d) => Ok(d),
         _ => Err(raw.to_string()),
     }
 }
@@ -109,7 +119,10 @@ mod tests {
         assert_eq!(parse_duration(Some("0.5")), Ok(0.5));
         assert_eq!(parse_duration(Some(" 42.25 ")), Ok(42.25));
         // Invalid values are rejected (and reported back verbatim).
-        for bad in ["", "abc", "20s", "1e999", "nan", "inf", "-5", "0"] {
+        assert_eq!(parse_duration(Some("900")), Ok(MAX_DURATION_S));
+        for bad in [
+            "", "abc", "20s", "1e999", "nan", "inf", "-5", "0", "900.5", "1e9",
+        ] {
             assert_eq!(
                 parse_duration(Some(bad)),
                 Err(bad.to_string()),

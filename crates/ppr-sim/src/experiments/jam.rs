@@ -17,6 +17,11 @@
 //! not *how often*. Under jamming, every whole-frame retry re-exposes
 //! all 250 B to the next pulse; PP-ARQ shrinks the exposed window each
 //! round — the goodput gap the table reports.
+//!
+//! Each (duty, arm) cell of the sweep runs on its own channel and is a
+//! pure function of its inputs, so the twelve cells are the
+//! experiment's parts ([`Experiment::parts`]): a driver computes them
+//! side by side into a per-process memo, and [`Jam`] renders them.
 
 use super::Experiment;
 use crate::report::fmt;
@@ -34,6 +39,7 @@ use ppr_mac::{BackoffPolicy, DeliveryOutcome};
 use ppr_phy::chips::CHIP_RATE_HZ;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Pulse-jammer period in chips. A 250 B frame spans several periods,
 /// so every frame sees multiple bursts and partial repair has chunks
@@ -305,38 +311,97 @@ pub fn run_duty_point(
     )
 }
 
+/// The recovery arm of one sweep cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    PpArq,
+    WholeFrame,
+}
+
+/// One (duty, arm) cell of the sweep, with every input its stats
+/// depend on: two cells with equal keys have equal stats.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cell {
+    duty: f64,
+    arm: Arm,
+    n_packets: usize,
+    seed: u64,
+    policy: BackoffPolicy,
+}
+
+impl Cell {
+    /// Runs the cell's sessions, bypassing the memo.
+    fn run(&self) -> ArmStats {
+        match self.arm {
+            Arm::PpArq => run_pparq_arm(self.duty, self.n_packets, self.seed, self.policy),
+            Arm::WholeFrame => {
+                run_whole_frame_arm(self.duty, self.n_packets, self.seed, self.policy)
+            }
+        }
+    }
+}
+
+/// The sweep's cells under `scenario`, duty by duty, PP-ARQ before
+/// whole-frame at each: [`Experiment::run_part`]'s numbering.
+fn cells(scenario: &Scenario) -> Vec<Cell> {
+    // One third of the fig16 session budget per cell: the sweep runs
+    // 12 (duty, arm) cells.
+    let n_packets = (scenario.arq_packets / 3).max(5);
+    let seed = 0x004A_414D ^ scenario.seed ^ DEFAULT_SEED;
+    let policy = BackoffPolicy {
+        max_retries: scenario.arq_retries,
+        base_delay: 2 * JAM_PERIOD,
+        multiplier_milli: (scenario.arq_backoff * 1000.0).round() as u64,
+        jitter_span: 0,
+    };
+    DUTIES
+        .iter()
+        .flat_map(|&duty| {
+            [Arm::PpArq, Arm::WholeFrame].map(|arm| Cell {
+                duty,
+                arm,
+                n_packets,
+                seed,
+                policy,
+            })
+        })
+        .collect()
+}
+
+/// Every cell evaluated in this process. A cell is a pure function of
+/// its key, so whichever thread computes it first, every reader gets
+/// the same stats.
+static CELLS: Mutex<Vec<(Cell, ArmStats)>> = Mutex::new(Vec::new());
+
+/// The cell memo. A poisoned lock is recovered: every update is one
+/// push of a finished cell, so the list is valid at every step.
+fn memo() -> MutexGuard<'static, Vec<(Cell, ArmStats)>> {
+    CELLS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The stats of `cell`: from the memo, or computed (outside the lock,
+/// so other cells proceed meanwhile) and memoised on a miss.
+fn cell_stats(cell: &Cell) -> ArmStats {
+    if let Some(&(_, stats)) = memo().iter().find(|(c, _)| c == cell) {
+        return stats;
+    }
+    let stats = cell.run();
+    let mut memo = memo();
+    if !memo.iter().any(|(c, _)| c == cell) {
+        memo.push((*cell, stats));
+    }
+    stats
+}
+
 /// The `jam` experiment: duty-cycle sweep of PP-ARQ chunked repair vs
 /// whole-frame ARQ under a pulse jammer.
 pub struct Jam;
 
-impl Experiment for Jam {
-    fn id(&self) -> &'static str {
-        "jam"
-    }
-
-    fn title(&self) -> &'static str {
-        "Adversarial jamming: PP-ARQ vs whole-frame ARQ goodput"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "Section 8.4 (robustness extension)"
-    }
-
-    fn description(&self) -> &'static str {
-        "goodput + partial delivery vs pulse-jammer duty cycle, chunked repair vs whole-frame ARQ"
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        // One third of the fig16 session budget per cell: the sweep
-        // runs 12 (duty, arm) cells.
-        let n_packets = (scenario.arq_packets / 3).max(5);
-        let seed = 0x004A_414D ^ scenario.seed ^ DEFAULT_SEED;
-        let policy = BackoffPolicy {
-            max_retries: scenario.arq_retries,
-            base_delay: 2 * JAM_PERIOD,
-            multiplier_milli: (scenario.arq_backoff * 1000.0).round() as u64,
-            jitter_span: 0,
-        };
+impl Jam {
+    /// The report, reading each cell's stats through `stats`.
+    fn render(&self, scenario: &Scenario, stats: impl Fn(&Cell) -> ArmStats) -> ExperimentResult {
+        let cells = cells(scenario);
+        let (n_packets, policy) = (cells[0].n_packets, cells[0].policy);
 
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(format!(
@@ -355,8 +420,9 @@ impl Experiment for Jam {
             "exhausted p/w",
         ]);
         let mut wins = 0usize;
-        for duty in DUTIES {
-            let (pp, wf) = run_duty_point(duty, n_packets, seed, policy);
+        for pair in cells.chunks(2) {
+            let duty = pair[0].duty;
+            let (pp, wf) = (stats(&pair[0]), stats(&pair[1]));
             if pp.goodput_kbps() > wf.goodput_kbps() {
                 wins += 1;
             }
@@ -407,9 +473,41 @@ impl Experiment for Jam {
     }
 }
 
+impl Experiment for Jam {
+    fn id(&self) -> &'static str {
+        "jam"
+    }
+
+    fn title(&self) -> &'static str {
+        "Adversarial jamming: PP-ARQ vs whole-frame ARQ goodput"
+    }
+
+    fn paper_ref(&self) -> &'static str {
+        "Section 8.4 (robustness extension)"
+    }
+
+    fn description(&self) -> &'static str {
+        "goodput + partial delivery vs pulse-jammer duty cycle, chunked repair vs whole-frame ARQ"
+    }
+
+    fn run(&self, scenario: &Scenario) -> ExperimentResult {
+        self.render(scenario, cell_stats)
+    }
+
+    /// Each (duty, arm) cell is independent of the others.
+    fn parts(&self, scenario: &Scenario) -> usize {
+        cells(scenario).len()
+    }
+
+    fn run_part(&self, scenario: &Scenario, part: usize) {
+        cell_stats(&cells(scenario)[part]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioBuilder;
 
     fn policy() -> BackoffPolicy {
         BackoffPolicy {
@@ -466,6 +564,64 @@ mod tests {
         assert!(pp.elapsed_chips >= 4 * airtime, "{pp:?}");
         // The jammer keeps pulsing at the end of time.
         assert_eq!(wf.completed, 0, "{wf:?}");
+    }
+
+    /// `jam` at a scenario no other test uses (its own seed), so this
+    /// test alone fills the memo's cells of it.
+    fn scenario(seed: u64) -> Scenario {
+        ScenarioBuilder::new()
+            .seed(seed)
+            .arq_packets(15)
+            .duration_s(1.0)
+            .build()
+    }
+
+    fn json(r: &ExperimentResult) -> String {
+        r.to_json().render()
+    }
+
+    #[test]
+    fn the_memo_never_changes_the_report() {
+        // Pre-filled in reverse order, or only every third cell: `run`
+        // computes what is missing and renders the cold run's report.
+        for (seed, stride) in [(0x4A41_0001, 1), (0x4A41_0002, 3)] {
+            let sc = scenario(seed);
+            let cold = json(&Jam.render(&sc, Cell::run));
+            for k in (0..Jam.parts(&sc)).rev().step_by(stride) {
+                Jam.run_part(&sc, k);
+            }
+            assert_eq!(json(&Jam.run(&sc)), cold, "stride {stride}");
+            assert_eq!(json(&Jam.run(&sc)), cold, "stride {stride}, warm");
+        }
+    }
+
+    #[test]
+    fn every_backoff_policy_field_keys_the_memo() {
+        // Two scenarios that differ in one policy input each get their
+        // own cells in one process: the second run must not read the
+        // first one's.
+        let base = || {
+            ScenarioBuilder::new()
+                .seed(0x4A41_0003)
+                .arq_packets(15)
+                .duration_s(1.0)
+        };
+        let pairs = [
+            (
+                base().arq_backoff(1.0).build(),
+                base().arq_backoff(2.0).build(),
+            ),
+            (base().arq_retries(3).build(), base().arq_retries(1).build()),
+        ];
+        for (a, b) in pairs {
+            let (cold_a, cold_b) = (
+                json(&Jam.render(&a, Cell::run)),
+                json(&Jam.render(&b, Cell::run)),
+            );
+            assert_ne!(cold_a, cold_b, "the axis must change the sweep");
+            assert_eq!(json(&Jam.run(&a)), cold_a);
+            assert_eq!(json(&Jam.run(&b)), cold_b);
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! renderers: each declares the channel traces it reads
 //! ([`Experiment::traces`]) and renders the per-arm folds of those
 //! traces, which every experiment shares through one memo
-//! ([`traces`]).
+//! ([`traces`]). An experiment made of independent cells (`jam`'s
+//! duty × arm grid) declares them as parts ([`Experiment::parts`]), so a
+//! driver can compute them side by side.
 
 pub mod common;
 pub mod fdr;
@@ -91,6 +93,21 @@ pub trait Experiment: Sync {
     fn traces(&self, _scenario: &Scenario) -> Vec<TraceRequest> {
         Vec::new()
     }
+
+    /// How many independent parts [`Experiment::run`] computes under
+    /// `scenario`. A driver can compute each one on its own thread
+    /// ([`Experiment::run_part`]) before the experiment runs, which
+    /// then only renders; a standalone run computes whatever part is
+    /// missing on demand. Each part is a pure function of the scenario
+    /// and its index, memoised by the experiment, so either way gives
+    /// the same result.
+    fn parts(&self, _scenario: &Scenario) -> usize {
+        0
+    }
+
+    /// Computes part `part < parts(scenario)` into the experiment's
+    /// memo.
+    fn run_part(&self, _scenario: &Scenario, _part: usize) {}
 }
 
 /// Every registered experiment, in the canonical `--all` run order

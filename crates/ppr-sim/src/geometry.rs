@@ -8,6 +8,7 @@
 //! receivers spread so each hears 4–8 senders at usable strength with
 //! link qualities from near-perfect to marginal.
 
+use crate::scenario::MAX_MESH_NODES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,8 +143,16 @@ impl Testbed {
     /// `density` neighbors within `comm_radius_m`, with **senders and
     /// receivers being the same node set** (every node both transmits
     /// and receives). Open plan, no wall attenuation.
+    ///
+    /// # Panics
+    /// Panics if `nodes` is outside 2–[`MAX_MESH_NODES`]: the layout is
+    /// allocated up front.
     pub fn mesh(seed: u64, nodes: usize, density: f64, comm_radius_m: f64) -> Testbed {
         assert!(nodes >= 2, "a mesh needs at least two nodes");
+        assert!(
+            nodes <= MAX_MESH_NODES,
+            "mesh of {nodes} nodes outside 2-{MAX_MESH_NODES}"
+        );
         assert!(
             density > 0.0 && comm_radius_m > 0.0,
             "density and radius must be positive"
@@ -278,6 +287,12 @@ mod tests {
         // Higher density ⇒ smaller square.
         let dense = Testbed::random_geometric(7, 20.0, 30.0);
         assert!(dense.side_hint() < a.side_hint());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 2-100000")]
+    fn a_mesh_past_the_bound_panics_before_allocating() {
+        Testbed::mesh(3, MAX_MESH_NODES + 1, 12.0, 35.0);
     }
 
     #[test]

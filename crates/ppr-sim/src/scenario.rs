@@ -21,12 +21,13 @@
 //! sweep API.
 
 use crate::adversary::{JammerSpec, MAX_CHURN};
-use crate::env;
+use crate::env::{self, MAX_DURATION_S};
 use crate::geometry::Testbed;
 use crate::network::SimConfig;
 use crate::results::Json;
 use ppr_mac::rx::MAX_BODY_LEN;
 use ppr_mac::schemes::DeliveryScheme;
+use ppr_phy::chips::{BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, CHIP_RATE_HZ};
 
 /// Master seed shared by all experiments (reproducibility).
 pub const DEFAULT_SEED: u64 = 0x0050_5052;
@@ -46,6 +47,25 @@ pub const DEFAULT_ETA: u8 = 6;
 
 /// Default node count for the mesh flood experiment.
 pub const DEFAULT_MESH_NODES: usize = 10_000;
+
+/// Largest mesh: ten times the default. The layout, the spatial index
+/// and the per-node state are allocated before the flood starts (about
+/// 16 B of layout alone per node), so an unbounded count aborts on the
+/// allocation instead of failing as a usage error.
+pub const MAX_MESH_NODES: usize = 100_000;
+
+/// Largest offered load, kbit/s/node: the radio's bit rate (4 bits per
+/// 32-chip symbol at 2 Mchip/s, 250 kbit/s). A node cannot offer more
+/// than it can send, and a capacity run's timeline grows with load ×
+/// duration.
+const MAX_LOAD_KBPS: f64 =
+    (CHIP_RATE_HZ / CHIPS_PER_SYMBOL as u64 * BITS_PER_SYMBOL as u64) as f64 / 1e3;
+
+/// Largest `arq_packets` / `relay_packets`: `fig16` keeps one session
+/// record (about 400 B) per packet and `jam` runs a third of the count
+/// in each of its twelve cells, so the work and the memory grow
+/// linearly with the count.
+const MAX_PACKETS: usize = 100_000;
 
 /// Default expected neighbor count (mesh density) for the
 /// random-geometric layouts.
@@ -351,7 +371,7 @@ pub struct ScenarioBuilder {
 /// The keys [`ScenarioBuilder::set`] accepts, with their value syntax —
 /// also the CLI's `--set` vocabulary.
 pub const SCENARIO_KEYS: &[(&str, &str)] = &[
-    ("duration", "positive seconds, e.g. duration=20"),
+    ("duration", "seconds, > 0 and <= 900, e.g. duration=20"),
     ("seed", "u64, e.g. seed=42"),
     ("eta", "SoftPHY threshold 0-33, e.g. eta=6"),
     (
@@ -362,22 +382,31 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
         "body_bytes",
         "on-air body bytes 1-2048, e.g. body_bytes=1500",
     ),
-    ("arq_packets", "PP-ARQ packets >= 1, e.g. arq_packets=300"),
+    (
+        "arq_packets",
+        "PP-ARQ packets 1-100000, e.g. arq_packets=300",
+    ),
     (
         "relay_packets",
-        "relay packets >= 1, e.g. relay_packets=400",
+        "relay packets 1-100000, e.g. relay_packets=400",
     ),
     (
         "threads",
         "experiments run concurrently >= 1, e.g. threads=4",
     ),
-    ("load", "offered load kbit/s/node, e.g. load=13.8"),
+    (
+        "load",
+        "offered load kbit/s/node, > 0 and <= 250, e.g. load=13.8",
+    ),
     ("carrier_sense", "true | false"),
     (
         "topology",
         "fig7 | grid:CxR (C, R 1-32) | rg:SEED:DENSITY, e.g. topology=grid:6x4",
     ),
-    ("mesh_nodes", "mesh node count >= 2, e.g. mesh_nodes=10000"),
+    (
+        "mesh_nodes",
+        "mesh node count 2-100000, e.g. mesh_nodes=10000",
+    ),
     (
         "mesh_density",
         "expected neighbors > 0, e.g. mesh_density=12",
@@ -541,10 +570,10 @@ impl ScenarioBuilder {
         }
         match key {
             "duration" => {
-                let v: f64 = parse(key, value, "positive seconds")?;
-                if !(v.is_finite() && v > 0.0) {
+                let v: f64 = parse(key, value, "seconds")?;
+                if !env::duration_in_range(v) {
                     return Err(format!(
-                        "invalid value {value:?} for {key} (want positive seconds)"
+                        "invalid value {value:?} for {key} (want seconds, > 0 and <= {MAX_DURATION_S})"
                     ));
                 }
                 self.duration_s = Some(v);
@@ -571,14 +600,14 @@ impl ScenarioBuilder {
                 }
                 self.body_bytes = Some(v);
             }
-            "arq_packets" => self.arq_packets = Some(parse_positive(key, value)?),
-            "relay_packets" => self.relay_packets = Some(parse_positive(key, value)?),
+            "arq_packets" => self.arq_packets = Some(parse_packets(key, value)?),
+            "relay_packets" => self.relay_packets = Some(parse_packets(key, value)?),
             "threads" => self.threads = Some(parse_positive(key, value)?),
             "load" => {
                 let v: f64 = parse(key, value, "kbit/s per node")?;
-                if !(v.is_finite() && v > 0.0) {
+                if !(v > 0.0 && v <= MAX_LOAD_KBPS) {
                     return Err(format!(
-                        "invalid value {value:?} for {key} (want positive kbit/s)"
+                        "invalid value {value:?} for {key} (want kbit/s, > 0 and <= {MAX_LOAD_KBPS})"
                     ));
                 }
                 self.load_kbps = Some(v);
@@ -599,9 +628,9 @@ impl ScenarioBuilder {
             }
             "mesh_nodes" => {
                 let v = parse_positive(key, value)?;
-                if v < 2 {
+                if !(2..=MAX_MESH_NODES).contains(&v) {
                     return Err(format!(
-                        "invalid value {value:?} for mesh_nodes (want >= 2)"
+                        "invalid value {value:?} for mesh_nodes (want 2-{MAX_MESH_NODES})"
                     ));
                 }
                 self.mesh_nodes = Some(v);
@@ -690,6 +719,16 @@ impl ScenarioBuilder {
             arq_retries: self.arq_retries.unwrap_or(DEFAULT_ARQ_RETRIES),
             arq_backoff: self.arq_backoff.unwrap_or(DEFAULT_ARQ_BACKOFF),
         }
+    }
+}
+
+/// A packet count, 1–[`MAX_PACKETS`].
+fn parse_packets(key: &str, value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(v) if (1..=MAX_PACKETS).contains(&v) => Ok(v),
+        _ => Err(format!(
+            "invalid value {value:?} for {key} (want an integer 1-{MAX_PACKETS})"
+        )),
     }
 }
 
@@ -803,6 +842,18 @@ mod tests {
             ("topology", "grid:100000x100000"),
             ("arq_retries", "0"),
             ("arq_backoff", "0.5"),
+            ("duration", "900.5"),
+            ("duration", "1e9"),
+            ("duration", "inf"),
+            ("load", "250.01"),
+            ("load", "10000000"),
+            ("load", "inf"),
+            ("load", "nan"),
+            ("arq_packets", "0"),
+            ("arq_packets", "100001"),
+            ("relay_packets", "100001"),
+            ("mesh_nodes", "100001"),
+            ("mesh_nodes", "200000000"),
             ("nonsense", "1"),
         ] {
             let err = b.set(key, value).unwrap_err();
@@ -820,9 +871,27 @@ mod tests {
         // The bounds are inclusive, and the help text states them.
         b.set("churn", "10000").unwrap();
         b.set("topology", "grid:32x32").unwrap();
+        for (key, max) in [
+            ("duration", "900"),
+            ("load", "250"),
+            ("arq_packets", "100000"),
+            ("relay_packets", "100000"),
+            ("mesh_nodes", "100000"),
+        ] {
+            b.set(key, max)
+                .unwrap_or_else(|e| panic!("{key}={max}: {e}"));
+            let err = b.set(key, &format!("{max}1")).unwrap_err();
+            assert!(err.contains(&format!("{max})")), "{key}: {err}");
+        }
+        assert_eq!(MAX_LOAD_KBPS, 250.0, "the radio's bit rate");
         for (key, bound) in [
             ("churn", format!("0-{MAX_CHURN}")),
             ("topology", format!("1-{MAX_GRID_SIDE}")),
+            ("duration", format!("<= {MAX_DURATION_S}")),
+            ("load", format!("<= {MAX_LOAD_KBPS}")),
+            ("arq_packets", format!("1-{MAX_PACKETS}")),
+            ("relay_packets", format!("1-{MAX_PACKETS}")),
+            ("mesh_nodes", format!("2-{MAX_MESH_NODES}")),
         ] {
             let help = SCENARIO_KEYS.iter().find(|&&(k, _)| k == key);
             assert!(help.unwrap().1.contains(&bound), "{key}");
