@@ -6,9 +6,9 @@
 //! reception run, and writes `BENCH_packed.json` (schema v10) so CI can
 //! archive the perf trajectory.
 //!
-//! The event-core rows time the reception driver
-//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood
-//! (`mesh10k_*`: wall ms, measured events/sec and simulated
+//! The end-to-end rows time the reception driver
+//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood on the
+//! event core (`mesh10k_*`: wall ms, measured events/sec and simulated
 //! packets/sec). Schema v6 dropped v5's per-worker and batch-size
 //! ladders along with the reception worker threads they measured; v7
 //! dropped the time-stepped driver's row along with that driver; v8

@@ -23,7 +23,8 @@
 //! `ppr-cli diff` is the differential harness: each selected experiment
 //! runs with and without a checkpoint and the rendered reports are
 //! compared byte for byte; one reception checkpoint is then resumed
-//! under the event driver and its stream diffed event by event against
+//! under the reception driver and its stream diffed reception by
+//! reception against
 //! the bool spec run from scratch (`ppr_sim::diff`). Any disagreement
 //! exits 1 and — with `--json DIR` — writes a first-divergence report.
 //!
@@ -565,10 +566,10 @@ fn run(args: &RunArgs) -> i32 {
     }
 }
 
-/// Default checkpoint epoch for `diff` when the scenario does not pin
-/// one (`--set checkpoint=N`): early enough that every short run still
-/// has work left after the restore, late enough that in-flight state
-/// exists when it is taken.
+/// Default checkpoint for `diff` when the scenario does not pin one
+/// (`--set checkpoint=N`): early enough that every short run still has
+/// transmissions left after the restore, late enough that the prefix
+/// already holds decoded receptions.
 const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
@@ -653,8 +654,8 @@ fn diff(args: &RunArgs) -> i32 {
         println!();
 
         // Stream-level pass: one reception checkpoint, resumed under
-        // the event driver, its stream diffed event by event against the
-        // bool spec run from scratch.
+        // the reception driver, its stream diffed reception by reception
+        // against the bool spec run from scratch.
         let run = CapacityRun::from_scenario(&plain, 13.8, false);
         let arm = RxArm {
             scheme: base.ppr_scheme(),

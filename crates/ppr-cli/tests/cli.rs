@@ -95,6 +95,10 @@ fn values_that_size_an_allocation_are_bounded() {
         ("meshjam", "churn=1e9", "0-10000"),
         ("fig10", "topology=grid:100000x100000", "1-32"),
         ("mesh10k", "mesh_nodes=200000000", "2-100000"),
+        // A grid of about nodes·π/density cells, and an event queue of
+        // about nodes·min(density, nodes) receptions.
+        ("mesh10k", "mesh_density=1e-9", "1-50"),
+        ("mesh10k", "mesh_density=1e9", "1-50"),
     ] {
         let out = ppr_cli(&["run", id, "--set", set]);
         assert_eq!(out.status.code(), Some(2), "--set {set}: {}", stderr(&out));

@@ -1,18 +1,18 @@
 //! The differential harness: resume one frozen checkpoint under the
-//! event driver, run the bool spec from scratch, and diff the two
-//! [`Reception`] streams event by event.
+//! reception driver, run the bool spec from scratch, and diff the two
+//! [`Reception`] streams reception by reception.
 //!
 //! One-shot parity tests compare two fixed implementations on one
 //! input. This module turns parity into *continuous cross-validation*:
-//! any run is checkpointed at an event boundary
+//! any run is checkpointed at a transmission boundary
 //! ([`crate::network::snapshot_after_events`]), the serialized state is
 //! restored into [`ReceptionDriver`] and completed, and the result is
 //! compared with the sequential `&[bool]` reference (the executable
-//! specification) run over the same inputs from the first event. The
+//! specification) run over the same inputs from scratch. The
 //! spec never reads the snapshot, so it is an oracle for the checkpoint
 //! too: a snapshot that carries wrong progress — a tampered decoded
-//! slot, idle flag or busy horizon — resumes to a stream the spec does
-//! not produce. [`first_divergence`] reports the first stream position
+//! slot or busy horizon — resumes to a stream the spec does not
+//! produce. [`first_divergence`] reports the first stream position
 //! where the two disagree — down to the `(transmission, receiver)`
 //! pair, its completion chip time, and the first differing field. The
 //! SIMD axis cannot be toggled in-process (kernel selection is cached
@@ -29,7 +29,8 @@ use crate::results::fingerprint;
 use crate::snapshot::{encode_reception, RxSnapshot, SnapError, SnapWriter};
 pub use ppr_phy::simd::active_kernel_signature;
 
-/// Report label of the event driver's resumed stream (the baseline).
+/// Report label of the reception driver's resumed stream (the
+/// baseline).
 pub const EVENT_LABEL: &str = "event";
 
 /// Report label of the bool spec's stream, run from scratch.
@@ -47,9 +48,9 @@ pub struct Divergence {
     pub sender: usize,
     /// Receiver at that position.
     pub receiver: usize,
-    /// Completion chip time of the diverging reception — the `time`
-    /// component of its `ReceptionComplete` event key (0 when the
-    /// transmission is unknown to the timeline).
+    /// Completion chip time of the diverging reception: its frame's
+    /// exclusive end (0 when the transmission is unknown to the
+    /// timeline).
     pub end_chip: u64,
     /// The first differing field.
     pub field: &'static str,
@@ -113,9 +114,10 @@ fn diff_reception(a: &Reception, b: &Reception) -> Option<(&'static str, String,
     None
 }
 
-/// Diffs two reception streams event by event (stream order is the
-/// receiver-major reference order, common to the driver and the spec) and
-/// reports the first disagreement, localized to its event key.
+/// Diffs two reception streams reception by reception (stream order is
+/// the receiver-major reference order, common to the driver and the
+/// spec) and reports the first disagreement, localized to its
+/// (transmission, receiver) pair.
 pub fn first_divergence(
     timeline: &[Transmission],
     baseline: &[Reception],
@@ -176,7 +178,8 @@ pub fn stream_fingerprint(recs: &[Reception]) -> u64 {
 /// A resumed checkpoint's verdict against the spec.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    /// Digest of the event driver's stream, resumed from the snapshot.
+    /// Digest of the reception driver's stream, resumed from the
+    /// snapshot.
     pub event_fp: u64,
     /// Digest of the bool spec's stream, run from scratch.
     pub reference_fp: u64,

@@ -1,11 +1,16 @@
 //! The deterministic discrete-event core.
 //!
-//! Everything time-ordered in the simulator — traffic arrivals, CSMA
-//! attempts, transmission starts, reception completions, ARQ timers —
-//! flows through one [`EventQueue`]. The default implementation
-//! is a binary heap ([`BinaryHeapQueue`]), but the queue is a trait so a
-//! calendar queue or ladder queue can slot in later without touching the
-//! drivers.
+//! The simulator's event-driven code is the code whose events feed back:
+//! the timeline generator (traffic arrivals and CSMA attempts, which
+//! react to what is on the air) and the mesh flood (transmission
+//! starts, reception completions, ARQ timers, jammer bursts and node
+//! faults, whose decodes schedule rebroadcasts and repairs). Each runs
+//! its events through an [`EventQueue`]. The testbed reception pass
+//! reads a finished timeline and schedules nothing, so it walks the
+//! timeline instead ([`crate::network::ReceptionDriver`]). The default
+//! implementation is a binary heap ([`BinaryHeapQueue`]), but the queue
+//! is a trait so a calendar queue or ladder queue can slot in later
+//! without touching the drivers.
 //!
 //! ## The ordering key: `(time, priority, seq)`
 //!
@@ -51,13 +56,13 @@ pub const fn priority(class: u32, minor: u32) -> u64 {
     ((class as u64) << 32) | minor as u64
 }
 
-/// Priority classes for the reception drivers, in same-time pop order:
+/// Priority classes for the mesh flood driver, in same-time pop order:
 /// reception completions (frame ends are exclusive) resolve before
 /// timers, timers before frame starts at the same chip.
 ///
 /// The timeline generator uses its own two classes ([`prio::ARRIVAL`],
-/// [`prio::ATTEMPT`]) — it never shares a queue with the reception
-/// drivers, so the two class spaces are independent.
+/// [`prio::ATTEMPT`]) — it never shares a queue with the mesh driver,
+/// so the two class spaces are independent.
 pub mod prio {
     /// A reception completes (at the frame's exclusive end).
     pub const RECEPTION: u32 = 1;
@@ -77,10 +82,9 @@ pub mod prio {
     pub const ATTEMPT: u32 = 1;
 }
 
-/// The event vocabulary shared by the timeline generator, the testbed
-/// reception driver, and the mesh flood driver. Payload-heavy state
-/// (prepared chip captures, decode outcomes) stays in driver-side
-/// stores; events carry only indices into them.
+/// The event vocabulary shared by the timeline generator and the mesh
+/// flood driver. Payload-heavy state (frames, decode outcomes) stays in
+/// driver-side stores; events carry only indices into them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// A new packet arrives at a sender's queue.
@@ -98,15 +102,13 @@ pub enum SimEvent {
         /// Index into the driver's transmission store.
         tx: usize,
     },
-    /// A receiver finishes capturing a frame and can evaluate it.
+    /// A mesh receiver finishes capturing a frame; the driver queues it
+    /// for the next batched decode.
     ReceptionComplete {
         /// Index into the driver's transmission store.
         tx: usize,
         /// Receiver node index.
         receiver: usize,
-        /// Driver-assigned output slot (testbed driver: the
-        /// receiver-major reference position of this reception).
-        slot: usize,
     },
     /// A PP-ARQ feedback timer fires at a receiver.
     ArqTimer {

@@ -72,12 +72,13 @@ impl CapacityRun {
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
-    /// event driver.
+    /// reception driver.
     ///
-    /// With a `checkpoint` set, the run is driven to that event
-    /// boundary, serialized through the binary snapshot format, and
-    /// completed from the parsed bytes — still bit-identical, which
-    /// `tests/snapshot_roundtrip.rs` pins for the whole registry.
+    /// With a `checkpoint` set, the run is driven to the first
+    /// transmission boundary at or past that count, serialized through
+    /// the binary snapshot format, and completed from the parsed bytes —
+    /// still bit-identical, which `tests/snapshot_roundtrip.rs` pins for
+    /// the whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
         let (env, cfg, timeline) = (&self.env, &self.cfg, &self.timeline);
         match self.checkpoint {

@@ -796,11 +796,7 @@ impl MeshDriver {
                     self.q.schedule(
                         end,
                         priority(prio::RECEPTION, r as u32),
-                        SimEvent::ReceptionComplete {
-                            tx,
-                            receiver: r,
-                            slot: 0,
-                        },
+                        SimEvent::ReceptionComplete { tx, receiver: r },
                     );
                 }
                 self.cand_buf = cand_buf;
@@ -819,7 +815,7 @@ impl MeshDriver {
                     }
                 }
             }
-            SimEvent::ReceptionComplete { tx, receiver, .. } => {
+            SimEvent::ReceptionComplete { tx, receiver } => {
                 if self.pending.is_empty() {
                     self.pending_deadline = key.time + SAFE_WINDOW;
                 }
@@ -1076,7 +1072,7 @@ impl MeshDriver {
         for (key, ev) in &snap.queue {
             let ok = match *ev {
                 SimEvent::TxStart { tx } => tx < ntx,
-                SimEvent::ReceptionComplete { tx, receiver, .. } => tx < ntx && receiver < n,
+                SimEvent::ReceptionComplete { tx, receiver } => tx < ntx && receiver < n,
                 SimEvent::ArqTimer { node, round } => node < n && round < params.arq_retries,
                 SimEvent::JamBurst { jammer } => jammer == 0,
                 SimEvent::NodeFault { node, .. } => node < n,

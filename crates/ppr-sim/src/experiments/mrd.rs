@@ -23,12 +23,12 @@
 
 use super::common::CapacityRun;
 use super::Experiment;
-use crate::network::{payload_pattern, SQUELCH_SNR};
+use crate::network::{heard_lists, payload_pattern, reception_rng_seed, SQUELCH_SNR};
 use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
 use ppr_channel::chip_channel::ErrorProfile;
-use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
+use ppr_channel::overlap::{interference_profile, overlap_window};
 use ppr_mac::frame::Frame;
 use ppr_mac::schemes::ReceivedBody;
 use ppr_phy::softphy::SoftSymbol;
@@ -63,20 +63,7 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
     let fast = FastRx::new(true);
     let payload_len = scheme.payload_len(cfg.body_bytes);
 
-    // Per-receiver heard lists.
-    let heard: Vec<Vec<HeardTx>> = (0..env.testbed.receivers.len())
-        .map(|r| {
-            run.timeline
-                .iter()
-                .map(|tx| HeardTx {
-                    id: tx.id,
-                    start_chip: tx.start_chip,
-                    len_chips: tx.len_chips,
-                    power_mw: env.s2r_mw[tx.sender][r],
-                })
-                .collect()
-        })
-        .collect();
+    let heard = heard_lists(env, &run.timeline);
     let max_len = run
         .timeline
         .iter()
@@ -103,9 +90,7 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
             let window = overlap_window(&heard[r], target.start_chip, target.end_chip(), max_len);
             let spans = interference_profile(target, window);
             let profile = ErrorProfile::from_interference(signal, noise, &spans);
-            let mut rng = StdRng::seed_from_u64(
-                cfg.seed ^ (tx.id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((r as u64) << 56),
-            );
+            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
             let idle = busy_until[r] <= tx.start_chip;
             let (acq, rx_frame) = fast.transmit(&frame, chips.clone(), &profile, &mut rng, idle);
             if acq == crate::rxpath::Acquisition::Preamble {

@@ -21,7 +21,7 @@
 //!   dispatch.
 //! * [`traffic`] — Poisson packet arrivals.
 //! * [`network`] — timeline generation + reception processing (one
-//!   event-driven driver, held to a sequential `&[bool]` spec).
+//!   timeline-walking driver, held to a sequential `&[bool]` spec).
 //! * [`rxpath`] — known-offset delimiter checks + `ppr-mac` decode.
 //! * [`metrics`] — CDF/CCDF and hint-statistics collectors.
 //! * [`env`](mod@env) — `PPR_DURATION` / `PPR_THREADS` parsing, in one
@@ -31,7 +31,7 @@
 //! * [`snapshot`] — versioned binary checkpoints of simulator state
 //!   (resume bit-identically, in this process or another).
 //! * [`diff`] — the differential harness: resume one checkpoint under
-//!   the event driver and diff its reception stream against the bool
+//!   the reception driver and diff its reception stream against the bool
 //!   spec run from scratch.
 //! * [`results`] — typed experiment results with text and JSON
 //!   rendering.

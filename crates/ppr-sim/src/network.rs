@@ -25,30 +25,30 @@
 //! once ([`ChipErrors`]) and folding each arm's receptions into its
 //! [`ArmFold`] as they decode ([`fold_receptions`]).
 //!
-//! Both stages run over the discrete-event core ([`crate::event`]):
-//! the timeline generator schedules arrival/attempt events, and
-//! [`ReceptionDriver`] drives transmission-start / reception-complete
-//! events through a [`crate::event::BinaryHeapQueue`].
+//! Only the timeline generator runs over the discrete-event core
+//! ([`crate::event`]): its CSMA attempts react to what is on the air.
+//! Nothing a receiver decodes feeds back into the trace, so
+//! [`ReceptionDriver`] is a plain walk over the sorted timeline, and its
+//! checkpoint is a timeline prefix.
 //!
 //! ## Why the driver agrees with the spec
 //!
 //! [`process_receptions_reference`] is the executable specification: a
 //! sequential receiver-major walk over `&[bool]` chip vectors, with no
-//! event queue and no packed words. The event driver visits the same
-//! receptions in time order instead, on the calling thread (parallelism
-//! lives one level up, in `ppr-cli`'s experiment pool), and still
-//! produces the spec's stream, because:
+//! packed words. The driver visits the same receptions
+//! transmission-major instead, on the calling thread (parallelism lives
+//! one level up, in `ppr-cli`'s experiment pool), and still produces the
+//! spec's stream, because:
 //!
 //! 1. every reception draws its channel noise from its own RNG stream
 //!    seeded by `(seed, tx id, receiver)` — no RNG is shared between
-//!    receptions;
+//!    receptions — and its interference from the whole precomputed
+//!    timeline;
 //! 2. the only cross-reception state — a receiver's busy/idle window —
 //!    depends solely on earlier preamble hits at that receiver, folded
-//!    in event-pop order (= timeline order per receiver);
-//! 3. outputs are collected in (receiver, timeline-order) slots, not in
-//!    completion order, or folded into order-independent counts;
-//! 4. event dispatch itself is totally ordered by the
-//!    `(time, priority, seq)` key of [`crate::event::EventKey`].
+//!    in timeline order, which is the spec's order per receiver;
+//! 3. outputs are collected in (receiver, timeline-order) slots, or
+//!    folded into order-independent counts.
 //!
 //! A multi-arm pass adds two facts. The chip errors of a pair do not
 //! depend on the arm, because every arm's frame has the same length
@@ -79,7 +79,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Simulation parameters for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -599,45 +598,14 @@ pub enum RxOutput {
     Folds(Vec<ArmFold>),
 }
 
-/// One unit of reception work: the transmission at `timeline[idx]`
-/// evaluated at receiver `r`.
-#[derive(Debug, Clone, Copy)]
-struct RxJob {
-    r: usize,
-    idx: usize,
-    /// Position in the receiver-major reference output order — where
-    /// this reception's result lands regardless of evaluation order.
-    slot: usize,
-}
-
-/// A reception on the air: everything the arms need to decode it when
-/// it completes.
-struct Capture {
-    job: RxJob,
-    /// The channel's chip errors for this (transmission, receiver) pair,
-    /// shared by every arm.
-    errors: ChipErrors,
-    /// The transmission's known payload at the longest arm's length
-    /// (shorter arms read a prefix), shared by its receivers.
-    payload: Arc<[u8]>,
-    /// The busy/idle verdict resolved when the transmission started.
-    idle: bool,
-    /// Did its preamble acquire it: the receiver was idle and the
-    /// preamble pattern survived the errors? Rebuilt on restore from the
-    /// idle flag and the errors.
-    preamble: bool,
-}
-
-/// Ignored by [`ReceptionDriver::new`], which prepares each reception
-/// when its transmission starts and decodes it when it completes.
-/// Exported only because `perfbench/` still passes it.
+/// Ignored by [`ReceptionDriver::new`], which walks the timeline on the
+/// calling thread. Exported only because `perfbench/` still passes it.
 pub const BATCH_PER_WORKER: usize = 8;
 
 /// Evaluates every transmission at every receiver under one arm.
 ///
-/// This is the one-arm case of [`ReceptionDriver`]: transmission starts
-/// and reception completions flow through a [`BinaryHeapQueue`] (total
-/// `(time, priority, seq)` order) and chip streams are bit-packed
+/// This is the one-arm case of [`ReceptionDriver`]: one walk over the
+/// timeline, with chip streams bit-packed
 /// [`ppr_phy::chips::ChipWords`] end to end. Output is bit-identical to
 /// the sequential `&[bool]` spec ([`process_receptions_reference`]).
 pub fn process_receptions(
@@ -650,7 +618,8 @@ pub fn process_receptions(
 }
 
 /// [`process_receptions`] with a checkpoint in the middle: the run is
-/// driven to the `checkpoint_events` dispatch boundary, serialized to
+/// driven to the first transmission boundary at or past
+/// `checkpoint_events` ([`ReceptionDriver::run_events`]), serialized to
 /// the versioned snapshot byte format, restored from those bytes into a
 /// fresh driver, and completed. Output is bit-identical to the
 /// uninterrupted run (`tests/snapshot_roundtrip.rs` pins this).
@@ -661,17 +630,15 @@ pub fn process_receptions_checkpointed(
     arm: &RxArm,
     checkpoint_events: u64,
 ) -> Vec<Reception> {
-    let driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
-    through_snapshot(driver, checkpoint_events, |snap| {
-        ReceptionDriver::restore(env, cfg, timeline, arm, snap)
-    })
-    .run_to_end()
+    ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER)
+        .through_snapshot(checkpoint_events)
+        .run_to_end()
 }
 
 /// Evaluates every arm over one trace in a single pass of
 /// [`ReceptionDriver`], folding each reception into its arm's
 /// [`ArmFold`] as it decodes. With a `checkpoint`, the pass is driven
-/// to that event boundary, round-tripped through the snapshot bytes and
+/// to that boundary, round-tripped through the snapshot bytes and
 /// completed — bit-identical either way.
 pub fn fold_receptions(
     env: &RadioEnv,
@@ -683,29 +650,14 @@ pub fn fold_receptions(
     let driver = ReceptionDriver::folding(env, cfg, timeline, arms);
     match checkpoint {
         None => driver,
-        Some(events) => through_snapshot(driver, events, |snap| {
-            ReceptionDriver::restore_folding(env, cfg, timeline, arms, snap)
-        }),
+        Some(events) => driver.through_snapshot(events),
     }
     .run_to_folds()
 }
 
-/// Drives `driver` to the `events` dispatch boundary, serializes it,
-/// parses the bytes back and hands them to `restore`.
-fn through_snapshot<'a>(
-    mut driver: ReceptionDriver<'a>,
-    events: u64,
-    restore: impl FnOnce(&RxSnapshot) -> Result<ReceptionDriver<'a>, SnapError>,
-) -> ReceptionDriver<'a> {
-    driver.run_events(events);
-    let snap =
-        RxSnapshot::from_bytes(&driver.save().to_bytes()).expect("snapshot bytes round-trip");
-    restore(&snap).expect("snapshot restores against its own run inputs")
-}
-
-/// Runs the event-driven reception driver to the `events` dispatch
-/// boundary and returns the serialized checkpoint — the frozen state
-/// the differential harness resumes and checks against the spec.
+/// Runs the reception driver to the `events` boundary and returns the
+/// serialized checkpoint — the frozen state the differential harness
+/// resumes and checks against the spec.
 pub fn snapshot_after_events(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -718,47 +670,32 @@ pub fn snapshot_after_events(
     driver.save().to_bytes()
 }
 
-/// The event-driven reception loop as a resumable state machine, over
-/// any number of receiver arms: run it to completion
+/// The testbed reception pass as a resumable walk over the timeline,
+/// for any number of receiver arms: run it to completion
 /// ([`ReceptionDriver::run_to_end`], [`ReceptionDriver::run_to_folds`]),
-/// or to an event boundary ([`ReceptionDriver::run_events`]), checkpoint
-/// it ([`ReceptionDriver::save`]) and continue later — in this process
-/// or another — via [`ReceptionDriver::restore`] or
+/// or to a transmission boundary ([`ReceptionDriver::run_events`]),
+/// checkpoint it ([`ReceptionDriver::save`]) and continue later — in
+/// this process or another — via [`ReceptionDriver::restore`] or
 /// [`ReceptionDriver::restore_folding`].
 ///
-/// Work that does not depend on the arm is done once. A `TxStart`
-/// builds the transmission's payload once, at the longest arm's length;
-/// then, at every receiver that can hear it, it draws the channel's
-/// [`ChipErrors`] once (scanning only the transmissions that can overlap
-/// the frame, [`overlap_window`]), resolves the preamble verdict — the
-/// receiver is idle and the preamble pattern survives — folds the
-/// receiver's busy/idle state (event-pop order = timeline order per
-/// receiver), and schedules the completion. The busy fold is the same
-/// for every arm: it reads only that verdict, and every arm's frame has
-/// the same preamble, header and length.
-///
-/// A `ReceptionComplete` receives every arm's frame. A capture whose
-/// errors touch no lane is the transmitted frame (every codeword at
-/// distance 0 with hint 0, §3.2), so each arm takes its clean outcome
-/// for the idle flag — decoded once per arm when the pipeline is built,
-/// hint statistics tallied once — without rendering, despreading or
-/// delivering anything. Any other capture is decoded once per distinct
-/// frame: arms whose schemes share a
-/// [`BodyLayout`](ppr_mac::schemes::BodyLayout) (Packet CRC and PPR at
-/// any η) send the same frame, and the preamble verdict settles the
-/// acquisition path — acquired by its preamble, every arm decodes alike;
-/// otherwise the postamble arms share one rollback decode and the
-/// others lose the frame without rendering it. One render, decode and
-/// whole-packet CRC verdict per frame, then each arm's acceptance rule
-/// counts its delivered bytes in place
-/// ([`DeliveryScheme::count_accepted`]). The reception is stored in its
-/// receiver-major slot (one arm, [`RxOutput::Stream`]) or folded into
-/// its arm's [`ArmFold`]. Both outputs go through the one receive
-/// function, so the parity tests against [`process_receptions_reference`]
-/// cover the shortcut and the sharing. Every event finishes its work
-/// before the next one pops, so a checkpoint at any event boundary
-/// holds only queue + output + busy horizons + one idle flag per
-/// in-flight capture.
+/// No decode feeds back into the trace, so the pass needs no event
+/// queue: each step takes the next transmission, builds its payload
+/// once (at the longest arm's length) and, at every receiver that can
+/// hear it, draws the channel's [`ChipErrors`] once, resolves the
+/// preamble verdict, folds the receiver's busy/idle state (timeline
+/// order per receiver) and receives every arm's frame. None of that but
+/// the last depends on the arm: every arm's frame has the same
+/// preamble, header and length. A capture the channel did not touch
+/// takes each arm's clean outcome, decoded once when the driver is
+/// built; any other is decoded once per distinct frame the arms send
+/// ([`BodyLayout`](ppr_mac::schemes::BodyLayout)), and each arm's
+/// acceptance rule counts its bytes in place
+/// ([`DeliveryScheme::count_accepted`]). The reception lands in its
+/// receiver-major slot (one arm, [`RxOutput::Stream`]) or its arm's
+/// [`ArmFold`]; both go through one receive function, so the parity
+/// tests against [`process_receptions_reference`] cover the shortcut
+/// and the sharing. A checkpoint is a timeline prefix: how many
+/// transmissions are done, the busy horizons and the output.
 ///
 /// The timeline must be sorted by `(start_chip, id)`, as
 /// [`generate_timeline`] returns it: the busy/idle fold and the
@@ -775,11 +712,12 @@ pub struct ReceptionDriver<'a> {
     /// [`RadioEnv::links`] order) of its link to `receivers_of[s][0]`;
     /// its link to `receivers_of[s][k]` is `link_base[s] + k`.
     link_base: Vec<usize>,
-    /// snapshot: rebuilt — receptions in the whole run (output slots).
-    total_jobs: usize,
-    /// snapshot: serialized — every scheduled event with its key
-    /// verbatim, plus the queue's push/dispatch counters.
-    q: BinaryHeapQueue<SimEvent>,
+    /// snapshot: serialized — transmissions evaluated so far: the
+    /// timeline prefix the output holds.
+    started: usize,
+    /// snapshot: rebuilt — one per evaluated transmission plus one per
+    /// reception, recounted from the started prefix.
+    dispatched: u64,
     /// snapshot: serialized — the decoded receptions: the one arm's
     /// slot table, or every arm's fold.
     output: RxOutput,
@@ -789,19 +727,13 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: rebuilt — per-receiver next output slot, recounted
     /// from the started prefix of the timeline.
     next_slot: Vec<usize>,
-    /// snapshot: serialized — captures awaiting their completion event,
-    /// as their idle flags; the queued completion names the job, and
-    /// the chip errors and payload are redrawn on restore from the
-    /// reception's stream start.
-    in_flight: BTreeMap<usize, Capture>,
     // ppr-lint: region(snapshot-state) end
 }
 
 impl<'a> ReceptionDriver<'a> {
-    /// Builds a one-arm driver at event zero (nothing dispatched, the
-    /// full timeline scheduled) that keeps every reception in its slot.
-    /// The last two arguments are ignored: the driver runs on the
-    /// calling thread, one event at a time, and they stay only so
+    /// Builds a one-arm driver at the start of the timeline that keeps
+    /// every reception in its slot. The last two arguments are ignored:
+    /// the driver runs on the calling thread, and they stay only so
     /// existing callers (`perfbench/`) keep compiling.
     ///
     /// # Panics
@@ -819,9 +751,9 @@ impl<'a> ReceptionDriver<'a> {
         Self::with_arms(env, cfg, timeline, std::slice::from_ref(arm), true)
     }
 
-    /// Builds a driver at event zero that evaluates every arm of `arms`
-    /// over the trace and folds each reception into its arm's
-    /// [`ArmFold`].
+    /// Builds a driver at the start of the timeline that evaluates every
+    /// arm of `arms` over the trace and folds each reception into its
+    /// arm's [`ArmFold`].
     ///
     /// # Panics
     /// Panics unless `timeline` is sorted by `(start_chip, id)`.
@@ -834,8 +766,8 @@ impl<'a> ReceptionDriver<'a> {
         Self::with_arms(env, cfg, timeline, arms, false)
     }
 
-    /// A driver at event zero whose output is the slot table (`stream`,
-    /// one arm) or one empty fold per arm.
+    /// A driver at the start of the timeline whose output is the slot
+    /// table (`stream`, one arm) or one empty fold per arm.
     fn with_arms(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -852,12 +784,10 @@ impl<'a> ReceptionDriver<'a> {
         let nr = env.testbed.receivers.len();
         let ns = env.testbed.senders.len();
 
-        // The squelch-passing receiver set of each sender — what event
-        // dispatch enumerates per TxStart instead of every receiver (at
-        // mesh scale this is where [`crate::spatial::SpatialIndex`]
-        // prunes; at testbed scale the gain row is the whole story).
-        // The predicate is [`RadioEnv::is_link`]'s, so numbering the
-        // pairs sender-major gives the `links()` order.
+        // The squelch-passing receiver set of each sender — what each
+        // step enumerates instead of every receiver. The predicate is
+        // [`RadioEnv::is_link`]'s, so numbering the pairs sender-major
+        // gives the `links()` order.
         let receivers_of: Vec<Vec<usize>> = (0..ns)
             .map(|s| (0..nr).filter(|&r| env.is_link(s, r)).collect())
             .collect();
@@ -870,8 +800,7 @@ impl<'a> ReceptionDriver<'a> {
             .collect();
 
         // Receiver-major output slots: slot bases per receiver, filled
-        // in timeline order as TxStart events pop — the spec's
-        // evaluation order.
+        // in timeline order — the spec's evaluation order.
         let mut count = vec![0usize; nr];
         for tx in timeline {
             for &r in &receivers_of[tx.sender] {
@@ -883,18 +812,6 @@ impl<'a> ReceptionDriver<'a> {
         for c in count {
             next_slot.push(total_jobs);
             total_jobs += c;
-        }
-
-        // Timeline is (start_chip, id)-ordered, so scheduling in index
-        // order makes `seq` reproduce timeline order at equal start
-        // chips.
-        let mut q: BinaryHeapQueue<SimEvent> = BinaryHeapQueue::with_capacity(timeline.len());
-        for (idx, tx) in timeline.iter().enumerate() {
-            q.schedule(
-                tx.start_chip,
-                priority(prio::TX_START, 0),
-                SimEvent::TxStart { tx: idx },
-            );
         }
 
         let output = if stream {
@@ -911,94 +828,65 @@ impl<'a> ReceptionDriver<'a> {
             pipe,
             receivers_of,
             link_base,
-            total_jobs,
-            q,
+            started: 0,
+            dispatched: 0,
             output,
             busy_until: vec![0u64; nr],
             next_slot,
-            // Captures awaiting their completion event, keyed by output
-            // slot: bounded by what is actually on the air.
-            in_flight: BTreeMap::new(),
         }
     }
 
-    /// Dispatches the next event. Returns `false` when the run is
-    /// complete.
+    /// Evaluates the next transmission at every receiver that can hear
+    /// it. Returns `false` when the run is complete.
     fn step(&mut self) -> bool {
-        match self.q.pop() {
-            Some((_, SimEvent::TxStart { tx: idx })) => {
-                let tx = &self.pipe.timeline[idx];
-                let payload: Arc<[u8]> = self.pipe.payload(tx).into();
-                for &r in &self.receivers_of[tx.sender] {
-                    let job = RxJob {
-                        r,
-                        idx,
-                        slot: self.next_slot[r],
-                    };
+        let idx = self.started;
+        let Some(tx) = self.pipe.timeline.get(idx) else {
+            return false;
+        };
+        let payload = self.pipe.payload(tx);
+        let receivers = &self.receivers_of[tx.sender];
+        for (k, &r) in receivers.iter().enumerate() {
+            let idle = self.busy_until[r] <= tx.start_chip;
+            let preamble = match &mut self.output {
+                RxOutput::Stream(out) => {
+                    let slot = self.next_slot[r];
                     self.next_slot[r] += 1;
-                    let idle = self.busy_until[r] <= tx.start_chip;
-                    let capture = self.pipe.capture(job, Arc::clone(&payload), idle);
-                    if capture.preamble {
-                        self.busy_until[r] = tx.end_chip();
-                    }
-                    self.q.schedule(
-                        tx.end_chip(),
-                        priority(prio::RECEPTION, 0),
-                        SimEvent::ReceptionComplete {
-                            tx: idx,
-                            receiver: r,
-                            slot: job.slot,
-                        },
-                    );
-                    self.in_flight.insert(job.slot, capture);
-                }
-            }
-            Some((_, SimEvent::ReceptionComplete { slot, .. })) => {
-                let capture = self
-                    .in_flight
-                    .remove(&slot)
-                    .expect("completion event for an in-flight reception");
-                let job = &capture.job;
-                let tx = &self.pipe.timeline[job.idx];
-                match &mut self.output {
-                    RxOutput::Stream(out) => self.pipe.receive(&capture, |_, rec, _| {
+                    self.pipe.receive(idx, r, &payload, idle, |_, rec, _| {
                         out[slot] = Some(Reception {
                             tx_id: tx.id,
                             sender: tx.sender,
-                            receiver: job.r,
+                            receiver: r,
                             ..rec.into_owned()
                         });
-                    }),
-                    RxOutput::Folds(folds) => {
-                        let k = self.receivers_of[tx.sender]
-                            .binary_search(&job.r)
-                            .expect("captures exist only for audible receivers");
-                        let link = self.link_base[tx.sender] + k;
-                        self.pipe.receive(&capture, |a, rec, tally| {
-                            folds[a].add_tallied(link, &rec, tally);
-                        });
-                    }
+                    })
                 }
+                RxOutput::Folds(folds) => {
+                    let link = self.link_base[tx.sender] + k;
+                    self.pipe.receive(idx, r, &payload, idle, |a, rec, tally| {
+                        folds[a].add_tallied(link, &rec, tally);
+                    })
+                }
+            };
+            if preamble {
+                self.busy_until[r] = tx.end_chip();
             }
-            Some((_, ev)) => unreachable!("unexpected {ev:?} in the testbed driver"),
-            None => return false,
         }
+        self.started += 1;
+        self.dispatched += 1 + receivers.len() as u64;
         true
     }
 
-    /// Total events dispatched so far — the checkpoint epoch counter.
+    /// Work done so far, the checkpoint unit: one per evaluated
+    /// transmission plus one per reception.
     pub fn dispatched(&self) -> u64 {
-        self.q.dispatched()
+        self.dispatched
     }
 
-    /// Drives the run until `events` total dispatches or until the run
-    /// completes, whichever is first.
+    /// Evaluates transmissions until [`Self::dispatched`] reaches
+    /// `events` — the first transmission boundary at or past it — or
+    /// until the run completes, whichever is first.
     pub fn run_events(&mut self, events: u64) {
-        while self.q.dispatched() < events {
-            if !self.step() {
-                break;
-            }
-        }
+        while self.dispatched < events && self.step() {}
     }
 
     /// Runs to completion and returns the receptions in receiver-major
@@ -1012,7 +900,7 @@ impl<'a> ReceptionDriver<'a> {
             panic!("run_to_end on a folding driver; use run_to_folds");
         };
         out.into_iter()
-            .map(|r| r.expect("every slot decoded by its completion event"))
+            .map(|r| r.expect("every slot decoded by its transmission's step"))
             .collect()
     }
 
@@ -1028,19 +916,22 @@ impl<'a> ReceptionDriver<'a> {
         folds
     }
 
-    /// Checkpoints the driver: queue + output + busy horizons + the idle
-    /// flag of each in-flight capture, in the queue order of its
-    /// completion event.
+    /// Drives the pass to the `events` boundary, serializes it, and
+    /// resumes a fresh driver over the same inputs from the parsed bytes.
+    fn through_snapshot(mut self, events: u64) -> Self {
+        self.run_events(events);
+        let snap =
+            RxSnapshot::from_bytes(&self.save().to_bytes()).expect("snapshot bytes round-trip");
+        let (p, stream) = (&self.pipe, matches!(self.output, RxOutput::Stream(_)));
+        Self::with_arms(p.env, p.cfg, p.timeline, p.arms, stream)
+            .resume(&snap)
+            .expect("snapshot restores against its own run inputs")
+    }
+
+    /// Checkpoints the driver: the started prefix, the busy horizons
+    /// and the output.
     pub fn save(&self) -> RxSnapshot {
-        let (queue, next_seq, dispatched) = self.q.save_state();
         let cfg = self.pipe.cfg;
-        let in_flight_idle = queue
-            .iter()
-            .filter_map(|(_, ev)| match ev {
-                SimEvent::ReceptionComplete { slot, .. } => Some(self.in_flight[slot].idle),
-                _ => None,
-            })
-            .collect();
         RxSnapshot {
             seed: cfg.seed,
             load_kbps: cfg.load_kbps,
@@ -1051,21 +942,17 @@ impl<'a> ReceptionDriver<'a> {
             timeline_fp: timeline_fingerprint(self.pipe.timeline),
             env_fp: env_fingerprint(self.pipe.env),
             kernel_signature: ppr_phy::simd::active_kernel_signature().into_bytes(),
-            queue,
-            next_seq,
-            dispatched,
+            started: self.started,
             busy_until: self.busy_until.clone(),
             output: self.output.clone(),
-            in_flight_idle,
         }
     }
 
     /// Rebuilds a one-arm stream driver ([`Self::new`]) from a
-    /// checkpoint, validating the snapshot's identity fields and every
-    /// cross-reference of its progress state against the run inputs,
-    /// then reconstructing every in-flight capture from its queued
-    /// completion and idle flag. A snapshot that passes its checksum but
-    /// contradicts itself is [`SnapError::Corrupt`], never a panic.
+    /// checkpoint, validating the snapshot's identity fields and its
+    /// progress state against the run inputs. A snapshot that passes its
+    /// checksum but contradicts itself is [`SnapError::Corrupt`], never
+    /// a panic.
     pub fn restore(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -1089,156 +976,72 @@ impl<'a> ReceptionDriver<'a> {
         Self::folding(env, cfg, timeline, arms).resume(snap)
     }
 
-    /// Moves a fresh driver to `snap`'s progress state.
+    /// Moves a fresh driver to `snap`'s progress state, after checking
+    /// that this driver can reach it: at most the whole timeline
+    /// started, one busy horizon per receiver, and an output that holds
+    /// exactly the started prefix's receptions — slot by slot for a
+    /// stream, link by link (within what those receptions can add up
+    /// to) for folds. Anything else is [`SnapError::Corrupt`], so a
+    /// resealed but inconsistent snapshot cannot reach an index, an
+    /// `expect` or an overflowing count in the walk.
     fn resume(mut self, snap: &RxSnapshot) -> Result<Self, SnapError> {
-        let (next_slot, in_flight) = self.check_progress(snap)?;
-        self.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
-        self.busy_until = snap.busy_until.clone();
-        self.next_slot = next_slot;
-        self.output = snap.output.clone();
-        // Reconstruct the in-flight captures: physics from the run
-        // inputs, chip noise from each reception's stream start.
-        for (job, &idle) in in_flight.into_iter().zip(&snap.in_flight_idle) {
-            let payload = self.pipe.payload(&self.pipe.timeline[job.idx]).into();
-            self.in_flight
-                .insert(job.slot, self.pipe.capture(job, payload, idle));
-        }
-        Ok(self)
-    }
-
-    /// Checks that `snap`'s progress state is one this driver (fresh, at
-    /// event zero) can reach, and returns what restore rebuilds from
-    /// it: each receiver's next output slot, and the job of every queued
-    /// completion in queue order. The pending `TxStart`s must be exactly
-    /// the not-yet-started suffix of the timeline, every queued
-    /// `ReceptionComplete` must name a distinct started job by its slot,
-    /// receiver and transmission, one idle flag must come with each, and
-    /// the output must hold exactly the started receptions that are not
-    /// in flight: slot by slot for a stream, link by link (within what
-    /// those receptions can add up to) for folds. Anything else is
-    /// [`SnapError::Corrupt`], so a resealed but inconsistent snapshot
-    /// cannot reach an index, an `expect` or an overflowing count in the
-    /// event loop.
-    fn check_progress(&self, snap: &RxSnapshot) -> Result<(Vec<usize>, Vec<RxJob>), SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(what));
         let timeline = self.pipe.timeline;
         let nr = self.next_slot.len();
-        let total_jobs = self.total_jobs;
-        if snap.busy_until.len() != nr {
+        let (started, horizons) = (snap.started, snap.busy_until.len());
+        if started > timeline.len() || horizons != nr {
             return corrupt(format!(
-                "{} busy horizons for {nr} receivers",
-                snap.busy_until.len()
+                "{started} of {} transmissions started, {horizons} busy horizons for {nr} receivers",
+                timeline.len()
             ));
         }
 
-        // Queue entries: keys as the driver schedules them, starts
-        // distinct.
-        let mut pending_start = vec![false; timeline.len()];
-        let mut completions: Vec<RxJob> = Vec::new();
-        for (key, ev) in &snap.queue {
-            let ok = key.seq < snap.next_seq
-                && match *ev {
-                    SimEvent::TxStart { tx } => {
-                        tx < timeline.len()
-                            && key.time == timeline[tx].start_chip
-                            && key.priority == priority(prio::TX_START, 0)
-                            && !std::mem::replace(&mut pending_start[tx], true)
-                    }
-                    SimEvent::ReceptionComplete { tx, receiver, slot } => {
-                        completions.push(RxJob {
-                            r: receiver,
-                            idx: tx,
-                            slot,
-                        });
-                        tx < timeline.len()
-                            && key.time == timeline[tx].end_chip()
-                            && key.priority == priority(prio::RECEPTION, 0)
-                    }
-                    _ => false,
-                };
-            if !ok {
-                return corrupt(format!("queue entry {key:?} {ev:?} is inconsistent"));
+        // The started prefix: each receiver's slot range, each link's
+        // reception count, and the work count.
+        let slot_base = self.next_slot.clone();
+        let mut decoded = vec![0usize; self.pipe.env.links().len()];
+        for tx in &timeline[..started] {
+            let receivers = &self.receivers_of[tx.sender];
+            for (k, &r) in receivers.iter().enumerate() {
+                self.next_slot[r] += 1;
+                decoded[self.link_base[tx.sender] + k] += 1;
             }
-        }
-        let started = pending_start.iter().filter(|&&p| !p).count();
-        if pending_start[..started].iter().any(|&p| p) {
-            return corrupt("pending TxStarts are not the unstarted timeline suffix".into());
-        }
-        if snap.in_flight_idle.len() != completions.len() {
-            return corrupt(format!(
-                "{} idle flags for {} pending completions",
-                snap.in_flight_idle.len(),
-                completions.len()
-            ));
-        }
-
-        // The job table of the started prefix: slot -> (receiver, tx,
-        // link).
-        let mut next_slot = self.next_slot.clone();
-        let mut job_at: Vec<Option<(usize, usize)>> = vec![None; total_jobs];
-        let mut link_at: Vec<usize> = vec![0; total_jobs];
-        for (idx, tx) in timeline[..started].iter().enumerate() {
-            for (k, &r) in self.receivers_of[tx.sender].iter().enumerate() {
-                job_at[next_slot[r]] = Some((r, idx));
-                link_at[next_slot[r]] = self.link_base[tx.sender] + k;
-                next_slot[r] += 1;
-            }
-        }
-
-        // In-flight captures: one per queued completion, each the
-        // started job at its slot.
-        let mut in_flight = vec![false; total_jobs];
-        for job in &completions {
-            if job_at.get(job.slot) != Some(&Some((job.r, job.idx)))
-                || std::mem::replace(&mut in_flight[job.slot], true)
-            {
-                return corrupt(format!(
-                    "completion ({}, {}) at slot {} matches no distinct started job",
-                    job.r, job.idx, job.slot
-                ));
-            }
+            self.dispatched += 1 + receivers.len() as u64;
         }
 
         match (&self.output, &snap.output) {
-            (RxOutput::Stream(_), RxOutput::Stream(out)) => {
-                if out.len() != total_jobs {
+            (RxOutput::Stream(fresh), RxOutput::Stream(out)) => {
+                if out.len() != fresh.len() {
                     return corrupt(format!(
-                        "slot table holds {} slots, run inputs produce {total_jobs}",
-                        out.len()
+                        "slot table holds {} slots, run inputs produce {}",
+                        out.len(),
+                        fresh.len()
                     ));
                 }
-                // Decoded slots: started and not in flight; every
-                // started slot is one or the other.
+                // A slot belongs to the last receiver whose base is at or
+                // before it; the prefix's slots, and only they, are
+                // decoded.
                 for (slot, rec) in out.iter().enumerate() {
-                    let ok = match job_at[slot] {
-                        Some(_) => rec.is_some() != in_flight[slot],
-                        None => rec.is_none(),
-                    };
-                    if !ok {
+                    let r = slot_base.partition_point(|&b| b <= slot) - 1;
+                    let started = slot < self.next_slot[r];
+                    if rec.is_some() != started {
                         return corrupt(format!(
-                            "slot {slot} (started: {}) is decoded: {}, in flight: {}",
-                            job_at[slot].is_some(),
-                            rec.is_some(),
-                            in_flight[slot]
+                            "slot {slot} is decoded: {}, started: {started}",
+                            rec.is_some()
                         ));
                     }
                 }
             }
-            (RxOutput::Folds(_), RxOutput::Folds(folds)) => {
-                let mut decoded = vec![0usize; self.pipe.env.links().len()];
-                for slot in 0..total_jobs {
-                    if job_at[slot].is_some() && !in_flight[slot] {
-                        decoded[link_at[slot]] += 1;
-                    }
-                }
-                self.check_folds(folds, &decoded)?;
-            }
+            (RxOutput::Folds(_), RxOutput::Folds(folds)) => self.check_folds(folds, &decoded)?,
             _ => return Err(SnapError::IdentityMismatch(
                 "a stream snapshot restores only into a stream driver, folds into a folding one"
                     .into(),
             )),
         }
-        Ok((next_slot, completions))
+        self.started = snap.started;
+        self.busy_until = snap.busy_until.clone();
+        self.output = snap.output.clone();
+        Ok(self)
     }
 
     /// Checks that every arm's fold could come from the `decoded[link]`
@@ -1315,34 +1118,27 @@ fn validate_rx_identity(
     arms: &[RxArm],
     snap: &RxSnapshot,
 ) -> Result<(), SnapError> {
+    let mismatch = |what: String| Err(SnapError::IdentityMismatch(what));
     if cfg.seed != snap.seed
         || cfg.load_kbps.to_bits() != snap.load_kbps.to_bits()
         || cfg.body_bytes != snap.body_bytes
         || cfg.carrier_sense != snap.carrier_sense
         || cfg.duration_s.to_bits() != snap.duration_s.to_bits()
     {
-        return Err(SnapError::IdentityMismatch(
-            "SimConfig differs from the snapshot's".into(),
-        ));
+        return mismatch("SimConfig differs from the snapshot's".into());
     }
     if arms != snap.arms.as_slice() {
-        return Err(SnapError::IdentityMismatch(
-            "RxArms differ from the snapshot's".into(),
-        ));
+        return mismatch("RxArms differ from the snapshot's".into());
     }
-    let tfp = timeline_fingerprint(timeline);
-    if tfp != snap.timeline_fp {
-        return Err(SnapError::IdentityMismatch(format!(
-            "timeline fingerprint {tfp:#018x} != snapshot {:#018x}",
-            snap.timeline_fp
-        )));
-    }
-    let efp = env_fingerprint(env);
-    if efp != snap.env_fp {
-        return Err(SnapError::IdentityMismatch(format!(
-            "environment fingerprint {efp:#018x} != snapshot {:#018x}",
-            snap.env_fp
-        )));
+    for (what, ours, theirs) in [
+        ("timeline", timeline_fingerprint(timeline), snap.timeline_fp),
+        ("environment", env_fingerprint(env), snap.env_fp),
+    ] {
+        if ours != theirs {
+            return mismatch(format!(
+                "{what} fingerprint {ours:#018x} != snapshot {theirs:#018x}"
+            ));
+        }
     }
     Ok(())
 }
@@ -1363,8 +1159,8 @@ struct CleanOutcome {
     hints: Option<HintFold>,
 }
 
-/// The event driver's per-(transmission, receiver) pipeline stages over
-/// packed chip words: draw the chip errors and resolve the preamble
+/// The reception pass's per-(transmission, receiver) pipeline stages
+/// over packed chip words: draw the chip errors and resolve the preamble
 /// verdict (independent of the arm), then receive every arm's frame —
 /// from the arm's clean outcome when the errors touch no lane, else by
 /// decoding each distinct frame once ([`Self::decode`]).
@@ -1403,20 +1199,6 @@ impl<'a> RxPipeline<'a> {
         timeline: &'a [Transmission],
         arms: &'a [RxArm],
     ) -> Self {
-        let nr = env.testbed.receivers.len();
-        let heard: Vec<Vec<HeardTx>> = (0..nr)
-            .map(|r| {
-                timeline
-                    .iter()
-                    .map(|tx| HeardTx {
-                        id: tx.id,
-                        start_chip: tx.start_chip,
-                        len_chips: tx.len_chips,
-                        power_mw: env.s2r_mw[tx.sender][r],
-                    })
-                    .collect()
-            })
-            .collect();
         let mut groups: Vec<LayoutGroup> = Vec::new();
         for (a, arm) in arms.iter().enumerate() {
             let layout = arm.scheme.body_layout();
@@ -1439,7 +1221,7 @@ impl<'a> RxPipeline<'a> {
             groups,
             noise: env.model.noise_mw(),
             frame_chips: Frame::chips_len_for_body(cfg.body_bytes),
-            heard,
+            heard: heard_lists(env, timeline),
             max_len_chips: timeline.iter().map(|tx| tx.len_chips).max().unwrap_or(0),
             clean: Vec::new(),
         };
@@ -1492,31 +1274,17 @@ impl<'a> RxPipeline<'a> {
         payload_pattern(tx.sender, tx.seq, self.payload_len)
     }
 
-    /// The capture of `job` by a receiver that is `idle` when the frame
-    /// starts: its chip errors, and whether its preamble acquires it.
-    fn capture(&self, job: RxJob, payload: Arc<[u8]>, idle: bool) -> Capture {
-        let errors = self.draw_errors(&job);
-        let preamble = idle && self.rx.preamble_hit(&errors);
-        Capture {
-            job,
-            errors,
-            payload,
-            idle,
-            preamble,
-        }
-    }
-
     /// The channel's chip errors for one (transmission, receiver) pair,
     /// drawn from the start of the pair's noise stream — everything
     /// about a reception that does not depend on the arm or on the
     /// receiver's busy state. Only the transmissions that can overlap
     /// the frame are scanned for interference.
-    fn draw_errors(&self, job: &RxJob) -> ChipErrors {
-        let tx = &self.timeline[job.idx];
-        let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
-        let signal = self.env.s2r_mw[tx.sender][job.r];
-        let heard = &self.heard[job.r];
-        let target = &heard[job.idx];
+    fn draw_errors(&self, idx: usize, r: usize) -> ChipErrors {
+        let tx = &self.timeline[idx];
+        let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, r));
+        let signal = self.env.s2r_mw[tx.sender][r];
+        let heard = &self.heard[r];
+        let target = &heard[idx];
         let window = overlap_window(
             heard,
             target.start_chip,
@@ -1528,35 +1296,36 @@ impl<'a> RxPipeline<'a> {
         ChipErrors::draw(self.frame_chips, &profile, &mut rng)
     }
 
-    /// Receives a completed capture under every arm, calling `each(a,
-    /// reception, tally)` once per arm `a`. A capture the channel did
-    /// not touch hands out the arms' clean outcomes
-    /// ([`Self::clean_outcomes`]), with their hint statistics as
-    /// `tally`, without rendering or decoding anything; any other is
-    /// decoded ([`Self::decode`]). Either way the ids are placeholders:
-    /// a fold reads none, and a stream stamps them.
+    /// Receives `timeline[idx]` (its `payload` at the longest arm's
+    /// length) at receiver `r`, `idle` when the frame starts, calling
+    /// `each(a, reception, tally)` once per arm `a`: the arms' clean
+    /// outcomes ([`Self::clean_outcomes`]) with their hint statistics as
+    /// `tally` when the chip errors touch no lane, else a decode
+    /// ([`Self::decode`]). The ids are placeholders: a fold reads none,
+    /// and a stream stamps them. Returns the preamble verdict, which is
+    /// what the receiver's busy/idle fold reads.
     fn receive(
         &self,
-        capture: &Capture,
+        idx: usize,
+        r: usize,
+        payload: &[u8],
+        idle: bool,
         mut each: impl FnMut(usize, Cow<'_, Reception>, Option<&HintFold>),
-    ) {
-        if capture.errors.lanes_touched() == 0 {
+    ) -> bool {
+        let errors = self.draw_errors(idx, r);
+        let preamble = idle && self.rx.preamble_hit(&errors);
+        if errors.lanes_touched() == 0 {
             for (a, clean) in self.clean.iter().enumerate() {
-                let c = &clean[usize::from(capture.idle)];
+                let c = &clean[usize::from(idle)];
                 each(a, Cow::Borrowed(&c.rec), c.hints.as_ref());
             }
-            return;
+        } else {
+            let tx = &self.timeline[idx];
+            self.decode(r, tx, &errors, payload, idle, preamble, |a, rec| {
+                each(a, Cow::Owned(rec), None)
+            });
         }
-        let job = &capture.job;
-        self.decode(
-            job.r,
-            &self.timeline[job.idx],
-            &capture.errors,
-            &capture.payload,
-            capture.idle,
-            capture.preamble,
-            |a, rec| each(a, Cow::Owned(rec), None),
-        );
+        preamble
     }
 
     /// Decodes `tx`'s frame at receiver `r` under `errors` once per
@@ -1646,6 +1415,25 @@ impl<'a> RxPipeline<'a> {
     }
 }
 
+/// Every receiver's interference view of the whole timeline: per
+/// receiver, each transmission in timeline order with the power it
+/// arrives at.
+pub(crate) fn heard_lists(env: &RadioEnv, timeline: &[Transmission]) -> Vec<Vec<HeardTx>> {
+    (0..env.testbed.receivers.len())
+        .map(|r| {
+            timeline
+                .iter()
+                .map(|tx| HeardTx {
+                    id: tx.id,
+                    start_chip: tx.start_chip,
+                    len_chips: tx.len_chips,
+                    power_mw: env.s2r_mw[tx.sender][r],
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`
 /// — one independent noise stream per (transmission, receiver) pair,
 /// which is what makes the evaluation order irrelevant to the output.
@@ -1655,7 +1443,7 @@ pub fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
 
 /// Sequential `&[bool]` reference implementation of
 /// [`process_receptions`] — the executable specification the packed
-/// event-driven path is tested against (`tests/packed_parity.rs`, and
+/// reception driver is tested against (`tests/packed_parity.rs`, and
 /// resumed checkpoints in [`crate::diff`]). It always runs from
 /// scratch, receiver by receiver, and shares no state or snapshot with
 /// the driver. Kept simple on purpose; use [`process_receptions`]

@@ -71,6 +71,16 @@ const MAX_PACKETS: usize = 100_000;
 /// random-geometric layouts.
 pub const DEFAULT_MESH_DENSITY: f64 = 12.0;
 
+/// Sparsest mesh: one expected neighbor. The spatial grid has about
+/// `nodes·π/density` cells, allocated up front: ~314 000 at the largest
+/// node count, where a density near zero asks for terabytes.
+const MIN_MESH_DENSITY: f64 = 1.0;
+
+/// Densest mesh: four times the default. Each transmission schedules
+/// about `min(density, nodes)` receptions; a density near the node count
+/// fills the event queue with gigabytes.
+const MAX_MESH_DENSITY: f64 = 50.0;
+
 /// Default PP-ARQ retry budget (the mesh driver's historical
 /// `MAX_ARQ_ROUNDS`).
 pub const DEFAULT_ARQ_RETRIES: u8 = 3;
@@ -409,7 +419,7 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
     ),
     (
         "mesh_density",
-        "expected neighbors > 0, e.g. mesh_density=12",
+        "expected neighbors 1-50, e.g. mesh_density=12",
     ),
     (
         "checkpoint",
@@ -636,10 +646,11 @@ impl ScenarioBuilder {
                 self.mesh_nodes = Some(v);
             }
             "mesh_density" => {
-                let v: f64 = parse(key, value, "expected neighbors > 0")?;
-                if !(v.is_finite() && v > 0.0) {
+                let v: f64 = parse(key, value, "expected neighbors")?;
+                if !(MIN_MESH_DENSITY..=MAX_MESH_DENSITY).contains(&v) {
                     return Err(format!(
-                        "invalid value {value:?} for mesh_density (want > 0)"
+                        "invalid value {value:?} for mesh_density \
+                         (want expected neighbors {MIN_MESH_DENSITY}-{MAX_MESH_DENSITY})"
                     ));
                 }
                 self.mesh_density = Some(v);
@@ -828,6 +839,12 @@ mod tests {
             ("driver", "warp"),
             ("mesh_nodes", "1"),
             ("mesh_density", "0"),
+            ("mesh_density", "0.5"),
+            ("mesh_density", "1e-9"),
+            ("mesh_density", "50.5"),
+            ("mesh_density", "1e9"),
+            ("mesh_density", "inf"),
+            ("mesh_density", "nan"),
             ("checkpoint", "0"),
             ("checkpoint", "soon"),
             ("jammer", "nuke"),
@@ -871,6 +888,8 @@ mod tests {
         // The bounds are inclusive, and the help text states them.
         b.set("churn", "10000").unwrap();
         b.set("topology", "grid:32x32").unwrap();
+        b.set("mesh_density", "1").unwrap();
+        b.set("mesh_density", "50").unwrap();
         for (key, max) in [
             ("duration", "900"),
             ("load", "250"),
@@ -892,6 +911,10 @@ mod tests {
             ("arq_packets", format!("1-{MAX_PACKETS}")),
             ("relay_packets", format!("1-{MAX_PACKETS}")),
             ("mesh_nodes", format!("2-{MAX_MESH_NODES}")),
+            (
+                "mesh_density",
+                format!("{MIN_MESH_DENSITY}-{MAX_MESH_DENSITY}"),
+            ),
         ] {
             let help = SCENARIO_KEYS.iter().find(|&&(k, _)| k == key);
             assert!(help.unwrap().1.contains(&bound), "{key}");

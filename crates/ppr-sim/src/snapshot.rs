@@ -1,7 +1,8 @@
 //! Versioned, dependency-free serialization of simulator state —
-//! checkpoint any run at an epoch (event) boundary and resume it
-//! bit-identically. The differential harness ([`crate::diff`]) checks a
-//! resumed run against the bool spec run from scratch.
+//! checkpoint a testbed reception pass at a transmission boundary, or
+//! the mesh flood at an event boundary, and resume it bit-identically.
+//! The differential harness ([`crate::diff`]) checks a resumed
+//! reception pass against the bool spec run from scratch.
 //!
 //! ## Byte layout
 //!
@@ -40,18 +41,18 @@
 //! can derive is left out, so a snapshot cannot contradict itself
 //! about it:
 //!
-//! * **The event queue** — every scheduled `(EventKey, SimEvent)` pair
-//!   with its key preserved verbatim (including `seq` tie-breaks), plus
-//!   the queue's push/dispatch counters
-//!   ([`crate::event::BinaryHeapQueue::save_state`]).
-//! * **In-flight captures** — a testbed reception on the air is its
-//!   queued `ReceptionComplete` event (transmission, receiver, output
-//!   slot) plus the busy/idle verdict resolved when the frame started.
-//!   Its frame, known payload, interference profile and chip errors are
-//!   *reconstructed*: every reception's noise stream starts at
+//! * **A testbed reception pass** — a timeline prefix: how many
+//!   transmissions are evaluated, each receiver's busy horizon, and the
+//!   output (the one arm's receiver-major slots or every arm's fold).
+//!   Each receiver's next output slot and the work count are rebuilt
+//!   from the prefix; nothing is on the air between two transmissions'
+//!   steps, and every reception's noise stream starts at
 //!   `reception_rng_seed(seed, tx id, receiver)`, so no RNG state is
-//!   stored for it. Each receiver's next output slot is rebuilt from
-//!   the started prefix of the timeline.
+//!   stored.
+//! * **The mesh's event queue** — every scheduled `(EventKey,
+//!   SimEvent)` pair with its key preserved verbatim (including `seq`
+//!   tie-breaks), plus the queue's push/dispatch counters
+//!   ([`crate::event::BinaryHeapQueue::save_state`]).
 //! * **Per-link PP-ARQ session state** — the mesh driver's per-node
 //!   byte-correct masks, armed timers and liveness. A node's
 //!   correct-byte count is its mask's popcount over the payload, and it
@@ -96,11 +97,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PPRSNAP1";
 /// one arm's slot table or every arm's fold (per-link counters, plus
 /// hint and miss-run histograms for symbol-trace arms); 4 — every field
 /// restore can recompute is gone: the reception snapshot's per-receiver
-/// next slots, and its in-flight captures' receiver, transmission, slot
-/// and RNG words (a capture is its queued completion plus an idle
-/// flag); the mesh nodes' correct-byte counts and recovery/rebroadcast
-/// flags, and ten of its twenty stats words; and the `TxEnd` event tag.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// next slots and RNG words, the mesh nodes' correct-byte counts and
+/// recovery/rebroadcast flags, ten of its twenty stats words, and the
+/// `TxEnd` event tag; 5 — the reception snapshot is a timeline prefix
+/// (its started count, busy horizons and output, with no event queue),
+/// and `ReceptionComplete` carries no output slot.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Kind tag of a testbed reception-driver snapshot ([`RxSnapshot`]).
 pub const KIND_RX: u8 = 1;
@@ -450,11 +452,10 @@ pub fn encode_event(w: &mut SnapWriter, key: EventKey, ev: &SimEvent) {
             w.u8(2);
             w.usize(tx);
         }
-        SimEvent::ReceptionComplete { tx, receiver, slot } => {
+        SimEvent::ReceptionComplete { tx, receiver } => {
             w.u8(4);
             w.usize(tx);
             w.usize(receiver);
-            w.usize(slot);
         }
         SimEvent::ArqTimer { node, round } => {
             w.u8(5);
@@ -487,7 +488,6 @@ pub fn decode_event(r: &mut SnapReader) -> Result<(EventKey, SimEvent), SnapErro
         4 => SimEvent::ReceptionComplete {
             tx: r.usize()?,
             receiver: r.usize()?,
-            slot: r.usize()?,
         },
         5 => SimEvent::ArqTimer {
             node: r.usize()?,
@@ -634,7 +634,8 @@ pub fn decode_fold(r: &mut SnapReader) -> Result<ArmFold, SnapError> {
 }
 
 /// A checkpoint of the testbed reception driver
-/// ([`crate::network::ReceptionDriver`]) at an event boundary.
+/// ([`crate::network::ReceptionDriver`]) at a transmission boundary: a
+/// timeline prefix.
 ///
 /// Identity fields pin the run inputs; progress fields carry exactly
 /// the state the driver cannot recompute. Fields are public so the
@@ -666,12 +667,9 @@ pub struct RxSnapshot {
     /// (`ppr_phy::simd::active_kernel_signature`) of the saving
     /// process; recorded, never validated (kernels are bit-identical).
     pub kernel_signature: Vec<u8>,
-    /// snapshot: serialized — scheduled events, keys verbatim.
-    pub queue: Vec<(EventKey, SimEvent)>,
-    /// snapshot: serialized — the queue's push counter.
-    pub next_seq: u64,
-    /// snapshot: serialized — events dispatched so far.
-    pub dispatched: u64,
+    /// snapshot: serialized — transmissions evaluated so far: every
+    /// reception of `timeline[..started]` is in `output`, none after.
+    pub started: usize,
     /// snapshot: serialized — per-receiver busy horizon of the
     /// sequential busy/idle fold.
     pub busy_until: Vec<u64>,
@@ -679,11 +677,6 @@ pub struct RxSnapshot {
     /// receiver-major slots (undecoded slots are `None`), or every
     /// arm's fold.
     pub output: RxOutput,
-    /// snapshot: serialized — one per queued `ReceptionComplete`, in
-    /// queue (key) order: the busy/idle verdict its capture resolved
-    /// when the frame started (already folded into `busy_until`). The
-    /// event names the capture; its chip errors are redrawn on restore.
-    pub in_flight_idle: Vec<bool>,
 }
 // ppr-lint: region(snapshot-state) end
 
@@ -704,12 +697,9 @@ impl RxSnapshot {
         w.u64(self.timeline_fp);
         w.u64(self.env_fp);
         w.bytes(&self.kernel_signature);
-        w.seq(&self.queue, |w, (key, ev)| encode_event(w, *key, ev));
-        w.u64(self.next_seq);
-        w.u64(self.dispatched);
+        w.usize(self.started);
         encode_counts(&mut w, &self.busy_until);
         encode_output(&mut w, &self.output);
-        w.seq(&self.in_flight_idle, |w, &idle| w.bool(idle));
         w.finish()
     }
 
@@ -735,12 +725,9 @@ impl RxSnapshot {
             timeline_fp: r.u64()?,
             env_fp: r.u64()?,
             kernel_signature: r.bytes()?,
-            queue: r.seq(decode_event)?,
-            next_seq: r.u64()?,
-            dispatched: r.u64()?,
+            started: r.usize()?,
             busy_until: decode_counts(&mut r)?,
             output: decode_output(&mut r)?,
-            in_flight_idle: r.seq(SnapReader::bool)?,
         };
         r.finish()?;
         Ok(snap)
@@ -1060,11 +1047,7 @@ mod tests {
                     priority: 0,
                     seq: 9,
                 },
-                SimEvent::ReceptionComplete {
-                    tx: 7,
-                    receiver: 8,
-                    slot: 900,
-                },
+                SimEvent::ReceptionComplete { tx: 7, receiver: 8 },
             ),
             (
                 EventKey {

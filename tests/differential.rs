@@ -1,19 +1,18 @@
 //! The differential harness: one frozen checkpoint, resumed under the
-//! event driver, must complete to the `Reception` stream the bool spec
-//! produces from scratch — and when the streams *do* diverge, the
-//! harness must localize the first diverging event exactly.
+//! reception driver, must complete to the `Reception` stream the bool
+//! spec produces from scratch — and when the streams *do* diverge, the
+//! harness must localize the first diverging reception exactly.
 //!
 //! The second half is the regression test for the bisect story: the
 //! spec never reads the snapshot, so a snapshot that carries wrong
-//! progress — a tampered decoded slot, an in-flight capture's flipped
-//! idle flag, a moved busy horizon — must surface as a divergence at
-//! precisely the tampered reception, not anywhere downstream.
+//! progress — a tampered decoded slot, a moved busy horizon — must
+//! surface as a divergence at precisely the tampered reception, not
+//! anywhere downstream.
 
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::diff::cross_validate;
-use ppr::sim::event::SimEvent;
 use ppr::sim::network::{
-    generate_timeline, snapshot_after_events, RadioEnv, RxArm, RxOutput, SimConfig,
+    generate_timeline, snapshot_after_events, RadioEnv, RxArm, RxOutput, SimConfig, Transmission,
 };
 use ppr::sim::rxpath::Acquisition;
 use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot};
@@ -36,38 +35,16 @@ fn arm() -> RxArm {
     }
 }
 
-/// A checkpoint with in-flight captures (so the restore has started
-/// but undecided receptions to rebuild) and decoded slots, found by
-/// scanning epochs.
-fn snapshot_with_in_flight(
-    env: &RadioEnv,
-    c: &SimConfig,
-    timeline: &[ppr::sim::network::Transmission],
-    arm: &RxArm,
-) -> RxSnapshot {
-    for events in [200u64, 400, 800, 100, 50, 1600] {
-        let bytes = snapshot_after_events(env, c, timeline, arm, events);
-        let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot parses");
-        let RxOutput::Stream(out) = &snap.output else {
-            panic!("a one-arm driver keeps a stream");
-        };
-        if !snap.in_flight_idle.is_empty() && out.iter().any(Option::is_some) {
-            return snap;
-        }
-    }
-    panic!("no epoch with in-flight and decoded receptions — timeline too sparse for this test");
-}
-
-/// The output slot of each in-flight capture, in the order of the
-/// snapshot's idle flags (the queue order of the completions).
-fn in_flight_slots(snap: &RxSnapshot) -> Vec<usize> {
-    snap.queue
-        .iter()
-        .filter_map(|(_, ev)| match *ev {
-            SimEvent::ReceptionComplete { slot, .. } => Some(slot),
-            _ => None,
-        })
-        .collect()
+/// A checkpoint part-way through the timeline: some slots decoded,
+/// some not.
+fn snapshot_mid_run(env: &RadioEnv, c: &SimConfig, timeline: &[Transmission]) -> RxSnapshot {
+    let bytes = snapshot_after_events(env, c, timeline, &arm(), 200);
+    let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot parses");
+    let RxOutput::Stream(out) = &snap.output else {
+        panic!("a one-arm driver keeps a stream");
+    };
+    assert!(out.iter().any(Option::is_some) && out.iter().any(Option::is_none));
+    snap
 }
 
 #[test]
@@ -76,7 +53,7 @@ fn resumed_checkpoint_matches_the_spec_from_scratch() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
+    let snap = snapshot_mid_run(&env, &c, &timeline);
 
     let report = cross_validate(&env, &c, &timeline, &arm, &snap).expect("checkpoint restores");
     assert!(
@@ -121,7 +98,7 @@ fn tampered_snapshot_bisects_to_the_exact_slot() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let snap = snapshot_with_in_flight(&env, &c, &timeline, &arm);
+    let snap = snapshot_mid_run(&env, &c, &timeline);
     let verdict = |tampered: &RxSnapshot| {
         cross_validate(&env, &c, &timeline, &arm, tampered)
             .expect("tampered progress stays restorable")
@@ -155,26 +132,6 @@ fn tampered_snapshot_bisects_to_the_exact_slot() {
         let d = verdict(&tampered).expect("a tampered decoded slot must diverge");
         assert_eq!((d.index, d.field), (slot, field), "{d}");
     }
-
-    // An in-flight capture's idle flag: every flip that changes the
-    // outcome is reported at exactly that capture's slot. Interference
-    // at this load leaves many preambles unacquired, so some must.
-    let slots = in_flight_slots(&snap);
-    let mut bisected = 0;
-    for (k, &slot) in slots.iter().enumerate() {
-        let mut tampered = snap.clone();
-        tampered.in_flight_idle[k] ^= true;
-        let Some(d) = verdict(&tampered) else {
-            continue;
-        };
-        bisected += 1;
-        assert_eq!(d.index, slot, "divergence not at the flipped capture: {d}");
-    }
-    assert!(
-        bisected > 0,
-        "no idle flip among {} captures changed an outcome",
-        slots.len()
-    );
 
     // A busy horizon pushed to the end of time: every later preamble
     // at that receiver is missed, and the first divergence is one of

@@ -5,7 +5,7 @@
 //! chips and decisions across every stage of the pipeline — spreading,
 //! corruption, sync, despreading, the per-packet receive path, and full
 //! end-to-end experiment runs (sequential reference vs. packed
-//! event-driven loop) — under fixed seeds and proptest-generated inputs.
+//! reception driver) — under fixed seeds and proptest-generated inputs.
 
 use ppr::channel::chip_channel::{
     corrupt_chip_words_in_place, corrupt_chips, ChipErrors, ErrorProfile,
@@ -284,7 +284,7 @@ fn rollback_decode_parity() {
     );
 }
 
-/// End-to-end parity: the packed event-driven reception loop produces the
+/// End-to-end parity: the packed reception driver produces the
 /// exact `Reception` list of the sequential `&[bool]` reference, across
 /// schemes and postamble arms (including symbol-trace collection), on a
 /// light 200 B run and a dense 1500 B one.

@@ -5,8 +5,9 @@
 //! Three layers:
 //!
 //! 1. **Reception streams** — `process_receptions_checkpointed` vs the
-//!    uninterrupted event driver, property-tested across checkpoint
-//!    epochs and seeds; and a multi-arm folding pass through a
+//!    uninterrupted reception driver, property-tested across checkpoint
+//!    boundaries and seeds, and resumed from every transmission
+//!    boundary of a short trace; and a multi-arm folding pass through a
 //!    checkpoint vs the bool spec, arm by arm.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set.
@@ -171,9 +172,9 @@ fn every_experiment_is_checkpoint_invariant() {
 /// *format*: magic, version, field order, and every encoder. If an
 /// assertion fires, the byte layout changed — bump `SNAPSHOT_VERSION`,
 /// update these constants, and say so in the commit.
-const RX_FORMAT_FINGERPRINT: u64 = 0x7bd6_f23f_6531_4e85;
-const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0x245c_c5bf_86bb_ee21;
-const MESH_FORMAT_FINGERPRINT: u64 = 0x0175_1d9e_b631_37a8;
+const RX_FORMAT_FINGERPRINT: u64 = 0x52b8_fd9d_dd69_ca70;
+const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0xd166_93de_8fca_a550;
+const MESH_FORMAT_FINGERPRINT: u64 = 0x0d94_15ee_69ea_8556;
 
 #[test]
 fn snapshot_byte_format_is_pinned() {
@@ -181,14 +182,18 @@ fn snapshot_byte_format_is_pinned() {
     // jammer actor state, per-node liveness) joined the mesh snapshot.
     // Version 3: the reception snapshot holds an arm list, and its
     // output is one arm's slot table or every arm's fold.
-    // Version 4: fields restore recomputes are gone (next slots,
-    // in-flight jobs and RNG words, mesh node counts and flags, ten
-    // mesh stats words) and the `TxEnd` event tag with them.
-    assert_eq!(SNAPSHOT_VERSION, 4);
+    // Version 4: fields restore recomputes are gone (next slots and RNG
+    // words, mesh node counts and flags, ten mesh stats words) and the
+    // `TxEnd` event tag with them.
+    // Version 5: the reception snapshot is a timeline prefix (started
+    // count, busy horizons, output), and `ReceptionComplete` carries no
+    // output slot.
+    assert_eq!(SNAPSHOT_VERSION, 5);
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
-    // The canonical state is epoch 300 of the event driver.
+    // The canonical state is the first transmission boundary at or past
+    // 300.
     let arm = arm();
     let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
     driver.run_events(300);
@@ -205,7 +210,7 @@ fn snapshot_byte_format_is_pinned() {
          RX_FORMAT_FINGERPRINT, and explain the layout change in the commit."
     );
 
-    // The fold layout, at the same epoch of a multi-arm pass.
+    // The fold layout, at the same boundary of a multi-arm pass.
     let arms = union_arms();
     let mut driver = ReceptionDriver::folding(&env, &c, &timeline, &arms);
     driver.run_events(300);
@@ -343,6 +348,131 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
 }
 
+/// A short, dense trace: every restore in a loop over it has little
+/// left to evaluate.
+fn short_cfg() -> SimConfig {
+    SimConfig {
+        load_kbps: 42.4,
+        body_bytes: 250,
+        carrier_sense: false,
+        duration_s: 0.1,
+        seed: 60,
+    }
+}
+
+#[test]
+fn reception_resumes_at_every_transmission_boundary() {
+    // A stream pass and a multi-arm fold pass, checkpointed at each
+    // transmission boundary of a short trace: every resume carries on
+    // the same work count and finishes with the uninterrupted output.
+    let c = short_cfg();
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let (arm, arms) = (arm(), union_arms());
+    let stream = process_receptions(&env, &c, &timeline, &arm);
+    let folds = fold_receptions(&env, &c, &timeline, &arms, None);
+    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
+    let mut folding = ReceptionDriver::folding(&env, &c, &timeline, &arms);
+    for started in 0..=timeline.len() {
+        let snap = RxSnapshot::from_bytes(&driver.save().to_bytes()).unwrap();
+        assert_eq!(snap.started, started);
+        let resumed = ReceptionDriver::restore(&env, &c, &timeline, &arm, &snap).unwrap();
+        assert_eq!(resumed.dispatched(), driver.dispatched());
+        assert_eq!(resumed.run_to_end(), stream, "stream resume at {started}");
+        let snap = RxSnapshot::from_bytes(&folding.save().to_bytes()).unwrap();
+        let resumed = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, &snap);
+        assert_eq!(
+            resumed.unwrap().run_to_folds(),
+            folds,
+            "fold resume at {started}"
+        );
+        // One past the work done is the next transmission boundary.
+        driver.run_events(driver.dispatched() + 1);
+        folding.run_events(folding.dispatched() + 1);
+    }
+}
+
+#[test]
+fn dispatched_counts_each_transmission_and_its_receptions() {
+    let c = short_cfg();
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let arm = arm();
+    let receivers = 0..env.testbed.receivers.len();
+    let audible = |s| receivers.clone().filter(|&r| env.is_link(s, r)).count() as u64;
+    let want: u64 = timeline.iter().map(|tx| 1 + audible(tx.sender)).sum();
+    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
+    driver.run_events(u64::MAX);
+    assert_eq!(driver.dispatched(), want);
+}
+
+#[test]
+fn inconsistent_reception_progress_is_corrupt_not_a_panic() {
+    let c = short_cfg();
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let (arm, arms) = (arm(), union_arms());
+    let snap = RxSnapshot::from_bytes(&snapshot_after_events(&env, &c, &timeline, &arm, 130));
+    let snap = snap.unwrap();
+    let RxOutput::Stream(out) = &snap.output else {
+        panic!("a one-arm driver keeps a stream");
+    };
+    let decoded = out.iter().position(Option::is_some).unwrap();
+    let undecoded = out.iter().position(Option::is_none).unwrap();
+    let with_slot = |at: usize, rec| {
+        let mut out = out.clone();
+        out[at] = rec;
+        RxSnapshot {
+            output: RxOutput::Stream(out),
+            ..snap.clone()
+        }
+    };
+    let with = |started, busy_until| RxSnapshot {
+        started,
+        busy_until,
+        ..snap.clone()
+    };
+    let busy = snap.busy_until.clone();
+    for (what, s) in [
+        (
+            "started past the timeline",
+            with(timeline.len() + 1, busy.clone()),
+        ),
+        ("the prefix moved on", with(snap.started + 1, busy.clone())),
+        (
+            "the prefix moved back",
+            with(snap.started - 1, busy.clone()),
+        ),
+        (
+            "a busy horizon too many",
+            with(snap.started, [&busy[..], &[0]].concat()),
+        ),
+        (
+            "a busy horizon too few",
+            with(snap.started, busy[1..].to_vec()),
+        ),
+        (
+            "decoded past the prefix",
+            with_slot(undecoded, out[decoded].clone()),
+        ),
+        ("undecoded inside the prefix", with_slot(decoded, None)),
+    ] {
+        let err = ReceptionDriver::restore(&env, &c, &timeline, &arm, &s).err();
+        assert!(
+            matches!(err, Some(SnapError::Corrupt(_))),
+            "{what}: {err:?}"
+        );
+    }
+
+    // A fold whose prefix moved on lacks that transmission's frames.
+    let mut folding = ReceptionDriver::folding(&env, &c, &timeline, &arms);
+    folding.run_events(130);
+    let mut s = folding.save();
+    s.started += 1;
+    let err = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, &s).err();
+    assert!(matches!(err, Some(SnapError::Corrupt(_))), "{err:?}");
+}
+
 /// Recomputes a snapshot's FNV-1a trailer over everything before it, so
 /// a mutated byte string passes the checksum and reaches restore.
 fn reseal(bytes: &mut [u8]) {
@@ -351,36 +481,21 @@ fn reseal(bytes: &mut [u8]) {
     bytes[body..].copy_from_slice(&fp.to_le_bytes());
 }
 
-/// The byte ranges of an [`RxSnapshot`]'s sections, in layout order:
-/// header + identity (arms included), queue, counters, busy horizons,
-/// output (slot table or folds), in-flight idle flags. Each table's
-/// length comes from re-encoding the snapshot with that table emptied,
-/// so the ranges follow the encoders without restating them.
-fn rx_sections(snap: &RxSnapshot) -> Vec<std::ops::Range<usize>> {
-    let full = snap.to_bytes().len();
-    let without = |clear: fn(&mut RxSnapshot)| {
-        let mut s = snap.clone();
-        clear(&mut s);
-        full - s.to_bytes().len()
+/// The offsets a resealed mutation flips in an [`RxSnapshot`]: every
+/// byte of the header, identity, started count and busy horizons, and
+/// `n` evenly spaced ones in the output (slot table or folds), whose
+/// length comes from re-encoding the snapshot without it. The trailer
+/// is recomputed, never mutated.
+fn rx_offsets(snap: &RxSnapshot, n: usize) -> Vec<usize> {
+    let full = snap.to_bytes().len() - 8;
+    let empty = RxSnapshot {
+        output: RxOutput::Stream(Vec::new()),
+        ..snap.clone()
     };
-    // Table bytes plus its u64 count prefix, last section first; the
-    // output section also has its one-byte stream/folds tag.
-    let tables = [
-        8 + without(|s| s.in_flight_idle.clear()),
-        9 + without(|s| s.output = RxOutput::Stream(Vec::new())),
-        8 + without(|s| s.busy_until.clear()),
-        16, // next_seq, dispatched
-        8 + without(|s| s.queue.clear()),
-    ];
-    let mut end = full - 8; // the trailer is recomputed, never mutated
-    let mut sections = Vec::new();
-    for len in tables {
-        sections.push(end - len..end);
-        end -= len;
-    }
-    sections.push(0..end);
-    sections.reverse();
-    sections
+    let output = full + 8 + 9 - empty.to_bytes().len();
+    (0..full - output)
+        .chain(spread(full - output..full, n))
+        .collect()
 }
 
 /// Up to `n` evenly spaced offsets inside `range`.
@@ -425,15 +540,8 @@ fn assert_resealed_mutations_never_panic<S>(
 #[test]
 fn resealed_snapshot_mutations_never_panic() {
     // A short, dense run checkpointed late (so each resume has little
-    // left to evaluate) with decoded slots, in-flight captures and
-    // pending starts all present.
-    let c = SimConfig {
-        load_kbps: 42.4,
-        body_bytes: 250,
-        carrier_sense: false,
-        duration_s: 0.1,
-        seed: 60,
-    };
+    // left to evaluate) with both decoded and undecoded slots present.
+    let c = short_cfg();
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
@@ -443,17 +551,10 @@ fn resealed_snapshot_mutations_never_panic() {
         panic!("a one-arm driver keeps a stream");
     };
     assert!(
-        !snap.in_flight_idle.is_empty() && out.iter().any(Option::is_some),
-        "checkpoint has no in-flight or decoded state to corrupt"
+        out.iter().any(Option::is_some) && snap.started < timeline.len(),
+        "checkpoint has no decoded state to corrupt or nothing left to run"
     );
-    assert!(
-        snap.queue.len() > snap.in_flight_idle.len(),
-        "no pending starts"
-    );
-    let offsets: Vec<usize> = rx_sections(&snap)
-        .into_iter()
-        .flat_map(|section| spread(section, 32))
-        .collect();
+    let offsets = rx_offsets(&snap, 32);
     let parsed =
         assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
             if let Ok(driver) = ReceptionDriver::restore(&env, &c, &timeline, &arm, s) {
@@ -469,14 +570,11 @@ fn resealed_snapshot_mutations_never_panic() {
     driver.run_events(130);
     let snap = driver.save();
     assert!(
-        !snap.in_flight_idle.is_empty(),
-        "no in-flight captures to corrupt"
+        snap.started > 0 && snap.started < timeline.len(),
+        "the fold checkpoint is not mid-run"
     );
     let bytes = snap.to_bytes();
-    let offsets: Vec<usize> = rx_sections(&snap)
-        .into_iter()
-        .flat_map(|section| spread(section, 48))
-        .collect();
+    let offsets = rx_offsets(&snap, 48);
     let parsed =
         assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
             if let Ok(driver) = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, s) {
