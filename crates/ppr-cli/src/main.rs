@@ -22,11 +22,12 @@
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
 //! runs with and without a checkpoint and the rendered reports are
-//! compared byte for byte; one reception checkpoint is then resumed
-//! under the reception driver and its stream diffed reception by
-//! reception against
-//! the bool spec run from scratch (`ppr_sim::diff`). Any disagreement
-//! exits 1 and — with `--json DIR` — writes a first-divergence report.
+//! compared byte for byte (only the mesh experiments read `checkpoint`);
+//! the reception driver's stream is then diffed reception by reception
+//! against the bool spec's, both run from scratch (`ppr_sim::diff`); and
+//! one jammed-mesh checkpoint is resumed and compared with the
+//! uninterrupted flood. Any disagreement exits 1 and — with `--json
+//! DIR` — writes a first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
 //! (unknown id, malformed `--set`, unknown flag).
@@ -40,10 +41,10 @@ use ppr_sim::experiments::common::CapacityRun;
 use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
 use ppr_sim::experiments::traces::{self, TraceKey};
 use ppr_sim::experiments::{find, registry, Experiment};
-use ppr_sim::network::{snapshot_after_events, RxArm};
+use ppr_sim::network::RxArm;
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
 use ppr_sim::scenario::{Scenario, ScenarioBuilder, SCENARIO_KEYS};
-use ppr_sim::snapshot::{MeshSnapshot, RxSnapshot};
+use ppr_sim::snapshot::MeshSnapshot;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -54,7 +55,7 @@ usage:
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
   ppr-cli diff <id>... [options]     check experiments across checkpoints
-  ppr-cli diff --all [options]       and resumes against the bool spec
+  ppr-cli diff --all [options]       and the driver against the bool spec
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -566,10 +567,10 @@ fn run(args: &RunArgs) -> i32 {
     }
 }
 
-/// Default checkpoint for `diff` when the scenario does not pin one
-/// (`--set checkpoint=N`): early enough that every short run still has
-/// transmissions left after the restore, late enough that the prefix
-/// already holds decoded receptions.
+/// Default checkpoint for `diff`'s mesh passes when the scenario does
+/// not pin one (`--set checkpoint=N`): early enough that the jammed
+/// mesh still has events left after the restore, late enough that its
+/// queue, masks and jammer already carry state.
 const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
@@ -653,30 +654,16 @@ fn diff(args: &RunArgs) -> i32 {
         print!("{}", t.render());
         println!();
 
-        // Stream-level pass: one reception checkpoint, resumed under
-        // the reception driver, its stream diffed reception by reception
-        // against the bool spec run from scratch.
+        // Stream-level pass: the reception driver's stream diffed
+        // reception by reception against the bool spec's, both run from
+        // scratch.
         let run = CapacityRun::from_scenario(&plain, 13.8, false);
         let arm = RxArm {
             scheme: base.ppr_scheme(),
             postamble: true,
             collect_symbols: false,
         };
-        let bytes = snapshot_after_events(&run.env, &run.cfg, &run.timeline, &arm, checkpoint);
-        let snap = match RxSnapshot::from_bytes(&bytes) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reception snapshot does not round-trip: {e}");
-                return 1;
-            }
-        };
-        let report = match cross_validate(&run.env, &run.cfg, &run.timeline, &arm, &snap) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: checkpoint restore failed: {e}");
-                return 1;
-            }
-        };
+        let report = cross_validate(&run.env, &run.cfg, &run.timeline, &arm);
         let mut t = ppr_sim::report::Table::new(&["backend", "stream fingerprint", "vs baseline"]);
         let rows = [
             (EVENT_LABEL, report.event_fp, None),

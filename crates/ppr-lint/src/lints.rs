@@ -12,7 +12,7 @@
 //! | `no-float` | no float literals or `f32`/`f64` tokens inside declared `region(no-float)` spans (the Q23.40 planner scoring and CRC paths) |
 //! | `env-hygiene` | `std::env::var`/`var_os` only in `ppr_sim::env`, `ppr-cli` and `ppr-bench` |
 //! | `event-key-doc` | `ppr_sim::event` documents the heap ordering key verbatim — the literal `(time, priority, seq)` must appear in the module, so the total-order contract every driver leans on cannot silently rot out of the docs |
-//! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (`ppr_sim::network`, the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
+//! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
 //! | `axis-doc` | every axis key in `ppr_sim::scenario`'s `SCENARIO_KEYS` table has a `` | `key` `` row in the README's scenario-axis table — so `--set` surface and documentation cannot drift apart |
 //! | `orphan-file` | every `.rs` file under a crate's `src/` is reachable through `mod` declarations from `lib.rs`, `main.rs` or a `src/bin/` target — a file nothing declares is never compiled, yet reads like live code |
 //! | `dead-pub` | every `pub` item (`fn`, method, `struct`, `enum`, `trait`, `type`, `const`, `static`) of a library crate's `src/` is named as a code token somewhere other than its own declaration, a `pub use` in a `lib.rs` and its own file's `#[cfg(test)]` items — uses count in `src/`, `crates/`, `tests/`, `examples/` and the read-only `perfbench/src` |
@@ -240,8 +240,7 @@ fn event_key_doc_lint(file: &SourceFile, out: &mut Vec<Finding>) {
 /// field inventory is only as trustworthy as the regions that opt the
 /// state in — a driver refactor that silently dropped its region would
 /// also drop the field-doc requirement below.
-const SNAPSHOT_STATE_FILES: [&str; 3] = [
-    "crates/ppr-sim/src/network.rs",
+const SNAPSHOT_STATE_FILES: [&str; 2] = [
     "crates/ppr-sim/src/experiments/mesh.rs",
     "crates/ppr-sim/src/adversary.rs",
 ];
@@ -1265,9 +1264,8 @@ pub struct Snap {
 
     #[test]
     fn checkpointed_drivers_must_declare_snapshot_regions() {
-        let bare = "pub struct ReceptionDriver { q: Queue }\n";
+        let bare = "pub struct MeshDriver { q: Queue }\n";
         for path in [
-            "crates/ppr-sim/src/network.rs",
             "crates/ppr-sim/src/experiments/mesh.rs",
             "crates/ppr-sim/src/adversary.rs",
         ] {
@@ -1277,8 +1275,10 @@ pub struct Snap {
                 "{path}: {f:?}"
             );
         }
-        // Other files may simply not opt in.
+        // Other files may simply not opt in; the testbed reception
+        // driver keeps no checkpoint.
         assert!(check("crates/ppr-sim/src/event.rs", "// (time, priority, seq)\n").is_empty());
+        assert!(check("crates/ppr-sim/src/network.rs", bare).is_empty());
     }
 
     fn check_readme(path: &str, src: &str, readme: &str) -> Vec<Finding> {

@@ -1,39 +1,33 @@
-//! The differential harness: resume one frozen checkpoint under the
-//! reception driver, run the bool spec from scratch, and diff the two
+//! The differential harness: run the reception driver and the bool
+//! spec over the same inputs, each from scratch, and diff the two
 //! [`Reception`] streams reception by reception.
 //!
 //! One-shot parity tests compare two fixed implementations on one
-//! input. This module turns parity into *continuous cross-validation*:
-//! any run is checkpointed at a transmission boundary
-//! ([`crate::network::snapshot_after_events`]), the serialized state is
-//! restored into [`ReceptionDriver`] and completed, and the result is
-//! compared with the sequential `&[bool]` reference (the executable
-//! specification) run over the same inputs from scratch. The
-//! spec never reads the snapshot, so it is an oracle for the checkpoint
-//! too: a snapshot that carries wrong progress — a tampered decoded
-//! slot or busy horizon — resumes to a stream the spec does not
-//! produce. [`first_divergence`] reports the first stream position
-//! where the two disagree — down to the `(transmission, receiver)`
-//! pair, its completion chip time, and the first differing field. The
-//! SIMD axis cannot be toggled in-process (kernel selection is cached
-//! once from `PPR_NO_SIMD`), so it is compared *across* processes:
-//! [`stream_fingerprint`] gives a stable 64-bit digest of a reception
-//! stream that `ppr-cli diff` prints, and CI runs the pass twice —
-//! default and `PPR_NO_SIMD=1` — and compares the printed fingerprints.
+//! input. This module turns parity into *continuous cross-validation*
+//! of any run: [`crate::network::ReceptionDriver`] (the packed fast
+//! path) against the sequential `&[bool]` reference (the executable
+//! specification), which shares no state with it. [`first_divergence`]
+//! reports the first stream position where the two disagree — down to
+//! the `(transmission, receiver)` pair, its completion chip time, and
+//! the first differing field. The SIMD axis cannot be toggled
+//! in-process (kernel selection is cached once from `PPR_NO_SIMD`), so
+//! it is compared *across* processes: [`stream_fingerprint`] gives a
+//! stable 64-bit digest of a reception stream that `ppr-cli diff`
+//! prints, and CI runs the pass twice — default and `PPR_NO_SIMD=1` —
+//! and compares the printed fingerprints.
 
 use crate::network::{
-    process_receptions_reference, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig,
+    process_receptions, process_receptions_reference, RadioEnv, Reception, RxArm, SimConfig,
     Transmission,
 };
 use crate::results::fingerprint;
-use crate::snapshot::{encode_reception, RxSnapshot, SnapError, SnapWriter};
+use crate::snapshot::{encode_reception, SnapWriter};
 pub use ppr_phy::simd::active_kernel_signature;
 
-/// Report label of the reception driver's resumed stream (the
-/// baseline).
+/// Report label of the reception driver's stream (the baseline).
 pub const EVENT_LABEL: &str = "event";
 
-/// Report label of the bool spec's stream, run from scratch.
+/// Report label of the bool spec's stream.
 pub const REFERENCE_LABEL: &str = "reference/bool";
 
 /// The first position where two reception streams disagree.
@@ -175,35 +169,33 @@ pub fn stream_fingerprint(recs: &[Reception]) -> u64 {
     fingerprint(&w.into_inner())
 }
 
-/// A resumed checkpoint's verdict against the spec.
+/// The driver's verdict against the spec over one run.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    /// Digest of the reception driver's stream, resumed from the
-    /// snapshot.
+    /// Digest of the reception driver's stream.
     pub event_fp: u64,
-    /// Digest of the bool spec's stream, run from scratch.
+    /// Digest of the bool spec's stream.
     pub reference_fp: u64,
-    /// First disagreement of the spec's stream with the resumed one.
+    /// First disagreement of the spec's stream with the driver's.
     pub divergence: Option<Divergence>,
 }
 
-/// Restores `snap` into [`ReceptionDriver`] and runs it to the end,
-/// runs [`process_receptions_reference`] over the same inputs from
-/// scratch, and diffs the spec's stream against the resumed one.
+/// Runs [`process_receptions`] (the reception driver) and
+/// [`process_receptions_reference`] over the same inputs, each from
+/// scratch, and diffs the spec's stream against the driver's.
 pub fn cross_validate(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    snap: &RxSnapshot,
-) -> Result<DiffReport, SnapError> {
-    let resumed = ReceptionDriver::restore(env, cfg, timeline, arm, snap)?.run_to_end();
+) -> DiffReport {
+    let driver = process_receptions(env, cfg, timeline, arm);
     let spec = process_receptions_reference(env, cfg, timeline, arm);
-    Ok(DiffReport {
-        event_fp: stream_fingerprint(&resumed),
+    DiffReport {
+        event_fp: stream_fingerprint(&driver),
         reference_fp: stream_fingerprint(&spec),
-        divergence: first_divergence(timeline, &resumed, &spec),
-    })
+        divergence: first_divergence(timeline, &driver, &spec),
+    }
 }
 
 #[cfg(test)]

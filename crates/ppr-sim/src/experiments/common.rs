@@ -9,8 +9,8 @@ use super::traces::TraceKey;
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
-    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
+    generate_timeline, office_model, process_receptions, RadioEnv, Reception, RxArm, SimConfig,
+    Transmission, SQUELCH_SNR,
 };
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
@@ -26,8 +26,6 @@ pub struct CapacityRun {
     pub cfg: SimConfig,
     /// The generated transmission timeline.
     pub timeline: Vec<Transmission>,
-    /// Snapshot/restore exercise point (`None` = run uninterrupted).
-    pub checkpoint: Option<u64>,
 }
 
 impl CapacityRun {
@@ -41,7 +39,7 @@ impl CapacityRun {
             duration_s,
             seed: DEFAULT_SEED,
         };
-        Self::from_config(cfg, Testbed::fig7(), None)
+        Self::from_config(cfg, Testbed::fig7())
     }
 
     /// Builds a run for a scenario at the experiment's canonical load
@@ -57,34 +55,19 @@ impl CapacityRun {
         // radius — the range at which a mean-power link still clears the
         // squelch threshold.
         let comm_radius_m = office_model().range_at_snr_m(SQUELCH_SNR);
-        Self::from_config(key.cfg, key.topology.testbed(comm_radius_m), key.checkpoint)
+        Self::from_config(key.cfg, key.topology.testbed(comm_radius_m))
     }
 
-    fn from_config(cfg: SimConfig, testbed: Testbed, checkpoint: Option<u64>) -> Self {
+    fn from_config(cfg: SimConfig, testbed: Testbed) -> Self {
         let env = RadioEnv::with_testbed(cfg.seed, testbed);
         let timeline = generate_timeline(&env, &cfg);
-        CapacityRun {
-            env,
-            cfg,
-            timeline,
-            checkpoint,
-        }
+        CapacityRun { env, cfg, timeline }
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
     /// reception driver.
-    ///
-    /// With a `checkpoint` set, the run is driven to the first
-    /// transmission boundary at or past that count, serialized through
-    /// the binary snapshot format, and completed from the parsed bytes —
-    /// still bit-identical, which `tests/snapshot_roundtrip.rs` pins for
-    /// the whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
-        let (env, cfg, timeline) = (&self.env, &self.cfg, &self.timeline);
-        match self.checkpoint {
-            None => process_receptions(env, cfg, timeline, arm),
-            Some(events) => process_receptions_checkpointed(env, cfg, timeline, arm, events),
-        }
+        process_receptions(&self.env, &self.cfg, &self.timeline, arm)
     }
 }
 

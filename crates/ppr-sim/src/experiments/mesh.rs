@@ -55,7 +55,7 @@
 
 use super::Experiment;
 use crate::adversary::{AdversaryState, FaultPlan, JammerSpec};
-use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
+use crate::event::{prio, priority, BinaryHeapQueue, EventKey, EventQueue, SimEvent};
 use crate::geometry::{Point, Testbed};
 use crate::network::{office_model, payload_pattern, reception_rng_seed, SQUELCH_SNR};
 use crate::results::ExperimentResult;
@@ -378,11 +378,10 @@ pub fn run_mesh_checkpointed(params: &MeshParams, checkpoint_events: u64) -> Mes
 
 /// The mesh flood as a resumable state machine: the event loop of the
 /// module docs, with [`MeshDriver::save`]/[`MeshDriver::restore`] to
-/// checkpoint it at any event boundary. Unlike the testbed driver, a
-/// mesh checkpoint does *not* flush the pending decode batch — the
-/// batch (and its deadline) is serialized verbatim, so the flush
-/// statistics printed in the experiment report are unchanged by
-/// checkpointing.
+/// checkpoint it at any event boundary. A checkpoint does *not* flush
+/// the pending decode batch — the batch (and its deadline) is
+/// serialized verbatim, so the flush statistics printed in the
+/// experiment report are unchanged by checkpointing.
 pub struct MeshDriver {
     // ppr-lint: region(snapshot-state) begin mesh flood driver state
     /// snapshot: identity — run parameters, validated on restore.
@@ -1086,6 +1085,33 @@ impl MeshDriver {
         }
         if snap.pending.iter().any(|&(t, r)| t >= ntx || r >= n) {
             return Err(SnapError::Corrupt("pending reception out of bounds".into()));
+        }
+        // The reactive jammer's FIFO holds one burst per queued
+        // JamBurst, at that event's time and in its order; every burst
+        // ends after it starts.
+        let mut burst_keys: Vec<EventKey> = snap
+            .queue
+            .iter()
+            .filter(|(_, ev)| matches!(ev, SimEvent::JamBurst { .. }))
+            .map(|&(key, _)| key)
+            .collect();
+        burst_keys.sort_unstable();
+        let fifo_ok = match params.jammer {
+            JammerSpec::React { .. } => {
+                burst_keys.len() == snap.adv_scheduled.len()
+                    && burst_keys
+                        .iter()
+                        .zip(&snap.adv_scheduled)
+                        .all(|(key, &(start, end))| key.time == start && start < end)
+            }
+            _ => snap.adv_scheduled.is_empty(),
+        };
+        let bursts_ok = snap
+            .adv_bursts
+            .iter()
+            .all(|&(start, end, _, _)| start < end);
+        if !fifo_ok || !bursts_ok {
+            return Err(SnapError::Corrupt("jammer state out of bounds".into()));
         }
         let mut stats = MeshStats {
             transmissions: snap.started.len(),

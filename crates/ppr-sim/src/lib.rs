@@ -28,11 +28,10 @@
 //!   place.
 //! * [`scenario`] — every experiment knob, with builder > env > default
 //!   precedence.
-//! * [`snapshot`] — versioned binary checkpoints of simulator state
+//! * [`snapshot`] — versioned binary checkpoints of the mesh flood
 //!   (resume bit-identically, in this process or another).
-//! * [`diff`] — the differential harness: resume one checkpoint under
-//!   the reception driver and diff its reception stream against the bool
-//!   spec run from scratch.
+//! * [`diff`] — the differential harness: diff the reception driver's
+//!   stream against the bool spec's, both run from scratch.
 //! * [`results`] — typed experiment results with text and JSON
 //!   rendering.
 //! * [`experiments`] — Fig. 3 through Fig. 16 and Tables 1–2, each an
@@ -87,5 +86,5 @@ pub use network::{
 pub use results::{Block, Cell, ExperimentResult, Json, TableBlock};
 pub use rxpath::{Acquisition, FastRx};
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use snapshot::{MeshSnapshot, RxSnapshot, SnapError};
+pub use snapshot::{MeshSnapshot, SnapError};
 pub use spatial::SpatialIndex;

@@ -28,8 +28,9 @@
 //! Only the timeline generator runs over the discrete-event core
 //! ([`crate::event`]): its CSMA attempts react to what is on the air.
 //! Nothing a receiver decodes feeds back into the trace, so
-//! [`ReceptionDriver`] is a plain walk over the sorted timeline, and its
-//! checkpoint is a timeline prefix.
+//! [`ReceptionDriver`] is a plain walk over the sorted timeline. It keeps
+//! no checkpoint: the whole pass is a deterministic function of the
+//! scenario, cheaper to run again than to save.
 //!
 //! ## Why the driver agrees with the spec
 //!
@@ -61,13 +62,12 @@
 //!
 //! `tests/packed_parity.rs` pins the equality on whole runs, arm by arm
 //! for multi-arm passes, and the differential harness ([`crate::diff`])
-//! on resumed checkpoints.
+//! names the first reception where the two disagree.
 
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
 use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETAS};
 use crate::rxpath::{Acquisition, FastRx};
-use crate::snapshot::{env_fingerprint, timeline_fingerprint, RxSnapshot, SnapError};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
 use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
 use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
@@ -588,8 +588,7 @@ impl ArmFold {
 }
 
 /// What a reception pass keeps of each decoded reception.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RxOutput {
+enum RxOutput {
     /// One arm's receptions in their receiver-major slots (undecoded
     /// slots are `None`): the stream [`process_receptions`] returns and
     /// the differential harness compares.
@@ -617,66 +616,22 @@ pub fn process_receptions(
     ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).run_to_end()
 }
 
-/// [`process_receptions`] with a checkpoint in the middle: the run is
-/// driven to the first transmission boundary at or past
-/// `checkpoint_events` ([`ReceptionDriver::run_events`]), serialized to
-/// the versioned snapshot byte format, restored from those bytes into a
-/// fresh driver, and completed. Output is bit-identical to the
-/// uninterrupted run (`tests/snapshot_roundtrip.rs` pins this).
-pub fn process_receptions_checkpointed(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    checkpoint_events: u64,
-) -> Vec<Reception> {
-    ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER)
-        .through_snapshot(checkpoint_events)
-        .run_to_end()
-}
-
 /// Evaluates every arm over one trace in a single pass of
 /// [`ReceptionDriver`], folding each reception into its arm's
-/// [`ArmFold`] as it decodes. With a `checkpoint`, the pass is driven
-/// to that boundary, round-tripped through the snapshot bytes and
-/// completed — bit-identical either way.
+/// [`ArmFold`] as it decodes.
 pub fn fold_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arms: &[RxArm],
-    checkpoint: Option<u64>,
 ) -> Vec<ArmFold> {
-    let driver = ReceptionDriver::folding(env, cfg, timeline, arms);
-    match checkpoint {
-        None => driver,
-        Some(events) => driver.through_snapshot(events),
-    }
-    .run_to_folds()
+    ReceptionDriver::folding(env, cfg, timeline, arms).run_to_folds()
 }
 
-/// Runs the reception driver to the `events` boundary and returns the
-/// serialized checkpoint — the frozen state the differential harness
-/// resumes and checks against the spec.
-pub fn snapshot_after_events(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    events: u64,
-) -> Vec<u8> {
-    let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER);
-    driver.run_events(events);
-    driver.save().to_bytes()
-}
-
-/// The testbed reception pass as a resumable walk over the timeline,
-/// for any number of receiver arms: run it to completion
+/// The testbed reception pass as a walk over the timeline, for any
+/// number of receiver arms: run it to completion
 /// ([`ReceptionDriver::run_to_end`], [`ReceptionDriver::run_to_folds`]),
-/// or to a transmission boundary ([`ReceptionDriver::run_events`]),
-/// checkpoint it ([`ReceptionDriver::save`]) and continue later — in
-/// this process or another — via [`ReceptionDriver::restore`] or
-/// [`ReceptionDriver::restore_folding`].
+/// or part of the way first ([`ReceptionDriver::run_events`]).
 ///
 /// No decode feeds back into the trace, so the pass needs no event
 /// queue: each step takes the next transmission, builds its payload
@@ -691,43 +646,37 @@ pub fn snapshot_after_events(
 /// ([`BodyLayout`](ppr_mac::schemes::BodyLayout)), and each arm's
 /// acceptance rule counts its bytes in place
 /// ([`DeliveryScheme::count_accepted`]). The reception lands in its
-/// receiver-major slot (one arm, [`RxOutput::Stream`]) or its arm's
-/// [`ArmFold`]; both go through one receive function, so the parity
-/// tests against [`process_receptions_reference`] cover the shortcut
-/// and the sharing. A checkpoint is a timeline prefix: how many
-/// transmissions are done, the busy horizons and the output.
+/// receiver-major slot (one arm) or its arm's [`ArmFold`]; both go
+/// through one receive function, so the parity tests against
+/// [`process_receptions_reference`] cover the shortcut and the
+/// sharing.
 ///
 /// The timeline must be sorted by `(start_chip, id)`, as
 /// [`generate_timeline`] returns it: the busy/idle fold and the
 /// interference window read it in that order.
 pub struct ReceptionDriver<'a> {
-    // ppr-lint: region(snapshot-state) begin testbed reception driver state
-    /// snapshot: rebuilt — the shared pipeline stages are pure functions
-    /// of the run inputs (environment, config, timeline, arms).
+    /// The shared pipeline stages, pure functions of the run inputs
+    /// (environment, config, timeline, arms).
     pipe: RxPipeline<'a>,
-    /// snapshot: rebuilt — squelch-passing receiver set per sender,
-    /// derived from the frozen link gains.
+    /// Squelch-passing receiver set per sender, derived from the frozen
+    /// link gains.
     receivers_of: Vec<Vec<usize>>,
-    /// snapshot: rebuilt — per sender, the index (in
-    /// [`RadioEnv::links`] order) of its link to `receivers_of[s][0]`;
-    /// its link to `receivers_of[s][k]` is `link_base[s] + k`.
+    /// Per sender, the index (in [`RadioEnv::links`] order) of its link
+    /// to `receivers_of[s][0]`; its link to `receivers_of[s][k]` is
+    /// `link_base[s] + k`.
     link_base: Vec<usize>,
-    /// snapshot: serialized — transmissions evaluated so far: the
-    /// timeline prefix the output holds.
+    /// Transmissions evaluated so far: the timeline prefix the output
+    /// holds.
     started: usize,
-    /// snapshot: rebuilt — one per evaluated transmission plus one per
-    /// reception, recounted from the started prefix.
+    /// One per evaluated transmission plus one per reception.
     dispatched: u64,
-    /// snapshot: serialized — the decoded receptions: the one arm's
-    /// slot table, or every arm's fold.
+    /// The decoded receptions: the one arm's slot table, or every arm's
+    /// fold.
     output: RxOutput,
-    /// snapshot: serialized — per-receiver busy horizon of the
-    /// sequential busy/idle fold.
+    /// Per-receiver busy horizon of the sequential busy/idle fold.
     busy_until: Vec<u64>,
-    /// snapshot: rebuilt — per-receiver next output slot, recounted
-    /// from the started prefix of the timeline.
+    /// Per-receiver next output slot.
     next_slot: Vec<usize>,
-    // ppr-lint: region(snapshot-state) end
 }
 
 impl<'a> ReceptionDriver<'a> {
@@ -738,8 +687,7 @@ impl<'a> ReceptionDriver<'a> {
     ///
     /// # Panics
     /// Panics unless `timeline` is sorted by `(start_chip, id)`;
-    /// [`Self::folding`], [`Self::restore`] and
-    /// [`Self::restore_folding`] check the same.
+    /// [`Self::folding`] checks the same.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -876,8 +824,8 @@ impl<'a> ReceptionDriver<'a> {
         true
     }
 
-    /// Work done so far, the checkpoint unit: one per evaluated
-    /// transmission plus one per reception.
+    /// Work done so far: one per evaluated transmission plus one per
+    /// reception.
     pub fn dispatched(&self) -> u64 {
         self.dispatched
     }
@@ -915,232 +863,6 @@ impl<'a> ReceptionDriver<'a> {
         };
         folds
     }
-
-    /// Drives the pass to the `events` boundary, serializes it, and
-    /// resumes a fresh driver over the same inputs from the parsed bytes.
-    fn through_snapshot(mut self, events: u64) -> Self {
-        self.run_events(events);
-        let snap =
-            RxSnapshot::from_bytes(&self.save().to_bytes()).expect("snapshot bytes round-trip");
-        let (p, stream) = (&self.pipe, matches!(self.output, RxOutput::Stream(_)));
-        Self::with_arms(p.env, p.cfg, p.timeline, p.arms, stream)
-            .resume(&snap)
-            .expect("snapshot restores against its own run inputs")
-    }
-
-    /// Checkpoints the driver: the started prefix, the busy horizons
-    /// and the output.
-    pub fn save(&self) -> RxSnapshot {
-        let cfg = self.pipe.cfg;
-        RxSnapshot {
-            seed: cfg.seed,
-            load_kbps: cfg.load_kbps,
-            body_bytes: cfg.body_bytes,
-            carrier_sense: cfg.carrier_sense,
-            duration_s: cfg.duration_s,
-            arms: self.pipe.arms.to_vec(),
-            timeline_fp: timeline_fingerprint(self.pipe.timeline),
-            env_fp: env_fingerprint(self.pipe.env),
-            kernel_signature: ppr_phy::simd::active_kernel_signature().into_bytes(),
-            started: self.started,
-            busy_until: self.busy_until.clone(),
-            output: self.output.clone(),
-        }
-    }
-
-    /// Rebuilds a one-arm stream driver ([`Self::new`]) from a
-    /// checkpoint, validating the snapshot's identity fields and its
-    /// progress state against the run inputs. A snapshot that passes its
-    /// checksum but contradicts itself is [`SnapError::Corrupt`], never
-    /// a panic.
-    pub fn restore(
-        env: &'a RadioEnv,
-        cfg: &'a SimConfig,
-        timeline: &'a [Transmission],
-        arm: &'a RxArm,
-        snap: &RxSnapshot,
-    ) -> Result<Self, SnapError> {
-        validate_rx_identity(env, cfg, timeline, std::slice::from_ref(arm), snap)?;
-        Self::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).resume(snap)
-    }
-
-    /// [`Self::restore`] for a folding driver ([`Self::folding`]).
-    pub fn restore_folding(
-        env: &'a RadioEnv,
-        cfg: &'a SimConfig,
-        timeline: &'a [Transmission],
-        arms: &'a [RxArm],
-        snap: &RxSnapshot,
-    ) -> Result<Self, SnapError> {
-        validate_rx_identity(env, cfg, timeline, arms, snap)?;
-        Self::folding(env, cfg, timeline, arms).resume(snap)
-    }
-
-    /// Moves a fresh driver to `snap`'s progress state, after checking
-    /// that this driver can reach it: at most the whole timeline
-    /// started, one busy horizon per receiver, and an output that holds
-    /// exactly the started prefix's receptions — slot by slot for a
-    /// stream, link by link (within what those receptions can add up
-    /// to) for folds. Anything else is [`SnapError::Corrupt`], so a
-    /// resealed but inconsistent snapshot cannot reach an index, an
-    /// `expect` or an overflowing count in the walk.
-    fn resume(mut self, snap: &RxSnapshot) -> Result<Self, SnapError> {
-        let corrupt = |what: String| Err(SnapError::Corrupt(what));
-        let timeline = self.pipe.timeline;
-        let nr = self.next_slot.len();
-        let (started, horizons) = (snap.started, snap.busy_until.len());
-        if started > timeline.len() || horizons != nr {
-            return corrupt(format!(
-                "{started} of {} transmissions started, {horizons} busy horizons for {nr} receivers",
-                timeline.len()
-            ));
-        }
-
-        // The started prefix: each receiver's slot range, each link's
-        // reception count, and the work count.
-        let slot_base = self.next_slot.clone();
-        let mut decoded = vec![0usize; self.pipe.env.links().len()];
-        for tx in &timeline[..started] {
-            let receivers = &self.receivers_of[tx.sender];
-            for (k, &r) in receivers.iter().enumerate() {
-                self.next_slot[r] += 1;
-                decoded[self.link_base[tx.sender] + k] += 1;
-            }
-            self.dispatched += 1 + receivers.len() as u64;
-        }
-
-        match (&self.output, &snap.output) {
-            (RxOutput::Stream(fresh), RxOutput::Stream(out)) => {
-                if out.len() != fresh.len() {
-                    return corrupt(format!(
-                        "slot table holds {} slots, run inputs produce {}",
-                        out.len(),
-                        fresh.len()
-                    ));
-                }
-                // A slot belongs to the last receiver whose base is at or
-                // before it; the prefix's slots, and only they, are
-                // decoded.
-                for (slot, rec) in out.iter().enumerate() {
-                    let r = slot_base.partition_point(|&b| b <= slot) - 1;
-                    let started = slot < self.next_slot[r];
-                    if rec.is_some() != started {
-                        return corrupt(format!(
-                            "slot {slot} is decoded: {}, started: {started}",
-                            rec.is_some()
-                        ));
-                    }
-                }
-            }
-            (RxOutput::Folds(_), RxOutput::Folds(folds)) => self.check_folds(folds, &decoded)?,
-            _ => return Err(SnapError::IdentityMismatch(
-                "a stream snapshot restores only into a stream driver, folds into a folding one"
-                    .into(),
-            )),
-        }
-        self.started = snap.started;
-        self.busy_until = snap.busy_until.clone();
-        self.output = snap.output.clone();
-        Ok(self)
-    }
-
-    /// Checks that every arm's fold could come from the `decoded[link]`
-    /// receptions decoded so far on each link: the right shape, each
-    /// link's frame count exact, and every other count within what
-    /// those frames can add up to.
-    fn check_folds(&self, folds: &[ArmFold], decoded: &[usize]) -> Result<(), SnapError> {
-        let corrupt = |what: String| Err(SnapError::Corrupt(what));
-        if folds.len() != self.pipe.arms.len() {
-            return corrupt(format!(
-                "{} folds for {} arms",
-                folds.len(),
-                self.pipe.arms.len()
-            ));
-        }
-        // Each decoded reception records at most one hint per body
-        // codeword.
-        let symbols = 2 * self.pipe.cfg.body_bytes;
-        let max_symbols = (decoded.iter().sum::<usize>() as u128) * symbols as u128;
-        let within =
-            |counts: &[u64]| counts.iter().map(|&c| c as u128).sum::<u128>() <= max_symbols;
-        for (a, (fold, arm)) in folds.iter().zip(self.pipe.arms).enumerate() {
-            if fold.links.len() != decoded.len() {
-                return corrupt(format!(
-                    "arm {a} folds {} links, the environment has {}",
-                    fold.links.len(),
-                    decoded.len()
-                ));
-            }
-            let payload_len = arm.scheme.payload_len(self.pipe.cfg.body_bytes);
-            for (l, (s, &n)) in fold.links.iter().zip(decoded).enumerate() {
-                let ok = s.frames == n
-                    && Some(s.payload_offered) == n.checked_mul(payload_len)
-                    && s.via_preamble <= n
-                    && s.via_postamble <= n - s.via_preamble
-                    && s.delivered_correct <= s.payload_offered;
-                if !ok {
-                    return corrupt(format!(
-                        "arm {a} link {l} counts {s:?} after {n} decoded receptions"
-                    ));
-                }
-            }
-            let hints_ok = match &fold.hints {
-                None => !arm.collect_symbols,
-                Some(h) => {
-                    arm.collect_symbols
-                        && h.hist.correct.len() == HintHistogram::new().correct.len()
-                        && h.hist.incorrect.len() == h.hist.correct.len()
-                        && within(&h.hist.correct)
-                        && within(&h.hist.incorrect)
-                        && h.miss_runs.etas == MISS_RUN_ETAS
-                        && h.miss_runs.counts.len() == MISS_RUN_ETAS.len()
-                        && h.miss_runs
-                            .counts
-                            .iter()
-                            .all(|c| c.len() == MAX_MISS_RUN + 1 && within(c))
-                }
-            };
-            if !hints_ok {
-                return corrupt(format!("arm {a} hint statistics are malformed"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Rejects a snapshot whose identity fields (seed, config, arms, or the
-/// timeline/environment fingerprints) disagree with the run inputs the
-/// caller is restoring into. Float fields compare by exact bits.
-fn validate_rx_identity(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arms: &[RxArm],
-    snap: &RxSnapshot,
-) -> Result<(), SnapError> {
-    let mismatch = |what: String| Err(SnapError::IdentityMismatch(what));
-    if cfg.seed != snap.seed
-        || cfg.load_kbps.to_bits() != snap.load_kbps.to_bits()
-        || cfg.body_bytes != snap.body_bytes
-        || cfg.carrier_sense != snap.carrier_sense
-        || cfg.duration_s.to_bits() != snap.duration_s.to_bits()
-    {
-        return mismatch("SimConfig differs from the snapshot's".into());
-    }
-    if arms != snap.arms.as_slice() {
-        return mismatch("RxArms differ from the snapshot's".into());
-    }
-    for (what, ours, theirs) in [
-        ("timeline", timeline_fingerprint(timeline), snap.timeline_fp),
-        ("environment", env_fingerprint(env), snap.env_fp),
-    ] {
-        if ours != theirs {
-            return mismatch(format!(
-                "{what} fingerprint {ours:#018x} != snapshot {theirs:#018x}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The arms of a pass that send one frame: a [`BodyLayout`] with the
@@ -1443,10 +1165,9 @@ pub fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
 
 /// Sequential `&[bool]` reference implementation of
 /// [`process_receptions`] — the executable specification the packed
-/// reception driver is tested against (`tests/packed_parity.rs`, and
-/// resumed checkpoints in [`crate::diff`]). It always runs from
-/// scratch, receiver by receiver, and shares no state or snapshot with
-/// the driver. Kept simple on purpose; use [`process_receptions`]
+/// reception driver is tested against (`tests/packed_parity.rs` and
+/// [`crate::diff`]). It runs receiver by receiver and shares no state
+/// with the driver. Kept simple on purpose; use [`process_receptions`]
 /// everywhere else.
 pub fn process_receptions_reference(
     env: &RadioEnv,

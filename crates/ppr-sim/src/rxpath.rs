@@ -34,25 +34,15 @@ pub enum Acquisition {
 }
 
 impl Acquisition {
-    /// Wire tag for the snapshot format (stable across releases: the
-    /// values are part of the versioned byte layout in
-    /// [`crate::snapshot`], not an in-memory discriminant).
+    /// Stable tag in the canonical reception encoding
+    /// ([`crate::snapshot::encode_reception`]) that
+    /// [`crate::diff::stream_fingerprint`] digests: a value, not an
+    /// in-memory discriminant, so fingerprints compare across builds.
     pub fn to_tag(self) -> u8 {
         match self {
             Acquisition::Preamble => 0,
             Acquisition::Postamble => 1,
             Acquisition::None => 2,
-        }
-    }
-
-    /// Inverse of [`Acquisition::to_tag`]; `None` for unknown tags
-    /// (a corrupt or future-version snapshot).
-    pub fn from_tag(tag: u8) -> Option<Acquisition> {
-        match tag {
-            0 => Some(Acquisition::Preamble),
-            1 => Some(Acquisition::Postamble),
-            2 => Some(Acquisition::None),
-            _ => None,
         }
     }
 }

@@ -226,10 +226,12 @@ pub struct Scenario {
     pub mesh_nodes: usize,
     /// Expected neighbor count for the mesh / random-geometric layouts.
     pub mesh_density: f64,
-    /// Snapshot/restore exercise point: run each reception loop to this
-    /// event-dispatch boundary, checkpoint through the binary snapshot
-    /// format, and resume (`None` = run uninterrupted). Results are
-    /// bit-identical either way — that is the pinned contract.
+    /// Snapshot/restore exercise point, mesh only (`mesh10k`,
+    /// `meshjam`): run the flood to this event-dispatch boundary,
+    /// checkpoint through the binary snapshot format, and resume
+    /// (`None` = run uninterrupted). Results are bit-identical either
+    /// way — that is the pinned contract. The testbed experiments ignore
+    /// it.
     pub checkpoint: Option<u64>,
     /// Jammer actor for the adversarial experiments
     /// ([`JammerSpec::Off`] = no adversary machinery at all).
@@ -423,7 +425,7 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
     ),
     (
         "checkpoint",
-        "snapshot/resume at this event count >= 1, e.g. checkpoint=1000",
+        "mesh only: snapshot/resume at this event count >= 1, e.g. checkpoint=1000",
     ),
     (
         "jammer",
@@ -536,8 +538,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Routes every reception loop through a snapshot/restore cycle at
-    /// the given event-dispatch boundary.
+    /// Routes the mesh flood through a snapshot/restore cycle at the
+    /// given event-dispatch boundary (mesh only).
     pub fn checkpoint(mut self, events: u64) -> Self {
         self.checkpoint = Some(events);
         self

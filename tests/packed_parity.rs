@@ -373,7 +373,7 @@ fn multi_arm_pass_folds_match_each_arms_spec() {
         let env = RadioEnv::with_testbed(cfg.seed, testbed);
         let timeline = generate_timeline(&env, &cfg);
         assert!(timeline.len() > 20);
-        let folds = fold_receptions(&env, &cfg, &timeline, &arms, None);
+        let folds = fold_receptions(&env, &cfg, &timeline, &arms);
         for (arm, fold) in arms.iter().zip(&folds) {
             let spec = process_receptions_reference(&env, &cfg, &timeline, arm);
             assert_eq!(
@@ -593,7 +593,7 @@ fn check_corpus(
     victims: &[(u64, usize)],
     cases: &[Case],
 ) -> Vec<Vec<Reception>> {
-    let folds = fold_receptions(env, cfg, timeline, arms, None);
+    let folds = fold_receptions(env, cfg, timeline, arms);
     let mut specs = Vec::new();
     for (arm, fold) in arms.iter().zip(&folds) {
         let spec = process_receptions_reference(env, cfg, timeline, arm);
@@ -833,7 +833,7 @@ fn shared_decode_random_trace_matches_each_arms_spec() {
     let env = RadioEnv::new(cfg.seed);
     let timeline = generate_timeline(&env, &cfg);
     let arms = registry_arms();
-    let folds = fold_receptions(&env, &cfg, &timeline, &arms, None);
+    let folds = fold_receptions(&env, &cfg, &timeline, &arms);
     let mut specs = Vec::new();
     for (arm, fold) in arms.iter().zip(&folds) {
         let spec = process_receptions_reference(&env, &cfg, &timeline, arm);

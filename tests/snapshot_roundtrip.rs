@@ -1,45 +1,32 @@
-//! Snapshot/replay determinism: a run interrupted by a checkpoint —
-//! serialized to the versioned binary format, deserialized, resumed —
-//! must be bit-identical to the same run left alone.
+//! Snapshot/replay determinism: a mesh flood interrupted by a
+//! checkpoint — serialized to the versioned binary format,
+//! deserialized, resumed — must be bit-identical to the same flood left
+//! alone. The mesh is the one driver that checkpoints; the testbed
+//! reception pass is recomputed from its scenario instead.
 //!
 //! Three layers:
 //!
-//! 1. **Reception streams** — `process_receptions_checkpointed` vs the
-//!    uninterrupted reception driver, property-tested across checkpoint
-//!    boundaries and seeds, and resumed from every transmission
-//!    boundary of a short trace; and a multi-arm folding pass through a
-//!    checkpoint vs the bool spec, arm by arm.
+//! 1. **The mesh driver** — resumed at every event boundary of a small
+//!    jammed, churning flood, and mid-jam-burst.
 //! 2. **Experiments** — every registry entry renders the same report
-//!    with `checkpoint` set.
-//! 3. **The format itself** — canonical snapshots' bytes are pinned
-//!    by fingerprint: any layout change must be deliberate and must
-//!    come with a `SNAPSHOT_VERSION` bump. Restoring a snapshot that
-//!    passes its checksum but contradicts itself is an error, never a
-//!    panic, and the facts restore derives (mesh node and shard counts,
-//!    recovery state) come from the run, not from the bytes.
+//!    with `checkpoint` set (only `mesh10k` and `meshjam` read it).
+//! 3. **The format itself** — the canonical mesh snapshot's bytes are
+//!    pinned by fingerprint: any layout change must be deliberate and
+//!    must come with a `SNAPSHOT_VERSION` bump. Restoring a snapshot
+//!    that passes its checksum but contradicts itself is an error,
+//!    never a panic, and the facts restore derives (node and shard
+//!    counts, recovery state) come from the run, not from the bytes.
 
 use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::experiments::common::{six_arms, CapacityRun};
-use ppr::sim::experiments::{hints, registry, table2};
+use ppr::sim::adversary::JammerSpec;
+use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
+use ppr::sim::experiments::registry;
 use ppr::sim::network::{
-    fold_receptions, generate_timeline, process_receptions, process_receptions_checkpointed,
-    process_receptions_reference, snapshot_after_events, ArmFold, RadioEnv, ReceptionDriver, RxArm,
-    RxOutput, SimConfig, BATCH_PER_WORKER,
+    generate_timeline, RadioEnv, ReceptionDriver, RxArm, SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
-use ppr::sim::scenario::{ScenarioBuilder, Topology};
-use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot, SnapError, SNAPSHOT_VERSION};
-use proptest::prelude::*;
-
-fn cfg(load_kbps: f64, seed: u64) -> SimConfig {
-    SimConfig {
-        load_kbps,
-        body_bytes: 1500,
-        carrier_sense: false,
-        duration_s: 2.0,
-        seed,
-    }
-}
+use ppr::sim::scenario::ScenarioBuilder;
+use ppr::sim::snapshot::{MeshSnapshot, SnapError, SNAPSHOT_VERSION};
 
 fn arm() -> RxArm {
     RxArm {
@@ -49,99 +36,12 @@ fn arm() -> RxArm {
     }
 }
 
-/// The arms one testbed trace is evaluated with in a full run: the six
-/// scheme × postamble arms, the Table 2 fragment sweep and the hint arm.
-fn union_arms() -> Vec<RxArm> {
-    let sc = ScenarioBuilder::new().build();
-    let mut arms: Vec<RxArm> = six_arms(sc.schemes()).into_iter().map(|(_, a)| a).collect();
-    for a in table2::request(&sc)
-        .arms
-        .into_iter()
-        .chain(hints::requests(&sc)[0].arms.clone())
-    {
-        if !arms.contains(&a) {
-            arms.push(a);
-        }
-    }
-    arms
-}
-
-#[test]
-fn multi_arm_checkpoint_folds_match_each_arms_spec() {
-    // Every arm of the union, folded in one pass through a checkpoint,
-    // equals the bool spec's stream for that arm alone, folded the same
-    // way — on the Fig. 7 floor and a random-geometric one.
-    let arms = union_arms();
-    for topology in [
-        Topology::Fig7,
-        Topology::RandomGeometric {
-            seed: 3,
-            density: 6.0,
-        },
-    ] {
-        let sc = ScenarioBuilder::new()
-            .duration_s(1.0)
-            .seed(21)
-            .topology(topology)
-            .build();
-        let run = CapacityRun::from_scenario(&sc, 13.8, false);
-        assert!(
-            run.timeline.len() > 20,
-            "{topology:?}: too few transmissions"
-        );
-        for checkpoint in [None, Some(0), Some(150), Some(u64::MAX)] {
-            let folds = fold_receptions(&run.env, &run.cfg, &run.timeline, &arms, checkpoint);
-            for (arm, fold) in arms.iter().zip(&folds) {
-                let spec = process_receptions_reference(&run.env, &run.cfg, &run.timeline, arm);
-                let want = ArmFold::of_stream(&run.env, &spec, arm.collect_symbols);
-                assert_eq!(
-                    *fold, want,
-                    "{topology:?} checkpoint {checkpoint:?} {arm:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn reception_checkpoint_is_bit_identical_at_every_epoch_class() {
-    let c = cfg(42.4, 7);
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let arm = arm();
-    let reference = process_receptions(&env, &c, &timeline, &arm);
-    assert!(!reference.is_empty());
-    // Epoch 0 (nothing dispatched), mid-run, and beyond the final event.
-    for events in [0u64, 1, 17, 500, 5_000, u64::MAX] {
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
-        assert_eq!(got, reference, "diverged at checkpoint {events}");
-    }
-}
-
-proptest! {
-    /// Any (checkpoint epoch, seed) combination resumes bit-identically.
-    /// Short duration: the vendored proptest runs a fixed 256 cases.
-    #[test]
-    fn checkpointed_reception_stream_matches_uninterrupted(
-        events in 0u64..1_500,
-        seed in 1u64..50,
-    ) {
-        let mut c = cfg(42.4, seed);
-        c.duration_s = 0.3;
-        let env = RadioEnv::new(c.seed);
-        let timeline = generate_timeline(&env, &c);
-        let arm = arm();
-        let reference = process_receptions(&env, &c, &timeline, &arm);
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
-        prop_assert_eq!(got, reference);
-    }
-}
-
 #[test]
 fn every_experiment_is_checkpoint_invariant() {
     // Short but complete pass over all registry experiments: the
     // rendered report must not change when the run snapshots and
-    // resumes mid-flight.
+    // resumes mid-flight. Only the mesh ids read `checkpoint`; the rest
+    // must ignore it.
     let builder = ScenarioBuilder::new()
         .duration_s(1.0)
         .seed(0xD21)
@@ -167,13 +67,10 @@ fn every_experiment_is_checkpoint_invariant() {
     }
 }
 
-/// Fingerprints of the canonical snapshots' serialized bytes (a one-arm
-/// reception stream, a multi-arm fold, a jammed mesh). These pin the
-/// *format*: magic, version, field order, and every encoder. If an
-/// assertion fires, the byte layout changed — bump `SNAPSHOT_VERSION`,
-/// update these constants, and say so in the commit.
-const RX_FORMAT_FINGERPRINT: u64 = 0x52b8_fd9d_dd69_ca70;
-const RX_FOLD_FORMAT_FINGERPRINT: u64 = 0xd166_93de_8fca_a550;
+/// Fingerprint of the canonical (jammed mesh) snapshot's serialized
+/// bytes. It pins the *format*: magic, version, field order, and every
+/// encoder. If the assertion fires, the byte layout changed — bump
+/// `SNAPSHOT_VERSION`, update the constant, and say so in the commit.
 const MESH_FORMAT_FINGERPRINT: u64 = 0x0d94_15ee_69ea_8556;
 
 #[test]
@@ -187,46 +84,11 @@ fn snapshot_byte_format_is_pinned() {
     // `TxEnd` event tag with them.
     // Version 5: the reception snapshot is a timeline prefix (started
     // count, busy horizons, output), and `ReceptionComplete` carries no
-    // output slot.
+    // output slot. The reception snapshot is gone since; the mesh
+    // layout did not move.
     assert_eq!(SNAPSHOT_VERSION, 5);
-    let c = cfg(42.4, 11);
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    // The canonical state is the first transmission boundary at or past
-    // 300.
-    let arm = arm();
-    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
-    driver.run_events(300);
-    let bytes = driver.save().to_bytes();
-    let mut snap = RxSnapshot::from_bytes(&bytes).expect("canonical snapshot parses");
-    // The kernel signature is provenance, not state: it names the host
-    // CPU's dispatch choice, so pin the bytes with it normalized.
-    snap.kernel_signature = b"pinned".to_vec();
-    let fp = fingerprint(&snap.to_bytes());
-    assert_eq!(
-        fp, RX_FORMAT_FINGERPRINT,
-        "snapshot byte format changed: fingerprint {fp:#018x} != pinned \
-         {RX_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, update \
-         RX_FORMAT_FINGERPRINT, and explain the layout change in the commit."
-    );
-
-    // The fold layout, at the same boundary of a multi-arm pass.
-    let arms = union_arms();
-    let mut driver = ReceptionDriver::folding(&env, &c, &timeline, &arms);
-    driver.run_events(300);
-    let mut snap = driver.save();
-    snap.kernel_signature = b"pinned".to_vec();
-    let fp = fingerprint(&snap.to_bytes());
-    assert_eq!(
-        fp, RX_FOLD_FORMAT_FINGERPRINT,
-        "fold snapshot byte format changed: fingerprint {fp:#018x} != pinned \
-         {RX_FOLD_FORMAT_FINGERPRINT:#018x}. If intentional, bump SNAPSHOT_VERSION, \
-         update RX_FOLD_FORMAT_FINGERPRINT, and explain the layout change in the commit."
-    );
 
     // The mesh layout, at epoch 300 of a jammed flood with churn.
-    use ppr::sim::adversary::JammerSpec;
-    use ppr::sim::experiments::mesh::{MeshDriver, MeshParams};
     let mut params = MeshParams::benign(120, 12.0, 5, 6, 250);
     params.jammer = JammerSpec::React { delay: 4096 };
     params.churn = 4.0;
@@ -253,8 +115,6 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     // has recorded bursts and scheduled more (reactive backlog) — the
     // restored adversary must carry its RNG stream, busy-until horizon
     // and burst log verbatim.
-    use ppr::sim::adversary::JammerSpec;
-    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let mut params = MeshParams::benign(300, 12.0, 5, 6, 250);
     params.jammer = JammerSpec::React { delay: 4096 };
     params.churn = 2.0;
@@ -312,44 +172,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     ));
 }
 
-#[test]
-fn snapshot_rejects_tampering_and_wrong_identity() {
-    let c = cfg(42.4, 11);
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let arm = arm();
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 200);
-
-    // Flipping any payload bit breaks the trailing fingerprint.
-    let mut bad = bytes.clone();
-    let mid = bad.len() / 2;
-    bad[mid] ^= 1;
-    assert!(matches!(
-        RxSnapshot::from_bytes(&bad),
-        Err(SnapError::BadFingerprint { .. })
-    ));
-
-    // A mesh snapshot's kind byte does not parse as a reception one.
-    assert!(matches!(
-        MeshSnapshot::from_bytes(&bytes),
-        Err(SnapError::BadKind(_))
-    ));
-
-    // Restoring against a different run is an identity error, caught
-    // before any state is rebuilt.
-    let snap = RxSnapshot::from_bytes(&bytes).unwrap();
-    let mut other = c;
-    other.seed ^= 1;
-    let other_env = RadioEnv::new(other.seed);
-    let other_tl = generate_timeline(&other_env, &other);
-    let Err(err) = ReceptionDriver::restore(&other_env, &other, &other_tl, &arm, &snap) else {
-        panic!("a snapshot restored into a different run");
-    };
-    assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
-}
-
-/// A short, dense trace: every restore in a loop over it has little
-/// left to evaluate.
+/// A short, dense trace.
 fn short_cfg() -> SimConfig {
     SimConfig {
         load_kbps: 42.4,
@@ -357,38 +180,6 @@ fn short_cfg() -> SimConfig {
         carrier_sense: false,
         duration_s: 0.1,
         seed: 60,
-    }
-}
-
-#[test]
-fn reception_resumes_at_every_transmission_boundary() {
-    // A stream pass and a multi-arm fold pass, checkpointed at each
-    // transmission boundary of a short trace: every resume carries on
-    // the same work count and finishes with the uninterrupted output.
-    let c = short_cfg();
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let (arm, arms) = (arm(), union_arms());
-    let stream = process_receptions(&env, &c, &timeline, &arm);
-    let folds = fold_receptions(&env, &c, &timeline, &arms, None);
-    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
-    let mut folding = ReceptionDriver::folding(&env, &c, &timeline, &arms);
-    for started in 0..=timeline.len() {
-        let snap = RxSnapshot::from_bytes(&driver.save().to_bytes()).unwrap();
-        assert_eq!(snap.started, started);
-        let resumed = ReceptionDriver::restore(&env, &c, &timeline, &arm, &snap).unwrap();
-        assert_eq!(resumed.dispatched(), driver.dispatched());
-        assert_eq!(resumed.run_to_end(), stream, "stream resume at {started}");
-        let snap = RxSnapshot::from_bytes(&folding.save().to_bytes()).unwrap();
-        let resumed = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, &snap);
-        assert_eq!(
-            resumed.unwrap().run_to_folds(),
-            folds,
-            "fold resume at {started}"
-        );
-        // One past the work done is the next transmission boundary.
-        driver.run_events(driver.dispatched() + 1);
-        folding.run_events(folding.dispatched() + 1);
     }
 }
 
@@ -406,73 +197,6 @@ fn dispatched_counts_each_transmission_and_its_receptions() {
     assert_eq!(driver.dispatched(), want);
 }
 
-#[test]
-fn inconsistent_reception_progress_is_corrupt_not_a_panic() {
-    let c = short_cfg();
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let (arm, arms) = (arm(), union_arms());
-    let snap = RxSnapshot::from_bytes(&snapshot_after_events(&env, &c, &timeline, &arm, 130));
-    let snap = snap.unwrap();
-    let RxOutput::Stream(out) = &snap.output else {
-        panic!("a one-arm driver keeps a stream");
-    };
-    let decoded = out.iter().position(Option::is_some).unwrap();
-    let undecoded = out.iter().position(Option::is_none).unwrap();
-    let with_slot = |at: usize, rec| {
-        let mut out = out.clone();
-        out[at] = rec;
-        RxSnapshot {
-            output: RxOutput::Stream(out),
-            ..snap.clone()
-        }
-    };
-    let with = |started, busy_until| RxSnapshot {
-        started,
-        busy_until,
-        ..snap.clone()
-    };
-    let busy = snap.busy_until.clone();
-    for (what, s) in [
-        (
-            "started past the timeline",
-            with(timeline.len() + 1, busy.clone()),
-        ),
-        ("the prefix moved on", with(snap.started + 1, busy.clone())),
-        (
-            "the prefix moved back",
-            with(snap.started - 1, busy.clone()),
-        ),
-        (
-            "a busy horizon too many",
-            with(snap.started, [&busy[..], &[0]].concat()),
-        ),
-        (
-            "a busy horizon too few",
-            with(snap.started, busy[1..].to_vec()),
-        ),
-        (
-            "decoded past the prefix",
-            with_slot(undecoded, out[decoded].clone()),
-        ),
-        ("undecoded inside the prefix", with_slot(decoded, None)),
-    ] {
-        let err = ReceptionDriver::restore(&env, &c, &timeline, &arm, &s).err();
-        assert!(
-            matches!(err, Some(SnapError::Corrupt(_))),
-            "{what}: {err:?}"
-        );
-    }
-
-    // A fold whose prefix moved on lacks that transmission's frames.
-    let mut folding = ReceptionDriver::folding(&env, &c, &timeline, &arms);
-    folding.run_events(130);
-    let mut s = folding.save();
-    s.started += 1;
-    let err = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, &s).err();
-    assert!(matches!(err, Some(SnapError::Corrupt(_))), "{err:?}");
-}
-
 /// Recomputes a snapshot's FNV-1a trailer over everything before it, so
 /// a mutated byte string passes the checksum and reaches restore.
 fn reseal(bytes: &mut [u8]) {
@@ -481,21 +205,47 @@ fn reseal(bytes: &mut [u8]) {
     bytes[body..].copy_from_slice(&fp.to_le_bytes());
 }
 
-/// The offsets a resealed mutation flips in an [`RxSnapshot`]: every
-/// byte of the header, identity, started count and busy horizons, and
-/// `n` evenly spaced ones in the output (slot table or folds), whose
-/// length comes from re-encoding the snapshot without it. The trailer
-/// is recomputed, never mutated.
-fn rx_offsets(snap: &RxSnapshot, n: usize) -> Vec<usize> {
-    let full = snap.to_bytes().len() - 8;
-    let empty = RxSnapshot {
-        output: RxOutput::Stream(Vec::new()),
-        ..snap.clone()
+/// The offsets a resealed mutation flips in a [`MeshSnapshot`]: every
+/// byte of its fixed-width fields (the header, the identity fields, the
+/// queue counters, the jammer's state) and of each section's length
+/// prefix, and up to `n` evenly spaced bytes inside each section's
+/// body. A body's length is what re-encoding the snapshot with that
+/// section emptied saves. The trailer is recomputed, never mutated.
+fn mesh_offsets(snap: &MeshSnapshot, n: usize) -> Vec<usize> {
+    let full = snap.to_bytes().len();
+    let body = |clear: fn(&mut MeshSnapshot)| {
+        let mut s = snap.clone();
+        clear(&mut s);
+        full - s.to_bytes().len()
     };
-    let output = full + 8 + 9 - empty.to_bytes().len();
-    (0..full - output)
-        .chain(spread(full - output..full, n))
-        .collect()
+    // Wire order: the fixed-width bytes before each section, and the
+    // section's body length.
+    let sections = [
+        // magic, version, kind; nodes, density, seed, eta, body_bytes
+        (13 + 33, body(|s| s.kernel_signature.clear())),
+        (0, body(|s| s.states.clear())),
+        (0, body(|s| s.txs.clear())),
+        (0, body(|s| s.started.clear())),
+        (0, body(|s| s.queue.clear())),
+        // next_seq, dispatched
+        (16, body(|s| s.pending.clear())),
+        // pending_deadline, last_time
+        (16, body(|s| s.stats.clear())),
+        // jammer, churn, arq_retries, arq_backoff_milli; adv_rng,
+        // adv_busy_until, adv_sweep_idx
+        (34 + 48, body(|s| s.adv_scheduled.clear())),
+        (0, body(|s| s.adv_bursts.clear())),
+    ];
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    for (fixed, len) in sections {
+        offsets.extend(at..at + fixed + 8);
+        at += fixed + 8;
+        offsets.extend(spread(at..at + len, n));
+        at += len;
+    }
+    assert_eq!(at + 8, full, "the mesh layout moved; update mesh_offsets");
+    offsets
 }
 
 /// Up to `n` evenly spaced offsets inside `range`.
@@ -537,79 +287,51 @@ fn assert_resealed_mutations_never_panic<S>(
     parsed
 }
 
+/// A small jammed, churning flood and its checkpoint at the first
+/// event boundary at which every section of the snapshot is non-empty.
+fn full_mesh_checkpoint() -> (MeshParams, MeshSnapshot) {
+    let mut params = MeshParams::benign(60, 12.0, 5, 6, 250);
+    params.jammer = JammerSpec::React { delay: 4096 };
+    params.churn = 4.0;
+    let mut d = MeshDriver::new(&params, None);
+    loop {
+        let snap = d.save();
+        let sections = [
+            snap.txs.len(),
+            snap.started.len(),
+            snap.queue.len(),
+            snap.pending.len(),
+            snap.adv_scheduled.len(),
+            snap.adv_bursts.len(),
+        ];
+        if sections.iter().all(|&n| n > 0) {
+            return (params, snap);
+        }
+        let before = d.dispatched();
+        d.run_events(before + 1);
+        assert!(d.dispatched() > before, "no boundary fills every section");
+    }
+}
+
 #[test]
 fn resealed_snapshot_mutations_never_panic() {
-    // A short, dense run checkpointed late (so each resume has little
-    // left to evaluate) with both decoded and undecoded slots present.
-    let c = short_cfg();
-    let env = RadioEnv::new(c.seed);
-    let timeline = generate_timeline(&env, &c);
-    let arm = arm();
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 130);
-    let snap = RxSnapshot::from_bytes(&bytes).unwrap();
-    let RxOutput::Stream(out) = &snap.output else {
-        panic!("a one-arm driver keeps a stream");
-    };
-    assert!(
-        out.iter().any(Option::is_some) && snap.started < timeline.len(),
-        "checkpoint has no decoded state to corrupt or nothing left to run"
-    );
-    let offsets = rx_offsets(&snap, 32);
-    let parsed =
-        assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
-            if let Ok(driver) = ReceptionDriver::restore(&env, &c, &timeline, &arm, s) {
-                driver.run_to_end();
-            }
-        });
-    assert!(parsed > offsets.len(), "too few mutations parsed: {parsed}");
-
-    // The same for a multi-arm folding pass (the v3 fold layout: arm
-    // list, per-link counters, hint and miss-run histograms).
-    let arms = union_arms();
-    let mut driver = ReceptionDriver::folding(&env, &c, &timeline, &arms);
-    driver.run_events(130);
-    let snap = driver.save();
-    assert!(
-        snap.started > 0 && snap.started < timeline.len(),
-        "the fold checkpoint is not mid-run"
-    );
-    let bytes = snap.to_bytes();
-    let offsets = rx_offsets(&snap, 48);
-    let parsed =
-        assert_resealed_mutations_never_panic(&bytes, &offsets, RxSnapshot::from_bytes, |s| {
-            if let Ok(driver) = ReceptionDriver::restore_folding(&env, &c, &timeline, &arms, s) {
-                driver.run_to_folds();
-            }
-            // A fold snapshot offered to the stream driver is an error.
-            let _ = ReceptionDriver::restore(&env, &c, &timeline, &arm, s);
-        });
-    assert!(
-        parsed > offsets.len(),
-        "too few fold mutations parsed: {parsed}"
-    );
-
-    // The mesh: every mutation that restores keeps the node and shard
-    // counts of the run it restores into.
-    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
-    let params = MeshParams::benign(40, 8.0, 3, 6, 250);
+    // Every mutation that restores keeps the node and shard counts of
+    // the run it restores into.
+    let (params, snap) = full_mesh_checkpoint();
     let reference = run_mesh(&params, None);
-    let mut d = MeshDriver::new(&params, None);
-    d.run_events(60);
-    let bytes = d.save().to_bytes();
+    let bytes = snap.to_bytes();
+    let offsets = mesh_offsets(&snap, 24);
     let wrong = std::cell::RefCell::new(Vec::new());
-    assert_resealed_mutations_never_panic(
-        &bytes,
-        &spread(0..bytes.len() - 8, 240).collect::<Vec<_>>(),
-        MeshSnapshot::from_bytes,
-        |s| {
+    let parsed =
+        assert_resealed_mutations_never_panic(&bytes, &offsets, MeshSnapshot::from_bytes, |s| {
             if let Ok(driver) = MeshDriver::restore(&params, s) {
                 let st = driver.run_to_end();
                 if (st.nodes, st.shards) != (reference.nodes, reference.shards) {
                     wrong.borrow_mut().push((st.nodes, st.shards));
                 }
             }
-        },
-    );
+        });
+    assert!(parsed > offsets.len(), "too few mutations parsed: {parsed}");
     let wrong = wrong.into_inner();
     assert!(
         wrong.is_empty(),
@@ -620,6 +342,39 @@ fn resealed_snapshot_mutations_never_panic() {
 }
 
 #[test]
+fn inconsistent_jammer_state_is_corrupt_not_a_panic() {
+    // Jammer state that no run produces: a burst that ends before it
+    // starts reached a subtraction overflow, and a reactive burst that
+    // is not at its queued JamBurst's time an assertion.
+    let (params, snap) = full_mesh_checkpoint();
+    let with = |edit: fn(&mut MeshSnapshot)| {
+        let mut s = snap.clone();
+        edit(&mut s);
+        s
+    };
+    for (what, s) in [
+        (
+            "a burst that ends before it starts",
+            with(|s| s.adv_bursts[0].1 = s.adv_bursts[0].0 - 1),
+        ),
+        (
+            "a reactive burst off its queued time",
+            with(|s| s.adv_scheduled[0].0 += 1),
+        ),
+        (
+            "a reactive burst with no queued JamBurst",
+            with(|s| s.adv_scheduled.push((u64::MAX - 1, u64::MAX))),
+        ),
+    ] {
+        let err = MeshDriver::restore(&params, &s).err();
+        assert!(
+            matches!(err, Some(SnapError::Corrupt(_))),
+            "{what}: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn mesh_resumes_at_every_event_boundary() {
     // A small jammed flood with churn, checkpointed and resumed at each
     // of its event boundaries: every resume must finish with the
@@ -627,8 +382,6 @@ fn mesh_resumes_at_every_event_boundary() {
     // recovery flags, or node, shard, transmission and repair counts,
     // so this pins that restore derives each of them correctly at
     // every point of the run.
-    use ppr::sim::adversary::JammerSpec;
-    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let mut params = MeshParams::benign(60, 12.0, 5, 6, 250);
     params.jammer = JammerSpec::React { delay: 4096 };
     params.churn = 4.0;
