@@ -3,14 +3,17 @@
 //! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
 //! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
 //! kernel ladder (`dsp_{axpy,demod}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v10) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v11) so CI can
 //! archive the perf trajectory.
 //!
 //! The end-to-end rows time the reception driver
-//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh flood on the
-//! event core (`mesh10k_*`: wall ms, measured events/sec and simulated
-//! packets/sec). Schema v6 dropped v5's per-worker and batch-size
-//! ladders along with the reception worker threads they measured; v7
+//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh floods on the
+//! event core, benign (`mesh10k_*`) and jammed with churn (`meshjam_*`):
+//! each flood runs [`MESH_RUNS`] times and reports the run count, the
+//! median wall ms with its quartiles, events/sec at the median, and the
+//! run's deterministic counts. Schema v6 dropped v5's per-worker and
+//! batch-size ladders along with the reception worker threads they
+//! measured; v7
 //! dropped the time-stepped driver's row along with that driver; v8
 //! dropped the SSSE3 despread row with that tier and added the
 //! column-entry `despread_{clean,mixed}_*` rows, which show the
@@ -20,13 +23,16 @@
 //! collapsed the SOVA rows into one `dsp_sova_500bits` and folded
 //! `corrupt_packed_inplace_*` into `corrupt_packed_*`, which now times
 //! clone + in place; v10 dropped `dsp_sova_500bits` with the SOVA
-//! decoder, which no experiment reached.
+//! decoder, which no experiment reached; v11 turned the one-sample
+//! `mesh10k_ms` into a median over repeated runs (with `_runs`, `_q1_ms`
+//! and `_q3_ms` rows) and added the same rows for `meshjam`.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
 //! Timings are coarse (tens of milliseconds per entry) on purpose — this
 //! is a smoke-level trend tracker, not a statistics engine; use
-//! `cargo bench -p ppr-bench` for interactive comparisons.
+//! `cargo bench -p ppr-bench` for interactive comparisons. Only the
+//! mesh floods, the slowest and noisiest rows, are repeated.
 
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
 use ppr_core::dp::{plan_chunks_interval, plan_chunks_with, ChunkScratch, CostModel};
@@ -38,10 +44,15 @@ use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
+use ppr_sim::experiments::meshjam::meshjam_params;
 use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
+use ppr_sim::scenario::ScenarioBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
+
+/// Runs per mesh flood row: enough for a median and quartiles.
+const MESH_RUNS: usize = 7;
 
 /// Mean ns/iteration of `f`, measured over ~20 ms after one warm-up.
 fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
@@ -310,31 +321,49 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
-    // The event core at scale: the 10k-node mesh flood, measured.
-    // events/sec here is the wall-clock figure the mesh10k experiment
-    // deliberately does not compute for itself.
-    {
-        let params = MeshParams::benign(10_000, 12.0, 42, 6, MESH_BODY_BYTES);
-        let t = Instant::now();
-        let s = run_mesh(&params, None);
-        let wall = t.elapsed().as_secs_f64();
-        entries.push(("mesh10k_ms".into(), wall * 1e3));
+    // The event core at scale: the 10k-node mesh floods, measured.
+    // events/sec here is the wall-clock figure the mesh experiments
+    // deliberately do not compute for themselves.
+    let benign = MeshParams::benign(10_000, 12.0, 42, 6, MESH_BODY_BYTES);
+    let jammed = meshjam_params(&ScenarioBuilder::new().seed(42).build());
+    for (name, params) in [("mesh10k", benign), ("meshjam", jammed)] {
+        let mut walls = Vec::with_capacity(MESH_RUNS);
+        let mut stats = None;
+        for _ in 0..MESH_RUNS {
+            let t = Instant::now();
+            let s = run_mesh(&params, None);
+            walls.push(t.elapsed().as_secs_f64());
+            stats = Some(s);
+        }
+        let s = stats.expect("MESH_RUNS > 0");
+        walls.sort_by(f64::total_cmp);
+        // Inclusive quantiles, interpolated between neighboring runs.
+        let quantile = |q: f64| {
+            let pos = q * (MESH_RUNS - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            walls[lo] + (walls[hi] - walls[lo]) * (pos - lo as f64)
+        };
+        let median = quantile(0.5);
+        entries.push((format!("{name}_runs"), MESH_RUNS as f64));
+        entries.push((format!("{name}_ms"), median * 1e3));
+        entries.push((format!("{name}_q1_ms"), quantile(0.25) * 1e3));
+        entries.push((format!("{name}_q3_ms"), quantile(0.75) * 1e3));
         entries.push((
-            "mesh10k_events_per_sec".into(),
-            s.events_dispatched as f64 / wall,
+            format!("{name}_events_per_sec"),
+            s.events_dispatched as f64 / median,
         ));
-        entries.push(("mesh10k_events".into(), s.events_dispatched as f64));
-        entries.push(("mesh10k_transmissions".into(), s.transmissions as f64));
-        entries.push(("mesh10k_coverage".into(), s.coverage()));
+        entries.push((format!("{name}_events"), s.events_dispatched as f64));
+        entries.push((format!("{name}_transmissions"), s.transmissions as f64));
+        entries.push((format!("{name}_coverage"), s.coverage()));
         entries.push((
-            "mesh10k_sim_packets_per_sec".into(),
+            format!("{name}_sim_packets_per_sec"),
             s.transmissions as f64 / s.sim_seconds().max(1e-9),
         ));
     }
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v10\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v11\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

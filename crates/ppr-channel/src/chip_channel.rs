@@ -18,7 +18,7 @@ use rand::Rng;
 
 /// Per-chip error-probability profile of one packet at one receiver:
 /// piecewise-constant spans tiling the frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorProfile {
     spans: Vec<(u64, u64, f64)>, // (start, end, chip error prob)
     len_chips: u64,
@@ -37,17 +37,26 @@ impl ErrorProfile {
         noise_mw: f64,
         interference: &[InterferenceSpan],
     ) -> Self {
-        let mut spans = Vec::with_capacity(interference.len());
-        let mut len = 0;
+        let mut profile = ErrorProfile::default();
+        profile.refill_from_interference(signal_mw, noise_mw, interference);
+        profile
+    }
+
+    /// [`Self::from_interference`] in place, reusing this profile's
+    /// span allocation.
+    pub fn refill_from_interference(
+        &mut self,
+        signal_mw: f64,
+        noise_mw: f64,
+        interference: &[InterferenceSpan],
+    ) {
+        self.spans.clear();
+        self.len_chips = 0;
         for s in interference {
             let residual = (s.interference_mw - s.dominant_mw).max(0.0);
             let p = chip_error_prob_dominant(signal_mw, s.dominant_mw, residual, noise_mw);
-            spans.push((s.start, s.end, p));
-            len = s.end;
-        }
-        ErrorProfile {
-            spans,
-            len_chips: len,
+            self.spans.push((s.start, s.end, p));
+            self.len_chips = s.end;
         }
     }
 
@@ -527,6 +536,33 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The in-place refill, over a profile left by a longer frame,
+    /// equals `from_interference`.
+    #[test]
+    fn refill_equals_from_interference() {
+        use crate::overlap::InterferenceSpan;
+        let span = |start, end, interference_mw, dominant_mw| InterferenceSpan {
+            start,
+            end,
+            interference_mw,
+            dominant_mw,
+        };
+        let long = [span(0, 900, 0.0, 0.0), span(900, 5000, 2e-9, 1e-9)];
+        let short = [
+            span(0, 40, 3e-10, 3e-10),
+            span(40, 70, 0.0, 0.0),
+            span(70, 128, 5e-9, 4e-9),
+        ];
+        let mut profile = ErrorProfile::from_interference(1e-8, 7.9e-11, &long);
+        for spans in [&short[..], &long[..], &[]] {
+            profile.refill_from_interference(1e-8, 7.9e-11, spans);
+            assert_eq!(
+                profile,
+                ErrorProfile::from_interference(1e-8, 7.9e-11, spans)
+            );
+        }
+    }
 
     #[test]
     fn zero_error_profile_is_identity() {

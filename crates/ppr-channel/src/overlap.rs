@@ -74,9 +74,37 @@ impl InterferenceSpan {
 /// skipped by id). Spans tile `[0, target.len_chips)` exactly, in order,
 /// with zero-interference gaps included.
 pub fn interference_profile(target: &HeardTx, heard: &[HeardTx]) -> Vec<InterferenceSpan> {
+    let mut spans = Vec::new();
+    interference_profile_into(target, heard, &mut ProfileScratch::default(), &mut spans);
+    spans
+}
+
+/// Working buffers of [`interference_profile_into`]: the clipped
+/// interferer intervals and their power-change events. They keep their
+/// capacity across calls, and no call reads what an earlier one left.
+#[derive(Debug, Clone, Default)]
+pub struct ProfileScratch {
+    /// `(from, to, power)` of each overlapping interferer, relative to
+    /// the target.
+    clipped: Vec<(u64, u64, f64)>,
+    /// `(relative chip, power delta)` at each interferer edge.
+    events: Vec<(u64, f64)>,
+}
+
+/// [`interference_profile`] into `spans` (cleared first), with its
+/// working buffers in `scratch`: the allocation-free form for callers
+/// that compute one profile per reception.
+pub fn interference_profile_into(
+    target: &HeardTx,
+    heard: &[HeardTx],
+    scratch: &mut ProfileScratch,
+    spans: &mut Vec<InterferenceSpan>,
+) {
     // Collect the clipped intervals and power-change events.
-    let mut clipped: Vec<(u64, u64, f64)> = Vec::new();
-    let mut events: Vec<(u64, f64)> = Vec::new(); // (relative chip, power delta)
+    let ProfileScratch { clipped, events } = scratch;
+    clipped.clear();
+    events.clear();
+    spans.clear();
     for tx in heard {
         if tx.id == target.id || !tx.overlaps(target.start_chip, target.end_chip()) {
             continue;
@@ -89,9 +117,10 @@ pub fn interference_profile(target: &HeardTx, heard: &[HeardTx]) -> Vec<Interfer
             events.push((to, -tx.power_mw));
         }
     }
+    // Stable: events at one chip keep `heard` order, which fixes the
+    // order of the float sum below.
     events.sort_by_key(|a| a.0);
 
-    let mut spans = Vec::new();
     let mut cursor = 0u64;
     let mut level = 0.0f64;
     let mut i = 0;
@@ -123,7 +152,6 @@ pub fn interference_profile(target: &HeardTx, heard: &[HeardTx]) -> Vec<Interfer
     if cursor < target.len_chips {
         push(cursor, target.len_chips, level);
     }
-    spans
 }
 
 /// The contiguous run of `heard` that can overlap `[from, to)` on the
@@ -267,6 +295,77 @@ mod tests {
         // Power level returns to zero after both end (no float residue
         // big enough to create a phantom span).
         assert_eq!(spans[2].interference_mw, 0.0);
+    }
+
+    /// One random case of the profile corpus: a target and what its
+    /// receiver hears, interferers included that are clipped to chip 0,
+    /// to the target's end or both, that share an edge with each other
+    /// (so events tie), that miss the target, and the target itself.
+    fn random_case(rng: &mut impl rand::Rng) -> (HeardTx, Vec<HeardTx>) {
+        let target = tx(
+            0,
+            rng.gen_range(2000u64..6000),
+            rng.gen_range(64u64..3000),
+            1.0,
+        );
+        let (s, e) = (target.start_chip, target.end_chip());
+        let n = rng.gen_range(0..14);
+        let mut heard = vec![target];
+        let mut last_edge = s;
+        for id in 1..=n {
+            let power = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-6..3));
+            let (start, end) = match rng.gen_range(0..6) {
+                0 => (
+                    s - rng.gen_range(1u64..2000),
+                    s + rng.gen_range(1..=target.len_chips),
+                ),
+                1 => (
+                    s + rng.gen_range(0..target.len_chips),
+                    e + rng.gen_range(0u64..2000),
+                ),
+                2 => (s - rng.gen_range(0u64..500), e + rng.gen_range(0u64..500)),
+                3 => (last_edge, last_edge + rng.gen_range(1u64..800)),
+                4 => (e + rng.gen_range(0u64..100), e + rng.gen_range(100u64..900)),
+                _ => {
+                    let a = s + rng.gen_range(0..target.len_chips);
+                    (a, a + rng.gen_range(1u64..900))
+                }
+            };
+            last_edge = if rng.gen() { start } else { end };
+            heard.push(tx(id, start, end - start, power));
+        }
+        let k = rng.gen_range(0..heard.len());
+        heard.swap(0, k);
+        (target, heard)
+    }
+
+    /// `interference_profile_into`, run with buffers left dirty by the
+    /// previous case, equals the allocating form bit for bit on a
+    /// seeded random corpus.
+    #[test]
+    fn profile_into_dirty_scratch_equals_profile() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0050_5052);
+        let mut scratch = ProfileScratch::default();
+        let mut spans = Vec::new();
+        let bits = |v: &[InterferenceSpan]| -> Vec<(u64, u64, u64, u64)> {
+            v.iter()
+                .map(|s| {
+                    (
+                        s.start,
+                        s.end,
+                        s.interference_mw.to_bits(),
+                        s.dominant_mw.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        for case in 0..2000 {
+            let (target, heard) = random_case(&mut rng);
+            interference_profile_into(&target, &heard, &mut scratch, &mut spans);
+            let fresh = interference_profile(&target, &heard);
+            assert_eq!(bits(&spans), bits(&fresh), "case {case}");
+        }
     }
 
     proptest! {

@@ -72,7 +72,7 @@ impl RunPair {
 }
 
 /// The canonical run-length representation of one labeled packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunLengths {
     /// Length of the good prefix before the first bad run.
     pub leading_good: usize,
@@ -86,11 +86,7 @@ impl RunLengths {
     /// Builds the representation from good/bad labels
     /// (`true` = good).
     pub fn from_labels(labels: &[bool]) -> Self {
-        let mut rl = RunLengths {
-            leading_good: 0,
-            pairs: Vec::new(),
-            total: 0,
-        };
+        let mut rl = RunLengths::default();
         rl.refill_from_labels(labels);
         rl
     }

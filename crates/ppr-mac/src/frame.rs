@@ -129,14 +129,21 @@ impl Frame {
     /// All link-layer bytes in transmit order:
     /// `header · body · crc32(header·body) · trailer`.
     pub fn link_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.link_bytes_into(&mut out);
+        out
+    }
+
+    /// [`Self::link_bytes`] into `out` (cleared first).
+    fn link_bytes_into(&self, out: &mut Vec<u8>) {
         let hdr = self.header.encode();
-        let mut out = Vec::with_capacity(2 * HEADER_BYTES + self.body.len() + PKT_CRC_BYTES);
+        out.clear();
+        out.reserve(2 * HEADER_BYTES + self.body.len() + PKT_CRC_BYTES);
         out.extend_from_slice(&hdr);
         out.extend_from_slice(&self.body);
-        let crc = crc32(&out);
+        let crc = crc32(out);
         out.extend_from_slice(&crc.to_le_bytes());
         out.extend_from_slice(&hdr); // trailer replicates the header
-        out
     }
 
     /// Chip-level rendering of the whole frame including preamble, SFD
@@ -158,15 +165,26 @@ impl Frame {
     /// [`Self::chips`], written one 64-chip lane per byte — the delimiter
     /// bytes, then every link byte — through a 256-entry table.
     pub fn chip_words(&self) -> ChipWords {
+        let mut chips = ChipWords::new();
+        self.chip_words_into(&mut Vec::new(), &mut chips);
+        chips
+    }
+
+    /// [`Self::chip_words`] into `chips`, reusing its allocation; `link`
+    /// is working memory for the link bytes. Both keep their capacity,
+    /// so a caller that renders one frame per reception allocates
+    /// nothing once they have grown to the longest frame.
+    pub fn chip_words_into(&self, link: &mut Vec<u8>, chips: &mut ChipWords) {
+        self.link_bytes_into(link);
         // A delimiter is its zero symbols (whole zero bytes, by the
         // lane assertion above) followed by its delimiter byte.
         let zeros = |symbols| std::iter::repeat_n(0u8, symbols / 2);
         let bytes = zeros(PREAMBLE_ZERO_SYMBOLS)
             .chain([SFD])
-            .chain(self.link_bytes())
+            .chain(link.iter().copied())
             .chain(zeros(POSTAMBLE_ZERO_SYMBOLS))
             .chain([POST_SFD]);
-        ChipWords::from_lanes(bytes.map(|b| BYTE_LANES[b as usize]).collect())
+        chips.refill_lanes(bytes.map(|b| BYTE_LANES[b as usize]));
     }
 
     /// Number of data symbols in the link-layer section (excluding
@@ -298,6 +316,20 @@ mod tests {
             let f = Frame::new(1, 2, 0, vec![0x5A; body_len]);
             assert_eq!(f.chips().len(), f.chips_len());
             assert_eq!(f.chips_len(), Frame::chips_len_for_body(body_len));
+        }
+    }
+
+    /// Rendering into buffers left by a longer or shorter frame equals
+    /// the allocating render.
+    #[test]
+    fn render_into_dirty_buffers_equals_chip_words() {
+        let (mut link, mut chips) = (Vec::new(), ChipWords::new());
+        for body_len in [1500usize, 0, 250, 1, 2048, 17] {
+            let body: Vec<u8> = (0..body_len).map(|i| (i * 31 + 7) as u8).collect();
+            let f = Frame::new(0xFFFF, body_len as u16, 5, body);
+            f.chip_words_into(&mut link, &mut chips);
+            assert_eq!(chips, f.chip_words(), "body {body_len}");
+            assert_eq!(link, f.link_bytes(), "body {body_len}");
         }
     }
 

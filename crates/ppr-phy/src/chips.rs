@@ -200,13 +200,13 @@ impl ChipWords {
         out
     }
 
-    /// A stream of whole 64-chip lanes (`64 * lanes.len()` chips; always
-    /// canonical, since no lane has a tail).
-    pub fn from_lanes(lanes: Vec<u64>) -> Self {
-        ChipWords {
-            len: 64 * lanes.len(),
-            words: lanes,
-        }
+    /// Replaces the stream with whole 64-chip lanes (`64` chips per lane;
+    /// always canonical, since no lane has a tail), reusing its
+    /// allocation.
+    pub fn refill_lanes(&mut self, lanes: impl IntoIterator<Item = u64>) {
+        self.words.clear();
+        self.words.extend(lanes);
+        self.len = 64 * self.words.len();
     }
 
     /// Unpacks to the reference `Vec<bool>` representation.

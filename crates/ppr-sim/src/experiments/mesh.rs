@@ -18,7 +18,7 @@
 //!   per-node jitter.
 //! * A node left with a *partial* payload arms a PP-ARQ timer. When it
 //!   fires, the node plans its repair request with the paper's chunking
-//!   DP ([`plan_chunks`]) over its byte-correct bitmask and asks its
+//!   DP ([`plan_chunks_with`]) over its byte-correct bitmask and asks its
 //!   best recovered neighbor for exactly those spans; the neighbor
 //!   unicasts a repair frame containing the requested bytes. Up to
 //!   [`MAX_ARQ_ROUNDS`] rounds.
@@ -33,20 +33,38 @@
 //! order-dependent:
 //!
 //! * completed receptions accumulate in a pending batch, flushed when
-//!   the clock reaches `earliest pending completion + `[`SAFE_WINDOW`]
-//!   (or when an ARQ timer — the only state-reading event — pops, or at
-//!   queue drain);
+//!   an event at or past `earliest pending completion + `[`SAFE_WINDOW`]
+//!   pops (or when an ARQ timer or a node fault — the state-reading
+//!   events — pops, or at queue drain);
 //! * every outcome-scheduled event (rebroadcast, repair, timer) lands at
-//!   least [`SAFE_WINDOW`] chips after the reception that caused it, so
-//!   no event that could observe an outcome runs before its flush;
-//! * interference and half-duplex checks happen *at flush*, when every
-//!   transmission that could overlap a pending reception has already
-//!   popped (any overlapper starts strictly before the reception ends,
-//!   and the flush trigger time is later still);
+//!   least [`SAFE_WINDOW`] chips after the reception that caused it;
 //! * work selection at a flush reads only pre-flush state, and each
 //!   reception draws from its own `reception_rng_seed` stream, so a
 //!   batch decodes to the same outcomes in any order; they are applied
 //!   in batch (pop) order.
+//!
+//! What this guarantees today: a run is a pure function of its
+//! [`MeshParams`], independent of batch order, of checkpointing and of
+//! the kernel selection.
+//!
+//! What it does not guarantee is time-ordered dispatch. The flush runs
+//! when the *next* event pops, and that event can lie far past the
+//! window when the queue is sparse. Outcome events are then scheduled
+//! at `end + SAFE_WINDOW + jitter` (rebroadcasts) or at
+//! `end + ARQ_TIMEOUT` (timers), which can be earlier than the event
+//! that triggered the flush, so they pop after it, below the dispatch
+//! clock, and so do the events they cause in turn. The argument that
+//! "every transmission that could overlap a pending reception has
+//! already popped" when the batch decodes assumes time order, so where
+//! dispatch runs backwards a decode can miss an overlapping transmission
+//! or a half-duplex conflict that starts later in pop order but earlier
+//! in chip time. Default `mesh10k` dispatches in time order; default
+//! `meshjam` pops 98 112 of its 158 094 events below the clock. Node
+//! churn opens the gaps: `mesh10k --set churn=2` pops 115 234 events
+//! below the clock, `mesh10k --set jammer=react:4096` one. Closing the
+//! gap moves every mesh fingerprint, so it waits for an oracle to check
+//! the fix against: the sequential mesh spec of ROADMAP item 4, which
+//! decodes every reception at its end time in one global order.
 //!
 //! Wall-clock events/sec is *measured* in `ppr-bench` (`bench_packed`,
 //! the `BENCH_packed.json` mesh rows); this experiment reports only
@@ -64,15 +82,15 @@ use crate::scenario::Scenario;
 use crate::snapshot::{MeshNodeSnapshot, MeshSnapshot, MeshTxSnapshot, SnapError};
 use crate::spatial::SpatialIndex;
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
-use ppr_channel::overlap::{interference_profile, HeardTx};
+use ppr_channel::overlap::{interference_profile_into, HeardTx, InterferenceSpan, ProfileScratch};
 use ppr_channel::pathloss::PathLossModel;
-use ppr_core::dp::{plan_chunks, CostModel};
+use ppr_core::dp::{plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::runs::{RunLengths, UnitRange};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::RxFrame;
 use ppr_mac::schemes::{DeliveryScheme, ReceivedBody};
 use ppr_mac::BackoffPolicy;
-use ppr_phy::chips::CHIP_RATE_HZ;
+use ppr_phy::chips::{ChipWords, CHIP_RATE_HZ};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -103,6 +121,51 @@ pub const MESH_BODY_BYTES: usize = 250;
 
 /// Broadcast link-layer address.
 const BROADCAST: u16 = 0xFFFF;
+
+/// Relative half-width of the band of squared distance around the
+/// squared squelch radius inside which the exact power test decides
+/// the squelch ([`SquelchBand`]). Received power goes as distance⁻³, so
+/// the band's edges sit 1.5e-6 (relative) in power from the threshold:
+/// some 10⁸ times the float error of either side of the comparison.
+const SQUELCH_BAND: f64 = 1e-6;
+
+/// The squared-distance bounds of the receiver squelch: a link shorter
+/// than the squelch radius is heard and a longer one squelched, and
+/// only links inside a thin band around the radius need the exact
+/// `gain / noise < SQUELCH_SNR` test. With zero shadowing, received
+/// power falls monotonically with distance, so outside the band the
+/// distance alone gives the exact test's verdict.
+#[derive(Debug, Clone, Copy)]
+struct SquelchBand {
+    /// Squared distances below this are heard.
+    heard_below: f64,
+    /// Squared distances above this are squelched.
+    squelched_above: f64,
+}
+
+impl SquelchBand {
+    /// The band around `radius`, the distance at which the mean SNR is
+    /// [`SQUELCH_SNR`].
+    fn around(radius: f64) -> Self {
+        let r2 = radius * radius;
+        SquelchBand {
+            heard_below: r2 * (1.0 - SQUELCH_BAND),
+            squelched_above: r2 * (1.0 + SQUELCH_BAND),
+        }
+    }
+
+    /// The squelch verdict for a link of squared length `d2`, or `None`
+    /// inside the band, where the caller runs the exact test.
+    fn squelched(&self, d2: f64) -> Option<bool> {
+        if d2 < self.heard_below {
+            Some(false)
+        } else if d2 > self.squelched_above {
+            Some(true)
+        } else {
+            None
+        }
+    }
+}
 
 /// The mesh propagation model: the office chip-channel parameters with
 /// shadowing *disabled* — open-plan synthetic terrain, and the zero
@@ -353,6 +416,36 @@ impl<'a> RepairCursor<'a> {
     }
 }
 
+/// Working memory of [`MeshDriver::decode`], [`MeshDriver::flush`] and
+/// the ARQ timer. Every buffer keeps its capacity across calls, so
+/// steady-state dispatch allocates nothing of its own, and no call reads
+/// what an earlier one left.
+#[derive(Default)]
+struct MeshScratch {
+    /// Spatial candidates of one query.
+    cands: Vec<u32>,
+    /// The reception's own signal, then its interferers.
+    heard: Vec<HeardTx>,
+    /// The interference spans over the reception.
+    spans: Vec<InterferenceSpan>,
+    /// Working buffers of the interference profile.
+    profile: ProfileScratch,
+    /// The reception's chip error profile.
+    errors: ErrorProfile,
+    /// The frame's link bytes, on the way to its chips.
+    link: Vec<u8>,
+    /// The frame's chips, corrupted in place.
+    chips: ChipWords,
+    /// The receptions a flush decodes, in batch order.
+    work: Vec<(usize, usize)>,
+    /// A repair request's byte-correct labels.
+    labels: Vec<bool>,
+    /// The labels' run lengths.
+    runs: RunLengths,
+    /// The chunking DP's working memory.
+    chunks: ChunkScratch,
+}
+
 /// Runs one mesh flood on the calling thread. `threads` is ignored; it
 /// stays only so existing callers keep compiling.
 pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
@@ -390,6 +483,9 @@ pub struct MeshDriver {
     model: PathLossModel,
     /// snapshot: rebuilt — noise floor, derived from the model.
     noise: f64,
+    /// snapshot: rebuilt — receiver squelch bounds, derived from the
+    /// model.
+    squelch: SquelchBand,
     /// snapshot: rebuilt — node placement, derived from the seed.
     tb: Testbed,
     /// snapshot: rebuilt — spatial shards, derived from the placement.
@@ -433,8 +529,10 @@ pub struct MeshDriver {
     pending: Vec<(usize, usize)>,
     /// snapshot: serialized — flush deadline of the pending batch.
     pending_deadline: u64,
-    /// snapshot: rebuilt — scratch buffer for spatial candidate lists.
-    cand_buf: Vec<u32>,
+    /// snapshot: rebuilt — working memory of decode, flush and the ARQ
+    /// timer; no call reads what an earlier one left, so it starts
+    /// empty.
+    scratch: MeshScratch,
     /// snapshot: serialized — chip time of the last dispatched event.
     last_time: u64,
     /// snapshot: serialized — the jammer actor's dynamic state (RNG
@@ -504,6 +602,7 @@ impl MeshDriver {
             params: *params,
             model,
             noise,
+            squelch: SquelchBand::around(comm_radius),
             tb,
             index,
             scheme,
@@ -521,7 +620,7 @@ impl MeshDriver {
             // as (tx idx, receiver).
             pending: Vec::new(),
             pending_deadline: u64::MAX,
-            cand_buf: Vec::new(),
+            scratch: MeshScratch::default(),
             last_time: 0,
             adversary,
             fault_plan,
@@ -565,6 +664,16 @@ impl MeshDriver {
             .rx_power_mw(self.tb.senders[s].distance(&self.tb.senders[r]), 0.0)
     }
 
+    /// Whether receiver `r` squelches sender `s`: exactly `gain(s, r) /
+    /// noise < SQUELCH_SNR`, with the power computed only inside the
+    /// [`SquelchBand`].
+    fn squelched(&self, s: usize, r: usize) -> bool {
+        let d2 = self.tb.senders[s].distance_sq(&self.tb.senders[r]);
+        self.squelch
+            .squelched(d2)
+            .unwrap_or_else(|| self.gain(s, r) / self.noise < SQUELCH_SNR)
+    }
+
     /// Appends a transmission to the store (its sequence number is its
     /// index) and schedules its TxStart.
     fn schedule_tx(
@@ -598,7 +707,7 @@ impl MeshDriver {
     /// the received frame (`None` when nothing is acquired). Reads only
     /// state a flush never changes: the transmissions that were on the
     /// air, positions and the adversary's recorded bursts.
-    fn decode(&self, ti: usize, r: usize) -> Option<RxFrame> {
+    fn decode(&self, ti: usize, r: usize, sc: &mut MeshScratch) -> Option<RxFrame> {
         let t = &self.txs[ti];
         let signal = self.gain(t.sender, r);
         let me = HeardTx {
@@ -610,17 +719,19 @@ impl MeshDriver {
         // Interferers: every overlapping transmission from a sender
         // inside the receiver's 3×3 cell neighborhood. Beyond that
         // radius a sender's mean power is below the noise floor.
-        let mut heard = vec![me];
-        let mut cands = Vec::new();
-        self.index.candidates_into(&self.tb.senders[r], &mut cands);
-        for &s in &cands {
+        sc.heard.clear();
+        sc.heard.push(me);
+        sc.cands.clear();
+        self.index
+            .candidates_into(&self.tb.senders[r], &mut sc.cands);
+        for &s in &sc.cands {
             let s = s as usize;
             if s == r {
                 continue;
             }
             for &(os, oe, oid) in &self.own_tx[s] {
                 if oid != ti as u64 && os < t.end() && t.start < oe {
-                    heard.push(HeardTx {
+                    sc.heard.push(HeardTx {
                         id: oid,
                         start_chip: os,
                         len_chips: oe - os,
@@ -638,7 +749,7 @@ impl MeshDriver {
             .bursts_overlapping(t.start, t.end())
             .enumerate()
         {
-            heard.push(HeardTx {
+            sc.heard.push(HeardTx {
                 id: u64::MAX - k as u64,
                 start_chip: b.start,
                 len_chips: b.end - b.start,
@@ -647,15 +758,60 @@ impl MeshDriver {
                     .rx_power_mw(b.pos().distance(&self.tb.senders[r]), 0.0),
             });
         }
-        let spans = interference_profile(&me, &heard);
+        interference_profile_into(&me, &sc.heard, &mut sc.profile, &mut sc.spans);
         // Link degradation raises this receiver's noise floor for the
         // window (×1.0 — bit-exact — outside one).
         let noise = self.noise * self.fault_plan.noise_factor(r, t.start, t.end());
-        let profile = ErrorProfile::from_interference(signal, noise, &spans);
-        let mut corrupted = t.frame.chip_words();
+        sc.errors.refill_from_interference(signal, noise, &sc.spans);
+        t.frame.chip_words_into(&mut sc.link, &mut sc.chips);
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
-        corrupt_chip_words_in_place(&mut corrupted, &profile, &mut rng);
-        self.fast.receive_words(&t.frame, &corrupted, true).1
+        corrupt_chip_words_in_place(&mut sc.chips, &sc.errors, &mut rng);
+        self.fast.receive_words(&t.frame, &sc.chips, true).1
+    }
+
+    /// The chunks `node`'s repair request asks for: the chunking DP's
+    /// plan over its byte-correct mask, or `None` when nothing is
+    /// missing.
+    fn plan_repair(&mut self, node: usize) -> Option<Vec<UnitRange>> {
+        let mask = &self.masks[self.mask_row(node)];
+        let sc = &mut self.scratch;
+        sc.labels.clear();
+        sc.labels
+            .extend((0..self.payload_len).map(|i| mask_has(mask, i)));
+        sc.runs.refill_from_labels(&sc.labels);
+        let plan = plan_chunks_with(
+            &sc.runs,
+            &CostModel::bytes(self.payload_len),
+            &mut sc.chunks,
+        );
+        (!plan.chunks.is_empty()).then(|| plan.chunks.clone())
+    }
+
+    /// The best recovered neighbor to repair `node`: the strongest
+    /// unsquelched link, ties broken to the lowest id (strict >
+    /// comparison over exact gains).
+    fn best_peer(&mut self, node: usize) -> Option<usize> {
+        let mut cands = std::mem::take(&mut self.scratch.cands);
+        cands.clear();
+        self.index
+            .candidates_into(&self.tb.senders[node], &mut cands);
+        let mut peer: Option<(usize, f64)> = None;
+        for &c in &cands {
+            let c = c as usize;
+            if c == node
+                || !self.states[c].recovered
+                || !self.states[c].alive
+                || self.squelched(c, node)
+            {
+                continue;
+            }
+            let g = self.gain(c, node);
+            if peer.map(|(_, best)| g > best).unwrap_or(true) {
+                peer = Some((c, g));
+            }
+        }
+        self.scratch.cands = cands;
+        peer.map(|(c, _)| c)
     }
 
     /// Decodes the pending batch and applies outcomes in batch order.
@@ -664,9 +820,10 @@ impl MeshDriver {
     /// decode in the batch reads (see [`MeshDriver::decode`]).
     fn flush(&mut self) {
         if !self.pending.is_empty() {
+            let mut sc = std::mem::take(&mut self.scratch);
             // Work selection is sequential and reads only pre-flush
             // state, so it is batch-order deterministic.
-            let mut work: Vec<(usize, usize)> = Vec::new();
+            sc.work.clear();
             for &(ti, r) in &self.pending {
                 let t = &self.txs[ti];
                 if t.dst != BROADCAST && t.dst != r as u16 {
@@ -692,16 +849,17 @@ impl MeshDriver {
                     self.stats.receptions_skipped += 1;
                     continue;
                 }
-                work.push((ti, r));
+                sc.work.push((ti, r));
             }
-            self.stats.receptions_evaluated += work.len();
+            self.stats.receptions_evaluated += sc.work.len();
             self.stats.flush_batches += 1;
-            self.stats.max_batch = self.stats.max_batch.max(work.len());
+            self.stats.max_batch = self.stats.max_batch.max(sc.work.len());
 
-            for (ti, r) in work {
+            for k in 0..sc.work.len() {
+                let (ti, r) = sc.work[k];
                 let end = self.txs[ti].end();
                 let mut rebroadcast = false;
-                if let Some(rx) = self.decode(ti, r) {
+                if let Some(rx) = self.decode(ti, r, &mut sc) {
                     let row = self.mask_row(r);
                     let mask = &mut self.masks[row];
                     let st = &mut self.states[r];
@@ -741,6 +899,7 @@ impl MeshDriver {
                 }
             }
             self.pending.clear();
+            self.scratch = sc;
         }
         self.pending_deadline = u64::MAX;
     }
@@ -779,16 +938,13 @@ impl MeshDriver {
                 self.stats.transmissions += 1;
                 self.own_tx[sender].push((start, end, tx as u64));
                 self.started.push(tx);
-                self.cand_buf.clear();
-                let mut cand_buf = std::mem::take(&mut self.cand_buf);
+                let mut cands = std::mem::take(&mut self.scratch.cands);
+                cands.clear();
                 self.index
-                    .candidates_into(&self.tb.senders[sender], &mut cand_buf);
-                for &r in &cand_buf {
+                    .candidates_into(&self.tb.senders[sender], &mut cands);
+                for &r in &cands {
                     let r = r as usize;
-                    if r == sender
-                        || !self.states[r].alive
-                        || self.gain(sender, r) / self.noise < SQUELCH_SNR
-                    {
+                    if r == sender || !self.states[r].alive || self.squelched(sender, r) {
                         continue;
                     }
                     self.stats.receptions_scheduled += 1;
@@ -798,7 +954,7 @@ impl MeshDriver {
                         SimEvent::ReceptionComplete { tx, receiver: r },
                     );
                 }
-                self.cand_buf = cand_buf;
+                self.scratch.cands = cands;
                 // Reactive jammer: sense this frame start at the
                 // jammer's position (same squelch rule as a receiver)
                 // and, if it triggers, schedule the burst event.
@@ -827,39 +983,14 @@ impl MeshDriver {
                 }
                 // Plan the repair request with the paper's chunking DP
                 // over the byte-correct mask.
-                let mask = &self.masks[self.mask_row(node)];
-                let labels: Vec<bool> = (0..self.payload_len).map(|i| mask_has(mask, i)).collect();
-                let rl = RunLengths::from_labels(&labels);
-                let plan = plan_chunks(&rl, &CostModel::bytes(self.payload_len));
-                if plan.chunks.is_empty() {
+                let Some(chunks) = self.plan_repair(node) else {
                     return true;
-                }
-                // Best recovered neighbor repairs; ties break to the
-                // lowest id (strict > comparison over exact gains).
-                self.cand_buf.clear();
-                let mut cand_buf = std::mem::take(&mut self.cand_buf);
-                self.index
-                    .candidates_into(&self.tb.senders[node], &mut cand_buf);
-                let mut peer: Option<(usize, f64)> = None;
-                for &c in &cand_buf {
-                    let c = c as usize;
-                    if c == node || !self.states[c].recovered || !self.states[c].alive {
-                        continue;
-                    }
-                    let g = self.gain(c, node);
-                    if g / self.noise < SQUELCH_SNR {
-                        continue;
-                    }
-                    if peer.map(|(_, best)| g > best).unwrap_or(true) {
-                        peer = Some((c, g));
-                    }
-                }
-                self.cand_buf = cand_buf;
-                if let Some((peer, _)) = peer {
+                };
+                if let Some(peer) = self.best_peer(node) {
                     self.stats.repair_tx += 1;
-                    self.stats.repair_bytes_requested += plan.requested_units();
-                    let repair: Vec<u8> = plan
-                        .chunks
+                    self.stats.repair_bytes_requested +=
+                        chunks.iter().map(UnitRange::len).sum::<usize>();
+                    let repair: Vec<u8> = chunks
                         .iter()
                         .flat_map(|s| self.truth[s.start..s.end].iter().copied())
                         .collect();
@@ -867,7 +998,7 @@ impl MeshDriver {
                         self.params.seed ^ ((node as u64) << 20) ^ ((round as u64) << 8) ^ 0xA7,
                     ) % JITTER_SPAN;
                     let start = key.time + SAFE_WINDOW + jitter;
-                    self.schedule_tx(peer, node as u16, start, repair, Some(plan.chunks.clone()));
+                    self.schedule_tx(peer, node as u16, start, repair, Some(chunks));
                     if self.policy.allows(round + 1) {
                         let repair_end = self.txs.last().unwrap().end();
                         self.states[node].timer_armed = true;
@@ -1377,6 +1508,66 @@ mod tests {
         assert_eq!(s.jam_bursts, 0);
         assert_eq!(s.jam_chips, 0);
         assert_eq!(s.crashes + s.restarts, 0);
+    }
+
+    /// The squelch decision by squared distance equals the power test
+    /// `gain / noise < SQUELCH_SNR` around the squelch radius `R`: at
+    /// `R·(1 + k·1e-7)` for `k ∈ -20..=20` (inside the band and past
+    /// both of its edges), at `R` and one ulp either side, and at each
+    /// band edge and one ulp either side of it, for node pairs in three
+    /// directions.
+    #[test]
+    fn geometric_squelch_equals_the_power_test() {
+        let model = mesh_model();
+        let noise = model.noise_mw();
+        let radius = model.range_at_snr_m(SQUELCH_SNR);
+        let band = SquelchBand::around(radius);
+        let exact = |d2: f64| model.rx_power_mw(d2.sqrt(), 0.0) / noise < SQUELCH_SNR;
+        let ulps = |x: f64| [x.next_down(), x, x.next_up()];
+
+        let mut decided = [0usize; 2];
+        let mut check = |d2: f64| {
+            let verdict = band.squelched(d2);
+            if let Some(v) = verdict {
+                decided[usize::from(v)] += 1;
+            }
+            assert_eq!(verdict.unwrap_or(exact(d2)), exact(d2), "d² = {d2:e}");
+        };
+        // Squared distances at and around the band edges.
+        for edge in [band.heard_below, band.squelched_above] {
+            ulps(edge).into_iter().for_each(&mut check);
+        }
+        // Node pairs at distances around the radius.
+        let mut dists: Vec<f64> = (-20..=20)
+            .map(|k| radius * (1.0 + f64::from(k) * 1e-7))
+            .collect();
+        dists.extend(ulps(radius));
+        let origin = Point::new(1234.5, 678.25);
+        for d in dists {
+            for (ux, uy) in [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)] {
+                let p = Point::new(origin.x + d * ux, origin.y + d * uy);
+                check(origin.distance_sq(&p));
+            }
+        }
+        // Both geometric verdicts were exercised, not just the band.
+        assert!(decided[0] > 0 && decided[1] > 0, "{decided:?}");
+    }
+
+    /// Over every spatial candidate pair of a small mesh, the driver's
+    /// squelch equals the power test.
+    #[test]
+    fn driver_squelch_equals_the_power_test_on_a_mesh() {
+        let d = MeshDriver::new(&small(), None);
+        let mut cands = Vec::new();
+        for s in 0..d.tb.senders.len() {
+            cands.clear();
+            d.index.candidates_into(&d.tb.senders[s], &mut cands);
+            for &r in &cands {
+                let r = r as usize;
+                let exact = d.gain(s, r) / d.noise < SQUELCH_SNR;
+                assert_eq!(d.squelched(s, r), exact, "link {s} -> {r}");
+            }
+        }
     }
 
     #[test]

@@ -29,9 +29,15 @@ impl Point {
 
     /// Euclidean distance to another point, meters.
     pub fn distance(&self, other: &Point) -> f64 {
+        self.distance_sq(other).sqrt()
+    }
+
+    /// Squared Euclidean distance to `other`: [`Self::distance`] before
+    /// its square root.
+    pub fn distance_sq(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     }
 }
 

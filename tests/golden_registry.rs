@@ -32,6 +32,21 @@ const MESH_FINGERPRINT: u64 = 0x67bb_fae3_0308_58e4;
 /// scenario below (reactive jammer + churn substituted by default).
 const MESHJAM_FINGERPRINT: u64 = 0x3a73_9c08_08b7_cbed;
 
+/// FNV-1a of the `mesh10k` and `meshjam` JSON documents at the two
+/// ends of the `mesh_density` range, as `(id, density, nodes,
+/// fingerprint)`. The receiver squelch and the candidate lists change
+/// with density, so these pin both regimes next to the density-12
+/// pins above. At density 1 the flood dies out after a few hops at any
+/// node count, so the 10 000-node default layout stays cheap; at 50
+/// every reception has dozens of spatial candidates, and 900 nodes
+/// keep each case near 2 s in a debug build.
+const DENSITY_FINGERPRINTS: [(&str, f64, usize, u64); 4] = [
+    ("mesh10k", 1.0, 10_000, 0x229f_fc9d_141e_3e48),
+    ("mesh10k", 50.0, 900, 0xd42a_86a2_1917_ad26),
+    ("meshjam", 1.0, 10_000, 0x8f9f_a729_c8c4_317b),
+    ("meshjam", 50.0, 900, 0xdaeb_cce6_6523_5856),
+];
+
 #[test]
 fn registry_json_fingerprint_is_pinned() {
     // Every knob pinned: builder overrides beat any PPR_* environment
@@ -111,4 +126,27 @@ fn meshjam_json_fingerprint_is_pinned() {
          {MESHJAM_FINGERPRINT:#018x}. If the change is intentional, update \
          MESHJAM_FINGERPRINT and explain the behavioral delta in the commit."
     );
+}
+
+#[test]
+fn mesh_density_fingerprints_are_pinned() {
+    use ppr::sim::experiments::find;
+
+    for (id, density, nodes, pinned) in DENSITY_FINGERPRINTS {
+        let scenario = ScenarioBuilder::new()
+            .seed(0x0050_5052)
+            .threads(1)
+            .mesh_nodes(nodes)
+            .mesh_density(density)
+            .build();
+        let exp = find(id).expect("mesh experiment registered");
+        let corpus = exp.run(&scenario).to_json().render();
+        let fp = fingerprint(corpus.as_bytes());
+        assert_eq!(
+            fp, pinned,
+            "{id} JSON at density {density}, {nodes} nodes changed: fingerprint \
+             {fp:#018x} != pinned {pinned:#018x}. If the change is intentional, \
+             update DENSITY_FINGERPRINTS and explain the behavioral delta in the commit."
+        );
+    }
 }
