@@ -3,15 +3,18 @@
 //! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
 //! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
 //! kernel ladder (`dsp_{axpy,demod}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v11) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v12) so CI can
 //! archive the perf trajectory.
 //!
 //! The end-to-end rows time the reception driver
-//! (`process_receptions_2s_ppr_ms`) and the 10k-node mesh floods on the
-//! event core, benign (`mesh10k_*`) and jammed with churn (`meshjam_*`):
-//! each flood runs [`MESH_RUNS`] times and reports the run count, the
-//! median wall ms with its quartiles, events/sec at the median, and the
-//! run's deterministic counts. Schema v6 dropped v5's per-worker and
+//! (`process_receptions_2s_ppr_ms`), the PP-ARQ link path (`fig16_300_*`:
+//! `fig16::collect_seeded(300)`; `jam_duty_point_*`: one
+//! `jam::run_duty_point` at duty 0.3 with the default scenario's
+//! sessions and backoff) and the 10k-node mesh floods on the event
+//! core, benign (`mesh10k_*`) and jammed with churn (`meshjam_*`): each
+//! repeated row runs [`RUNS`] times and reports the run count and the
+//! median wall ms with its quartiles; the mesh rows add events/sec at
+//! the median and the run's deterministic counts. Schema v6 dropped v5's per-worker and
 //! batch-size ladders along with the reception worker threads they
 //! measured; v7
 //! dropped the time-stepped driver's row along with that driver; v8
@@ -25,24 +28,33 @@
 //! clone + in place; v10 dropped `dsp_sova_500bits` with the SOVA
 //! decoder, which no experiment reached; v11 turned the one-sample
 //! `mesh10k_ms` into a median over repeated runs (with `_runs`, `_q1_ms`
-//! and `_q3_ms` rows) and added the same rows for `meshjam`.
+//! and `_q3_ms` rows) and added the same rows for `meshjam`; v12 points
+//! the `decode_1500B_*` rows at the in-place receive step (a reused
+//! `RxCapture`; `sync_only` now despreads the whole section, since the
+//! capture does so once the header verifies), adds
+//! `decode_1500B_owned` for the allocating wrapper, and adds the
+//! repeated `fig16_300_*` and `jam_duty_point_*` link-path rows.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
 //! Timings are coarse (tens of milliseconds per entry) on purpose — this
 //! is a smoke-level trend tracker, not a statistics engine; use
 //! `cargo bench -p ppr-bench` for interactive comparisons. Only the
-//! mesh floods, the slowest and noisiest rows, are repeated.
+//! link-path and mesh runs, the slowest and noisiest rows, are
+//! repeated.
 
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
 use ppr_core::dp::{plan_chunks_interval, plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::runs::RunLengths;
 use ppr_mac::schemes::DeliveryScheme;
+use ppr_mac::BackoffPolicy;
 use ppr_phy::chips::ChipWords;
 use ppr_phy::complex::Complex32;
 use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
+use ppr_sim::experiments::fig16;
+use ppr_sim::experiments::jam::{self, JAM_PERIOD};
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::experiments::meshjam::meshjam_params;
 use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
@@ -51,8 +63,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Runs per mesh flood row: enough for a median and quartiles.
-const MESH_RUNS: usize = 7;
+/// Runs per repeated row: enough for a median and quartiles.
+const RUNS: usize = 7;
 
 /// Mean ns/iteration of `f`, measured over ~20 ms after one warm-up.
 fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
@@ -65,6 +77,32 @@ fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
         iters += 1;
     }
     start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Runs `f` [`RUNS`] times and pushes `{name}_runs` and the median wall
+/// ms with its quartiles (`{name}_ms`, `{name}_q1_ms`, `{name}_q3_ms`);
+/// returns the median in seconds and the last run's result.
+fn repeated<R>(entries: &mut Vec<(String, f64)>, name: &str, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut walls = Vec::with_capacity(RUNS);
+    let mut last = None;
+    for _ in 0..RUNS {
+        let t = Instant::now();
+        last = Some(std::hint::black_box(f()));
+        walls.push(t.elapsed().as_secs_f64());
+    }
+    walls.sort_by(f64::total_cmp);
+    // Inclusive quantiles, interpolated between neighboring runs.
+    let quantile = |q: f64| {
+        let pos = q * (RUNS - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        walls[lo] + (walls[hi] - walls[lo]) * (pos - lo as f64)
+    };
+    let median = quantile(0.5);
+    entries.push((format!("{name}_runs"), RUNS as f64));
+    entries.push((format!("{name}_ms"), median * 1e3));
+    entries.push((format!("{name}_q1_ms"), quantile(0.25) * 1e3));
+    entries.push((format!("{name}_q3_ms"), quantile(0.75) * 1e3));
+    (median, last.expect("RUNS > 0"))
 }
 
 fn main() {
@@ -156,37 +194,47 @@ fn main() {
         time_ns(|| frame.chip_words()),
     ));
 
-    // Demand-driven decode: synchronizing a clean 1500 B frame now costs
-    // only the header probe; the body despreads when a consumer reads
-    // it. The three rows are sync-only, sync + packet-CRC check (header
-    // through CRC field; replicated trailer never decoded), and a full
-    // link-section read.
+    // The in-place receive step on a clean 1500 B frame, into one reused
+    // capture: the decode itself (header probe, then the whole link
+    // section once the header verifies), the decode plus the
+    // packet-CRC check, the decode plus a read of the body columns, and
+    // the allocating wrapper (a fresh capture turned into an owned
+    // frame).
     {
         let words = frame.chip_words();
         let receiver = ppr_mac::rx::FrameReceiver::default();
         let data_start = ppr_phy::sync::tx_preamble_chips().len() as i64;
+        let mut capture = ppr_mac::rx::RxCapture::default();
         entries.push((
             "decode_1500B_sync_only".into(),
-            time_ns(|| receiver.decode_from_preamble_words(&words, data_start)),
+            time_ns(|| {
+                receiver
+                    .decode_from_preamble_into(&words, data_start, &mut capture)
+                    .link_len()
+            }),
         ));
         entries.push((
             "decode_1500B_crc_check".into(),
             time_ns(|| {
-                let rx = receiver.decode_from_preamble_words(&words, data_start);
-                rx.pkt_crc_ok()
+                receiver
+                    .decode_from_preamble_into(&words, data_start, &mut capture)
+                    .pkt_crc_ok()
             }),
         ));
         entries.push((
             "decode_1500B_full".into(),
             time_ns(|| {
-                let rx = receiver.decode_from_preamble_words(&words, data_start);
-                rx.link_bytes()
+                let rx = receiver.decode_from_preamble_into(&words, data_start, &mut capture);
+                rx.body_columns().map(|b| b.bytes[b.bytes.len() / 2])
             }),
         ));
-        // The byte reads one delivery makes once the despread cache is
-        // warm: the packet-CRC check, the body and its byte hints.
+        entries.push((
+            "decode_1500B_owned".into(),
+            time_ns(|| receiver.decode_from_preamble_words(&words, data_start)),
+        ));
+        // The owned byte reads one delivery makes of a decoded frame:
+        // the packet-CRC check, the body and its byte hints.
         let rx = receiver.decode_from_preamble_words(&words, data_start);
-        rx.link_bytes();
         entries.push((
             "read_1500B_cached".into(),
             time_ns(|| (rx.pkt_crc_ok(), rx.body_bytes(), rx.body_byte_hints())),
@@ -321,33 +369,30 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
+    // The PP-ARQ link path: every frame of a session rendered, corrupted
+    // and received in place on one link's kept buffers.
+    let scenario = ScenarioBuilder::new().build();
+    repeated(&mut entries, "fig16_300", || {
+        fig16::collect_seeded(300, 0xF16)
+    });
+    let policy = BackoffPolicy {
+        max_retries: scenario.arq_retries,
+        base_delay: 2 * JAM_PERIOD,
+        multiplier_milli: (scenario.arq_backoff * 1000.0).round() as u64,
+        jitter_span: 0,
+    };
+    let sessions = (scenario.arq_packets / 3).max(5);
+    repeated(&mut entries, "jam_duty_point", || {
+        jam::run_duty_point(0.3, sessions, 0x004A_414D, policy)
+    });
+
     // The event core at scale: the 10k-node mesh floods, measured.
     // events/sec here is the wall-clock figure the mesh experiments
     // deliberately do not compute for themselves.
     let benign = MeshParams::benign(10_000, 12.0, 42, 6, MESH_BODY_BYTES);
     let jammed = meshjam_params(&ScenarioBuilder::new().seed(42).build());
     for (name, params) in [("mesh10k", benign), ("meshjam", jammed)] {
-        let mut walls = Vec::with_capacity(MESH_RUNS);
-        let mut stats = None;
-        for _ in 0..MESH_RUNS {
-            let t = Instant::now();
-            let s = run_mesh(&params, None);
-            walls.push(t.elapsed().as_secs_f64());
-            stats = Some(s);
-        }
-        let s = stats.expect("MESH_RUNS > 0");
-        walls.sort_by(f64::total_cmp);
-        // Inclusive quantiles, interpolated between neighboring runs.
-        let quantile = |q: f64| {
-            let pos = q * (MESH_RUNS - 1) as f64;
-            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-            walls[lo] + (walls[hi] - walls[lo]) * (pos - lo as f64)
-        };
-        let median = quantile(0.5);
-        entries.push((format!("{name}_runs"), MESH_RUNS as f64));
-        entries.push((format!("{name}_ms"), median * 1e3));
-        entries.push((format!("{name}_q1_ms"), quantile(0.25) * 1e3));
-        entries.push((format!("{name}_q3_ms"), quantile(0.75) * 1e3));
+        let (median, s) = repeated(&mut entries, name, || run_mesh(&params, None));
         entries.push((
             format!("{name}_events_per_sec"),
             s.events_dispatched as f64 / median,
@@ -363,7 +408,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v11\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v12\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -79,24 +79,31 @@ impl ErrorProfile {
         }
     }
 
-    /// `base` chip error over `[0, len_chips)` except `burst_p` inside
-    /// `bursts` (sorted, disjoint `(start, end)` pairs within the frame):
-    /// a frame hit by collision or jamming bursts. Only non-empty base
-    /// gaps become pieces.
-    pub fn with_bursts(len_chips: u64, base: f64, bursts: &[(u64, u64)], burst_p: f64) -> Self {
-        let mut spans = Vec::with_capacity(2 * bursts.len() + 1);
+    /// Refills the profile (reusing its span allocation) with `base`
+    /// chip error over `[0, len_chips)` except `burst_p` inside `bursts`
+    /// (sorted, disjoint `(start, end)` pairs within the frame): a frame
+    /// hit by collision or jamming bursts. Only non-empty base gaps
+    /// become pieces.
+    pub fn refill_with_bursts(
+        &mut self,
+        len_chips: u64,
+        base: f64,
+        bursts: &[(u64, u64)],
+        burst_p: f64,
+    ) {
+        self.spans.clear();
+        self.len_chips = len_chips;
         let mut cursor = 0;
         for &(s, e) in bursts {
             if s > cursor {
-                spans.push((cursor, s, base));
+                self.spans.push((cursor, s, base));
             }
-            spans.push((s, e, burst_p));
+            self.spans.push((s, e, burst_p));
             cursor = e;
         }
         if cursor < len_chips {
-            spans.push((cursor, len_chips, base));
+            self.spans.push((cursor, len_chips, base));
         }
-        ErrorProfile { spans, len_chips }
     }
 
     /// Frame length covered, in chips.
@@ -242,12 +249,17 @@ impl ChipErrors {
     /// draw contract of [`corrupt_chip_words_in_place`] (same RNG words,
     /// in the same order).
     pub fn draw<R: Rng>(len: usize, profile: &ErrorProfile, rng: &mut R) -> ChipErrors {
-        let mut errors = ChipErrors {
-            len,
-            lanes: Vec::new(),
-        };
-        walk_spans(len, profile, rng, &mut errors);
+        let mut errors = ChipErrors::default();
+        errors.redraw(len, profile, rng);
         errors
+    }
+
+    /// [`Self::draw`] in place: replaces these errors with a fresh draw,
+    /// reusing the lane list's allocation.
+    pub fn redraw<R: Rng>(&mut self, len: usize, profile: &ErrorProfile, rng: &mut R) {
+        self.len = len;
+        self.lanes.clear();
+        walk_spans(len, profile, rng, self);
     }
 
     /// Frame length the errors were drawn for, in chips.
@@ -564,6 +576,43 @@ mod tests {
         }
     }
 
+    /// The in-place redraw, over errors left by a longer and denser
+    /// frame, equals a fresh draw and consumes the same RNG words, in
+    /// every regime of the draw contract.
+    #[test]
+    fn redraw_equals_draw() {
+        let profiles = [
+            (9_000, ErrorProfile::uniform(9_000, 0.6)),
+            (3_000, ErrorProfile::uniform(3_000, 0.01)),
+            (
+                5_000,
+                ErrorProfile::from_pieces(vec![
+                    (0, 100, 0.0),
+                    (100, 163, 0.8),
+                    (163, 2_000, 0.05),
+                    (2_000, 4_000, 1e-3),
+                    (4_000, 6_000, 0.3), // runs past the frame
+                ]),
+            ),
+            (700, ErrorProfile::uniform(700, 0.0)),
+            (0, ErrorProfile::uniform(64, 0.4)),
+        ];
+        let mut errors = ChipErrors::default();
+        for (seed, (len, profile)) in profiles.iter().enumerate() {
+            let (mut a, mut b) = (
+                StdRng::seed_from_u64(seed as u64),
+                StdRng::seed_from_u64(seed as u64),
+            );
+            errors.redraw(*len, profile, &mut a);
+            assert_eq!(errors, ChipErrors::draw(*len, profile, &mut b), "{seed}");
+            assert_eq!(
+                a.gen::<u64>(),
+                b.gen::<u64>(),
+                "RNG position, profile {seed}"
+            );
+        }
+    }
+
     #[test]
     fn zero_error_profile_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -615,7 +664,10 @@ mod tests {
 
     #[test]
     fn burst_profile_tiles_the_frame() {
-        let p = ErrorProfile::with_bursts(100, 0.01, &[(0, 10), (40, 60), (90, 100)], 0.35);
+        // Refilled over a longer profile: nothing of it survives.
+        let mut p = ErrorProfile::uniform(500, 0.2);
+        p.refill_with_bursts(100, 0.01, &[(0, 10), (40, 60), (90, 100)], 0.35);
+        assert_eq!(p.len_chips(), 100);
         assert_eq!(
             p.spans(),
             [
@@ -626,10 +678,8 @@ mod tests {
                 (90, 100, 0.35)
             ]
         );
-        assert_eq!(
-            ErrorProfile::with_bursts(80, 0.01, &[], 0.35).spans(),
-            [(0, 80, 0.01)]
-        );
+        p.refill_with_bursts(80, 0.01, &[], 0.35);
+        assert_eq!(p.spans(), [(0, 80, 0.01)]);
     }
 
     #[test]

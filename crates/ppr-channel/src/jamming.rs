@@ -56,11 +56,12 @@ pub fn pulse_burst(period: u64, duty: f64, period_index: u64) -> Burst {
 }
 
 /// All pulse bursts of a `(period, duty)` train that overlap the chip
-/// window `[from, to)`, clipped to the window. Empty for `duty == 0`.
-pub fn pulse_bursts_in(period: u64, duty: f64, from: u64, to: u64) -> Vec<Burst> {
-    let mut out = Vec::new();
+/// window `[from, to)`, clipped to the window, into `out` (cleared
+/// first, its allocation reused). Empty for `duty == 0`.
+pub fn pulse_bursts_in(period: u64, duty: f64, from: u64, to: u64, out: &mut Vec<Burst>) {
+    out.clear();
     if period == 0 || duty <= 0.0 || to <= from {
-        return out;
+        return;
     }
     let first = from / period;
     let mut idx = first;
@@ -74,44 +75,59 @@ pub fn pulse_bursts_in(period: u64, duty: f64, from: u64, to: u64) -> Vec<Burst>
         }
         idx += 1;
     }
-    out
 }
 
-/// Intersects a burst list with the window `[from, to)` and returns
-/// the covered intervals *relative to `from`* — the shape
-/// [`crate::chip_channel::ErrorProfile::with_bursts`] wants. Input
+/// Intersects a burst list with the window `[from, to)` and writes the
+/// covered intervals *relative to `from`* into `out` (cleared first, its
+/// allocation reused) — the shape
+/// [`crate::chip_channel::ErrorProfile::refill_with_bursts`] wants. Input
 /// bursts need not be sorted; output is sorted and non-overlapping
 /// (overlapping inputs are merged).
-pub fn clip_bursts(bursts: &[Burst], from: u64, to: u64) -> Vec<(u64, u64)> {
-    let mut clipped: Vec<(u64, u64)> = bursts
-        .iter()
-        .filter(|b| b.overlaps(from, to))
-        .map(|b| (b.start.max(from) - from, b.end.min(to) - from))
-        .collect();
-    clipped.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(clipped.len());
-    for (s, e) in clipped {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
+pub fn clip_bursts(bursts: &[Burst], from: u64, to: u64, out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    out.extend(
+        bursts
+            .iter()
+            .filter(|b| b.overlaps(from, to))
+            .map(|b| (b.start.max(from) - from, b.end.min(to) - from)),
+    );
+    out.sort_unstable();
+    // Merge in place: `out[..kept]` is the merged prefix.
+    let mut kept = 0usize;
+    for i in 0..out.len() {
+        let (s, e) = out[i];
+        if kept > 0 && s <= out[kept - 1].1 {
+            out[kept - 1].1 = out[kept - 1].1.max(e);
+        } else {
+            out[kept] = (s, e);
+            kept += 1;
         }
     }
-    merged
+    out.truncate(kept);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bursts_in(period: u64, duty: f64, from: u64, to: u64) -> Vec<Burst> {
+        let mut out = vec![Burst { start: 1, end: 2 }]; // a stale entry
+        pulse_bursts_in(period, duty, from, to, &mut out);
+        out
+    }
+
+    fn clipped(bursts: &[Burst], from: u64, to: u64) -> Vec<(u64, u64)> {
+        let mut out = vec![(7, 9)]; // a stale entry
+        clip_bursts(bursts, from, to, &mut out);
+        out
+    }
+
     /// Fraction of the window `[from, to)` covered by the bursts.
     fn cover_fraction(bursts: &[Burst], from: u64, to: u64) -> f64 {
         if to <= from {
             return 0.0;
         }
-        let covered: u64 = clip_bursts(bursts, from, to)
-            .iter()
-            .map(|&(s, e)| e - s)
-            .sum();
+        let covered: u64 = clipped(bursts, from, to).iter().map(|&(s, e)| e - s).sum();
         covered as f64 / (to - from) as f64
     }
 
@@ -140,7 +156,7 @@ mod tests {
     #[test]
     fn pulse_bursts_in_cover_expected_fraction() {
         // 10 periods of 1000 chips, duty 0.3 → 3000 of 10000 jammed.
-        let bursts = pulse_bursts_in(1000, 0.3, 0, 10_000);
+        let bursts = bursts_in(1000, 0.3, 0, 10_000);
         assert_eq!(bursts.len(), 10);
         let f = cover_fraction(&bursts, 0, 10_000);
         assert!((f - 0.3).abs() < 1e-12, "{f}");
@@ -150,7 +166,7 @@ mod tests {
     fn pulse_bursts_clip_at_window_edges() {
         // Window starts mid-burst: period 100, duty 0.5 jams [0,50),
         // [100,150)... A window [25, 130) sees [25,50) and [100,130).
-        let bursts = pulse_bursts_in(100, 0.5, 25, 130);
+        let bursts = bursts_in(100, 0.5, 25, 130);
         assert_eq!(
             bursts,
             vec![
@@ -165,9 +181,9 @@ mod tests {
 
     #[test]
     fn degenerate_trains_are_empty() {
-        assert!(pulse_bursts_in(0, 0.5, 0, 100).is_empty());
-        assert!(pulse_bursts_in(100, 0.0, 0, 100).is_empty());
-        assert!(pulse_bursts_in(100, 0.5, 50, 50).is_empty());
+        assert!(bursts_in(0, 0.5, 0, 100).is_empty());
+        assert!(bursts_in(100, 0.0, 0, 100).is_empty());
+        assert!(bursts_in(100, 0.5, 50, 50).is_empty());
     }
 
     #[test]
@@ -184,8 +200,7 @@ mod tests {
                 end: 400,
             }, // outside window
         ];
-        let clipped = clip_bursts(&bursts, 0, 200);
-        assert_eq!(clipped, vec![(10, 40), (80, 120)]);
+        assert_eq!(clipped(&bursts, 0, 200), vec![(10, 40), (80, 120)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (one table lookup per byte, but the lookups within a block are
 //! independent — no serial 8-bit shift chain between them), which is
 //! what makes the 1500 B packet-CRC check cheap enough to no longer
-//! dominate a demand-driven frame decode. The table generator is
+//! dominate a frame decode. The table generator is
 //! block-size-generic; the shipped kernel slices 16 bytes (slice-by-8
 //! measured ~3.7× over the byte-at-a-time loop on the CI container —
 //! halving the serial chain again clears 4×). The classic 1-table

@@ -53,7 +53,7 @@ pub const HEADER_BYTES: usize = 10;
 pub const PKT_CRC_BYTES: usize = 4;
 
 /// Frame header: replicated verbatim as the trailer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Header {
     /// Body length in bytes (scheme payload, before the packet CRC).
     pub len: u16,
@@ -100,7 +100,7 @@ impl Header {
 
 /// A fully laid-out frame, pre-PHY: all link-layer bytes in transmit
 /// order, plus the chip-level rendering.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Frame {
     /// The frame header (== trailer).
     pub header: Header,
@@ -124,6 +124,23 @@ impl Frame {
             },
             body,
         }
+    }
+
+    /// [`Self::new`] in place: this frame becomes the frame around a
+    /// copy of `body`, reusing the body's allocation.
+    ///
+    /// # Panics
+    /// Panics if the body exceeds `u16::MAX` bytes.
+    pub fn refill(&mut self, dst: Addr, src: Addr, seq: u16, body: &[u8]) {
+        assert!(body.len() <= u16::MAX as usize, "body too large");
+        self.header = Header {
+            len: body.len() as u16,
+            dst,
+            src,
+            seq,
+        };
+        self.body.clear();
+        self.body.extend_from_slice(body);
     }
 
     /// All link-layer bytes in transmit order:

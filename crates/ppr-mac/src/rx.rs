@@ -6,12 +6,17 @@
 //! *trailer* when only the postamble was — and exposes the link-layer
 //! section as a [`SymbolView`] with per-symbol Hamming hints.
 //!
-//! Despreading is **demand-driven** on the packed (`ChipWords`) path:
-//! synchronizing a frame decodes only the 8-byte header (or trailer)
-//! probe; the body despreads when — and only for the symbol ranges — a
-//! consumer asks ([`RxFrame::body_bytes`], [`RxFrame::body_byte_range`],
-//! hint extraction, the packet-CRC check). The reference `&[bool]` path
-//! stays eager and both produce bit-identical symbols (workspace
+//! The packed (`ChipWords`) path receives **in place**: a caller-owned
+//! [`RxCapture`] holds one frame's columns and working memory, and
+//! [`FrameReceiver::decode_from_preamble_into`] /
+//! [`FrameReceiver::decode_from_postamble_into`] refill it straight from
+//! the capture's chip lanes. The 8-byte header (or trailer) decodes
+//! first; only when it verifies does the link section despread, all of
+//! it, into the capture's columns. A driver that keeps one capture per
+//! receiver allocates nothing per frame once the capture has grown to
+//! its longest frame. The `*_words` constructors wrap that one step and
+//! hand back an owned [`RxFrame`]; the reference `&[bool]` path stays
+//! eager and separate, and both produce bit-identical symbols (workspace
 //! `tests/packed_parity.rs` and `tests/lazy_parity.rs`).
 //!
 //! Missing symbols (reception started after the frame began, or ended
@@ -25,7 +30,7 @@ use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::softphy::{SoftSpan, SoftSymbol};
 use ppr_phy::sync::{SyncKind, POSTAMBLE_ZERO_SYMBOLS};
-use ppr_phy::view::SymbolView;
+use ppr_phy::view::{despread_at, SymbolView};
 
 /// Hint value assigned to symbols that were never received (outside the
 /// captured chip stream). One past the worst real Hamming distance, so
@@ -50,11 +55,25 @@ pub struct RxFrame {
     /// Chip offset (in the receiver's stream) where the link-layer
     /// section starts, when known.
     pub link_start_chip: Option<i64>,
-    /// The full link-layer section, one [`SoftSymbol`] per transmitted
-    /// symbol, padded with [`HINT_NEVER_RECEIVED`] where the reception is
-    /// missing. Empty when `header` is `None`. Lazy on the packed path:
-    /// symbols despread when a consumer reads them.
+    /// The full link-layer section, one symbol per transmitted symbol,
+    /// padded with [`HINT_NEVER_RECEIVED`] where the reception is
+    /// missing. Empty when `header` is `None`.
     link: SymbolView,
+}
+
+/// A received frame's body as borrowed columns
+/// ([`RxFrame::body_columns`]): the bytes with their per-byte hints,
+/// and the symbols (two per byte, low nibble first) with theirs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyColumns<'a> {
+    /// The received body bytes.
+    pub bytes: &'a [u8],
+    /// Per-byte hints (the larger of the two nibble hints).
+    pub byte_hints: &'a [u8],
+    /// The received body symbols.
+    pub symbols: &'a [u8],
+    /// Per-symbol hints.
+    pub symbol_hints: &'a [u8],
 }
 
 impl RxFrame {
@@ -64,81 +83,61 @@ impl RxFrame {
     }
 
     /// Number of symbols in the link-layer section (0 when no header
-    /// verified). Does not despread anything.
+    /// verified).
     pub fn link_len(&self) -> usize {
         self.link.len()
     }
 
-    /// The full link-layer section (forces a complete despread).
+    /// The full link-layer section.
     pub fn link_symbols(&self) -> Vec<SoftSymbol> {
         self.link.all()
     }
 
-    /// Symbols `range` of the link-layer section, despreading only the
-    /// blocks that range touches.
+    /// Symbols `range` of the link-layer section.
     pub fn link_symbol_range(&self, range: std::ops::Range<usize>) -> Vec<SoftSymbol> {
         self.link.range(range)
     }
 
     /// Reassembled link-layer bytes (best effort; bad symbols included).
-    /// Forces a complete despread.
     pub fn link_bytes(&self) -> Vec<u8> {
-        self.link.bytes(0..self.link.len() / 2)
+        self.link.bytes(0..self.link.len() / 2).to_vec()
+    }
+
+    /// The body's columns, borrowed from the frame, when geometry is
+    /// known.
+    pub fn body_columns(&self) -> Option<BodyColumns<'_>> {
+        let g = self.geometry()?;
+        if self.link.len() < 2 * g.total() {
+            return None;
+        }
+        let body = g.body();
+        let symbols = 2 * body.start..2 * body.end;
+        Some(BodyColumns {
+            bytes: self.link.bytes(body.clone()),
+            byte_hints: self.link.byte_hints(body),
+            symbols: self.link.symbols(symbols.clone()),
+            symbol_hints: self.link.hints(symbols),
+        })
     }
 
     /// The body bytes (scheme payload), when geometry is known.
-    /// Despreads the body range only.
     pub fn body_bytes(&self) -> Option<Vec<u8>> {
-        let g = self.geometry()?;
-        self.body_byte_range(0..g.body().len())
-    }
-
-    /// Bytes `range` of the body (offsets in body coordinates), when
-    /// geometry is known and the range is inside the body. Despreads
-    /// only the symbol blocks the range touches — the chunk-request
-    /// primitive for demand-driven consumers.
-    pub fn body_byte_range(&self, range: std::ops::Range<usize>) -> Option<Vec<u8>> {
-        let g = self.geometry()?;
-        if self.link.len() < 2 * g.total() || range.end > g.body().len() {
-            return None;
-        }
-        let start = g.body().start + range.start;
-        Some(self.byte_range_unchecked(start..start + range.len()))
+        Some(self.body_columns()?.bytes.to_vec())
     }
 
     /// Per-byte hints over the body (max of the two nibble hints).
-    /// Despreads the body range only.
     pub fn body_byte_hints(&self) -> Option<Vec<u8>> {
-        let g = self.geometry()?;
-        self.body_hint_range(0..g.body().len())
-    }
-
-    /// Per-byte hints for body bytes `range` (body coordinates) — the
-    /// hint-extraction counterpart of [`Self::body_byte_range`].
-    pub fn body_hint_range(&self, range: std::ops::Range<usize>) -> Option<Vec<u8>> {
-        let g = self.geometry()?;
-        if self.link.len() < 2 * g.total() || range.end > g.body().len() {
-            return None;
-        }
-        let start = g.body().start + range.start;
-        Some(self.link.byte_hints(start..start + range.len()))
+        Some(self.body_columns()?.byte_hints.to_vec())
     }
 
     /// Per-symbol hints over the body region (two per byte).
     pub fn body_symbol_hints(&self) -> Option<Vec<u8>> {
-        let g = self.geometry()?;
-        let body = g.body();
-        let (s, e) = (body.start * 2, body.end * 2);
-        if self.link.len() < e {
-            return None;
-        }
-        Some(self.link.hints(s..e))
+        Some(self.body_columns()?.symbol_hints.to_vec())
     }
 
     /// Whole-packet CRC-32 verification (header + body against the CRC
-    /// field) — the status-quo acceptance test. Despreads header through
-    /// CRC field; the replicated trailer never participates and stays
-    /// undecoded.
+    /// field) — the status-quo acceptance test. The replicated trailer
+    /// never participates.
     pub fn pkt_crc_ok(&self) -> bool {
         let Some(g) = self.geometry() else {
             return false;
@@ -146,15 +145,48 @@ impl RxFrame {
         if self.link.len() < 2 * g.total() {
             return false;
         }
-        let bytes = self.byte_range_unchecked(0..g.pkt_crc().end);
+        let bytes = self.link.bytes(0..g.pkt_crc().end);
         let crc = crate::crc::crc32(&bytes[..g.pkt_crc().start]);
         bytes[g.pkt_crc().start..] == crc.to_le_bytes()
     }
+}
 
-    /// Bytes `range` (link-section byte coordinates); caller guarantees
-    /// the range is within the link section.
-    fn byte_range_unchecked(&self, range: std::ops::Range<usize>) -> Vec<u8> {
-        self.link.bytes(range)
+/// A caller-owned, reusable receive buffer for the packed path: the
+/// frame [`FrameReceiver::decode_from_preamble_into`] and
+/// [`FrameReceiver::decode_from_postamble_into`] refill — acquisition,
+/// verified header and the link section's columns — plus the working
+/// memory of a capture that is not lane-aligned. Every buffer keeps its
+/// capacity, so a driver that receives one frame after another into
+/// one capture allocates nothing once it has seen its longest frame,
+/// and no decode reads what an earlier one left.
+#[derive(Debug, Clone)]
+pub struct RxCapture {
+    frame: RxFrame,
+    /// Gathered lanes of a capture whose symbols do not start on a
+    /// 64-chip lane boundary.
+    lanes: Vec<u64>,
+}
+
+impl Default for RxCapture {
+    fn default() -> Self {
+        RxCapture {
+            frame: RxFrame {
+                sync: SyncKind::Preamble,
+                header: None,
+                link_start_chip: None,
+                link: SymbolView::default(),
+            },
+            lanes: Vec::new(),
+        }
+    }
+}
+
+impl RxCapture {
+    /// The frame the last successful decode left, as an owned
+    /// [`RxFrame`] — how the allocating receive forms wrap the in-place
+    /// step.
+    pub fn into_frame(self) -> RxFrame {
+        self.frame
     }
 }
 
@@ -275,26 +307,25 @@ impl FrameReceiver {
     }
 
     /// Word-wise equivalent of [`Self::decode_from_preamble`] over a
-    /// packed chip stream; bit-identical output, but **demand-driven**:
-    /// only the header probe despreads here. The body waits for a
-    /// consumer to read it through the returned frame's [`SymbolView`]
-    /// accessors.
+    /// packed chip stream, bit-identical output: an owned frame from one
+    /// [`Self::decode_from_preamble_into`] into a fresh capture.
     pub fn decode_from_preamble_words(&self, chips: &ChipWords, data_start: i64) -> RxFrame {
-        let probe = SymbolView::lazy(chips, data_start, 2 * HEADER_BYTES, ABSENT);
-        let header = self.accept_header(&probe.bytes(0..HEADER_BYTES));
-        let link = match header {
-            Some(h) => {
-                let g = FrameGeometry::for_body(h.len as usize);
-                SymbolView::lazy(chips, data_start, 2 * g.total(), ABSENT)
-            }
-            None => SymbolView::eager(Vec::new()),
-        };
-        RxFrame {
-            sync: SyncKind::Preamble,
-            header,
-            link_start_chip: header.map(|_| data_start),
-            link,
-        }
+        let mut capture = RxCapture::default();
+        self.decode_from_preamble_into(chips, data_start, &mut capture);
+        capture.into_frame()
+    }
+
+    /// The packed preamble path in place: decodes the header at
+    /// `data_start` and, when it verifies, the whole link section into
+    /// `capture`, and returns the frame it now holds.
+    pub fn decode_from_preamble_into<'c>(
+        &self,
+        chips: &ChipWords,
+        data_start: i64,
+        capture: &'c mut RxCapture,
+    ) -> &'c RxFrame {
+        let header = self.probe_header(chips, data_start, &mut capture.lanes);
+        self.fill(chips, SyncKind::Preamble, header, data_start, capture)
     }
 
     /// Postamble path (§4): decode the trailer just before the postamble,
@@ -312,41 +343,95 @@ impl FrameReceiver {
     }
 
     /// Word-wise equivalent of [`Self::decode_from_postamble`] over a
-    /// packed chip stream; bit-identical output, but **demand-driven**:
-    /// only the trailer probe despreads here (see
-    /// [`Self::decode_from_preamble_words`]).
+    /// packed chip stream, bit-identical output: an owned frame from one
+    /// [`Self::decode_from_postamble_into`] into a fresh capture.
     pub fn decode_from_postamble_words(
         &self,
         chips: &ChipWords,
         hit_offset: usize,
     ) -> Option<RxFrame> {
-        let (postamble_start, trailer_start) = postamble_rollback_offsets(hit_offset);
-        let probe = SymbolView::lazy(chips, trailer_start, 2 * HEADER_BYTES, ABSENT);
-        let header = self.accept_header(&probe.bytes(0..HEADER_BYTES))?;
+        let mut capture = RxCapture::default();
+        self.decode_from_postamble_into(chips, hit_offset, &mut capture)?;
+        Some(capture.into_frame())
+    }
 
+    /// The packed postamble path in place: decodes the trailer and, when
+    /// it verifies, rolls back and decodes the whole link section into
+    /// `capture`. `None` (and `capture` holding nothing readable) when
+    /// the trailer does not verify.
+    pub fn decode_from_postamble_into<'c>(
+        &self,
+        chips: &ChipWords,
+        hit_offset: usize,
+        capture: &'c mut RxCapture,
+    ) -> Option<&'c RxFrame> {
+        let (postamble_start, trailer_start) = postamble_rollback_offsets(hit_offset);
+        let header = self.probe_header(chips, trailer_start, &mut capture.lanes)?;
         let g = FrameGeometry::for_body(header.len as usize);
         let link_start = postamble_start - (2 * g.total() * CHIPS_PER_SYMBOL) as i64;
-        let link = SymbolView::lazy(chips, link_start, 2 * g.total(), ABSENT);
-        Some(RxFrame {
-            sync: SyncKind::Postamble,
-            header: Some(header),
-            link_start_chip: Some(link_start),
-            link,
-        })
+        Some(self.fill(
+            chips,
+            SyncKind::Postamble,
+            Some(header),
+            link_start,
+            capture,
+        ))
+    }
+
+    /// Despreads the header/trailer record whose first chip is at
+    /// `chip_offset` and accepts it ([`Self::accept_header`]).
+    fn probe_header(
+        &self,
+        chips: &ChipWords,
+        chip_offset: i64,
+        lanes: &mut Vec<u64>,
+    ) -> Option<Header> {
+        let mut symbols = [0u8; 2 * HEADER_BYTES];
+        let mut hints = [0u8; 2 * HEADER_BYTES];
+        despread_at(chips, chip_offset, ABSENT, lanes, &mut symbols, &mut hints);
+        let bytes: [u8; HEADER_BYTES] =
+            std::array::from_fn(|i| (symbols[2 * i] & 0x0f) | (symbols[2 * i + 1] << 4));
+        self.accept_header(&bytes)
+    }
+
+    /// Refills `capture` with a frame acquired by `sync`: the link
+    /// section of `header`'s geometry from `link_start`, or nothing when
+    /// no header verified.
+    fn fill<'c>(
+        &self,
+        chips: &ChipWords,
+        sync: SyncKind,
+        header: Option<Header>,
+        link_start: i64,
+        capture: &'c mut RxCapture,
+    ) -> &'c RxFrame {
+        let frame = &mut capture.frame;
+        frame.sync = sync;
+        frame.header = header;
+        frame.link_start_chip = header.map(|_| link_start);
+        match header {
+            Some(h) => {
+                let g = FrameGeometry::for_body(h.len as usize);
+                frame
+                    .link
+                    .fill(chips, link_start, 2 * g.total(), ABSENT, &mut capture.lanes);
+            }
+            None => frame.link.clear(),
+        }
+        &capture.frame
     }
 
     /// Decodes and accepts a header/trailer record: the CRC-16 must
     /// verify (inside [`Header::decode`]) and the claimed body length
-    /// must be plausible. The single acceptance rule for all four
-    /// decode constructors, eager and lazy alike.
+    /// must be plausible. The single acceptance rule for the eager and
+    /// the packed decode alike.
     fn accept_header(&self, bytes: &[u8]) -> Option<Header> {
         Header::decode(bytes).filter(|h| (h.len as usize) <= self.config.max_body_len)
     }
 
     /// Shared preamble-path logic over any chip-stream representation:
     /// `despread(chip_offset, n_symbols)` supplies the symbols. This is
-    /// the eager reference construction — the packed path overrides it
-    /// with lazy views.
+    /// the eager reference construction.
     fn preamble_frame(
         &self,
         stream_len: usize,
@@ -376,7 +461,7 @@ impl FrameReceiver {
     }
 
     /// Shared postamble-path logic over any chip-stream representation
-    /// (eager reference construction, like [`Self::preamble_frame`]).
+    /// (the eager reference construction, like [`Self::preamble_frame`]).
     fn postamble_frame(
         &self,
         stream_len: usize,

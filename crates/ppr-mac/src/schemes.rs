@@ -14,7 +14,9 @@
 //! to higher layers. The first is its [`BodyLayout`]: Packet CRC and
 //! PPR send the same body, so a receiver that scores several schemes on
 //! one trace decodes their frame once and applies each acceptance rule
-//! to that decode ([`ReceivedBody`], [`DeliveryScheme::for_each_accepted`]).
+//! to that decode ([`ReceivedBody`], [`DeliveryScheme::for_each_accepted`],
+//! or 64 offsets at a time with
+//! [`DeliveryScheme::correct_accepted_bits`]).
 
 use crate::crc::{crc32, verify_crc32_trailer};
 use crate::rx::RxFrame;
@@ -70,17 +72,23 @@ pub enum BodyLayout {
 impl BodyLayout {
     /// Builds the over-the-air body for a payload.
     pub fn build(&self, payload: &[u8]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(self.body_len(payload.len()));
+        self.build_into(payload, &mut body);
+        body
+    }
+
+    /// [`Self::build`] into `body` (cleared first, its allocation
+    /// reused).
+    pub fn build_into(&self, payload: &[u8], body: &mut Vec<u8>) {
+        body.clear();
         match *self {
-            BodyLayout::Payload => payload.to_vec(),
+            BodyLayout::Payload => body.extend_from_slice(payload),
             BodyLayout::Fragmented { frag_payload } => {
                 assert!(frag_payload > 0, "fragment size must be positive");
-                let mut body =
-                    Vec::with_capacity(payload.len() + 4 * payload.len().div_ceil(frag_payload));
                 for frag in payload.chunks(frag_payload) {
                     body.extend_from_slice(frag);
                     body.extend_from_slice(&crc32(frag).to_le_bytes());
                 }
-                body
             }
         }
     }
@@ -257,6 +265,76 @@ impl DeliveryScheme {
         (claimed, correct)
     }
 
+    /// [`Self::for_each_accepted`] for one group of up to 64 payload
+    /// offsets, as bits: bit `i` is set when the walk visits offset
+    /// `range.start + i` with a byte equal to `truth[i]`. Offsets the
+    /// walk never reaches (past the body, or in a fragment that does not
+    /// verify) leave their bits clear. A caller that folds accepted
+    /// bytes into a bit mask takes 64 of them per call instead of one
+    /// closure call each; a property test in this module pins the two
+    /// together.
+    ///
+    /// # Panics
+    /// Panics unless `truth` is as long as `range`, and `range` is at
+    /// most 64 offsets long.
+    pub fn correct_accepted_bits(
+        &self,
+        body: &ReceivedBody<'_>,
+        range: std::ops::Range<usize>,
+        truth: &[u8],
+    ) -> u64 {
+        assert!(range.len() <= 64, "{range:?} spans more than 64 offsets");
+        assert_eq!(truth.len(), range.len(), "truth must cover the range");
+        let bytes = body.bytes();
+        // Bits `t..t + n` for body bytes `at..at + n` equal to
+        // `truth[t..t + n]`.
+        let equal = |at: usize, t: usize, n: usize| {
+            (0..n).fold(0u64, |bits, i| {
+                bits | u64::from(bytes[at + i] == truth[t + i]) << (t + i)
+            })
+        };
+        // Payload and body offsets coincide for the other schemes; the
+        // walk visits only those inside the body.
+        let end = range.end.min(bytes.len());
+        let payload = range.start.min(end)..end;
+        match *self {
+            DeliveryScheme::Ppr { eta } => {
+                let (bytes, hints) = (&bytes[payload.clone()], &body.byte_hints()[payload]);
+                let mut bits = 0u64;
+                for (i, ((&b, &h), &t)) in bytes.iter().zip(hints).zip(truth).enumerate() {
+                    bits |= u64::from((h <= eta) & (b == t)) << i;
+                }
+                bits
+            }
+            DeliveryScheme::PacketCrc if body.crc_ok() => equal(payload.start, 0, payload.len()),
+            DeliveryScheme::PacketCrc => 0,
+            DeliveryScheme::FragmentedCrc { frag_payload } => {
+                // Fragment `k` starts at payload offset `k * frag_payload`
+                // and body offset `k * (frag_payload + 4)`; every
+                // fragment but the walk's last is whole.
+                let mut bits = 0u64;
+                let mut off = range.start;
+                while frag_payload > 0 && off < range.end {
+                    let k = off / frag_payload;
+                    let body_pos = k * (frag_payload + 4);
+                    let frag_len =
+                        frag_payload.min(bytes.len().saturating_sub(body_pos).saturating_sub(4));
+                    if frag_len == 0 {
+                        break;
+                    }
+                    let frag_end = k * frag_payload + frag_len;
+                    let n = frag_end.min(range.end).saturating_sub(off);
+                    if n > 0 && verify_crc32_trailer(&bytes[body_pos..body_pos + frag_len + 4]) {
+                        let at = body_pos + off - k * frag_payload;
+                        bits |= equal(at, off - range.start, n);
+                    }
+                    off = (k + 1) * frag_payload;
+                }
+                bits
+            }
+        }
+    }
+
     /// Short display name used in experiment output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -278,33 +356,37 @@ impl DeliveryScheme {
     }
 }
 
-/// A reception's body as the acceptance rules read it: the body bytes,
-/// read out of the frame once, with the whole-packet CRC verdict and the
-/// per-byte hints read on first use. Every scheme scored on one
-/// reception through [`DeliveryScheme::for_each_accepted`] shares them.
+/// A reception's body as the acceptance rules read it: the body bytes
+/// and their per-byte hints, borrowed from the frame's columns, with the
+/// whole-packet CRC verdict computed on first use. Every scheme scored
+/// on one reception through [`DeliveryScheme::for_each_accepted`] shares
+/// them.
 #[derive(Debug)]
 pub struct ReceivedBody<'a> {
     rx: &'a RxFrame,
-    bytes: Vec<u8>,
+    bytes: &'a [u8],
+    hints: &'a [u8],
     crc_ok: OnceCell<bool>,
-    hints: OnceCell<Vec<u8>>,
 }
 
 impl<'a> ReceivedBody<'a> {
-    /// The body of `rx`, or `None` when `rx` has none (no header
-    /// verified) — a reception every scheme delivers nothing from.
+    /// The body of `rx` — a frame of its own or the one an
+    /// [`RxCapture`](crate::rx::RxCapture) holds — or `None` when `rx`
+    /// has none (no header verified), a reception every scheme delivers
+    /// nothing from.
     pub fn of(rx: &'a RxFrame) -> Option<Self> {
+        let body = rx.body_columns()?;
         Some(ReceivedBody {
-            bytes: rx.body_bytes()?,
             rx,
+            bytes: body.bytes,
+            hints: body.byte_hints,
             crc_ok: OnceCell::new(),
-            hints: OnceCell::new(),
         })
     }
 
     /// The received body bytes ([`RxFrame::body_bytes`]).
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        self.bytes
     }
 
     /// The whole-packet CRC verdict ([`RxFrame::pkt_crc_ok`]).
@@ -315,7 +397,6 @@ impl<'a> ReceivedBody<'a> {
     /// Per-byte hints over the body ([`RxFrame::body_byte_hints`]).
     pub fn byte_hints(&self) -> &[u8] {
         self.hints
-            .get_or_init(|| self.rx.body_byte_hints().unwrap_or_default())
     }
 }
 
@@ -530,7 +611,9 @@ mod tests {
     proptest::proptest! {
         /// The allocation-free fast path walks exactly the positions
         /// `deliver` delivers, and counts what `correct_delivered_bytes`
-        /// counts, for every scheme scored on one reception: frames of
+        /// counts, and its word form sets the bits of exactly the
+        /// delivered correct bytes, for every scheme scored on one
+        /// reception: frames of
         /// any layout, padded past their payload, with codewords
         /// flipped anywhere (header included) so that bytes go wrong
         /// and hints spread, against ground truth that may be shorter
@@ -544,6 +627,7 @@ mod tests {
             frag in 0usize..6,
             eta in 0u8..34,
             truth_len in 0usize..1700,
+            group in 1usize..=64,
         ) {
             let sent = match layout {
                 0 => DeliveryScheme::PacketCrc,
@@ -582,8 +666,27 @@ mod tests {
                     Some(body) => {
                         let mut got = Vec::new();
                         scheme.for_each_accepted(&body, |off, b| got.push((off, b)));
-                        prop_assert_eq!(got, want, "{:?}", scheme);
+                        prop_assert_eq!(&got, &want, "{:?}", scheme);
                         prop_assert_eq!(scheme.count_accepted(&body, &truth), counts);
+                        // The word form, `group` offsets at a time, sets
+                        // exactly the bits of the accepted correct bytes.
+                        let end = body.bytes().len() + 70;
+                        for start in (0..end).step_by(group) {
+                            let range = start..start + group;
+                            let t: Vec<u8> =
+                                range.clone().map(|o| *truth.get(o).unwrap_or(&0x5A)).collect();
+                            let spec = want
+                                .iter()
+                                .filter(|&&(o, b)| range.contains(&o) && t[o - start] == b)
+                                .fold(0u64, |bits, &(o, _)| bits | 1 << (o - start));
+                            prop_assert_eq!(
+                                scheme.correct_accepted_bits(&body, range.clone(), &t),
+                                spec,
+                                "{:?} {:?}",
+                                scheme,
+                                range
+                            );
+                        }
                     }
                 }
             }

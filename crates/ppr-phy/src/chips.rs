@@ -406,25 +406,6 @@ impl ChipWords {
         }
     }
 
-    /// Copies `n_chips` chips starting at `start` into a new stream,
-    /// reading chips past the end of `self` as zero (same zero-padding
-    /// contract as [`Self::extract_u64`]).
-    ///
-    /// This is how a [`SymbolView`](crate::view::SymbolView) re-bases a
-    /// frame's link section to a codeword-aligned origin: the copy is
-    /// one [`Self::gather_lanes_into`] funnel pass, after which every
-    /// 32-chip extraction in the view hits the aligned fast path.
-    pub fn extract_range(&self, start: usize, n_chips: usize) -> ChipWords {
-        let mut words = Vec::new();
-        self.gather_lanes_into(start, n_chips.div_ceil(64), &mut words);
-        let mut out = ChipWords {
-            words,
-            len: n_chips,
-        };
-        out.mask_tail();
-        out
-    }
-
     /// Total number of 1-chips.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

@@ -76,9 +76,9 @@ impl ChipReceiver {
     }
 
     /// Word-wise equivalent of [`Self::despread`] over a packed chip
-    /// stream: the codeword gather is one whole-lane funnel-shift pass
-    /// ([`ChipWords::gather_lanes_into`]) — or a zero-copy borrow of the
-    /// lane storage when the offset is 64-aligned — and the active SIMD
+    /// stream: a zero-copy borrow of the lane storage when the offset is
+    /// 64-aligned, else one whole-lane funnel-shift gather
+    /// ([`ChipWords::gather_lanes_into`]) — and the active SIMD
     /// kernel despreads straight out of the lanes into symbol and hint
     /// columns ([`despread_lanes`](crate::simd::despread_lanes)).
     /// Chips past the end of the stream read as zero and symbols whose
@@ -99,21 +99,14 @@ impl ChipReceiver {
         if n == 0 {
             return SoftSpan::default();
         }
-        let n_lanes = n.div_ceil(2);
         let (mut symbols, mut hints) = (vec![0; n], vec![0; n]);
-        let lane0 = chip_offset / 64;
-        if chip_offset.is_multiple_of(64) && lane0 + n_lanes <= stream.words().len() {
-            // Lane-aligned and fully in range: decode from lane storage.
-            crate::simd::despread_lanes(
-                &stream.words()[lane0..lane0 + n_lanes],
-                &mut symbols,
-                &mut hints,
-            );
-        } else {
-            let mut lanes = Vec::new();
-            stream.gather_lanes_into(chip_offset, n_lanes, &mut lanes);
-            crate::simd::despread_lanes(&lanes, &mut symbols, &mut hints);
-        }
+        crate::view::despread_present(
+            stream,
+            chip_offset,
+            &mut Vec::new(),
+            &mut symbols,
+            &mut hints,
+        );
         SoftSpan {
             symbols: symbols
                 .into_iter()

@@ -20,8 +20,8 @@
 //! popcount per candidate. Each [`DespreadKernel`] tier has exactly one
 //! despread body, [`DespreadKernel::despread_into`], which writes the
 //! decoded symbols and their hints straight into two caller-supplied
-//! byte columns — the layout the lazy
-//! [`SymbolView`](crate::view::SymbolView) caches. The
+//! byte columns — the layout a
+//! [`SymbolView`](crate::view::SymbolView) holds. The
 //! [`Decision`]-returning entries ([`DespreadKernel::decide_into`],
 //! [`decide_batch`]) wrap that same body.
 //!
@@ -193,7 +193,8 @@ pub fn decide_batch(received: &[u32]) -> Vec<Decision> {
 /// [`ChipWords`](crate::chips::ChipWords) stores — into the two columns,
 /// on the active kernel and with no intermediate gather copy on
 /// little-endian x86-64. This is the
-/// [`SymbolView`](crate::view::SymbolView) fill: a re-based view's
+/// [`SymbolView::fill`](crate::view::SymbolView::fill) step: a whole
+/// frame rendered from chip 0 puts every link byte in one lane, so its
 /// symbols are exactly this layout.
 ///
 /// # Panics

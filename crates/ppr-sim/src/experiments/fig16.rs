@@ -17,12 +17,10 @@ use super::Experiment;
 use crate::metrics::Cdf;
 use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::rxpath::{body_or_lost, FastRx};
+use crate::rxpath::{body_or_lost, FastRx, LinkScratch};
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::ErrorProfile;
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig, SessionStats};
 use ppr_core::dp::ChunkScratch;
-use ppr_mac::frame::Frame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,6 +37,10 @@ pub struct RadioLinkChannel {
     /// RNG for channel draws.
     pub rng: StdRng,
     rx: FastRx,
+    /// Every frame's buffers, kept across frames.
+    scratch: LinkScratch,
+    /// The burst a forward frame draws, if any.
+    burst: Vec<(u64, u64)>,
 }
 
 impl RadioLinkChannel {
@@ -51,28 +53,29 @@ impl RadioLinkChannel {
             burst_cover: 0.45,
             rng: StdRng::seed_from_u64(seed),
             rx: FastRx::new(true),
+            scratch: LinkScratch::default(),
+            burst: Vec::new(),
         }
     }
 
     /// Sends `bytes` as one frame over the link; returns the receiver's
     /// view of the body plus per-byte hints.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chip_words();
-        let total = chips.len() as u64;
-
-        let mut burst = Vec::new();
+        let (total, profile) = self.scratch.render(1, 2, 0, bytes);
+        self.burst.clear();
         if self.rng.gen::<f64>() < self.burst_prob {
             let cover = (total as f64 * self.burst_cover * self.rng.gen::<f64>() * 2.0) as u64;
             let cover = cover.min(total.saturating_sub(1)).max(1);
             let start = self.rng.gen_range(0..total - cover);
-            burst.push((start, start + cover));
+            self.burst.push((start, start + cover));
         }
-        let profile =
-            ErrorProfile::with_bursts(total, self.base_chip_error, &burst, self.burst_chip_error);
-        let (_acq, rx) = self
-            .rx
-            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        profile.refill_with_bursts(
+            total,
+            self.base_chip_error,
+            &self.burst,
+            self.burst_chip_error,
+        );
+        let (_acq, rx) = self.scratch.send(&self.rx, &mut self.rng, true);
         body_or_lost(rx, bytes.len())
     }
 }
@@ -84,12 +87,10 @@ impl ArqChannel for RadioLinkChannel {
     fn reverse(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         // Feedback rides the same link quality without bursts (it is
         // short; the paper's reverse link is the same radio pair).
-        let frame = Frame::new(2, 1, 0, bytes.to_vec());
-        let chips = frame.chip_words();
-        let profile = ErrorProfile::uniform(chips.len() as u64, self.base_chip_error);
-        let (_acq, rx) = self
-            .rx
-            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        let (total, profile) = self.scratch.render(2, 1, 0, bytes);
+        let base = self.base_chip_error;
+        profile.refill_with_bursts(total, base, &[], base);
+        let (_acq, rx) = self.scratch.send(&self.rx, &mut self.rng, true);
         body_or_lost(rx, bytes.len())
     }
 }
@@ -228,5 +229,20 @@ mod tests {
             "median retx {} not partial",
             cdf.median()
         );
+    }
+
+    /// A link that keeps its buffers over frames of falling length hears
+    /// what one with fresh buffers for every frame hears.
+    #[test]
+    fn reused_scratch_matches_fresh_buffers() {
+        let mut reused = RadioLinkChannel::marginal(7);
+        let mut fresh = RadioLinkChannel::marginal(7);
+        for len in [600usize, 254, 250, 61, 7, 1, 0] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 5) as u8).collect();
+            fresh.scratch = LinkScratch::default();
+            assert_eq!(reused.forward(&bytes), fresh.forward(&bytes), "{len} B");
+            fresh.scratch = LinkScratch::default();
+            assert_eq!(reused.reverse(&bytes), fresh.reverse(&bytes), "{len} B");
+        }
     }
 }

@@ -26,15 +26,13 @@
 use super::Experiment;
 use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::rxpath::{body_or_lost, FastRx};
+use crate::rxpath::{body_or_lost, FastRx, LinkScratch};
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_channel::ber::chip_error_prob;
-use ppr_channel::chip_channel::ErrorProfile;
-use ppr_channel::jamming::{clip_bursts, pulse_bursts_in};
+use ppr_channel::jamming::{clip_bursts, pulse_bursts_in, Burst};
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig};
 use ppr_core::dp::ChunkScratch;
 use ppr_mac::crc::{append_crc32, verify_crc32_trailer};
-use ppr_mac::frame::Frame;
 use ppr_mac::{BackoffPolicy, DeliveryOutcome};
 use ppr_phy::chips::CHIP_RATE_HZ;
 use rand::rngs::StdRng;
@@ -79,6 +77,11 @@ pub struct JammedLinkChannel {
     forward_count: u8,
     rng: StdRng,
     rx: FastRx,
+    /// Every frame's buffers, kept across frames.
+    scratch: LinkScratch,
+    /// The pulses over a frame, then their spans in frame coordinates.
+    bursts: Vec<Burst>,
+    spans: Vec<(u64, u64)>,
     jammed_chips: u64,
     airtime_chips: u64,
 }
@@ -95,6 +98,9 @@ impl JammedLinkChannel {
             forward_count: 0,
             rng: StdRng::seed_from_u64(seed),
             rx: FastRx::new(true),
+            scratch: LinkScratch::default(),
+            bursts: Vec::new(),
+            spans: Vec::new(),
             jammed_chips: 0,
             airtime_chips: 0,
         }
@@ -121,21 +127,17 @@ impl JammedLinkChannel {
     /// its phase within the period — the same spans for any clock,
     /// including a saturated one.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chip_words();
-        let total = chips.len() as u64;
+        let (total, profile) = self.scratch.render(1, 2, 0, bytes);
         let from = self.now.checked_rem(self.period).unwrap_or(0);
-        let bursts = pulse_bursts_in(self.period, self.duty, from, from + total);
-        let spans = clip_bursts(&bursts, from, from + total);
-        self.jammed_chips += spans.iter().map(|&(s, e)| e - s).sum::<u64>();
-        let profile =
-            ErrorProfile::with_bursts(total, self.base_chip_error, &spans, JAM_CHIP_ERROR);
-        let (_acq, rx) = self
-            .rx
-            .transmit(&frame, chips, &profile, &mut self.rng, true);
+        pulse_bursts_in(self.period, self.duty, from, from + total, &mut self.bursts);
+        clip_bursts(&self.bursts, from, from + total, &mut self.spans);
+        self.jammed_chips += self.spans.iter().map(|&(s, e)| e - s).sum::<u64>();
+        profile.refill_with_bursts(total, self.base_chip_error, &self.spans, JAM_CHIP_ERROR);
+        let (_acq, rx) = self.scratch.send(&self.rx, &mut self.rng, true);
+        let received = body_or_lost(rx, bytes.len());
         self.now = self.now.saturating_add(total + TURNAROUND);
         self.airtime_chips += total;
-        body_or_lost(rx, bytes.len())
+        received
     }
 }
 
@@ -559,7 +561,8 @@ mod tests {
             ..policy()
         };
         let (pp, wf) = run_duty_point(0.5, 4, 7, p);
-        let airtime = Frame::new(1, 2, 0, vec![0; JAM_BODY_BYTES + 4]).chips_len() as u64;
+        let airtime =
+            ppr_mac::frame::Frame::new(1, 2, 0, vec![0; JAM_BODY_BYTES + 4]).chips_len() as u64;
         assert_eq!(wf.elapsed_chips, u64::MAX, "{wf:?}");
         assert!(pp.elapsed_chips >= 4 * airtime, "{pp:?}");
         // The jammer keeps pulsing at the end of time.
@@ -629,5 +632,21 @@ mod tests {
         let a = run_duty_point(0.2, 8, 11, policy());
         let b = run_duty_point(0.2, 8, 11, policy());
         assert_eq!(a, b);
+    }
+
+    /// A channel that keeps its buffers over frames of falling length
+    /// hears what one with fresh buffers for every frame hears.
+    #[test]
+    fn reused_scratch_matches_fresh_buffers() {
+        let mut reused = JammedLinkChannel::new(0.3, policy(), 11);
+        let mut fresh = JammedLinkChannel::new(0.3, policy(), 11);
+        for len in [600usize, 254, 250, 61, 7, 1, 0] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 5) as u8).collect();
+            fresh.scratch = LinkScratch::default();
+            assert_eq!(reused.forward(&bytes), fresh.forward(&bytes), "{len} B");
+            fresh.scratch = LinkScratch::default();
+            assert_eq!(reused.reverse(&bytes), fresh.reverse(&bytes), "{len} B");
+        }
+        assert_eq!(reused.jammed_chips(), fresh.jammed_chips());
     }
 }

@@ -87,7 +87,7 @@ use ppr_channel::pathloss::PathLossModel;
 use ppr_core::dp::{plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::runs::{RunLengths, UnitRange};
 use ppr_mac::frame::Frame;
-use ppr_mac::rx::RxFrame;
+use ppr_mac::rx::{RxCapture, RxFrame};
 use ppr_mac::schemes::{DeliveryScheme, ReceivedBody};
 use ppr_mac::BackoffPolicy;
 use ppr_phy::chips::{ChipWords, CHIP_RATE_HZ};
@@ -375,45 +375,56 @@ fn jitter_hash(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps offsets within a frame's payload back to original payload
-/// coordinates: the identity for an original frame, and through the
-/// spans for a repair frame, whose payload is the concatenation of
-/// `spans`. Offsets must come in increasing order, as a scheme accepts
-/// them ([`DeliveryScheme::for_each_accepted`]), so one cursor walks the
-/// spans once per frame.
-struct RepairCursor<'a> {
-    spans: Option<&'a [UnitRange]>,
-    /// The span the last offset fell in.
-    k: usize,
-    /// Repair-payload offset where span `k` begins.
-    base: usize,
-}
-
-impl<'a> RepairCursor<'a> {
-    fn new(spans: Option<&'a [UnitRange]>) -> Self {
-        RepairCursor {
-            spans,
-            k: 0,
-            base: 0,
+/// Folds the bytes `scheme` accepts from `body`'s reception into a
+/// node's byte-correct `mask`, a word at a time: a byte whose offset
+/// maps to payload offset `p < truth.len()` and equals `truth[p]` sets
+/// bit `p`. Returns how many bits it newly set. `spans` maps a repair
+/// frame's payload back to original payload coordinates (its payload is
+/// the concatenation of the spans); an original frame's payload is the
+/// payload itself. Each segment of contiguous offsets folds in groups
+/// that share one mask word, through
+/// [`DeliveryScheme::correct_accepted_bits`], so the acceptance rule
+/// stays the scheme's.
+fn fold_accepted(
+    scheme: &DeliveryScheme,
+    body: &ReceivedBody<'_>,
+    spans: Option<&[UnitRange]>,
+    truth: &[u8],
+    mask: &mut [u64],
+) -> usize {
+    // Offsets past the decoded body deliver nothing.
+    let decoded = scheme.payload_len(body.bytes().len());
+    let mut newly = 0;
+    // Frame offsets `at..at + n` carry payload offsets `p..p + n`.
+    let mut segment = |at: usize, p: usize, n: usize| {
+        let mut done = 0;
+        while done < n {
+            let off = p + done;
+            let take = (64 - off % 64).min(n - done);
+            let at = at + done;
+            let bits = scheme.correct_accepted_bits(body, at..at + take, &truth[off..off + take]);
+            let word = &mut mask[off / 64];
+            let new = (bits << (off % 64)) & !*word;
+            *word |= new;
+            newly += new.count_ones() as usize;
+            done += take;
         }
-    }
-
-    /// The original payload coordinate of offset `off`, or `None` past
-    /// the end of the spans.
-    fn payload_offset(&mut self, off: usize) -> Option<usize> {
-        let Some(spans) = self.spans else {
-            return Some(off);
-        };
-        debug_assert!(off >= self.base, "offsets must increase");
-        while let Some(s) = spans.get(self.k) {
-            if off < self.base + s.len() {
-                return Some(s.start + (off - self.base));
+    };
+    let clip = |at: usize, p: usize, len: usize| {
+        len.min(decoded.saturating_sub(at))
+            .min(truth.len().saturating_sub(p))
+    };
+    match spans {
+        None => segment(0, 0, clip(0, 0, decoded)),
+        Some(spans) => {
+            let mut at = 0;
+            for s in spans {
+                segment(at, s.start, clip(at, s.start, s.len()));
+                at += s.len();
             }
-            self.base += s.len();
-            self.k += 1;
         }
-        None
     }
+    newly
 }
 
 /// Working memory of [`MeshDriver::decode`], [`MeshDriver::flush`] and
@@ -436,6 +447,8 @@ struct MeshScratch {
     link: Vec<u8>,
     /// The frame's chips, corrupted in place.
     chips: ChipWords,
+    /// The reception, decoded in place.
+    capture: RxCapture,
     /// The receptions a flush decodes, in batch order.
     work: Vec<(usize, usize)>,
     /// A repair request's byte-correct labels.
@@ -704,10 +717,11 @@ impl MeshDriver {
     }
 
     /// Runs reception `(ti, r)` through the chip pipeline and returns
-    /// the received frame (`None` when nothing is acquired). Reads only
-    /// state a flush never changes: the transmissions that were on the
-    /// air, positions and the adversary's recorded bursts.
-    fn decode(&self, ti: usize, r: usize, sc: &mut MeshScratch) -> Option<RxFrame> {
+    /// the received frame, decoded into `sc`'s capture (`None` when
+    /// nothing is acquired). Reads only state a flush never changes: the
+    /// transmissions that were on the air, positions and the
+    /// adversary's recorded bursts.
+    fn decode<'s>(&self, ti: usize, r: usize, sc: &'s mut MeshScratch) -> Option<&'s RxFrame> {
         let t = &self.txs[ti];
         let signal = self.gain(t.sender, r);
         let me = HeardTx {
@@ -766,7 +780,9 @@ impl MeshDriver {
         t.frame.chip_words_into(&mut sc.link, &mut sc.chips);
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
         corrupt_chip_words_in_place(&mut sc.chips, &sc.errors, &mut rng);
-        self.fast.receive_words(&t.frame, &sc.chips, true).1
+        self.fast
+            .receive_into(&t.frame, &sc.chips, true, &mut sc.capture)
+            .1
     }
 
     /// The chunks `node`'s repair request asks for: the chunking DP's
@@ -863,17 +879,14 @@ impl MeshDriver {
                     let row = self.mask_row(r);
                     let mask = &mut self.masks[row];
                     let st = &mut self.states[r];
-                    if let Some(body) = ReceivedBody::of(&rx) {
-                        let mut repair = RepairCursor::new(self.txs[ti].spans.as_deref());
-                        let (truth, payload_len) = (&self.truth, self.payload_len);
-                        self.scheme.for_each_accepted(&body, |off, b| {
-                            if let Some(off) = repair.payload_offset(off) {
-                                if off < payload_len && truth[off] == b && !mask_has(mask, off) {
-                                    mask[off / 64] |= 1 << (off % 64);
-                                    st.correct += 1;
-                                }
-                            }
-                        });
+                    if let Some(body) = ReceivedBody::of(rx) {
+                        st.correct += fold_accepted(
+                            &self.scheme,
+                            &body,
+                            self.txs[ti].spans.as_deref(),
+                            &self.truth[..self.payload_len],
+                            mask,
+                        );
                     }
                     if st.correct == self.payload_len && !st.recovered {
                         st.recovered = true;
@@ -1570,6 +1583,48 @@ mod tests {
         }
     }
 
+    /// The per-byte spec of [`fold_accepted`]'s offset mapping: maps
+    /// offsets within a frame's payload back to original payload
+    /// coordinates — the identity for an original frame, and through
+    /// the spans for a repair frame, whose payload is the concatenation
+    /// of `spans`. Offsets must come in increasing order, as a scheme
+    /// accepts them ([`DeliveryScheme::for_each_accepted`]), so one
+    /// cursor walks the spans once per frame.
+    struct RepairCursor<'a> {
+        spans: Option<&'a [UnitRange]>,
+        /// The span the last offset fell in.
+        k: usize,
+        /// Repair-payload offset where span `k` begins.
+        base: usize,
+    }
+
+    impl<'a> RepairCursor<'a> {
+        fn new(spans: Option<&'a [UnitRange]>) -> Self {
+            RepairCursor {
+                spans,
+                k: 0,
+                base: 0,
+            }
+        }
+
+        /// The original payload coordinate of offset `off`, or `None`
+        /// past the end of the spans.
+        fn payload_offset(&mut self, off: usize) -> Option<usize> {
+            let Some(spans) = self.spans else {
+                return Some(off);
+            };
+            debug_assert!(off >= self.base, "offsets must increase");
+            while let Some(s) = spans.get(self.k) {
+                if off < self.base + s.len() {
+                    return Some(s.start + (off - self.base));
+                }
+                self.base += s.len();
+                self.k += 1;
+            }
+            None
+        }
+    }
+
     #[test]
     fn repair_offsets_map_through_spans() {
         let spans = vec![
@@ -1587,5 +1642,89 @@ mod tests {
         let mut skip = RepairCursor::new(Some(&spans));
         assert_eq!(skip.payload_offset(3), Some(11));
         assert_eq!(RepairCursor::new(None).payload_offset(9), Some(9));
+    }
+
+    /// The word fold against the per-byte rule it replaced
+    /// (`for_each_accepted` through a [`RepairCursor`], one mask bit at a
+    /// time): original and repair frames with several spans (empty ones,
+    /// and spans reaching past the payload), decoded bodies shorter and
+    /// longer than the spans carry, masks with bits already set, and
+    /// every scheme.
+    #[test]
+    fn fold_accepted_equals_the_per_byte_rule() {
+        use ppr_mac::rx::FrameReceiver;
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        let mut checked = 0;
+        for case in 0..400 {
+            let payload_len = rng.gen_range(1..300);
+            let truth: Vec<u8> = (0..payload_len).map(|_| rng.gen()).collect();
+            let spans: Option<Vec<UnitRange>> = (case % 4 != 0).then(|| {
+                let mut at = 0usize;
+                (0..rng.gen_range(1..6))
+                    .map(|_| {
+                        let start = at + rng.gen_range(0..40usize);
+                        let end = start + rng.gen_range(0..90usize);
+                        at = end;
+                        UnitRange::new(start, end)
+                    })
+                    .collect()
+            });
+            let carried: Vec<usize> = match &spans {
+                None => (0..payload_len).collect(),
+                Some(spans) => spans.iter().flat_map(|s| s.start..s.end).collect(),
+            };
+            // The sent body, cut short or padded past what it carries.
+            let body_len =
+                (carried.len() + rng.gen_range(0..20usize)).saturating_sub(rng.gen_range(0..20));
+            let body: Vec<u8> = (0..body_len)
+                .map(|i| match carried.get(i) {
+                    Some(&p) if p < payload_len && rng.gen_bool(0.9) => truth[p],
+                    _ => rng.gen(),
+                })
+                .collect();
+            let mut chips = Frame::new(1, 2, 3, body).chip_words();
+            let symbols = chips.len() / 32;
+            for _ in 0..rng.gen_range(0..30) {
+                let sym = rng.gen_range(0..symbols);
+                for j in 0..rng.gen_range(1..16) {
+                    chips.toggle(sym * 32 + (j * 7 + sym) % 32);
+                }
+            }
+            let data_start = ppr_phy::sync::TX_PREAMBLE_CHIPS as i64;
+            let rx = FrameReceiver::default().decode_from_preamble_words(&chips, data_start);
+            let Some(body) = ReceivedBody::of(&rx) else {
+                continue;
+            };
+            let mut start_mask = vec![0u64; payload_len.div_ceil(64)];
+            for w in &mut start_mask {
+                *w = rng.gen::<u64>() & rng.gen::<u64>();
+            }
+            for scheme in [
+                DeliveryScheme::Ppr { eta: 6 },
+                DeliveryScheme::Ppr {
+                    eta: rng.gen_range(0..34),
+                },
+                DeliveryScheme::PacketCrc,
+                DeliveryScheme::FragmentedCrc { frag_payload: 13 },
+            ] {
+                let (mut spec, mut spec_new) = (start_mask.clone(), 0);
+                let mut cursor = RepairCursor::new(spans.as_deref());
+                scheme.for_each_accepted(&body, |off, b| {
+                    if let Some(off) = cursor.payload_offset(off) {
+                        if off < payload_len && truth[off] == b && !mask_has(&spec, off) {
+                            spec[off / 64] |= 1 << (off % 64);
+                            spec_new += 1;
+                        }
+                    }
+                });
+                let mut mask = start_mask.clone();
+                let got = fold_accepted(&scheme, &body, spans.as_deref(), &truth, &mut mask);
+                assert_eq!((got, &mask), (spec_new, &spec), "case {case}, {scheme:?}");
+                checked += usize::from(spec_new > 0);
+            }
+        }
+        assert!(checked > 200, "only {checked} folds set a bit");
     }
 }

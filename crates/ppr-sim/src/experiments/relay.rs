@@ -20,10 +20,8 @@
 
 use super::Experiment;
 use crate::results::ExperimentResult;
-use crate::rxpath::{Acquisition, FastRx};
+use crate::rxpath::{FastRx, LinkScratch};
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::ErrorProfile;
-use ppr_mac::frame::Frame;
 use ppr_mac::rx::RxFrame;
 use ppr_mac::schemes::DEFAULT_ETA;
 use rand::rngs::StdRng;
@@ -60,23 +58,26 @@ impl HopQuality {
     }
 }
 
-/// Sends `frame` over a hop, returning the receiver's view.
-fn send_over(
-    frame: &Frame,
+/// Sends `src`'s frame `seq` around `payload` to D over a hop, through
+/// `link`'s kept buffers, returning the receiver's view.
+fn send_over<'l>(
+    link: &'l mut LinkScratch,
+    src: u16,
+    seq: u16,
+    payload: &[u8],
     q: HopQuality,
     rx: &FastRx,
     rng: &mut StdRng,
-) -> (Acquisition, Option<RxFrame>) {
-    let chips = frame.chip_words();
-    let total = chips.len() as u64;
-    let mut burst = Vec::new();
+) -> Option<&'l RxFrame> {
+    let (total, profile) = link.render(3, src, seq, payload);
+    let mut burst = None;
     if rng.gen::<f64>() < q.burst_prob {
         let len = rng.gen_range(total / 8..total / 2);
         let start = rng.gen_range(0..total - len);
-        burst.push((start, start + len));
+        burst = Some((start, start + len));
     }
-    let profile = ErrorProfile::with_bursts(total, q.base, &burst, q.burst_p);
-    rx.transmit(frame, chips, &profile, rng, true)
+    profile.refill_with_bursts(total, q.base, burst.as_slice(), q.burst_p);
+    link.send(rx, rng, true).1
 }
 
 /// Per-policy tally of end-to-end correct bytes.
@@ -108,31 +109,31 @@ pub fn collect(n_packets: usize, payload_len: usize, seed: u64) -> RelayResult {
         ..Default::default()
     };
 
+    let mut link = LinkScratch::default();
     for seq in 0..n_packets as u16 {
         let payload: Vec<u8> = (0..payload_len)
             .map(|i| (i as u8).wrapping_mul(29).wrapping_add(seq as u8))
             .collect();
-        let frame = Frame::new(3, 1, seq, payload.clone());
+        let crc_ok = |f: Option<&RxFrame>| f.is_some_and(RxFrame::pkt_crc_ok);
 
         // One broadcast: D and R hear independent corruptions.
-        let (_, d_rx) = send_over(&frame, s_d, &rx, &mut rng);
-        let (_, r_rx) = send_over(&frame, s_r, &rx, &mut rng);
+        let d_rx = send_over(&mut link, 1, seq, &payload, s_d, &rx, &mut rng);
+        let (direct, d_crc_ok) = (delivered_map(d_rx, &payload), crc_ok(d_rx));
+        let r_rx = send_over(&mut link, 1, seq, &payload, s_r, &rx, &mut rng);
+        let (r_map, r_crc_ok) = (delivered_map(r_rx, &payload), crc_ok(r_rx));
 
         // Direct-only tally (PPR delivery at D).
-        let direct = delivered_map(&d_rx, &payload);
         result.direct_only += count_correct(&direct, &payload);
 
         // Packet forwarding: R forwards iff CRC passes; D takes its own
         // CRC-passing copy, else the relayed CRC-passing copy.
-        let d_crc_ok = d_rx.as_ref().map(|f| f.pkt_crc_ok()).unwrap_or(false);
         let mut pkt_bytes = 0;
         if d_crc_ok {
             pkt_bytes = payload.len();
-        } else if r_rx.as_ref().map(|f| f.pkt_crc_ok()).unwrap_or(false) {
+        } else if r_crc_ok {
             // Relay transmits a fresh frame over R→D.
-            let relay_frame = Frame::new(3, 2, seq, payload.clone());
-            let (_, d2) = send_over(&relay_frame, r_d, &rx, &mut rng);
-            if d2.map(|f| f.pkt_crc_ok()).unwrap_or(false) {
+            let d2 = send_over(&mut link, 2, seq, &payload, r_d, &rx, &mut rng);
+            if crc_ok(d2) {
                 pkt_bytes = payload.len();
             }
         }
@@ -141,13 +142,11 @@ pub fn collect(n_packets: usize, payload_len: usize, seed: u64) -> RelayResult {
         // PPR forwarding: R forwards its good-labeled bytes (bad spans
         // zero-filled; the hint mask rides along conceptually — here the
         // relay's hints gate what D may accept from the relayed copy).
-        let r_map = delivered_map(&r_rx, &payload);
         let mut relayed_map = vec![None; payload.len()];
         if r_map.iter().any(Option::is_some) {
             let fwd_payload: Vec<u8> = r_map.iter().map(|b| b.unwrap_or(0)).collect();
-            let relay_frame = Frame::new(3, 2, seq, fwd_payload);
-            let (_, d2) = send_over(&relay_frame, r_d, &rx, &mut rng);
-            let hop2 = delivered_map(&d2, &payload);
+            let d2 = send_over(&mut link, 2, seq, &fwd_payload, r_d, &rx, &mut rng);
+            let hop2 = delivered_map(d2, &payload);
             // A relayed byte is usable only if R labeled it good AND it
             // survived the R→D hop with a good hint.
             for i in 0..payload.len() {
@@ -171,14 +170,12 @@ pub fn collect(n_packets: usize, payload_len: usize, seed: u64) -> RelayResult {
 /// D's view of the payload under PPR delivery: `Some(byte)` where the
 /// hint passed the threshold, `None` elsewhere. Checked against nothing
 /// — correctness is tallied separately.
-fn delivered_map(rx: &Option<RxFrame>, payload: &[u8]) -> Vec<Option<u8>> {
+fn delivered_map(rx: Option<&RxFrame>, payload: &[u8]) -> Vec<Option<u8>> {
     let mut out = vec![None; payload.len()];
-    if let Some(f) = rx {
-        if let (Some(body), Some(hints)) = (f.body_bytes(), f.body_byte_hints()) {
-            for i in 0..payload.len().min(body.len()) {
-                if hints[i] <= DEFAULT_ETA {
-                    out[i] = Some(body[i]);
-                }
+    if let Some(body) = rx.and_then(RxFrame::body_columns) {
+        for ((slot, &b), &h) in out.iter_mut().zip(body.bytes).zip(body.byte_hints) {
+            if h <= DEFAULT_ETA {
+                *slot = Some(b);
             }
         }
     }
@@ -289,14 +286,14 @@ mod tests {
         let rx = FastRx::new(true);
         let mut rng = StdRng::seed_from_u64(1);
         let payload: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        let frame = Frame::new(3, 1, 0, payload.clone());
         let clean = HopQuality {
             base: 0.0,
             burst_prob: 0.0,
             burst_p: 0.0,
         };
-        let (_, d_rx) = send_over(&frame, clean, &rx, &mut rng);
-        let map = delivered_map(&d_rx, &payload);
+        let mut link = LinkScratch::default();
+        let d_rx = send_over(&mut link, 1, 0, &payload, clean, &rx, &mut rng);
+        let map = delivered_map(d_rx, &payload);
         assert_eq!(count_correct(&map, &payload), payload.len());
     }
 }

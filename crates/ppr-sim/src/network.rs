@@ -70,14 +70,20 @@ use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETA
 use crate::rxpath::{Acquisition, FastRx};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
 use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
-use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
+use ppr_channel::overlap::{
+    interference_profile, interference_profile_into, overlap_window, HeardTx, InterferenceSpan,
+    ProfileScratch,
+};
 use ppr_channel::pathloss::PathLossModel;
 use ppr_mac::frame::Frame;
+use ppr_mac::rx::{RxCapture, RxFrame};
 use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme, ReceivedBody};
+use ppr_phy::chips::ChipWords;
 use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Simulation parameters for one run.
@@ -451,10 +457,22 @@ pub fn payload_pattern(sender: usize, seq: u16, len: usize) -> Vec<u8> {
 /// Builds the scheme body for a payload, padded with filler to exactly
 /// `body_bytes` so every scheme occupies identical airtime.
 pub fn build_body_padded(scheme: &DeliveryScheme, payload: &[u8], body_bytes: usize) -> Vec<u8> {
-    let mut body = scheme.build_body(payload);
+    let mut body = Vec::with_capacity(body_bytes);
+    build_body_padded_into(scheme, payload, body_bytes, &mut body);
+    body
+}
+
+/// [`build_body_padded`] into `body` (cleared first, its allocation
+/// reused).
+fn build_body_padded_into(
+    scheme: &DeliveryScheme,
+    payload: &[u8],
+    body_bytes: usize,
+    body: &mut Vec<u8>,
+) {
+    scheme.body_layout().build_into(payload, body);
     assert!(body.len() <= body_bytes, "scheme body overflows frame");
     body.resize(body_bytes, 0xEE);
-    body
 }
 
 /// Per-link counters of one arm over one trace.
@@ -881,11 +899,36 @@ struct CleanOutcome {
     hints: Option<HintFold>,
 }
 
+/// Working memory of [`RxPipeline::draw_errors`]: the interference
+/// profile, the chip error profile and the drawn errors, with the
+/// preamble window they are checked on.
+#[derive(Default)]
+struct DrawScratch {
+    profile: ProfileScratch,
+    spans: Vec<InterferenceSpan>,
+    error_profile: ErrorProfile,
+    errors: ChipErrors,
+    window: ChipWords,
+}
+
+/// Working memory of [`RxPipeline::decode`]: one frame's body, the frame,
+/// its link bytes and chips, and the receiver's capture.
+#[derive(Default)]
+struct DecodeScratch {
+    body: Vec<u8>,
+    frame: Frame,
+    link: Vec<u8>,
+    chips: ChipWords,
+    capture: RxCapture,
+}
+
 /// The reception pass's per-(transmission, receiver) pipeline stages
 /// over packed chip words: draw the chip errors and resolve the preamble
 /// verdict (independent of the arm), then receive every arm's frame —
 /// from the arm's clean outcome when the errors touch no lane, else by
-/// decoding each distinct frame once ([`Self::decode`]).
+/// decoding each distinct frame once ([`Self::decode`]). Every stage
+/// works in kept buffers, so a reception allocates nothing of the
+/// pipeline's own once they have grown.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
@@ -912,6 +955,10 @@ struct RxPipeline<'a> {
     /// indexed by the capture's idle flag (busy, idle); its ids are
     /// placeholders ([`Self::clean_outcomes`]).
     clean: Vec<[CleanOutcome; 2]>,
+    /// The stages' working memory; no call reads what an earlier one
+    /// left.
+    draw: RefCell<DrawScratch>,
+    decode: RefCell<DecodeScratch>,
 }
 
 impl<'a> RxPipeline<'a> {
@@ -946,6 +993,8 @@ impl<'a> RxPipeline<'a> {
             heard: heard_lists(env, timeline),
             max_len_chips: timeline.iter().map(|tx| tx.len_chips).max().unwrap_or(0),
             clean: Vec::new(),
+            draw: RefCell::default(),
+            decode: RefCell::default(),
         };
         pipe.clean = pipe.clean_outcomes();
         pipe
@@ -997,11 +1046,12 @@ impl<'a> RxPipeline<'a> {
     }
 
     /// The channel's chip errors for one (transmission, receiver) pair,
-    /// drawn from the start of the pair's noise stream — everything
-    /// about a reception that does not depend on the arm or on the
-    /// receiver's busy state. Only the transmissions that can overlap
-    /// the frame are scanned for interference.
-    fn draw_errors(&self, idx: usize, r: usize) -> ChipErrors {
+    /// drawn from the start of the pair's noise stream into
+    /// `sc.errors` — everything about a reception that does not depend
+    /// on the arm or on the receiver's busy state. Only the
+    /// transmissions that can overlap the frame are scanned for
+    /// interference.
+    fn draw_errors(&self, idx: usize, r: usize, sc: &mut DrawScratch) {
         let tx = &self.timeline[idx];
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, r));
         let signal = self.env.s2r_mw[tx.sender][r];
@@ -1013,9 +1063,11 @@ impl<'a> RxPipeline<'a> {
             target.end_chip(),
             self.max_len_chips,
         );
-        let profile_spans = interference_profile(target, window);
-        let profile = ErrorProfile::from_interference(signal, self.noise, &profile_spans);
-        ChipErrors::draw(self.frame_chips, &profile, &mut rng)
+        interference_profile_into(target, window, &mut sc.profile, &mut sc.spans);
+        sc.error_profile
+            .refill_from_interference(signal, self.noise, &sc.spans);
+        sc.errors
+            .redraw(self.frame_chips, &sc.error_profile, &mut rng);
     }
 
     /// Receives `timeline[idx]` (its `payload` at the longest arm's
@@ -1034,16 +1086,18 @@ impl<'a> RxPipeline<'a> {
         idle: bool,
         mut each: impl FnMut(usize, Cow<'_, Reception>, Option<&HintFold>),
     ) -> bool {
-        let errors = self.draw_errors(idx, r);
-        let preamble = idle && self.rx.preamble_hit(&errors);
-        if errors.lanes_touched() == 0 {
+        let mut draw = self.draw.borrow_mut();
+        let draw = &mut *draw;
+        self.draw_errors(idx, r, draw);
+        let preamble = idle && self.rx.preamble_hit(&draw.errors, &mut draw.window);
+        if draw.errors.lanes_touched() == 0 {
             for (a, clean) in self.clean.iter().enumerate() {
                 let c = &clean[usize::from(idle)];
                 each(a, Cow::Borrowed(&c.rec), c.hints.as_ref());
             }
         } else {
             let tx = &self.timeline[idx];
-            self.decode(r, tx, &errors, payload, idle, preamble, |a, rec| {
+            self.decode(r, tx, &draw.errors, payload, idle, preamble, |a, rec| {
                 each(a, Cow::Owned(rec), None)
             });
         }
@@ -1073,6 +1127,8 @@ impl<'a> RxPipeline<'a> {
         mut each: impl FnMut(usize, Reception),
     ) {
         let acquires = |a: usize| preamble || self.arms[a].postamble;
+        let mut sc = self.decode.borrow_mut();
+        let sc = &mut *sc;
         for g in &self.groups {
             let payload = &payload[..g.payload_len];
             let lost = || Reception {
@@ -1093,14 +1149,17 @@ impl<'a> RxPipeline<'a> {
                 }
                 continue;
             }
-            let body = build_body_padded(&g.scheme, payload, self.cfg.body_bytes);
-            let frame = Frame::new(r as u16, tx.sender as u16, tx.seq, body);
-            let mut chips = frame.chip_words();
-            debug_assert_eq!(chips.len(), self.frame_chips);
-            errors.apply(&mut chips);
-            let (acquisition, rx) = self.rx.receive_words(&frame, &chips, idle);
+            build_body_padded_into(&g.scheme, payload, self.cfg.body_bytes, &mut sc.body);
+            sc.frame
+                .refill(r as u16, tx.sender as u16, tx.seq, &sc.body);
+            sc.frame.chip_words_into(&mut sc.link, &mut sc.chips);
+            debug_assert_eq!(sc.chips.len(), self.frame_chips);
+            errors.apply(&mut sc.chips);
+            let (acquisition, rx) =
+                self.rx
+                    .receive_into(&sc.frame, &sc.chips, idle, &mut sc.capture);
             debug_assert_eq!(acquisition == Acquisition::Preamble, preamble);
-            let body = rx.as_ref().and_then(ReceivedBody::of);
+            let body = rx.and_then(ReceivedBody::of);
             let crc_ok = body.as_ref().is_some_and(|b| b.crc_ok());
             for &a in &g.arms {
                 if !acquires(a) {
@@ -1117,19 +1176,16 @@ impl<'a> RxPipeline<'a> {
                     (rec.delivered_claimed, rec.delivered_correct) =
                         arm.scheme.count_accepted(body, payload);
                 }
-                if let (true, Some(rx)) = (arm.collect_symbols, &rx) {
-                    if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
-                        let tx_symbols = bytes_to_symbols(&frame.body);
-                        let body_range = g.body();
-                        let rx_syms =
-                            rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
-                        rec.symbol_correct = rx_syms
-                            .iter()
-                            .zip(&tx_symbols)
-                            .map(|(a, b)| a.symbol == *b)
-                            .collect();
-                        rec.symbol_hints = hints;
-                    }
+                if let (true, Some(rx)) = (arm.collect_symbols, rx.and_then(RxFrame::body_columns))
+                {
+                    let tx_symbols = sc.frame.body.iter().flat_map(|&b| [b & 0x0f, b >> 4]);
+                    rec.symbol_correct = rx
+                        .symbols
+                        .iter()
+                        .zip(tx_symbols)
+                        .map(|(&a, b)| a == b)
+                        .collect();
+                    rec.symbol_hints = rx.symbol_hints.to_vec();
                 }
                 each(a, rec);
             }

@@ -10,10 +10,16 @@
 //! the decoded bits, hints, geometry and rollback logic are byte-for-byte
 //! the ones the sliding pipeline produces (pinned by
 //! `tests/fastpath_parity.rs` at the workspace root).
+//!
+//! Every packed driver receives in place: [`FastRx::receive_into`]
+//! refills an [`RxCapture`] the driver keeps (the link experiments keep
+//! theirs in a `LinkScratch` with the rest of a link's buffers), and
+//! the owned-frame forms [`FastRx::receive_words`] and
+//! [`FastRx::transmit`] wrap the same step with a fresh capture.
 
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ChipErrors, ErrorProfile};
 use ppr_mac::frame::Frame;
-use ppr_mac::rx::{FrameReceiver, RxFrame};
+use ppr_mac::rx::{FrameReceiver, RxCapture, RxFrame};
 use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
 use ppr_phy::sync::{
     SyncPattern, DEFAULT_SYNC_THRESHOLD, POSTAMBLE_ZERO_SYMBOLS, PREAMBLE_ZERO_SYMBOLS,
@@ -146,27 +152,49 @@ impl FastRx {
     /// [`Self::preamble_hit_words`] of any frame that takes `errors`,
     /// without rendering the frame: the scan window lies in the leading
     /// lanes, which every frame shares, so only those lanes take their
-    /// errors. Every delivery scheme of a capacity trace therefore has
-    /// the same preamble verdict for a (transmission, receiver) pair.
-    /// Errors that touch no lane leave the window clean, at distance 0.
-    pub fn preamble_hit(&self, errors: &ChipErrors) -> bool {
+    /// errors, in `window` (working memory, its allocation reused).
+    /// Every delivery scheme of a capacity trace therefore has the same
+    /// preamble verdict for a (transmission, receiver) pair. Errors that
+    /// touch no lane leave the window clean, at distance 0.
+    pub fn preamble_hit(&self, errors: &ChipErrors, window: &mut ChipWords) -> bool {
         if errors.lanes_touched() == 0 {
             return true;
         }
-        let mut window = preamble_window().clone();
-        errors.apply(&mut window);
-        self.preamble_hit_words(&window)
+        window.clone_from(preamble_window());
+        errors.apply(window);
+        self.preamble_hit_words(window)
     }
 
     /// Word-wise equivalent of [`Self::receive`] over a packed capture;
     /// bit-identical acquisition and decode output (pinned by
-    /// `tests/packed_parity.rs`).
+    /// `tests/packed_parity.rs`): an owned frame from one
+    /// [`Self::receive_into`] into a fresh capture.
     pub fn receive_words(
         &self,
         frame: &Frame,
         corrupted_chips: &ChipWords,
         receiver_idle: bool,
     ) -> (Acquisition, Option<RxFrame>) {
+        let mut capture = RxCapture::default();
+        let (acquisition, rx) =
+            self.receive_into(frame, corrupted_chips, receiver_idle, &mut capture);
+        let received = rx.is_some();
+        (acquisition, received.then(|| capture.into_frame()))
+    }
+
+    /// The in-place receive step every packed driver runs: checks the
+    /// delimiters of `frame`'s corrupted capture at their known offsets
+    /// and decodes the frame they acquire into `capture`
+    /// ([`FrameReceiver::decode_from_preamble_into`],
+    /// [`FrameReceiver::decode_from_postamble_into`]), returning the
+    /// acquisition and the frame the capture now holds.
+    pub fn receive_into<'c>(
+        &self,
+        frame: &Frame,
+        corrupted_chips: &ChipWords,
+        receiver_idle: bool,
+        capture: &'c mut RxCapture,
+    ) -> (Acquisition, Option<&'c RxFrame>) {
         let pre_off = Self::preamble_pattern_offset();
         let preamble_ok = receiver_idle
             && self.preamble.distance_at_words(corrupted_chips, pre_off) <= self.threshold;
@@ -174,15 +202,15 @@ impl FastRx {
             let data_start = (pre_off + self.preamble.len_chips()) as i64;
             let rx = self
                 .receiver
-                .decode_from_preamble_words(corrupted_chips, data_start);
+                .decode_from_preamble_into(corrupted_chips, data_start, capture);
             return (Acquisition::Preamble, Some(rx));
         }
         if self.postamble_decoding {
             let post_off = Self::postamble_pattern_offset(frame.chips_len());
             if self.postamble.distance_at_words(corrupted_chips, post_off) <= self.threshold {
-                if let Some(rx) = self
-                    .receiver
-                    .decode_from_postamble_words(corrupted_chips, post_off)
+                if let Some(rx) =
+                    self.receiver
+                        .decode_from_postamble_into(corrupted_chips, post_off, capture)
                 {
                     return (Acquisition::Postamble, Some(rx));
                 }
@@ -211,12 +239,72 @@ impl FastRx {
     }
 }
 
+/// One link's transmit buffers, kept across frames: the frame, its link
+/// bytes and chips, the chip error profile it crosses the link under,
+/// and the receiver's capture. A link that sends every frame through one
+/// scratch ([`Self::render`], then [`Self::send`]) allocates nothing per
+/// frame once the buffers have grown to its longest frame. The buffers
+/// are made with the first frame, so creating a scratch stores one null
+/// pointer and a link's constructor stays as cheap as its other fields.
+#[derive(Debug, Default)]
+pub(crate) struct LinkScratch {
+    buffers: Option<Box<LinkBuffers>>,
+}
+
+#[derive(Debug, Default)]
+struct LinkBuffers {
+    frame: Frame,
+    link: Vec<u8>,
+    chips: ChipWords,
+    profile: ErrorProfile,
+    capture: RxCapture,
+}
+
+impl LinkScratch {
+    /// Builds the frame around `body` and renders its chips
+    /// ([`Frame::chip_words_into`]). Returns the frame's length in chips
+    /// and the error profile [`Self::send`] corrupts them under, for the
+    /// link to refill.
+    pub(crate) fn render(
+        &mut self,
+        dst: u16,
+        src: u16,
+        seq: u16,
+        body: &[u8],
+    ) -> (u64, &mut ErrorProfile) {
+        let b = self.buffers.get_or_insert_default();
+        b.frame.refill(dst, src, seq, body);
+        b.frame.chip_words_into(&mut b.link, &mut b.chips);
+        (b.chips.len() as u64, &mut b.profile)
+    }
+
+    /// [`FastRx::transmit`] in place: corrupts the rendered chips under
+    /// the profile, then receives them into the kept capture
+    /// ([`FastRx::receive_into`]).
+    ///
+    /// # Panics
+    /// Panics unless a frame was rendered first.
+    pub(crate) fn send<R: Rng>(
+        &mut self,
+        rx: &FastRx,
+        rng: &mut R,
+        receiver_idle: bool,
+    ) -> (Acquisition, Option<&RxFrame>) {
+        let b = self
+            .buffers
+            .as_mut()
+            .expect("render a frame before sending it");
+        corrupt_chip_words_in_place(&mut b.chips, &b.profile, rng);
+        rx.receive_into(&b.frame, &b.chips, receiver_idle, &mut b.capture)
+    }
+}
+
 /// The receiver's view of a `len`-byte body: the decoded bytes and their
 /// per-byte hints, or zeros with `u8::MAX` hints (nothing trusted) when
 /// the frame was lost or decoded to a different length.
-pub fn body_or_lost(rx: Option<RxFrame>, len: usize) -> (Vec<u8>, Vec<u8>) {
-    match rx.and_then(|rx| Some((rx.body_bytes()?, rx.body_byte_hints()?))) {
-        Some((body, hints)) if body.len() == len => (body, hints),
+pub fn body_or_lost(rx: Option<&RxFrame>, len: usize) -> (Vec<u8>, Vec<u8>) {
+    match rx.and_then(RxFrame::body_columns) {
+        Some(body) if body.bytes.len() == len => (body.bytes.to_vec(), body.byte_hints.to_vec()),
         _ => (vec![0; len], vec![u8::MAX; len]),
     }
 }
