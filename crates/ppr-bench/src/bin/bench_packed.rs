@@ -3,7 +3,7 @@
 //! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
 //! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
 //! kernel ladder (`dsp_{axpy,demod}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v12) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v13) so CI can
 //! archive the perf trajectory.
 //!
 //! The end-to-end rows time the reception driver
@@ -33,7 +33,10 @@
 //! `RxCapture`; `sync_only` now despreads the whole section, since the
 //! capture does so once the header verifies), adds
 //! `decode_1500B_owned` for the allocating wrapper, and adds the
-//! repeated `fig16_300_*` and `jam_duty_point_*` link-path rows.
+//! repeated `fig16_300_*` and `jam_duty_point_*` link-path rows; v13
+//! adds the mesh floods on a decode crew of one helper
+//! (`mesh10k_h1_*`, `meshjam_h1_*`, the same repeated rows) and the
+//! CRC-16 ladder (`crc16_{bytewise,slice8}_250B`).
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -296,6 +299,20 @@ fn main() {
         }
     }
 
+    // CRC-16 over a 250 B packet, PP-ARQ's per-chunk check: the
+    // byte-at-a-time spec and the slice-by-8 kernel.
+    {
+        let buf: Vec<u8> = (0..250).map(|_| rng.gen()).collect();
+        entries.push((
+            "crc16_bytewise_250B".into(),
+            time_ns(|| ppr_mac::crc::crc16_bytewise(&buf)),
+        ));
+        entries.push((
+            "crc16_slice8_250B".into(),
+            time_ns(|| ppr_mac::crc::crc16(&buf)),
+        ));
+    }
+
     // DSP kernel ladder: each vector tier this CPU offers against the
     // scalar reference, on the two kernels the sample-level pipeline
     // dispatches — transmitter superposition (axpy) and the
@@ -391,8 +408,15 @@ fn main() {
     // deliberately do not compute for themselves.
     let benign = MeshParams::benign(10_000, 12.0, 42, 6, MESH_BODY_BYTES);
     let jammed = meshjam_params(&ScenarioBuilder::new().seed(42).build());
-    for (name, params) in [("mesh10k", benign), ("meshjam", jammed)] {
-        let (median, s) = repeated(&mut entries, name, || run_mesh(&params, None));
+    // Each flood runs alone (`mesh10k_*`, the one-thread trajectory)
+    // and with a decode crew of one helper (`mesh10k_h1_*`).
+    for (name, params, threads) in [
+        ("mesh10k", benign, None),
+        ("mesh10k_h1", benign, Some(2)),
+        ("meshjam", jammed, None),
+        ("meshjam_h1", jammed, Some(2)),
+    ] {
+        let (median, s) = repeated(&mut entries, name, || run_mesh(&params, threads));
         entries.push((
             format!("{name}_events_per_sec"),
             s.events_dispatched as f64 / median,
@@ -408,7 +432,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v12\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v13\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

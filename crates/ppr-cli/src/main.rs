@@ -18,15 +18,17 @@
 //! `run` executes the (point × experiment) jobs concurrently on a pool
 //! of `threads` threads (`--set threads=N`, else `PPR_THREADS`, else the
 //! machine's available parallelism) and prints results in sweep and
-//! registry order, so the output does not depend on the pool size.
+//! registry order, so the output does not depend on the pool size. Pool
+//! threads no job will occupy are lent to the jobs (the mesh floods
+//! decode on them), which changes no output either.
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
 //! runs with and without a checkpoint and the rendered reports are
 //! compared byte for byte (only the mesh experiments read `checkpoint`);
 //! the reception driver's stream is then diffed reception by reception
 //! against the bool spec's, both run from scratch (`ppr_sim::diff`); and
-//! one jammed-mesh checkpoint is resumed and compared with the
-//! uninterrupted flood. Any disagreement exits 1 and — with `--json
+//! one jammed-mesh checkpoint is resumed, and the same flood run with a
+//! decode crew, and both are compared with the uninterrupted flood. Any disagreement exits 1 and — with `--json
 //! DIR` — writes a first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
@@ -442,6 +444,17 @@ fn plan_jobs(
     (jobs, deps)
 }
 
+/// How many threads each job of a run may use: its own, plus an equal
+/// share of the pool threads that no job will occupy. The pool starts
+/// at most one thread per job and never more than `workers`, and only
+/// threads the machine can run side by side count, so a run of fewer
+/// jobs than `min(workers, available parallelism)` lends the difference
+/// ([`Experiment::run_with_threads`]); any larger run lends nothing.
+fn threads_per_job(workers: usize, jobs: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    1 + workers.min(cores).saturating_sub(jobs) / jobs.max(1)
+}
+
 /// Runs every (sweep point × experiment) job on the experiment pool
 /// ([`pool::run_ordered`]) and prints and writes the results in sweep
 /// and registry order, so the output is byte-identical to a serial run
@@ -491,6 +504,7 @@ fn run(args: &RunArgs) -> i32 {
         .unwrap_or(1);
 
     let (jobs, deps) = plan_jobs(&selected, &scenarios);
+    let lent = threads_per_job(workers, jobs.len());
     let cost = |k: usize| match &jobs[k] {
         Job::Trace { key, arms } => trace_cost_ms(key, arms.len()),
         Job::Part { i, k, .. } => part_cost_ms(selected[*i].id(), *k),
@@ -507,7 +521,7 @@ fn run(args: &RunArgs) -> i32 {
         }
         Job::Experiment { p, i } => {
             let prior: Vec<ExperimentResult> = prior.iter().filter_map(|r| (**r).clone()).collect();
-            Some(selected[*i].run_with(&scenarios[*p], &prior))
+            Some(selected[*i].run_with_threads(&scenarios[*p], &prior, lent))
         }
     };
     let stdout = std::io::stdout();
@@ -572,6 +586,10 @@ fn run(args: &RunArgs) -> i32 {
 /// mesh still has events left after the restore, late enough that its
 /// queue, masks and jammer already carry state.
 const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
+
+/// Threads of the `diff` fleet's crew run of the jammed mesh: the flood
+/// plus one decode helper.
+const DIFF_CREW_THREADS: usize = 2;
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
 /// reactive jammer with churn and a ×1.5 backoff ladder, seeded from
@@ -721,7 +739,7 @@ fn diff(args: &RunArgs) -> i32 {
         driver.run_events(checkpoint);
         let snap_bytes = driver.save().to_bytes();
         let resumed = match MeshSnapshot::from_bytes(&snap_bytes)
-            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap))
+            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap, None))
         {
             Ok(d) => d.run_to_end(),
             Err(e) => {
@@ -729,8 +747,9 @@ fn diff(args: &RunArgs) -> i32 {
                 return 1;
             }
         };
-        let fp = fingerprint(format!("{resumed:?}").as_bytes());
-        let agree = resumed == reference;
+        // The same flood with a decode crew (capped at the machine's
+        // parallelism): helpers must not change a stat.
+        let crew = run_mesh(&mesh_params, Some(DIFF_CREW_THREADS));
         let mut t =
             ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);
         t.row(&[
@@ -738,16 +757,19 @@ fn diff(args: &RunArgs) -> i32 {
             format!("{reference_fp:016x}"),
             "ok".to_string(),
         ]);
-        t.row(&[
-            "resume".to_string(),
-            format!("{fp:016x}"),
-            if agree { "ok" } else { "DIVERGED" }.to_string(),
-        ]);
-        if !agree {
-            failures.push(Json::Obj(vec![
-                ("jammed_mesh".into(), Json::str("resume")),
-                ("point".into(), Json::str(&label)),
-            ]));
+        for (variant, stats) in [("resume", resumed), ("crew", crew)] {
+            let agree = stats == reference;
+            t.row(&[
+                variant.to_string(),
+                format!("{:016x}", fingerprint(format!("{stats:?}").as_bytes())),
+                if agree { "ok" } else { "DIVERGED" }.to_string(),
+            ]);
+            if !agree {
+                failures.push(Json::Obj(vec![
+                    ("jammed_mesh".into(), Json::str(variant)),
+                    ("point".into(), Json::str(&label)),
+                ]));
+            }
         }
         print!("{}", t.render());
     }

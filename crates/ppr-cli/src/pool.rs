@@ -1,11 +1,22 @@
 //! The experiment pool: independent jobs on a fixed set of scoped
 //! threads, with every result handed back strictly in job order.
 //!
-//! This is the only parallelism in the workspace. Simulation code runs
-//! on whichever thread calls it; the pool runs whole experiments side by
-//! side, which is coarse enough for the threads to pay for themselves.
-//! Long jobs start first, so the threads finish together rather than
-//! one of them running a long job alone at the end.
+//! The pool runs whole experiments side by side, which is coarse enough
+//! for the threads to pay for themselves. Long jobs start first, so the
+//! threads finish together rather than one of them running a long job
+//! alone at the end.
+//!
+//! The pool starts at most one thread per job, so a run of fewer jobs
+//! than pool threads leaves some idle. `run` lends those to the jobs
+//! (`threads_per_job` in `main.rs`): each job may use its own thread
+//! plus an equal share of the idle ones, counted only up to the
+//! machine's available parallelism, and passes that count to
+//! `Experiment::run_with_threads`. The only experiments that use it are
+//! the mesh floods, whose decode crew
+//! (`ppr_sim::experiments::mesh::MeshDriver::run_to_end`) is the one
+//! other place simulation work runs on more than one thread. So a solo
+//! `run mesh10k` decodes on every core, and `run --all`, with far more
+//! jobs than threads, lends nothing.
 //! Because [`run_ordered`] releases results in job order, and every
 //! experiment is a pure function of its scenario, the caller's output is
 //! byte-identical to running the jobs one after another.

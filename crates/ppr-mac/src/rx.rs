@@ -93,6 +93,13 @@ impl RxFrame {
         self.link.all()
     }
 
+    /// The link-layer section as borrowed columns: its symbols and
+    /// their hints.
+    pub fn link_columns(&self) -> (&[u8], &[u8]) {
+        let n = self.link.len();
+        (self.link.symbols(0..n), self.link.hints(0..n))
+    }
+
     /// Symbols `range` of the link-layer section.
     pub fn link_symbol_range(&self, range: std::ops::Range<usize>) -> Vec<SoftSymbol> {
         self.link.range(range)

@@ -6,8 +6,10 @@
 //! * `PPR_DURATION` — simulated seconds per experiment run (default
 //!   [`DEFAULT_DURATION_S`]).
 //! * `PPR_THREADS` — how many experiments `ppr-cli` runs concurrently
-//!   (default: the machine's available parallelism). Simulation code
-//!   itself is single-threaded.
+//!   (default: the machine's available parallelism). Pool threads that
+//!   no experiment occupies are lent to the mesh floods' decode crew
+//!   ([`crate::experiments::mesh::MeshDriver::run_to_end`]); all other
+//!   simulation code is single-threaded.
 //!
 //! Everything else folds these in through [`crate::scenario::Scenario`]
 //! (the builder > env > default precedence), so no other module reads
@@ -100,7 +102,8 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-fn available_parallelism() -> usize {
+/// The machine's available parallelism (1 when it cannot be read).
+pub(crate) fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

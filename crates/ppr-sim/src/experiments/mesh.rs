@@ -44,8 +44,36 @@
 //!   in batch (pop) order.
 //!
 //! What this guarantees today: a run is a pure function of its
-//! [`MeshParams`], independent of batch order, of checkpointing and of
-//! the kernel selection.
+//! [`MeshParams`], independent of batch order, of checkpointing, of the
+//! kernel selection and of the number of threads it decodes on.
+//!
+//! ## The decode crew
+//!
+//! Because a batch decodes to the same outcomes in any order, its
+//! receptions can decode side by side. [`MeshDriver::run_to_end`] on
+//! more than one thread (the `threads` argument of [`run_mesh`] and
+//! [`MeshDriver::new`]) starts a crew of `threads − 1` helper threads
+//! for the run, all joined before it returns. At each flush:
+//!
+//! 1. the driver's thread *gathers* every reception's decode inputs from
+//!    the driver's state, in batch order: the shared frame and repair
+//!    spans, the heard list with powers at the receiver, the noise floor
+//!    and the reception's RNG seed;
+//! 2. the driver's thread and the helpers claim receptions from one
+//!    atomic counter and *decode* each one (interference profile → chip
+//!    error profile → render → corrupt → receive → the payload bits its
+//!    accepted bytes got right), each thread in its own scratch, reading
+//!    only the gathered batch;
+//! 3. once all are in, the driver's thread *applies* the outcomes in
+//!    batch order: OR into the receiver's mask, count the new bits,
+//!    recover, rebroadcast, arm timers.
+//!
+//! Only step 2 runs on several threads, and it reads nothing that steps
+//! 1 and 3 write, so the run is the one-thread run bit for bit. An idle
+//! helper polls for the next batch for about one inter-batch gap, then
+//! parks; a panic in a helper's decode is re-raised on the driver's
+//! thread. [`MeshDriver::run_events`], the checkpoint path, decodes on
+//! the calling thread alone.
 //!
 //! What it does not guarantee is time-ordered dispatch. The flush runs
 //! when the *next* event pops, and that event can lie far past the
@@ -87,12 +115,18 @@ use ppr_channel::pathloss::PathLossModel;
 use ppr_core::dp::{plan_chunks_with, ChunkScratch, CostModel};
 use ppr_core::runs::{RunLengths, UnitRange};
 use ppr_mac::frame::Frame;
-use ppr_mac::rx::{RxCapture, RxFrame};
+use ppr_mac::rx::RxCapture;
 use ppr_mac::schemes::{DeliveryScheme, ReceivedBody};
 use ppr_mac::BackoffPolicy;
 use ppr_phy::chips::{ChipWords, CHIP_RATE_HZ};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::thread::Thread;
 
 /// Flush window, chips: pending receptions are decoded before the clock
 /// passes `earliest completion + SAFE_WINDOW`, and every
@@ -312,12 +346,13 @@ struct MeshTx {
     len: u64,
     /// snapshot: rebuilt — the frame bytes are reconstructed from the
     /// ground-truth payload (flood) or the repair spans; the sequence
-    /// number is the transmission's index in the store.
-    frame: Frame,
+    /// number is the transmission's index in the store. Shared with
+    /// the decode batches that receive it.
+    frame: Arc<Frame>,
     /// snapshot: serialized — for repairs: the payload spans this frame
     /// carries, in original payload coordinates (the receiver maps
     /// delivered bytes back through them).
-    spans: Option<Vec<UnitRange>>,
+    spans: Option<Arc<[UnitRange]>>,
 }
 // ppr-lint: region(snapshot-state) end
 
@@ -427,16 +462,71 @@ fn fold_accepted(
     newly
 }
 
-/// Working memory of [`MeshDriver::decode`], [`MeshDriver::flush`] and
-/// the ARQ timer. Every buffer keeps its capacity across calls, so
-/// steady-state dispatch allocates nothing of its own, and no call reads
-/// what an earlier one left.
+/// How many times an idle crew thread polls before it gives up its CPU:
+/// a helper waiting for the next batch then parks, and the driver's
+/// thread waiting for a helper's last decode yields. At one pause
+/// instruction per poll this is some tens of microseconds, about one
+/// gap between two flushes of `mesh10k`: a helper that parked right
+/// away lost to the sequential driver on a host with CPU steal, while
+/// one that spins indefinitely costs a whole core for the run.
+const CREW_SPIN: u32 = 1 << 12;
+
+/// The constant half of every reception's decode: the receiver, the
+/// delivery scheme and the ground-truth payload. The driver keeps one,
+/// and each decode crew holds a copy for its helpers.
+#[derive(Clone)]
+struct Decoder {
+    /// The stateless per-packet receiver.
+    fast: FastRx,
+    /// The delivery scheme, at the run's η.
+    scheme: DeliveryScheme,
+    /// The flooded payload, `payload_len` bytes.
+    truth: Vec<u8>,
+}
+
+/// What one reception's decode reads of the driver's state, gathered at
+/// its flush ([`MeshDriver::gather`]).
+struct Reception {
+    /// The received frame.
+    frame: Arc<Frame>,
+    /// Its repair spans, for a repair frame.
+    spans: Option<Arc<[UnitRange]>>,
+    /// Its slice of [`Batch::heard`]: the reception's own signal first,
+    /// then every interferer.
+    heard: Range<usize>,
+    /// The receiver's noise floor over the frame, mW.
+    noise: f64,
+    /// The seed of the reception's own RNG stream.
+    seed: u64,
+}
+
+/// One flush's receptions, in batch order, and their decoded outcomes.
+/// Every buffer keeps its capacity from flush to flush.
 #[derive(Default)]
-struct MeshScratch {
-    /// Spatial candidates of one query.
-    cands: Vec<u32>,
-    /// The reception's own signal, then its interferers.
+struct Batch {
+    /// The receptions, in batch order.
+    receptions: Vec<Reception>,
+    /// The heard lists of all receptions, back to back.
     heard: Vec<HeardTx>,
+    /// Words per outcome: `1 + payload_len.div_ceil(64)`.
+    stride: usize,
+    /// Per reception, `stride` words: 1 when a frame was received (0
+    /// when nothing was acquired), then the payload bits its delivered
+    /// bytes got right. Atomic only so that the crew's threads can each
+    /// fill their own receptions' words through a shared batch.
+    outcomes: Vec<AtomicU64>,
+}
+
+impl Batch {
+    /// Reception `k`'s outcome words.
+    fn outcome(&self, k: usize) -> &[AtomicU64] {
+        &self.outcomes[k * self.stride..(k + 1) * self.stride]
+    }
+}
+
+/// Working memory of one reception's decode. Each crew thread owns one.
+#[derive(Default)]
+struct DecodeScratch {
     /// The interference spans over the reception.
     spans: Vec<InterferenceSpan>,
     /// Working buffers of the interference profile.
@@ -449,8 +539,228 @@ struct MeshScratch {
     chips: ChipWords,
     /// The reception, decoded in place.
     capture: RxCapture,
+    /// The payload bits the reception got right.
+    bits: Vec<u64>,
+}
+
+impl Decoder {
+    /// Decodes reception `k` of `batch` and writes its outcome words:
+    /// interference profile → chip error profile → render → corrupt →
+    /// receive → the payload bits its accepted bytes got right. Reads
+    /// nothing but the batch and `self`, so the receptions of a batch
+    /// decode to the same outcomes on any thread and in any order.
+    fn decode(&self, batch: &Batch, k: usize, sc: &mut DecodeScratch) {
+        let rx = &batch.receptions[k];
+        let heard = &batch.heard[rx.heard.clone()];
+        let me = &heard[0];
+        interference_profile_into(me, heard, &mut sc.profile, &mut sc.spans);
+        sc.errors
+            .refill_from_interference(me.power_mw, rx.noise, &sc.spans);
+        rx.frame.chip_words_into(&mut sc.link, &mut sc.chips);
+        let mut rng = StdRng::seed_from_u64(rx.seed);
+        corrupt_chip_words_in_place(&mut sc.chips, &sc.errors, &mut rng);
+        sc.bits.clear();
+        sc.bits.resize(batch.stride - 1, 0);
+        let received = self
+            .fast
+            .receive_into(&rx.frame, &sc.chips, true, &mut sc.capture)
+            .1
+            .map(|frame| {
+                if let Some(body) = ReceivedBody::of(frame) {
+                    fold_accepted(
+                        &self.scheme,
+                        &body,
+                        rx.spans.as_deref(),
+                        &self.truth,
+                        &mut sc.bits,
+                    );
+                }
+            })
+            .is_some();
+        let out = batch.outcome(k);
+        out[0].store(u64::from(received), Ordering::Relaxed);
+        for (o, &b) in out[1..].iter().zip(&sc.bits) {
+            o.store(b, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The mesh flood's decode crew: helper threads that decode a flush
+/// batch's receptions side by side with the driver's thread
+/// ([`MeshDriver::run_to_end`] with more than one thread). The driver
+/// gathers each batch's inputs, every thread claims receptions from one
+/// counter and decodes them into the batch's outcome words, and the
+/// driver applies the outcomes in batch order once all are in.
+struct Crew {
+    /// The helpers' copy of the driver's decoder.
+    decoder: Decoder,
+    /// The published batch. The driver writes it only while no thread
+    /// decodes, and the claim counters below are reset under the same
+    /// write lock, so a thread that holds the read lock always claims
+    /// from a whole, current batch.
+    batch: RwLock<Batch>,
+    /// The next unclaimed reception of the published batch.
+    next: AtomicUsize,
+    /// Receptions of the published batch not decoded yet.
+    left: AtomicUsize,
+    /// Batches published to the helpers so far.
+    published: AtomicU64,
+    /// Set once the run is over: every helper returns.
+    stop: AtomicBool,
+    /// Set when a helper's decode panicked; the payload waits in
+    /// `panic` for the driver's thread to re-raise.
+    failed: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Crew {
+    fn new(decoder: Decoder) -> Self {
+        Crew {
+            decoder,
+            batch: RwLock::new(Batch::default()),
+            next: AtomicUsize::new(0),
+            left: AtomicUsize::new(0),
+            published: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Claims and decodes receptions of `batch` until none is left.
+    fn work_through(&self, batch: &Batch, sc: &mut DecodeScratch) {
+        loop {
+            let k = self.next.fetch_add(1, Ordering::Relaxed);
+            if k >= batch.receptions.len() {
+                return;
+            }
+            self.decoder.decode(batch, k, sc);
+            self.left.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// A helper thread's life: wait for a batch (polling, then parked),
+    /// decode what is left of it, repeat until the run stops. A panic
+    /// in a decode is caught and handed to the driver's thread, which
+    /// would otherwise wait for the reception forever.
+    fn help(&self) {
+        let mut sc = DecodeScratch::default();
+        let mut seen = 0;
+        loop {
+            let mut polls = 0;
+            loop {
+                if self.stop.load(Ordering::Acquire) {
+                    return;
+                }
+                let now = self.published.load(Ordering::Acquire);
+                if now != seen {
+                    seen = now;
+                    break;
+                }
+                if polls < CREW_SPIN {
+                    polls += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::park();
+                }
+            }
+            let batch = self.batch.read().unwrap_or_else(PoisonError::into_inner);
+            if let Err(panic) =
+                catch_unwind(AssertUnwindSafe(|| self.work_through(&batch, &mut sc)))
+            {
+                *self.panic.lock().unwrap_or_else(PoisonError::into_inner) = Some(panic);
+                self.failed.store(true, Ordering::Release);
+                return;
+            }
+        }
+    }
+
+    /// Blocks until every reception of the published batch is decoded,
+    /// re-raising a helper's panic instead.
+    fn wait(&self) {
+        let mut polls = 0;
+        while self.left.load(Ordering::Acquire) != 0 {
+            if self.failed.load(Ordering::Acquire) {
+                let panic = self
+                    .panic
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                resume_unwind(panic.unwrap_or_else(|| Box::new("a mesh decode helper panicked")));
+            }
+            if polls < CREW_SPIN {
+                polls += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// The driver thread's handle on a running crew: the crew and its
+/// helper threads. Dropping it, at the end of the run or while a panic
+/// unwinds, stops every helper.
+struct CrewHandle<'c> {
+    crew: &'c Crew,
+    helpers: Vec<Thread>,
+}
+
+impl CrewHandle<'_> {
+    /// Publishes the batch `fill` writes to the helpers, then decodes
+    /// it: the calling thread claims receptions too and returns once all
+    /// are decoded, with the batch read-locked for applying. (Decoding
+    /// small batches on the calling thread alone measured no faster.)
+    fn decode(
+        &self,
+        sc: &mut DecodeScratch,
+        fill: impl FnOnce(&mut Batch),
+    ) -> RwLockReadGuard<'_, Batch> {
+        let crew = self.crew;
+        {
+            let mut batch = crew.batch.write().unwrap_or_else(PoisonError::into_inner);
+            fill(&mut batch);
+            crew.next.store(0, Ordering::Relaxed);
+            crew.left.store(batch.receptions.len(), Ordering::Relaxed);
+        }
+        self.publish();
+        let batch = crew.batch.read().unwrap_or_else(PoisonError::into_inner);
+        crew.work_through(&batch, sc);
+        crew.wait();
+        batch
+    }
+
+    /// Tells the helpers a new batch is out.
+    fn publish(&self) {
+        self.crew.published.fetch_add(1, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
+        }
+    }
+}
+
+impl Drop for CrewHandle<'_> {
+    fn drop(&mut self) {
+        self.crew.stop.store(true, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
+        }
+    }
+}
+
+/// Working memory of the flush and the ARQ timer. Every buffer keeps
+/// its capacity across calls, so steady-state dispatch allocates nothing
+/// of its own, and no call reads what an earlier one left.
+#[derive(Default)]
+struct MeshScratch {
+    /// Spatial candidates of one query.
+    cands: Vec<u32>,
     /// The receptions a flush decodes, in batch order.
     work: Vec<(usize, usize)>,
+    /// The flush's batch, when the driver decodes alone.
+    batch: Batch,
+    /// The driver thread's decode scratch.
+    decode: DecodeScratch,
     /// A repair request's byte-correct labels.
     labels: Vec<bool>,
     /// The labels' run lengths.
@@ -459,27 +769,47 @@ struct MeshScratch {
     chunks: ChunkScratch,
 }
 
-/// Runs one mesh flood on the calling thread. `threads` is ignored; it
-/// stays only so existing callers keep compiling.
+/// Runs one mesh flood on up to `threads` threads: the calling thread,
+/// plus a decode crew of `threads − 1` helpers (see
+/// [`MeshDriver::run_to_end`]). `None` or `Some(1)` runs on the calling
+/// thread alone. The stats do not depend on `threads`.
 pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
     MeshDriver::new(params, threads).run_to_end()
 }
 
 /// [`run_mesh`] with a checkpoint in the middle: the flood is driven to
-/// the `checkpoint_events` dispatch boundary, serialized, restored from
-/// the bytes, and completed. Stats (including the flush-batch counters
-/// the rendered report prints) are bit-identical to an uninterrupted
-/// run: a checkpoint serializes the pending decode batch *as is* rather
-/// than forcing an early flush, so batch boundaries never move.
-pub fn run_mesh_checkpointed(params: &MeshParams, checkpoint_events: u64) -> MeshStats {
+/// the `checkpoint_events` dispatch boundary on the calling thread,
+/// serialized, restored from the bytes, and completed on up to
+/// `threads` threads. Stats (including the flush-batch counters the
+/// rendered report prints) are bit-identical to an uninterrupted run: a
+/// checkpoint serializes the pending decode batch *as is* rather than
+/// forcing an early flush, so batch boundaries never move.
+pub fn run_mesh_checkpointed(
+    params: &MeshParams,
+    checkpoint_events: u64,
+    threads: Option<usize>,
+) -> MeshStats {
     let mut driver = MeshDriver::new(params, None);
     driver.run_events(checkpoint_events);
     let bytes = driver.save().to_bytes();
     drop(driver);
     let snap = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot bytes round-trip");
-    MeshDriver::restore(params, &snap)
+    MeshDriver::restore(params, &snap, threads)
         .expect("mesh snapshot restores against its own params")
         .run_to_end()
+}
+
+/// The flood a mesh experiment reports: uninterrupted, or checkpointed
+/// at the scenario's `checkpoint` event count.
+pub(crate) fn run_flood(
+    params: &MeshParams,
+    checkpoint: Option<u64>,
+    threads: Option<usize>,
+) -> MeshStats {
+    match checkpoint {
+        None => run_mesh(params, threads),
+        Some(events) => run_mesh_checkpointed(params, events, threads),
+    }
 }
 
 /// The mesh flood as a resumable state machine: the event loop of the
@@ -503,15 +833,12 @@ pub struct MeshDriver {
     tb: Testbed,
     /// snapshot: rebuilt — spatial shards, derived from the placement.
     index: SpatialIndex,
-    /// snapshot: rebuilt — delivery scheme, derived from η.
-    scheme: DeliveryScheme,
     /// snapshot: rebuilt — payload length, derived from the scheme.
     payload_len: usize,
-    /// snapshot: rebuilt — ground-truth payload, derived from the
-    /// seed-determined flood source.
-    truth: Vec<u8>,
-    /// snapshot: rebuilt — stateless per-packet receiver.
-    fast: FastRx,
+    /// snapshot: rebuilt — the stateless per-packet receiver, the
+    /// delivery scheme (derived from η) and the ground-truth payload
+    /// (derived from the seed-determined flood source).
+    decoder: Decoder,
     /// snapshot: serialized — per-node PP-ARQ session state
     /// (`ChunkScratch` contents excluded: the DP reconstructs its
     /// working state from the mask on demand).
@@ -557,15 +884,22 @@ pub struct MeshDriver {
     fault_plan: FaultPlan,
     /// snapshot: rebuilt — retry/backoff schedule, derived from params.
     policy: BackoffPolicy,
+    /// snapshot: rebuilt — how many threads [`MeshDriver::run_to_end`]
+    /// may decode on; given again to [`MeshDriver::restore`], because
+    /// it is the caller's budget, not the run's state (no output
+    /// depends on it).
+    threads: usize,
     // ppr-lint: region(snapshot-state) end
 }
 
 impl MeshDriver {
     /// Builds a driver at event zero: placement, spatial index and
     /// source selection done, the source's flood frame scheduled.
-    /// `_threads` is ignored: the driver runs on the calling thread, and
-    /// the argument stays only so existing callers keep compiling.
-    pub fn new(params: &MeshParams, _threads: Option<usize>) -> Self {
+    /// `threads` is how many threads [`MeshDriver::run_to_end`] may
+    /// decode on (`None` means one); it caps them at the machine's
+    /// available parallelism. Nothing is started or looked up here: the
+    /// crew exists only inside `run_to_end`.
+    pub fn new(params: &MeshParams, threads: Option<usize>) -> Self {
         let model = mesh_model();
         let noise = model.noise_mw();
         let comm_radius = model.range_at_snr_m(SQUELCH_SNR);
@@ -618,10 +952,12 @@ impl MeshDriver {
             squelch: SquelchBand::around(comm_radius),
             tb,
             index,
-            scheme,
             payload_len,
-            truth: truth.clone(),
-            fast: FastRx::new(true),
+            decoder: Decoder {
+                fast: FastRx::new(true),
+                scheme,
+                truth: truth.clone(),
+            },
             states,
             masks,
             txs: Vec::new(),
@@ -638,6 +974,7 @@ impl MeshDriver {
             adversary,
             fault_plan,
             policy,
+            threads: threads.unwrap_or(1),
         };
         driver.schedule_tx(source, BROADCAST, 0, truth, None);
         // Adversarial events ride the same queue. With the jammer off
@@ -695,10 +1032,10 @@ impl MeshDriver {
         dst: u16,
         start: u64,
         body: Vec<u8>,
-        spans: Option<Vec<UnitRange>>,
+        spans: Option<Arc<[UnitRange]>>,
     ) {
         let seq = self.txs.len() as u16;
-        let frame = Frame::new(dst, sender as u16, seq, body);
+        let frame = Arc::new(Frame::new(dst, sender as u16, seq, body));
         let len = frame.chips_len() as u64;
         let idx = self.txs.len();
         self.txs.push(MeshTx {
@@ -716,79 +1053,127 @@ impl MeshDriver {
         );
     }
 
-    /// Runs reception `(ti, r)` through the chip pipeline and returns
-    /// the received frame, decoded into `sc`'s capture (`None` when
-    /// nothing is acquired). Reads only state a flush never changes: the
-    /// transmissions that were on the air, positions and the
-    /// adversary's recorded bursts.
-    fn decode<'s>(&self, ti: usize, r: usize, sc: &'s mut MeshScratch) -> Option<&'s RxFrame> {
-        let t = &self.txs[ti];
-        let signal = self.gain(t.sender, r);
-        let me = HeardTx {
-            id: ti as u64,
-            start_chip: t.start,
-            len_chips: t.len,
-            power_mw: signal,
-        };
-        // Interferers: every overlapping transmission from a sender
-        // inside the receiver's 3×3 cell neighborhood. Beyond that
-        // radius a sender's mean power is below the noise floor.
-        sc.heard.clear();
-        sc.heard.push(me);
-        sc.cands.clear();
-        self.index
-            .candidates_into(&self.tb.senders[r], &mut sc.cands);
-        for &s in &sc.cands {
-            let s = s as usize;
-            if s == r {
-                continue;
-            }
-            for &(os, oe, oid) in &self.own_tx[s] {
-                if oid != ti as u64 && os < t.end() && t.start < oe {
-                    sc.heard.push(HeardTx {
-                        id: oid,
-                        start_chip: os,
-                        len_chips: oe - os,
-                        power_mw: self.gain(s, r),
-                    });
+    /// Gathers the decode inputs of the receptions `work` into `batch`,
+    /// in order: each one's frame, the transmissions and jamming bursts
+    /// it hears with their powers at the receiver, the receiver's noise
+    /// floor and its RNG seed. Reads only state a flush never changes:
+    /// the transmissions that were on the air, positions, the fault
+    /// plan and the adversary's recorded bursts.
+    fn gather(&self, work: &[(usize, usize)], cands: &mut Vec<u32>, batch: &mut Batch) {
+        batch.receptions.clear();
+        batch.heard.clear();
+        for &(ti, r) in work {
+            let t = &self.txs[ti];
+            let from = batch.heard.len();
+            batch.heard.push(HeardTx {
+                id: ti as u64,
+                start_chip: t.start,
+                len_chips: t.len,
+                power_mw: self.gain(t.sender, r),
+            });
+            // Interferers: every overlapping transmission from a sender
+            // inside the receiver's 3×3 cell neighborhood. Beyond that
+            // radius a sender's mean power is below the noise floor.
+            cands.clear();
+            self.index.candidates_into(&self.tb.senders[r], cands);
+            for &s in cands.iter() {
+                let s = s as usize;
+                if s == r {
+                    continue;
+                }
+                for &(os, oe, oid) in &self.own_tx[s] {
+                    if oid != ti as u64 && os < t.end() && t.start < oe {
+                        batch.heard.push(HeardTx {
+                            id: oid,
+                            start_chip: os,
+                            len_chips: oe - os,
+                            power_mw: self.gain(s, r),
+                        });
+                    }
                 }
             }
-        }
-        // Jamming bursts are just more interferers: each overlapping
-        // burst contributes its path-loss power at the receiver through
-        // the same profile math as a colliding frame. Ids count down
-        // from u64::MAX so they can never collide with transmission ids.
-        for (k, b) in self
-            .adversary
-            .bursts_overlapping(t.start, t.end())
-            .enumerate()
-        {
-            sc.heard.push(HeardTx {
-                id: u64::MAX - k as u64,
-                start_chip: b.start,
-                len_chips: b.end - b.start,
-                power_mw: self
-                    .model
-                    .rx_power_mw(b.pos().distance(&self.tb.senders[r]), 0.0),
+            // Jamming bursts are just more interferers: each overlapping
+            // burst contributes its path-loss power at the receiver
+            // through the same profile math as a colliding frame. Ids
+            // count down from u64::MAX so they can never collide with
+            // transmission ids.
+            for (k, b) in self
+                .adversary
+                .bursts_overlapping(t.start, t.end())
+                .enumerate()
+            {
+                batch.heard.push(HeardTx {
+                    id: u64::MAX - k as u64,
+                    start_chip: b.start,
+                    len_chips: b.end - b.start,
+                    power_mw: self
+                        .model
+                        .rx_power_mw(b.pos().distance(&self.tb.senders[r]), 0.0),
+                });
+            }
+            batch.receptions.push(Reception {
+                frame: Arc::clone(&t.frame),
+                spans: t.spans.clone(),
+                heard: from..batch.heard.len(),
+                // Link degradation raises this receiver's noise floor
+                // for the window (×1.0 — bit-exact — outside one).
+                noise: self.noise * self.fault_plan.noise_factor(r, t.start, t.end()),
+                seed: reception_rng_seed(self.params.seed, ti as u64, r),
             });
         }
-        interference_profile_into(&me, &sc.heard, &mut sc.profile, &mut sc.spans);
-        // Link degradation raises this receiver's noise floor for the
-        // window (×1.0 — bit-exact — outside one).
-        let noise = self.noise * self.fault_plan.noise_factor(r, t.start, t.end());
-        sc.errors.refill_from_interference(signal, noise, &sc.spans);
-        t.frame.chip_words_into(&mut sc.link, &mut sc.chips);
-        let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.params.seed, ti as u64, r));
-        corrupt_chip_words_in_place(&mut sc.chips, &sc.errors, &mut rng);
-        self.fast
-            .receive_into(&t.frame, &sc.chips, true, &mut sc.capture)
-            .1
+        batch.stride = 1 + self.payload_len.div_ceil(64);
+        let words = work.len() * batch.stride;
+        batch.outcomes.truncate(words);
+        batch.outcomes.resize_with(words, AtomicU64::default);
+    }
+
+    /// Applies the decoded outcomes of the receptions `work` in batch
+    /// order: each received frame's correct bits are ORed into its
+    /// receiver's mask and counted, a node that now holds the whole
+    /// payload schedules its one rebroadcast, and a node still partial
+    /// arms its PP-ARQ timer.
+    fn apply(&mut self, work: &[(usize, usize)], batch: &Batch) {
+        for (k, &(ti, r)) in work.iter().enumerate() {
+            let out = batch.outcome(k);
+            let end = self.txs[ti].end();
+            let mut rebroadcast = false;
+            if out[0].load(Ordering::Relaxed) != 0 {
+                let row = self.mask_row(r);
+                let st = &mut self.states[r];
+                for (word, bits) in self.masks[row].iter_mut().zip(&out[1..]) {
+                    let new = bits.load(Ordering::Relaxed) & !*word;
+                    *word |= new;
+                    st.correct += new.count_ones() as usize;
+                }
+                if st.correct == self.payload_len && !st.recovered {
+                    st.recovered = true;
+                    rebroadcast = true;
+                }
+            }
+            if rebroadcast {
+                let jitter =
+                    jitter_hash(self.params.seed ^ ((r as u64) << 20) ^ 0xB0) % JITTER_SPAN;
+                let body = self.decoder.truth.clone();
+                self.schedule_tx(r, BROADCAST, end + SAFE_WINDOW + jitter, body, None);
+            }
+            // A partial node arms its PP-ARQ timer off any evaluated
+            // reception (it heard *something*).
+            let st = &mut self.states[r];
+            if !st.recovered && !st.timer_armed {
+                st.timer_armed = true;
+                self.q.schedule(
+                    end + self.policy.delay(0),
+                    priority(prio::ARQ_TIMER, r as u32),
+                    SimEvent::ArqTimer { node: r, round: 0 },
+                );
+            }
+        }
     }
 
     /// The chunks `node`'s repair request asks for: the chunking DP's
     /// plan over its byte-correct mask, or `None` when nothing is
     /// missing.
-    fn plan_repair(&mut self, node: usize) -> Option<Vec<UnitRange>> {
+    fn plan_repair(&mut self, node: usize) -> Option<Arc<[UnitRange]>> {
         let mask = &self.masks[self.mask_row(node)];
         let sc = &mut self.scratch;
         sc.labels.clear();
@@ -800,7 +1185,7 @@ impl MeshDriver {
             &CostModel::bytes(self.payload_len),
             &mut sc.chunks,
         );
-        (!plan.chunks.is_empty()).then(|| plan.chunks.clone())
+        (!plan.chunks.is_empty()).then(|| Arc::from(plan.chunks.as_slice()))
     }
 
     /// The best recovered neighbor to repair `node`: the strongest
@@ -833,8 +1218,12 @@ impl MeshDriver {
     /// Decodes the pending batch and applies outcomes in batch order.
     /// Outcomes: mask updates, first-recovery rebroadcast scheduling,
     /// ARQ timer arming. Applying an outcome never changes what a later
-    /// decode in the batch reads (see [`MeshDriver::decode`]).
-    fn flush(&mut self) {
+    /// decode in the batch reads (see [`MeshDriver::gather`]), so the
+    /// decodes may run on `crew`'s threads in any order. Without a crew
+    /// (or for an empty batch) the calling thread decodes alone, with no
+    /// locks or claims: sharing that path with the crew's made a
+    /// one-thread `mesh10k` about 4 % slower.
+    fn flush(&mut self, crew: Option<&CrewHandle<'_>>) {
         if !self.pending.is_empty() {
             let mut sc = std::mem::take(&mut self.scratch);
             // Work selection is sequential and reads only pre-flush
@@ -871,44 +1260,23 @@ impl MeshDriver {
             self.stats.flush_batches += 1;
             self.stats.max_batch = self.stats.max_batch.max(sc.work.len());
 
-            for k in 0..sc.work.len() {
-                let (ti, r) = sc.work[k];
-                let end = self.txs[ti].end();
-                let mut rebroadcast = false;
-                if let Some(rx) = self.decode(ti, r, &mut sc) {
-                    let row = self.mask_row(r);
-                    let mask = &mut self.masks[row];
-                    let st = &mut self.states[r];
-                    if let Some(body) = ReceivedBody::of(rx) {
-                        st.correct += fold_accepted(
-                            &self.scheme,
-                            &body,
-                            self.txs[ti].spans.as_deref(),
-                            &self.truth[..self.payload_len],
-                            mask,
-                        );
+            match crew.filter(|_| !sc.work.is_empty()) {
+                None => {
+                    self.gather(&sc.work, &mut sc.cands, &mut sc.batch);
+                    for k in 0..sc.work.len() {
+                        self.decoder.decode(&sc.batch, k, &mut sc.decode);
                     }
-                    if st.correct == self.payload_len && !st.recovered {
-                        st.recovered = true;
-                        rebroadcast = true;
-                    }
+                    self.apply(&sc.work, &sc.batch);
                 }
-                if rebroadcast {
-                    let jitter =
-                        jitter_hash(self.params.seed ^ ((r as u64) << 20) ^ 0xB0) % JITTER_SPAN;
-                    let body = self.truth.clone();
-                    self.schedule_tx(r, BROADCAST, end + SAFE_WINDOW + jitter, body, None);
-                }
-                // A partial node arms its PP-ARQ timer off any
-                // evaluated reception (it heard *something*).
-                let st = &mut self.states[r];
-                if !st.recovered && !st.timer_armed {
-                    st.timer_armed = true;
-                    self.q.schedule(
-                        end + self.policy.delay(0),
-                        priority(prio::ARQ_TIMER, r as u32),
-                        SimEvent::ArqTimer { node: r, round: 0 },
-                    );
+                Some(crew) => {
+                    let MeshScratch {
+                        work,
+                        cands,
+                        decode,
+                        ..
+                    } = &mut sc;
+                    let batch = crew.decode(decode, |batch| self.gather(work, cands, batch));
+                    self.apply(work, &batch);
                 }
             }
             self.pending.clear();
@@ -919,12 +1287,12 @@ impl MeshDriver {
 
     /// Dispatches the next event (or, on queue drain, performs the
     /// final flush). Returns `false` when the run is complete.
-    fn step(&mut self) -> bool {
+    fn step(&mut self, crew: Option<&CrewHandle<'_>>) -> bool {
         let Some((key, ev)) = self.q.pop() else {
             // Queue drained — but the flush may recover nodes and
             // schedule their rebroadcasts, so only a flush that adds
             // nothing ends the run.
-            self.flush();
+            self.flush(crew);
             return !self.q.is_empty();
         };
         self.last_time = self.last_time.max(key.time);
@@ -935,7 +1303,7 @@ impl MeshDriver {
         if key.time >= self.pending_deadline
             || matches!(ev, SimEvent::ArqTimer { .. } | SimEvent::NodeFault { .. })
         {
-            self.flush();
+            self.flush(crew);
         }
         match ev {
             SimEvent::TxStart { tx } => {
@@ -1005,7 +1373,7 @@ impl MeshDriver {
                         chunks.iter().map(UnitRange::len).sum::<usize>();
                     let repair: Vec<u8> = chunks
                         .iter()
-                        .flat_map(|s| self.truth[s.start..s.end].iter().copied())
+                        .flat_map(|s| self.decoder.truth[s.start..s.end].iter().copied())
                         .collect();
                     let jitter = jitter_hash(
                         self.params.seed ^ ((node as u64) << 20) ^ ((round as u64) << 8) ^ 0xA7,
@@ -1082,18 +1450,58 @@ impl MeshDriver {
     }
 
     /// Drives the flood until `events` total dispatches or until the run
-    /// completes, whichever is first.
+    /// completes, whichever is first, on the calling thread alone.
     pub fn run_events(&mut self, events: u64) {
         while self.q.dispatched() < events {
-            if !self.step() {
+            if !self.step(None) {
                 break;
             }
         }
     }
 
     /// Runs to completion and returns the final stats.
-    pub fn run_to_end(mut self) -> MeshStats {
-        while self.step() {}
+    ///
+    /// With more than one thread (see [`MeshDriver::new`]), the run
+    /// starts a decode crew of `threads − 1` helper threads, all joined
+    /// before this returns. Each flush batch is gathered on the calling
+    /// thread, decoded by it and the helpers side by side, and applied
+    /// on the calling thread in batch order, so the stats are those of
+    /// a run on one thread. A panic on a helper ends the run and is
+    /// re-raised here.
+    pub fn run_to_end(self) -> MeshStats {
+        let threads = match self.threads {
+            1 => 1,
+            n => n.min(crate::env::available_parallelism()),
+        };
+        self.run_on(threads)
+    }
+
+    /// [`MeshDriver::run_to_end`] on exactly `threads` threads.
+    fn run_on(mut self, threads: usize) -> MeshStats {
+        if threads > 1 {
+            let crew = Crew::new(self.decoder.clone());
+            std::thread::scope(|scope| {
+                let mut handle = CrewHandle {
+                    crew: &crew,
+                    helpers: Vec::new(),
+                };
+                for _ in 1..threads {
+                    // A helper that cannot be started is simply
+                    // missing: the crew decodes the same outcomes with
+                    // fewer threads.
+                    let crew = &crew;
+                    if let Ok(h) = std::thread::Builder::new()
+                        .name("mesh-decode".into())
+                        .spawn_scoped(scope, move || crew.help())
+                    {
+                        handle.helpers.push(h.thread().clone());
+                    }
+                }
+                while self.step(Some(&handle)) {}
+            });
+        } else {
+            while self.step(None) {}
+        }
         self.stats.events_dispatched = self.q.dispatched();
         self.stats.sim_chips = self.last_time;
         self.stats.recovered = self.states.iter().filter(|s| s.recovered).count();
@@ -1168,7 +1576,11 @@ impl MeshDriver {
     /// payload (flood) or their repair spans; each node's correct-byte
     /// count and recovery flag from its mask; and the stats the
     /// snapshot does not carry from the rebuilt run.
-    pub fn restore(params: &MeshParams, snap: &MeshSnapshot) -> Result<Self, SnapError> {
+    pub fn restore(
+        params: &MeshParams,
+        snap: &MeshSnapshot,
+        threads: Option<usize>,
+    ) -> Result<Self, SnapError> {
         if params.nodes != snap.nodes
             || params.density.to_bits() != snap.density.to_bits()
             || params.seed != snap.seed
@@ -1183,7 +1595,7 @@ impl MeshDriver {
                 "MeshParams differ from the snapshot's".into(),
             ));
         }
-        let mut driver = MeshDriver::new(params, None);
+        let mut driver = MeshDriver::new(params, threads);
         let n = driver.states.len();
         let payload_len = driver.payload_len;
         let mask_words = payload_len.div_ceil(64);
@@ -1301,18 +1713,18 @@ impl MeshDriver {
             .enumerate()
             .map(|(idx, t)| {
                 let (body, spans) = match &t.spans {
-                    None => (driver.truth.clone(), None),
+                    None => (driver.decoder.truth.clone(), None),
                     Some(spans) => {
-                        let spans: Vec<UnitRange> =
+                        let spans: Arc<[UnitRange]> =
                             spans.iter().map(|&(s, e)| UnitRange::new(s, e)).collect();
                         let body: Vec<u8> = spans
                             .iter()
-                            .flat_map(|s| driver.truth[s.start..s.end].iter().copied())
+                            .flat_map(|s| driver.decoder.truth[s.start..s.end].iter().copied())
                             .collect();
                         (body, Some(spans))
                     }
                 };
-                let frame = Frame::new(t.dst, t.sender as u16, idx as u16, body);
+                let frame = Arc::new(Frame::new(t.dst, t.sender as u16, idx as u16, body));
                 let len = frame.chips_len() as u64;
                 MeshTx {
                     sender: t.sender,
@@ -1385,11 +1797,25 @@ impl Experiment for Mesh10k {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
+        self.report(scenario, None)
+    }
+
+    /// The flood decodes on the `threads` the driver lends.
+    fn run_with_threads(
+        &self,
+        scenario: &Scenario,
+        _prior: &[ExperimentResult],
+        threads: usize,
+    ) -> ExperimentResult {
+        self.report(scenario, Some(threads))
+    }
+}
+
+impl Mesh10k {
+    /// Runs the flood on up to `threads` threads and renders its report.
+    fn report(&self, scenario: &Scenario, threads: Option<usize>) -> ExperimentResult {
         let params = MeshParams::from_scenario(scenario);
-        let s = match scenario.checkpoint {
-            None => run_mesh(&params, None),
-            Some(events) => run_mesh_checkpointed(&params, events),
-        };
+        let s = run_flood(&params, scenario.checkpoint, threads);
         let sim_s = s.sim_seconds();
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(format!(
@@ -1480,7 +1906,7 @@ mod tests {
     fn mesh_checkpoint_roundtrip_is_bit_identical() {
         let a = run_mesh(&small(), None);
         for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small(), events);
+            let b = run_mesh_checkpointed(&small(), events, None);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1508,7 +1934,7 @@ mod tests {
     fn jammed_mesh_checkpoint_roundtrip_is_bit_identical() {
         let a = run_mesh(&small_jammed(), None);
         for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small_jammed(), events);
+            let b = run_mesh_checkpointed(&small_jammed(), events, None);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1521,6 +1947,118 @@ mod tests {
         assert_eq!(s.jam_bursts, 0);
         assert_eq!(s.jam_chips, 0);
         assert_eq!(s.crashes + s.restarts, 0);
+    }
+
+    /// Runs `p` to the end on `threads` threads, past the cap at the
+    /// machine's parallelism, so that even a small host runs a crew of
+    /// several helpers.
+    fn run_on(p: &MeshParams, threads: usize) -> MeshStats {
+        MeshDriver::new(p, None).run_on(threads)
+    }
+
+    /// The decode crew is invisible: every stat of a flood of `nodes`
+    /// run with helpers equals the one-thread run's, benign and jammed
+    /// with churn, from sparse to dense, through the public entry point
+    /// (capped at the machine's parallelism) and with a crew forced to
+    /// four threads.
+    fn crew_changes_no_stat(nodes: usize) {
+        for density in [1.0, 12.0, 50.0] {
+            for jammed in [false, true] {
+                let mut p = MeshParams::benign(nodes, density, 11, 6, 250);
+                if jammed {
+                    p.jammer = JammerSpec::React { delay: 4096 };
+                    p.churn = 2.0;
+                }
+                let what = format!("{nodes} nodes, density {density}, jammed {jammed}");
+                let alone = run_mesh(&p, None);
+                assert_eq!(run_mesh(&p, Some(2)), alone, "{what}, Some(2)");
+                assert_eq!(run_on(&p, 4), alone, "{what}, 4 threads");
+            }
+        }
+    }
+
+    #[test]
+    fn the_decode_crew_changes_no_stat_at_400_nodes() {
+        crew_changes_no_stat(400);
+    }
+
+    #[test]
+    fn the_decode_crew_changes_no_stat_at_2000_nodes() {
+        crew_changes_no_stat(2000);
+    }
+
+    /// A flood resumed from a mid-run checkpoint decodes the rest of the
+    /// run with a crew, and still ends exactly where the uninterrupted
+    /// one-thread run does.
+    #[test]
+    fn a_resumed_flood_decodes_with_a_crew() {
+        for p in [small(), small_jammed()] {
+            let alone = run_mesh(&p, None);
+            for events in [57, 913] {
+                let mut d = MeshDriver::new(&p, None);
+                d.run_events(events);
+                let snap = MeshSnapshot::from_bytes(&d.save().to_bytes()).expect("round-trip");
+                for k in [2, 4] {
+                    let resumed = MeshDriver::restore(&p, &snap, Some(k)).expect("restores");
+                    assert_eq!(
+                        resumed.run_on(k),
+                        alone,
+                        "checkpoint at {events}, {k} threads"
+                    );
+                }
+                assert_eq!(run_mesh_checkpointed(&p, events, Some(2)), alone);
+            }
+        }
+    }
+
+    /// A decode that panics on a helper thread ends the batch with that
+    /// panic on the driver's thread, rather than leaving it waiting for
+    /// the reception forever, and every helper still stops.
+    #[test]
+    fn a_panicking_decode_surfaces_as_a_panic() {
+        let d = MeshDriver::new(&small(), None);
+        let crew = Crew::new(d.decoder.clone());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let handle = CrewHandle {
+                    crew: &crew,
+                    helpers: (0..2)
+                        .map(|_| scope.spawn(|| crew.help()).thread().clone())
+                        .collect(),
+                };
+                {
+                    // A reception with an empty heard list: its decode
+                    // indexes past the end.
+                    let mut batch = crew.batch.write().unwrap();
+                    batch.stride = 1 + d.payload_len.div_ceil(64);
+                    for _ in 0..4 {
+                        batch.receptions.push(Reception {
+                            frame: Arc::clone(&d.txs[0].frame),
+                            spans: None,
+                            heard: 0..0,
+                            noise: d.noise,
+                            seed: 1,
+                        });
+                    }
+                    let words = batch.receptions.len() * batch.stride;
+                    batch.outcomes.resize_with(words, AtomicU64::default);
+                    crew.next.store(0, Ordering::Relaxed);
+                    crew.left.store(batch.receptions.len(), Ordering::Relaxed);
+                }
+                // The driver's thread claims nothing itself, so only a
+                // helper can hit the bad reception.
+                handle.publish();
+                crew.wait();
+            })
+        }));
+        let panic = outcome.expect_err("the helper's panic reaches the driver's thread");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("index out of bounds"), "{message:?}");
+        assert!(crew.stop.load(Ordering::Relaxed));
     }
 
     /// The squelch decision by squared distance equals the power test

@@ -10,7 +10,7 @@
 //! partial-delivery fraction (correct bytes over offered bytes across
 //! all nodes), retry exhaustion, and the jammer/fault activity counts.
 
-use super::mesh::{run_mesh, run_mesh_checkpointed, MeshParams};
+use super::mesh::{run_flood, MeshParams};
 use super::Experiment;
 use crate::adversary::JammerSpec;
 use crate::results::{ExperimentResult, TableBlock};
@@ -60,11 +60,25 @@ impl Experiment for MeshJam {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
+        self.report(scenario, None)
+    }
+
+    /// The flood decodes on the `threads` the driver lends.
+    fn run_with_threads(
+        &self,
+        scenario: &Scenario,
+        _prior: &[ExperimentResult],
+        threads: usize,
+    ) -> ExperimentResult {
+        self.report(scenario, Some(threads))
+    }
+}
+
+impl MeshJam {
+    /// Runs the flood on up to `threads` threads and renders its report.
+    fn report(&self, scenario: &Scenario, threads: Option<usize>) -> ExperimentResult {
         let params = meshjam_params(scenario);
-        let s = match scenario.checkpoint {
-            None => run_mesh(&params, None),
-            Some(events) => run_mesh_checkpointed(&params, events),
-        };
+        let s = run_flood(&params, scenario.checkpoint, threads);
         let offered = s.nodes * params.body_bytes;
         let partial_delivery = s.correct_bytes as f64 / offered.max(1) as f64;
         let sim_s = s.sim_seconds();

@@ -78,6 +78,21 @@ pub trait Experiment: Sync {
         self.run(scenario)
     }
 
+    /// [`Experiment::run_with`] with `threads` threads to use: the
+    /// calling thread plus `threads − 1` that a driver lends this run
+    /// because no other job of it will use them. The default ignores
+    /// them; an experiment whose one run can decode on several threads
+    /// (the mesh floods, [`mesh::MeshDriver::run_to_end`]) overrides
+    /// it. The result must not depend on `threads`.
+    fn run_with_threads(
+        &self,
+        scenario: &Scenario,
+        prior: &[ExperimentResult],
+        _threads: usize,
+    ) -> ExperimentResult {
+        self.run_with(scenario, prior)
+    }
+
     /// Ids whose results [`Experiment::run_with`] reuses when they ran
     /// earlier under the same scenario. A driver running experiments
     /// concurrently starts this one only after those have finished.

@@ -23,14 +23,16 @@
 
 use super::common::CapacityRun;
 use super::Experiment;
-use crate::network::{heard_lists, payload_pattern, reception_rng_seed, SQUELCH_SNR};
+use crate::network::{heard_lists, payload_pattern_into, reception_rng_seed, SQUELCH_SNR};
 use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
-use ppr_channel::chip_channel::ErrorProfile;
-use ppr_channel::overlap::{interference_profile, overlap_window};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
+use ppr_channel::overlap::{interference_profile_into, overlap_window, ProfileScratch};
 use ppr_mac::frame::Frame;
+use ppr_mac::rx::RxCapture;
 use ppr_mac::schemes::ReceivedBody;
+use ppr_phy::chips::ChipWords;
 use ppr_phy::softphy::SoftSymbol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,15 +74,31 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
         .unwrap_or(0);
     let mut busy_until = vec![0u64; env.testbed.receivers.len()];
 
+    // Buffers kept across transmissions: every frame is rendered once
+    // into `clean` (its link bytes into `link`) and copied into `chips`
+    // for each receiver that hears it, and each receiver's decode is
+    // copied out of the one capture into its own combining copy.
+    let mut payload = Vec::new();
+    let mut frame = Frame::default();
+    let mut link = Vec::new();
+    let mut clean = ChipWords::default();
+    let mut chips = ChipWords::default();
+    let mut spans = Vec::new();
+    let mut profile_scratch = ProfileScratch::default();
+    let mut profile = ErrorProfile::default();
+    let mut capture = RxCapture::default();
+    let mut copies: Vec<Vec<SoftSymbol>> = Vec::new();
+    let mut singles: Vec<usize> = Vec::new();
+
     let mut result = MrdResult::default();
     for (i, tx) in run.timeline.iter().enumerate() {
-        let payload = payload_pattern(tx.sender, tx.seq, payload_len);
-        let frame = Frame::new(0xFFFF, tx.sender as u16, tx.seq, payload.clone());
-        let chips = frame.chip_words();
+        payload_pattern_into(tx.sender, tx.seq, payload_len, &mut payload);
+        frame.refill(0xFFFF, tx.sender as u16, tx.seq, &payload);
+        frame.chip_words_into(&mut link, &mut clean);
 
         // Decode at every receiver that can hear this sender.
-        let mut copies: Vec<Vec<SoftSymbol>> = Vec::new();
-        let mut singles: Vec<usize> = Vec::new();
+        let mut received = 0;
+        singles.clear();
         for r in 0..env.testbed.receivers.len() {
             let signal = env.s2r_mw[tx.sender][r];
             if signal / noise < SQUELCH_SNR {
@@ -88,49 +106,63 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
             }
             let target = &heard[r][i];
             let window = overlap_window(&heard[r], target.start_chip, target.end_chip(), max_len);
-            let spans = interference_profile(target, window);
-            let profile = ErrorProfile::from_interference(signal, noise, &spans);
+            interference_profile_into(target, window, &mut profile_scratch, &mut spans);
+            profile.refill_from_interference(signal, noise, &spans);
             let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
             let idle = busy_until[r] <= tx.start_chip;
-            let (acq, rx_frame) = fast.transmit(&frame, chips.clone(), &profile, &mut rng, idle);
+            chips.clone_from(&clean);
+            corrupt_chip_words_in_place(&mut chips, &profile, &mut rng);
+            let (acq, rx_frame) = fast.receive_into(&frame, &chips, idle, &mut capture);
             if acq == crate::rxpath::Acquisition::Preamble {
                 busy_until[r] = tx.end_chip();
             }
             if let Some(rx) = rx_frame {
-                if let Some(body) = ReceivedBody::of(&rx) {
+                if let Some(body) = ReceivedBody::of(rx) {
                     singles.push(scheme.count_accepted(&body, &payload).1);
-                    copies.push(rx.link_symbols());
+                    if copies.len() == received {
+                        copies.push(Vec::new());
+                    }
+                    let (symbols, hints) = rx.link_columns();
+                    let copy = &mut copies[received];
+                    copy.clear();
+                    copy.extend(
+                        symbols
+                            .iter()
+                            .zip(hints)
+                            .map(|(&symbol, &hint)| SoftSymbol { symbol, hint }),
+                    );
+                    received += 1;
                 }
             }
         }
-        if copies.len() < 2 {
+        if received < 2 {
             continue; // diversity needs at least two copies
         }
+        let copies = &copies[..received];
         result.transmissions += 1;
         let best = singles.iter().copied().max().unwrap_or(0);
         result.best_single += best;
 
-        // Min-hint combining over the link-symbol streams.
+        // Min-hint combining over the link-symbol streams, evaluated
+        // with the same PPR delivery rule: a byte is delivered when both
+        // nibble copies pass the threshold, and counted when also
+        // correct. Sent symbol `k` is a nibble of link byte `k / 2`, low
+        // nibble first.
+        let combined = |k: usize| copies.iter().map(|c| c[k]).min_by_key(|s| s.hint).unwrap();
+        let sent = |k: usize| (link[k / 2] >> (4 * (k % 2))) & 0xF;
         let n = copies.iter().map(|c| c.len()).min().unwrap();
-        let combined: Vec<SoftSymbol> = (0..n)
-            .map(|k| copies.iter().map(|c| c[k]).min_by_key(|s| s.hint).unwrap())
-            .collect();
-        // Evaluate the combined stream with the same PPR delivery rule:
-        // a byte is delivered when both nibble copies pass the
-        // threshold, and counted when also correct.
-        let tx_symbols = ppr_phy::spread::bytes_to_symbols(&frame.link_bytes());
         let body = ppr_mac::frame::FrameGeometry::for_body(payload.len()).body();
         let s0 = body.start * 2;
         let s1 = (body.end * 2).min(n.saturating_sub(1));
         let mut delivered = 0usize;
         let mut k = s0;
         while k + 1 < s1 {
-            let lo = &combined[k];
-            let hi_n = &combined[k + 1];
+            let lo = combined(k);
+            let hi_n = combined(k + 1);
             if lo.hint <= eta
                 && hi_n.hint <= eta
-                && lo.symbol == tx_symbols[k]
-                && hi_n.symbol == tx_symbols[k + 1]
+                && lo.symbol == sent(k)
+                && hi_n.symbol == sent(k + 1)
             {
                 delivered += 1;
             }

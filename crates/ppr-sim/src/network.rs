@@ -450,8 +450,17 @@ pub struct Reception {
 /// Deterministic known test pattern for (sender, seq), as the paper's
 /// known-payload method requires.
 pub fn payload_pattern(sender: usize, seq: u16, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    payload_pattern_into(sender, seq, len, &mut out);
+    out
+}
+
+/// [`payload_pattern`] into `out` (cleared first, its allocation
+/// reused).
+pub(crate) fn payload_pattern_into(sender: usize, seq: u16, len: usize, out: &mut Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(0x7EA7_0000 ^ ((sender as u64) << 32) ^ seq as u64);
-    (0..len).map(|_| rng.gen()).collect()
+    out.clear();
+    out.extend((0..len).map(|_| rng.gen::<u8>()));
 }
 
 /// Builds the scheme body for a payload, padded with filler to exactly

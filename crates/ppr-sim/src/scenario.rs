@@ -211,8 +211,10 @@ pub struct Scenario {
     /// Source packets in the relay-forwarding experiment.
     pub relay_packets: usize,
     /// Experiments `ppr-cli` runs concurrently (`None` = `PPR_THREADS`
-    /// / available parallelism). No simulation reads it; it changes
-    /// wall time only, never a result.
+    /// / available parallelism); when fewer experiments than that run,
+    /// `ppr-cli` lends the idle threads to the mesh floods' decode crew.
+    /// No simulation reads it; it changes wall time only, never a
+    /// result.
     pub threads: Option<usize>,
     /// Offered-load override, kbit/s/node (`None` = each experiment's
     /// canonical load(s)).

@@ -47,6 +47,11 @@ const DENSITY_FINGERPRINTS: [(&str, f64, usize, u64); 4] = [
     ("meshjam", 50.0, 900, 0xdaeb_cce6_6523_5856),
 ];
 
+/// The thread counts every mesh pin is checked at: the flood alone,
+/// and with a decode crew of one helper (where the machine has a second
+/// thread to run it on). The JSON must not depend on them.
+const CREW_THREADS: [usize; 2] = [1, 2];
+
 #[test]
 fn registry_json_fingerprint_is_pinned() {
     // Every knob pinned: builder overrides beat any PPR_* environment
@@ -96,14 +101,20 @@ fn mesh_json_fingerprint_is_pinned() {
         .build();
 
     let exp = find("mesh10k").expect("mesh10k registered");
-    let corpus = exp.run(&scenario).to_json().render();
-    let fp = fingerprint(corpus.as_bytes());
-    assert_eq!(
-        fp, MESH_FINGERPRINT,
-        "mesh10k JSON changed: fingerprint {fp:#018x} != pinned \
-         {MESH_FINGERPRINT:#018x}. If the change is intentional, update \
-         MESH_FINGERPRINT and explain the behavioral delta in the commit."
-    );
+    // Alone, and with a decode crew of one helper.
+    for threads in CREW_THREADS {
+        let corpus = exp
+            .run_with_threads(&scenario, &[], threads)
+            .to_json()
+            .render();
+        let fp = fingerprint(corpus.as_bytes());
+        assert_eq!(
+            fp, MESH_FINGERPRINT,
+            "mesh10k JSON on {threads} threads changed: fingerprint {fp:#018x} != pinned \
+             {MESH_FINGERPRINT:#018x}. If the change is intentional, update \
+             MESH_FINGERPRINT and explain the behavioral delta in the commit."
+        );
+    }
 }
 
 #[test]
@@ -118,14 +129,20 @@ fn meshjam_json_fingerprint_is_pinned() {
         .build();
 
     let exp = find("meshjam").expect("meshjam registered");
-    let corpus = exp.run(&scenario).to_json().render();
-    let fp = fingerprint(corpus.as_bytes());
-    assert_eq!(
-        fp, MESHJAM_FINGERPRINT,
-        "meshjam JSON changed: fingerprint {fp:#018x} != pinned \
-         {MESHJAM_FINGERPRINT:#018x}. If the change is intentional, update \
-         MESHJAM_FINGERPRINT and explain the behavioral delta in the commit."
-    );
+    // Alone, and with a decode crew of one helper.
+    for threads in CREW_THREADS {
+        let corpus = exp
+            .run_with_threads(&scenario, &[], threads)
+            .to_json()
+            .render();
+        let fp = fingerprint(corpus.as_bytes());
+        assert_eq!(
+            fp, MESHJAM_FINGERPRINT,
+            "meshjam JSON on {threads} threads changed: fingerprint {fp:#018x} != pinned \
+             {MESHJAM_FINGERPRINT:#018x}. If the change is intentional, update \
+             MESHJAM_FINGERPRINT and explain the behavioral delta in the commit."
+        );
+    }
 }
 
 #[test]
@@ -140,13 +157,19 @@ fn mesh_density_fingerprints_are_pinned() {
             .mesh_density(density)
             .build();
         let exp = find(id).expect("mesh experiment registered");
-        let corpus = exp.run(&scenario).to_json().render();
-        let fp = fingerprint(corpus.as_bytes());
-        assert_eq!(
-            fp, pinned,
-            "{id} JSON at density {density}, {nodes} nodes changed: fingerprint \
-             {fp:#018x} != pinned {pinned:#018x}. If the change is intentional, \
-             update DENSITY_FINGERPRINTS and explain the behavioral delta in the commit."
-        );
+        for threads in CREW_THREADS {
+            let corpus = exp
+                .run_with_threads(&scenario, &[], threads)
+                .to_json()
+                .render();
+            let fp = fingerprint(corpus.as_bytes());
+            assert_eq!(
+                fp, pinned,
+                "{id} JSON at density {density}, {nodes} nodes, {threads} threads changed: \
+                 fingerprint {fp:#018x} != pinned {pinned:#018x}. If the change is \
+                 intentional, update DENSITY_FINGERPRINTS and explain the behavioral \
+                 delta in the commit."
+            );
+        }
     }
 }
