@@ -35,8 +35,7 @@
 //! `decode_1500B_owned` for the allocating wrapper, and adds the
 //! repeated `fig16_300_*` and `jam_duty_point_*` link-path rows; v13
 //! adds the mesh floods on a decode crew of one helper
-//! (`mesh10k_h1_*`, `meshjam_h1_*`, the same repeated rows) and the
-//! CRC-16 ladder (`crc16_{bytewise,slice8}_250B`).
+//! (`mesh10k_h1_*`, `meshjam_h1_*`, the same repeated rows).
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -297,20 +296,6 @@ fn main() {
                 time_ns(|| ppr_mac::clmul::crc32_clmul(&buf)),
             ));
         }
-    }
-
-    // CRC-16 over a 250 B packet, PP-ARQ's per-chunk check: the
-    // byte-at-a-time spec and the slice-by-8 kernel.
-    {
-        let buf: Vec<u8> = (0..250).map(|_| rng.gen()).collect();
-        entries.push((
-            "crc16_bytewise_250B".into(),
-            time_ns(|| ppr_mac::crc::crc16_bytewise(&buf)),
-        ));
-        entries.push((
-            "crc16_slice8_250B".into(),
-            time_ns(|| ppr_mac::crc::crc16(&buf)),
-        ));
     }
 
     // DSP kernel ladder: each vector tier this CPU offers against the

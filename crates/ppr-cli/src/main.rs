@@ -449,7 +449,9 @@ fn plan_jobs(
 /// at most one thread per job and never more than `workers`, and only
 /// threads the machine can run side by side count, so a run of fewer
 /// jobs than `min(workers, available parallelism)` lends the difference
-/// ([`Experiment::run_with_threads`]); any larger run lends nothing.
+/// ([`Experiment::run_with_threads`]); any larger run lends nothing. The
+/// mesh floods, the only experiments that use the loan, decode on at
+/// most two of the threads they get (`MeshDriver::run_to_end`).
 fn threads_per_job(workers: usize, jobs: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     1 + workers.min(cores).saturating_sub(jobs) / jobs.max(1)
@@ -739,7 +741,7 @@ fn diff(args: &RunArgs) -> i32 {
         driver.run_events(checkpoint);
         let snap_bytes = driver.save().to_bytes();
         let resumed = match MeshSnapshot::from_bytes(&snap_bytes)
-            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap, None))
+            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap))
         {
             Ok(d) => d.run_to_end(),
             Err(e) => {
@@ -747,8 +749,8 @@ fn diff(args: &RunArgs) -> i32 {
                 return 1;
             }
         };
-        // The same flood with a decode crew (capped at the machine's
-        // parallelism): helpers must not change a stat.
+        // The same flood with a decode crew (one helper where the
+        // machine has a second thread): helpers must not change a stat.
         let crew = run_mesh(&mesh_params, Some(DIFF_CREW_THREADS));
         let mut t =
             ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);

@@ -14,9 +14,10 @@
 //! `Experiment::run_with_threads`. The only experiments that use it are
 //! the mesh floods, whose decode crew
 //! (`ppr_sim::experiments::mesh::MeshDriver::run_to_end`) is the one
-//! other place simulation work runs on more than one thread. So a solo
-//! `run mesh10k` decodes on every core, and `run --all`, with far more
-//! jobs than threads, lends nothing.
+//! other place simulation work runs on more than one thread, and which
+//! takes at most one helper, the crew size measured. So a solo
+//! `run mesh10k` decodes on two threads where the machine has two, and
+//! `run --all`, with far more jobs than threads, lends nothing.
 //! Because [`run_ordered`] releases results in job order, and every
 //! experiment is a pure function of its scenario, the caller's output is
 //! byte-identical to running the jobs one after another.

@@ -20,10 +20,6 @@
 //! byte-at-a-time form is kept as [`crc32_1table`], the pinned
 //! reference the parity tests and the `crc32_*` bench rows compare
 //! against.
-//!
-//! [`crc16`] slices 8 bytes per step from the same kind of `const fn`
-//! tables; [`crc16_bytewise`] is its byte-at-a-time spec and the
-//! baseline of the `crc16_*` bench rows.
 
 // ppr-lint: region(no-float) begin — CRC table generation and folding
 // are pure integer paths; a float anywhere here could only mean a unit
@@ -63,13 +59,10 @@ const fn crc32_tables<const N: usize>() -> [[u32; 256]; N] {
     tables
 }
 
-/// Generates the `N` CRC-16 lookup tables for the CCITT polynomial
-/// `0x1021` (non-reflected). `TABLES[0]` is the classic byte-at-a-time
-/// table; `TABLES[k][b]` is the CRC contribution of byte `b` followed by
-/// `k` zero bytes, which lets slice-by-`N` process `N` bytes with `N`
-/// independent lookups.
-const fn crc16_tables<const N: usize>() -> [[u16; 256]; N] {
-    let mut tables = [[0u16; 256]; N];
+/// Generates the CRC-16 lookup table for the CCITT polynomial `0x1021`
+/// (non-reflected).
+const fn crc16_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u16) << 8;
@@ -82,24 +75,14 @@ const fn crc16_tables<const N: usize>() -> [[u16; 256]; N] {
             };
             bit += 1;
         }
-        tables[0][i] = crc;
+        table[i] = crc;
         i += 1;
     }
-    let mut k = 1;
-    while k < N {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
+    table
 }
 
 pub(crate) const CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
-const CRC16_TABLES: [[u16; 256]; 8] = crc16_tables();
+const CRC16_TABLE: [u16; 256] = crc16_table();
 
 /// CRC-32/ISO-HDLC (the "zlib" CRC): reflected, init `0xFFFFFFFF`, final
 /// XOR `0xFFFFFFFF`.
@@ -170,42 +153,11 @@ pub fn crc32_1table(data: &[u8]) -> u32 {
 
 /// CRC-16/CCITT-FALSE: poly `0x1021`, init `0xFFFF`, no reflection, no
 /// final XOR.
-///
-/// Slice-by-8: the running CRC folds into the first two bytes of each
-/// 8-byte block, and the block's eight table lookups are independent of
-/// one another, so only one XOR tree per block is loop-carried. PP-ARQ
-/// checks a CRC-16 on every feedback chunk, retransmitted segment and
-/// confirm, and every frame header carries one. Bit-identical to the
-/// byte-at-a-time loop kept in the tests as its spec.
 pub fn crc16(data: &[u8]) -> u16 {
-    let t = &CRC16_TABLES;
-    let mut crc = 0xFFFFu16;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_be_bytes(c.try_into().expect("8-byte chunk")) ^ ((crc as u64) << 48);
-        crc = t[7][(w >> 56) as usize]
-            ^ t[6][((w >> 48) & 0xFF) as usize]
-            ^ t[5][((w >> 40) & 0xFF) as usize]
-            ^ t[4][((w >> 32) & 0xFF) as usize]
-            ^ t[3][((w >> 24) & 0xFF) as usize]
-            ^ t[2][((w >> 16) & 0xFF) as usize]
-            ^ t[1][((w >> 8) & 0xFF) as usize]
-            ^ t[0][(w & 0xFF) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc << 8) ^ t[0][((crc >> 8) as u8 ^ b) as usize];
-    }
-    crc
-}
-
-/// The byte-at-a-time CRC-16, one table lookup per byte: the spec the
-/// sliced [`crc16`] is tested against, and the baseline row of the
-/// `crc16_*` bench ladder.
-pub fn crc16_bytewise(data: &[u8]) -> u16 {
     let mut crc = 0xFFFFu16;
     for &b in data {
         let idx = (((crc >> 8) ^ b as u16) & 0xFF) as usize;
-        crc = (crc << 8) ^ CRC16_TABLES[0][idx];
+        crc = (crc << 8) ^ CRC16_TABLE[idx];
     }
     crc
 }
@@ -276,28 +228,6 @@ mod tests {
     fn crc16_check_value() {
         // CRC-16/CCITT-FALSE check: "123456789" → 0x29B1.
         assert_eq!(crc16(b"123456789"), 0x29B1);
-        assert_eq!(crc16_bytewise(b"123456789"), 0x29B1);
-    }
-
-    #[test]
-    fn sliced_crc16_matches_bytewise_on_existing_vectors() {
-        for buf in [
-            &b""[..],
-            b"123456789",
-            b"partial packet recovery",
-            &[0xA5u8; 64],
-            &[0x00u8; 33],
-            &[0xFFu8; 17],
-        ] {
-            assert_eq!(crc16(buf), crc16_bytewise(buf));
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn sliced_crc16_matches_bytewise(data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=600)) {
-            proptest::prop_assert_eq!(crc16(&data), crc16_bytewise(&data));
-        }
     }
 
     #[test]

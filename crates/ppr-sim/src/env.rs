@@ -8,8 +8,8 @@
 //! * `PPR_THREADS` — how many experiments `ppr-cli` runs concurrently
 //!   (default: the machine's available parallelism). Pool threads that
 //!   no experiment occupies are lent to the mesh floods' decode crew
-//!   ([`crate::experiments::mesh::MeshDriver::run_to_end`]); all other
-//!   simulation code is single-threaded.
+//!   ([`crate::experiments::mesh::MeshDriver::run_to_end`], at most one
+//!   helper per flood); all other simulation code is single-threaded.
 //!
 //! Everything else folds these in through [`crate::scenario::Scenario`]
 //! (the builder > env > default precedence), so no other module reads

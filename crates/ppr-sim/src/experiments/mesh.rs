@@ -52,8 +52,10 @@
 //! Because a batch decodes to the same outcomes in any order, its
 //! receptions can decode side by side. [`MeshDriver::run_to_end`] on
 //! more than one thread (the `threads` argument of [`run_mesh`] and
-//! [`MeshDriver::new`]) starts a crew of `threads − 1` helper threads
-//! for the run, all joined before it returns. At each flush:
+//! [`MeshDriver::new`], capped at the available parallelism and at
+//! `MAX_CREW_THREADS` = 2, the crew size measured) starts a crew of
+//! `threads − 1` helper threads for the run, all joined before it
+//! returns. At each flush:
 //!
 //! 1. the driver's thread *gathers* every reception's decode inputs from
 //!    the driver's state, in batch order: the shared frame and repair
@@ -72,8 +74,9 @@
 //! 1 and 3 write, so the run is the one-thread run bit for bit. An idle
 //! helper polls for the next batch for about one inter-batch gap, then
 //! parks; a panic in a helper's decode is re-raised on the driver's
-//! thread. [`MeshDriver::run_events`], the checkpoint path, decodes on
-//! the calling thread alone.
+//! thread. [`MeshDriver::run_events`] and a flood resumed from a
+//! checkpoint ([`MeshDriver::restore`], [`run_mesh_checkpointed`])
+//! decode on the calling thread alone.
 //!
 //! What it does not guarantee is time-ordered dispatch. The flush runs
 //! when the *next* event pops, and that event can lie far past the
@@ -471,6 +474,13 @@ fn fold_accepted(
 /// one that spins indefinitely costs a whole core for the run.
 const CREW_SPIN: u32 = 1 << 12;
 
+/// The most threads a flood decodes on: the driver's thread plus one
+/// helper, the only crew size measured (a 2-vCPU host; docs/PERF.md,
+/// "Mesh decode crew"). A wider crew is unmeasured and need not pay: a batch averages 8.3 receptions, every flush wakes each parked
+/// helper, and each idle helper polls for [`CREW_SPIN`] rounds per
+/// batch. Raise this only on a measurement at more threads.
+const MAX_CREW_THREADS: usize = 2;
+
 /// The constant half of every reception's decode: the receiver, the
 /// delivery scheme and the ground-truth payload. The driver keeps one,
 /// and each decode crew holds a copy for its helpers.
@@ -771,36 +781,34 @@ struct MeshScratch {
 
 /// Runs one mesh flood on up to `threads` threads: the calling thread,
 /// plus a decode crew of `threads − 1` helpers (see
-/// [`MeshDriver::run_to_end`]). `None` or `Some(1)` runs on the calling
-/// thread alone. The stats do not depend on `threads`.
+/// [`MeshDriver::run_to_end`], which caps the count at two). `None` or
+/// `Some(1)` runs on the calling thread alone. The stats do not depend
+/// on `threads`.
 pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
     MeshDriver::new(params, threads).run_to_end()
 }
 
 /// [`run_mesh`] with a checkpoint in the middle: the flood is driven to
-/// the `checkpoint_events` dispatch boundary on the calling thread,
-/// serialized, restored from the bytes, and completed on up to
-/// `threads` threads. Stats (including the flush-batch counters the
-/// rendered report prints) are bit-identical to an uninterrupted run: a
-/// checkpoint serializes the pending decode batch *as is* rather than
-/// forcing an early flush, so batch boundaries never move.
-pub fn run_mesh_checkpointed(
-    params: &MeshParams,
-    checkpoint_events: u64,
-    threads: Option<usize>,
-) -> MeshStats {
+/// the `checkpoint_events` dispatch boundary, serialized, restored from
+/// the bytes, and completed, all on the calling thread. Stats (including
+/// the flush-batch counters the rendered report prints) are
+/// bit-identical to an uninterrupted run: a checkpoint serializes the
+/// pending decode batch *as is* rather than forcing an early flush, so
+/// batch boundaries never move.
+pub fn run_mesh_checkpointed(params: &MeshParams, checkpoint_events: u64) -> MeshStats {
     let mut driver = MeshDriver::new(params, None);
     driver.run_events(checkpoint_events);
     let bytes = driver.save().to_bytes();
     drop(driver);
     let snap = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot bytes round-trip");
-    MeshDriver::restore(params, &snap, threads)
+    MeshDriver::restore(params, &snap)
         .expect("mesh snapshot restores against its own params")
         .run_to_end()
 }
 
-/// The flood a mesh experiment reports: uninterrupted, or checkpointed
-/// at the scenario's `checkpoint` event count.
+/// The flood a mesh experiment reports: uninterrupted on up to
+/// `threads` threads, or checkpointed at the scenario's `checkpoint`
+/// event count on the calling thread alone.
 pub(crate) fn run_flood(
     params: &MeshParams,
     checkpoint: Option<u64>,
@@ -808,7 +816,7 @@ pub(crate) fn run_flood(
 ) -> MeshStats {
     match checkpoint {
         None => run_mesh(params, threads),
-        Some(events) => run_mesh_checkpointed(params, events, threads),
+        Some(events) => run_mesh_checkpointed(params, events),
     }
 }
 
@@ -885,9 +893,8 @@ pub struct MeshDriver {
     /// snapshot: rebuilt — retry/backoff schedule, derived from params.
     policy: BackoffPolicy,
     /// snapshot: rebuilt — how many threads [`MeshDriver::run_to_end`]
-    /// may decode on; given again to [`MeshDriver::restore`], because
-    /// it is the caller's budget, not the run's state (no output
-    /// depends on it).
+    /// may decode on: the caller's budget, not the run's state (no
+    /// output depends on it), so a restored driver decodes on one.
     threads: usize,
     // ppr-lint: region(snapshot-state) end
 }
@@ -897,8 +904,8 @@ impl MeshDriver {
     /// source selection done, the source's flood frame scheduled.
     /// `threads` is how many threads [`MeshDriver::run_to_end`] may
     /// decode on (`None` means one); it caps them at the machine's
-    /// available parallelism. Nothing is started or looked up here: the
-    /// crew exists only inside `run_to_end`.
+    /// available parallelism and at two. Nothing is started or looked up
+    /// here: the crew exists only inside `run_to_end`.
     pub fn new(params: &MeshParams, threads: Option<usize>) -> Self {
         let model = mesh_model();
         let noise = model.noise_mw();
@@ -1461,9 +1468,10 @@ impl MeshDriver {
 
     /// Runs to completion and returns the final stats.
     ///
-    /// With more than one thread (see [`MeshDriver::new`]), the run
-    /// starts a decode crew of `threads − 1` helper threads, all joined
-    /// before this returns. Each flush batch is gathered on the calling
+    /// With more than one thread (see [`MeshDriver::new`]; at most
+    /// `MAX_CREW_THREADS`, the crew size measured), the run starts a
+    /// decode crew of `threads − 1` helper threads, all joined before
+    /// this returns. Each flush batch is gathered on the calling
     /// thread, decoded by it and the helpers side by side, and applied
     /// on the calling thread in batch order, so the stats are those of
     /// a run on one thread. A panic on a helper ends the run and is
@@ -1471,7 +1479,9 @@ impl MeshDriver {
     pub fn run_to_end(self) -> MeshStats {
         let threads = match self.threads {
             1 => 1,
-            n => n.min(crate::env::available_parallelism()),
+            n => n
+                .min(MAX_CREW_THREADS)
+                .min(crate::env::available_parallelism()),
         };
         self.run_on(threads)
     }
@@ -1576,11 +1586,7 @@ impl MeshDriver {
     /// payload (flood) or their repair spans; each node's correct-byte
     /// count and recovery flag from its mask; and the stats the
     /// snapshot does not carry from the rebuilt run.
-    pub fn restore(
-        params: &MeshParams,
-        snap: &MeshSnapshot,
-        threads: Option<usize>,
-    ) -> Result<Self, SnapError> {
+    pub fn restore(params: &MeshParams, snap: &MeshSnapshot) -> Result<Self, SnapError> {
         if params.nodes != snap.nodes
             || params.density.to_bits() != snap.density.to_bits()
             || params.seed != snap.seed
@@ -1595,7 +1601,7 @@ impl MeshDriver {
                 "MeshParams differ from the snapshot's".into(),
             ));
         }
-        let mut driver = MeshDriver::new(params, threads);
+        let mut driver = MeshDriver::new(params, None);
         let n = driver.states.len();
         let payload_len = driver.payload_len;
         let mask_words = payload_len.div_ceil(64);
@@ -1906,7 +1912,7 @@ mod tests {
     fn mesh_checkpoint_roundtrip_is_bit_identical() {
         let a = run_mesh(&small(), None);
         for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small(), events, None);
+            let b = run_mesh_checkpointed(&small(), events);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1934,7 +1940,7 @@ mod tests {
     fn jammed_mesh_checkpoint_roundtrip_is_bit_identical() {
         let a = run_mesh(&small_jammed(), None);
         for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small_jammed(), events, None);
+            let b = run_mesh_checkpointed(&small_jammed(), events);
             assert_eq!(a, b, "checkpoint at {events} events");
         }
     }
@@ -1949,9 +1955,9 @@ mod tests {
         assert_eq!(s.crashes + s.restarts, 0);
     }
 
-    /// Runs `p` to the end on `threads` threads, past the cap at the
-    /// machine's parallelism, so that even a small host runs a crew of
-    /// several helpers.
+    /// Runs `p` to the end on `threads` threads, past the caps at two
+    /// and at the machine's parallelism, so that even a small host runs
+    /// a crew of several helpers.
     fn run_on(p: &MeshParams, threads: usize) -> MeshStats {
         MeshDriver::new(p, None).run_on(threads)
     }
@@ -1959,8 +1965,8 @@ mod tests {
     /// The decode crew is invisible: every stat of a flood of `nodes`
     /// run with helpers equals the one-thread run's, benign and jammed
     /// with churn, from sparse to dense, through the public entry point
-    /// (capped at the machine's parallelism) and with a crew forced to
-    /// four threads.
+    /// (capped at two threads and the machine's parallelism) and with a
+    /// crew forced to four threads.
     fn crew_changes_no_stat(nodes: usize) {
         for density in [1.0, 12.0, 50.0] {
             for jammed in [false, true] {
@@ -1999,14 +2005,14 @@ mod tests {
                 d.run_events(events);
                 let snap = MeshSnapshot::from_bytes(&d.save().to_bytes()).expect("round-trip");
                 for k in [2, 4] {
-                    let resumed = MeshDriver::restore(&p, &snap, Some(k)).expect("restores");
+                    let resumed = MeshDriver::restore(&p, &snap).expect("restores");
                     assert_eq!(
                         resumed.run_on(k),
                         alone,
                         "checkpoint at {events}, {k} threads"
                     );
                 }
-                assert_eq!(run_mesh_checkpointed(&p, events, Some(2)), alone);
+                assert_eq!(run_mesh_checkpointed(&p, events), alone);
             }
         }
     }

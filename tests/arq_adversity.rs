@@ -124,7 +124,7 @@ proptest! {
         params.arq_retries = 4;
         params.arq_backoff_milli = 1500;
         let a = run_mesh(&params, None);
-        let b = run_mesh_checkpointed(&params, events, None);
+        let b = run_mesh_checkpointed(&params, events);
         prop_assert_eq!(a, b);
     }
 }

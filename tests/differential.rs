@@ -91,7 +91,7 @@ fn jammed_mesh_checkpoint_agrees_across_the_fleet() {
     d.run_events(57);
     let bytes = d.save().to_bytes();
     let snap = MeshSnapshot::from_bytes(&bytes).expect("jammed checkpoint parses");
-    let resumed = MeshDriver::restore(&params, &snap, None)
+    let resumed = MeshDriver::restore(&params, &snap)
         .expect("jammed checkpoint restores")
         .run_to_end();
     assert_eq!(resumed, reference, "resume diverged");

@@ -59,7 +59,7 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
         d.run_events(events);
         let snap = d.save();
         assert!(!snap.pending.is_empty(), "picked epoch lost its batch");
-        let resumed = MeshDriver::restore(&params, &snap, None)
+        let resumed = MeshDriver::restore(&params, &snap)
             .expect("mid-flush snapshot restores")
             .run_to_end();
         assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");

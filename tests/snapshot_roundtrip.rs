@@ -148,7 +148,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         let snap = d.save();
         let bytes = snap.to_bytes();
         let parsed = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot round-trips");
-        let resumed = MeshDriver::restore(&params, &parsed, None)
+        let resumed = MeshDriver::restore(&params, &parsed)
             .expect("mid-burst snapshot restores")
             .run_to_end();
         assert_eq!(
@@ -167,7 +167,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         duty: 0.25,
     };
     assert!(matches!(
-        MeshDriver::restore(&other, &snap, None),
+        MeshDriver::restore(&other, &snap),
         Err(SnapError::IdentityMismatch(_))
     ));
 }
@@ -324,7 +324,7 @@ fn resealed_snapshot_mutations_never_panic() {
     let wrong = std::cell::RefCell::new(Vec::new());
     let parsed =
         assert_resealed_mutations_never_panic(&bytes, &offsets, MeshSnapshot::from_bytes, |s| {
-            if let Ok(driver) = MeshDriver::restore(&params, s, None) {
+            if let Ok(driver) = MeshDriver::restore(&params, s) {
                 let st = driver.run_to_end();
                 if (st.nodes, st.shards) != (reference.nodes, reference.shards) {
                     wrong.borrow_mut().push((st.nodes, st.shards));
@@ -366,7 +366,7 @@ fn inconsistent_jammer_state_is_corrupt_not_a_panic() {
             with(|s| s.adv_scheduled.push((u64::MAX - 1, u64::MAX))),
         ),
     ] {
-        let err = MeshDriver::restore(&params, &s, None).err();
+        let err = MeshDriver::restore(&params, &s).err();
         assert!(
             matches!(err, Some(SnapError::Corrupt(_))),
             "{what}: {err:?}"
@@ -400,7 +400,7 @@ fn mesh_resumes_at_every_event_boundary() {
             "the stats section holds the running counters"
         );
         let parsed = MeshSnapshot::from_bytes(&snap.to_bytes()).expect("mesh snapshot parses");
-        let resumed = MeshDriver::restore(&params, &parsed, None)
+        let resumed = MeshDriver::restore(&params, &parsed)
             .expect("mesh snapshot restores")
             .run_to_end();
         assert_eq!(
