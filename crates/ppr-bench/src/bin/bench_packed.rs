@@ -3,14 +3,16 @@
 //! planner ladder (`plan_chunks_interval_L*` vs `plan_chunks_L*`), the
 //! CRC-32 ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP
 //! kernel ladder (`dsp_{axpy,demod}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v13) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v14) so CI can
 //! archive the perf trajectory.
 //!
 //! The end-to-end rows time the reception driver
 //! (`process_receptions_2s_ppr_ms`), the PP-ARQ link path (`fig16_300_*`:
 //! `fig16::collect_seeded(300)`; `jam_duty_point_*`: one
 //! `jam::run_duty_point` at duty 0.3 with the default scenario's
-//! sessions and backoff) and the 10k-node mesh floods on the event
+//! sessions and backoff), the two testbed experiments that run as one
+//! pool job each (`mrd_*`: `mrd::collect` at the default scenario;
+//! `fig13_*`: `fig13::collect`) and the 10k-node mesh floods on the event
 //! core, benign (`mesh10k_*`) and jammed with churn (`meshjam_*`): each
 //! repeated row runs [`RUNS`] times and reports the run count and the
 //! median wall ms with its quartiles; the mesh rows add events/sec at
@@ -35,15 +37,16 @@
 //! `decode_1500B_owned` for the allocating wrapper, and adds the
 //! repeated `fig16_300_*` and `jam_duty_point_*` link-path rows; v13
 //! adds the mesh floods on a decode crew of one helper
-//! (`mesh10k_h1_*`, `meshjam_h1_*`, the same repeated rows).
+//! (`mesh10k_h1_*`, `meshjam_h1_*`, the same repeated rows); v14 adds
+//! the repeated `mrd_*` and `fig13_*` rows.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
 //! Timings are coarse (tens of milliseconds per entry) on purpose — this
 //! is a smoke-level trend tracker, not a statistics engine; use
 //! `cargo bench -p ppr-bench` for interactive comparisons. Only the
-//! link-path and mesh runs, the slowest and noisiest rows, are
-//! repeated.
+//! link-path, testbed-experiment and mesh runs, the slowest and
+//! noisiest rows, are repeated.
 
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, corrupt_chips, ErrorProfile};
 use ppr_core::dp::{plan_chunks_interval, plan_chunks_with, ChunkScratch, CostModel};
@@ -55,10 +58,10 @@ use ppr_phy::complex::Complex32;
 use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
-use ppr_sim::experiments::fig16;
 use ppr_sim::experiments::jam::{self, JAM_PERIOD};
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::experiments::meshjam::meshjam_params;
+use ppr_sim::experiments::{fig13, fig16, mrd};
 use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
 use ppr_sim::scenario::ScenarioBuilder;
 use rand::rngs::StdRng;
@@ -388,6 +391,12 @@ fn main() {
         jam::run_duty_point(0.3, sessions, 0x004A_414D, policy)
     });
 
+    // The two testbed experiments that are single pool jobs of their
+    // own: min-hint combining over the default scenario's timeline, and
+    // the collision anatomy's sliding-sync receive.
+    repeated(&mut entries, "mrd", || mrd::collect(&scenario));
+    repeated(&mut entries, "fig13", fig13::collect);
+
     // The event core at scale: the 10k-node mesh floods, measured.
     // events/sec here is the wall-clock figure the mesh experiments
     // deliberately do not compute for themselves.
@@ -417,7 +426,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v13\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v14\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

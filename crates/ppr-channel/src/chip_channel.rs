@@ -400,9 +400,10 @@ fn walk_spans<R: Rng, S: ErrorSink>(len: usize, profile: &ErrorProfile, rng: &mu
 /// `ln(f64::MIN_POSITIVE)/ln(1-p) ≈ 745/1e-12 < 2^53`, so every skip is
 /// an exactly representable integer-valued f64 and integer accumulation
 /// visits bit-identical indices while keeping the hot loop free of f64
-/// compare/convert traffic. The `(u.ln() / q).floor()` expression itself
-/// is part of the draw contract and must not be rearranged (e.g. into a
-/// reciprocal multiply).
+/// compare/convert traffic. The skip is `floor(u.ln() / q)`, computed
+/// by [`geometric_skip`]; the quotient `u.ln() / q` is part of the draw
+/// contract and must not be rearranged (e.g. into a reciprocal
+/// multiply).
 struct GeometricFlips {
     idx: i64,
     hi: i64,
@@ -426,13 +427,24 @@ impl GeometricFlips {
             if u <= f64::MIN_POSITIVE {
                 continue;
             }
-            self.idx += (u.ln() / self.q).floor() as i64 + 1;
+            self.idx += geometric_skip(u, self.q) + 1;
             if self.idx >= self.hi {
                 return None;
             }
             return Some(self.idx as usize);
         }
     }
+}
+
+/// The geometric skip `floor(u.ln() / q)` for a uniform draw
+/// `u ∈ (f64::MIN_POSITIVE, 1)` and `q = ln(1 - p)` with
+/// `1e-12 ≤ p < 0.5`. The quotient is then positive, finite and below
+/// 2^53, where truncation toward zero equals `floor`; so the plain cast
+/// is the floor, without the libm `floor` call that baseline x86-64
+/// (no SSE4.1 `roundsd`) makes for `f64::floor`.
+#[inline]
+fn geometric_skip(u: f64, q: f64) -> i64 {
+    (u.ln() / q) as i64
 }
 
 /// Reference-path driver over [`GeometricFlips`], kept as a named seam
@@ -609,6 +621,101 @@ mod tests {
                 a.gen::<u64>(),
                 b.gen::<u64>(),
                 "RNG position, profile {seed}"
+            );
+        }
+    }
+
+    /// A draw over a prefix of the frame sets the same chips below the
+    /// cut as the full draw, in every regime of the draw contract and
+    /// for cuts on and inside a lane: spans are walked in ascending
+    /// order and each consumes its draws lane by lane from its start,
+    /// so clipping its end only drops the draws past the cut.
+    #[test]
+    fn prefix_draw_equals_full_draw_below_the_cut() {
+        let len = 5_000;
+        let profiles = [
+            ErrorProfile::uniform(len as u64, 0.6),
+            ErrorProfile::uniform(len as u64, 0.3),
+            ErrorProfile::uniform(len as u64, 0.005),
+            ErrorProfile::from_pieces(vec![
+                (0, 100, 0.0),
+                (100, 163, 0.8),
+                (163, 2_000, 0.05),
+                (2_000, 2_001, 0.5),
+                (2_001, 4_000, 1e-3),
+                (4_000, 6_000, 0.3), // runs past the frame
+            ]),
+        ];
+        let cuts = [
+            0, 1, 63, 64, 65, 100, 163, 200, 256, 1_999, 2_001, 4_095, 4_999,
+        ];
+        for (i, profile) in profiles.iter().enumerate() {
+            for seed in 0..8u64 {
+                let full = ChipErrors::draw(len, profile, &mut StdRng::seed_from_u64(seed));
+                let mut full_chips = ChipWords::zeros(len);
+                full.apply(&mut full_chips);
+                let mut prefix = ChipErrors::default();
+                for &cut in &cuts {
+                    prefix.redraw(cut, profile, &mut StdRng::seed_from_u64(seed));
+                    let mut chips = ChipWords::zeros(len);
+                    prefix.apply(&mut chips);
+                    for c in 0..cut {
+                        assert_eq!(
+                            chips.get(c),
+                            full_chips.get(c),
+                            "profile {i}, seed {seed}, cut {cut}, chip {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The plain cast in [`geometric_skip`] is the floor at the extremes
+    /// of the sparse regime's draws: the smallest and largest uniforms
+    /// the sampler accepts, against the smallest and largest sparse p
+    /// (and the jammed edge, past which no span samples geometrically).
+    #[test]
+    fn geometric_skip_is_the_floor() {
+        let us = [
+            f64::MIN_POSITIVE.next_up(),
+            1e-300,
+            1e-20,
+            1e-3,
+            0.5,
+            0.9,
+            1.0 - 1e-12,
+            1.0f64.next_down(),
+        ];
+        let ps = [
+            1e-12,
+            1e-12f64.next_up(),
+            1e-9,
+            1e-6,
+            1e-3,
+            0.01,
+            0.02,
+            0.5f64.next_down(),
+        ];
+        for &u in &us {
+            for &p in &ps {
+                let q = (-p).ln_1p();
+                let x = u.ln() / q;
+                assert!(x > 0.0 && x < 9_007_199_254_740_992.0, "u {u}, p {p}: {x}");
+                assert_eq!(geometric_skip(u, q), x.floor() as i64, "u {u}, p {p}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..100_000 {
+            let (u, p): (f64, f64) = (rng.gen(), 1e-12 + rng.gen::<f64>() * 0.4);
+            if u <= f64::MIN_POSITIVE {
+                continue;
+            }
+            let q = (-p).ln_1p();
+            assert_eq!(
+                geometric_skip(u, q),
+                (u.ln() / q).floor() as i64,
+                "u {u}, p {p}"
             );
         }
     }

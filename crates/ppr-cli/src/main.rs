@@ -291,12 +291,12 @@ const RUN_COST_MS: [(&str, u64); 17] = [
     ("fig10", 1),
     ("fig11", 1),
     ("fig12", 1),
-    ("fig13", 25),
+    ("fig13", 10),
     ("fig14", 1),
     ("fig15", 1),
     ("fig16", 15),
     ("jam", 1),
-    ("mrd", 70),
+    ("mrd", 30),
     ("relay", 10),
     ("mesh10k", 500),
     ("meshjam", 470),

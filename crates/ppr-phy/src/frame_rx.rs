@@ -37,9 +37,12 @@ impl ChipReceiver {
     }
 
     /// Scans for both delimiters; hits are returned sorted by offset.
+    /// The stream is packed once and both correlators slide over the
+    /// packed words.
     pub fn scan(&self, stream: &[bool]) -> Vec<SyncHit> {
-        let mut hits = self.preamble.scan(stream, self.threshold);
-        hits.extend(self.postamble.scan(stream, self.threshold));
+        let packed = ChipWords::from_bools(stream);
+        let mut hits = self.preamble.scan(&packed, self.threshold);
+        hits.extend(self.postamble.scan(&packed, self.threshold));
         hits.sort_by_key(|h| h.chip_offset);
         hits
     }

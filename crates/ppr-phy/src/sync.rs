@@ -146,17 +146,19 @@ impl SyncPattern {
         d
     }
 
-    /// Scans the whole stream for delimiter occurrences with Hamming
-    /// distance ≤ `max_distance`, suppressing non-minimal hits within one
-    /// codeword (32 chips) of a better one.
-    pub fn scan(&self, stream: &[bool], max_distance: u32) -> Vec<SyncHit> {
+    /// Scans the whole packed stream for delimiter occurrences with
+    /// Hamming distance ≤ `max_distance`, suppressing non-minimal hits
+    /// within one codeword (32 chips) of a better one. A sliding
+    /// correlator: every offset is scored, two XOR + `count_ones` lanes
+    /// each ([`Self::distance_at_words`]).
+    pub fn scan(&self, stream: &ChipWords, max_distance: u32) -> Vec<SyncHit> {
         if stream.len() < self.chips.len() {
             return Vec::new();
         }
         let mut hits: Vec<SyncHit> = Vec::new();
         let last = stream.len() - self.chips.len();
         for offset in 0..=last {
-            let d = self.distance_at(stream, offset);
+            let d = self.distance_at_words(stream, offset);
             if d > max_distance {
                 continue;
             }
@@ -226,6 +228,36 @@ mod tests {
         (0..n).map(|_| rng.gen()).collect()
     }
 
+    /// The per-chip sliding correlator: the executable spec of the
+    /// packed [`SyncPattern::scan`], scoring every offset with
+    /// [`SyncPattern::distance_at`] over the unpacked stream.
+    fn scan_spec(pat: &SyncPattern, stream: &[bool], max_distance: u32) -> Vec<SyncHit> {
+        if stream.len() < pat.len_chips() {
+            return Vec::new();
+        }
+        let mut hits: Vec<SyncHit> = Vec::new();
+        for offset in 0..=stream.len() - pat.len_chips() {
+            let d = pat.distance_at(stream, offset);
+            if d > max_distance {
+                continue;
+            }
+            let hit = SyncHit {
+                chip_offset: offset,
+                distance: d,
+                kind: pat.kind(),
+            };
+            match hits.last_mut() {
+                Some(prev) if offset - prev.chip_offset < CHIPS_PER_SYMBOL => {
+                    if d < prev.distance {
+                        *prev = hit;
+                    }
+                }
+                _ => hits.push(hit),
+            }
+        }
+        hits
+    }
+
     #[test]
     fn delimiter_length_constants_match_rendering() {
         assert_eq!(tx_preamble_chips().len(), TX_PREAMBLE_CHIPS);
@@ -240,7 +272,7 @@ mod tests {
         let insert_at = 200;
         let full = tx_preamble_chips();
         stream.splice(insert_at..insert_at + full.len(), full.iter().copied());
-        let hits = pat.scan(&stream, DEFAULT_SYNC_THRESHOLD);
+        let hits = pat.scan(&ChipWords::from_bools(&stream), DEFAULT_SYNC_THRESHOLD);
         assert_eq!(hits.len(), 1);
         // The short pattern (2 zero symbols + SFD) matches at the tail of
         // the 8-zero-symbol preamble.
@@ -256,6 +288,7 @@ mod tests {
         let mut stream = random_chips(&mut rng, 600);
         let post = tx_postamble_chips();
         stream.splice(100..100 + post.len(), post.iter().copied());
+        let stream = ChipWords::from_bools(&stream);
         let pre_hits = SyncPattern::preamble().scan(&stream, DEFAULT_SYNC_THRESHOLD);
         let post_hits = SyncPattern::postamble().scan(&stream, DEFAULT_SYNC_THRESHOLD);
         assert!(
@@ -281,7 +314,7 @@ mod tests {
         for i in 0..15 {
             stream[pat_start + i * 8] = !stream[pat_start + i * 8];
         }
-        let hits = pat.scan(&stream, DEFAULT_SYNC_THRESHOLD);
+        let hits = pat.scan(&ChipWords::from_bools(&stream), DEFAULT_SYNC_THRESHOLD);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].chip_offset, pat_start);
         assert_eq!(hits[0].distance, 15);
@@ -299,14 +332,14 @@ mod tests {
         for i in 0..64 {
             stream[pat_start + 2 * i] = rng.gen();
         }
-        let hits = pat.scan(&stream, DEFAULT_SYNC_THRESHOLD);
+        let hits = pat.scan(&ChipWords::from_bools(&stream), DEFAULT_SYNC_THRESHOLD);
         assert!(hits.is_empty() || hits[0].distance > 15);
     }
 
     #[test]
     fn no_false_locks_in_long_random_stream() {
         let mut rng = StdRng::seed_from_u64(5);
-        let stream = random_chips(&mut rng, 100_000);
+        let stream = ChipWords::from_bools(&random_chips(&mut rng, 100_000));
         assert!(SyncPattern::preamble()
             .scan(&stream, DEFAULT_SYNC_THRESHOLD)
             .is_empty());
@@ -324,7 +357,7 @@ mod tests {
         let mut stream = vec![false; 64];
         stream.extend(tx_preamble_chips());
         stream.extend(vec![false; 64]);
-        let hits = pat.scan(&stream, DEFAULT_SYNC_THRESHOLD);
+        let hits = pat.scan(&ChipWords::from_bools(&stream), DEFAULT_SYNC_THRESHOLD);
         assert_eq!(hits.len(), 1);
     }
 
@@ -336,6 +369,52 @@ mod tests {
         // missing chips rather than panic.
         let d = pat.distance_at(&stream, 5);
         assert!(d >= (pat.len_chips() - 5) as u32 / 2);
+    }
+
+    /// The packed scan reports the spec's hits, with delimiters (clean
+    /// and corrupted) at the very start and end of streams of every
+    /// lane alignment, and under a lenient threshold that lets noise
+    /// hit too.
+    #[test]
+    fn packed_scan_matches_per_chip_spec() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let pre = tx_preamble_chips();
+        let post = tx_postamble_chips();
+        for len in [
+            0, 100, 127, 128, 129, 320, 383, 384, 385, 1_000, 1_023, 4_096,
+        ] {
+            for trial in 0..6 {
+                let mut stream = random_chips(&mut rng, len);
+                for (k, delim) in [&pre, &post].into_iter().enumerate() {
+                    if delim.len() > len {
+                        continue;
+                    }
+                    // The first trials put a delimiter flush with an
+                    // end of the stream; the rest anywhere.
+                    let at = match (trial + k) % 3 {
+                        0 => 0,
+                        1 => len - delim.len(),
+                        _ => rng.gen_range(0..=len - delim.len()),
+                    };
+                    stream.splice(at..at + delim.len(), delim.iter().copied());
+                    for _ in 0..trial * 3 {
+                        let c = rng.gen_range(at..at + delim.len());
+                        stream[c] = !stream[c];
+                    }
+                }
+                let packed = ChipWords::from_bools(&stream);
+                for pat in [SyncPattern::preamble(), SyncPattern::postamble()] {
+                    for max in [DEFAULT_SYNC_THRESHOLD, 50] {
+                        assert_eq!(
+                            pat.scan(&packed, max),
+                            scan_spec(&pat, &stream, max),
+                            "len {len}, trial {trial}, {:?}, max {max}",
+                            pat.kind()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,29 +11,48 @@
 //! minimum hint, then compares delivered-correct bytes against the best
 //! single receiver.
 //!
-//! It keeps its own reception loop instead of reading the shared
-//! (13.8 kbit/s, carrier sense off) trace ([`super::traces`]) that
-//! `fig10` and `table2` read. Its frames are broadcast-addressed
-//! (`dst 0xFFFF`) and carry the bare payload, so their header chips
-//! differ from those of the trace's per-receiver frames, and so does
-//! their length — and with it every interference profile, chip-error
-//! draw and busy/idle verdict. It also needs every receiver's decoded
-//! symbol stream of one transmission side by side, which a fold over
-//! per-arm counters does not keep.
+//! It walks the (13.8 kbit/s, carrier sense off) timeline itself rather
+//! than reading the shared trace ([`super::traces`]) that `fig10` and
+//! `table2` fold. Its frames are broadcast-addressed (`dst 0xFFFF`) and
+//! carry the bare payload, so their header chips differ from those of
+//! the trace's per-receiver frames, and so does their length — and with
+//! it every interference profile, chip-error draw and busy/idle
+//! verdict. It also needs every receiver's decoded symbol stream of one
+//! transmission side by side, which a fold over per-arm counters does
+//! not keep.
+//!
+//! Only transmissions that at least two receivers hear are combined.
+//! One that fewer hear still matters, but only through each hearer's
+//! busy horizon: an idle receiver that locks onto its preamble is busy
+//! until it ends. So such a transmission is neither rendered nor
+//! decoded (the *busy-only* rule). An idle hearer draws its chip errors
+//! from the reception's own noise stream over the preamble window alone
+//! and locks iff the preamble survives there ([`FastRx::preamble_hit`]);
+//! a busy hearer cannot lock and draws nothing. This is exactly the
+//! verdict a full decode reaches: [`FastRx::receive_into`] acquires by
+//! preamble iff the receiver is idle and the preamble is within the
+//! sync threshold; the span walker draws lanes in ascending order, so a
+//! prefix draw puts the same errors on the window's lanes; and each
+//! reception has its own stream, so a shorter draw shifts no other.
 
 use super::common::CapacityRun;
 use super::Experiment;
-use crate::network::{heard_lists, payload_pattern_into, reception_rng_seed, SQUELCH_SNR};
+use crate::network::{
+    heard_lists, payload_pattern_into, reception_rng_seed, RadioEnv, Transmission, SQUELCH_SNR,
+};
 use crate::results::ExperimentResult;
-use crate::rxpath::FastRx;
+use crate::rxpath::{Acquisition, FastRx};
 use crate::scenario::Scenario;
-use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
-use ppr_channel::overlap::{interference_profile_into, overlap_window, ProfileScratch};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ChipErrors, ErrorProfile};
+use ppr_channel::overlap::{
+    interference_profile_into, overlap_window, HeardTx, InterferenceSpan, ProfileScratch,
+};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::RxCapture;
 use ppr_mac::schemes::ReceivedBody;
 use ppr_phy::chips::ChipWords;
 use ppr_phy::softphy::SoftSymbol;
+use ppr_phy::sync::TX_PREAMBLE_CHIPS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,34 +83,58 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
     let scheme = scenario.ppr_scheme();
     let fast = FastRx::new(true);
     let payload_len = scheme.payload_len(cfg.body_bytes);
+    let receivers = env.testbed.receivers.len();
+    let mut channel = Channel {
+        heard: heard_lists(env, &run.timeline),
+        max_len: run
+            .timeline
+            .iter()
+            .map(|tx| tx.len_chips)
+            .max()
+            .unwrap_or(0),
+        noise,
+        seed: cfg.seed,
+        scratch: ProfileScratch::default(),
+        spans: Vec::new(),
+        profile: ErrorProfile::default(),
+    };
+    let mut busy_until = vec![0u64; receivers];
 
-    let heard = heard_lists(env, &run.timeline);
-    let max_len = run
-        .timeline
-        .iter()
-        .map(|tx| tx.len_chips)
-        .max()
-        .unwrap_or(0);
-    let mut busy_until = vec![0u64; env.testbed.receivers.len()];
-
-    // Buffers kept across transmissions: every frame is rendered once
-    // into `clean` (its link bytes into `link`) and copied into `chips`
-    // for each receiver that hears it, and each receiver's decode is
-    // copied out of the one capture into its own combining copy.
+    // Buffers kept across transmissions: every combined frame is
+    // rendered once into `clean` (its link bytes into `link`) and copied
+    // into `chips` for each receiver that hears it, and each receiver's
+    // decode is copied out of the one capture into its own combining
+    // copy. A busy-only reception draws into `errors` and checks its
+    // preamble in `window`.
     let mut payload = Vec::new();
     let mut frame = Frame::default();
     let mut link = Vec::new();
     let mut clean = ChipWords::default();
     let mut chips = ChipWords::default();
-    let mut spans = Vec::new();
-    let mut profile_scratch = ProfileScratch::default();
-    let mut profile = ErrorProfile::default();
     let mut capture = RxCapture::default();
+    let mut errors = ChipErrors::default();
+    let mut window = ChipWords::default();
     let mut copies: Vec<Vec<SoftSymbol>> = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
 
     let mut result = MrdResult::default();
     for (i, tx) in run.timeline.iter().enumerate() {
+        let hears = |r: usize| env.s2r_mw[tx.sender][r] / noise >= SQUELCH_SNR;
+        if (0..receivers).filter(|&r| hears(r)).count() < 2 {
+            // Busy-only: the transmission can never be combined, so
+            // only its hearers' preamble locks matter.
+            for r in (0..receivers).filter(|&r| hears(r)) {
+                if busy_until[r] > tx.start_chip {
+                    continue;
+                }
+                let mut rng = channel.reception(env, i, tx, r);
+                if locks_on_preamble(&fast, &channel.profile, &mut rng, &mut errors, &mut window) {
+                    busy_until[r] = tx.end_chip();
+                }
+            }
+            continue;
+        }
+
         payload_pattern_into(tx.sender, tx.seq, payload_len, &mut payload);
         frame.refill(0xFFFF, tx.sender as u16, tx.seq, &payload);
         frame.chip_words_into(&mut link, &mut clean);
@@ -99,21 +142,13 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
         // Decode at every receiver that can hear this sender.
         let mut received = 0;
         singles.clear();
-        for r in 0..env.testbed.receivers.len() {
-            let signal = env.s2r_mw[tx.sender][r];
-            if signal / noise < SQUELCH_SNR {
-                continue;
-            }
-            let target = &heard[r][i];
-            let window = overlap_window(&heard[r], target.start_chip, target.end_chip(), max_len);
-            interference_profile_into(target, window, &mut profile_scratch, &mut spans);
-            profile.refill_from_interference(signal, noise, &spans);
-            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
+        for r in (0..receivers).filter(|&r| hears(r)) {
+            let mut rng = channel.reception(env, i, tx, r);
             let idle = busy_until[r] <= tx.start_chip;
             chips.clone_from(&clean);
-            corrupt_chip_words_in_place(&mut chips, &profile, &mut rng);
+            corrupt_chip_words_in_place(&mut chips, &channel.profile, &mut rng);
             let (acq, rx_frame) = fast.receive_into(&frame, &chips, idle, &mut capture);
-            if acq == crate::rxpath::Acquisition::Preamble {
+            if acq == Acquisition::Preamble {
                 busy_until[r] = tx.end_chip();
             }
             if let Some(rx) = rx_frame {
@@ -176,6 +211,54 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
     result
 }
 
+/// Each receiver's view of the pass's channel, with the working memory
+/// of its interference profile, kept across transmissions.
+struct Channel {
+    /// Per-receiver interference views of the whole timeline.
+    heard: Vec<Vec<HeardTx>>,
+    /// The longest transmission, chips ([`overlap_window`]).
+    max_len: u64,
+    noise: f64,
+    /// The run's master seed.
+    seed: u64,
+    scratch: ProfileScratch,
+    spans: Vec<InterferenceSpan>,
+    /// The chip error profile of the last [`Self::reception`].
+    profile: ErrorProfile,
+}
+
+impl Channel {
+    /// Sets [`Self::profile`] to the chip errors that `tx` (timeline
+    /// index `i`)'s interferers cause at receiver `r`, and returns the
+    /// reception's own noise stream. The combining and the busy-only
+    /// receptions both start here.
+    fn reception(&mut self, env: &RadioEnv, i: usize, tx: &Transmission, r: usize) -> StdRng {
+        let heard = &self.heard[r];
+        let target = &heard[i];
+        let window = overlap_window(heard, target.start_chip, target.end_chip(), self.max_len);
+        interference_profile_into(target, window, &mut self.scratch, &mut self.spans);
+        self.profile
+            .refill_from_interference(env.s2r_mw[tx.sender][r], self.noise, &self.spans);
+        StdRng::seed_from_u64(reception_rng_seed(self.seed, tx.id, r))
+    }
+}
+
+/// Whether an idle receiver locks onto the preamble of a frame that
+/// crosses `profile` with noise stream `rng`: the preamble verdict of
+/// [`FastRx::receive_into`], from a draw of the frame's chip errors over
+/// the transmitted preamble alone, where the scan pattern ends
+/// (`errors` and `window` are working memory).
+fn locks_on_preamble(
+    fast: &FastRx,
+    profile: &ErrorProfile,
+    rng: &mut StdRng,
+    errors: &mut ChipErrors,
+    window: &mut ChipWords,
+) -> bool {
+    errors.redraw(TX_PREAMBLE_CHIPS, profile, rng);
+    fast.preamble_hit(errors, window)
+}
+
 /// The MRD combining experiment.
 pub struct Mrd;
 
@@ -225,6 +308,65 @@ impl Experiment for Mrd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::payload_pattern;
+    use rand::Rng;
+
+    /// The busy-only verdict (idle, and the preamble survives a draw
+    /// over the preamble alone) equals the full path's — corrupt the
+    /// whole frame from the same stream, then `receive_into` acquires by
+    /// preamble — over random piecewise profiles that put every regime
+    /// of the draw contract on the preamble, near the sync threshold
+    /// included, and over random seeds.
+    #[test]
+    fn busy_only_verdict_equals_full_receive() {
+        let fast = FastRx::new(true);
+        let frame = Frame::new(0xFFFF, 3, 9, payload_pattern(3, 9, 120));
+        let clean = frame.chip_words();
+        let len = clean.len() as u64;
+        let (mut chips, mut capture) = (ChipWords::default(), RxCapture::default());
+        let (mut errors, mut window) = (ChipErrors::default(), ChipWords::default());
+        let ps = [
+            0.0, 1e-6, 1e-3, 0.015, 0.05, 0.1, 0.14, 0.16, 0.2, 0.35, 0.5, 0.9,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x3D8);
+        let mut locks = [0usize; 2];
+        for case in 0..3_000 {
+            // Breakpoints crowd the preamble's 320 chips.
+            let mut cuts = vec![0, len];
+            for _ in 0..rng.gen_range(0..6) {
+                cuts.push(rng.gen_range(1..400));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                cuts.push(rng.gen_range(1..len));
+            }
+            cuts.sort_unstable();
+            cuts.dedup();
+            let pieces = cuts
+                .windows(2)
+                .map(|w| (w[0], w[1], ps[rng.gen_range(0..ps.len())]))
+                .collect();
+            let profile = ErrorProfile::from_pieces(pieces);
+            let seed = rng.gen();
+            for idle in [false, true] {
+                chips.clone_from(&clean);
+                corrupt_chip_words_in_place(&mut chips, &profile, &mut StdRng::seed_from_u64(seed));
+                let full = fast.receive_into(&frame, &chips, idle, &mut capture).0
+                    == Acquisition::Preamble;
+                let busy_only = idle
+                    && locks_on_preamble(
+                        &fast,
+                        &profile,
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut errors,
+                        &mut window,
+                    );
+                assert_eq!(busy_only, full, "case {case}, idle {idle}: {profile:?}");
+                locks[usize::from(full)] += 1;
+            }
+        }
+        // Both verdicts occur often enough to mean something.
+        assert!(locks.iter().all(|&n| n > 500), "{locks:?}");
+    }
 
     #[test]
     fn combining_never_loses_and_sometimes_rescues() {

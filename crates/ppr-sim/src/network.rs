@@ -83,7 +83,7 @@ use ppr_phy::spread::bytes_to_symbols;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 
 /// Simulation parameters for one run.
@@ -818,7 +818,8 @@ impl<'a> ReceptionDriver<'a> {
         let Some(tx) = self.pipe.timeline.get(idx) else {
             return false;
         };
-        let payload = self.pipe.payload(tx);
+        // Rendered by the first capture the channel touches, if any.
+        let payload = OnceCell::new();
         let receivers = &self.receivers_of[tx.sender];
         for (k, &r) in receivers.iter().enumerate() {
             let idle = self.busy_until[r] <= tx.start_chip;
@@ -1079,19 +1080,21 @@ impl<'a> RxPipeline<'a> {
             .redraw(self.frame_chips, &sc.error_profile, &mut rng);
     }
 
-    /// Receives `timeline[idx]` (its `payload` at the longest arm's
-    /// length) at receiver `r`, `idle` when the frame starts, calling
-    /// `each(a, reception, tally)` once per arm `a`: the arms' clean
-    /// outcomes ([`Self::clean_outcomes`]) with their hint statistics as
-    /// `tally` when the chip errors touch no lane, else a decode
-    /// ([`Self::decode`]). The ids are placeholders: a fold reads none,
-    /// and a stream stamps them. Returns the preamble verdict, which is
-    /// what the receiver's busy/idle fold reads.
+    /// Receives `timeline[idx]` at receiver `r`, `idle` when the frame
+    /// starts, calling `each(a, reception, tally)` once per arm `a`: the
+    /// arms' clean outcomes ([`Self::clean_outcomes`]) with their hint
+    /// statistics as `tally` when the chip errors touch no lane, else a
+    /// decode ([`Self::decode`]) of the transmission's payload, which
+    /// the first such decode renders into `payload` ([`Self::payload`])
+    /// for the transmission's other receptions to share. The ids are
+    /// placeholders: a fold reads none, and a stream stamps them.
+    /// Returns the preamble verdict, which is what the receiver's
+    /// busy/idle fold reads.
     fn receive(
         &self,
         idx: usize,
         r: usize,
-        payload: &[u8],
+        payload: &OnceCell<Vec<u8>>,
         idle: bool,
         mut each: impl FnMut(usize, Cow<'_, Reception>, Option<&HintFold>),
     ) -> bool {
@@ -1106,6 +1109,7 @@ impl<'a> RxPipeline<'a> {
             }
         } else {
             let tx = &self.timeline[idx];
+            let payload = payload.get_or_init(|| self.payload(tx));
             self.decode(r, tx, &draw.errors, payload, idle, preamble, |a, rec| {
                 each(a, Cow::Owned(rec), None)
             });

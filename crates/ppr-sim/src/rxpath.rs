@@ -312,6 +312,7 @@ pub fn body_or_lost(rx: Option<&RxFrame>, len: usize) -> (Vec<u8>, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppr_phy::sync::TX_PREAMBLE_CHIPS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -427,6 +428,11 @@ mod tests {
         assert_eq!(
             pre.distance_at(&chips, FastRx::preamble_pattern_offset()),
             0
+        );
+        // The scan pattern ends with the transmitted preamble.
+        assert_eq!(
+            FastRx::preamble_pattern_offset() + pre.len_chips(),
+            TX_PREAMBLE_CHIPS
         );
         assert_eq!(
             post.distance_at(&chips, FastRx::postamble_pattern_offset(chips.len())),

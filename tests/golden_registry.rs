@@ -173,3 +173,37 @@ fn mesh_density_fingerprints_are_pinned() {
         }
     }
 }
+
+/// FNV-1a of the `mrd` JSON document at the default duration, as
+/// `(seed, eta, fingerprint)`: at the held-out seed 20070827, and at the
+/// default seed with a stricter threshold (`eta=3`). `mrd` renders and
+/// decodes only the transmissions two receivers hear; the others only
+/// move their hearers' busy horizons, from a draw over the preamble
+/// (its module docs). These pin that rule against the full decode of
+/// every transmission, which produced the same documents.
+const MRD_FINGERPRINTS: [(u64, u8, u64); 2] = [
+    (20_070_827, 6, 0x8f06_609f_4ce1_e4fe),
+    (0x0050_5052, 3, 0x7227_d6c6_5338_6613),
+];
+
+#[test]
+fn mrd_json_fingerprints_are_pinned() {
+    use ppr::sim::experiments::find;
+
+    let exp = find("mrd").expect("mrd registered");
+    for (seed, eta, pinned) in MRD_FINGERPRINTS {
+        let scenario = ScenarioBuilder::new()
+            .seed(seed)
+            .eta(eta)
+            .threads(1)
+            .build();
+        let corpus = exp.run_with(&scenario, &[]).to_json().render();
+        let fp = fingerprint(corpus.as_bytes());
+        assert_eq!(
+            fp, pinned,
+            "mrd JSON at seed {seed}, eta {eta} changed: fingerprint {fp:#018x} != pinned \
+             {pinned:#018x}. If the change is intentional, update MRD_FINGERPRINTS and \
+             explain the behavioral delta in the commit."
+        );
+    }
+}
