@@ -23,13 +23,13 @@
 //! decode on them), which changes no output either.
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
-//! runs with and without a checkpoint and the rendered reports are
-//! compared byte for byte (only the mesh experiments read `checkpoint`);
-//! the reception driver's stream is then diffed reception by reception
-//! against the bool spec's, both run from scratch (`ppr_sim::diff`); and
-//! one jammed-mesh checkpoint is resumed, and the same flood run with a
-//! decode crew, and both are compared with the uninterrupted flood. Any disagreement exits 1 and — with `--json
-//! DIR` — writes a first-divergence report.
+//! runs on one thread and again lent a crew helper, and the rendered
+//! reports are compared byte for byte (only the mesh floods use the
+//! helper); the reception driver's stream is then diffed reception by
+//! reception against the bool spec's, both run from scratch
+//! (`ppr_sim::diff`); and one jammed mesh is flooded on one thread and
+//! with a decode crew, and the two stats compared. Any disagreement
+//! exits 1 and — with `--json DIR` — writes a first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
 //! (unknown id, malformed `--set`, unknown flag).
@@ -40,13 +40,12 @@ use ppr_sim::adversary::JammerSpec;
 use ppr_sim::diff::{active_kernel_signature, cross_validate, EVENT_LABEL, REFERENCE_LABEL};
 use ppr_sim::env::threads_from_env;
 use ppr_sim::experiments::common::CapacityRun;
-use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
+use ppr_sim::experiments::mesh::{run_mesh, MeshParams};
 use ppr_sim::experiments::traces::{self, TraceKey};
 use ppr_sim::experiments::{find, registry, Experiment};
 use ppr_sim::network::RxArm;
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
 use ppr_sim::scenario::{Scenario, ScenarioBuilder, SCENARIO_KEYS};
-use ppr_sim::snapshot::MeshSnapshot;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -56,8 +55,8 @@ usage:
   ppr-cli --list                     list registered experiments
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
-  ppr-cli diff <id>... [options]     check experiments across checkpoints
-  ppr-cli diff --all [options]       and the driver against the bool spec
+  ppr-cli diff <id>... [options]     check experiments alone vs with a
+  ppr-cli diff --all [options]       crew, and the driver vs the bool spec
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -583,14 +582,8 @@ fn run(args: &RunArgs) -> i32 {
     }
 }
 
-/// Default checkpoint for `diff`'s mesh passes when the scenario does
-/// not pin one (`--set checkpoint=N`): early enough that the jammed
-/// mesh still has events left after the restore, late enough that its
-/// queue, masks and jammer already carry state.
-const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
-
-/// Threads of the `diff` fleet's crew run of the jammed mesh: the flood
-/// plus one decode helper.
+/// Threads of the `diff` fleet's crew runs: the calling thread plus one
+/// decode helper.
 const DIFF_CREW_THREADS: usize = 2;
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
@@ -638,27 +631,17 @@ fn diff(args: &RunArgs) -> i32 {
             }
             println!("### sweep point {}/{}: {label}", p + 1, points.len());
         }
-        let checkpoint = base.checkpoint.unwrap_or(DIFF_DEFAULT_CHECKPOINT);
-        println!(
-            "kernel: {}   checkpoint: {checkpoint} events",
-            active_kernel_signature()
-        );
+        println!("kernel: {}", active_kernel_signature());
         println!();
 
-        // Experiment-level pass: every selected experiment with and
-        // without the checkpoint; the rendered reports must be
+        // Experiment-level pass: every selected experiment on one
+        // thread and lent a crew helper; the rendered reports must be
         // byte-identical.
-        let plain = Scenario {
-            checkpoint: None,
-            ..base.clone()
-        };
-        let checked = Scenario {
-            checkpoint: Some(checkpoint),
-            ..base.clone()
-        };
-        let mut t = ppr_sim::report::Table::new(&["experiment", "checkpoint"]);
+        let mut t = ppr_sim::report::Table::new(&["experiment", "crew"]);
         for exp in &selected {
-            let agree = exp.run(&checked).render_text() == exp.run(&plain).render_text();
+            let alone = exp.run_with_threads(&base, &[], 1);
+            let crew = exp.run_with_threads(&base, &[], DIFF_CREW_THREADS);
+            let agree = crew.render_text() == alone.render_text();
             t.row(&[
                 exp.id().to_string(),
                 if agree { "ok" } else { "DIVERGED" }.to_string(),
@@ -666,7 +649,7 @@ fn diff(args: &RunArgs) -> i32 {
             if !agree {
                 failures.push(Json::Obj(vec![
                     ("experiment".into(), Json::str(exp.id())),
-                    ("variant".into(), Json::str("checkpoint")),
+                    ("variant".into(), Json::str("crew")),
                     ("point".into(), Json::str(&label)),
                 ]));
             }
@@ -677,7 +660,7 @@ fn diff(args: &RunArgs) -> i32 {
         // Stream-level pass: the reception driver's stream diffed
         // reception by reception against the bool spec's, both run from
         // scratch.
-        let run = CapacityRun::from_scenario(&plain, 13.8, false);
+        let run = CapacityRun::from_scenario(&base, 13.8, false);
         let arm = RxArm {
             scheme: base.ppr_scheme(),
             postamble: true,
@@ -729,28 +712,14 @@ fn diff(args: &RunArgs) -> i32 {
         print!("{}", t.render());
         println!();
 
-        // Jammed-mesh pass: one frozen adversarial mesh checkpoint
-        // (reactive jammer + churn + exponential backoff), serialized,
-        // parsed back and resumed; the resumed stats must equal an
-        // uninterrupted run's. Small on purpose — the point is
-        // agreement, not scale.
+        // Jammed-mesh pass: one adversarial flood (reactive jammer +
+        // churn + exponential backoff) on one thread and with a decode
+        // crew (one helper where the machine has a second thread);
+        // helpers must not change a stat. Small on purpose — the point
+        // is agreement, not scale.
         let mesh_params = jammed_mesh_params(&base);
         let reference = run_mesh(&mesh_params, None);
         let reference_fp = fingerprint(format!("{reference:?}").as_bytes());
-        let mut driver = MeshDriver::new(&mesh_params, None);
-        driver.run_events(checkpoint);
-        let snap_bytes = driver.save().to_bytes();
-        let resumed = match MeshSnapshot::from_bytes(&snap_bytes)
-            .and_then(|snap| MeshDriver::restore(&mesh_params, &snap))
-        {
-            Ok(d) => d.run_to_end(),
-            Err(e) => {
-                eprintln!("error: jammed mesh checkpoint does not resume: {e}");
-                return 1;
-            }
-        };
-        // The same flood with a decode crew (one helper where the
-        // machine has a second thread): helpers must not change a stat.
         let crew = run_mesh(&mesh_params, Some(DIFF_CREW_THREADS));
         let mut t =
             ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);
@@ -759,19 +728,17 @@ fn diff(args: &RunArgs) -> i32 {
             format!("{reference_fp:016x}"),
             "ok".to_string(),
         ]);
-        for (variant, stats) in [("resume", resumed), ("crew", crew)] {
-            let agree = stats == reference;
-            t.row(&[
-                variant.to_string(),
-                format!("{:016x}", fingerprint(format!("{stats:?}").as_bytes())),
-                if agree { "ok" } else { "DIVERGED" }.to_string(),
-            ]);
-            if !agree {
-                failures.push(Json::Obj(vec![
-                    ("jammed_mesh".into(), Json::str(variant)),
-                    ("point".into(), Json::str(&label)),
-                ]));
-            }
+        let agree = crew == reference;
+        t.row(&[
+            "crew".to_string(),
+            format!("{:016x}", fingerprint(format!("{crew:?}").as_bytes())),
+            if agree { "ok" } else { "DIVERGED" }.to_string(),
+        ]);
+        if !agree {
+            failures.push(Json::Obj(vec![
+                ("jammed_mesh".into(), Json::str("crew")),
+                ("point".into(), Json::str(&label)),
+            ]));
         }
         print!("{}", t.render());
     }

@@ -140,6 +140,22 @@ fn removed_driver_axis_is_an_unknown_key() {
 }
 
 #[test]
+fn removed_checkpoint_axis_is_an_unknown_key() {
+    // The mesh flood keeps no snapshot, so `checkpoint` is no scenario
+    // key: it is refused up front like any other unknown key.
+    let out = ppr_cli(&["run", "mesh10k", "--set", "checkpoint=5"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("unknown scenario key \"checkpoint\"") && err.contains("valid keys"),
+        "{err}"
+    );
+    assert!(stdout(&out).is_empty(), "ran despite the bad key");
+    let help = stdout(&ppr_cli(&["--help"]));
+    assert!(!help.contains("checkpoint"), "--help lists it:\n{help}");
+}
+
+#[test]
 fn nothing_to_run_is_an_error() {
     let out = ppr_cli(&["run"]);
     assert_eq!(out.status.code(), Some(2));
@@ -230,7 +246,7 @@ fn help_exits_zero_and_documents_scenario_keys() {
     let out = ppr_cli(&["--help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for key in ["duration", "seed", "load", "eta", "checkpoint"] {
+    for key in ["duration", "seed", "load", "eta", "mesh_nodes", "jammer"] {
         assert!(text.contains(key), "--help missing {key}:\n{text}");
     }
 }

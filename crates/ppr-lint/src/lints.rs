@@ -12,7 +12,6 @@
 //! | `no-float` | no float literals or `f32`/`f64` tokens inside declared `region(no-float)` spans (the Q23.40 planner scoring and CRC paths) |
 //! | `env-hygiene` | `std::env::var`/`var_os` only in `ppr_sim::env`, `ppr-cli` and `ppr-bench` |
 //! | `event-key-doc` | `ppr_sim::event` documents the heap ordering key verbatim — the literal `(time, priority, seq)` must appear in the module, so the total-order contract every driver leans on cannot silently rot out of the docs |
-//! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
 //! | `axis-doc` | every axis key in `ppr_sim::scenario`'s `SCENARIO_KEYS` table has a `` | `key` `` row in the README's scenario-axis table — so `--set` surface and documentation cannot drift apart |
 //! | `orphan-file` | every `.rs` file under a crate's `src/` is reachable through `mod` declarations from `lib.rs`, `main.rs` or a `src/bin/` target — a file nothing declares is never compiled, yet reads like live code |
 //! | `dead-pub` | every `pub` item (`fn`, method, `struct`, `enum`, `trait`, `type`, `const`, `static`) of a library crate's `src/` is named as a code token somewhere other than its own declaration, a `pub use` in a `lib.rs` and its own file's `#[cfg(test)]` items — uses count in `src/`, `crates/`, `tests/`, `examples/` and the read-only `perfbench/src` |
@@ -48,13 +47,12 @@ pub struct Finding {
 }
 
 /// Names of every lint, for `--list` and allow(...) validation.
-pub const LINT_NAMES: [&str; 10] = [
+pub const LINT_NAMES: [&str; 9] = [
     "determinism",
     "unsafe-containment",
     "no-float",
     "env-hygiene",
     "event-key-doc",
-    "snapshot-field-doc",
     "axis-doc",
     "orphan-file",
     "dead-pub",
@@ -114,7 +112,6 @@ pub fn check_file_with_readme(
     no_float_lint(file, &mut findings);
     env_hygiene_lint(file, &mut findings);
     event_key_doc_lint(file, &mut findings);
-    snapshot_field_doc_lint(file, &mut findings);
     if let Some(readme) = readme {
         axis_doc_lint(file, readme, &mut findings);
     }
@@ -232,101 +229,6 @@ fn event_key_doc_lint(file: &SourceFile, out: &mut Vec<Finding>) {
              `(time, priority, seq)` — drivers rely on that contract for bit-identical replay"
                 .to_string(),
         ));
-    }
-}
-
-/// Files that hold checkpointed driver state and therefore must declare
-/// at least one `region(snapshot-state)` span. The snapshot format's
-/// field inventory is only as trustworthy as the regions that opt the
-/// state in — a driver refactor that silently dropped its region would
-/// also drop the field-doc requirement below.
-const SNAPSHOT_STATE_FILES: [&str; 2] = [
-    "crates/ppr-sim/src/experiments/mesh.rs",
-    "crates/ppr-sim/src/adversary.rs",
-];
-
-/// `snapshot-field-doc`: inside a declared `region(snapshot-state)`
-/// span, every field declaration must carry a `snapshot:` comment (same
-/// line, or immediately above) stating whether the field is serialized
-/// into the checkpoint or rebuilt on restore. The checkpointed drivers
-/// themselves must declare such regions; anything else that opts in
-/// (snapshot structs, the event queue) gets the same field discipline.
-fn snapshot_field_doc_lint(file: &SourceFile, out: &mut Vec<Finding>) {
-    let has_region = file.regions.iter().any(|r| r.name == "snapshot-state");
-    if SNAPSHOT_STATE_FILES.contains(&file.rel_path.as_str()) && !has_region {
-        out.push(finding(
-            file,
-            1,
-            "snapshot-field-doc",
-            "this file holds checkpointed driver state and must declare at least one \
-             `region(snapshot-state)` span so every state field documents its snapshot fate"
-                .to_string(),
-        ));
-    }
-    if !has_region {
-        return;
-    }
-    // Declaration keywords that start non-field lines a region might
-    // still cover (struct headers, impl blocks, helper code).
-    const NON_FIELD_STARTERS: [&str; 16] = [
-        "struct",
-        "enum",
-        "union",
-        "impl",
-        "fn",
-        "let",
-        "use",
-        "mod",
-        "const",
-        "static",
-        "type",
-        "trait",
-        "where",
-        "match",
-        "macro_rules",
-        "return",
-    ];
-    let tokens = &file.lexed.tokens;
-    let mut i = 0;
-    while i < tokens.len() {
-        let line = tokens[i].line;
-        let mut j = i;
-        while j < tokens.len() && tokens[j].line == line {
-            j += 1;
-        }
-        let line_toks = &tokens[i..j];
-        i = j;
-        if !file.in_region("snapshot-state", line) {
-            continue;
-        }
-        let TokenKind::Ident(first) = &line_toks[0].kind else {
-            continue; // closing braces, attributes, …
-        };
-        if NON_FIELD_STARTERS.contains(&first.as_str()) {
-            continue;
-        }
-        // A field declaration carries a single `name: Type` colon
-        // (`::` path separators are two adjacent colon tokens).
-        let single_colon = |k: usize| {
-            line_toks[k].kind == TokenKind::Punct(':')
-                && (k == 0 || line_toks[k - 1].kind != TokenKind::Punct(':'))
-                && line_toks
-                    .get(k + 1)
-                    .is_none_or(|t| t.kind != TokenKind::Punct(':'))
-        };
-        if !(0..line_toks.len()).any(single_colon) {
-            continue;
-        }
-        if !comment_covers(file, line, &|text: &str| text.contains("snapshot:")) {
-            out.push(finding(
-                file,
-                line,
-                "snapshot-field-doc",
-                "field inside a region(snapshot-state) span without a `snapshot:` comment \
-                 saying whether it is serialized into the checkpoint or rebuilt on restore"
-                    .to_string(),
-            ));
-        }
     }
 }
 
@@ -1228,57 +1130,6 @@ let f = 4.0;
         assert_eq!(check("crates/ppr-sim/src/traffic.rs", os).len(), 1);
         // env::args (no var) is fine anywhere.
         assert!(check("crates/ppr-lint/src/main.rs", "let a = std::env::args();\n").is_empty());
-    }
-
-    #[test]
-    fn snapshot_fields_need_docs_only_inside_regions() {
-        let src = "\
-pub struct Driver {
-    // ppr-lint: region(snapshot-state) begin driver state
-    /// snapshot: serialized — the event queue.
-    q: Queue,
-    out: Vec<Option<Reception>>,
-    busy: Vec<u64>, // snapshot: serialized.
-    // ppr-lint: region(snapshot-state) end
-    scratch: Vec<u8>,
-}
-";
-        let f = check("crates/ppr-core/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, "snapshot-field-doc");
-        assert_eq!(f[0].line, 5); // `out` — undocumented; `scratch` is outside
-    }
-
-    #[test]
-    fn snapshot_region_skips_non_field_lines() {
-        let src = "\
-// ppr-lint: region(snapshot-state) begin whole struct, header included
-pub struct Snap {
-    /// snapshot: serialized.
-    pub seed: u64,
-}
-// ppr-lint: region(snapshot-state) end
-";
-        assert!(check("crates/ppr-core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn checkpointed_drivers_must_declare_snapshot_regions() {
-        let bare = "pub struct MeshDriver { q: Queue }\n";
-        for path in [
-            "crates/ppr-sim/src/experiments/mesh.rs",
-            "crates/ppr-sim/src/adversary.rs",
-        ] {
-            let f = check(path, bare);
-            assert!(
-                f.iter().any(|x| x.lint == "snapshot-field-doc"),
-                "{path}: {f:?}"
-            );
-        }
-        // Other files may simply not opt in; the testbed reception
-        // driver keeps no checkpoint.
-        assert!(check("crates/ppr-sim/src/event.rs", "// (time, priority, seq)\n").is_empty());
-        assert!(check("crates/ppr-sim/src/network.rs", bare).is_empty());
     }
 
     fn check_readme(path: &str, src: &str, readme: &str) -> Vec<Finding> {

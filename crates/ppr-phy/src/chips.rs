@@ -214,26 +214,6 @@ impl ChipWords {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
-    /// Rebuilds a stream from raw lanes previously obtained through
-    /// [`Self::words`] and [`Self::len`] — the simulator
-    /// snapshot/restore path. Returns `None` when the inputs violate
-    /// the canonical form (wrong lane count, or nonzero bits at
-    /// positions `>= len`), so a corrupted snapshot cannot smuggle in a
-    /// non-canonical stream that breaks `PartialEq`/`count_ones`.
-    pub fn from_raw(words: Vec<u64>, len: usize) -> Option<Self> {
-        if words.len() != len.div_ceil(64) {
-            return None;
-        }
-        if !len.is_multiple_of(64) {
-            if let Some(&last) = words.last() {
-                if last >> (len % 64) != 0 {
-                    return None;
-                }
-            }
-        }
-        Some(ChipWords { words, len })
-    }
-
     /// Number of chips.
     #[inline]
     pub fn len(&self) -> usize {

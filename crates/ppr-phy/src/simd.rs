@@ -413,11 +413,9 @@ impl DspKernel {
 }
 
 /// The process's active kernel selection as one stable provenance
-/// string, `despread=<name> dsp=<name>`. Simulator snapshots record it
-/// so a restored run can report which code paths produced the capture,
-/// and the differential harness (`ppr-cli diff`) prints it per
-/// combination — the SIMD/scalar axis of a cross-validation run is
-/// visible in the report, not inferred.
+/// string, `despread=<name> dsp=<name>`. The differential harness
+/// (`ppr-cli diff`) prints it per combination — the SIMD/scalar axis of
+/// a cross-validation run is visible in the report, not inferred.
 pub fn active_kernel_signature() -> String {
     format!(
         "despread={} dsp={}",

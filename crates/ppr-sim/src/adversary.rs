@@ -34,8 +34,7 @@
 //!   pre-planned `SimEvent::NodeFault` events (a crash at `t`, its
 //!   restart at `t + downtime`), plus link-degradation windows (a
 //!   node's noise floor multiplied for an interval). The plan is a
-//!   pure function of `(seed, churn rate)` — drivers recompute it on
-//!   restore instead of serializing it.
+//!   pure function of `(seed, churn rate)`.
 //!
 //! Burst timing is safe by construction: a reception's decode flush
 //! happens at or after its completion time, and a `JamBurst` event for
@@ -179,18 +178,6 @@ impl JammerSpec {
             _ => Err(err()),
         }
     }
-
-    /// Identity words for snapshot validation: a variant tag plus the
-    /// two parameter slots (unused slots zero; duties as `f64` bits).
-    pub fn identity_words(&self) -> (u8, u64, u64) {
-        match *self {
-            JammerSpec::Off => (0, 0, 0),
-            JammerSpec::Pulse { period, duty } => (1, period, duty.to_bits()),
-            JammerSpec::Rand { duty } => (2, duty.to_bits(), 0),
-            JammerSpec::Sweep { period, duty } => (3, period, duty.to_bits()),
-            JammerSpec::React { delay } => (4, delay, 0),
-        }
-    }
 }
 
 /// One recorded jamming burst: the chip interval plus the emitter's
@@ -248,8 +235,7 @@ pub struct DegradeWindow {
 
 /// The full fault-injection plan: crash/restart churn events plus
 /// link-degradation windows. A pure function of `(seed, churn rate,
-/// node count, protected node)` — see [`FaultPlan::generate`] — so
-/// restore recomputes it instead of deserializing it.
+/// node count, protected node)` — see [`FaultPlan::generate`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Crash/restart events, in generation order (each crash is
@@ -331,36 +317,25 @@ impl FaultPlan {
 }
 
 /// The jammer actor: one emitter driven by `SimEvent::JamBurst` events.
-///
-/// Stateful fields live under the snapshot contract — a checkpoint in
-/// the middle of a burst train (or with a reactive burst in flight)
-/// must resume bit-identically, so the RNG words, the busy horizon,
-/// the sweep step, the scheduled-burst FIFO and the grow-only record
-/// are all serialized; the emitter's *base* position is derived from
-/// the deployment side and rebuilt.
-// ppr-lint: region(snapshot-state) begin adversary jammer actor state
 pub struct AdversaryState {
-    /// snapshot: identity — the jammer spec, validated on restore.
+    /// What the actor emits.
     spec: JammerSpec,
-    /// snapshot: rebuilt — deployment square side, derived from the
-    /// placement (which is itself seed-derived).
+    /// Deployment square side, meters.
     side: f64,
-    /// snapshot: serialized — the jammer's own RNG stream (slot 0)
-    /// as its four xoshiro state words.
+    /// The jammer's own RNG stream (slot 0).
     rng: StdRng,
-    /// snapshot: serialized — earliest chip the reactive jammer may
-    /// schedule its next burst (sense→jam pipeline is depth one).
+    /// Earliest chip the reactive jammer may schedule its next burst
+    /// (the sense→jam pipeline is depth one).
     busy_until: u64,
-    /// snapshot: serialized — the sweep jammer's walk step.
+    /// The sweep jammer's walk step.
     sweep_idx: u64,
-    /// snapshot: serialized — reactive bursts scheduled but not yet
-    /// popped, in schedule (= chip) order.
+    /// Reactive bursts scheduled but not yet popped, in schedule
+    /// (= chip) order.
     scheduled: Vec<(u64, u64)>,
-    /// snapshot: serialized — every burst emitted so far, in pop
-    /// order (grow-only; decode flushes read it).
+    /// Every burst emitted so far, in pop order (grow-only; decode
+    /// flushes read it).
     bursts: Vec<JamBurstRec>,
 }
-// ppr-lint: region(snapshot-state) end
 
 impl AdversaryState {
     /// Builds the actor for a deployment square of side `side` meters.
@@ -509,58 +484,6 @@ impl AdversaryState {
     /// trains are disjoint by construction, reactive is depth-one).
     pub fn jam_chips(&self) -> u64 {
         self.bursts.iter().map(|b| b.end - b.start).sum()
-    }
-
-    /// Serializes the actor's dynamic state:
-    /// `(rng words, busy_until, sweep_idx, scheduled, bursts)`.
-    #[allow(clippy::type_complexity)]
-    pub fn save_state(
-        &self,
-    ) -> (
-        [u64; 4],
-        u64,
-        u64,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64, u64, u64)>,
-    ) {
-        (
-            self.rng.state(),
-            self.busy_until,
-            self.sweep_idx,
-            self.scheduled.clone(),
-            self.bursts
-                .iter()
-                .map(|b| (b.start, b.end, b.x.to_bits(), b.y.to_bits()))
-                .collect(),
-        )
-    }
-
-    /// Restores the dynamic state captured by
-    /// [`AdversaryState::save_state`] into a freshly built actor.
-    #[allow(clippy::type_complexity)]
-    pub fn restore_state(
-        &mut self,
-        (rng, busy_until, sweep_idx, scheduled, bursts): (
-            [u64; 4],
-            u64,
-            u64,
-            Vec<(u64, u64)>,
-            Vec<(u64, u64, u64, u64)>,
-        ),
-    ) {
-        self.rng = StdRng::from_state(rng);
-        self.busy_until = busy_until;
-        self.sweep_idx = sweep_idx;
-        self.scheduled = scheduled;
-        self.bursts = bursts
-            .into_iter()
-            .map(|(start, end, x, y)| JamBurstRec {
-                start,
-                end,
-                x: f64::from_bits(x),
-                y: f64::from_bits(y),
-            })
-            .collect();
     }
 }
 
@@ -724,30 +647,6 @@ mod tests {
         assert_eq!(j.bursts_overlapping(0, 1).count(), 1);
         assert_eq!(j.bursts_overlapping(1 << 18, 1 << 20).count(), 0);
         assert_eq!(j.bursts_overlapping(0, ADVERSARY_HORIZON).count(), 4);
-    }
-
-    #[test]
-    fn adversary_state_round_trips_through_save_restore() {
-        let mut j = AdversaryState::new(JammerSpec::Rand { duty: 0.5 }, 9, 40.0);
-        let mut t = j.initial_burst_time().unwrap();
-        for _ in 0..10 {
-            if let Some(next) = j.on_jam_burst(t) {
-                t = next;
-            }
-        }
-        let state = j.save_state();
-        let mut k = AdversaryState::new(JammerSpec::Rand { duty: 0.5 }, 9, 40.0);
-        k.restore_state(state);
-        // Driving both from here must produce identical bursts.
-        for _ in 0..10 {
-            let a = j.on_jam_burst(t);
-            let b = k.on_jam_burst(t);
-            assert_eq!(a, b);
-            assert_eq!(j.bursts(), k.bursts());
-            if let Some(next) = a {
-                t = next;
-            }
-        }
     }
 
     #[test]

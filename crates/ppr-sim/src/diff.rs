@@ -21,7 +21,7 @@ use crate::network::{
     Transmission,
 };
 use crate::results::fingerprint;
-use crate::snapshot::{encode_reception, SnapWriter};
+use crate::rxpath::Acquisition;
 pub use ppr_phy::simd::active_kernel_signature;
 
 /// Report label of the reception driver's stream (the baseline).
@@ -161,12 +161,40 @@ pub fn first_divergence(
 /// equal fingerprints; this is how CI compares the SIMD and scalar
 /// kernel runs.
 pub fn stream_fingerprint(recs: &[Reception]) -> u64 {
-    let mut w = SnapWriter::default();
-    w.usize(recs.len());
+    let mut bytes = Vec::new();
+    put_u64(&mut bytes, recs.len() as u64);
     for rec in recs {
-        encode_reception(&mut w, rec);
+        encode_reception(&mut bytes, rec);
     }
-    fingerprint(&w.into_inner())
+    fingerprint(&bytes)
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends the canonical field encoding of one reception: integers
+/// little-endian and fixed-width (`usize` as `u64`), the acquisition as
+/// a stable tag (a value, not an in-memory discriminant, so
+/// fingerprints compare across builds), the CRC verdict as one byte,
+/// then the hints and the symbol verdicts, each prefixed by its length.
+fn encode_reception(out: &mut Vec<u8>, rec: &Reception) {
+    put_u64(out, rec.tx_id);
+    put_u64(out, rec.sender as u64);
+    put_u64(out, rec.receiver as u64);
+    out.push(match rec.acquisition {
+        Acquisition::Preamble => 0,
+        Acquisition::Postamble => 1,
+        Acquisition::None => 2,
+    });
+    put_u64(out, rec.payload_len as u64);
+    put_u64(out, rec.delivered_correct as u64);
+    put_u64(out, rec.delivered_claimed as u64);
+    out.push(rec.crc_ok as u8);
+    put_u64(out, rec.symbol_hints.len() as u64);
+    out.extend_from_slice(&rec.symbol_hints);
+    put_u64(out, rec.symbol_correct.len() as u64);
+    out.extend(rec.symbol_correct.iter().map(|&b| b as u8));
 }
 
 /// The driver's verdict against the spec over one run.
@@ -201,7 +229,6 @@ pub fn cross_validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rxpath::Acquisition;
 
     fn rec(tx_id: u64, receiver: usize, delivered: usize) -> Reception {
         Reception {
@@ -259,6 +286,35 @@ mod tests {
         assert_eq!(d.field, "stream length");
         assert_eq!(d.left, "2");
         assert_eq!(d.right, "1");
+    }
+
+    /// [`stream_fingerprint`] of the three receptions below.
+    const PINNED_FINGERPRINT: u64 = 0xbd80_e086_084b_96ad;
+
+    /// [`stream_fingerprint`] of the empty stream.
+    const EMPTY_FINGERPRINT: u64 = 0xa8c7_f832_281a_39c5;
+
+    /// The canonical encoding is pinned: every acquisition tag, the
+    /// widest ids, and hint and symbol sections digest to the value
+    /// earlier builds printed, so `ppr-cli diff` fingerprints compare
+    /// across versions.
+    #[test]
+    fn stream_fingerprint_is_pinned() {
+        let mut heard = rec(7, 0, 100);
+        heard.symbol_hints = vec![0, 3, 31, 255];
+        heard.symbol_correct = vec![true, false, true];
+        let mut rolled_back = rec(u64::MAX, 22, 40);
+        rolled_back.acquisition = Acquisition::Postamble;
+        rolled_back.sender = usize::MAX;
+        rolled_back.delivered_claimed = 64;
+        let mut lost = rec(9, 5, 0);
+        lost.acquisition = Acquisition::None;
+        assert_eq!(
+            stream_fingerprint(&[heard, rolled_back, lost]),
+            PINNED_FINGERPRINT,
+            "the canonical reception encoding moved"
+        );
+        assert_eq!(stream_fingerprint(&[]), EMPTY_FINGERPRINT);
     }
 
     #[test]

@@ -192,18 +192,13 @@ impl<E> Ord for Entry<E> {
 /// `std::collections::BinaryHeap` is not a stable heap, but stability is
 /// irrelevant here: keys are unique by construction, so the pop order is
 /// the total key order regardless of internal sift behavior.
-// ppr-lint: region(snapshot-state) begin queue state persists across checkpoint/resume
 pub struct BinaryHeapQueue<E> {
-    // snapshot: serialized as (key, event) pairs sorted by key — heap
-    // shape is an implementation detail, the key order is the contract.
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    // snapshot: serialized verbatim, so keys assigned after a resume
-    // continue the same uniqueness sequence.
+    /// The next `seq` tie-break to assign.
     next_seq: u64,
-    // snapshot: serialized verbatim — events/sec accounting continues.
+    /// Events popped so far.
     dispatched: u64,
 }
-// ppr-lint: region(snapshot-state) end
 
 impl<E> Default for BinaryHeapQueue<E> {
     fn default() -> Self {
@@ -227,42 +222,6 @@ impl<E> BinaryHeapQueue<E> {
             heap: BinaryHeap::with_capacity(n),
             next_seq: 0,
             dispatched: 0,
-        }
-    }
-}
-
-impl<E: Clone> BinaryHeapQueue<E> {
-    /// The queue's full state for a snapshot: every scheduled entry as
-    /// a `(key, event)` pair **sorted by key** (heap layout is an
-    /// implementation detail; the total key order is the contract),
-    /// plus the `next_seq` and `dispatched` counters. Keys are captured
-    /// verbatim — including the `seq` tie-breaks already assigned — so
-    /// a queue rebuilt by [`BinaryHeapQueue::from_state`] pops the
-    /// exact same sequence as the original.
-    pub fn save_state(&self) -> (Vec<(EventKey, E)>, u64, u64) {
-        let mut entries: Vec<(EventKey, E)> = self
-            .heap
-            .iter()
-            .map(|Reverse(e)| (e.key, e.event.clone()))
-            .collect();
-        entries.sort_by_key(|&(k, _)| k);
-        (entries, self.next_seq, self.dispatched)
-    }
-
-    /// Rebuilds a queue from a [`BinaryHeapQueue::save_state`] capture,
-    /// preserving every key verbatim. Future `schedule` calls continue
-    /// from `next_seq`, so resumed runs assign the same keys an
-    /// uninterrupted run would.
-    pub fn from_state(entries: Vec<(EventKey, E)>, next_seq: u64, dispatched: u64) -> Self {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for (key, event) in entries {
-            debug_assert!(key.seq < next_seq, "entry seq beyond the push counter");
-            heap.push(Reverse(Entry { key, event }));
-        }
-        BinaryHeapQueue {
-            heap,
-            next_seq,
-            dispatched,
         }
     }
 }

@@ -44,8 +44,8 @@
 //!   in batch (pop) order.
 //!
 //! What this guarantees today: a run is a pure function of its
-//! [`MeshParams`], independent of batch order, of checkpointing, of the
-//! kernel selection and of the number of threads it decodes on.
+//! [`MeshParams`], independent of batch order, of the kernel selection
+//! and of the number of threads it decodes on.
 //!
 //! ## The decode crew
 //!
@@ -74,9 +74,7 @@
 //! 1 and 3 write, so the run is the one-thread run bit for bit. An idle
 //! helper polls for the next batch for about one inter-batch gap, then
 //! parks; a panic in a helper's decode is re-raised on the driver's
-//! thread. [`MeshDriver::run_events`] and a flood resumed from a
-//! checkpoint ([`MeshDriver::restore`], [`run_mesh_checkpointed`])
-//! decode on the calling thread alone.
+//! thread.
 //!
 //! What it does not guarantee is time-ordered dispatch. The flush runs
 //! when the *next* event pops, and that event can lie far past the
@@ -104,13 +102,12 @@
 
 use super::Experiment;
 use crate::adversary::{AdversaryState, FaultPlan, JammerSpec};
-use crate::event::{prio, priority, BinaryHeapQueue, EventKey, EventQueue, SimEvent};
+use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::{Point, Testbed};
 use crate::network::{office_model, payload_pattern, reception_rng_seed, SQUELCH_SNR};
 use crate::results::ExperimentResult;
 use crate::rxpath::FastRx;
 use crate::scenario::Scenario;
-use crate::snapshot::{MeshNodeSnapshot, MeshSnapshot, MeshTxSnapshot, SnapError};
 use crate::spatial::SpatialIndex;
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
 use ppr_channel::overlap::{interference_profile_into, HeardTx, InterferenceSpan, ProfileScratch};
@@ -276,7 +273,7 @@ impl MeshParams {
 }
 
 /// Deterministic counters of one mesh flood run — everything the
-/// experiment reports, and what the checkpoint round-trip tests pin.
+/// experiment reports, and what the crew and seed-stability tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MeshStats {
     /// Node count.
@@ -336,28 +333,25 @@ impl MeshStats {
 }
 
 /// One on-air frame of the mesh run.
-// ppr-lint: region(snapshot-state) begin mesh transmission store
 struct MeshTx {
-    /// snapshot: serialized — transmitting node.
+    /// Transmitting node.
     sender: usize,
-    /// snapshot: serialized — link-layer destination ([`BROADCAST`] for
-    /// flood frames, the requester for repairs).
+    /// Link-layer destination ([`BROADCAST`] for flood frames, the
+    /// requester for repairs).
     dst: u16,
-    /// snapshot: serialized — start chip.
+    /// Start chip.
     start: u64,
-    /// snapshot: rebuilt — derived from the reconstructed frame.
+    /// Length in chips.
     len: u64,
-    /// snapshot: rebuilt — the frame bytes are reconstructed from the
-    /// ground-truth payload (flood) or the repair spans; the sequence
-    /// number is the transmission's index in the store. Shared with
-    /// the decode batches that receive it.
+    /// The frame on the air; its sequence number is the transmission's
+    /// index in the store. Shared with the decode batches that receive
+    /// it.
     frame: Arc<Frame>,
-    /// snapshot: serialized — for repairs: the payload spans this frame
-    /// carries, in original payload coordinates (the receiver maps
-    /// delivered bytes back through them).
+    /// For repairs: the payload spans this frame carries, in original
+    /// payload coordinates (the receiver maps delivered bytes back
+    /// through them).
     spans: Option<Arc<[UnitRange]>>,
 }
-// ppr-lint: region(snapshot-state) end
 
 impl MeshTx {
     fn end(&self) -> u64 {
@@ -367,26 +361,23 @@ impl MeshTx {
 
 /// Per-node protocol state — the per-link PP-ARQ session state of the
 /// flood. The chunking DP's scratch is *not* part of it: a repair plan
-/// reconstructs its working state from the byte-correct mask on demand,
-/// which is why checkpoints exclude `ChunkScratch` contents entirely.
+/// reconstructs its working state from the byte-correct mask on demand.
 #[derive(Clone)]
-// ppr-lint: region(snapshot-state) begin mesh per-node ARQ session state
 struct NodeState {
-    /// snapshot: rebuilt — correct-byte count: the popcount of the
-    /// node's `MeshDriver::masks` row over the payload's bits.
+    /// Correct-byte count: the popcount of the node's
+    /// `MeshDriver::masks` row over the payload's bits.
     correct: usize,
-    /// snapshot: rebuilt — full payload recovered, i.e. `correct` is
-    /// the payload length. A node rebroadcasts exactly once, when it
-    /// recovers, so this is also "rebroadcast scheduled".
+    /// Full payload recovered, i.e. `correct` is the payload length. A
+    /// node rebroadcasts exactly once, when it recovers, so this is
+    /// also "rebroadcast scheduled".
     recovered: bool,
-    /// snapshot: serialized — a PP-ARQ timer is armed.
+    /// A PP-ARQ timer is armed.
     timer_armed: bool,
-    /// snapshot: serialized — node is up (fault injection crashes and
-    /// restarts nodes; a crashed node neither sends nor receives, and
-    /// loses its non-recovered partial state).
+    /// Node is up (fault injection crashes and restarts nodes; a
+    /// crashed node neither sends nor receives, and loses its
+    /// non-recovered partial state).
     alive: bool,
 }
-// ppr-lint: region(snapshot-state) end
 
 impl NodeState {
     fn new() -> Self {
@@ -788,115 +779,58 @@ pub fn run_mesh(params: &MeshParams, threads: Option<usize>) -> MeshStats {
     MeshDriver::new(params, threads).run_to_end()
 }
 
-/// [`run_mesh`] with a checkpoint in the middle: the flood is driven to
-/// the `checkpoint_events` dispatch boundary, serialized, restored from
-/// the bytes, and completed, all on the calling thread. Stats (including
-/// the flush-batch counters the rendered report prints) are
-/// bit-identical to an uninterrupted run: a checkpoint serializes the
-/// pending decode batch *as is* rather than forcing an early flush, so
-/// batch boundaries never move.
-pub fn run_mesh_checkpointed(params: &MeshParams, checkpoint_events: u64) -> MeshStats {
-    let mut driver = MeshDriver::new(params, None);
-    driver.run_events(checkpoint_events);
-    let bytes = driver.save().to_bytes();
-    drop(driver);
-    let snap = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot bytes round-trip");
-    MeshDriver::restore(params, &snap)
-        .expect("mesh snapshot restores against its own params")
-        .run_to_end()
-}
-
-/// The flood a mesh experiment reports: uninterrupted on up to
-/// `threads` threads, or checkpointed at the scenario's `checkpoint`
-/// event count on the calling thread alone.
-pub(crate) fn run_flood(
-    params: &MeshParams,
-    checkpoint: Option<u64>,
-    threads: Option<usize>,
-) -> MeshStats {
-    match checkpoint {
-        None => run_mesh(params, threads),
-        Some(events) => run_mesh_checkpointed(params, events),
-    }
-}
-
-/// The mesh flood as a resumable state machine: the event loop of the
-/// module docs, with [`MeshDriver::save`]/[`MeshDriver::restore`] to
-/// checkpoint it at any event boundary. A checkpoint does *not* flush
-/// the pending decode batch — the batch (and its deadline) is
-/// serialized verbatim, so the flush statistics printed in the
-/// experiment report are unchanged by checkpointing.
+/// The mesh flood: the event loop of the module docs.
 pub struct MeshDriver {
-    // ppr-lint: region(snapshot-state) begin mesh flood driver state
-    /// snapshot: identity — run parameters, validated on restore.
+    /// Run parameters.
     params: MeshParams,
-    /// snapshot: rebuilt — propagation model, derived from nothing.
+    /// Propagation model.
     model: PathLossModel,
-    /// snapshot: rebuilt — noise floor, derived from the model.
+    /// Noise floor, mW.
     noise: f64,
-    /// snapshot: rebuilt — receiver squelch bounds, derived from the
-    /// model.
+    /// Receiver squelch bounds.
     squelch: SquelchBand,
-    /// snapshot: rebuilt — node placement, derived from the seed.
+    /// Node placement.
     tb: Testbed,
-    /// snapshot: rebuilt — spatial shards, derived from the placement.
+    /// Spatial shards of the placement.
     index: SpatialIndex,
-    /// snapshot: rebuilt — payload length, derived from the scheme.
+    /// Payload length of the delivery scheme.
     payload_len: usize,
-    /// snapshot: rebuilt — the stateless per-packet receiver, the
-    /// delivery scheme (derived from η) and the ground-truth payload
-    /// (derived from the seed-determined flood source).
+    /// The stateless per-packet receiver, the delivery scheme and the
+    /// ground-truth payload.
     decoder: Decoder,
-    /// snapshot: serialized — per-node PP-ARQ session state
-    /// (`ChunkScratch` contents excluded: the DP reconstructs its
-    /// working state from the mask on demand).
+    /// Per-node PP-ARQ session state.
     states: Vec<NodeState>,
-    /// snapshot: serialized — every node's byte-correct bitmask over
-    /// the payload, `payload_len.div_ceil(64)` words per node in node
-    /// order: one allocation for the whole mesh, serialized per node.
+    /// Every node's byte-correct bitmask over the payload,
+    /// `payload_len.div_ceil(64)` words per node in node order: one
+    /// allocation for the whole mesh.
     masks: Vec<u64>,
-    /// snapshot: serialized — the transmission store, as
-    /// (sender, dst, start, spans); frames are reconstructed.
+    /// The transmission store, indexed by tx id.
     txs: Vec<MeshTx>,
-    /// snapshot: rebuilt — per-sender (start, end, id) transmission
-    /// windows, reconstructed from `started` and the store.
+    /// Per-sender (start, end, id) windows of the transmissions that
+    /// went on the air.
     own_tx: Vec<Vec<(u64, u64, u64)>>,
-    /// snapshot: serialized — tx ids whose TxStart already dispatched,
-    /// in dispatch order.
-    started: Vec<usize>,
-    /// snapshot: serialized — the event queue with keys verbatim, plus
-    /// its push/dispatch counters.
+    /// The event queue.
     q: BinaryHeapQueue<SimEvent>,
-    /// snapshot: serialized — the ten running counters, flat in field
-    /// order; node and shard counts, transmissions and repairs are
-    /// recounted on restore, and the end-of-run totals are set by
+    /// Running counters; the end-of-run totals are set by
     /// [`MeshDriver::run_to_end`].
     stats: MeshStats,
-    /// snapshot: serialized — completed-but-undecoded receptions, in
-    /// pop order (never flushed early by a checkpoint).
+    /// Completed-but-undecoded receptions, in pop order.
     pending: Vec<(usize, usize)>,
-    /// snapshot: serialized — flush deadline of the pending batch.
+    /// Flush deadline of the pending batch.
     pending_deadline: u64,
-    /// snapshot: rebuilt — working memory of decode, flush and the ARQ
-    /// timer; no call reads what an earlier one left, so it starts
-    /// empty.
+    /// Working memory of decode, flush and the ARQ timer.
     scratch: MeshScratch,
-    /// snapshot: serialized — chip time of the last dispatched event.
+    /// Chip time of the last dispatched event.
     last_time: u64,
-    /// snapshot: serialized — the jammer actor's dynamic state (RNG
-    /// words, busy horizon, sweep step, scheduled + recorded bursts);
-    /// its spec is identity-validated on restore.
+    /// The jammer actor.
     adversary: AdversaryState,
-    /// snapshot: rebuilt — the fault plan is a pure function of
-    /// `(seed, churn, nodes, source)` and is regenerated on restore.
+    /// Crash/restart churn and link degradation, planned up front.
     fault_plan: FaultPlan,
-    /// snapshot: rebuilt — retry/backoff schedule, derived from params.
+    /// Retry/backoff schedule.
     policy: BackoffPolicy,
-    /// snapshot: rebuilt — how many threads [`MeshDriver::run_to_end`]
-    /// may decode on: the caller's budget, not the run's state (no
-    /// output depends on it), so a restored driver decodes on one.
+    /// How many threads [`MeshDriver::run_to_end`] may decode on: the
+    /// caller's budget, not the run's state (no output depends on it).
     threads: usize,
-    // ppr-lint: region(snapshot-state) end
 }
 
 impl MeshDriver {
@@ -969,7 +903,6 @@ impl MeshDriver {
             masks,
             txs: Vec::new(),
             own_tx: vec![Vec::new(); n], // (start, end, tx id)
-            started: Vec::new(),
             q: BinaryHeapQueue::new(),
             stats,
             // Pending completed-but-undecoded receptions, in pop order
@@ -1325,7 +1258,6 @@ impl MeshDriver {
                 }
                 self.stats.transmissions += 1;
                 self.own_tx[sender].push((start, end, tx as u64));
-                self.started.push(tx);
                 let mut cands = std::mem::take(&mut self.scratch.cands);
                 cands.clear();
                 self.index
@@ -1451,21 +1383,6 @@ impl MeshDriver {
         true
     }
 
-    /// Total events dispatched so far — the checkpoint epoch counter.
-    pub fn dispatched(&self) -> u64 {
-        self.q.dispatched()
-    }
-
-    /// Drives the flood until `events` total dispatches or until the run
-    /// completes, whichever is first, on the calling thread alone.
-    pub fn run_events(&mut self, events: u64) {
-        while self.q.dispatched() < events {
-            if !self.step(None) {
-                break;
-            }
-        }
-    }
-
     /// Runs to completion and returns the final stats.
     ///
     /// With more than one thread (see [`MeshDriver::new`]; at most
@@ -1520,266 +1437,6 @@ impl MeshDriver {
         self.stats.jam_chips = self.adversary.jam_chips();
         self.stats
     }
-
-    /// Checkpoints the driver — *without* flushing the pending decode
-    /// batch, which is serialized verbatim so the run's flush
-    /// statistics (printed in the report) cannot shift.
-    pub fn save(&self) -> MeshSnapshot {
-        let (queue, next_seq, dispatched) = self.q.save_state();
-        let (adv_rng, adv_busy_until, adv_sweep_idx, adv_scheduled, adv_bursts) =
-            self.adversary.save_state();
-        MeshSnapshot {
-            nodes: self.params.nodes,
-            density: self.params.density,
-            seed: self.params.seed,
-            eta: self.params.eta,
-            body_bytes: self.params.body_bytes,
-            jammer: self.params.jammer.identity_words(),
-            churn: self.params.churn,
-            arq_retries: self.params.arq_retries,
-            arq_backoff_milli: self.params.arq_backoff_milli,
-            adv_rng,
-            adv_busy_until,
-            adv_sweep_idx,
-            adv_scheduled,
-            adv_bursts,
-            kernel_signature: ppr_phy::simd::active_kernel_signature().into_bytes(),
-            states: self
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, st)| MeshNodeSnapshot {
-                    mask: self.masks[self.mask_row(i)].to_vec(),
-                    timer_armed: st.timer_armed,
-                    alive: st.alive,
-                })
-                .collect(),
-            txs: self
-                .txs
-                .iter()
-                .map(|t| MeshTxSnapshot {
-                    sender: t.sender,
-                    dst: t.dst,
-                    start: t.start,
-                    spans: t
-                        .spans
-                        .as_ref()
-                        .map(|spans| spans.iter().map(|s| (s.start, s.end)).collect()),
-                })
-                .collect(),
-            started: self.started.clone(),
-            queue,
-            next_seq,
-            dispatched,
-            pending: self.pending.clone(),
-            pending_deadline: self.pending_deadline,
-            last_time: self.last_time,
-            stats: running_counters(&mut self.stats.clone())
-                .map(|c| *c as u64)
-                .to_vec(),
-        }
-    }
-
-    /// Rebuilds a driver from a checkpoint, validating the snapshot's
-    /// identity against `params` and every index against the
-    /// reconstructed run. Frames are rebuilt from the ground-truth
-    /// payload (flood) or their repair spans; each node's correct-byte
-    /// count and recovery flag from its mask; and the stats the
-    /// snapshot does not carry from the rebuilt run.
-    pub fn restore(params: &MeshParams, snap: &MeshSnapshot) -> Result<Self, SnapError> {
-        if params.nodes != snap.nodes
-            || params.density.to_bits() != snap.density.to_bits()
-            || params.seed != snap.seed
-            || params.eta != snap.eta
-            || params.body_bytes != snap.body_bytes
-            || params.jammer.identity_words() != snap.jammer
-            || params.churn.to_bits() != snap.churn.to_bits()
-            || params.arq_retries != snap.arq_retries
-            || params.arq_backoff_milli != snap.arq_backoff_milli
-        {
-            return Err(SnapError::IdentityMismatch(
-                "MeshParams differ from the snapshot's".into(),
-            ));
-        }
-        let mut driver = MeshDriver::new(params, None);
-        let n = driver.states.len();
-        let payload_len = driver.payload_len;
-        let mask_words = payload_len.div_ceil(64);
-        if snap.states.len() != n {
-            return Err(SnapError::Corrupt(format!(
-                "{} node states for {n} nodes",
-                snap.states.len()
-            )));
-        }
-        for (i, st) in snap.states.iter().enumerate() {
-            if st.mask.len() != mask_words {
-                return Err(SnapError::Corrupt(format!("node {i} state out of bounds")));
-            }
-        }
-        let ntx = snap.txs.len();
-        for (i, t) in snap.txs.iter().enumerate() {
-            let spans_ok = t.spans.as_ref().is_none_or(|spans| {
-                !spans.is_empty() && spans.iter().all(|&(s, e)| s < e && e <= payload_len)
-            });
-            if t.sender >= n || !spans_ok {
-                return Err(SnapError::Corrupt(format!(
-                    "transmission {i} out of bounds"
-                )));
-            }
-        }
-        if snap.started.iter().any(|&id| id >= ntx) {
-            return Err(SnapError::Corrupt("started id beyond the store".into()));
-        }
-        for (key, ev) in &snap.queue {
-            let ok = match *ev {
-                SimEvent::TxStart { tx } => tx < ntx,
-                SimEvent::ReceptionComplete { tx, receiver } => tx < ntx && receiver < n,
-                SimEvent::ArqTimer { node, round } => node < n && round < params.arq_retries,
-                SimEvent::JamBurst { jammer } => jammer == 0,
-                SimEvent::NodeFault { node, .. } => node < n,
-                _ => false,
-            };
-            if !ok || key.seq >= snap.next_seq {
-                return Err(SnapError::Corrupt(format!(
-                    "queue entry {key:?} {ev:?} out of bounds"
-                )));
-            }
-        }
-        if snap.pending.iter().any(|&(t, r)| t >= ntx || r >= n) {
-            return Err(SnapError::Corrupt("pending reception out of bounds".into()));
-        }
-        // The reactive jammer's FIFO holds one burst per queued
-        // JamBurst, at that event's time and in its order; every burst
-        // ends after it starts.
-        let mut burst_keys: Vec<EventKey> = snap
-            .queue
-            .iter()
-            .filter(|(_, ev)| matches!(ev, SimEvent::JamBurst { .. }))
-            .map(|&(key, _)| key)
-            .collect();
-        burst_keys.sort_unstable();
-        let fifo_ok = match params.jammer {
-            JammerSpec::React { .. } => {
-                burst_keys.len() == snap.adv_scheduled.len()
-                    && burst_keys
-                        .iter()
-                        .zip(&snap.adv_scheduled)
-                        .all(|(key, &(start, end))| key.time == start && start < end)
-            }
-            _ => snap.adv_scheduled.is_empty(),
-        };
-        let bursts_ok = snap
-            .adv_bursts
-            .iter()
-            .all(|&(start, end, _, _)| start < end);
-        if !fifo_ok || !bursts_ok {
-            return Err(SnapError::Corrupt("jammer state out of bounds".into()));
-        }
-        let mut stats = MeshStats {
-            transmissions: snap.started.len(),
-            repair_tx: snap.txs.iter().filter(|t| t.spans.is_some()).count(),
-            ..driver.stats
-        };
-        let counters = running_counters(&mut stats);
-        if snap.stats.len() != counters.len() {
-            return Err(SnapError::Corrupt(format!(
-                "{} stats words, expected {}",
-                snap.stats.len(),
-                counters.len()
-            )));
-        }
-        for (c, &w) in counters.into_iter().zip(&snap.stats) {
-            *c = usize::try_from(w)
-                .map_err(|_| SnapError::Corrupt(format!("stats word {w} overflows")))?;
-        }
-
-        driver.states = snap
-            .states
-            .iter()
-            .map(|st| {
-                // Only the payload's bits count: the source's row is
-                // whole `u64::MAX` words.
-                let correct = (0..payload_len).filter(|&i| mask_has(&st.mask, i)).count();
-                NodeState {
-                    correct,
-                    recovered: correct == payload_len,
-                    timer_armed: st.timer_armed,
-                    alive: st.alive,
-                }
-            })
-            .collect();
-        driver.masks = snap
-            .states
-            .iter()
-            .flat_map(|st| st.mask.iter().copied())
-            .collect();
-        driver.txs = snap
-            .txs
-            .iter()
-            .enumerate()
-            .map(|(idx, t)| {
-                let (body, spans) = match &t.spans {
-                    None => (driver.decoder.truth.clone(), None),
-                    Some(spans) => {
-                        let spans: Arc<[UnitRange]> =
-                            spans.iter().map(|&(s, e)| UnitRange::new(s, e)).collect();
-                        let body: Vec<u8> = spans
-                            .iter()
-                            .flat_map(|s| driver.decoder.truth[s.start..s.end].iter().copied())
-                            .collect();
-                        (body, Some(spans))
-                    }
-                };
-                let frame = Arc::new(Frame::new(t.dst, t.sender as u16, idx as u16, body));
-                let len = frame.chips_len() as u64;
-                MeshTx {
-                    sender: t.sender,
-                    dst: t.dst,
-                    start: t.start,
-                    len,
-                    frame,
-                    spans,
-                }
-            })
-            .collect();
-        driver.own_tx = vec![Vec::new(); n];
-        for &id in &snap.started {
-            let t = &driver.txs[id];
-            driver.own_tx[t.sender].push((t.start, t.end(), id as u64));
-        }
-        driver.started = snap.started.clone();
-        driver.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
-        driver.stats = stats;
-        driver.pending = snap.pending.clone();
-        driver.pending_deadline = snap.pending_deadline;
-        driver.last_time = snap.last_time;
-        driver.adversary.restore_state((
-            snap.adv_rng,
-            snap.adv_busy_until,
-            snap.adv_sweep_idx,
-            snap.adv_scheduled.clone(),
-            snap.adv_bursts.clone(),
-        ));
-        Ok(driver)
-    }
-}
-
-/// The running counters of [`MeshStats`], in field order — what the
-/// snapshot's stats section holds. Every other field is recomputed on
-/// restore.
-fn running_counters(s: &mut MeshStats) -> [&mut usize; 10] {
-    [
-        &mut s.receptions_scheduled,
-        &mut s.receptions_evaluated,
-        &mut s.receptions_skipped,
-        &mut s.self_busy_drops,
-        &mut s.repair_bytes_requested,
-        &mut s.flush_batches,
-        &mut s.max_batch,
-        &mut s.crashes,
-        &mut s.restarts,
-        &mut s.retry_exhausted,
-    ]
 }
 
 /// The `mesh10k` experiment.
@@ -1821,7 +1478,7 @@ impl Mesh10k {
     /// Runs the flood on up to `threads` threads and renders its report.
     fn report(&self, scenario: &Scenario, threads: Option<usize>) -> ExperimentResult {
         let params = MeshParams::from_scenario(scenario);
-        let s = run_flood(&params, scenario.checkpoint, threads);
+        let s = run_mesh(&params, threads);
         let sim_s = s.sim_seconds();
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(format!(
@@ -1909,15 +1566,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_checkpoint_roundtrip_is_bit_identical() {
-        let a = run_mesh(&small(), None);
-        for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small(), events);
-            assert_eq!(a, b, "checkpoint at {events} events");
-        }
-    }
-
-    #[test]
     fn mesh_is_seed_stable_but_seed_sensitive() {
         let a = run_mesh(&small(), None);
         let b = run_mesh(&small(), None);
@@ -1934,15 +1582,6 @@ mod tests {
         assert_eq!(a, run_mesh(&small_jammed(), None));
         assert!(a.jam_bursts > 0, "reactive jammer never fired");
         assert!(a.crashes > 0, "churn produced no crashes");
-    }
-
-    #[test]
-    fn jammed_mesh_checkpoint_roundtrip_is_bit_identical() {
-        let a = run_mesh(&small_jammed(), None);
-        for events in [1, 57, 913] {
-            let b = run_mesh_checkpointed(&small_jammed(), events);
-            assert_eq!(a, b, "checkpoint at {events} events");
-        }
     }
 
     #[test]
@@ -1993,28 +1632,46 @@ mod tests {
         crew_changes_no_stat(2000);
     }
 
-    /// A flood resumed from a mid-run checkpoint decodes the rest of the
-    /// run with a crew, and still ends exactly where the uninterrupted
-    /// one-thread run does.
+    /// The whole adversarial schedule of a small mesh — pulse jam
+    /// bursts, node churn, exponential ARQ backoff — is the same on a
+    /// crew of two threads as on one, over a grid of sizes and seeds.
     #[test]
-    fn a_resumed_flood_decodes_with_a_crew() {
-        for p in [small(), small_jammed()] {
-            let alone = run_mesh(&p, None);
-            for events in [57, 913] {
-                let mut d = MeshDriver::new(&p, None);
-                d.run_events(events);
-                let snap = MeshSnapshot::from_bytes(&d.save().to_bytes()).expect("round-trip");
-                for k in [2, 4] {
-                    let resumed = MeshDriver::restore(&p, &snap).expect("restores");
-                    assert_eq!(
-                        resumed.run_on(k),
-                        alone,
-                        "checkpoint at {events}, {k} threads"
-                    );
-                }
-                assert_eq!(run_mesh_checkpointed(&p, events), alone);
+    fn jammed_mesh_schedule_is_crew_invariant() {
+        let (mut bursts, mut crashes) = (0, 0);
+        for nodes in (40..100).step_by(6) {
+            for seed in (0..50).step_by(5) {
+                let mut p = MeshParams::benign(nodes, 10.0, seed, 6, 120);
+                p.jammer = JammerSpec::Pulse {
+                    period: 16_384,
+                    duty: 0.3,
+                };
+                p.churn = 4.0;
+                p.arq_retries = 4;
+                p.arq_backoff_milli = 1500;
+                let alone = run_mesh(&p, None);
+                assert_eq!(run_on(&p, 2), alone, "{nodes} nodes, seed {seed}");
+                bursts += alone.jam_bursts;
+                crashes += alone.crashes;
             }
         }
+        assert!(
+            bursts > 0 && crashes > 0,
+            "{bursts} bursts, {crashes} crashes"
+        );
+    }
+
+    /// The differential fleet's frozen jammed mesh (`ppr-cli diff`'s
+    /// reactive jammer, churn and ×1.5 backoff, at seed 7) ends with
+    /// the same stats on a crew of two threads as on one.
+    #[test]
+    fn frozen_jammed_mesh_agrees_with_a_crew() {
+        let mut p = MeshParams::benign(300, 12.0, 7, 6, 250);
+        p.jammer = JammerSpec::React { delay: 4096 };
+        p.churn = 2.0;
+        p.arq_backoff_milli = 1500;
+        let alone = run_mesh(&p, None);
+        assert!(alone.jam_bursts > 0, "jammer never fired");
+        assert_eq!(run_on(&p, 2), alone);
     }
 
     /// A decode that panics on a helper thread ends the batch with that

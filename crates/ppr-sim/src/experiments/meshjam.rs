@@ -10,7 +10,7 @@
 //! partial-delivery fraction (correct bytes over offered bytes across
 //! all nodes), retry exhaustion, and the jammer/fault activity counts.
 
-use super::mesh::{run_flood, MeshParams};
+use super::mesh::{run_mesh, MeshParams};
 use super::Experiment;
 use crate::adversary::JammerSpec;
 use crate::results::{ExperimentResult, TableBlock};
@@ -78,7 +78,7 @@ impl MeshJam {
     /// Runs the flood on up to `threads` threads and renders its report.
     fn report(&self, scenario: &Scenario, threads: Option<usize>) -> ExperimentResult {
         let params = meshjam_params(scenario);
-        let s = run_flood(&params, scenario.checkpoint, threads);
+        let s = run_mesh(&params, threads);
         let offered = s.nodes * params.body_bytes;
         let partial_delivery = s.correct_bytes as f64 / offered.max(1) as f64;
         let sim_s = s.sim_seconds();

@@ -224,13 +224,5 @@ mod tests {
             ..request.clone()
         };
         assert_eq!(other.key(&sc), key, "both resolve to the pinned point");
-        // `checkpoint` is a mesh-only key: the trace does not depend on it.
-        let checked = ScenarioBuilder::new()
-            .duration_s(2.0)
-            .load_kbps(6.9)
-            .carrier_sense(true)
-            .checkpoint(50)
-            .build();
-        assert_eq!(request.key(&checked), key);
     }
 }

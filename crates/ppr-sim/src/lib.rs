@@ -28,8 +28,6 @@
 //!   place.
 //! * [`scenario`] — every experiment knob, with builder > env > default
 //!   precedence.
-//! * [`snapshot`] — versioned binary checkpoints of the mesh flood
-//!   (resume bit-identically, in this process or another).
 //! * [`diff`] — the differential harness: diff the reception driver's
 //!   stream against the bool spec's, both run from scratch.
 //! * [`results`] — typed experiment results with text and JSON
@@ -70,7 +68,6 @@ pub mod report;
 pub mod results;
 pub mod rxpath;
 pub mod scenario;
-pub mod snapshot;
 pub mod spatial;
 pub mod traffic;
 
@@ -86,5 +83,4 @@ pub use network::{
 pub use results::{Block, Cell, ExperimentResult, Json, TableBlock};
 pub use rxpath::{Acquisition, FastRx};
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use snapshot::{MeshSnapshot, SnapError};
 pub use spatial::SpatialIndex;

@@ -28,9 +28,8 @@
 //! Only the timeline generator runs over the discrete-event core
 //! ([`crate::event`]): its CSMA attempts react to what is on the air.
 //! Nothing a receiver decodes feeds back into the trace, so
-//! [`ReceptionDriver`] is a plain walk over the sorted timeline. It keeps
-//! no checkpoint: the whole pass is a deterministic function of the
-//! scenario, cheaper to run again than to save.
+//! [`ReceptionDriver`] is a plain walk over the sorted timeline, a
+//! deterministic function of the scenario.
 //!
 //! ## Why the driver agrees with the spec
 //!

@@ -39,20 +39,6 @@ pub enum Acquisition {
     None,
 }
 
-impl Acquisition {
-    /// Stable tag in the canonical reception encoding
-    /// ([`crate::snapshot::encode_reception`]) that
-    /// [`crate::diff::stream_fingerprint`] digests: a value, not an
-    /// in-memory discriminant, so fingerprints compare across builds.
-    pub fn to_tag(self) -> u8 {
-        match self {
-            Acquisition::Preamble => 0,
-            Acquisition::Postamble => 1,
-            Acquisition::None => 2,
-        }
-    }
-}
-
 /// Per-packet receiver: delimiter checks at known offsets + `ppr-mac`
 /// decode.
 #[derive(Debug, Clone)]

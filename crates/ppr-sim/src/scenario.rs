@@ -228,13 +228,6 @@ pub struct Scenario {
     pub mesh_nodes: usize,
     /// Expected neighbor count for the mesh / random-geometric layouts.
     pub mesh_density: f64,
-    /// Snapshot/restore exercise point, mesh only (`mesh10k`,
-    /// `meshjam`): run the flood to this event-dispatch boundary,
-    /// checkpoint through the binary snapshot format, and resume
-    /// (`None` = run uninterrupted). Results are bit-identical either
-    /// way — that is the pinned contract. The testbed experiments ignore
-    /// it.
-    pub checkpoint: Option<u64>,
     /// Jammer actor for the adversarial experiments
     /// ([`JammerSpec::Off`] = no adversary machinery at all).
     pub jammer: JammerSpec,
@@ -291,8 +284,8 @@ impl Scenario {
 
     /// JSON snapshot (embedded in every serialized result).
     ///
-    /// The later axes (`topology`, `mesh_nodes`, `mesh_density`,
-    /// `checkpoint` and the adversary knobs) are emitted **only when non-default**: every
+    /// The later axes (`topology`, `mesh_nodes`, `mesh_density` and
+    /// the adversary knobs) are emitted **only when non-default**: every
     /// pre-existing scenario renders byte-identically, so the golden
     /// registry fingerprint is untouched by their introduction.
     pub fn to_json(&self) -> Json {
@@ -339,9 +332,6 @@ impl Scenario {
         if self.mesh_density != DEFAULT_MESH_DENSITY {
             fields.push(("mesh_density".into(), Json::num(self.mesh_density)));
         }
-        if let Some(cp) = self.checkpoint {
-            fields.push(("checkpoint".into(), Json::int(cp)));
-        }
         if self.jammer != JammerSpec::Off {
             fields.push(("jammer".into(), Json::str(self.jammer.render())));
         }
@@ -375,7 +365,6 @@ pub struct ScenarioBuilder {
     topology: Option<Topology>,
     mesh_nodes: Option<usize>,
     mesh_density: Option<f64>,
-    checkpoint: Option<u64>,
     jammer: Option<JammerSpec>,
     churn: Option<f64>,
     arq_retries: Option<u8>,
@@ -424,10 +413,6 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
     (
         "mesh_density",
         "expected neighbors 1-50, e.g. mesh_density=12",
-    ),
-    (
-        "checkpoint",
-        "mesh only: snapshot/resume at this event count >= 1, e.g. checkpoint=1000",
     ),
     (
         "jammer",
@@ -537,13 +522,6 @@ impl ScenarioBuilder {
     /// Sets the mesh / random-geometric density (expected neighbors).
     pub fn mesh_density(mut self, v: f64) -> Self {
         self.mesh_density = Some(v);
-        self
-    }
-
-    /// Routes the mesh flood through a snapshot/restore cycle at the
-    /// given event-dispatch boundary (mesh only).
-    pub fn checkpoint(mut self, events: u64) -> Self {
-        self.checkpoint = Some(events);
         self
     }
 
@@ -659,15 +637,6 @@ impl ScenarioBuilder {
                 }
                 self.mesh_density = Some(v);
             }
-            "checkpoint" => {
-                let v: u64 = parse(key, value, "an event count >= 1")?;
-                if v == 0 {
-                    return Err(format!(
-                        "invalid value {value:?} for checkpoint (want an event count >= 1)"
-                    ));
-                }
-                self.checkpoint = Some(v);
-            }
             "jammer" => {
                 self.jammer = Some(JammerSpec::parse(value).map_err(|e| format!("jammer: {e}"))?)
             }
@@ -728,7 +697,6 @@ impl ScenarioBuilder {
             topology: self.topology.unwrap_or_default(),
             mesh_nodes: self.mesh_nodes.unwrap_or(DEFAULT_MESH_NODES),
             mesh_density: self.mesh_density.unwrap_or(DEFAULT_MESH_DENSITY),
-            checkpoint: self.checkpoint,
             jammer: self.jammer.unwrap_or_default(),
             churn: self.churn.unwrap_or(0.0),
             arq_retries: self.arq_retries.unwrap_or(DEFAULT_ARQ_RETRIES),
@@ -849,8 +817,6 @@ mod tests {
             ("mesh_density", "1e9"),
             ("mesh_density", "inf"),
             ("mesh_density", "nan"),
-            ("checkpoint", "0"),
-            ("checkpoint", "soon"),
             ("jammer", "nuke"),
             ("jammer", "pulse:16:0.5"),
             ("jammer", "rand:1.5"),
@@ -988,7 +954,6 @@ mod tests {
             !j.contains("topology")
                 && !j.contains("driver")
                 && !j.contains("mesh")
-                && !j.contains("checkpoint")
                 && !j.contains("jammer")
                 && !j.contains("churn")
                 && !j.contains("arq_retries")
@@ -999,7 +964,6 @@ mod tests {
         b.set("topology", "grid:6x4").unwrap();
         b.set("mesh_nodes", "400").unwrap();
         b.set("mesh_density", "9").unwrap();
-        b.set("checkpoint", "1000").unwrap();
         b.set("jammer", "react:4096").unwrap();
         b.set("churn", "2").unwrap();
         b.set("arq_retries", "5").unwrap();
@@ -1008,7 +972,6 @@ mod tests {
         assert!(j.contains(r#""topology":"grid:6x4""#), "{j}");
         assert!(j.contains(r#""mesh_nodes":400"#), "{j}");
         assert!(j.contains(r#""mesh_density":9"#), "{j}");
-        assert!(j.contains(r#""checkpoint":1000"#), "{j}");
         assert!(j.contains(r#""jammer":"react:4096""#), "{j}");
         assert!(j.contains(r#""churn":2"#), "{j}");
         assert!(j.contains(r#""arq_retries":5"#), "{j}");

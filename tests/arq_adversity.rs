@@ -5,9 +5,7 @@
 
 use ppr::core::arq::{run_session, PpArqConfig};
 use ppr::mac::{BackoffPolicy, DeliveryOutcome};
-use ppr::sim::adversary::JammerSpec;
 use ppr::sim::experiments::jam::{run_duty_point, JammedLinkChannel, JAM_PERIOD};
-use ppr::sim::experiments::mesh::{run_mesh, run_mesh_checkpointed, MeshParams};
 use proptest::prelude::*;
 
 proptest! {
@@ -107,24 +105,5 @@ proptest! {
             DeliveryOutcome::Partial { .. } | DeliveryOutcome::Failed { .. }
         ));
         prop_assert!(outcome.delivered_fraction() < 1.0);
-    }
-
-    /// The mesh driver's whole adversarial schedule — jam bursts, node
-    /// faults, exponential ARQ backoff — survives a checkpoint at any
-    /// epoch bit-identically. Small meshes keep the 256-case run fast.
-    #[test]
-    fn jammed_mesh_schedule_is_checkpoint_invariant(
-        nodes in 40usize..100,
-        seed in 0u64..50,
-        events in 1u64..400,
-    ) {
-        let mut params = MeshParams::benign(nodes, 10.0, seed, 6, 120);
-        params.jammer = JammerSpec::Pulse { period: 16_384, duty: 0.3 };
-        params.churn = 4.0;
-        params.arq_retries = 4;
-        params.arq_backoff_milli = 1500;
-        let a = run_mesh(&params, None);
-        let b = run_mesh_checkpointed(&params, events);
-        prop_assert_eq!(a, b);
     }
 }

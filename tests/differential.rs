@@ -1,15 +1,14 @@
 //! The differential harness: the reception driver, run from scratch,
 //! must produce the `Reception` stream the bool spec produces from
-//! scratch; and one frozen jammed-mesh checkpoint, serialized, parsed
-//! and resumed, must finish with the uninterrupted flood's stats.
-//! Localizing a divergence to its first reception is unit-tested in
-//! `ppr_sim::diff`.
+//! scratch. Localizing a divergence to its first reception is
+//! unit-tested in `ppr_sim::diff`; the jammed mesh the fleet floods
+//! with and without a decode crew is pinned in `ppr_sim`'s mesh tests,
+//! where the crew can be forced to two threads on any host.
 
 use ppr::mac::frame::Frame;
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::diff::cross_validate;
 use ppr::sim::network::{generate_timeline, RadioEnv, RxArm, SimConfig, Transmission};
-use ppr::sim::snapshot::MeshSnapshot;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -71,28 +70,4 @@ fn back_to_back_frames_find_the_receiver_idle() {
         "the driver diverged from the spec: {}",
         report.divergence.as_ref().unwrap()
     );
-}
-
-#[test]
-fn jammed_mesh_checkpoint_agrees_across_the_fleet() {
-    // One frozen jammed-mesh checkpoint (reactive jammer + churn +
-    // exponential backoff), serialized and parsed back, must complete
-    // to the same stats as the uninterrupted run.
-    use ppr::sim::adversary::JammerSpec;
-    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
-    let mut params = MeshParams::benign(300, 12.0, 7, 6, 250);
-    params.jammer = JammerSpec::React { delay: 4096 };
-    params.churn = 2.0;
-    params.arq_backoff_milli = 1500;
-    let reference = run_mesh(&params, None);
-    assert!(reference.jam_bursts > 0, "jammer never fired");
-
-    let mut d = MeshDriver::new(&params, None);
-    d.run_events(57);
-    let bytes = d.save().to_bytes();
-    let snap = MeshSnapshot::from_bytes(&bytes).expect("jammed checkpoint parses");
-    let resumed = MeshDriver::restore(&params, &snap)
-        .expect("jammed checkpoint restores")
-        .run_to_end();
-    assert_eq!(resumed, reference, "resume diverged");
 }

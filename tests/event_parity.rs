@@ -1,8 +1,7 @@
 //! Event-core properties that no whole-run parity test covers:
 //!
-//! 1. **Mesh resume inside a decode flush** — a checkpoint taken while
-//!    the mesh driver holds completed-but-undecoded receptions resumes
-//!    bit-identically.
+//! 1. **The reception driver's work count** — `dispatched` counts one
+//!    event per transmission and one per audible reception.
 //! 2. **Spatial-index soundness** — the uniform grid's candidate set is
 //!    a superset of every link the propagation model can still close at
 //!    the noise floor.
@@ -11,59 +10,45 @@
 //! spec in `tests/packed_parity.rs` and `tests/differential.rs`.
 
 use ppr::channel::pathloss::PathLossModel;
+use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::geometry::{Point, Testbed};
-use ppr::sim::network::office_model;
+use ppr::sim::network::{
+    generate_timeline, office_model, RadioEnv, ReceptionDriver, RxArm, SimConfig, BATCH_PER_WORKER,
+};
 use ppr::sim::spatial::SpatialIndex;
 use proptest::prelude::*;
 
-#[test]
-fn mesh_resume_inside_a_flush_window_is_bit_identical() {
-    // A mesh checkpoint may land *inside* the SAFE_WINDOW decode flush:
-    // completed receptions are pending, their batch not yet decoded.
-    // The snapshot serializes the pending batch verbatim (no forced
-    // early flush), so the resumed run must reproduce the uninterrupted
-    // stats exactly — including the flush-batch counters the report
-    // prints.
-    use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
-    let params = MeshParams::benign(300, 12.0, 2, 6, 250);
-    let reference = run_mesh(&params, None);
+fn arm() -> RxArm {
+    RxArm {
+        scheme: DeliveryScheme::Ppr { eta: 6 },
+        postamble: true,
+        collect_symbols: false,
+    }
+}
 
-    let mut driver = MeshDriver::new(&params, None);
-    let mut epochs_inside_flush = Vec::new();
-    loop {
-        let before = driver.dispatched();
-        driver.run_events(before + 1);
-        if driver.dispatched() == before {
-            break; // drained
-        }
-        if !driver.save().pending.is_empty() {
-            epochs_inside_flush.push(driver.dispatched());
-        }
-        if epochs_inside_flush.len() >= 24 {
-            break;
-        }
+/// A short, dense trace.
+fn short_cfg() -> SimConfig {
+    SimConfig {
+        load_kbps: 42.4,
+        body_bytes: 250,
+        carrier_sense: false,
+        duration_s: 0.1,
+        seed: 60,
     }
-    assert!(
-        !epochs_inside_flush.is_empty(),
-        "no epoch with a non-empty pending batch — SAFE_WINDOW flush never observed"
-    );
-    // Resume from an early, a middle and the last captured mid-flush
-    // epoch.
-    let picks = [
-        epochs_inside_flush[0],
-        epochs_inside_flush[epochs_inside_flush.len() / 2],
-        *epochs_inside_flush.last().unwrap(),
-    ];
-    for &events in &picks {
-        let mut d = MeshDriver::new(&params, None);
-        d.run_events(events);
-        let snap = d.save();
-        assert!(!snap.pending.is_empty(), "picked epoch lost its batch");
-        let resumed = MeshDriver::restore(&params, &snap)
-            .expect("mid-flush snapshot restores")
-            .run_to_end();
-        assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");
-    }
+}
+
+#[test]
+fn dispatched_counts_each_transmission_and_its_receptions() {
+    let c = short_cfg();
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let arm = arm();
+    let receivers = 0..env.testbed.receivers.len();
+    let audible = |s| receivers.clone().filter(|&r| env.is_link(s, r)).count() as u64;
+    let want: u64 = timeline.iter().map(|tx| 1 + audible(tx.sender)).sum();
+    let mut driver = ReceptionDriver::new(&env, &c, &timeline, &arm, None, BATCH_PER_WORKER);
+    driver.run_events(u64::MAX);
+    assert_eq!(driver.dispatched(), want);
 }
 
 proptest! {
