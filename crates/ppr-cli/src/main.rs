@@ -22,14 +22,15 @@
 //! threads no job will occupy are lent to the jobs (the mesh floods
 //! decode on them), which changes no output either.
 //!
-//! `ppr-cli diff` is the differential harness: each selected experiment
-//! runs on one thread and again lent a crew helper, and the rendered
-//! reports are compared byte for byte (only the mesh floods use the
-//! helper); the reception driver's stream is then diffed reception by
-//! reception against the bool spec's, both run from scratch
-//! (`ppr_sim::diff`); and one jammed mesh is flooded on one thread and
-//! with a decode crew, and the two stats compared. Any disagreement
-//! exits 1 and — with `--json DIR` — writes a first-divergence report.
+//! `ppr-cli diff` is the differential harness: the reception driver's
+//! stream is diffed reception by reception against the bool spec's,
+//! both run from scratch (`ppr_sim::diff`); then each selected mesh
+//! experiment (`mesh10k`, `meshjam`) and one small jammed mesh are
+//! flooded on one thread and with a decode crew, and their stats
+//! compared, one row per flood with its stats fingerprint. The other
+//! experiments ignore `threads`, so selecting them adds no row. Any
+//! disagreement exits 1 and — with `--json DIR` — writes a
+//! first-divergence report.
 //!
 //! Exit status: 0 on success, 1 on divergence, 2 on usage errors
 //! (unknown id, malformed `--set`, unknown flag).
@@ -41,6 +42,7 @@ use ppr_sim::diff::{active_kernel_signature, cross_validate, EVENT_LABEL, REFERE
 use ppr_sim::env::threads_from_env;
 use ppr_sim::experiments::common::CapacityRun;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams};
+use ppr_sim::experiments::meshjam::meshjam_params;
 use ppr_sim::experiments::traces::{self, TraceKey};
 use ppr_sim::experiments::{find, registry, Experiment};
 use ppr_sim::network::RxArm;
@@ -55,8 +57,9 @@ usage:
   ppr-cli --list                     list registered experiments
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
-  ppr-cli diff <id>... [options]     check experiments alone vs with a
-  ppr-cli diff --all [options]       crew, and the driver vs the bool spec
+  ppr-cli diff <id>... [options]     check the driver vs the bool spec,
+  ppr-cli diff --all [options]       and the selected mesh floods and a
+                                     jammed mesh alone vs with a crew
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -582,8 +585,8 @@ fn run(args: &RunArgs) -> i32 {
     }
 }
 
-/// Threads of the `diff` fleet's crew runs: the calling thread plus one
-/// decode helper.
+/// Threads of the `diff` fleet's crew floods: the calling thread plus
+/// one decode helper.
 const DIFF_CREW_THREADS: usize = 2;
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
@@ -632,29 +635,6 @@ fn diff(args: &RunArgs) -> i32 {
             println!("### sweep point {}/{}: {label}", p + 1, points.len());
         }
         println!("kernel: {}", active_kernel_signature());
-        println!();
-
-        // Experiment-level pass: every selected experiment on one
-        // thread and lent a crew helper; the rendered reports must be
-        // byte-identical.
-        let mut t = ppr_sim::report::Table::new(&["experiment", "crew"]);
-        for exp in &selected {
-            let alone = exp.run_with_threads(&base, &[], 1);
-            let crew = exp.run_with_threads(&base, &[], DIFF_CREW_THREADS);
-            let agree = crew.render_text() == alone.render_text();
-            t.row(&[
-                exp.id().to_string(),
-                if agree { "ok" } else { "DIVERGED" }.to_string(),
-            ]);
-            if !agree {
-                failures.push(Json::Obj(vec![
-                    ("experiment".into(), Json::str(exp.id())),
-                    ("variant".into(), Json::str("crew")),
-                    ("point".into(), Json::str(&label)),
-                ]));
-            }
-        }
-        print!("{}", t.render());
         println!();
 
         // Stream-level pass: the reception driver's stream diffed
@@ -712,33 +692,36 @@ fn diff(args: &RunArgs) -> i32 {
         print!("{}", t.render());
         println!();
 
-        // Jammed-mesh pass: one adversarial flood (reactive jammer +
-        // churn + exponential backoff) on one thread and with a decode
-        // crew (one helper where the machine has a second thread);
-        // helpers must not change a stat. Small on purpose — the point
-        // is agreement, not scale.
-        let mesh_params = jammed_mesh_params(&base);
-        let reference = run_mesh(&mesh_params, None);
-        let reference_fp = fingerprint(format!("{reference:?}").as_bytes());
-        let crew = run_mesh(&mesh_params, Some(DIFF_CREW_THREADS));
-        let mut t =
-            ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);
-        t.row(&[
-            "baseline".to_string(),
-            format!("{reference_fp:016x}"),
-            "ok".to_string(),
-        ]);
-        let agree = crew == reference;
-        t.row(&[
-            "crew".to_string(),
-            format!("{:016x}", fingerprint(format!("{crew:?}").as_bytes())),
-            if agree { "ok" } else { "DIVERGED" }.to_string(),
-        ]);
-        if !agree {
-            failures.push(Json::Obj(vec![
-                ("jammed_mesh".into(), Json::str("crew")),
-                ("point".into(), Json::str(&label)),
-            ]));
+        // Mesh pass: every selected mesh flood, and one small jammed
+        // mesh (reactive jammer + churn + exponential backoff), each on
+        // one thread and with a decode crew (one helper where the
+        // machine has a second thread); the crew must not change a stat.
+        // No other experiment reads `threads`, so none other is run here.
+        let mut floods: Vec<(&str, MeshParams)> = selected
+            .iter()
+            .filter_map(|exp| match exp.id() {
+                "mesh10k" => Some(("mesh10k", MeshParams::from_scenario(&base))),
+                "meshjam" => Some(("meshjam", meshjam_params(&base))),
+                _ => None,
+            })
+            .collect();
+        floods.push(("jammed mesh", jammed_mesh_params(&base)));
+        let mut t = ppr_sim::report::Table::new(&["mesh flood", "stats fingerprint", "crew"]);
+        for (name, params) in floods {
+            let alone = run_mesh(&params, None);
+            let agree = run_mesh(&params, Some(DIFF_CREW_THREADS)) == alone;
+            t.row(&[
+                name.to_string(),
+                format!("{:016x}", fingerprint(format!("{alone:?}").as_bytes())),
+                if agree { "ok" } else { "DIVERGED" }.to_string(),
+            ]);
+            if !agree {
+                failures.push(Json::Obj(vec![
+                    ("mesh_flood".into(), Json::str(name)),
+                    ("variant".into(), Json::str("crew")),
+                    ("point".into(), Json::str(&label)),
+                ]));
+            }
         }
         print!("{}", t.render());
     }

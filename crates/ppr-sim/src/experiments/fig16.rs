@@ -61,7 +61,7 @@ impl RadioLinkChannel {
     /// Sends `bytes` as one frame over the link; returns the receiver's
     /// view of the body plus per-byte hints.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let (total, profile) = self.scratch.render(1, 2, 0, bytes);
+        let (total, profile) = self.scratch.build(1, 2, 0, bytes);
         self.burst.clear();
         if self.rng.gen::<f64>() < self.burst_prob {
             let cover = (total as f64 * self.burst_cover * self.rng.gen::<f64>() * 2.0) as u64;
@@ -87,7 +87,7 @@ impl ArqChannel for RadioLinkChannel {
     fn reverse(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         // Feedback rides the same link quality without bursts (it is
         // short; the paper's reverse link is the same radio pair).
-        let (total, profile) = self.scratch.render(2, 1, 0, bytes);
+        let (total, profile) = self.scratch.build(2, 1, 0, bytes);
         let base = self.base_chip_error;
         profile.refill_with_bursts(total, base, &[], base);
         let (_acq, rx) = self.scratch.send(&self.rx, &mut self.rng, true);

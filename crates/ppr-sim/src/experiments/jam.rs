@@ -127,7 +127,7 @@ impl JammedLinkChannel {
     /// its phase within the period — the same spans for any clock,
     /// including a saturated one.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let (total, profile) = self.scratch.render(1, 2, 0, bytes);
+        let (total, profile) = self.scratch.build(1, 2, 0, bytes);
         let from = self.now.checked_rem(self.period).unwrap_or(0);
         pulse_bursts_in(self.period, self.duty, from, from + total, &mut self.bursts);
         clip_bursts(&self.bursts, from, from + total, &mut self.spans);

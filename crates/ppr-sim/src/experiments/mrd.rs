@@ -34,21 +34,23 @@
 //! sync threshold; the span walker draws lanes in ascending order, so a
 //! prefix draw puts the same errors on the window's lanes; and each
 //! reception has its own stream, so a shorter draw shifts no other.
+//!
+//! Both kinds of reception go through the shared steps of
+//! [`crate::rxpath`]: the hearers are the
+//! [`RadioEnv::is_link`](crate::network::RadioEnv::is_link) set,
+//! `HeardTimeline::around` windows each hearer's heard list, and
+//! `ReceptionChannel::profile` turns it into the chip error profile.
+//! A combined reception is then rendered, corrupted in place and
+//! received into one kept `RxScratch` (`FastRx::transmit_into`).
 
 use super::common::CapacityRun;
 use super::Experiment;
-use crate::network::{
-    heard_lists, payload_pattern_into, reception_rng_seed, RadioEnv, Transmission, SQUELCH_SNR,
-};
+use crate::network::{payload_pattern_into, reception_rng_seed, HeardTimeline};
 use crate::results::ExperimentResult;
-use crate::rxpath::{Acquisition, FastRx};
+use crate::rxpath::{Acquisition, FastRx, ReceptionChannel, RxScratch};
 use crate::scenario::Scenario;
-use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ChipErrors, ErrorProfile};
-use ppr_channel::overlap::{
-    interference_profile_into, overlap_window, HeardTx, InterferenceSpan, ProfileScratch,
-};
+use ppr_channel::chip_channel::{ChipErrors, ErrorProfile};
 use ppr_mac::frame::Frame;
-use ppr_mac::rx::RxCapture;
 use ppr_mac::schemes::ReceivedBody;
 use ppr_phy::chips::ChipWords;
 use ppr_phy::softphy::SoftSymbol;
@@ -84,34 +86,17 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
     let fast = FastRx::new(true);
     let payload_len = scheme.payload_len(cfg.body_bytes);
     let receivers = env.testbed.receivers.len();
-    let mut channel = Channel {
-        heard: heard_lists(env, &run.timeline),
-        max_len: run
-            .timeline
-            .iter()
-            .map(|tx| tx.len_chips)
-            .max()
-            .unwrap_or(0),
-        noise,
-        seed: cfg.seed,
-        scratch: ProfileScratch::default(),
-        spans: Vec::new(),
-        profile: ErrorProfile::default(),
-    };
+    let heard = HeardTimeline::new(env, &run.timeline);
     let mut busy_until = vec![0u64; receivers];
 
-    // Buffers kept across transmissions: every combined frame is
-    // rendered once into `clean` (its link bytes into `link`) and copied
-    // into `chips` for each receiver that hears it, and each receiver's
-    // decode is copied out of the one capture into its own combining
-    // copy. A busy-only reception draws into `errors` and checks its
-    // preamble in `window`.
+    // Buffers kept across transmissions: the channel and receive steps'
+    // working memory, and each receiver's combining copy, which its
+    // decode is copied into out of the one capture. A busy-only
+    // reception draws into `errors` and checks its preamble in `window`.
+    let mut channel = ReceptionChannel::default();
+    let mut scratch = RxScratch::default();
     let mut payload = Vec::new();
     let mut frame = Frame::default();
-    let mut link = Vec::new();
-    let mut clean = ChipWords::default();
-    let mut chips = ChipWords::default();
-    let mut capture = RxCapture::default();
     let mut errors = ChipErrors::default();
     let mut window = ChipWords::default();
     let mut copies: Vec<Vec<SoftSymbol>> = Vec::new();
@@ -119,35 +104,34 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
 
     let mut result = MrdResult::default();
     for (i, tx) in run.timeline.iter().enumerate() {
-        let hears = |r: usize| env.s2r_mw[tx.sender][r] / noise >= SQUELCH_SNR;
-        if (0..receivers).filter(|&r| hears(r)).count() < 2 {
-            // Busy-only: the transmission can never be combined, so
-            // only its hearers' preamble locks matter.
-            for r in (0..receivers).filter(|&r| hears(r)) {
-                if busy_until[r] > tx.start_chip {
-                    continue;
-                }
-                let mut rng = channel.reception(env, i, tx, r);
-                if locks_on_preamble(&fast, &channel.profile, &mut rng, &mut errors, &mut window) {
-                    busy_until[r] = tx.end_chip();
-                }
-            }
-            continue;
+        let hearers = || (0..receivers).filter(|&r| env.is_link(tx.sender, r));
+        // Busy-only when the transmission can never be combined: then
+        // only its hearers' preamble locks matter.
+        let combine = hearers().count() >= 2;
+        if combine {
+            payload_pattern_into(tx.sender, tx.seq, payload_len, &mut payload);
+            frame.refill(0xFFFF, tx.sender as u16, tx.seq, &payload);
         }
 
-        payload_pattern_into(tx.sender, tx.seq, payload_len, &mut payload);
-        frame.refill(0xFFFF, tx.sender as u16, tx.seq, &payload);
-        frame.chip_words_into(&mut link, &mut clean);
-
-        // Decode at every receiver that can hear this sender.
+        // Every hearer: an idle one of a busy-only transmission checks
+        // its preamble, and each one of a combined one decodes.
         let mut received = 0;
         singles.clear();
-        for r in (0..receivers).filter(|&r| hears(r)) {
-            let mut rng = channel.reception(env, i, tx, r);
+        for r in hearers() {
             let idle = busy_until[r] <= tx.start_chip;
-            chips.clone_from(&clean);
-            corrupt_chip_words_in_place(&mut chips, &channel.profile, &mut rng);
-            let (acq, rx_frame) = fast.receive_into(&frame, &chips, idle, &mut capture);
+            if !combine && !idle {
+                continue;
+            }
+            let (target, around) = heard.around(r, i);
+            let profile = channel.profile(target, around, noise);
+            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
+            if !combine {
+                if locks_on_preamble(&fast, profile, &mut rng, &mut errors, &mut window) {
+                    busy_until[r] = tx.end_chip();
+                }
+                continue;
+            }
+            let (acq, rx_frame) = fast.transmit_into(&frame, profile, &mut rng, idle, &mut scratch);
             if acq == Acquisition::Preamble {
                 busy_until[r] = tx.end_chip();
             }
@@ -184,6 +168,9 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
         // correct. Sent symbol `k` is a nibble of link byte `k / 2`, low
         // nibble first.
         let combined = |k: usize| copies.iter().map(|c| c[k]).min_by_key(|s| s.hint).unwrap();
+        // Every hearer rendered this frame, so the scratch holds its
+        // link bytes.
+        let link = scratch.link();
         let sent = |k: usize| (link[k / 2] >> (4 * (k % 2))) & 0xF;
         let n = copies.iter().map(|c| c.len()).min().unwrap();
         let body = ppr_mac::frame::FrameGeometry::for_body(payload.len()).body();
@@ -209,38 +196,6 @@ pub fn collect(scenario: &Scenario) -> MrdResult {
         }
     }
     result
-}
-
-/// Each receiver's view of the pass's channel, with the working memory
-/// of its interference profile, kept across transmissions.
-struct Channel {
-    /// Per-receiver interference views of the whole timeline.
-    heard: Vec<Vec<HeardTx>>,
-    /// The longest transmission, chips ([`overlap_window`]).
-    max_len: u64,
-    noise: f64,
-    /// The run's master seed.
-    seed: u64,
-    scratch: ProfileScratch,
-    spans: Vec<InterferenceSpan>,
-    /// The chip error profile of the last [`Self::reception`].
-    profile: ErrorProfile,
-}
-
-impl Channel {
-    /// Sets [`Self::profile`] to the chip errors that `tx` (timeline
-    /// index `i`)'s interferers cause at receiver `r`, and returns the
-    /// reception's own noise stream. The combining and the busy-only
-    /// receptions both start here.
-    fn reception(&mut self, env: &RadioEnv, i: usize, tx: &Transmission, r: usize) -> StdRng {
-        let heard = &self.heard[r];
-        let target = &heard[i];
-        let window = overlap_window(heard, target.start_chip, target.end_chip(), self.max_len);
-        interference_profile_into(target, window, &mut self.scratch, &mut self.spans);
-        self.profile
-            .refill_from_interference(env.s2r_mw[tx.sender][r], self.noise, &self.spans);
-        StdRng::seed_from_u64(reception_rng_seed(self.seed, tx.id, r))
-    }
 }
 
 /// Whether an idle receiver locks onto the preamble of a frame that
@@ -309,6 +264,8 @@ impl Experiment for Mrd {
 mod tests {
     use super::*;
     use crate::network::payload_pattern;
+    use ppr_channel::chip_channel::corrupt_chip_words_in_place;
+    use ppr_mac::rx::RxCapture;
     use rand::Rng;
 
     /// The busy-only verdict (idle, and the preamble survives a draw

@@ -69,7 +69,7 @@ fn send_over<'l>(
     rx: &FastRx,
     rng: &mut StdRng,
 ) -> Option<&'l RxFrame> {
-    let (total, profile) = link.render(3, src, seq, payload);
+    let (total, profile) = link.build(3, src, seq, payload);
     let mut burst = None;
     if rng.gen::<f64>() < q.burst_prob {
         let len = rng.gen_range(total / 8..total / 2);

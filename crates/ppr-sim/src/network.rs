@@ -66,16 +66,13 @@
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
 use crate::metrics::{HintHistogram, MissRunHistogram, MAX_MISS_RUN, MISS_RUN_ETAS};
-use crate::rxpath::{Acquisition, FastRx};
+use crate::rxpath::{Acquisition, FastRx, ReceptionChannel, RxScratch};
 use crate::traffic::{secs_to_chips, PoissonArrivals};
 use ppr_channel::chip_channel::{corrupt_chips, ChipErrors, ErrorProfile};
-use ppr_channel::overlap::{
-    interference_profile, interference_profile_into, overlap_window, HeardTx, InterferenceSpan,
-    ProfileScratch,
-};
+use ppr_channel::overlap::{interference_profile, overlap_window, HeardTx};
 use ppr_channel::pathloss::PathLossModel;
 use ppr_mac::frame::Frame;
-use ppr_mac::rx::{RxCapture, RxFrame};
+use ppr_mac::rx::RxFrame;
 use ppr_mac::schemes::{correct_delivered_bytes, DeliveryScheme, ReceivedBody};
 use ppr_phy::chips::ChipWords;
 use ppr_phy::spread::bytes_to_symbols;
@@ -908,27 +905,22 @@ struct CleanOutcome {
     hints: Option<HintFold>,
 }
 
-/// Working memory of [`RxPipeline::draw_errors`]: the interference
-/// profile, the chip error profile and the drawn errors, with the
-/// preamble window they are checked on.
+/// Working memory of [`RxPipeline::draw_errors`]: the channel step and
+/// the drawn errors, with the preamble window they are checked on.
 #[derive(Default)]
 struct DrawScratch {
-    profile: ProfileScratch,
-    spans: Vec<InterferenceSpan>,
-    error_profile: ErrorProfile,
+    channel: ReceptionChannel,
     errors: ChipErrors,
     window: ChipWords,
 }
 
-/// Working memory of [`RxPipeline::decode`]: one frame's body, the frame,
-/// its link bytes and chips, and the receiver's capture.
+/// Working memory of [`RxPipeline::decode`]: one frame's body, the frame
+/// and the receive step's scratch.
 #[derive(Default)]
 struct DecodeScratch {
     body: Vec<u8>,
     frame: Frame,
-    link: Vec<u8>,
-    chips: ChipWords,
-    capture: RxCapture,
+    rx: RxScratch,
 }
 
 /// The reception pass's per-(transmission, receiver) pipeline stages
@@ -939,7 +931,6 @@ struct DecodeScratch {
 /// works in kept buffers, so a reception allocates nothing of the
 /// pipeline's own once they have grown.
 struct RxPipeline<'a> {
-    env: &'a RadioEnv,
     cfg: &'a SimConfig,
     timeline: &'a [Transmission],
     arms: &'a [RxArm],
@@ -955,11 +946,8 @@ struct RxPipeline<'a> {
     /// Every frame's length, chips: each scheme pads its body to
     /// `body_bytes`.
     frame_chips: usize,
-    /// Per-receiver interference views of the whole timeline.
-    heard: Vec<Vec<HeardTx>>,
-    /// The longest transmission on the timeline, chips: how far before
-    /// a frame an interferer can start ([`overlap_window`]).
-    max_len_chips: u64,
+    /// Every receiver's view of the timeline.
+    heard: HeardTimeline,
     /// Per arm, the reception of a frame the channel did not touch,
     /// indexed by the capture's idle flag (busy, idle); its ids are
     /// placeholders ([`Self::clean_outcomes`]).
@@ -990,7 +978,6 @@ impl<'a> RxPipeline<'a> {
             }
         }
         let mut pipe = RxPipeline {
-            env,
             cfg,
             timeline,
             arms,
@@ -999,8 +986,7 @@ impl<'a> RxPipeline<'a> {
             groups,
             noise: env.model.noise_mw(),
             frame_chips: Frame::chips_len_for_body(cfg.body_bytes),
-            heard: heard_lists(env, timeline),
-            max_len_chips: timeline.iter().map(|tx| tx.len_chips).max().unwrap_or(0),
+            heard: HeardTimeline::new(env, timeline),
             clean: Vec::new(),
             draw: RefCell::default(),
             decode: RefCell::default(),
@@ -1063,20 +1049,9 @@ impl<'a> RxPipeline<'a> {
     fn draw_errors(&self, idx: usize, r: usize, sc: &mut DrawScratch) {
         let tx = &self.timeline[idx];
         let mut rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, r));
-        let signal = self.env.s2r_mw[tx.sender][r];
-        let heard = &self.heard[r];
-        let target = &heard[idx];
-        let window = overlap_window(
-            heard,
-            target.start_chip,
-            target.end_chip(),
-            self.max_len_chips,
-        );
-        interference_profile_into(target, window, &mut sc.profile, &mut sc.spans);
-        sc.error_profile
-            .refill_from_interference(signal, self.noise, &sc.spans);
-        sc.errors
-            .redraw(self.frame_chips, &sc.error_profile, &mut rng);
+        let (target, window) = self.heard.around(r, idx);
+        let profile = sc.channel.profile(target, window, self.noise);
+        sc.errors.redraw(self.frame_chips, profile, &mut rng);
     }
 
     /// Receives `timeline[idx]` at receiver `r`, `idle` when the frame
@@ -1164,12 +1139,7 @@ impl<'a> RxPipeline<'a> {
             build_body_padded_into(&g.scheme, payload, self.cfg.body_bytes, &mut sc.body);
             sc.frame
                 .refill(r as u16, tx.sender as u16, tx.seq, &sc.body);
-            sc.frame.chip_words_into(&mut sc.link, &mut sc.chips);
-            debug_assert_eq!(sc.chips.len(), self.frame_chips);
-            errors.apply(&mut sc.chips);
-            let (acquisition, rx) =
-                self.rx
-                    .receive_into(&sc.frame, &sc.chips, idle, &mut sc.capture);
+            let (acquisition, rx) = self.rx.receive_drawn(&sc.frame, errors, idle, &mut sc.rx);
             debug_assert_eq!(acquisition == Acquisition::Preamble, preamble);
             let body = rx.and_then(ReceivedBody::of);
             let crc_ok = body.as_ref().is_some_and(|b| b.crc_ok());
@@ -1205,23 +1175,51 @@ impl<'a> RxPipeline<'a> {
     }
 }
 
-/// Every receiver's interference view of the whole timeline: per
-/// receiver, each transmission in timeline order with the power it
-/// arrives at.
-pub(crate) fn heard_lists(env: &RadioEnv, timeline: &[Transmission]) -> Vec<Vec<HeardTx>> {
-    (0..env.testbed.receivers.len())
-        .map(|r| {
-            timeline
-                .iter()
-                .map(|tx| HeardTx {
-                    id: tx.id,
-                    start_chip: tx.start_chip,
-                    len_chips: tx.len_chips,
-                    power_mw: env.s2r_mw[tx.sender][r],
-                })
-                .collect()
-        })
-        .collect()
+/// Every receiver's interference view of a whole timeline, sorted by
+/// start chip: per receiver, each transmission in timeline order with
+/// the power it arrives at.
+pub(crate) struct HeardTimeline {
+    heard: Vec<Vec<HeardTx>>,
+    /// The longest transmission, chips: how far before a frame an
+    /// interferer can start ([`overlap_window`]).
+    max_len_chips: u64,
+}
+
+impl HeardTimeline {
+    pub(crate) fn new(env: &RadioEnv, timeline: &[Transmission]) -> Self {
+        let heard = (0..env.testbed.receivers.len())
+            .map(|r| {
+                timeline
+                    .iter()
+                    .map(|tx| HeardTx {
+                        id: tx.id,
+                        start_chip: tx.start_chip,
+                        len_chips: tx.len_chips,
+                        power_mw: env.s2r_mw[tx.sender][r],
+                    })
+                    .collect()
+            })
+            .collect();
+        HeardTimeline {
+            heard,
+            max_len_chips: timeline.iter().map(|tx| tx.len_chips).max().unwrap_or(0),
+        }
+    }
+
+    /// Receiver `r`'s view of `timeline[idx]`, and the transmissions
+    /// that can overlap it: the arguments of
+    /// [`ReceptionChannel::profile`].
+    pub(crate) fn around(&self, r: usize, idx: usize) -> (&HeardTx, &[HeardTx]) {
+        let heard = &self.heard[r];
+        let target = &heard[idx];
+        let window = overlap_window(
+            heard,
+            target.start_chip,
+            target.end_chip(),
+            self.max_len_chips,
+        );
+        (target, window)
+    }
 }
 
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`

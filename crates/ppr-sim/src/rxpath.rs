@@ -11,13 +11,25 @@
 //! the ones the sliding pipeline produces (pinned by
 //! `tests/fastpath_parity.rs` at the workspace root).
 //!
-//! Every packed driver receives in place: [`FastRx::receive_into`]
-//! refills an [`RxCapture`] the driver keeps (the link experiments keep
-//! theirs in a `LinkScratch` with the rest of a link's buffers), and
-//! the owned-frame forms [`FastRx::receive_words`] and
-//! [`FastRx::transmit`] wrap the same step with a fresh capture.
+//! Every driver — the testbed pass, `mrd`, the mesh flood and the link
+//! experiments — receives through the same two shared steps:
+//!
+//! 1. **channel**: `ReceptionChannel::profile` turns the transmissions
+//!    a receiver hears into the chip error profile over one frame;
+//! 2. **render → corrupt → receive**: into an `RxScratch` the driver
+//!    keeps, under one of two corruption contracts, chosen by how many
+//!    arms share a capture. `FastRx::transmit_into` corrupts the
+//!    rendered chips in place (one arm: the mesh, `mrd`, the link
+//!    channels); `FastRx::receive_drawn` applies [`ChipErrors`] drawn
+//!    once for every arm (the testbed pass, which also skips captures
+//!    the errors leave clean).
+//!
+//! Both end in [`FastRx::receive_into`], which refills the scratch's
+//! capture. The owned-frame form [`FastRx::receive_words`] wraps it with
+//! a fresh capture.
 
 use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ChipErrors, ErrorProfile};
+use ppr_channel::overlap::{interference_profile_into, HeardTx, InterferenceSpan, ProfileScratch};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::{FrameReceiver, RxCapture, RxFrame};
 use ppr_phy::chips::{ChipWords, CHIPS_PER_SYMBOL};
@@ -205,32 +217,97 @@ impl FastRx {
         (Acquisition::None, None)
     }
 
-    /// Sends `frame` over one link: corrupts `chips` (the frame's
-    /// [`Frame::chip_words`], owned so the caller decides whether to
-    /// render or copy) in place under `profile`, then receives them with
-    /// [`Self::receive_words`]. Consumes `rng` under the shared draw
-    /// contract, so it equals `corrupt_chips` followed by
-    /// [`Self::receive`] frame for frame (pinned by
-    /// `tests/packed_parity.rs`).
-    pub fn transmit<R: Rng>(
+    /// Renders `frame` into `scratch`, corrupts its chips in place under
+    /// `profile` from `rng`, and receives them
+    /// ([`Self::receive_into`]): the reception step of every one-arm
+    /// driver. Consumes `rng` under the shared draw contract, so it
+    /// equals `corrupt_chips` followed by [`Self::receive`] frame for
+    /// frame.
+    pub(crate) fn transmit_into<'s, R: Rng>(
         &self,
         frame: &Frame,
-        mut chips: ChipWords,
         profile: &ErrorProfile,
         rng: &mut R,
         receiver_idle: bool,
-    ) -> (Acquisition, Option<RxFrame>) {
-        corrupt_chip_words_in_place(&mut chips, profile, rng);
-        self.receive_words(frame, &chips, receiver_idle)
+        scratch: &'s mut RxScratch,
+    ) -> (Acquisition, Option<&'s RxFrame>) {
+        frame.chip_words_into(&mut scratch.link, &mut scratch.chips);
+        corrupt_chip_words_in_place(&mut scratch.chips, profile, rng);
+        self.receive_into(frame, &scratch.chips, receiver_idle, &mut scratch.capture)
+    }
+
+    /// Renders `frame` into `scratch`, applies `errors` (drawn once for
+    /// every arm that shares the capture) and receives the chips
+    /// ([`Self::receive_into`]): the reception step of the multi-arm
+    /// testbed pass.
+    pub(crate) fn receive_drawn<'s>(
+        &self,
+        frame: &Frame,
+        errors: &ChipErrors,
+        receiver_idle: bool,
+        scratch: &'s mut RxScratch,
+    ) -> (Acquisition, Option<&'s RxFrame>) {
+        frame.chip_words_into(&mut scratch.link, &mut scratch.chips);
+        errors.apply(&mut scratch.chips);
+        self.receive_into(frame, &scratch.chips, receiver_idle, &mut scratch.capture)
     }
 }
 
-/// One link's transmit buffers, kept across frames: the frame, its link
-/// bytes and chips, the chip error profile it crosses the link under,
-/// and the receiver's capture. A link that sends every frame through one
-/// scratch ([`Self::render`], then [`Self::send`]) allocates nothing per
-/// frame once the buffers have grown to its longest frame. The buffers
-/// are made with the first frame, so creating a scratch stores one null
+/// One receiver's working memory for the render → corrupt → receive
+/// step: the frame's link bytes and chips, and the capture it decodes
+/// into. Every buffer keeps its capacity, so a driver that receives
+/// every frame through one scratch allocates nothing per frame once
+/// they have grown to its longest frame, and no step reads what an
+/// earlier one left.
+#[derive(Debug, Default)]
+pub(crate) struct RxScratch {
+    link: Vec<u8>,
+    chips: ChipWords,
+    capture: RxCapture,
+}
+
+impl RxScratch {
+    /// The link bytes of the frame the last step rendered.
+    pub(crate) fn link(&self) -> &[u8] {
+        &self.link
+    }
+}
+
+/// The channel step: the chip error profile of one reception, with the
+/// working memory of its interference profile kept across receptions.
+#[derive(Debug, Default)]
+pub(crate) struct ReceptionChannel {
+    scratch: ProfileScratch,
+    spans: Vec<InterferenceSpan>,
+    profile: ErrorProfile,
+}
+
+impl ReceptionChannel {
+    /// The chip error profile over `target`'s frame at a receiver that
+    /// hears it at `target.power_mw` over a `noise_mw` floor, with every
+    /// other transmission of `heard` (the target itself is skipped by
+    /// id) as interference. `heard`'s order fixes the order of the
+    /// power sums, so it must be the same for every driver that is to
+    /// agree.
+    pub(crate) fn profile(
+        &mut self,
+        target: &HeardTx,
+        heard: &[HeardTx],
+        noise_mw: f64,
+    ) -> &ErrorProfile {
+        interference_profile_into(target, heard, &mut self.scratch, &mut self.spans);
+        self.profile
+            .refill_from_interference(target.power_mw, noise_mw, &self.spans);
+        &self.profile
+    }
+}
+
+/// One link's transmit buffers, kept across frames: the frame, the chip
+/// error profile it crosses the link under, and the receive step's
+/// scratch. A link that sends every frame through one scratch
+/// ([`Self::build`], then [`Self::send`]) allocates nothing per frame
+/// once the buffers have grown to its longest frame. The buffers are
+/// made with the first frame, so creating a scratch stores one null
 /// pointer and a link's constructor stays as cheap as its other fields.
 #[derive(Debug, Default)]
 pub(crate) struct LinkScratch {
@@ -240,18 +317,15 @@ pub(crate) struct LinkScratch {
 #[derive(Debug, Default)]
 struct LinkBuffers {
     frame: Frame,
-    link: Vec<u8>,
-    chips: ChipWords,
     profile: ErrorProfile,
-    capture: RxCapture,
+    rx: RxScratch,
 }
 
 impl LinkScratch {
-    /// Builds the frame around `body` and renders its chips
-    /// ([`Frame::chip_words_into`]). Returns the frame's length in chips
-    /// and the error profile [`Self::send`] corrupts them under, for the
-    /// link to refill.
-    pub(crate) fn render(
+    /// Builds the frame around `body`. Returns the frame's length in
+    /// chips and the error profile [`Self::send`] corrupts it under, for
+    /// the link to refill.
+    pub(crate) fn build(
         &mut self,
         dst: u16,
         src: u16,
@@ -260,16 +334,14 @@ impl LinkScratch {
     ) -> (u64, &mut ErrorProfile) {
         let b = self.buffers.get_or_insert_default();
         b.frame.refill(dst, src, seq, body);
-        b.frame.chip_words_into(&mut b.link, &mut b.chips);
-        (b.chips.len() as u64, &mut b.profile)
+        (b.frame.chips_len() as u64, &mut b.profile)
     }
 
-    /// [`FastRx::transmit`] in place: corrupts the rendered chips under
-    /// the profile, then receives them into the kept capture
-    /// ([`FastRx::receive_into`]).
+    /// Sends the built frame under the profile
+    /// ([`FastRx::transmit_into`]).
     ///
     /// # Panics
-    /// Panics unless a frame was rendered first.
+    /// Panics unless a frame was built first.
     pub(crate) fn send<R: Rng>(
         &mut self,
         rx: &FastRx,
@@ -279,9 +351,8 @@ impl LinkScratch {
         let b = self
             .buffers
             .as_mut()
-            .expect("render a frame before sending it");
-        corrupt_chip_words_in_place(&mut b.chips, &b.profile, rng);
-        rx.receive_into(&b.frame, &b.chips, receiver_idle, &mut b.capture)
+            .expect("build a frame before sending it");
+        rx.transmit_into(&b.frame, &b.profile, rng, receiver_idle, &mut b.rx)
     }
 }
 
@@ -402,6 +473,85 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The link experiments' send path ([`LinkScratch::build`], then
+    /// [`LinkScratch::send`], i.e. [`FastRx::transmit_into`]) against
+    /// the spec composition (`corrupt_chips` then [`FastRx::receive`]),
+    /// each carrying its own copy of one RNG stream across a sequence of
+    /// frames, the way the link experiments do. Longer frames pass
+    /// before shorter ones through the one scratch, so what a frame
+    /// leaves in it must be invisible to the next. Profile shapes:
+    /// jam's pulse spans at 0.35, fig16's collision burst, a fully
+    /// jammed span, and a clean sparse link.
+    #[test]
+    fn link_send_equals_the_spec_over_one_stream() {
+        use ppr_channel::chip_channel::corrupt_chips;
+        for postamble in [false, true] {
+            let fast = FastRx::new(postamble);
+            let mut rng_spec = StdRng::seed_from_u64(0x5EED ^ postamble as u64);
+            let mut rng_fast = rng_spec.clone();
+            let mut link = LinkScratch::default();
+            let mut seen = Vec::new();
+            for (k, body_len) in [250usize, 24, 120, 250, 8, 200, 250, 60]
+                .into_iter()
+                .enumerate()
+            {
+                let body = vec![(k as u8).wrapping_mul(37); body_len];
+                let frame = Frame::new(1, 2, k as u16, body.clone());
+                let clean = frame.chips();
+                let n = clean.len() as u64;
+                let base = 2e-3;
+                let profile = ErrorProfile::from_pieces(match k % 4 {
+                    0 => (0..n)
+                        .step_by(4096)
+                        .flat_map(|s| {
+                            [
+                                (s, (s + 2048).min(n), 0.35),
+                                ((s + 2048).min(n), (s + 4096).min(n), base),
+                            ]
+                        })
+                        .collect(),
+                    1 => vec![
+                        (0, n / 3, base),
+                        (n / 3, n / 3 + n / 4, 0.35),
+                        (n / 3 + n / 4, n, base),
+                    ],
+                    2 => vec![
+                        (0, n / 2, base),
+                        (n / 2, n / 2 + 700, 0.5),
+                        (n / 2 + 700, n, base),
+                    ],
+                    _ => vec![(0, n, 1e-4)],
+                });
+                // mrd sends to busy receivers too.
+                let idle = k % 3 != 2;
+                let spec = fast.receive(
+                    &frame,
+                    &corrupt_chips(&clean, &profile, &mut rng_spec),
+                    idle,
+                );
+                let (len, link_profile) = link.build(1, 2, k as u16, &body);
+                assert_eq!(len, n, "frame {k}");
+                *link_profile = profile;
+                let (acq, rx) = link.send(&fast, &mut rng_fast, idle);
+                assert_eq!(spec, (acq, rx.cloned()), "frame {k} postamble {postamble}");
+                seen.push(acq);
+            }
+            for acq in [Acquisition::Preamble, Acquisition::None] {
+                assert!(seen.contains(&acq), "{acq:?} never exercised: {seen:?}");
+            }
+            assert_eq!(
+                seen.contains(&Acquisition::Postamble),
+                postamble,
+                "{seen:?}"
+            );
+            assert_eq!(
+                rng_spec.gen::<u64>(),
+                rng_fast.gen::<u64>(),
+                "postamble {postamble}"
+            );
         }
     }
 
